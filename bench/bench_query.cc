@@ -507,7 +507,7 @@ void RunParallelBench(bench::BenchJson* json, const store::MmapStore& st,
     query::QueryPlan plan = eval.Plan(q, PlannerMode::kNaive);
     const query::CompiledPattern& first =
         plan.compiled.patterns[plan.steps[0].pattern];
-    const uint64_t driving = st.table().Count(query::PatternConstants(first));
+    const uint64_t driving = st.table().Count(query::ConstOnly(first));
     const uint64_t morsels =
         (driving + kBenchMorselRows - 1) / kBenchMorselRows;
     auto make_options = [&](uint32_t threads) {

@@ -43,7 +43,8 @@ using IdRow = std::vector<TermId>;
 /// Cursors built with an ExecContext poll it every
 /// util::ExecContext::kCheckInterval candidate triples (not produced rows:
 /// a selective scan that filters millions of triples between rows still
-/// honors its deadline). A null context means ungoverned, zero overhead.
+/// honors its deadline); hash builds poll every util::kCancelCheckChunk
+/// build triples. A null context means ungoverned, zero overhead.
 ///
 /// Every operator counts the rows it produced; Explain reads the counters
 /// off the drained tree (CollectOperators) instead of threading callbacks
@@ -86,8 +87,8 @@ class Cursor {
 /// triple (12), its chain link (4), and its amortized share of the key
 /// directory and chain-head arrays. The executor multiplies this by the
 /// plan's exact build-side count to decide whether a hash join fits the
-/// ExecContext memory budget; HashJoinCursor charges the same rate while
-/// actually building.
+/// ExecContext memory budget; SharedHashJoinBuild charges the same rate
+/// while actually building.
 inline constexpr uint64_t kHashJoinBuildBytesPerRow = 48;
 
 /// Produces nothing. Stands in for provably-empty queries (impossible
@@ -98,16 +99,24 @@ std::unique_ptr<Cursor> MakeEmptyCursor(size_t width);
 /// no patterns has one (empty) embedding.
 std::unique_ptr<Cursor> MakeSingletonCursor(size_t width);
 
+/// The pattern with only its constants bound (every variable a wildcard):
+/// the driving scan and the hash-join build side.
+store::TriplePattern ConstOnly(const CompiledPattern& pat);
+
 /// Leaf scan: emits one binding row of width `num_vars` per triple matching
 /// `pat`'s constants, serving matches from a resumable store::ScanCursor
 /// (one binary search at open, pointer bumps per pull). Handles repeated
 /// variables (?x p ?x binds consistently or skips). `label` is the pattern
-/// text for Describe.
+/// text for Describe. [begin_offset, end_offset) restricts the scan to that
+/// sub-range of the match range (one morsel; offsets clamped, see
+/// TripleTable::OpenScanSlice); the default is the whole range.
 std::unique_ptr<Cursor> MakeIndexScanCursor(const store::TripleTable& table,
                                             const CompiledPattern& pat,
                                             size_t num_vars,
                                             std::string label = "",
-                                            util::ExecContext* exec = nullptr);
+                                            util::ExecContext* exec = nullptr,
+                                            size_t begin_offset = 0,
+                                            size_t end_offset = SIZE_MAX);
 
 /// Index nested-loop join: for each input row, instantiates `pat` with the
 /// row's bindings and extends the row with every match (a fresh index range
@@ -117,21 +126,34 @@ std::unique_ptr<Cursor> MakeIndexNestedLoopJoinCursor(
     const CompiledPattern& pat, std::string label = "",
     util::ExecContext* exec = nullptr);
 
-/// Hash join: on first pull, builds a hash table over every triple matching
-/// `pat`'s constants, keyed on the values at `key_vars`' positions
-/// (variables of `pat` the input already binds; must be non-empty). Each
-/// input row then probes in O(1) instead of binary-searching the index.
-/// Chains preserve build (index) order, so the output is deterministic.
-/// With an ExecContext, the build side charges kHashJoinBuildBytesPerRow
-/// per triple against the memory budget; if the charge is refused the
-/// cursor degrades to an index nested-loop join (Describe reports
-/// "degraded=nlj") instead of failing the query.
-std::unique_ptr<Cursor> MakeHashJoinCursor(std::unique_ptr<Cursor> input,
-                                           const store::TripleTable& table,
-                                           const CompiledPattern& pat,
-                                           std::vector<uint32_t> key_vars,
-                                           std::string label = "",
-                                           util::ExecContext* exec = nullptr);
+/// The build side of a hash join: every triple matching `pat`'s constants,
+/// keyed on the values at `key_vars`' positions (variables of `pat` the
+/// input already binds; must be non-empty), in `partitions` hash partitions
+/// (1 for sequential trees; the executor resolves it against the hardware
+/// for parallel ones). Built once — partitions in parallel, each inserting
+/// its keys' triples in index order, so chains replay matches in the same
+/// order at every partition count — then probed concurrently, read-only, by
+/// every pipeline of the query. With an ExecContext the build charges
+/// kHashJoinBuildBytesPerRow per triple against the memory budget; a
+/// refused charge abandons the build (full refund) and every probe falls
+/// back to index nested-loop probing, byte-identical.
+class SharedHashJoinBuild;
+
+std::shared_ptr<SharedHashJoinBuild> MakeSharedHashJoinBuild(
+    const store::TripleTable& table, const CompiledPattern& pat,
+    std::vector<uint32_t> key_vars, util::ExecContext* exec,
+    uint32_t partitions);
+
+/// Hash-join probe: each input row looks up its key in `build` in O(1)
+/// instead of binary-searching the index, and is extended with every triple
+/// on the key's chain. The first Next builds the table unless a gather
+/// already did (a gather builds before fan-out, so concurrent probes only
+/// read it). Describe reports "HashJoin[...]", or "HashJoin[...
+/// degraded=nlj]" once the build was refused memory.
+std::unique_ptr<Cursor> MakeSharedHashJoinProbeCursor(
+    std::unique_ptr<Cursor> input, const store::TripleTable& table,
+    std::shared_ptr<SharedHashJoinBuild> build, std::string label = "",
+    util::ExecContext* exec = nullptr);
 
 /// Root governor: charges each produced row against `exec`'s row budget and
 /// polls deadline/cancellation between rows. Invisible to Explain (forwards
@@ -168,54 +190,6 @@ std::unique_ptr<Cursor> MakeLimitOffsetCursor(std::unique_ptr<Cursor> input,
 /// of per-morsel outputs never depends on how many workers ran them.
 inline constexpr uint64_t kMorselRows = 4096;
 
-/// The pattern with only its constants bound (every variable a wildcard) —
-/// the driving-scan / hash-build pattern. Exposed for the executor's
-/// fan-out gate, which Counts the driving scan before splitting it.
-store::TriplePattern PatternConstants(const CompiledPattern& pat);
-
-/// Leaf scan over one morsel: exactly MakeIndexScanCursor restricted to the
-/// sub-range [begin_offset, end_offset) of `pat`'s match range in its
-/// serving index (offsets clamped; see TripleTable::OpenScanSlice).
-std::unique_ptr<Cursor> MakeIndexScanSliceCursor(
-    const store::TripleTable& table, const CompiledPattern& pat,
-    size_t num_vars, size_t begin_offset, size_t end_offset,
-    std::string label = "", util::ExecContext* exec = nullptr);
-
-/// The build side of a hash join shared by every morsel pipeline of one
-/// parallel query: built once — partitioned by key hash, partitions built
-/// in parallel, each inserting its keys' triples in index order so probe
-/// chains replay matches exactly like the sequential HashJoinCursor — then
-/// probed concurrently, read-only. Charges the ExecContext memory budget at
-/// kHashJoinBuildBytesPerRow like the sequential build and degrades the
-/// same way: a refused charge abandons the build (full refund) and every
-/// probe cursor falls back to index nested-loop probing, byte-identical.
-class SharedHashJoinBuild;
-
-std::shared_ptr<SharedHashJoinBuild> MakeSharedHashJoinBuild(
-    const store::TripleTable& table, const CompiledPattern& pat,
-    std::vector<uint32_t> key_vars, util::ExecContext* exec,
-    uint32_t parallelism);
-
-/// Probe-side cursor over a shared build (which must be EnsureBuilt()-ed
-/// before the first Next — the gather operator does this before fan-out).
-/// Emits the same stream as MakeHashJoinCursor over the same input.
-std::unique_ptr<Cursor> MakeSharedHashJoinProbeCursor(
-    std::unique_ptr<Cursor> input, const store::TripleTable& table,
-    std::shared_ptr<const SharedHashJoinBuild> build, std::string label = "",
-    util::ExecContext* exec = nullptr);
-
-/// How the gather operator schedules morsel pipelines. kAuto picks per
-/// host: on a single-CPU machine pool workers would only preempt the one
-/// consumer (measured ~10-15% wall overhead on the query bench), so every
-/// morsel streams inline on the consumer instead; multi-CPU hosts use pool
-/// workers. Both paths emit the identical byte stream — tests pin each mode
-/// explicitly so both stay exercised no matter what host CI lands on.
-enum class ParallelWorkerMode : uint8_t {
-  kAuto,
-  kForceWorkers,  // always spawn pool workers, even on one CPU
-  kForceInline,   // always stream morsels inline on the consumer
-};
-
 /// Everything MakeParallelGatherCursor needs to fan a pipeline out.
 struct ParallelGatherSpec {
   /// Compiles one morsel's pipeline over the driving-scan sub-range
@@ -232,10 +206,11 @@ struct ParallelGatherSpec {
   size_t width = 0;
   /// Worker fan-out (already resolved against hardware and morsel count).
   uint32_t num_threads = 1;
-  /// Worker vs. inline scheduling policy (see ParallelWorkerMode).
-  ParallelWorkerMode worker_mode = ParallelWorkerMode::kAuto;
-  /// Shared hash-join builds referenced by the pipelines; the gather cursor
-  /// EnsureBuilt()s them before spawning workers and keeps them alive.
+  /// Hash-join builds referenced by the pipelines, outermost step first —
+  /// the order a sequential tree's probes build in, so a memory budget
+  /// refuses the same build at every thread count. The gather cursor
+  /// EnsureBuilt()s them in this order before spawning workers and keeps
+  /// them alive.
   std::vector<std::shared_ptr<SharedHashJoinBuild>> builds;
   /// Driving-pattern text for Describe.
   std::string label;

@@ -52,8 +52,9 @@ Row BgpEvaluator::Decode(const IdRow& row) const {
 bool BgpEvaluator::ExistsMatch(const BgpQuery& q) const {
   // First-match semantics: never pay a hash build for a single pull — a
   // nested-loop probe finds the first embedding in O(log n).
-  CursorTree tree =
-      CompileEmbeddingTree(table_, Plan(q), HashJoinMode::kNever);
+  ExecutorOptions options;
+  options.hash_join = HashJoinMode::kNever;
+  CursorTree tree = CompileEmbeddingTree(table_, Plan(q), options);
   IdRow row;
   return tree.root->Next(&row);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <thread>
 #include <utility>
 
 #include "util/parallel_for.h"
@@ -10,114 +11,80 @@ namespace rdfsum::query {
 
 namespace {
 
-/// Compiles the morsel-parallel embeddings root, or nullptr when the query
-/// should run sequentially: parallelism not requested, the driving scan is
-/// under the gate, or fewer than two workers resolve. The per-morsel
-/// pipeline mirrors CompileEmbeddingTree step for step — slice scan, then
-/// per step either a probe of a shared hash build or an index nested-loop
-/// join — under the same hash/degrade decisions, so the ordered merge of
-/// morsel outputs is the sequential stream.
-std::unique_ptr<Cursor> TryCompileParallelEmbeddings(
-    const store::TripleTable& table, const QueryPlan& plan,
-    const ExecutorOptions& options, size_t num_vars) {
-  if (options.parallelism == 1) return nullptr;
-  const CompiledBgp& c = plan.compiled;
-  const CompiledPattern& first = c.patterns[plan.steps[0].pattern];
+/// Partition cap for parallel hash builds: every partition pass re-scans
+/// the whole build range, so more passes than this cost more than they save.
+constexpr uint32_t kMaxBuildPartitions = 8;
+
+/// One join step's compile-time decisions, made once and shared (immutably,
+/// once built) by every pipeline compiled from them.
+struct StepSpec {
+  CompiledPattern pat;
+  std::string label;
+  std::shared_ptr<SharedHashJoinBuild> build;  // null: nested-loop join
+};
+
+/// Everything a pipeline needs, owned so morsel pipelines can outlive the
+/// plan.
+struct PipelineSpec {
+  CompiledPattern first;  // the driving scan
+  std::string first_label;
+  size_t num_vars = 0;
+  std::vector<StepSpec> steps;  // plan steps 2..n
+};
+
+/// The join pipeline over [begin, end) of the driving scan: scan, then per
+/// step a hash probe or an index nested-loop join. Records each step's
+/// operator into *step_cursors when given (the sequential tree, for
+/// Explain).
+std::unique_ptr<Cursor> CompilePipeline(const store::TripleTable& table,
+                                        const PipelineSpec& p,
+                                        util::ExecContext* exec, size_t begin,
+                                        size_t end,
+                                        std::vector<Cursor*>* step_cursors) {
+  std::unique_ptr<Cursor> cur = MakeIndexScanCursor(
+      table, p.first, p.num_vars, p.first_label, exec, begin, end);
+  if (step_cursors != nullptr) step_cursors->push_back(cur.get());
+  for (const StepSpec& s : p.steps) {
+    if (s.build != nullptr) {
+      cur = MakeSharedHashJoinProbeCursor(std::move(cur), table, s.build,
+                                          s.label, exec);
+    } else {
+      cur = MakeIndexNestedLoopJoinCursor(std::move(cur), table, s.pat,
+                                          s.label, exec);
+    }
+    if (step_cursors != nullptr) step_cursors->push_back(cur.get());
+  }
+  return cur;
+}
+
+/// Morsel workers for this query, or 1 for the sequential tree: fan-out
+/// must be requested, allowed on this host, the driving scan must clear the
+/// gate, and at least two workers must resolve. Sets *driving to the exact
+/// driving-scan size when it fans out.
+uint32_t ResolveFanOut(const store::TripleTable& table,
+                       const CompiledPattern& first,
+                       const ExecutorOptions& options, uint32_t hw,
+                       uint64_t* driving) {
+  if (options.parallelism == 1) return 1;
+  if (options.worker_mode == ParallelWorkerMode::kAuto && hw <= 1) return 1;
   // The gate reads the *exact* match count (O(log n) index-range length),
   // not an estimate: small probes must reliably stay sequential.
-  const uint64_t driving = table.Count(PatternConstants(first));
+  *driving = table.Count(ConstOnly(first));
   const uint64_t gate = options.min_parallel_rows != 0
                             ? options.min_parallel_rows
                             : kParallelMinScanRows;
-  if (driving < gate) return nullptr;
+  if (*driving < gate) return 1;
   const uint64_t morsel_rows =
       options.morsel_rows != 0 ? options.morsel_rows : kMorselRows;
-  const uint64_t num_morsels = (driving + morsel_rows - 1) / morsel_rows;
-  const uint32_t threads =
-      util::ResolveThreadCount(options.parallelism, num_morsels);
-  if (threads < 2) return nullptr;
-
-  // Per-join-step compilation state, shared (immutably, once built) by
-  // every morsel pipeline. A null build means nested-loop join for that
-  // step — either the plan said so or the memory budget ruled the build out
-  // up front, exactly like the sequential compile.
-  struct StepSpec {
-    CompiledPattern pat;
-    std::string label;
-    std::shared_ptr<SharedHashJoinBuild> build;
-  };
-  auto steps = std::make_shared<std::vector<StepSpec>>();
-  std::vector<bool> bound(num_vars, false);
-  for (const CompiledSlot* sl : {&first.s, &first.p, &first.o}) {
-    if (sl->is_var) bound[sl->var] = true;
-  }
-  ParallelGatherSpec spec;
-  for (size_t i = 1; i < plan.steps.size(); ++i) {
-    const PlanStep& step = plan.steps[i];
-    const CompiledPattern& pat = c.patterns[step.pattern];
-    std::vector<uint32_t> key_vars;
-    for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
-      if (sl->is_var && bound[sl->var] &&
-          std::find(key_vars.begin(), key_vars.end(), sl->var) ==
-              key_vars.end()) {
-        key_vars.push_back(sl->var);
-      }
-    }
-    bool hash = !key_vars.empty() &&
-                (options.hash_join == HashJoinMode::kAlways ||
-                 (options.hash_join == HashJoinMode::kFromPlan &&
-                  step.use_hash_join));
-    if (hash && options.exec != nullptr &&
-        options.exec->WouldExceedMemory(static_cast<uint64_t>(
-            step.estimated_build_rows * kHashJoinBuildBytesPerRow))) {
-      hash = false;
-    }
-    StepSpec s;
-    s.pat = pat;
-    s.label = step.pattern_text;
-    if (hash) {
-      s.build = MakeSharedHashJoinBuild(table, pat, std::move(key_vars),
-                                        options.exec, threads);
-      spec.builds.push_back(s.build);
-    }
-    steps->push_back(std::move(s));
-    for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
-      if (sl->is_var) bound[sl->var] = true;
-    }
-  }
-
-  spec.total_rows = driving;
-  spec.morsel_rows = options.morsel_rows;  // 0 resolves inside the gather
-  spec.width = num_vars;
-  spec.num_threads = threads;
-  spec.worker_mode = options.worker_mode;
-  spec.label = plan.steps[0].pattern_text;
-  spec.exec = options.exec;
-  spec.pipeline = [&table, steps, first, num_vars,
-                   first_label = plan.steps[0].pattern_text,
-                   exec = options.exec](size_t begin, size_t end) {
-    std::unique_ptr<Cursor> cur = MakeIndexScanSliceCursor(
-        table, first, num_vars, begin, end, first_label, exec);
-    for (const StepSpec& s : *steps) {
-      if (s.build != nullptr) {
-        cur = MakeSharedHashJoinProbeCursor(std::move(cur), table, s.build,
-                                            s.label, exec);
-      } else {
-        cur = MakeIndexNestedLoopJoinCursor(std::move(cur), table, s.pat,
-                                            s.label, exec);
-      }
-    }
-    return cur;
-  };
-  return MakeParallelGatherCursor(std::move(spec));
+  return util::ResolveThreadCount(options.parallelism,
+                                  (*driving + morsel_rows - 1) / morsel_rows);
 }
 
 }  // namespace
 
 CursorTree CompileEmbeddingTree(const store::TripleTable& table,
                                 const QueryPlan& plan,
-                                HashJoinMode hash_join,
-                                util::ExecContext* exec) {
+                                const ExecutorOptions& options) {
   CursorTree tree;
   const CompiledBgp& c = plan.compiled;
   const size_t num_vars = c.var_names.size();
@@ -132,71 +99,82 @@ CursorTree CompileEmbeddingTree(const store::TripleTable& table,
     return tree;
   }
 
+  auto p = std::make_shared<PipelineSpec>();
+  p->first = c.patterns[plan.steps[0].pattern];
+  p->first_label = plan.steps[0].pattern_text;
+  p->num_vars = num_vars;
+  const uint32_t hw = options.parallelism == 1
+                          ? 1
+                          : std::max(1u, std::thread::hardware_concurrency());
+  uint64_t driving = 0;
+  const uint32_t threads =
+      ResolveFanOut(table, p->first, options, hw, &driving);
+  // Sequential trees build one partition; parallel ones one per worker the
+  // machine can actually run at once.
+  const uint32_t partitions = std::min({threads, hw, kMaxBuildPartitions});
+
   std::vector<bool> bound(num_vars, false);
-  std::unique_ptr<Cursor> cur;
-  for (size_t i = 0; i < plan.steps.size(); ++i) {
+  for (const CompiledSlot* sl : {&p->first.s, &p->first.p, &p->first.o}) {
+    if (sl->is_var) bound[sl->var] = true;
+  }
+  for (size_t i = 1; i < plan.steps.size(); ++i) {
     const PlanStep& step = plan.steps[i];
     const CompiledPattern& pat = c.patterns[step.pattern];
-    if (i == 0) {
-      cur = MakeIndexScanCursor(table, pat, num_vars, step.pattern_text,
-                                exec);
-    } else {
-      // Join variables: `pat`'s variables an earlier step already bound,
-      // deduplicated in slot order.
-      std::vector<uint32_t> key_vars;
-      for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
-        if (sl->is_var && bound[sl->var] &&
-            std::find(key_vars.begin(), key_vars.end(), sl->var) ==
-                key_vars.end()) {
-          key_vars.push_back(sl->var);
-        }
-      }
-      bool hash =
-          !key_vars.empty() &&
-          (hash_join == HashJoinMode::kAlways ||
-           (hash_join == HashJoinMode::kFromPlan && step.use_hash_join));
-      // Compile-time degrade: the plan records the exact build-side size,
-      // so a hash join that cannot fit the memory budget is compiled as a
-      // nested-loop join up front rather than discovering it mid-build.
-      if (hash && exec != nullptr &&
-          exec->WouldExceedMemory(static_cast<uint64_t>(
-              step.estimated_build_rows * kHashJoinBuildBytesPerRow))) {
-        hash = false;
-      }
-      if (hash) {
-        cur = MakeHashJoinCursor(std::move(cur), table, pat,
-                                 std::move(key_vars), step.pattern_text,
-                                 exec);
-      } else {
-        cur = MakeIndexNestedLoopJoinCursor(std::move(cur), table, pat,
-                                            step.pattern_text, exec);
+    // Join variables: `pat`'s variables an earlier step already bound,
+    // deduplicated in slot order.
+    std::vector<uint32_t> key_vars;
+    for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
+      if (sl->is_var && bound[sl->var] &&
+          std::find(key_vars.begin(), key_vars.end(), sl->var) ==
+              key_vars.end()) {
+        key_vars.push_back(sl->var);
       }
     }
-    tree.step_cursors.push_back(cur.get());
+    bool hash = !key_vars.empty() &&
+                (options.hash_join == HashJoinMode::kAlways ||
+                 (options.hash_join == HashJoinMode::kFromPlan &&
+                  step.use_hash_join));
+    // Compile-time degrade: the plan records the exact build-side size, so
+    // a hash join that cannot fit the memory budget is compiled as a
+    // nested-loop join up front rather than discovering it mid-build.
+    if (hash && options.exec != nullptr &&
+        options.exec->WouldExceedMemory(static_cast<uint64_t>(
+            step.estimated_build_rows * kHashJoinBuildBytesPerRow))) {
+      hash = false;
+    }
+    StepSpec s{pat, step.pattern_text, nullptr};
+    if (hash) {
+      s.build = MakeSharedHashJoinBuild(table, pat, std::move(key_vars),
+                                        options.exec, partitions);
+    }
+    p->steps.push_back(std::move(s));
     for (const CompiledSlot* sl : {&pat.s, &pat.p, &pat.o}) {
       if (sl->is_var) bound[sl->var] = true;
     }
   }
-  tree.embeddings = cur.get();
-  tree.root = std::move(cur);
-  return tree;
-}
 
-CursorTree CompileEmbeddingTree(const store::TripleTable& table,
-                                const QueryPlan& plan,
-                                const ExecutorOptions& options) {
-  const CompiledBgp& c = plan.compiled;
-  if (!c.impossible && !plan.steps.empty()) {
-    std::unique_ptr<Cursor> par =
-        TryCompileParallelEmbeddings(table, plan, options, c.var_names.size());
-    if (par != nullptr) {
-      CursorTree tree;
-      tree.embeddings = par.get();
-      tree.root = std::move(par);
-      return tree;  // step_cursors stay empty; see the header note
-    }
+  if (threads < 2) {
+    tree.root = CompilePipeline(table, *p, options.exec, 0, SIZE_MAX,
+                                &tree.step_cursors);
+    tree.embeddings = tree.root.get();
+    return tree;
   }
-  return CompileEmbeddingTree(table, plan, options.hash_join, options.exec);
+  ParallelGatherSpec spec;
+  for (auto it = p->steps.rbegin(); it != p->steps.rend(); ++it) {
+    if (it->build != nullptr) spec.builds.push_back(it->build);
+  }
+  spec.total_rows = driving;
+  spec.morsel_rows = options.morsel_rows;  // 0 resolves inside the gather
+  spec.width = num_vars;
+  spec.num_threads = threads;
+  spec.label = p->first_label;
+  spec.exec = options.exec;
+  spec.pipeline = [&table, p, exec = options.exec](size_t begin, size_t end) {
+    return CompilePipeline(table, *p, exec, begin, end, nullptr);
+  };
+  tree.root = MakeParallelGatherCursor(std::move(spec));
+  tree.embeddings = tree.root.get();
+  return tree;  // step_cursors stay empty; see the header note
 }
 
 CursorTree CompileQueryTree(const store::TripleTable& table,

@@ -17,6 +17,15 @@ namespace rdfsum::query {
 /// every step with at least one join variable, budget ignored).
 enum class HashJoinMode : uint8_t { kFromPlan, kNever, kAlways };
 
+/// Whether a fan-out may run on a single-CPU host. kAuto compiles the
+/// sequential tree there instead — pool workers would only preempt the one
+/// consumer, and the sequential tree is the byte stream the gather merges.
+/// kForceWorkers is the test hook that runs the exchange on any host.
+enum class ParallelWorkerMode : uint8_t {
+  kAuto,
+  kForceWorkers,  // fan out to pool workers even on one CPU
+};
+
 /// Fan-out gate: driving scans below this many rows are never split —
 /// morsel scheduling overhead would dominate, and a small probe side means
 /// the query is cheap anyway. Two morsels' worth, so an engaged fan-out
@@ -36,7 +45,7 @@ struct ExecutorOptions {
   /// hash joins fit themselves into (or degrade under) the memory budget.
   util::ExecContext* exec = nullptr;
   /// Intra-query fan-out: morsel workers for the join pipeline. 1 (the
-  /// default) compiles the classic sequential tree; 0 means hardware
+  /// default) compiles the sequential tree; 0 means hardware
   /// concurrency; k>=2 asks for k workers (granted even above the core
   /// count — the shared pool multiplexes). Fan-out only engages when the
   /// driving scan clears the gate below; the result stream is byte-identical
@@ -49,9 +58,8 @@ struct ExecutorOptions {
   /// Morsel-size override; 0 means kMorselRows. Tests shrink it to get
   /// many-morsel schedules on small fixtures.
   uint64_t morsel_rows = 0;
-  /// Scheduling policy for an engaged fan-out: pool workers vs. inline
-  /// streaming on the consumer. kAuto decides per host; tests pin each
-  /// mode so both paths run on any machine.
+  /// Single-CPU policy (see ParallelWorkerMode); tests force workers so
+  /// the exchange runs on any machine.
   ParallelWorkerMode worker_mode = ParallelWorkerMode::kAuto;
 };
 
@@ -73,26 +81,23 @@ struct CursorTree {
 
 /// Compiles `plan` into the join pipeline only (no projection, no dedup):
 /// the root enumerates embeddings of the query body as full-width binding
-/// rows. Backbone of ExistsMatch/CountEmbeddings. With `exec`, operators
-/// poll governance, and a plan-chosen hash join whose predicted build state
+/// rows. Backbone of ExistsMatch/CountEmbeddings. With `options.exec`,
+/// operators poll governance, and a hash join whose predicted build state
 /// (estimated_build_rows × kHashJoinBuildBytesPerRow) cannot fit the
 /// remaining memory budget is compiled as a nested-loop join up front —
 /// same rows, no doomed build.
+///
+/// One pipeline factory serves every thread count: the sequential tree is
+/// the pipeline over the whole driving scan. When options.parallelism != 1,
+/// the driving scan clears the fan-out gate (exact Count >=
+/// min_parallel_rows), at least two workers resolve, and the host may fan
+/// out (see ParallelWorkerMode), the root is instead a ParallelGather over
+/// the same pipeline per morsel — same rows, same order, byte-identical.
+/// Parallel trees leave step_cursors empty (morsel pipelines are
+/// transient); Explain always compiles sequentially, so nothing reads them.
 CursorTree CompileEmbeddingTree(const store::TripleTable& table,
                                 const QueryPlan& plan,
-                                HashJoinMode hash_join = HashJoinMode::kFromPlan,
-                                util::ExecContext* exec = nullptr);
-
-/// Like the above but honoring the full options, including parallelism.
-/// When options.parallelism != 1, the driving scan clears the fan-out gate
-/// (exact Count >= min_parallel_rows), and at least two workers resolve, the
-/// embeddings root is a ParallelGather over per-morsel pipelines instead of
-/// the sequential tree — same rows, same order, byte-identical. Parallel
-/// trees leave step_cursors empty (morsel pipelines are transient); Explain
-/// always compiles sequentially, so nothing reads them.
-CursorTree CompileEmbeddingTree(const store::TripleTable& table,
-                                const QueryPlan& plan,
-                                const ExecutorOptions& options);
+                                const ExecutorOptions& options = {});
 
 /// Compiles the full query tree: joins -> Project(head) -> Distinct ->
 /// LimitOffset (the last only when limit/offset are set). The root yields

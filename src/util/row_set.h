@@ -15,8 +15,9 @@ namespace rdfsum::util {
 /// vectors it replaced allocated per row and compared in O(width log n)).
 ///
 /// Shared by the query layer for projection dedup (Distinct), and as the key
-/// directory of HashJoinCursor's build side: InsertOrFind hands back a dense
-/// ordinal per distinct key that callers index side arrays with.
+/// directory of each hash-join build partition (SharedHashJoinBuild):
+/// InsertOrFind hands back a dense ordinal per distinct key that callers
+/// index side arrays with.
 ///
 /// A width of 0 models the boolean projection: there is exactly one possible
 /// (empty) row. Capacity is bounded by ~4B rows (ordinals are uint32_t).

@@ -12,10 +12,10 @@
 // outstanding memory charge is refunded by teardown, and randomized
 // mid-flight cancellation (x30) always joins. Runs under TSan in CI.
 //
-// Both gather scheduling modes are pinned explicitly: the wall forces pool
-// workers (kForceWorkers) so the exchange machinery runs even on a 1-core
-// host, and a dedicated section pins the single-CPU inline streaming path
-// (kForceInline) so it runs even on many-core hosts.
+// The wall forces pool workers (kForceWorkers) so the exchange machinery
+// runs even on a 1-core host, where kAuto compiles the sequential tree; a
+// dedicated section checks that kAuto, whatever this host resolves it to,
+// agrees with the sequential stream.
 
 #include <gtest/gtest.h>
 
@@ -81,10 +81,9 @@ std::vector<Row> DrainCursor(const BgpEvaluator& eval, const BgpQuery& q,
 
 /// Options that force fan-out on small test fixtures: gate at one row,
 /// tiny morsels so every query sees a many-morsel schedule. Pins
-/// kForceWorkers: on a single-CPU host kAuto streams morsels inline on the
-/// consumer, which would silently skip the exchange machinery (workers,
-/// run-ahead window, ordered merge) this wall exists to exercise. The
-/// inline path has its own differential section below.
+/// kForceWorkers: on a single-CPU host kAuto compiles the sequential tree,
+/// which would silently skip the exchange machinery (workers, run-ahead
+/// window, ordered merge) this wall exists to exercise.
 CursorOptions Parallel(uint32_t threads, CursorOptions base = {}) {
   base.parallelism = threads;
   base.min_parallel_rows = 1;
@@ -255,11 +254,6 @@ TEST(ParallelGateTest, LoweredGateEngagesAndSequentialRequestNever) {
   EXPECT_TRUE(TreeHasGather(eval, w.fixed_queries[0], Parallel(4)));
   // parallelism == 1 is the hard sequential switch, gate irrelevant.
   EXPECT_FALSE(TreeHasGather(eval, w.fixed_queries[0], Parallel(1)));
-  // Inline streaming mode still compiles the gather (it is the gather that
-  // streams the morsels) — the parallel plan shape, not a fallback.
-  CursorOptions inl = Parallel(4);
-  inl.worker_mode = ParallelWorkerMode::kForceInline;
-  EXPECT_TRUE(TreeHasGather(eval, w.fixed_queries[0], inl));
 }
 
 // ------------------------------------------------- governance mid-fan-out
@@ -351,6 +345,68 @@ TEST(ParallelGovernanceTest, SharedBuildDegradesUnderMemoryBudget) {
   EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
+TEST(ParallelGovernanceTest,
+     PartialBudgetDegradesTheSameStepAtEveryThreadCount) {
+  // Two hash builds, each of which fits the budget alone but not both:
+  // `?s ?p ?o` (62 triples) and `?o <tag> ?z` (6 triples). The compile-time
+  // check admits both, so the second build to run is refused after the
+  // first one's charges — and must be the same build at every thread count,
+  // or t=1 and t>1 degrade different joins and emit different streams.
+  Graph g;
+  const std::string ex = "http://ex.org/";
+  for (int k = 0; k < 8; ++k) {
+    g.AddIris(ex + "m", ex + "uses", ex + "p" + std::to_string(k));
+  }
+  // Tags first, so the o_i are interned in index order: the nested-loop
+  // probe of `?s ?p ?o` (POS) and its hash probe (SPO build order) then
+  // emit the s_i in different orders, and a wrong degrade shows.
+  for (int i = 0; i < 6; ++i) {
+    g.AddIris(ex + "o" + std::to_string(i), ex + "tag",
+              ex + "z" + std::to_string(i));
+  }
+  for (int i = 0; i < 6; ++i) {
+    for (int k = 0; k < 8; ++k) {
+      g.AddIris(ex + "s" + std::to_string(i), ex + "p" + std::to_string(k),
+                ex + "o" + std::to_string((5 * i + 3) % 6));
+    }
+  }
+  ASSERT_EQ(g.NumTriples(), 62u);
+  BgpEvaluator eval(g);
+  BgpQuery q = MustParse(
+      "PREFIX e: <http://ex.org/>\n"
+      "SELECT ?s ?o ?z WHERE { ?m e:uses ?p . ?s ?p ?o . ?o e:tag ?z }");
+
+  CursorOptions hashed;
+  hashed.hash_join = HashJoinMode::kAlways;
+  std::vector<std::string> ungoverned =
+      Exact(DrainCursor(eval, q, PlannerMode::kNaive, hashed));
+  std::sort(ungoverned.begin(), ungoverned.end());
+  ASSERT_EQ(ungoverned.size(), 6u);
+
+  auto governed = [&](uint32_t threads) {
+    util::ExecContext::Limits limits;
+    limits.memory_budget_bytes = 62 * kHashJoinBuildBytesPerRow + 100;
+    util::ExecContext ctx(limits);
+    CursorOptions options = hashed;
+    if (threads > 1) {
+      options = Parallel(threads, hashed);
+      options.morsel_rows = 2;
+    }
+    options.exec = &ctx;
+    std::vector<std::string> rows =
+        Exact(DrainCursor(eval, q, PlannerMode::kNaive, options));
+    EXPECT_EQ(ctx.memory_used(), 0u) << "threads=" << threads;
+    return rows;
+  };
+  const std::vector<std::string> sequential = governed(1);
+  std::vector<std::string> sorted = sequential;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, ungoverned);
+  for (uint32_t threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(governed(threads), sequential) << "threads=" << threads;
+  }
+}
+
 TEST(ParallelGovernanceTest, AbandonedCursorJoinsCleanly) {
   // Destroy the gather after a single row with many morsels unconsumed:
   // workers must observe the teardown stop and fall through the join.
@@ -430,7 +486,7 @@ TEST(ParallelFaultTest, SharedBuildFailpointDegradesOrFails) {
       DrainCursor(f.eval, f.q, PlannerMode::kGreedy, hashed));
 
   // ResourceExhausted at the build site = degrade to nested loops, same
-  // rows (the sequential HashJoinCursor contract).
+  // rows.
   util::FaultInjection::Arm("query:hashjoin-build",
                            Status::ResourceExhausted("injected"));
   EXPECT_EQ(Exact(DrainCursor(f.eval, f.q, PlannerMode::kGreedy, hashed)),
@@ -449,15 +505,13 @@ TEST(ParallelFaultTest, SharedBuildFailpointDegradesOrFails) {
   util::FaultInjection::Clear();
 }
 
-// ---------------------------------------------- inline streaming mode
+// ------------------------------------------------------- kAuto worker mode
 //
-// kForceInline streams every morsel's pipeline directly on the consumer —
-// the single-CPU fast path kAuto picks on a 1-core host. Pinning it here
-// keeps the path covered on many-core machines too, and pinning both modes
-// against each other pins the core invariant: scheduling never changes
-// bytes.
+// kAuto fans out to pool workers on a multi-CPU host and compiles the
+// sequential tree on a single-CPU one. Either way the stream is the
+// sequential stream.
 
-TEST(ParallelWorkerModeTest, InlineStreamingIsByteIdenticalEveryMode) {
+TEST(ParallelWorkerModeTest, AutoIsByteIdenticalToSequential) {
   Workload w = LubmWorkload();
   BgpEvaluator eval(w.graph);
   for (const BgpQuery& q : w.fixed_queries) {
@@ -467,80 +521,16 @@ TEST(ParallelWorkerModeTest, InlineStreamingIsByteIdenticalEveryMode) {
       std::vector<std::string> full =
           Exact(DrainCursor(eval, q, PlannerMode::kGreedy, seq));
       for (uint32_t threads : {2u, 4u, 8u}) {
-        CursorOptions inl = Parallel(threads, seq);
-        inl.worker_mode = ParallelWorkerMode::kForceInline;
-        EXPECT_EQ(Exact(DrainCursor(eval, q, PlannerMode::kGreedy, inl)),
-                  full)
-            << "hj=" << static_cast<int>(hj) << " threads=" << threads
-            << "\n"
-            << q.ToString();
-        // And kAuto — whichever path this host resolves to — agrees.
         CursorOptions aut = Parallel(threads, seq);
         aut.worker_mode = ParallelWorkerMode::kAuto;
         EXPECT_EQ(Exact(DrainCursor(eval, q, PlannerMode::kGreedy, aut)),
                   full)
-            << "auto hj=" << static_cast<int>(hj) << " threads=" << threads;
+            << "hj=" << static_cast<int>(hj) << " threads=" << threads
+            << "\n"
+            << q.ToString();
       }
     }
   }
-}
-
-TEST(ParallelWorkerModeTest, InlineLimitSlicesStopEarly) {
-  GovernedFixture f;
-  std::vector<std::string> full =
-      Exact(DrainCursor(f.eval, f.q, PlannerMode::kGreedy, {}));
-  for (size_t limit : {size_t{0}, size_t{1}, size_t{3}}) {
-    CursorOptions slice = Parallel(4);
-    slice.worker_mode = ParallelWorkerMode::kForceInline;
-    slice.limit = limit;
-    slice.offset = 1;
-    std::vector<std::string> expected;
-    for (size_t i = 1; i < full.size() && expected.size() < limit; ++i) {
-      expected.push_back(full[i]);
-    }
-    EXPECT_EQ(Exact(DrainCursor(f.eval, f.q, PlannerMode::kGreedy, slice)),
-              expected)
-        << "limit=" << limit;
-  }
-}
-
-TEST(ParallelWorkerModeTest, InlineModeSurfacesMorselFailpoint) {
-  if (!util::FaultInjection::compiled_in()) {
-    GTEST_SKIP() << "failpoints not compiled in";
-  }
-  GovernedFixture f;
-  util::FaultInjection::Arm("query:morsel",
-                           Status::IOError("injected morsel fault"));
-  CursorOptions inl = Parallel(4);
-  inl.worker_mode = ParallelWorkerMode::kForceInline;
-  auto cursor = f.eval.Open(f.q, PlannerMode::kGreedy, inl);
-  ASSERT_TRUE(cursor.ok());
-  IdRow row;
-  while ((*cursor)->Next(&row)) {
-  }
-  EXPECT_TRUE((*cursor)->status().IsIOError())
-      << (*cursor)->status().ToString();
-  util::FaultInjection::Clear();
-}
-
-TEST(ParallelWorkerModeTest, InlineModeHonorsGovernance) {
-  GovernedFixture f;
-  util::ExecContext::Limits limits;
-  limits.max_rows = 3;
-  util::ExecContext ctx(limits);
-  CursorOptions inl = Parallel(4);
-  inl.worker_mode = ParallelWorkerMode::kForceInline;
-  inl.exec = &ctx;
-  auto cursor = f.eval.Open(f.q, PlannerMode::kGreedy, inl);
-  ASSERT_TRUE(cursor.ok());
-  IdRow row;
-  size_t rows = 0;
-  while ((*cursor)->Next(&row)) ++rows;
-  EXPECT_TRUE((*cursor)->status().IsResourceExhausted())
-      << (*cursor)->status().ToString();
-  EXPECT_LE(rows, 3u);
-  cursor->reset();
-  EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
 }  // namespace
