@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <latch>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -42,7 +43,7 @@ using server::ServerOptions;
 
 constexpr int kClientSweeps[] = {1, 4, 8};
 constexpr int kWarmupPerThread = 8;
-constexpr int kRequestsPerThread = 120;
+constexpr int kRequestsPerThread = 1000;
 
 /// Same-shape snowflake (the bench_query shape), anchored at a rotating
 /// producer so every request carries different constants but normalizes to
@@ -72,20 +73,21 @@ double Percentile(std::vector<double>* sorted, double p) {
 
 /// Drives `threads` clients against the server, each issuing
 /// kRequestsPerThread timed summary-mode queries after a short warmup.
-/// Returns aggregate qps and cross-thread latency percentiles.
+/// Returns aggregate qps and cross-thread latency percentiles. The qps
+/// clock starts once every client has connected and warmed up, so it
+/// covers exactly the timed requests it counts; the warmup includes the
+/// snapshot's one-time summary mint on a fresh server.
 bool RunSweep(uint16_t port, int threads, SweepResult* out) {
   std::vector<std::vector<double>> latencies(threads);
   std::vector<uint64_t> rows(threads, 0);
   std::vector<bool> failed(threads, false);
+  std::latch warmed(threads + 1);
   QueryRequest req;
   req.planner = static_cast<uint8_t>(query::PlannerMode::kSummary);
 
   auto worker = [&](int tid) {
     auto client = Client::Connect("127.0.0.1", port);
-    if (!client.ok()) {
-      failed[tid] = true;
-      return;
-    }
+    if (!client.ok()) failed[tid] = true;
     auto run_one = [&](int i, bool timed) {
       Timer t;
       uint64_t n = 0;
@@ -104,15 +106,17 @@ bool RunSweep(uint16_t port, int threads, SweepResult* out) {
     for (int i = 0; i < kWarmupPerThread && !failed[tid]; ++i) {
       run_one(i, /*timed=*/false);
     }
+    warmed.arrive_and_wait();
     for (int i = 0; i < kRequestsPerThread && !failed[tid]; ++i) {
       run_one(i, /*timed=*/true);
     }
   };
 
-  Timer wall;
   std::vector<std::thread> pool;
   pool.reserve(threads);
   for (int t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+  warmed.arrive_and_wait();
+  Timer wall;
   for (std::thread& t : pool) t.join();
   double elapsed = wall.ElapsedSeconds();
 

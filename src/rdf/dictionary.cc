@@ -59,8 +59,16 @@ std::shared_ptr<Dictionary> Dictionary::FromView(const DictionaryView& view) {
   dict->view_ = view;
   dict->base_terms_ = static_cast<size_t>(view.num_terms);
   dict->mint_counter_ = view.mint_counter;
-  dict->view_cache_.resize(dict->base_terms_ + 1);
+  dict->view_cache_ =
+      std::make_unique<std::atomic<const Term*>[]>(dict->base_terms_ + 1);
   return dict;
+}
+
+Dictionary::~Dictionary() {
+  if (!view_cache_) return;
+  for (size_t id = 1; id <= base_terms_; ++id) {
+    delete view_cache_[id].load(std::memory_order_relaxed);
+  }
 }
 
 bool Dictionary::ViewTermEquals(uint32_t id, const Term& term) const {
@@ -71,21 +79,21 @@ bool Dictionary::ViewTermEquals(uint32_t id, const Term& term) const {
 
 const Term& Dictionary::DecodeView(uint32_t id) const {
   assert(id >= 1 && id <= base_terms_);
-  // Double-checked with the lock held on the slow path only: once a cache
-  // entry is published (under the lock) it is never replaced, and readers
-  // that observe it non-null see a fully constructed Term.
+  // Decode's acquire load missed; re-check under the lock, since another
+  // thread may have published the slot in between.
   std::lock_guard<std::mutex> lock(view_cache_mu_);
-  std::unique_ptr<Term>& slot = view_cache_[id];
-  if (!slot) {
-    ViewRecord rec = ReadViewRecord(view_, id);
-    auto t = std::make_unique<Term>();
-    t->kind = rec.kind;
-    t->lexical.assign(rec.lexical);
-    t->datatype.assign(rec.datatype);
-    t->language.assign(rec.language);
-    slot = std::move(t);
+  std::atomic<const Term*>& slot = view_cache_[id];
+  if (const Term* cached = slot.load(std::memory_order_relaxed)) {
+    return *cached;
   }
-  return *slot;
+  ViewRecord rec = ReadViewRecord(view_, id);
+  auto* t = new Term();
+  t->kind = rec.kind;
+  t->lexical.assign(rec.lexical);
+  t->datatype.assign(rec.datatype);
+  t->language.assign(rec.language);
+  slot.store(t, std::memory_order_release);
+  return *t;
 }
 
 TermId Dictionary::ViewLookup(const Term& term, uint64_t h) const {

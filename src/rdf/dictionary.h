@@ -1,6 +1,7 @@
 #ifndef RDFSUM_RDF_DICTIONARY_H_
 #define RDFSUM_RDF_DICTIONARY_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -60,14 +61,16 @@ static_assert(sizeof(DictionaryView::Slot) == 16);
 /// Term lazily, caching it for reference stability. New terms — saturation
 /// vocabulary, minted summary nodes — go to a mutable overlay and get ids
 /// above the base, so a view-mode dictionary composes with every existing
-/// consumer. View-mode Decode of a not-yet-cached id takes a lock; owned-
-/// mode behavior and layout are unchanged.
+/// consumer. View-mode Decode of a cached id is one acquire load; only the
+/// first Decode of an id takes a lock. Owned-mode behavior and layout are
+/// unchanged.
 class Dictionary {
  public:
   Dictionary() {
     terms_.emplace_back();  // id 0 placeholder
     slots_.resize(kInitialSlots);
   }
+  ~Dictionary();
 
   /// A dictionary whose base ids are served from `view` (typically
   /// FrozenImage::dictionary_view()). The caller must keep the viewed bytes
@@ -97,7 +100,10 @@ class Dictionary {
 
   /// Decodes an id; requires 1 <= id < size().
   const Term& Decode(TermId id) const {
-    if (id <= base_terms_) return DecodeView(static_cast<uint32_t>(id));
+    if (id <= base_terms_) {
+      const Term* cached = view_cache_[id].load(std::memory_order_acquire);
+      return cached ? *cached : DecodeView(static_cast<uint32_t>(id));
+    }
     return terms_[id - base_terms_];
   }
 
@@ -153,7 +159,8 @@ class Dictionary {
   /// Compares `term` against view record `id` piecewise, no allocation.
   bool ViewTermEquals(uint32_t id, const Term& term) const;
 
-  /// Materializes (and caches) the Term behind view id `id`.
+  /// Decode's miss path: materializes the Term behind view id `id` and
+  /// publishes it in view_cache_, under view_cache_mu_.
   const Term& DecodeView(uint32_t id) const;
 
   void GrowIfNeeded();
@@ -166,7 +173,11 @@ class Dictionary {
   // View mode (all empty/zero for an owned dictionary).
   DictionaryView view_;
   size_t base_terms_ = 0;  // == view_.num_terms
-  mutable std::vector<std::unique_ptr<Term>> view_cache_;  // [0..base_terms_]
+  // Decoded view terms, [0..base_terms_]. A slot is written once, from null
+  // to an owned Term, under view_cache_mu_ and with a release store; it is
+  // never replaced, so a reference handed out stays valid for the
+  // dictionary's lifetime. The destructor frees the Terms.
+  std::unique_ptr<std::atomic<const Term*>[]> view_cache_;
   mutable std::mutex view_cache_mu_;
 };
 

@@ -52,13 +52,14 @@ struct Term {
            datatype == other.datatype && language == other.language;
   }
 
-  /// Canonical N-Triples rendering, also used as the dictionary key:
-  /// <iri>, "lit", "lit"@en, "lit"^^<dt>, _:label.
+  /// Appends the canonical N-Triples rendering to `out`: <iri>, "lit",
+  /// "lit"@en, "lit"^^<dt>, _:label, with \\ " \n \r \t escaped inside
+  /// literals. The served ROW frames and the CLI both print these bytes.
+  void AppendNTriples(std::string* out) const;
+
+  /// AppendNTriples into a fresh string.
   std::string ToNTriples() const;
 };
-
-/// Escapes the characters N-Triples requires escaping inside literals.
-std::string EscapeLiteral(std::string_view lex);
 
 }  // namespace rdfsum
 

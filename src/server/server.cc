@@ -29,6 +29,12 @@ namespace {
 /// poll() never shows on a throughput profile.
 constexpr uint64_t kCancelPollInterval = 64;
 
+/// Buffered response bytes that trigger a send(). Rows after the first
+/// collect up to this size, so a response costs a few writes and client
+/// wakeups instead of one per row; the first ROW frame is always sent on
+/// its own so time-to-first-row never waits on the rest of the drain.
+constexpr size_t kFlushBytes = 64 << 10;
+
 std::string EncodeHello(uint64_t epoch) {
   std::string p;
   p.append(kHelloMagic, sizeof kHelloMagic);
@@ -38,15 +44,19 @@ std::string EncodeHello(uint64_t epoch) {
   return p;
 }
 
-/// Encodes one answer row: u32 column count, then each term's canonical
-/// N-Triples rendering as len-bytes. The rendering is the same string the
-/// CLI prints and the dictionary keys on, which is what makes the
-/// served-vs-local byte-identity test in tests/server_test.cc meaningful.
-std::string EncodeRow(const query::Row& row) {
-  std::string p;
-  AppendU32(&p, static_cast<uint32_t>(row.size()));
-  for (const Term& t : row) AppendLenBytes(&p, t.ToNTriples());
-  return p;
+/// Appends one answer row's payload: u32 column count, then each term's
+/// canonical N-Triples rendering as len-bytes, rendered from the
+/// dictionary's Term straight into `out`. The rendering is the same string
+/// the CLI prints, which is what makes the served-vs-local byte-identity
+/// test in tests/server_test.cc meaningful.
+void AppendRow(const Dictionary& dict, const query::IdRow& row,
+               std::string* out) {
+  AppendU32(out, static_cast<uint32_t>(row.size()));
+  for (TermId id : row) {
+    const size_t at = StartLenBytes(out);
+    dict.Decode(id).AppendNTriples(out);
+    FinishLenBytes(out, at);
+  }
 }
 
 bool PlannerFromWire(uint8_t v, query::PlannerMode* mode) {
@@ -140,6 +150,13 @@ void Server::AcceptLoop() {
     // ACK would add ~40ms stalls per exchange, so always disable it.
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    // A fixed send buffer (the kernel doubles it) instead of the autotuned
+    // one, which on loopback grows past a megabyte: a drain runs at most
+    // this plus the client's receive window ahead of the client's reads,
+    // so a CANCEL sent after the first row stops a long drain early even
+    // when the client is slow to send it.
+    int sndbuf = static_cast<int>(kFlushBytes);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof sndbuf);
 
     Status fp = RDFSUM_FAILPOINT_STATUS("serve:accept");
     if (!fp.ok()) {
@@ -198,6 +215,7 @@ void Server::HandleConnection(int fd) {
     ::close(fd);
     return;
   }
+  FrameBuffer out;  // reused across this connection's responses
   for (;;) {
     // Wait for the next request with a bounded poll instead of a blocking
     // read: an idle connection must notice Stop() (a worker parked in
@@ -210,14 +228,15 @@ void Server::HandleConnection(int fd) {
     if (!ReadFrame(fd, &frame).ok()) break;  // peer gone or garbage framing
     switch (frame.type) {
       case kFrameQuery:
-        if (!HandleQuery(fd, frame.payload)) {
+        if (!HandleQuery(fd, frame.payload, &out)) {
           ::close(fd);
           return;
         }
         continue;
       case kFrameStats:
-        if (!WriteFrame(fd, kFrameText, StatsText()).ok() ||
-            !WriteFrame(fd, kFrameDone, EncodeDone(Status::OK(), 0)).ok()) {
+        if (!out.Append(kFrameText, StatsText()).ok() ||
+            !out.Append(kFrameDone, EncodeDone(Status::OK(), 0)).ok() ||
+            !out.Flush(fd).ok()) {
           ::close(fd);
           return;
         }
@@ -253,7 +272,8 @@ void Server::HandleConnection(int fd) {
   ::close(fd);
 }
 
-bool Server::HandleQuery(int fd, const std::string& payload) {
+bool Server::HandleQuery(int fd, const std::string& payload,
+                         FrameBuffer* out) {
   QueryRequest req;
   if (!DecodeQueryRequest(payload, &req)) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
@@ -374,14 +394,19 @@ bool Server::HandleQuery(int fd, const std::string& payload) {
 
   uint64_t rows_sent = 0;
   bool peer_ok = true;
+  Status row_status;
   query::IdRow row;
   while ((*cursor)->Next(&row)) {
-    if (!WriteFrame(fd, kFrameRow, EncodeRow(snap->evaluator().Decode(row)))
-             .ok()) {
-      peer_ok = false;
-      break;
-    }
+    AppendRow(snap->dict(), row, out->OpenFrame(kFrameRow));
+    row_status = out->CloseFrame();
+    if (!row_status.ok()) break;  // one row over the frame limit
     ++rows_sent;
+    if (rows_sent == 1 || out->size() >= kFlushBytes) {
+      if (!out->Flush(fd).ok()) {
+        peer_ok = false;
+        break;
+      }
+    }
     if (rows_sent % kCancelPollInterval == 0) {
       // A client that wants out sends CANCEL mid-stream; a vanished client
       // shows up as readable-EOF. Either way, stop pulling.
@@ -394,7 +419,7 @@ bool Server::HandleQuery(int fd, const std::string& payload) {
       }
     }
   }
-  Status result = (*cursor)->status();
+  Status result = row_status.ok() ? (*cursor)->status() : row_status;
   cursor->reset();  // join any in-flight morsels before releasing slots
   if (extra_slots > 0) {
     spare_parallel_slots_.fetch_add(extra_slots, std::memory_order_relaxed);
@@ -406,7 +431,9 @@ bool Server::HandleQuery(int fd, const std::string& payload) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
   }
   if (!peer_ok) return false;
-  return WriteFrame(fd, kFrameDone, EncodeDone(result, rows_sent)).ok();
+  // DONE leaves in the same send() as the buffered tail of the rows.
+  out->Append(kFrameDone, EncodeDone(result, rows_sent)).IgnoreError();
+  return out->Flush(fd).ok();
 }
 
 Status Server::Reload(const std::string& path) {

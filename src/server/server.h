@@ -14,6 +14,7 @@
 #include "query/plan.h"
 #include "server/plan_cache.h"
 #include "server/snapshot.h"
+#include "server/wire.h"
 #include "util/counters.h"
 #include "util/exec_context.h"
 #include "util/status.h"
@@ -113,8 +114,9 @@ class Server {
   void AcceptLoop();
   void WorkerLoop();
   void HandleConnection(int fd);
-  /// One QUERY request; false ends the connection (protocol violation).
-  bool HandleQuery(int fd, const std::string& payload);
+  /// One QUERY request, answered through `out` (empty on entry and on
+  /// return); false ends the connection (protocol violation, peer gone).
+  bool HandleQuery(int fd, const std::string& payload, FrameBuffer* out);
 
   ServerOptions options_;
   uint16_t port_ = 0;

@@ -46,6 +46,17 @@ uint32_t LoadU32(const char* p) {
   return v;
 }
 
+void StoreU32(char* p, uint32_t v) { std::memcpy(p, &v, sizeof v); }
+
+constexpr size_t kHeaderSize = 8;
+
+/// The frame header: u32 length, u8 type, three zero bytes.
+void AppendHeader(std::string* out, uint8_t type, uint32_t len) {
+  AppendU32(out, len);
+  AppendU8(out, type);
+  out->append(3, '\0');
+}
+
 }  // namespace
 
 Status ReadFrame(int fd, Frame* out) {
@@ -69,21 +80,42 @@ Status ReadFrame(int fd, Frame* out) {
   return Status::OK();
 }
 
-Status WriteFrame(int fd, uint8_t type, std::string_view payload) {
+Status FrameBuffer::Append(uint8_t type, std::string_view payload) {
   if (payload.size() > kMaxFramePayload) {
     return Status::InvalidArgument("frame payload too large");
   }
-  char header[8] = {};
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  std::memcpy(header, &len, sizeof len);
-  header[4] = static_cast<char>(type);
-  if (!WriteExact(fd, header, sizeof header)) {
-    return Status::IOError("peer closed connection (header write)");
-  }
-  if (!payload.empty() && !WriteExact(fd, payload.data(), payload.size())) {
-    return Status::IOError("peer closed connection (payload write)");
-  }
+  AppendHeader(&buf_, type, static_cast<uint32_t>(payload.size()));
+  buf_.append(payload);
   return Status::OK();
+}
+
+std::string* FrameBuffer::OpenFrame(uint8_t type) {
+  open_at_ = buf_.size();
+  AppendHeader(&buf_, type, 0);
+  return &buf_;
+}
+
+Status FrameBuffer::CloseFrame() {
+  const size_t len = buf_.size() - open_at_ - kHeaderSize;
+  if (len > kMaxFramePayload) {
+    buf_.resize(open_at_);
+    return Status::InvalidArgument("frame payload too large");
+  }
+  StoreU32(buf_.data() + open_at_, static_cast<uint32_t>(len));
+  return Status::OK();
+}
+
+Status FrameBuffer::Flush(int fd) {
+  const bool sent = WriteExact(fd, buf_.data(), buf_.size());
+  buf_.clear();
+  if (!sent) return Status::IOError("peer closed connection");
+  return Status::OK();
+}
+
+Status WriteFrame(int fd, uint8_t type, std::string_view payload) {
+  FrameBuffer frame;
+  RDFSUM_RETURN_IF_ERROR(frame.Append(type, payload));
+  return frame.Flush(fd);
 }
 
 void AppendU8(std::string* out, uint8_t v) {
@@ -105,6 +137,17 @@ void AppendU64(std::string* out, uint64_t v) {
 void AppendLenBytes(std::string* out, std::string_view bytes) {
   AppendU32(out, static_cast<uint32_t>(bytes.size()));
   out->append(bytes);
+}
+
+size_t StartLenBytes(std::string* out) {
+  const size_t at = out->size();
+  AppendU32(out, 0);
+  return at;
+}
+
+void FinishLenBytes(std::string* out, size_t at) {
+  StoreU32(out->data() + at,
+           static_cast<uint32_t>(out->size() - at - sizeof(uint32_t)));
 }
 
 bool PayloadReader::ReadU8(uint8_t* v) {

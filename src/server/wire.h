@@ -50,8 +50,42 @@ struct Frame {
 /// kCorruption on an over-limit length prefix or nonzero header padding.
 Status ReadFrame(int fd, Frame* out);
 
-/// Blocking write of one frame (header + payload). kInvalidArgument when
-/// the payload exceeds kMaxFramePayload, kIOError when the peer is gone.
+/// Outgoing frames collected back to back in one buffer, so that many
+/// frames leave in one send(). The bytes on the wire are exactly the
+/// frames' bytes; only the number of writes depends on when the owner
+/// flushes.
+class FrameBuffer {
+ public:
+  /// Appends one frame (header + payload). kInvalidArgument, with nothing
+  /// appended, when the payload exceeds kMaxFramePayload.
+  Status Append(uint8_t type, std::string_view payload);
+
+  /// Opens a frame of `type`: the caller appends its payload straight to
+  /// the returned string, then calls CloseFrame, which patches the length
+  /// into the header. One frame is open at a time.
+  std::string* OpenFrame(uint8_t type);
+
+  /// Closes the open frame. kInvalidArgument when its payload exceeds
+  /// kMaxFramePayload; the frame is then dropped, leaving the buffer as it
+  /// was before OpenFrame.
+  Status CloseFrame();
+
+  /// Sends every buffered byte and empties the buffer (also on failure,
+  /// when the connection is unusable anyway). kIOError when the peer is
+  /// gone.
+  Status Flush(int fd);
+
+  /// Buffered bytes, the open frame included.
+  size_t size() const { return buf_.size(); }
+
+ private:
+  std::string buf_;
+  size_t open_at_ = 0;  // header offset of the open frame
+};
+
+/// Blocking write of one frame (header + payload) in one send().
+/// kInvalidArgument, with no byte written, when the payload exceeds
+/// kMaxFramePayload; kIOError when the peer is gone.
 Status WriteFrame(int fd, uint8_t type, std::string_view payload);
 
 // ---- payload building / parsing ---------------------------------------
@@ -62,6 +96,11 @@ void AppendU32(std::string* out, uint32_t v);
 void AppendU64(std::string* out, uint64_t v);
 /// u32 length followed by the bytes.
 void AppendLenBytes(std::string* out, std::string_view bytes);
+/// Len-bytes written in place: StartLenBytes appends a u32 placeholder and
+/// returns its offset; FinishLenBytes patches it with the number of bytes
+/// appended after it.
+size_t StartLenBytes(std::string* out);
+void FinishLenBytes(std::string* out, size_t at);
 
 /// Bounds-checked forward reader over a frame payload. Every Read* returns
 /// false on underrun instead of reading past the end — a malformed payload

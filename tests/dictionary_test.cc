@@ -34,6 +34,28 @@ TEST(TermTest, LiteralEscaping) {
             "\"a\\\"b\\\\c\\nd\\te\\r\"");
 }
 
+TEST(TermTest, AppendNTriplesAppendsTheToNTriplesBytes) {
+  const Term terms[] = {
+      Term::Iri("http://a"),
+      Term::Blank("b0"),
+      Term::Literal(""),
+      Term::Literal("\\"),
+      Term::Literal("\"\"x\n"),
+      Term::Literal("plain run\tthen \"quoted\" tail\r"),
+      Term::LangLiteral("a\"b", "en"),
+      Term::TypedLiteral("5\n", "http://dt"),
+  };
+  std::string out = "prefix|";
+  std::string expected = out;
+  for (const Term& t : terms) {
+    t.AppendNTriples(&out);
+    expected += t.ToNTriples();
+  }
+  EXPECT_EQ(out, expected);
+  EXPECT_EQ(Term::Literal("\"\"x\n").ToNTriples(), "\"\\\"\\\"x\\n\"");
+  EXPECT_EQ(Term::Literal("\\").ToNTriples(), "\"\\\\\"");
+}
+
 TEST(TermTest, EqualityDistinguishesKindsAndTags) {
   EXPECT_EQ(Term::Iri("x"), Term::Iri("x"));
   EXPECT_FALSE(Term::Iri("x") == Term::Literal("x"));

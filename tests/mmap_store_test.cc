@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <latch>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/bsbm.h"
@@ -323,6 +325,48 @@ TEST(MmapStoreTest, DictionaryViewDecodesEveryTermIdentically) {
   TermId fresh = mut->Encode(Term::Iri("http://ex.org/not-in-the-image"));
   EXPECT_EQ(fresh, original.size());
   EXPECT_EQ(mut->Lookup(Term::Iri("http://ex.org/not-in-the-image")), fresh);
+}
+
+TEST(MmapStoreTest, ConcurrentViewDecodesAreStableAndMatchOwnedMode) {
+  // Threads released together decode overlapping id ranges of one fresh
+  // view dictionary: thread t walks ids 1 + t*n/8 .. n upwards, so each
+  // thread trails the next one through ids that one has just decoded and
+  // reads them through the lock-free cache without taking the lock itself
+  // (the path TSan checks in CI). Every reference handed out must equal
+  // the owned-mode decode and never move afterwards.
+  Graph g = BsbmGraph(100);
+  auto store = FreezeAndOpen(g, "dict_threads.rsb");
+  const Dictionary& owned = g.dict();
+  const Dictionary& view = store->dict();
+  ASSERT_EQ(view.size(), owned.size());
+  const size_t n = view.size() - 1;  // ids 1..n
+  constexpr int kThreads = 4;
+  std::vector<std::vector<const Term*>> seen(kThreads,
+                                             std::vector<const Term*>(n + 1));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t id = 1 + t * n / 8; id <= n; ++id) {
+        const TermId tid = static_cast<TermId>(id);
+        const Term* first = &view.Decode(tid);
+        seen[t][id] = first;
+        // Reads the Term's bytes, possibly published by another thread.
+        EXPECT_EQ(*first, owned.Decode(tid)) << "id " << id;
+        EXPECT_EQ(&view.Decode(tid), first) << "id " << id;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (TermId id = 1; id <= n; ++id) {
+    const Term* stable = &view.Decode(id);
+    for (int t = 0; t < kThreads; ++t) {
+      if (seen[t][id] != nullptr) {
+        EXPECT_EQ(seen[t][id], stable) << "id " << id;
+      }
+    }
+  }
 }
 
 TEST(MmapStoreTest, UnfreezeMaterializesBorrowedTable) {

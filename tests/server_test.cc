@@ -124,6 +124,56 @@ Status ServedRows(const std::string& host, uint16_t port,
   return st;
 }
 
+/// Drains `sparql` over a bare socket, frame by frame, so the test sees
+/// what Client hides: the DONE frame's row count and the bytes on the wire.
+/// Returns the rows (tab-joined, sorted) and the DONE reply.
+Status RawServedRows(uint16_t port, const std::string& sparql,
+                     std::vector<std::string>* rows, server::DoneReply* done,
+                     uint64_t* wire_bytes) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Status::IOError("socket");
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  Status st;
+  server::Frame frame;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) < 0) {
+    st = Status::IOError("connect");
+  } else if (st = server::ReadFrame(fd, &frame); st.ok()) {
+    QueryRequest req;
+    req.query = sparql;
+    st = server::WriteFrame(fd, server::kFrameQuery,
+                            server::EncodeQueryRequest(req));
+  }
+  *wire_bytes = 0;
+  while (st.ok()) {
+    st = server::ReadFrame(fd, &frame);
+    if (!st.ok()) break;
+    *wire_bytes += 8 + frame.payload.size();
+    if (frame.type == server::kFrameDone) {
+      if (!server::DecodeDone(frame.payload, done)) {
+        st = Status::Corruption("malformed DONE");
+      }
+      break;
+    }
+    server::PayloadReader r(frame.payload);
+    uint32_t ncols = 0;
+    std::string line, col;
+    bool ok = frame.type == server::kFrameRow && r.ReadU32(&ncols);
+    for (uint32_t i = 0; ok && i < ncols; ++i) {
+      ok = r.ReadLenBytes(&col);
+      if (!line.empty()) line.push_back('\t');
+      line += col;
+    }
+    if (!ok || !r.AtEnd()) st = Status::Corruption("malformed ROW");
+    rows->push_back(std::move(line));
+  }
+  ::close(fd);
+  std::sort(rows->begin(), rows->end());
+  return st;
+}
+
 constexpr char kAllQuery[] = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
 constexpr char kMarkerQuery[] =
     "SELECT ?s ?o WHERE { ?s <http://swap.example.org/marker> ?o }";
@@ -148,6 +198,25 @@ TEST(ServerTest, ServedRowsAreByteIdenticalToLocalEvaluation) {
   }
   server.Stop();
   server.Wait();
+
+  // A drain spanning several 64 KiB response writes: the rows the server
+  // batched into each send() must arrive byte-identical, and DONE must
+  // count exactly the ROW frames received.
+  const std::string big_image = FreezeBsbm(300, "ident_big.rsb");
+  Server big;
+  ASSERT_TRUE(big.Start(big_image).ok());
+  std::vector<std::string> served;
+  server::DoneReply done;
+  uint64_t wire_bytes = 0;
+  Status st = RawServedRows(big.port(), kAllQuery, &served, &done,
+                            &wire_bytes);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(done.code, 0) << done.message;
+  EXPECT_GE(wire_bytes, 3u * (64u << 10));
+  EXPECT_EQ(done.rows, served.size());
+  EXPECT_EQ(served, LocalRows(big_image, kAllQuery));
+  big.Stop();
+  big.Wait();
 }
 
 TEST(ServerTest, ConcurrentReadersRaceSnapshotSwapWithoutTearing) {
@@ -297,9 +366,13 @@ TEST(ServerTest, ParallelRequestsRaceReloadAndStayByteIdentical) {
 }
 
 TEST(ServerTest, GovernancePropagatesOverTheWire) {
-  // ~10K triples: large enough that a full drain of kAllQuery takes many
-  // milliseconds of row-frame writes, so a 1-ms deadline below trips
-  // mid-query deterministically instead of racing the drain.
+  // ~10K triples. The 1-ms deadline below starts when the request's
+  // ExecContext does, after parse and plan. The server-side drain of
+  // kAllQuery then needs the scan itself (~0.8 ms in a Release build),
+  // the encoding of every row, and the 64 KiB response writes, which block
+  // once the fixed socket send buffer and the client's receive window are
+  // full, so the drain is paced by the client's reads (~15 ms). The
+  // deadline therefore trips at a governance poll a few thousand rows in.
   const std::string image = FreezeBsbm(300, "gov.rsb");
   Server server;
   ASSERT_TRUE(server.Start(image).ok());
@@ -335,8 +408,10 @@ TEST(ServerTest, GovernancePropagatesOverTheWire) {
         kAllQuery, {}, [](const std::vector<std::string>&) { return false; },
         &rows);
     EXPECT_TRUE(st.IsCancelled()) << st.ToString();
-    // The server polls for CANCEL between row frames; the stream must stop
-    // well short of a full drain (~10K triples in this image).
+    // The server polls for CANCEL every 64 rows, and its bounded send
+    // buffer keeps it from running ahead of a client that has not yet
+    // sent CANCEL; the stream must stop well short of a full drain (~10K
+    // triples in this image).
     EXPECT_LT(rows, 9000u);
   }
   {
