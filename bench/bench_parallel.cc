@@ -1,9 +1,10 @@
-// The paper's §9 future work — parallel summarization — measured: the
-// substrate-sharded weak summarizer and the sharded bisimulation baseline
-// against their sequential counterparts across a thread sweep, plus the
-// streaming maintainer's per-triple cost. Wall times land in
-// BENCH_parallel.json (override the path with RDFSUM_BENCH_JSON) so the
-// scaling trajectory can be tracked and diffed across PRs.
+// The paper's §9 future work — parallel summarization — measured: the one
+// sharded summarizer path (weak partition, quotient, full pipeline, and the
+// bisimulation baseline) across a thread sweep, each result checked against
+// the test oracles (tests/oracle/), plus parallel ingestion and the streaming
+// maintainer's per-triple cost. Wall times land in BENCH_parallel.json
+// (override the path with RDFSUM_BENCH_JSON) so the scaling trajectory can
+// be tracked and diffed across PRs.
 
 #include <benchmark/benchmark.h>
 
@@ -14,11 +15,13 @@
 #include "bench_common.h"
 #include "io/ntriples_parser.h"
 #include "io/ntriples_writer.h"
+#include "oracle/reference_partition.h"
+#include "oracle/reference_quotient.h"
+#include "rdf/dense_graph.h"
 #include "store/triple_table.h"
 #include "summary/isomorphism.h"
 #include "summary/maintenance.h"
 #include "summary/node_partition.h"
-#include "summary/parallel.h"
 #include "summary/summarizer.h"
 #include "util/csv.h"
 #include "util/parallel_for.h"
@@ -31,18 +34,21 @@ using bench::BenchScales;
 using bench::CachedBsbm;
 using bench::Num;
 using summary::ComputeBisimulationPartition;
-using summary::ComputeParallelWeakPartition;
 using summary::ComputeWeakPartition;
 using summary::NodePartition;
-using summary::ParallelBisimulationOptions;
-using summary::ParallelBisimulationSummarize;
-using summary::ParallelWeakOptions;
-using summary::ParallelWeakSummarize;
 using summary::QuotientByPartition;
 using summary::Summarize;
 using summary::SummaryKind;
+using summary::SummaryOptions;
 
 constexpr uint32_t kSweepThreads[] = {1, 2, 4, 8};
+static_assert(kSweepThreads[0] == 1, "the _sequential rows are the t=1 run");
+
+SummaryOptions Threads(uint32_t num_threads) {
+  SummaryOptions options;
+  options.num_threads = num_threads;
+  return options;
+}
 
 /// Best-of-two wall time; the first run doubles as warm-up (single-shot
 /// timings at small scales are dominated by allocator/page-fault
@@ -61,48 +67,51 @@ bool SamePartition(const NodePartition& a, const NodePartition& b) {
   return a.num_classes == b.num_classes && a.class_of == b.class_of;
 }
 
-/// One parallel measurement: wall time, whether the result matched the
-/// sequential baseline, and the thread count the runtime actually spawned
-/// for the dominant sharded phase (ResolveThreadCount of the requested
-/// count against that phase's work size; phases over smaller inputs — the
-/// type scan, bisimulation's node ranges — may resolve lower).
+/// One measurement at one thread count: wall time, whether the result
+/// matched the oracle, and the thread count the runtime actually used for
+/// the dominant sharded phase (ResolveThreadCount of the requested count
+/// against that phase's work size; phases over smaller inputs — the type
+/// scan, bisimulation's node ranges — may resolve lower).
 struct ParallelRun {
   double seconds = 0.0;
   bool matched = false;
   uint32_t effective_threads = 0;
 };
 
-// One thread sweep over the bench scales: `sequential(g)` measures the
-// baseline (stashing whatever the equality check needs), then
-// `parallel(g, threads)` runs the sharded path. Records land in the JSON as
-// <prefix>_sequential and <prefix>_p<threads>, each parallel row carrying
-// its requested and effective thread counts. Any baseline mismatch clears
-// *all_equal (the caller turns that into a non-zero exit).
-template <typename Sequential, typename Parallel>
+// One thread sweep over the bench scales: `oracle(g)` prepares the oracle
+// result for the scale (untimed), then `run(g, threads)` times the library
+// at each thread count and checks it against that oracle. Records land in
+// the JSON as <prefix>_p<threads>, each carrying its requested and effective
+// thread counts, and <prefix>_sequential, which is the t=1 run (one shard
+// on the calling thread — there is no other build path). Any oracle
+// mismatch clears *all_equal (the caller turns that into a non-zero exit).
+template <typename Oracle, typename Run>
 void PrintSweep(bench::BenchJson* json, const std::string& prefix,
-                const std::string& title, bool* all_equal,
-                Sequential&& sequential, Parallel&& parallel) {
-  TablePrinter table({"triples", "sequential (ms)", "1t (ms)", "2t (ms)",
-                      "4t (ms)", "8t (ms)", "speedup@4", "equal"});
+                const std::string& title, bool* all_equal, Oracle&& oracle,
+                Run&& run) {
+  TablePrinter table({"triples", "1t (ms)", "2t (ms)", "4t (ms)", "8t (ms)",
+                      "speedup@4", "equal"});
   for (uint64_t scale : BenchScales()) {
     const Graph& g = CachedBsbm(scale);
     g.Dense();  // substrate shared by every run below; build it once up front
-    double seq = sequential(g);
-    json->RecordThreads(prefix + "_sequential", scale, seq, 1, 1);
+    oracle(g);
 
-    std::vector<std::string> row = {Num(g.NumTriples()),
-                                    FormatDouble(seq * 1e3, 1)};
-    double at4 = seq;
+    std::vector<ParallelRun> runs;
+    for (uint32_t threads : kSweepThreads) runs.push_back(run(g, threads));
+    json->RecordThreads(prefix + "_sequential", scale, runs[0].seconds, 1, 1);
+    std::vector<std::string> row = {Num(g.NumTriples())};
+    double at1 = runs[0].seconds;
+    double at4 = at1;
     bool equal = true;
-    for (uint32_t threads : kSweepThreads) {
-      ParallelRun run = parallel(g, threads);
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const uint32_t threads = kSweepThreads[i];
       json->RecordThreads(prefix + "_p" + std::to_string(threads), scale,
-                          run.seconds, threads, run.effective_threads);
-      row.push_back(FormatDouble(run.seconds * 1e3, 1));
-      if (threads == 4) at4 = run.seconds;
-      equal = equal && run.matched;
+                          runs[i].seconds, threads, runs[i].effective_threads);
+      row.push_back(FormatDouble(runs[i].seconds * 1e3, 1));
+      if (threads == 4) at4 = runs[i].seconds;
+      equal = equal && runs[i].matched;
     }
-    row.push_back(FormatDouble(seq / at4, 2) + "x");
+    row.push_back(FormatDouble(at1 / at4, 2) + "x");
     row.push_back(equal ? "yes" : "NO (bug!)");
     *all_equal = *all_equal && equal;
     table.AddRow(row);
@@ -110,101 +119,73 @@ void PrintSweep(bench::BenchJson* json, const std::string& prefix,
   table.Print(std::cout, title);
 }
 
-void PrintParallelWeak(bench::BenchJson* json, bool* all_equal) {
-  summary::SummaryResult batch;
+// Partition + quotient through the Summarize facade with
+// SummaryOptions::num_threads — what `rdfsum summarize --threads N` runs.
+// The weak_* and pipeline_* rows of BENCH_parallel.json time this same
+// call (they predate the single build path); both are kept so the file's
+// history stays comparable.
+void PrintParallelWeak(bench::BenchJson* json, const std::string& prefix,
+                       const std::string& title, bool* all_equal) {
+  summary::SummaryResult oracle;
   PrintSweep(
-      json, "weak",
-      "Future work (§9): parallel weak summarization (substrate-sharded)",
-      all_equal,
+      json, prefix, title, all_equal,
       [&](const Graph& g) {
-        return BestOfTwo([&] { batch = Summarize(g, SummaryKind::kWeak); });
+        oracle = summary::ReferenceSummarize(g, SummaryKind::kWeak).value();
       },
       [&](const Graph& g, uint32_t threads) {
-        ParallelWeakOptions options;
-        options.num_threads = threads;
         summary::SummaryResult r;
-        double secs =
-            BestOfTwo([&] { r = ParallelWeakSummarize(g, options); });
-        return ParallelRun{
-            secs, summary::AreSummariesIsomorphic(batch.graph, r.graph),
-            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
-      });
-}
-
-// Partition construction alone — the phase the sharded scan parallelizes.
-void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
-  NodePartition seq_part;
-  PrintSweep(
-      json, "weak_partition",
-      "Parallel weak partition only (quotient excluded)", all_equal,
-      [&](const Graph& g) {
-        return BestOfTwo([&] { seq_part = ComputeWeakPartition(g); });
-      },
-      [&](const Graph& g, uint32_t threads) {
-        NodePartition part;
         double secs = BestOfTwo(
-            [&] { part = ComputeParallelWeakPartition(g, threads); });
-        return ParallelRun{
-            secs, SamePartition(seq_part, part),
-            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
-      });
-}
-
-// Quotient construction alone over a fixed (sequentially computed) weak
-// partition — the phase this PR shards; before it, QuotientByPartition was
-// the dominant sequential tail of every threaded build.
-void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
-  NodePartition part;
-  summary::SummaryResult batch;
-  PrintSweep(
-      json, "quotient",
-      "Parallel quotient construction (fixed weak partition)", all_equal,
-      [&](const Graph& g) {
-        part = ComputeWeakPartition(g);
-        return BestOfTwo([&] {
-          batch = QuotientByPartition(g, part, SummaryKind::kWeak, {}).value();
-        });
-      },
-      [&](const Graph& g, uint32_t threads) {
-        summary::SummaryOptions options;
-        options.num_threads = threads;
-        summary::SummaryResult r;
-        double secs = BestOfTwo([&] {
-          r = QuotientByPartition(g, part, SummaryKind::kWeak, options).value();
-        });
+            [&] { r = Summarize(g, SummaryKind::kWeak, Threads(threads)); });
         bool matched =
-            r.graph.NumTriples() == batch.graph.NumTriples() &&
-            r.stats.num_all_nodes == batch.stats.num_all_nodes &&
-            summary::AreSummariesIsomorphic(batch.graph, r.graph);
+            r.graph.NumTriples() == oracle.graph.NumTriples() &&
+            summary::AreSummariesIsomorphic(oracle.graph, r.graph);
         return ParallelRun{
             secs, matched,
             util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
       });
 }
 
-// End-to-end pipeline (partition + quotient) through the Summarize facade
-// with SummaryOptions::num_threads — what `rdfsum summarize --threads N`
-// runs.
-void PrintParallelPipeline(bench::BenchJson* json, bool* all_equal) {
-  summary::SummaryResult batch;
+// Partition construction alone — the phase the sharded scan parallelizes.
+void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
+  NodePartition oracle;
   PrintSweep(
-      json, "pipeline",
-      "Parallel pipeline: partition + quotient (Summarize, weak)", all_equal,
+      json, "weak_partition",
+      "Sharded weak partition only (quotient excluded)", all_equal,
+      [&](const Graph& g) { oracle = summary::ReferenceWeakPartition(g); },
+      [&](const Graph& g, uint32_t threads) {
+        NodePartition part;
+        double secs =
+            BestOfTwo([&] { part = ComputeWeakPartition(g, threads); });
+        return ParallelRun{
+            secs, SamePartition(oracle, part),
+            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
+      });
+}
+
+// Quotient construction alone over a fixed weak partition (the oracle's),
+// checked against the oracle's sequential quotient walk.
+void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
+  NodePartition part;
+  summary::SummaryResult oracle;
+  PrintSweep(
+      json, "quotient",
+      "Sharded quotient construction (fixed weak partition)", all_equal,
       [&](const Graph& g) {
-        summary::SummaryOptions options;
-        options.num_threads = 1;
-        return BestOfTwo(
-            [&] { batch = Summarize(g, SummaryKind::kWeak, options); });
+        part = summary::ReferenceWeakPartition(g);
+        oracle =
+            summary::ReferenceQuotient(g, part, SummaryKind::kWeak).value();
       },
       [&](const Graph& g, uint32_t threads) {
-        summary::SummaryOptions options;
-        options.num_threads = threads;
         summary::SummaryResult r;
-        double secs =
-            BestOfTwo([&] { r = Summarize(g, SummaryKind::kWeak, options); });
+        double secs = BestOfTwo([&] {
+          r = QuotientByPartition(g, part, SummaryKind::kWeak,
+                                  Threads(threads))
+                  .value();
+        });
         bool matched =
-            r.graph.NumTriples() == batch.graph.NumTriples() &&
-            summary::AreSummariesIsomorphic(batch.graph, r.graph);
+            r.graph.NumTriples() == oracle.graph.NumTriples() &&
+            r.stats.num_all_nodes == oracle.stats.num_all_nodes &&
+            summary::AreSummariesIsomorphic(oracle.graph, r.graph);
         return ParallelRun{
             secs, matched,
             util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
@@ -212,13 +193,12 @@ void PrintParallelPipeline(bench::BenchJson* json, bool* all_equal) {
 }
 
 void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
-  NodePartition seq_part;
+  NodePartition oracle;
   PrintSweep(
-      json, "bisim", "Parallel bisimulation refinement (depth 2, typed)",
+      json, "bisim", "Sharded bisimulation refinement (depth 2, typed)",
       all_equal,
       [&](const Graph& g) {
-        return BestOfTwo(
-            [&] { seq_part = ComputeBisimulationPartition(g, 2, true); });
+        oracle = summary::ReferenceBisimulationPartition(g, 2, true);
       },
       [&](const Graph& g, uint32_t threads) {
         NodePartition part;
@@ -228,7 +208,7 @@ void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
               threads);
         });
         return ParallelRun{
-            secs, SamePartition(seq_part, part),
+            secs, SamePartition(oracle, part),
             util::ResolveThreadCount(threads, g.Dense().num_nodes())};
       });
 }
@@ -347,10 +327,15 @@ bool PrintParallel() {
   json.MetaInt("hardware_concurrency", std::thread::hardware_concurrency());
   bool all_equal = true;
   PrintParallelLoad(&json, &all_equal);
-  PrintParallelWeak(&json, &all_equal);
+  PrintParallelWeak(&json, "weak",
+                    "Future work (§9): parallel weak summarization "
+                    "(substrate-sharded)",
+                    &all_equal);
   PrintParallelWeakPartitionOnly(&json, &all_equal);
   PrintParallelQuotient(&json, &all_equal);
-  PrintParallelPipeline(&json, &all_equal);
+  PrintParallelWeak(&json, "pipeline",
+                    "Parallel pipeline: partition + quotient (Summarize, weak)",
+                    &all_equal);
   PrintParallelBisimulation(&json, &all_equal);
   PrintMaintenance();
   const char* path = std::getenv("RDFSUM_BENCH_JSON");
@@ -364,7 +349,7 @@ bool PrintParallel() {
     std::cerr << "failed to write " << out << "\n";
   }
   if (!all_equal) {
-    std::cerr << "BUG: a parallel path diverged from its sequential "
+    std::cerr << "BUG: a sweep diverged from its oracle or its sequential "
                  "baseline (see the 'equal' columns above)\n";
   }
   std::cout.flush();
@@ -373,10 +358,10 @@ bool PrintParallel() {
 
 void BM_ParallelWeak(benchmark::State& state) {
   const Graph& g = CachedBsbm(250'000);
-  ParallelWeakOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
+  const SummaryOptions options =
+      Threads(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = ParallelWeakSummarize(g, options);
+    auto r = Summarize(g, SummaryKind::kWeak, options);
     benchmark::DoNotOptimize(r);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
@@ -386,10 +371,10 @@ BENCHMARK(BM_ParallelWeak)->Arg(1)->Arg(2)->Arg(4)->Unit(
 
 void BM_ParallelBisimulation(benchmark::State& state) {
   const Graph& g = CachedBsbm(250'000);
-  ParallelBisimulationOptions options;
-  options.num_threads = static_cast<uint32_t>(state.range(0));
+  const SummaryOptions options =
+      Threads(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
-    auto r = ParallelBisimulationSummarize(g, options);
+    auto r = Summarize(g, SummaryKind::kBisimulation, options);
     benchmark::DoNotOptimize(r);
   }
   state.counters["threads"] = static_cast<double>(state.range(0));

@@ -15,11 +15,11 @@
 #include "bench_common.h"
 #include "io/ntriples_parser.h"
 #include "io/ntriples_writer.h"
+#include "oracle/reference_partition.h"
 #include "rdf/dense_graph.h"
 #include "store/mmap_store.h"
 #include "store/triple_table.h"
 #include "summary/node_partition.h"
-#include "summary/reference_partition.h"
 #include "util/random.h"
 #include "util/timer.h"
 

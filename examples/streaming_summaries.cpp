@@ -11,7 +11,6 @@
 #include "gen/bsbm.h"
 #include "summary/isomorphism.h"
 #include "summary/maintenance.h"
-#include "summary/parallel.h"
 #include "summary/summarizer.h"
 #include "util/timer.h"
 
@@ -53,9 +52,10 @@ int main() {
 
   // For comparison: one-shot parallel summarization of the final graph.
   Timer par_timer;
-  summary::ParallelWeakOptions par_opt;
+  summary::SummaryOptions par_opt;
   par_opt.num_threads = 4;
-  summary::SummaryResult par = summary::ParallelWeakSummarize(seen, par_opt);
+  summary::SummaryResult par =
+      summary::Summarize(seen, summary::SummaryKind::kWeak, par_opt);
   std::cout << "one-shot parallel (4 threads) rebuild: "
             << par_timer.ElapsedMillis() << " ms, "
             << par.stats.num_data_nodes << " data nodes\n";

@@ -14,8 +14,8 @@
 // flat arrays indexed by dense node / property id instead of per-algorithm
 // unordered_map scaffolding. The canonical class-id semantics are unchanged
 // — dense node id order *is* the canonical first-encounter order — and every
-// function must stay byte-identical to its reference_partition.h oracle
-// (enforced by tests/dense_graph_test.cc).
+// function must stay byte-identical to its tests/oracle/reference_partition.h
+// oracle (enforced by tests/dense_graph_test.cc).
 
 namespace rdfsum::summary {
 namespace {
@@ -41,37 +41,28 @@ NodePartition Finalize(const DenseGraph& dg, const std::vector<uint32_t>& raw,
   return out;
 }
 
-/// Weak-style union-find over data endpoints: every subject (resp. object)
-/// of a property is merged with the property's first-seen subject (resp.
-/// object). `in_scope(node)` gates which endpoints participate; `covered` is
-/// set for every endpoint that did.
+/// Typed-weak union-find over untyped data endpoints: every in-scope subject
+/// (resp. object) of a property is merged with the property's first in-scope
+/// subject (resp. object). With `require_both` an edge participates only if
+/// both endpoints are untyped; `covered` is set for every endpoint that did.
 void UnionPerProperty(const DenseGraph& dg, UnionFind& uf,
-                      const std::vector<uint8_t>* untyped, bool require_both,
-                      std::vector<uint8_t>* covered) {
-  if (untyped == nullptr) {
-    // Unscoped: the substrate's first-seen anchors are exactly the per-
-    // property union seeds, so no local anchor state is needed at all.
-    for (const DenseGraph::Edge& e : dg.data_edges()) {
-      uf.Union(e.s, dg.SourceAnchor(e.p));
-      uf.Union(e.o, dg.TargetAnchor(e.p));
-    }
-    return;
-  }
+                      const std::vector<uint8_t>& untyped, bool require_both,
+                      std::vector<uint8_t>& covered) {
   const uint32_t p = dg.num_properties();
   std::vector<uint32_t> src_anchor(p, kNone);
   std::vector<uint32_t> tgt_anchor(p, kNone);
   for (const DenseGraph::Edge& e : dg.data_edges()) {
     bool s_ok, o_ok;
     if (require_both) {
-      bool both = (*untyped)[e.s] && (*untyped)[e.o];
+      bool both = untyped[e.s] && untyped[e.o];
       s_ok = both;
       o_ok = both;
     } else {
-      s_ok = (*untyped)[e.s] != 0;
-      o_ok = (*untyped)[e.o] != 0;
+      s_ok = untyped[e.s] != 0;
+      o_ok = untyped[e.o] != 0;
     }
     if (s_ok) {
-      if (covered != nullptr) (*covered)[e.s] = 1;
+      covered[e.s] = 1;
       if (src_anchor[e.p] == kNone) {
         src_anchor[e.p] = e.s;
       } else {
@@ -79,7 +70,7 @@ void UnionPerProperty(const DenseGraph& dg, UnionFind& uf,
       }
     }
     if (o_ok) {
-      if (covered != nullptr) (*covered)[e.o] = 1;
+      covered[e.o] = 1;
       if (tgt_anchor[e.p] == kNone) {
         tgt_anchor[e.p] = e.o;
       } else {
@@ -113,26 +104,10 @@ NodePartition TypedPartition(const DenseGraph& dg, uint32_t untyped_bound,
   return Finalize(dg, raw, base + untyped_bound);
 }
 
-}  // namespace
-
-NodePartition ComputeWeakPartition(const Graph& g) {
-  const DenseGraph& dg = g.Dense();
-  UnionFind uf(dg.num_nodes());
-  UnionPerProperty(dg, uf, nullptr, false, nullptr);
-  return WeakPartitionFromUnionFind(dg, uf);
-}
-
-NodePartition WeakPartitionFromUnionFind(const DenseGraph& dg, UnionFind& uf) {
-  // Typed-only resources (no data property at all) all map to Nτ: a single
-  // shared raw class with id n, distinct from every union-find root.
-  const uint32_t n = dg.num_nodes();
-  std::vector<uint32_t> raw(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    raw[i] = dg.HasData(i) ? uf.Find(i) : n;
-  }
-  return Finalize(dg, raw, n + 1);
-}
-
+/// Assembles the weak NodePartition from resolved union-find roots
+/// (root_of[i] = root of dense node i, any values < num_nodes): nodes with
+/// no data property collapse into Nτ, a single shared raw class with id n
+/// distinct from every root.
 NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
                                      const std::vector<uint32_t>& root_of) {
   const uint32_t n = dg.num_nodes();
@@ -141,6 +116,87 @@ NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
     raw[i] = dg.HasData(i) ? root_of[i] : n;
   }
   return Finalize(dg, raw, n + 1);
+}
+
+}  // namespace
+
+NodePartition ComputeWeakPartition(const Graph& g, uint32_t num_threads,
+                                   util::ExecContext* exec) {
+  // The substrate is built (or fetched from cache) before any shard runs;
+  // shards only ever read it.
+  const DenseGraph& dg = g.Dense();
+  const uint32_t n = dg.num_nodes();
+  const uint32_t num_props = dg.num_properties();
+  const uint32_t threads =
+      util::ResolveThreadCount(num_threads, dg.num_data_edges());
+
+  AtomicUnionFind uf(n);
+
+  // ---- Phase A: sharded scan of the dense edge list. Flat anchor arrays
+  // indexed by dense property id; the first occurrence of a property in a
+  // shard claims the anchor for free, every repeat hooks into the shared
+  // lock-free union-find.
+  std::vector<std::vector<uint32_t>> shard_src(threads);
+  std::vector<std::vector<uint32_t>> shard_tgt(threads);
+  util::ParallelForRanges(
+      threads, dg.num_data_edges(),
+      [&](uint32_t shard, uint64_t begin, uint64_t end) {
+        std::vector<uint32_t>& src = shard_src[shard];
+        std::vector<uint32_t>& tgt = shard_tgt[shard];
+        src.assign(num_props, kNone);
+        tgt.assign(num_props, kNone);
+        // Cancelled shards stop mid-range and fall through to the join; the
+        // half-built union-find is discarded below.
+        util::CancellableChunks(exec, begin, end, [&](uint64_t cb,
+                                                      uint64_t ce) {
+          for (const DenseGraph::Edge& e : dg.EdgeRange(cb, ce)) {
+            if (src[e.p] == kNone) {
+              src[e.p] = e.s;
+            } else {
+              uf.Union(e.s, src[e.p]);
+            }
+            if (tgt[e.p] == kNone) {
+              tgt[e.p] = e.o;
+            } else {
+              uf.Union(e.o, tgt[e.p]);
+            }
+          }
+        });
+      });
+  if (exec != nullptr && !exec->Check().ok()) return NodePartition{};
+
+  // ---- Phase B: cross-shard unification — every shard anchor joins the
+  // substrate's global first-seen anchor of its property (threads × P
+  // unions).
+  for (uint32_t shard = 0; shard < threads; ++shard) {
+    for (uint32_t p = 0; p < num_props; ++p) {
+      if (shard_src[shard][p] != kNone) {
+        uf.Union(shard_src[shard][p], dg.SourceAnchor(p));
+      }
+      if (shard_tgt[shard][p] != kNone) {
+        uf.Union(shard_tgt[shard][p], dg.TargetAnchor(p));
+      }
+    }
+  }
+
+  // ---- Phase C: sharded compress — resolve every node to its final root
+  // (the structure is frozen now, so Find results are deterministic).
+  std::vector<uint32_t> root(n);
+  util::ParallelForRanges(
+      util::ResolveThreadCount(num_threads, n), n,
+      [&](uint32_t, uint64_t begin, uint64_t end) {
+        util::CancellableChunks(exec, begin, end,
+                                [&](uint64_t cb, uint64_t ce) {
+                                  for (uint64_t i = cb; i < ce; ++i) {
+                                    root[i] =
+                                        uf.Find(static_cast<uint32_t>(i));
+                                  }
+                                });
+      });
+  if (exec != nullptr && !exec->Check().ok()) return NodePartition{};
+
+  // ---- Phase D: canonical class numbering.
+  return WeakPartitionFromRoots(dg, root);
 }
 
 NodePartition ComputeStrongPartition(const Graph& g) {
@@ -177,8 +233,8 @@ NodePartition ComputeTypedWeakPartition(const Graph& g,
   std::vector<uint8_t> untyped = UntypedFlags(dg);
   std::vector<uint8_t> covered(n, 0);
   UnionFind uf(n);
-  UnionPerProperty(dg, uf, &untyped,
-                   mode != TypedSummaryMode::kPerPropertyProjection, &covered);
+  UnionPerProperty(dg, uf, untyped,
+                   mode != TypedSummaryMode::kPerPropertyProjection, covered);
   // Untyped nodes outside the projection (only possible in kUntypedDataGraph
   // mode) collapse into Nτ, raw id n.
   return TypedPartition(dg, n + 1, [&](uint32_t i) -> uint32_t {

@@ -3,12 +3,9 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
-#include "rdf/dense_graph.h"
 #include "rdf/graph.h"
 #include "summary/summary.h"
-#include "summary/union_find.h"
 
 namespace rdfsum::summary {
 
@@ -24,20 +21,17 @@ struct NodePartition {
 
 /// ≡W (Definition 7) with the Nτ convention: all typed-only resources form
 /// one class.
-NodePartition ComputeWeakPartition(const Graph& g);
-
-/// Assembles the weak NodePartition from a union-find over dense node ids
-/// (nodes with no data property collapse into Nτ). This is the canonical
-/// class-id assignment shared by ComputeWeakPartition and the parallel weak
-/// path — any change to it changes both identically.
-NodePartition WeakPartitionFromUnionFind(const DenseGraph& dg, UnionFind& uf);
-
-/// The same canonical assembly from a pre-resolved root array (root_of[i] =
-/// union-find root of dense node i; any values < num_nodes). The parallel
-/// weak path compresses its concurrent union-find into `root_of` with a
-/// parallel pass and enters here, so the class-id assignment stays shared.
-NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
-                                     const std::vector<uint32_t>& root_of);
+///
+/// One sharded union-find over the dense edge list (see
+/// src/summary/README.md): `num_threads` contiguous shards (1 = one shard on
+/// the calling thread, 0 = all hardware threads) hook repeat property
+/// endpoints into a lock-free union-find, so the partition is identical at
+/// every thread count. `exec` (optional) makes the shards cancellable: a
+/// tripped context returns an empty partition the caller must discard after
+/// consulting exec->Check() (governance errors are sticky, so the check
+/// replays).
+NodePartition ComputeWeakPartition(const Graph& g, uint32_t num_threads = 1,
+                                   util::ExecContext* exec = nullptr);
 
 /// ≡S (Definition 7): same (source clique, target clique); typed-only
 /// resources have (∅,∅) and form one class (Nτ).
@@ -64,7 +58,7 @@ NodePartition ComputeTypedStrongPartition(const Graph& g,
 /// bench_baseline_bisimulation measures.
 ///
 /// `num_threads` shards each refinement round over dense node-id ranges
-/// (1 = sequential, 0 = all hardware threads); each round's spawn/join is
+/// (1 = one shard on the calling thread, 0 = all hardware threads); each round's spawn/join is
 /// the re-labeling barrier. Every per-node signature hash is a pure
 /// function of the previous round's colors, so the partition is identical
 /// at every thread count.

@@ -9,7 +9,6 @@
 
 #include "rdf/dense_graph.h"
 #include "reasoner/saturation.h"
-#include "summary/parallel.h"
 #include "util/fault_injection.h"
 #include "util/parallel_for.h"
 #include "util/row_set.h"
@@ -23,13 +22,7 @@ NodePartition ComputePartition(const Graph& g, SummaryKind kind,
                                const SummaryOptions& options) {
   switch (kind) {
     case SummaryKind::kWeak:
-      // The sharded union-find path is byte-identical to the sequential one
-      // at every thread count, so a threaded request routes through it.
-      if (options.num_threads != 1) {
-        return ComputeParallelWeakPartition(g, options.num_threads,
-                                            options.exec);
-      }
-      return ComputeWeakPartition(g);
+      return ComputeWeakPartition(g, options.num_threads, options.exec);
     case SummaryKind::kStrong:
       return ComputeStrongPartition(g);
     case SummaryKind::kTypedWeak:
@@ -43,24 +36,25 @@ NodePartition ComputePartition(const Graph& g, SummaryKind kind,
           g, options.bisimulation_depth, options.bisimulation_uses_types,
           options.bisimulation_direction, options.num_threads, options.exec);
   }
-  return ComputeWeakPartition(g);
+  return ComputeWeakPartition(g, options.num_threads, options.exec);
 }
 
-/// Parallel construction of the quotient edge set: shards classify contiguous
+/// Sharded construction of the quotient edge set: shards classify contiguous
 /// ranges of the input into summary edges with private dedup tables, then the
 /// shards merge in shard-index order so the summary graph's insertion order —
-/// and with it every downstream canonical numbering — is byte-identical to
-/// the sequential first-occurrence walk. See src/summary/README.md for why
-/// the merge order fixes determinism.
+/// and with it every downstream canonical numbering — is the global
+/// first-occurrence order of the input walk at every shard count (one shard
+/// at num_threads = 1). See src/summary/README.md for why the merge order
+/// fixes determinism.
 ///
 /// `exec` governs the shard loops (workers stop mid-range on cancellation
 /// and fall through to their join barrier — partial shard output is never
 /// merged), and the "quotient:shard" failpoint injects per-shard failures
 /// at each shard boundary in fault-injection builds.
-Status ParallelQuotientEdges(const Graph& g, const NodePartition& part,
-                             const std::vector<TermId>& class_node,
-                             uint32_t num_threads, util::ExecContext* exec,
-                             Graph* out) {
+Status QuotientEdges(const Graph& g, const NodePartition& part,
+                    const std::vector<TermId>& class_node,
+                    uint32_t num_threads, util::ExecContext* exec,
+                    Graph* out) {
   const DenseGraph& dg = g.Dense();  // built/cached before any worker spawns
   const uint32_t n = dg.num_nodes();
 
@@ -200,49 +194,8 @@ StatusOr<SummaryResult> QuotientByPartition(const Graph& g,
     class_node[c] = dict.MintNodeUri("node:" + tag);
   }
 
-  const uint32_t threads = util::ResolveThreadCount(
-      options.num_threads, g.data().size() + g.types().size());
-  if (threads > 1) {
-    RDFSUM_RETURN_IF_ERROR(ParallelQuotientEdges(
-        g, part, class_node, options.num_threads, exec, &out.graph));
-  } else {
-    // Sequential walk, polling governance every kCheckInterval triples and
-    // resolving class ids with find() so a non-covering partition is a
-    // returned error, not a crash.
-    TermId mapped[2];
-    uint64_t since_check = 0;
-    auto map_node = [&](TermId n, TermId* slot) {
-      auto it = part.class_of.find(n);
-      if (it == part.class_of.end()) return false;
-      *slot = class_node[it->second];
-      return true;
-    };
-    auto poll = [&]() -> Status {
-      if (exec != nullptr &&
-          (++since_check & (util::ExecContext::kCheckInterval - 1)) == 0) {
-        return exec->Check();
-      }
-      return Status::OK();
-    };
-    for (const Triple& t : g.data()) {
-      RDFSUM_RETURN_IF_ERROR(poll());
-      if (!map_node(t.s, &mapped[0]) || !map_node(t.o, &mapped[1])) {
-        return Status::InvalidArgument(
-            "partition does not cover every graph node");
-      }
-      out.graph.Add(Triple{mapped[0], t.p, mapped[1]});
-    }
-    const TermId rdf_type = g.vocab().rdf_type;
-    for (const Triple& t : g.types()) {
-      RDFSUM_RETURN_IF_ERROR(poll());
-      if (!map_node(t.s, &mapped[0])) {
-        return Status::InvalidArgument(
-            "partition does not cover every graph node");
-      }
-      out.graph.Add(Triple{mapped[0], rdf_type, t.o});
-    }
-    for (const Triple& t : g.schema()) out.graph.Add(t);
-  }
+  RDFSUM_RETURN_IF_ERROR(QuotientEdges(g, part, class_node,
+                                       options.num_threads, exec, &out.graph));
 
   out.node_map.reserve(part.class_of.size());
   for (const auto& [n, c] : part.class_of) {

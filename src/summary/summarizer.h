@@ -18,11 +18,11 @@ namespace rdfsum::summary {
 /// urn:rdfsum: URIs (the dictionary is mutated through the shared pointer,
 /// which is why it is held by shared_ptr rather than by value).
 ///
-/// `options.num_threads` parallelizes the build end-to-end: the partition
-/// phase for the kinds with sharded partition paths (W, BISIM) and the
-/// quotient phase for every kind. The result is byte-identical to the
-/// sequential build at every thread count; per-phase wall times land in
-/// SummaryResult::stats.
+/// `options.num_threads` sets the shard count of the one build path: the
+/// partition phase for the kinds with sharded partitions (W, BISIM) and the
+/// quotient phase for every kind; 1 is a single shard on the calling thread.
+/// The result is byte-identical at every thread count; per-phase wall times
+/// land in SummaryResult::stats.
 ///
 /// The governed entry point: options.exec carries a deadline/cancellation
 /// token the sharded phases poll; a tripped context returns kCancelled or
@@ -44,13 +44,13 @@ SummaryResult Summarize(const Graph& g, SummaryKind kind,
 /// type-triple subject of `g` (all ComputeXxxPartition results do); a node
 /// it misses returns kInvalidArgument (the library does not throw).
 ///
-/// With `options.num_threads` != 1 the summary edge set is built by sharding
-/// the dense edge list: each shard classifies its contiguous range into
-/// summary edges through per-shard dedup tables, and shards merge in
-/// shard-index order, which reproduces the sequential first-occurrence
-/// insertion order — and therefore minted node ids and serialized output —
-/// byte for byte (see src/summary/README.md). options.exec makes both the
-/// sequential and sharded paths cancellable (kCancelled/kDeadlineExceeded).
+/// The summary edge set is built by sharding the dense edge list into
+/// `options.num_threads` contiguous ranges (one at the default of 1): each
+/// shard classifies its range into summary edges through a private dedup
+/// table, and shards merge in shard-index order, which yields the global
+/// first-occurrence insertion order — and therefore the same minted node ids
+/// and serialized output — at every shard count (see src/summary/README.md).
+/// options.exec makes the shards cancellable (kCancelled/kDeadlineExceeded).
 StatusOr<SummaryResult> QuotientByPartition(const Graph& g,
                                             const NodePartition& part,
                                             SummaryKind kind,

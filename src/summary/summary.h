@@ -58,11 +58,11 @@ struct SummaryOptions {
   TypedSummaryMode typed_mode = TypedSummaryMode::kPerPropertyProjection;
   /// Fill SummaryResult::members (the paper's `dr` multimap).
   bool record_members = false;
-  /// Threads for the parallel phases of summarization — the sharded quotient
-  /// construction (every kind) and the parallel partition paths (W and
-  /// BISIM). 1 = fully sequential (default), 0 = all hardware threads. The
-  /// result is byte-identical at every value (see src/summary/README.md for
-  /// the sharding invariants that guarantee it).
+  /// Shard count of the one summarizer path — the sharded quotient
+  /// construction (every kind) and the sharded partitions (W and BISIM).
+  /// 1 = one shard on the calling thread (default), 0 = all hardware
+  /// threads. The result is byte-identical at every value (see
+  /// src/summary/README.md for the sharding invariants that guarantee it).
   uint32_t num_threads = 1;
   /// Refinement rounds for SummaryKind::kBisimulation: nodes are equivalent
   /// iff their k-hop labeled neighborhoods are (k = depth). Larger depths

@@ -17,7 +17,7 @@
 #include "query/evaluator.h"
 #include "query/sparql_parser.h"
 #include "rdf/graph.h"
-#include "summary/parallel.h"
+#include "summary/node_partition.h"
 #include "summary/summarizer.h"
 #include "util/exec_context.h"
 
@@ -65,12 +65,14 @@ TEST(CancellationTest, PreCancelledThreadedSummarizeFails) {
 }
 
 TEST(CancellationTest, CancelledPartitionReturnsEmptyAndStickyStatus) {
-  util::ExecContext ctx;
-  ctx.Cancel();
-  summary::NodePartition part =
-      summary::ComputeParallelWeakPartition(TestGraph(), 4, &ctx);
-  EXPECT_TRUE(part.class_of.empty());
-  EXPECT_TRUE(ctx.Check().IsCancelled());
+  for (uint32_t threads : {1u, 4u}) {
+    util::ExecContext ctx;
+    ctx.Cancel();
+    summary::NodePartition part =
+        summary::ComputeWeakPartition(TestGraph(), threads, &ctx);
+    EXPECT_TRUE(part.class_of.empty()) << "threads " << threads;
+    EXPECT_TRUE(ctx.Check().IsCancelled()) << "threads " << threads;
+  }
 }
 
 // Randomized cancellation points: a canceller thread fires after a random

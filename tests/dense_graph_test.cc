@@ -8,9 +8,9 @@
 #include "gen/hetero.h"
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
+#include "oracle/reference_partition.h"
 #include "rdf/graph.h"
 #include "summary/node_partition.h"
-#include "summary/reference_partition.h"
 
 namespace rdfsum {
 namespace {

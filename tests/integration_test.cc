@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
 
 #include "gen/bsbm.h"
 #include "gen/lubm.h"
@@ -10,7 +11,7 @@
 #include "query/rbgp.h"
 #include "rdf/graph_stats.h"
 #include "reasoner/saturation.h"
-#include "store/database.h"
+#include "store/mmap_store.h"
 #include "summary/isomorphism.h"
 #include "summary/property_checks.h"
 #include "summary/summarizer.h"
@@ -26,8 +27,8 @@ using summary::SummaryKindName;
 using summary::SummaryResult;
 using summary::Summarize;
 
-// End-to-end: generate -> serialize -> parse -> store -> load -> saturate ->
-// summarize -> verify. This is the full pipeline of the paper's §6 tooling.
+// End-to-end: generate -> serialize -> parse -> freeze -> open -> summarize ->
+// verify. This is the full pipeline of the paper's §6 tooling.
 TEST(IntegrationTest, FullPipelineOnBsbm) {
   gen::BsbmOptions opt;
   opt.num_products = 200;
@@ -42,14 +43,18 @@ TEST(IntegrationTest, FullPipelineOnBsbm) {
   EXPECT_EQ(parsed.NumTriples(), original.NumTriples());
   std::remove(nt_path.c_str());
 
-  // Store to the binary database and load back (the PostgreSQL substitute).
-  std::string db_path = testing::TempDir() + "/pipeline.rdfsumdb";
-  ASSERT_TRUE(store::Database::FromGraph(parsed).Save(db_path).ok());
-  auto loaded = store::Database::Load(db_path);
-  ASSERT_TRUE(loaded.ok());
-  Graph g = loaded->ToGraph();
+  // Freeze to the .rsb store image and materialize back (the PostgreSQL
+  // substitute). The graph shares the store's dictionary, so the store
+  // stays open for the rest of the test.
+  std::string image_path = testing::TempDir() + "/pipeline.rsb";
+  ASSERT_TRUE(store::FreezeGraphToFile(parsed, image_path).ok());
+  auto image = store::MmapStore::Open(image_path);
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
+  auto loaded = (*image)->ToGraph();
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  Graph g = std::move(loaded).value();
   EXPECT_EQ(g.NumTriples(), original.NumTriples());
-  std::remove(db_path.c_str());
+  std::remove(image_path.c_str());
 
   // Summarize all kinds and verify structural invariants.
   GraphStats gs = ComputeGraphStats(g);

@@ -1,4 +1,4 @@
-#include "summary/reference_partition.h"
+#include "oracle/reference_partition.h"
 
 #include <algorithm>
 #include <map>

@@ -1,5 +1,5 @@
-#ifndef RDFSUM_SUMMARY_REFERENCE_PARTITION_H_
-#define RDFSUM_SUMMARY_REFERENCE_PARTITION_H_
+#ifndef RDFSUM_ORACLE_REFERENCE_PARTITION_H_
+#define RDFSUM_ORACLE_REFERENCE_PARTITION_H_
 
 #include <cstdint>
 
@@ -14,7 +14,8 @@ namespace rdfsum::summary {
 /// indexing). They are the differential-testing oracle for the DenseGraph
 /// substrate — each Compute*Partition must produce a byte-identical
 /// NodePartition (same class_of, same num_classes) — and the "before" side
-/// of bench_substrate's before/after measurement. Not for production use.
+/// of bench_substrate's before/after measurement. Built into the test-only
+/// rdfsum_oracle target, never into librdfsum.
 NodePartition ReferenceWeakPartition(const Graph& g);
 NodePartition ReferenceStrongPartition(const Graph& g);
 NodePartition ReferenceTypePartition(const Graph& g);
@@ -27,4 +28,4 @@ NodePartition ReferenceBisimulationPartition(const Graph& g, uint32_t depth,
 
 }  // namespace rdfsum::summary
 
-#endif  // RDFSUM_SUMMARY_REFERENCE_PARTITION_H_
+#endif  // RDFSUM_ORACLE_REFERENCE_PARTITION_H_

@@ -1,0 +1,33 @@
+#ifndef RDFSUM_ORACLE_REFERENCE_QUOTIENT_H_
+#define RDFSUM_ORACLE_REFERENCE_QUOTIENT_H_
+
+#include "rdf/graph.h"
+#include "summary/node_partition.h"
+#include "summary/summary.h"
+#include "util/statusor.h"
+
+namespace rdfsum::summary {
+
+/// The sequential quotient walk QuotientByPartition ran before its edge set
+/// was built only by shards, kept verbatim: one minted node per class in
+/// class-id order, then every data, type and schema triple of `g` added in
+/// input order through the partition (Definition 9). It is the oracle the
+/// sharded quotient must match byte for byte — same minted ids, same triple
+/// insertion order, same node_map and members — at every thread count.
+/// Returns kInvalidArgument when `part` misses a node, and honours
+/// options.exec and options.record_members; options.num_threads is ignored.
+StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
+                                          const NodePartition& part,
+                                          SummaryKind kind,
+                                          const SummaryOptions& options = {});
+
+/// The oracle summary of `g`: ReferenceQuotient over the kind's reference
+/// partition (reference_partition.h), with the options' typed mode and
+/// bisimulation depth/types. The reference bisimulation refines forward and
+/// backward only; another bisimulation_direction returns kInvalidArgument.
+StatusOr<SummaryResult> ReferenceSummarize(const Graph& g, SummaryKind kind,
+                                           const SummaryOptions& options = {});
+
+}  // namespace rdfsum::summary
+
+#endif  // RDFSUM_ORACLE_REFERENCE_QUOTIENT_H_

@@ -1,11 +1,13 @@
-// Differential wall for the parallel quotient construction: with
-// SummaryOptions::num_threads != 1 the summary must be BYTE-identical to the
-// sequential build — same minted urn:rdfsum: ids, same triple insertion
-// order, same serialized N-Triples — for every summary kind, dataset shape,
-// raw/saturated input, and thread count. Minting advances the shared
-// dictionary's counter, so every comparison builds the input graph twice
-// (identical construction => identical TermIds) and summarizes each copy
-// once, exactly like the determinism tests in parallel_test.cc.
+// Differential wall for the sharded quotient construction: at every
+// SummaryOptions::num_threads, one shard included, the summary must be
+// BYTE-identical to the oracle in tests/oracle/ (the reference partition
+// quotiented by the verbatim sequential walk) — same minted urn:rdfsum: ids,
+// same triple insertion order, same serialized N-Triples — for every summary
+// kind, dataset shape, raw/saturated input, and thread count. Minting
+// advances the shared dictionary's counter, so every comparison builds the
+// input graph twice (identical construction => identical TermIds) and
+// summarizes each copy once, exactly like the determinism tests in
+// parallel_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
 #include "io/ntriples_writer.h"
+#include "oracle/reference_quotient.h"
 #include "reasoner/saturation.h"
 #include "summary/node_partition.h"
 #include "summary/property_checks.h"
@@ -25,10 +28,10 @@
 namespace rdfsum::summary {
 namespace {
 
-// 1 is the sequential baseline; 2/4 split evenly, 7 leaves ragged shard
-// ranges, 8 exceeds the class/type counts of the small datasets, 0 = all
-// hardware threads.
-constexpr uint32_t kThreadCounts[] = {2, 4, 7, 8, 0};
+// 1 is one shard on the calling thread; 2/4 split evenly, 7 leaves ragged
+// shard ranges, 8 exceeds the class/type counts of the small datasets, 0 =
+// all hardware threads.
+constexpr uint32_t kThreadCounts[] = {1, 2, 4, 7, 8, 0};
 
 constexpr SummaryKind kAllKinds[] = {
     SummaryKind::kWeak,         SummaryKind::kStrong,
@@ -87,27 +90,26 @@ class ParallelQuotientWallTest
 TEST_P(ParallelQuotientWallTest, ByteIdenticalAcrossKindsAndThreadCounts) {
   auto [dataset, saturated] = GetParam();
   for (SummaryKind kind : kAllKinds) {
-    Graph g_seq = MakeGraph(dataset, saturated);
-    SummaryOptions seq_options;
-    seq_options.num_threads = 1;
-    seq_options.record_members = true;
-    SummaryResult seq = Summarize(g_seq, kind, seq_options);
-    const std::string seq_nt = io::NTriplesWriter::ToString(seq.graph);
+    Graph g_ref = MakeGraph(dataset, saturated);
+    SummaryOptions ref_options;
+    ref_options.record_members = true;
+    SummaryResult ref = ReferenceSummarize(g_ref, kind, ref_options).value();
+    const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
 
     for (uint32_t threads : kThreadCounts) {
       Graph g_par = MakeGraph(dataset, saturated);
-      SummaryOptions par_options = seq_options;
+      SummaryOptions par_options = ref_options;
       par_options.num_threads = threads;
       SummaryResult par = Summarize(g_par, kind, par_options);
       const std::string label = std::string(SummaryKindName(kind)) + " t" +
                                 std::to_string(threads);
       // Serialized summary (data, type, and schema insertion order plus
       // minted ids) is the byte-identity contract.
-      EXPECT_EQ(seq_nt, io::NTriplesWriter::ToString(par.graph)) << label;
+      EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(par.graph)) << label;
       // The representation maps agree id-for-id too.
-      EXPECT_EQ(seq.node_map, par.node_map) << label;
-      EXPECT_EQ(seq.stats.num_all_nodes, par.stats.num_all_nodes) << label;
-      EXPECT_EQ(seq.stats.num_all_edges, par.stats.num_all_edges) << label;
+      EXPECT_EQ(ref.node_map, par.node_map) << label;
+      EXPECT_EQ(ref.stats.num_all_nodes, par.stats.num_all_nodes) << label;
+      EXPECT_EQ(ref.stats.num_all_edges, par.stats.num_all_edges) << label;
       EXPECT_TRUE(CheckHomomorphism(g_par, par).ok()) << label;
     }
   }
@@ -124,14 +126,14 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The explicit-partition entry point shards identically: quotient an
-// externally computed partition at several thread counts against the
-// sequential build.
+// externally computed partition at every thread count against the oracle
+// walk over the same partition.
 TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
-  Graph g_seq = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-  NodePartition part_seq = ComputeWeakPartition(g_seq);
-  SummaryResult seq =
-      QuotientByPartition(g_seq, part_seq, SummaryKind::kWeak, {}).value();
-  const std::string seq_nt = io::NTriplesWriter::ToString(seq.graph);
+  Graph g_ref = MakeGraph(Dataset::kHetero, /*saturated=*/false);
+  NodePartition part_ref = ComputeWeakPartition(g_ref);
+  SummaryResult ref =
+      ReferenceQuotient(g_ref, part_ref, SummaryKind::kWeak).value();
+  const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
   for (uint32_t threads : kThreadCounts) {
     Graph g_par = MakeGraph(Dataset::kHetero, /*saturated=*/false);
     NodePartition part_par = ComputeWeakPartition(g_par);
@@ -140,26 +142,32 @@ TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
     SummaryResult par =
         QuotientByPartition(g_par, part_par, SummaryKind::kWeak, options)
             .value();
-    EXPECT_EQ(seq_nt, io::NTriplesWriter::ToString(par.graph))
+    EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(par.graph))
         << "threads " << threads;
   }
 }
 
-TEST(ParallelQuotientTest, RecordMembersMatchesSequential) {
-  Graph g_seq = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
-  SummaryOptions seq_options;
-  seq_options.record_members = true;
-  SummaryResult seq = Summarize(g_seq, SummaryKind::kStrong, seq_options);
+// Member lists follow the partition's class_of iteration order, so the
+// oracle walk quotients the library's own partition here.
+TEST(ParallelQuotientTest, RecordMembersMatchesOracle) {
+  Graph g_ref = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
+  SummaryOptions ref_options;
+  ref_options.record_members = true;
+  SummaryResult ref = ReferenceQuotient(g_ref, ComputeStrongPartition(g_ref),
+                                        SummaryKind::kStrong, ref_options)
+                          .value();
 
-  Graph g_par = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
-  SummaryOptions par_options = seq_options;
-  par_options.num_threads = 4;
-  SummaryResult par = Summarize(g_par, SummaryKind::kStrong, par_options);
-  ASSERT_EQ(seq.members.size(), par.members.size());
-  for (const auto& [node, members] : seq.members) {
-    auto it = par.members.find(node);
-    ASSERT_NE(it, par.members.end());
-    EXPECT_EQ(members, it->second);
+  for (uint32_t threads : kThreadCounts) {
+    Graph g_par = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
+    SummaryOptions par_options = ref_options;
+    par_options.num_threads = threads;
+    SummaryResult par = Summarize(g_par, SummaryKind::kStrong, par_options);
+    ASSERT_EQ(ref.members.size(), par.members.size()) << "threads " << threads;
+    for (const auto& [node, members] : ref.members) {
+      auto it = par.members.find(node);
+      ASSERT_NE(it, par.members.end());
+      EXPECT_EQ(members, it->second) << "threads " << threads;
+    }
   }
 }
 
@@ -185,20 +193,19 @@ TEST(ParallelQuotientTest, MoreThreadsThanTriples) {
   EXPECT_EQ(r.stats.num_type_edges, 1u);
 }
 
-// A partition that misses graph nodes returns kInvalidArgument on both the
-// threaded and sequential paths (the library does not throw).
+// A partition that misses graph nodes returns kInvalidArgument at every
+// thread count (the library does not throw).
 TEST(ParallelQuotientTest, IncompletePartitionReturnsInvalidArgument) {
   Graph g = MakeGraph(Dataset::kPaper, /*saturated=*/false);
   NodePartition partial;
   partial.num_classes = 1;  // covers no node at all
-  SummaryOptions options;
-  options.num_threads = 4;
-  auto par = QuotientByPartition(g, partial, SummaryKind::kWeak, options);
-  ASSERT_FALSE(par.ok());
-  EXPECT_TRUE(par.status().IsInvalidArgument()) << par.status().ToString();
-  auto seq = QuotientByPartition(g, partial, SummaryKind::kWeak, {});
-  ASSERT_FALSE(seq.ok());
-  EXPECT_TRUE(seq.status().IsInvalidArgument()) << seq.status().ToString();
+  for (uint32_t threads : kThreadCounts) {
+    SummaryOptions options;
+    options.num_threads = threads;
+    auto r = QuotientByPartition(g, partial, SummaryKind::kWeak, options);
+    ASSERT_FALSE(r.ok()) << "threads " << threads;
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  }
 }
 
 }  // namespace

@@ -9,16 +9,16 @@
 #include "gen/paper_example.h"
 #include "io/ntriples_writer.h"
 #include "summary/isomorphism.h"
+#include "oracle/reference_partition.h"
+#include "oracle/reference_quotient.h"
 #include "summary/node_partition.h"
-#include "summary/parallel.h"
 #include "summary/property_checks.h"
-#include "summary/reference_partition.h"
 #include "summary/summarizer.h"
 
 namespace rdfsum::summary {
 namespace {
 
-// Thread counts the sweeps cover: sequential, even split, an odd count that
+// Thread counts the sweeps cover: one shard, even split, an odd count that
 // leaves ragged shard ranges, and 0 = hardware concurrency.
 constexpr uint32_t kThreadCounts[] = {1, 2, 7, 0};
 
@@ -33,6 +33,19 @@ void ExpectIdenticalPartition(const NodePartition& got,
   }
 }
 
+SummaryOptions Threads(uint32_t num_threads) {
+  SummaryOptions options;
+  options.num_threads = num_threads;
+  return options;
+}
+
+/// The oracle summary (tests/oracle/): the reference partition quotiented by
+/// the verbatim sequential walk.
+SummaryResult Oracle(const Graph& g, SummaryKind kind,
+                     const SummaryOptions& options = {}) {
+  return ReferenceSummarize(g, kind, options).value();
+}
+
 Graph HeteroGraph(uint64_t seed) {
   gen::HeteroOptions opt;
   opt.seed = seed;
@@ -42,25 +55,23 @@ Graph HeteroGraph(uint64_t seed) {
   return gen::GenerateHetero(opt);
 }
 
-// ---- Parallel weak --------------------------------------------------------
+// ---- Sharded weak -----------------------------------------------------------
 
-TEST(ParallelWeakTest, IdenticalPartitionToBatchOnFigure2) {
+TEST(ParallelWeakTest, IdenticalPartitionToOracleOnFigure2) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  SummaryResult batch = Summarize(ex.graph, SummaryKind::kWeak);
-  ParallelWeakOptions options;
-  options.num_threads = 3;
-  SummaryResult par = ParallelWeakSummarize(ex.graph, options);
-  // The parallel path promises the *same* partition, so node-for-node the
+  SummaryResult oracle = Oracle(ex.graph, SummaryKind::kWeak);
+  SummaryResult par = Summarize(ex.graph, SummaryKind::kWeak, Threads(3));
+  // The sharded path promises the *same* partition, so node-for-node the
   // grouping agrees (minted URIs differ).
-  for (const auto& [n, h] : batch.node_map) {
+  for (const auto& [n, h] : oracle.node_map) {
     ASSERT_TRUE(par.node_map.count(n));
   }
-  for (const auto& [n1, h1] : batch.node_map) {
-    for (const auto& [n2, h2] : batch.node_map) {
+  for (const auto& [n1, h1] : oracle.node_map) {
+    for (const auto& [n2, h2] : oracle.node_map) {
       EXPECT_EQ(h1 == h2, par.node_map.at(n1) == par.node_map.at(n2));
     }
   }
-  EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
+  EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, par.graph));
 }
 
 class ParallelWeakSweepTest
@@ -69,19 +80,17 @@ class ParallelWeakSweepTest
 TEST_P(ParallelWeakSweepTest, PartitionByteIdenticalAcrossThreadCounts) {
   auto [threads, seed] = GetParam();
   Graph g = HeteroGraph(seed);
-  // Byte-identity against both the sequential substrate path and the frozen
-  // pre-substrate oracle: same class_of, same canonical class ids.
-  NodePartition par = ComputeParallelWeakPartition(g, threads);
-  ExpectIdenticalPartition(par, ComputeWeakPartition(g), "vs sequential");
+  // Byte-identity against the one-shard run and the frozen pre-substrate
+  // oracle: same class_of, same canonical class ids.
+  NodePartition par = ComputeWeakPartition(g, threads);
+  ExpectIdenticalPartition(par, ComputeWeakPartition(g), "vs one shard");
   ExpectIdenticalPartition(par, ReferenceWeakPartition(g), "vs reference");
 
-  SummaryResult batch = Summarize(g, SummaryKind::kWeak);
-  ParallelWeakOptions options;
-  options.num_threads = threads;
-  SummaryResult summarized = ParallelWeakSummarize(g, options);
-  EXPECT_EQ(summarized.stats.num_data_nodes, batch.stats.num_data_nodes);
-  EXPECT_EQ(summarized.graph.NumTriples(), batch.graph.NumTriples());
-  EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, summarized.graph));
+  SummaryResult oracle = Oracle(g, SummaryKind::kWeak);
+  SummaryResult summarized = Summarize(g, SummaryKind::kWeak, Threads(threads));
+  EXPECT_EQ(summarized.stats.num_data_nodes, oracle.stats.num_data_nodes);
+  EXPECT_EQ(summarized.graph.NumTriples(), oracle.graph.NumTriples());
+  EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, summarized.graph));
   EXPECT_TRUE(CheckHomomorphism(g, summarized).ok());
 }
 
@@ -95,28 +104,28 @@ INSTANTIATE_TEST_SUITE_P(
              "_seed" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(ParallelWeakTest, MatchesBatchOnBsbm) {
+TEST(ParallelWeakTest, MatchesOracleOnBsbm) {
   gen::BsbmOptions opt;
   opt.num_products = 300;
   Graph g = gen::GenerateBsbm(opt);
-  SummaryResult batch = Summarize(g, SummaryKind::kWeak);
-  SummaryResult par = ParallelWeakSummarize(g);
-  EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
+  SummaryResult oracle = Oracle(g, SummaryKind::kWeak);
+  SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(0));
+  EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, par.graph));
   for (uint32_t threads : kThreadCounts) {
-    ExpectIdenticalPartition(ComputeParallelWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
                              ReferenceWeakPartition(g), "bsbm");
   }
 }
 
-TEST(ParallelWeakTest, MatchesBatchOnLubm) {
+TEST(ParallelWeakTest, MatchesOracleOnLubm) {
   gen::LubmOptions opt;
   opt.num_universities = 2;
   Graph g = gen::GenerateLubm(opt);
-  SummaryResult batch = Summarize(g, SummaryKind::kWeak);
-  SummaryResult par = ParallelWeakSummarize(g);
-  EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
+  SummaryResult oracle = Oracle(g, SummaryKind::kWeak);
+  SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(0));
+  EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, par.graph));
   for (uint32_t threads : kThreadCounts) {
-    ExpectIdenticalPartition(ComputeParallelWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
                              ReferenceWeakPartition(g), "lubm");
   }
 }
@@ -124,9 +133,7 @@ TEST(ParallelWeakTest, MatchesBatchOnLubm) {
 TEST(ParallelWeakTest, EmptyGraph) {
   Graph g;
   for (uint32_t threads : kThreadCounts) {
-    ParallelWeakOptions options;
-    options.num_threads = threads;
-    SummaryResult par = ParallelWeakSummarize(g, options);
+    SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(threads));
     EXPECT_TRUE(par.graph.Empty());
   }
 }
@@ -142,11 +149,9 @@ TEST(ParallelWeakTest, SinglePropertyGraph) {
            d.EncodeIri("o" + std::to_string(i))});
   }
   for (uint32_t threads : kThreadCounts) {
-    ParallelWeakOptions options;
-    options.num_threads = threads;
-    SummaryResult par = ParallelWeakSummarize(g, options);
+    SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(threads));
     EXPECT_EQ(par.stats.num_data_nodes, 2u) << "threads " << threads;
-    ExpectIdenticalPartition(ComputeParallelWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
                              ReferenceWeakPartition(g), "single-property");
   }
 }
@@ -156,7 +161,7 @@ TEST(ParallelWeakTest, TypesOnlyGraph) {
   Dictionary& d = g.dict();
   g.Add({d.EncodeIri("x"), g.vocab().rdf_type, d.EncodeIri("C1")});
   g.Add({d.EncodeIri("y"), g.vocab().rdf_type, d.EncodeIri("C2")});
-  SummaryResult par = ParallelWeakSummarize(g);
+  SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(0));
   EXPECT_EQ(par.stats.num_data_nodes, 1u);  // Nτ
   EXPECT_EQ(par.graph.types().size(), 2u);
 }
@@ -165,9 +170,7 @@ TEST(ParallelWeakTest, MoreThreadsThanTriples) {
   Graph g;
   Dictionary& d = g.dict();
   g.Add({d.EncodeIri("a"), d.EncodeIri("p"), d.EncodeIri("b")});
-  ParallelWeakOptions options;
-  options.num_threads = 64;
-  SummaryResult par = ParallelWeakSummarize(g, options);
+  SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(64));
   EXPECT_EQ(par.stats.num_data_nodes, 2u);
 }
 
@@ -177,31 +180,27 @@ TEST(ParallelWeakTest, DeterministicSummariesAcrossThreadCounts) {
   // class ids, same minted URIs.
   Graph g3 = HeteroGraph(23);
   Graph g5 = HeteroGraph(23);
-  ParallelWeakOptions o3;
-  o3.num_threads = 3;
-  ParallelWeakOptions o5;
-  o5.num_threads = 5;
-  SummaryResult r3 = ParallelWeakSummarize(g3, o3);
-  SummaryResult r5 = ParallelWeakSummarize(g5, o5);
+  SummaryResult r3 = Summarize(g3, SummaryKind::kWeak, Threads(3));
+  SummaryResult r5 = Summarize(g5, SummaryKind::kWeak, Threads(5));
   EXPECT_EQ(io::NTriplesWriter::ToString(r3.graph),
             io::NTriplesWriter::ToString(r5.graph));
 
   // And two runs at the same thread count are byte-identical too.
   Graph g3b = HeteroGraph(23);
-  SummaryResult r3b = ParallelWeakSummarize(g3b, o3);
+  SummaryResult r3b = Summarize(g3b, SummaryKind::kWeak, Threads(3));
   EXPECT_EQ(io::NTriplesWriter::ToString(r3.graph),
             io::NTriplesWriter::ToString(r3b.graph));
 }
 
 TEST(ParallelWeakTest, RecordMembers) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  ParallelWeakOptions options;
+  SummaryOptions options = Threads(0);
   options.record_members = true;
-  SummaryResult par = ParallelWeakSummarize(ex.graph, options);
+  SummaryResult par = Summarize(ex.graph, SummaryKind::kWeak, options);
   EXPECT_EQ(par.members.at(par.node_map.at(ex.r1)).size(), 5u);
 }
 
-// ---- Parallel bisimulation ------------------------------------------------
+// ---- Sharded bisimulation -------------------------------------------------
 
 class ParallelBisimSweepTest
     : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
@@ -212,10 +211,10 @@ TEST_P(ParallelBisimSweepTest, PartitionByteIdenticalAcrossThreadCounts) {
   for (BisimulationDirection dir :
        {BisimulationDirection::kForward, BisimulationDirection::kBackward,
         BisimulationDirection::kForwardBackward}) {
-    NodePartition seq = ComputeBisimulationPartition(g, depth, true, dir);
+    NodePartition one = ComputeBisimulationPartition(g, depth, true, dir);
     NodePartition par =
         ComputeBisimulationPartition(g, depth, true, dir, threads);
-    ExpectIdenticalPartition(par, seq, "vs sequential");
+    ExpectIdenticalPartition(par, one, "vs one shard");
   }
   // The fb default additionally matches the frozen pre-substrate oracle.
   NodePartition par_fb = ComputeBisimulationPartition(
@@ -234,48 +233,38 @@ INSTANTIATE_TEST_SUITE_P(
              "_depth" + std::to_string(std::get<1>(info.param));
     });
 
-TEST(ParallelBisimulationTest, SummaryMatchesSequentialFacade) {
+TEST(ParallelBisimulationTest, SummaryMatchesOracle) {
   Graph g = HeteroGraph(29);
-  SummaryOptions options;
+  SummaryOptions options = Threads(4);
   options.bisimulation_depth = 2;
-  SummaryResult batch = Summarize(g, SummaryKind::kBisimulation, options);
-  ParallelBisimulationOptions popt;
-  popt.num_threads = 4;
-  popt.depth = 2;
-  SummaryResult par = ParallelBisimulationSummarize(g, popt);
-  EXPECT_EQ(par.stats.num_data_nodes, batch.stats.num_data_nodes);
-  EXPECT_EQ(par.graph.NumTriples(), batch.graph.NumTriples());
-  EXPECT_TRUE(AreSummariesIsomorphic(batch.graph, par.graph));
+  SummaryResult oracle = Oracle(g, SummaryKind::kBisimulation, options);
+  SummaryResult par = Summarize(g, SummaryKind::kBisimulation, options);
+  EXPECT_EQ(par.stats.num_data_nodes, oracle.stats.num_data_nodes);
+  EXPECT_EQ(par.graph.NumTriples(), oracle.graph.NumTriples());
+  EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, par.graph));
   EXPECT_TRUE(CheckHomomorphism(g, par).ok());
 }
 
 TEST(ParallelBisimulationTest, DeterministicSummariesAcrossThreadCounts) {
   Graph g2 = HeteroGraph(37);
   Graph g7 = HeteroGraph(37);
-  ParallelBisimulationOptions o2;
-  o2.num_threads = 2;
-  ParallelBisimulationOptions o7;
-  o7.num_threads = 7;
-  SummaryResult r2 = ParallelBisimulationSummarize(g2, o2);
-  SummaryResult r7 = ParallelBisimulationSummarize(g7, o7);
+  SummaryResult r2 = Summarize(g2, SummaryKind::kBisimulation, Threads(2));
+  SummaryResult r7 = Summarize(g7, SummaryKind::kBisimulation, Threads(7));
   EXPECT_EQ(io::NTriplesWriter::ToString(r2.graph),
             io::NTriplesWriter::ToString(r7.graph));
 }
 
 TEST(ParallelBisimulationTest, EmptyGraph) {
   Graph g;
-  ParallelBisimulationOptions options;
-  options.num_threads = 5;
-  SummaryResult par = ParallelBisimulationSummarize(g, options);
+  SummaryResult par = Summarize(g, SummaryKind::kBisimulation, Threads(5));
   EXPECT_TRUE(par.graph.Empty());
 }
 
 TEST(ParallelBisimulationTest, RecordMembers) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  ParallelBisimulationOptions options;
+  SummaryOptions options = Threads(3);
   options.record_members = true;
-  options.num_threads = 3;
-  SummaryResult par = ParallelBisimulationSummarize(ex.graph, options);
+  SummaryResult par = Summarize(ex.graph, SummaryKind::kBisimulation, options);
   size_t total = 0;
   for (const auto& [h, members] : par.members) total += members.size();
   EXPECT_EQ(total, par.node_map.size());

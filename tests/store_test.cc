@@ -1,17 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 
 #include "gen/bsbm.h"
 #include "rdf/graph.h"
-#include "store/database.h"
 #include "store/triple_table.h"
 
 namespace rdfsum {
 namespace {
 
-using store::Database;
 using store::TriplePattern;
 using store::TripleTable;
 
@@ -265,79 +262,6 @@ TEST(ScanCursorTest, AgreesWithScanOnEveryBoundSet) {
     while (c.Next(&triple)) got.push_back(triple);
     EXPECT_EQ(got, expected);
   }
-}
-
-// ---------------------------------------------------------------- database
-
-TEST(DatabaseTest, FromGraphKeepsTriples) {
-  Graph g;
-  g.AddIris("http://a", "http://p", "http://b");
-  g.AddTerms(Term::Iri("http://a"), Term::Iri("http://q"),
-             Term::Literal("v"));
-  Database db = Database::FromGraph(g);
-  EXPECT_EQ(db.num_triples(), 2u);
-}
-
-TEST(DatabaseTest, SaveLoadRoundTrip) {
-  gen::BsbmOptions opt;
-  opt.num_products = 50;
-  Graph g = gen::GenerateBsbm(opt);
-  Database db = Database::FromGraph(g);
-
-  std::string path = testing::TempDir() + "/bsbm.rdfsumdb";
-  ASSERT_TRUE(db.Save(path).ok());
-
-  auto loaded = Database::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->num_triples(), db.num_triples());
-
-  // The reloaded graph must contain exactly the same decoded triples.
-  Graph g2 = loaded->ToGraph();
-  EXPECT_EQ(g2.NumTriples(), g.NumTriples());
-  size_t checked = 0;
-  g.ForEachTriple([&](const Triple& t) {
-    if (checked++ % 37 != 0) return;  // spot-check a sample
-    Triple mapped{g2.dict().Lookup(g.dict().Decode(t.s)),
-                  g2.dict().Lookup(g.dict().Decode(t.p)),
-                  g2.dict().Lookup(g.dict().Decode(t.o))};
-    EXPECT_NE(mapped.s, kInvalidTermId);
-    EXPECT_TRUE(g2.Contains(mapped));
-  });
-}
-
-TEST(DatabaseTest, LoadMissingFileFails) {
-  auto r = Database::Load("/nonexistent/db.bin");
-  EXPECT_TRUE(r.status().IsIOError());
-}
-
-TEST(DatabaseTest, LoadRejectsGarbage) {
-  std::string path = testing::TempDir() + "/garbage.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "this is not a database";
-  }
-  auto r = Database::Load(path);
-  EXPECT_TRUE(r.status().IsCorruption());
-}
-
-TEST(DatabaseTest, LoadRejectsTruncated) {
-  Graph g;
-  g.AddIris("http://a", "http://p", "http://b");
-  Database db = Database::FromGraph(g);
-  std::string path = testing::TempDir() + "/trunc.bin";
-  ASSERT_TRUE(db.Save(path).ok());
-  // Truncate the file in the middle.
-  std::ifstream in(path, std::ios::binary);
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  in.close();
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size() / 2));
-  }
-  auto r = Database::Load(path);
-  EXPECT_FALSE(r.ok());
 }
 
 }  // namespace

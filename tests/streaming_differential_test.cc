@@ -10,7 +10,7 @@
 // "Legacy" is not today's Evaluate (that is itself a cursor drain now):
 // LegacyPlanRunner below is a frozen verbatim copy of the PR 3
 // backtracking executor, kept as the pre-streaming oracle the way
-// summary/reference_partition freezes the pre-substrate algorithms. An
+// tests/oracle/reference_partition freezes the pre-substrate algorithms. An
 // executor-wide regression that corrupts every cursor drain identically
 // still diverges from this independent implementation.
 

@@ -281,9 +281,10 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
   return 0;
 }
 
-// `--threads` is parallel end-to-end through SummaryOptions::num_threads:
-// the quotient phase shards for every kind, and W/BISIM additionally run
-// their sharded partition paths. Byte-identical at every thread count.
+// `--threads` sets SummaryOptions::num_threads, the shard count of the one
+// summarizer path: the quotient phase shards for every kind, and W/BISIM
+// shard their partitions too; 1 is one shard on the calling thread.
+// Byte-identical at every thread count.
 StatusOr<summary::SummaryResult> RunSummarize(
     const Graph& g, summary::SummaryKind kind,
     const summary::SummaryOptions& options, uint32_t threads,
