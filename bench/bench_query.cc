@@ -10,7 +10,7 @@
 // baseline pays the textual order and the planners have something to win.
 //
 // PR 4 adds two streaming sections at the largest BSBM scale of the sweep:
-// limit pushdown (full materializing Evaluate vs. a cursor drained to 10
+// limit pushdown (a full drain into a row vector vs. a cursor drained to 10
 // rows — the stream_* records) and the hash-join pick on planner-flagged
 // fat intermediates (kNever vs. kFromPlan cursors over unanchored joins —
 // the hashjoin_* records). Both re-check result identity against the
@@ -40,6 +40,7 @@
 
 #include "bench_common.h"
 #include "gen/lubm.h"
+#include "oracle/drain.h"
 #include "query/cursor.h"
 #include "query/evaluator.h"
 #include "query/executor.h"
@@ -227,7 +228,7 @@ void RunWorkload(bench::BenchJson* json, const std::string& workload,
     for (PlannerMode mode : query::kAllPlannerModes) {
       std::vector<query::Row> rows;
       secs[mode] = BestOfTwo([&] {
-        auto r = eval.Evaluate(q, SIZE_MAX, mode);
+        auto r = query::Drain(eval, q, mode);
         rows = std::move(r).value();
       });
       json->Record(workload + "_" + sq.shape + "_" + PlannerModeName(mode),
@@ -304,7 +305,7 @@ double TimeCursorDrain(const BgpEvaluator& eval, const BgpQuery& q,
   });
 }
 
-/// Limit pushdown: the full materializing Evaluate vs. a cursor drained to
+/// Limit pushdown: a full drain into a row vector vs. a cursor drained to
 /// its first 10 distinct rows, per shape, on the greedy plan. The cursor
 /// stops scanning once the quota fills, so small limits should beat the
 /// materializing path by orders of magnitude on fat results.
@@ -326,7 +327,7 @@ void RunStreamingBench(bench::BenchJson* json, const store::MmapStore& st,
     BgpQuery q = MustParse(sq.sparql);
     std::vector<query::Row> materialized;
     double full_materialize = BestOfTwo([&] {
-      auto r = eval.Evaluate(q, SIZE_MAX);
+      auto r = query::Drain(eval, q);
       materialized = std::move(r).value();
     });
     uint64_t cursor_rows = 0;
@@ -626,7 +627,7 @@ void BM_PlanAndExecute(benchmark::State& state) {
   BgpQuery q = MustParse(BsbmQueries()[0].sparql);
   auto mode = static_cast<PlannerMode>(state.range(0));
   for (auto _ : state) {
-    auto rows = eval.Evaluate(q, SIZE_MAX, mode);
+    auto rows = query::Drain(eval, q, mode);
     benchmark::DoNotOptimize(rows);
   }
   state.SetLabel(PlannerModeName(mode));

@@ -104,9 +104,16 @@ int main() {
   std::cout << "q(G):  " << (explicit_only.ExistsMatch(*q) ? "non-empty"
                                                            : "empty (!)")
             << "  — the complete answer needs implicit triples\n";
-  auto rows = with_reasoning.Evaluate(*q);
+  auto cursor = with_reasoning.Open(*q);
+  if (!cursor.ok()) {
+    std::cerr << "query error: " << cursor.status().ToString() << "\n";
+    return 1;
+  }
   std::cout << "q(G∞): ";
-  for (const auto& row : *rows) std::cout << row[0].ToNTriples();
+  query::IdRow row;
+  while ((*cursor)->Next(&row)) {
+    std::cout << with_reasoning.Decode(row)[0].ToNTriples();
+  }
   std::cout << "\n";
-  return 0;
+  return (*cursor)->status().ok() ? 0 : 1;
 }

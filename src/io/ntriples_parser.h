@@ -30,7 +30,7 @@ struct ParseOptions {
   /// triples already added to the graph stay — callers discard the graph).
   util::ExecContext* exec = nullptr;
   /// Parse worker threads: 1 = the sequential path (default), 0 = all
-  /// hardware cores, N = exactly N (clamped by util::ResolveThreadCount).
+  /// available CPUs, N = exactly N (clamped by util::ResolveThreadCount).
   /// With more than one thread the input is chunked on line boundaries,
   /// chunks are parsed into per-chunk staging buffers (local dictionary +
   /// staged triples) in parallel, and a deterministic merge pass interns

@@ -59,45 +59,6 @@ bool BgpEvaluator::ExistsMatch(const BgpQuery& q) const {
   return tree.root->Next(&row);
 }
 
-StatusOr<std::vector<Row>> BgpEvaluator::Evaluate(const BgpQuery& q,
-                                                  size_t limit) const {
-  return Evaluate(q, limit, options_.planner);
-}
-
-StatusOr<std::vector<Row>> BgpEvaluator::Evaluate(const BgpQuery& q,
-                                                  size_t limit,
-                                                  PlannerMode mode) const {
-  CursorOptions options;
-  options.limit = limit;
-  return Evaluate(q, options, mode);
-}
-
-StatusOr<std::vector<Row>> BgpEvaluator::Evaluate(
-    const BgpQuery& q, const CursorOptions& options) const {
-  return Evaluate(q, options, options_.planner);
-}
-
-StatusOr<std::vector<Row>> BgpEvaluator::Evaluate(const BgpQuery& q,
-                                                  const CursorOptions& options,
-                                                  PlannerMode mode) const {
-  RDFSUM_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor,
-                          Open(q, mode, options));
-  std::vector<Row> rows;
-  IdRow row;
-  while (cursor->Next(&row)) rows.push_back(Decode(row));
-  // A false Next() is exhaustion or failure; the cursor's status says which.
-  RDFSUM_RETURN_IF_ERROR(cursor->status());
-  return rows;
-}
-
-uint64_t BgpEvaluator::CountEmbeddings(const BgpQuery& q) const {
-  CursorTree tree = CompileEmbeddingTree(table_, Plan(q));
-  IdRow row;
-  while (tree.root->Next(&row)) {
-  }
-  return tree.root->rows_produced();
-}
-
 StatusOr<Explanation> BgpEvaluator::Explain(const BgpQuery& q) const {
   return Explain(q, options_.planner);
 }

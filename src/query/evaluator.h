@@ -19,7 +19,7 @@ namespace rdfsum::query {
 using Row = std::vector<Term>;
 
 struct EvaluatorOptions {
-  /// How Plan()/Open()/Evaluate() order the patterns by default; per-call
+  /// How Plan()/Open()/Explain() order the patterns by default; per-call
   /// overloads can override it.
   PlannerMode planner = PlannerMode::kGreedy;
   /// Enables PlannerMode::kSummary refinement. Not owned; must outlive the
@@ -43,10 +43,10 @@ using CursorOptions = ExecutorOptions;
 /// up front from the table statistics; the executor compiles the plan into
 /// a pull-based cursor tree (query/cursor.h, query/executor.h).
 ///
-/// The primary API is Open(): it returns a Cursor the caller drains at its
-/// own pace — rows are produced on demand, so LIMIT/pagination never pay
-/// for results the caller does not pull. Evaluate()/Explain() are
-/// drain-the-cursor conveniences kept for compatibility.
+/// Open() is the one way to get answer rows: it returns a Cursor the caller
+/// drains at its own pace — rows are produced on demand, so LIMIT/pagination
+/// never pay for results the caller does not pull. Explain() drains a
+/// cursor itself to report per-operator counts and the embedding count.
 class BgpEvaluator {
  public:
   explicit BgpEvaluator(const Graph& g, EvaluatorOptions options = {});
@@ -69,10 +69,12 @@ class BgpEvaluator {
   QueryPlan Plan(const BgpQuery& q, PlannerMode mode) const;
 
   /// Opens a streaming cursor over `q`'s distinct answer rows (projected on
-  /// the distinguished variables, deduplicated, deterministic order).
-  /// Decode() turns the produced IdRows into Terms. The cursor borrows the
-  /// evaluator (its table and dictionary) and must not outlive it; the
-  /// plan's lifetime is not tied to the cursor.
+  /// the distinguished variables, deduplicated; a boolean query yields one
+  /// empty row if it matches). Rows come in discovery order: deterministic
+  /// for a plan, but plan-dependent, so callers comparing across plans must
+  /// sort. Decode() turns the produced IdRows into Terms. The cursor
+  /// borrows the evaluator (its table and dictionary) and must not outlive
+  /// it; the plan's lifetime is not tied to the cursor.
   StatusOr<std::unique_ptr<Cursor>> Open(const BgpQuery& q,
                                          CursorOptions options = {}) const;
   StatusOr<std::unique_ptr<Cursor>> Open(const BgpQuery& q, PlannerMode mode,
@@ -88,31 +90,6 @@ class BgpEvaluator {
   /// True iff the query has at least one embedding into the graph. Pulls a
   /// single row off the join pipeline — no materialization.
   bool ExistsMatch(const BgpQuery& q) const;
-
-  /// Returns up to `limit` distinct answer rows (projections of embeddings
-  /// on the distinguished variables; for a boolean query, one empty row if
-  /// the query matches). `limit` == 0 returns no rows. Rows come back in
-  /// discovery order, which depends on the chosen plan; callers needing a
-  /// stable cross-plan order must sort.
-  ///
-  /// Deprecated as the primary surface: this drains Open()'s cursor into a
-  /// vector. New callers should Open() and pull rows as they need them.
-  StatusOr<std::vector<Row>> Evaluate(const BgpQuery& q,
-                                      size_t limit = SIZE_MAX) const;
-  StatusOr<std::vector<Row>> Evaluate(const BgpQuery& q, size_t limit,
-                                      PlannerMode mode) const;
-  /// Full-options drain, the governed path: options.exec carries the
-  /// deadline/row/memory budgets and any non-OK cursor status (e.g.
-  /// kDeadlineExceeded) comes back as the error instead of a silently
-  /// truncated row set.
-  StatusOr<std::vector<Row>> Evaluate(const BgpQuery& q,
-                                      const CursorOptions& options) const;
-  StatusOr<std::vector<Row>> Evaluate(const BgpQuery& q,
-                                      const CursorOptions& options,
-                                      PlannerMode mode) const;
-
-  /// Number of embeddings of the query body (not deduplicated by head).
-  uint64_t CountEmbeddings(const BgpQuery& q) const;
 
   /// Plans and fully executes `q`, returning the plan annotated with the
   /// actual cardinality observed at every step plus the per-operator

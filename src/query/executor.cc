@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "util/parallel_for.h"
@@ -103,9 +102,8 @@ CursorTree CompileEmbeddingTree(const store::TripleTable& table,
   p->first = c.patterns[plan.steps[0].pattern];
   p->first_label = plan.steps[0].pattern_text;
   p->num_vars = num_vars;
-  const uint32_t hw = options.parallelism == 1
-                          ? 1
-                          : std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t hw =
+      options.parallelism == 1 ? 1 : util::AvailableCpuCount();
   uint64_t driving = 0;
   const uint32_t threads =
       ResolveFanOut(table, p->first, options, hw, &driving);

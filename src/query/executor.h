@@ -81,8 +81,8 @@ struct CursorTree {
 
 /// Compiles `plan` into the join pipeline only (no projection, no dedup):
 /// the root enumerates embeddings of the query body as full-width binding
-/// rows. Backbone of ExistsMatch/CountEmbeddings. With `options.exec`,
-/// operators poll governance, and a hash join whose predicted build state
+/// rows. Backbone of ExistsMatch. With `options.exec`, operators poll
+/// governance, and a hash join whose predicted build state
 /// (estimated_build_rows × kHashJoinBuildBytesPerRow) cannot fit the
 /// remaining memory budget is compiled as a nested-loop join up front —
 /// same rows, no doomed build.

@@ -68,7 +68,7 @@ CompiledBgp CompileBgp(const BgpQuery& q, const Dictionary& dict);
 /// Resolves the query head against the compiled body: the dense variable id
 /// of every distinguished variable, in head order. InvalidArgument when a
 /// head variable does not occur in the body — the single validation shared
-/// by every Evaluate/Explain surface, pruned or not.
+/// by every Open/Explain surface, pruned or not.
 StatusOr<std::vector<uint32_t>> ResolveDistinguished(const BgpQuery& q,
                                                      const CompiledBgp& c);
 

@@ -71,18 +71,6 @@ Row SummaryPrunedEvaluator::Decode(const IdRow& row) const {
   return on_graph_->Decode(row);
 }
 
-StatusOr<std::vector<Row>> SummaryPrunedEvaluator::Evaluate(const BgpQuery& q,
-                                                            size_t limit) {
-  CursorOptions options;
-  options.limit = limit;
-  RDFSUM_ASSIGN_OR_RETURN(std::unique_ptr<Cursor> cursor, Open(q, options));
-  std::vector<Row> rows;
-  IdRow row;
-  while (cursor->Next(&row)) rows.push_back(Decode(row));
-  RDFSUM_RETURN_IF_ERROR(cursor->status());
-  return rows;
-}
-
 StatusOr<Explanation> SummaryPrunedEvaluator::Explain(const BgpQuery& q) {
   ++stats_.exists_checks;
   if (!SummaryAdmits(q)) {

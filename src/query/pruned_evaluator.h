@@ -62,13 +62,6 @@ class SummaryPrunedEvaluator {
                                          CursorOptions options = {});
   Row Decode(const IdRow& row) const;
 
-  /// Full evaluation; returns no rows without touching the graph when the
-  /// summary proves emptiness (the head is validated either way, like
-  /// Explain). Deprecated as the primary surface: drains Open()'s cursor
-  /// into a vector.
-  StatusOr<std::vector<Row>> Evaluate(const BgpQuery& q,
-                                      size_t limit = SIZE_MAX);
-
   /// The chosen plan with actual per-step cardinalities; when the summary
   /// proves emptiness, the plan is returned unexecuted with
   /// pruned_by_summary set.

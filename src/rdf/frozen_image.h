@@ -157,7 +157,7 @@ static_assert(sizeof(ImagePredStat) == 32);
 /// memcpy.
 inline constexpr uint64_t kImageTermRecordHeaderBytes = 1 + 3 * 4;
 
-/// FNV-1a-64, seeded compatibly with summary persistence v2.
+/// FNV-1a-64 with the standard offset basis (docs/FORMAT.md §1).
 inline constexpr uint64_t kImageFnvSeed = 1469598103934665603ULL;
 inline uint64_t ImageFnv1a64(const void* data, size_t size,
                              uint64_t h = kImageFnvSeed) {

@@ -19,6 +19,7 @@
 #include "query/sparql_parser.h"
 #include "server/wire.h"
 #include "util/fault_injection.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rdfsum::server {
@@ -352,9 +353,7 @@ bool Server::HandleQuery(int fd, const std::string& payload,
   // threads without ever queueing or rejecting a parallel request.
   uint32_t resolved = req.parallelism != 0 ? req.parallelism
                                            : options_.default_parallelism;
-  if (resolved == 0) {
-    resolved = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (resolved == 0) resolved = util::AvailableCpuCount();
   if (options_.max_parallelism > 0) {
     resolved = std::min(resolved, options_.max_parallelism);
   }

@@ -42,7 +42,7 @@ struct ServerOptions {
   /// has no wire field and always comes from here.
   util::ExecContext::Limits default_limits;
   /// Intra-query parallelism applied when a request leaves its parallelism
-  /// field at 0: 1 = sequential (the default), 0 = hardware concurrency,
+  /// field at 0: 1 = sequential (the default), 0 = all available CPUs,
   /// k = k morsel workers.
   uint32_t default_parallelism = 1;
   /// Hard per-request cap on granted parallelism (after defaults resolve).

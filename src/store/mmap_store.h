@@ -20,7 +20,7 @@ struct FreezeOptions {
   /// cached substrate.
   bool include_dense = true;
   /// Workers for the permutation sorts + statistics (TripleTable::Freeze):
-  /// 1 = sequential (default), 0 = all hardware cores. The image bytes are
+  /// 1 = sequential (default), 0 = all available CPUs. The image bytes are
   /// identical at every thread count.
   uint32_t num_threads = 1;
   /// When non-null, receives the wall seconds spent sorting/deduplicating

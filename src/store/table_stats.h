@@ -32,20 +32,16 @@ class TableStats {
   TableStats() = default;
 
   /// Builds the stats from the three sorted permutations of the same triple
-  /// set. `spo` sorted by (s,p,o), `pos` by (p,o,s), `osp` by (o,s,p).
-  static TableStats Compute(const std::vector<Triple>& spo,
-                            const std::vector<Triple>& pos,
-                            const std::vector<Triple>& osp);
-
-  /// Parallel variant: the run-boundary passes are computed over contiguous
-  /// ranges (each shard compares against the global element before its
-  /// range, so shard borders split no run twice) and the partial counters /
-  /// per-predicate maps are summed — a reduction whose result is identical
-  /// to the sequential pass at every thread count. 0 = all hardware cores.
+  /// set: `spo` sorted by (s,p,o), `pos` by (p,o,s), `osp` by (o,s,p). The
+  /// run-boundary passes shard over contiguous ranges (each shard compares
+  /// against the global element before its range, so shard borders split
+  /// no run twice) and the partial counters / per-predicate maps are
+  /// summed, so the result is identical at every thread count. 1 = one
+  /// shard on the calling thread, 0 = all available CPUs.
   static TableStats Compute(const std::vector<Triple>& spo,
                             const std::vector<Triple>& pos,
                             const std::vector<Triple>& osp,
-                            uint32_t num_threads);
+                            uint32_t num_threads = 1);
 
   /// Reassembles stats previously computed by Compute() and serialized —
   /// the frozen-image open path (kPredStats section), where re-deriving

@@ -71,35 +71,26 @@ void TripleTable::AppendAll(const std::vector<Triple>& triples) {
   spo_.insert(spo_.end(), triples.begin(), triples.end());
 }
 
-void TripleTable::Freeze() { Freeze(1); }
-
 void TripleTable::Freeze(uint32_t num_threads) {
   if (frozen_) return;
   const uint32_t threads = util::ResolveThreadCount(
       num_threads, spo_.size() / util::kMinSortItemsPerShard);
-  if (threads <= 1) {
-    std::sort(spo_.begin(), spo_.end());
-    spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
-    pos_ = spo_;
-    std::sort(pos_.begin(), pos_.end(), PosLess());
-    osp_ = spo_;
-    std::sort(osp_.begin(), osp_.end(), OspLess());
-    stats_ = TableStats::Compute(spo_, pos_, osp_);
-    frozen_ = true;
-    return;
-  }
   util::ParallelSort(spo_.begin(), spo_.end(), std::less<Triple>(), threads);
   spo_.erase(std::unique(spo_.begin(), spo_.end()), spo_.end());
   // The two secondary permutations are independent: copy + sort each on its
-  // own branch, splitting the worker budget between them.
+  // own branch, splitting the worker budget between them. One thread runs
+  // both branches in turn, inline.
+  const uint32_t branches = std::min(threads, 2u);
   const uint32_t half = std::max(1u, threads / 2);
-  util::ParallelFor(2, [&](uint32_t which) {
-    if (which == 0) {
-      pos_ = spo_;
-      util::ParallelSort(pos_.begin(), pos_.end(), PosLess(), half);
-    } else {
-      osp_ = spo_;
-      util::ParallelSort(osp_.begin(), osp_.end(), OspLess(), half);
+  util::ParallelFor(branches, [&](uint32_t first) {
+    for (uint32_t which = first; which < 2; which += branches) {
+      if (which == 0) {
+        pos_ = spo_;
+        util::ParallelSort(pos_.begin(), pos_.end(), PosLess(), half);
+      } else {
+        osp_ = spo_;
+        util::ParallelSort(osp_.begin(), osp_.end(), OspLess(), half);
+      }
     }
   });
   stats_ = TableStats::Compute(spo_, pos_, osp_, threads);

@@ -91,16 +91,15 @@ class TripleTable {
   /// Sorts the three permutations, removes duplicate rows, and computes the
   /// table statistics (see stats()). No-op on an already-frozen table (in
   /// particular it never touches a borrowed table's external storage).
-  void Freeze();
-
-  /// Parallel Freeze: the SPO sort runs sharded (util/parallel_sort.h), then
-  /// the POS and OSP copies sort concurrently with half the workers each,
-  /// and the statistics reduce per-range. 0 = all hardware cores; the
-  /// frozen permutations and stats are byte-identical to Freeze() at every
-  /// thread count (the sort comparators key on all three triple components,
-  /// so equal elements are identical rows). Freeze(1) IS the sequential
-  /// path.
-  void Freeze(uint32_t num_threads);
+  ///
+  /// The SPO sort runs sharded (util/parallel_sort.h), then the POS and OSP
+  /// copies sort concurrently with half the workers each, and the
+  /// statistics reduce per-range. 1 = one shard on the calling thread (no
+  /// pool task is submitted), 0 = all available CPUs; the frozen
+  /// permutations and stats are byte-identical at every thread count (the
+  /// sort comparators key on all three triple components, so equal
+  /// elements are identical rows).
+  void Freeze(uint32_t num_threads = 1);
   bool frozen() const { return frozen_; }
   bool borrowed() const { return borrowed_; }
 

@@ -24,7 +24,7 @@ struct NodePartition {
 ///
 /// One sharded union-find over the dense edge list (see
 /// src/summary/README.md): `num_threads` contiguous shards (1 = one shard on
-/// the calling thread, 0 = all hardware threads) hook repeat property
+/// the calling thread, 0 = all available CPUs) hook repeat property
 /// endpoints into a lock-free union-find, so the partition is identical at
 /// every thread count. `exec` (optional) makes the shards cancellable: a
 /// tripped context returns an empty partition the caller must discard after
@@ -58,10 +58,10 @@ NodePartition ComputeTypedStrongPartition(const Graph& g,
 /// bench_baseline_bisimulation measures.
 ///
 /// `num_threads` shards each refinement round over dense node-id ranges
-/// (1 = one shard on the calling thread, 0 = all hardware threads); each round's spawn/join is
-/// the re-labeling barrier. Every per-node signature hash is a pure
-/// function of the previous round's colors, so the partition is identical
-/// at every thread count.
+/// (1 = one shard on the calling thread, 0 = all available CPUs); each
+/// round's spawn/join is the re-labeling barrier. Every per-node signature
+/// hash is a pure function of the previous round's colors, so the
+/// partition is identical at every thread count.
 ///
 /// `exec` (optional) makes the rounds cancellable: workers poll it between
 /// chunks and fall through to the round barrier, and a tripped context

@@ -60,8 +60,8 @@ struct SummaryOptions {
   bool record_members = false;
   /// Shard count of the one summarizer path — the sharded quotient
   /// construction (every kind) and the sharded partitions (W and BISIM).
-  /// 1 = one shard on the calling thread (default), 0 = all hardware
-  /// threads. The result is byte-identical at every value (see
+  /// 1 = one shard on the calling thread (default), 0 = all available
+  /// CPUs. The result is byte-identical at every value (see
   /// src/summary/README.md for the sharding invariants that guarantee it).
   uint32_t num_threads = 1;
   /// Refinement rounds for SummaryKind::kBisimulation: nodes are equivalent

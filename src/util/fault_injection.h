@@ -21,11 +21,11 @@ namespace rdfsum::util {
 /// FaultInjection::compiled_in().
 ///
 /// Arming:
-///   - Test API: FaultInjection::Arm("persistence:read",
+///   - Test API: FaultInjection::Arm("image:open",
 ///         Status::IOError("injected"), {.countdown = 3, .latency_ms = 5});
 ///     fails the 3rd hit (and every later one) after sleeping 5 ms.
 ///   - Env var, parsed once at first Hit():
-///         RDFSUM_FAILPOINTS="persistence:read=ioerror;quotient:shard=cancelled"
+///         RDFSUM_FAILPOINTS="image:open=ioerror;quotient:shard=cancelled"
 ///     codes: ioerror, corruption, cancelled, deadline, resource, internal,
 ///     invalid, notfound. `name=sleep:MS` injects latency only.
 ///         RDFSUM_FAILPOINTS="random:SEED[:PERCENT]"

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -13,8 +12,8 @@
 
 namespace rdfsum::util {
 
-/// Resolves a requested thread count against the hardware and the amount of
-/// work: 0 means std::thread::hardware_concurrency(), never more threads
+/// Resolves a requested thread count against the CPUs and the amount of
+/// work: 0 means AvailableCpuCount() (util/thread_pool.h), never more threads
 /// than work items, always at least one, never more than kMaxThreads (so a
 /// bogus request — e.g. "-1" wrapped to ~4e9 by a caller's parser — cannot
 /// exhaust the process with thread spawns). All arithmetic is 64-bit so a
@@ -23,9 +22,7 @@ namespace rdfsum::util {
 inline constexpr uint32_t kMaxThreads = 256;
 
 inline uint32_t ResolveThreadCount(uint32_t requested, uint64_t work_items) {
-  uint64_t threads =
-      requested != 0 ? requested
-                     : std::max(1u, std::thread::hardware_concurrency());
+  uint64_t threads = requested != 0 ? requested : AvailableCpuCount();
   threads = std::min<uint64_t>(threads, kMaxThreads);
   threads = std::min<uint64_t>(threads, std::max<uint64_t>(work_items, 1));
   return static_cast<uint32_t>(threads);
@@ -71,7 +68,7 @@ void ParallelFor(uint32_t num_threads, Body&& body) {
 /// Shards [0, total) contiguously over num_threads threads and runs
 /// body(shard, begin, end) per shard (empty ranges included, so per-shard
 /// state is initialized even when total < num_threads). Accepts 0 — the
-/// codebase's "hardware concurrency" sentinel — as 1, so forwarding an
+/// codebase's "all cores" sentinel — as 1, so forwarding an
 /// unresolved options value cannot divide by zero in ShardRange.
 template <typename Body>
 void ParallelForRanges(uint32_t num_threads, uint64_t total, Body&& body) {

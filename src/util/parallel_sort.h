@@ -14,7 +14,7 @@ namespace rdfsum::util {
 inline constexpr uint64_t kMinSortItemsPerShard = 1024;
 
 /// Sorts [begin, end) under `less` with up to `num_threads` workers (0 = all
-/// hardware cores): contiguous shards are std::sort'ed in parallel, then
+/// available CPUs): contiguous shards are std::sort'ed in parallel, then
 /// combined by log2(shards) rounds of pairwise-parallel std::inplace_merge.
 ///
 /// Caller contract for determinism: elements that compare equal under `less`

@@ -1,14 +1,25 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <utility>
 
 namespace rdfsum::util {
 
+uint32_t AvailableCpuCount() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<uint32_t>(CPU_COUNT(&set));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(uint32_t num_threads) {
-  uint32_t n = num_threads != 0
-                   ? num_threads
-                   : std::max(1u, std::thread::hardware_concurrency());
+  const uint32_t n = num_threads != 0 ? num_threads : AvailableCpuCount();
   queues_.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());

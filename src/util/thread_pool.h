@@ -15,11 +15,18 @@ namespace rdfsum::util {
 
 class TaskGroup;
 
+/// The number of CPUs the calling thread may run on: the size of its
+/// affinity mask (sched_getaffinity), falling back to
+/// std::thread::hardware_concurrency() where there is no mask; at least 1.
+/// This is what every "0 = all cores" thread count resolves to, so a
+/// process pinned to one CPU runs one worker, not one per host core.
+uint32_t AvailableCpuCount();
+
 /// Process-wide work-stealing task pool. One pool (ThreadPool::Shared(),
-/// lazily constructed and sized to the hardware) serves every parallel
-/// phase — summarize shards, parallel Freeze sorts, chunked parsing, and
-/// query morsels — so concurrent requests share one set of OS threads
-/// instead of each spawning their own.
+/// lazily constructed and sized to the CPUs it may use) serves every
+/// parallel phase — summarize shards, parallel Freeze sorts, chunked
+/// parsing, and query morsels — so concurrent requests share one set of OS
+/// threads instead of each spawning their own.
 ///
 /// Structure: one deque per worker, each guarded by its own mutex. A worker
 /// pops its own deque from the back (LIFO — the task it submitted last is
@@ -44,7 +51,7 @@ class TaskGroup;
 /// rather than blocking on work that will never complete.
 class ThreadPool {
  public:
-  /// A pool with `num_threads` workers (0 = hardware concurrency, min 1).
+  /// A pool with `num_threads` workers (0 = AvailableCpuCount()).
   explicit ThreadPool(uint32_t num_threads);
 
   /// Stops the workers and joins them. Outstanding tasks are completed
@@ -54,9 +61,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// The process-wide pool, created on first use with one worker per
-  /// hardware thread. Never destroyed (intentionally leaked) so worker
-  /// threads can never race static destruction at exit.
+  /// The process-wide pool, created on first use with one worker per CPU
+  /// the creating thread may run on. Never destroyed (intentionally
+  /// leaked) so worker threads can never race static destruction at exit.
   static ThreadPool& Shared();
 
   uint32_t size() const { return static_cast<uint32_t>(workers_.size()); }

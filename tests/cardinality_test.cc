@@ -13,6 +13,7 @@
 #include "gen/hetero.h"
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/rbgp.h"
 #include "query/sparql_parser.h"
@@ -59,7 +60,7 @@ TEST_F(CardinalityTest, SinglePropertyPatternIsExact) {
     BgpQuery q = MustParse("SELECT ?s WHERE { ?s <http://lubm.example.org/" +
                            std::string(prop) + "> ?o }");
     double est = estimator_.EstimatePatternCount(q.triples[0]);
-    EXPECT_DOUBLE_EQ(est, static_cast<double>(eval.CountEmbeddings(q)))
+    EXPECT_DOUBLE_EQ(est, static_cast<double>(eval.Explain(q)->num_embeddings))
         << prop;
     CardinalityEstimate whole = estimator_.Estimate(q);
     EXPECT_DOUBLE_EQ(whole.estimate, est) << prop;
@@ -95,7 +96,7 @@ TEST_F(CardinalityTest, ZeroEstimateImpliesActuallyEmpty) {
     CardinalityEstimate est = estimator_.Estimate(broken);
     if (est.estimate == 0.0) {
       ++zero_checked;
-      EXPECT_EQ(eval.CountEmbeddings(broken), 0u) << broken.ToString();
+      EXPECT_EQ(eval.Explain(broken)->num_embeddings, 0u) << broken.ToString();
     }
   }
   // The mutation must have produced at least a few provably-empty queries,
@@ -209,8 +210,8 @@ TEST(SummaryPlannerTest, EstimatorDrivenPlansReturnIdenticalRows) {
   for (int i = 0; i < 25; ++i) {
     BgpQuery q = GenerateRbgpQuery(book.graph, rng);
     if (q.triples.empty()) continue;
-    auto expected = plain.Evaluate(q, SIZE_MAX, query::PlannerMode::kNaive);
-    auto actual = with_estimator.Evaluate(q);
+    auto expected = query::Drain(plain, q, query::PlannerMode::kNaive);
+    auto actual = query::Drain(with_estimator, q);
     ASSERT_TRUE(expected.ok());
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(actual->size(), expected->size()) << q.ToString();

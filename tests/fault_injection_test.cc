@@ -9,9 +9,9 @@
 
 #include "gen/bsbm.h"
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/sparql_parser.h"
-#include "summary/persistence.h"
 #include "summary/summarizer.h"
 #include "util/fault_injection.h"
 #include "util/status.h"
@@ -77,25 +77,6 @@ TEST_F(FaultInjectionTest, RandomModeIsDeterministicPerSeed) {
 
 // ---- integration: the named sites actually fire -------------------------
 
-TEST_F(FaultInjectionTest, PersistenceSitesInject) {
-  gen::Figure2Example ex = gen::BuildFigure2();
-  summary::SummaryResult r =
-      summary::Summarize(ex.graph, summary::SummaryKind::kWeak);
-  const std::string path = testing::TempDir() + "/fp.rdfsum";
-
-  FaultInjection::Arm("persistence:write", Status::IOError("disk full"));
-  Status save = summary::SaveSummary(r, path);
-  EXPECT_TRUE(save.IsIOError()) << save.ToString();
-  FaultInjection::Clear();
-  ASSERT_TRUE(summary::SaveSummary(r, path).ok());
-
-  FaultInjection::Arm("persistence:read", Status::IOError("torn read"));
-  auto load = summary::LoadSummary(path);
-  EXPECT_TRUE(load.status().IsIOError()) << load.status().ToString();
-  FaultInjection::Clear();
-  EXPECT_TRUE(summary::LoadSummary(path).ok());
-}
-
 TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {
   gen::BsbmOptions gen_options;
   gen_options.num_products = 100;
@@ -109,7 +90,7 @@ TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {
   query::BgpEvaluator eval(g);
   query::CursorOptions options;
   options.hash_join = query::HashJoinMode::kNever;
-  auto rows = eval.Evaluate(q, options);
+  auto rows = query::Drain(eval, q, options);
   ASSERT_TRUE(rows.ok());
 
   // An injected kResourceExhausted at the build site means "the budget said
@@ -117,7 +98,7 @@ TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {
   options.hash_join = query::HashJoinMode::kAlways;
   FaultInjection::Arm("query:hashjoin-build",
                       Status::ResourceExhausted("injected"));
-  auto degraded = eval.Evaluate(q, options);
+  auto degraded = query::Drain(eval, q, options);
   ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
   EXPECT_EQ(degraded->size(), rows->size());
   EXPECT_GE(FaultInjection::HitCount("query:hashjoin-build"), 1u);
@@ -125,7 +106,7 @@ TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {
   // Any other injected failure has no graceful escape and must surface.
   FaultInjection::Clear();
   FaultInjection::Arm("query:hashjoin-build", Status::IOError("injected"));
-  auto failed = eval.Evaluate(q, options);
+  auto failed = query::Drain(eval, q, options);
   ASSERT_FALSE(failed.ok());
   EXPECT_TRUE(failed.status().IsIOError()) << failed.status().ToString();
 }

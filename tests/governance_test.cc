@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gen/bsbm.h"
+#include "oracle/drain.h"
 #include "query/cursor.h"
 #include "query/evaluator.h"
 #include "query/plan.h"
@@ -165,7 +166,7 @@ TEST(GovernanceTest, EvaluateSurfacesGovernanceStatus) {
   util::ExecContext ctx(limits);
   CursorOptions options;
   options.exec = &ctx;
-  auto rows = eval.Evaluate(q, options);
+  auto rows = Drain(eval, q, options);
   ASSERT_FALSE(rows.ok());
   EXPECT_TRUE(rows.status().IsResourceExhausted())
       << rows.status().ToString();

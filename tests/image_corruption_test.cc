@@ -1,11 +1,11 @@
 // The frozen-image corruption wall (docs/FORMAT.md §8): images are
 // truncated at every length, bit-flipped at every byte, fed wrong formats
-// (a v1 summary file, random bytes), given nonzero padding, and given
-// adversarial counts behind *valid* checksums. FrozenImage::Attach must
-// return kCorruption (kIOError for unreadable files, kNotSupported for a
-// future major version) — never crash, never read out of bounds, never let
-// an unvalidated count drive an allocation. Runs under ASan/UBSan in CI,
-// where "never UB" is machine-checked.
+// (a retired .rdfsum summary file, random bytes), given nonzero padding,
+// and given adversarial counts behind *valid* checksums.
+// FrozenImage::Attach must return kCorruption (kIOError for unreadable
+// files, kNotSupported for a future major version) — never crash, never
+// read out of bounds, never let an unvalidated count drive an allocation.
+// Runs under ASan/UBSan in CI, where "never UB" is machine-checked.
 
 #include <gtest/gtest.h>
 
@@ -18,8 +18,6 @@
 #include "gen/paper_example.h"
 #include "rdf/frozen_image.h"
 #include "store/mmap_store.h"
-#include "summary/persistence.h"
-#include "summary/summarizer.h"
 #include "util/fault_injection.h"
 
 namespace rdfsum {
@@ -157,13 +155,30 @@ TEST(ImageCorruptionTest, HeaderReservedBytesAreIgnored) {
 }
 
 TEST(ImageCorruptionTest, V1SummaryFileIsRejectedCleanly) {
-  // The sibling format: a persisted *summary* (.rdfsum, magic "RDFSUMSUM")
-  // handed to the store opener. Eight of its nine magic bytes match ours.
-  gen::Figure2Example ex = gen::BuildFigure2();
-  summary::SummaryResult r =
-      summary::Summarize(ex.graph, summary::SummaryKind::kWeak);
+  // The retired sibling format: a persisted *summary* (.rdfsum, magic
+  // "RDFSUMSUM", version 2) handed to the store opener. Eight of its nine
+  // magic bytes match ours, and such files may still sit on disk. Header:
+  // magic(9) + version u32 + kind u32 + payload size u64 + FNV-1a-64 of
+  // version, kind and payload; the zero payload pads the file past the
+  // 64-byte image header so the size gate alone cannot reject it.
+  const uint32_t version = 2, kind = 0;
+  const std::string payload(64, '\0');
+  std::string bytes = "RDFSUMSUM";
+  bytes.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  bytes.append(reinterpret_cast<const char*>(&kind), sizeof(kind));
+  const uint64_t payload_size = payload.size();
+  bytes.append(reinterpret_cast<const char*>(&payload_size),
+               sizeof(payload_size));
+  const uint64_t checksum = ImageFnv1a64(
+      payload.data(), payload.size(), ImageFnv1a64(bytes.data() + 9, 8));
+  bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  bytes += payload;
+  ASSERT_GT(bytes.size(), sizeof(ImageHeader));
   const std::string path = TempPath("not_an_image.rdfsum");
-  ASSERT_TRUE(summary::SaveSummary(r, path).ok());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
   auto opened = MmapStore::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();

@@ -5,6 +5,7 @@
 
 #include "gen/paper_example.h"
 #include "io/dot_writer.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/sparql_parser.h"
 #include "summary/cliques.h"
@@ -54,7 +55,7 @@ TEST(EvaluatorGeneralityTest, VariableProperty) {
       "SELECT ?p WHERE { f:r1 ?p ?o }");
   ASSERT_TRUE(q.ok());
   query::BgpEvaluator eval(ex.graph);
-  auto rows = eval.Evaluate(*q);
+  auto rows = query::Drain(eval, *q);
   ASSERT_TRUE(rows.ok());
   // r1 has author, title and rdf:type edges.
   EXPECT_EQ(rows->size(), 3u);
@@ -69,7 +70,7 @@ TEST(EvaluatorGeneralityTest, SameVariablePropertyAndObject) {
   auto q = query::ParseSparql("SELECT ?x WHERE { ?s ?x ?x }");
   ASSERT_TRUE(q.ok());
   query::BgpEvaluator eval(g);
-  auto rows = eval.Evaluate(*q);
+  auto rows = query::Drain(eval, *q);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0][0].lexical, "http://p");
@@ -82,7 +83,7 @@ TEST(EvaluatorGeneralityTest, ZeroLimit) {
       "SELECT ?s WHERE { ?s f:title ?t }");
   ASSERT_TRUE(q.ok());
   query::BgpEvaluator eval(ex.graph);
-  auto rows = eval.Evaluate(*q, 1);
+  auto rows = query::Drain(eval, *q, query::CursorOptions{.limit = 1});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);
 }

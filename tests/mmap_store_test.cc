@@ -17,6 +17,7 @@
 #include "gen/bsbm.h"
 #include "gen/paper_example.h"
 #include "io/ntriples_writer.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/rbgp.h"
 #include "query/sparql_parser.h"
@@ -128,8 +129,8 @@ TEST(MmapStoreTest, ZeroCopyQueriesMatchParsePathAllPlanners) {
     if (q.triples.empty()) continue;
     for (auto mode :
          {query::PlannerMode::kNaive, query::PlannerMode::kGreedy}) {
-      auto a = parse_eval.Evaluate(q, SIZE_MAX, mode);
-      auto b = store_eval.Evaluate(q, SIZE_MAX, mode);
+      auto a = query::Drain(parse_eval, q, mode);
+      auto b = query::Drain(store_eval, q, mode);
       ASSERT_TRUE(a.ok()) << a.status().ToString();
       ASSERT_TRUE(b.ok()) << b.status().ToString();
       ASSERT_EQ(a->size(), b->size()) << q.ToString();
@@ -173,8 +174,8 @@ TEST(MmapStoreTest, SummaryPlannerMatchesOverMaterializedGraph) {
   for (int i = 0; i < 10; ++i) {
     query::BgpQuery q = query::GenerateRbgpQuery(g, rng);
     if (q.triples.empty()) continue;
-    auto a = eval_a.Evaluate(q);
-    auto b = eval_b.Evaluate(q);
+    auto a = query::Drain(eval_a, q);
+    auto b = query::Drain(eval_b, q);
     ASSERT_TRUE(a.ok() && b.ok());
     ASSERT_EQ(a->size(), b->size()) << q.ToString();
   }
@@ -239,7 +240,7 @@ TEST(MmapStoreTest, EmptyGraphRoundTrips) {
   query::BgpEvaluator eval(store->dict(), store->table());
   auto q = query::ParseSparql("SELECT ?s WHERE { ?s ?p ?o }");
   ASSERT_TRUE(q.ok());
-  auto rows = eval.Evaluate(*q);
+  auto rows = query::Drain(eval, *q);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -287,7 +288,8 @@ TEST(MmapStoreTest, NoDenseImageServesQueriesButNotToGraph) {
   for (int i = 0; i < 5; ++i) {
     query::BgpQuery q = query::GenerateRbgpQuery(g, rng);
     if (q.triples.empty()) continue;
-    EXPECT_EQ(eval.CountEmbeddings(q), reference.CountEmbeddings(q));
+    EXPECT_EQ(eval.Explain(q)->num_embeddings,
+              reference.Explain(q)->num_embeddings);
   }
 
   auto g2 = (*store)->ToGraph();

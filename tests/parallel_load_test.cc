@@ -4,15 +4,16 @@
 // order, same serialized N-Triples, same stats and diagnostics — for every
 // dataset shape and thread count, including pathological chunkings (CRLF,
 // long lines, comments/blanks/malformed lines straddling chunk boundaries).
-// The same contract is asserted for the parallel TripleTable::Freeze(): the
-// three sorted permutations and the table statistics must match Freeze() at
-// every thread count.
+// TripleTable::Freeze() is held to an independent reference: the three
+// sorted permutations and the table statistics must match
+// ComputeReferenceTableStats at every thread count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/bsbm.h"
@@ -21,6 +22,7 @@
 #include "gen/paper_example.h"
 #include "io/ntriples_parser.h"
 #include "io/ntriples_writer.h"
+#include "oracle/reference_table_stats.h"
 #include "store/triple_table.h"
 #include "summary/summarizer.h"
 #include "util/fault_injection.h"
@@ -364,8 +366,8 @@ TEST_F(ParallelLoadFailpointTest, DictMergeFailpointAbortsParallelLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Parallel Freeze differential: permutations and statistics must match the
-// sequential Freeze() at every thread count.
+// Freeze differential: permutations and statistics must match the reference
+// table (tests/oracle/reference_table_stats.h) at every thread count.
 
 namespace {
 void ExpectStatsEqual(const store::TableStats& a, const store::TableStats& b,
@@ -407,45 +409,54 @@ std::vector<Triple> SyntheticTriples(size_t n) {
 }
 }  // namespace
 
+/// Freezes `rows` at `threads` and compares every permutation and statistic
+/// with the reference table.
+void ExpectFreezeMatchesReference(const std::vector<Triple>& rows,
+                                  const store::ReferenceTableStats& ref,
+                                  uint32_t threads, const std::string& label) {
+  store::TripleTable table;
+  table.AppendAll(rows);
+  table.Freeze(threads);
+  const std::pair<store::IndexKind, const std::vector<Triple>*> expected[] = {
+      {store::IndexKind::kSpo, &ref.spo},
+      {store::IndexKind::kPos, &ref.pos},
+      {store::IndexKind::kOsp, &ref.osp}};
+  for (const auto& [kind, want] : expected) {
+    auto got = table.Permutation(kind);
+    ASSERT_EQ(got.size(), want->size()) << label;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want->begin())) << label;
+  }
+  ExpectStatsEqual(table.stats(), ref.stats, label);
+}
+
 TEST(ParallelFreezeTest, ByteIdenticalAcrossThreadCounts) {
-  const std::vector<Triple> rows = SyntheticTriples(40000);
-  store::TripleTable seq;
-  seq.AppendAll(rows);
-  seq.Freeze();
+  // Over 4 × 65536 rows, so the statistics pass (one shard per 64k rows)
+  // runs sharded too, not only the sorts.
+  const std::vector<Triple> rows = SyntheticTriples(280000);
+  const store::ReferenceTableStats ref =
+      store::ComputeReferenceTableStats(rows);
   for (uint32_t threads : kThreadCounts) {
-    store::TripleTable par;
-    par.AppendAll(rows);
-    par.Freeze(threads);
-    const std::string label = "t" + std::to_string(threads);
-    for (store::IndexKind kind : {store::IndexKind::kSpo,
-                                  store::IndexKind::kPos,
-                                  store::IndexKind::kOsp}) {
-      auto a = seq.Permutation(kind);
-      auto b = par.Permutation(kind);
-      ASSERT_EQ(a.size(), b.size()) << label;
-      EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << label;
-    }
-    ExpectStatsEqual(seq.stats(), par.stats(), label);
+    ExpectFreezeMatchesReference(rows, ref, threads,
+                                 "t" + std::to_string(threads));
   }
 }
 
 TEST(ParallelFreezeTest, DatasetTableMatches) {
-  // Real dataset shape (BSBM) end-to-end: parallel load + parallel freeze
-  // equals sequential load + sequential freeze.
+  // Real dataset shape (BSBM) end-to-end: the table of a parallel load,
+  // frozen at every thread count, equals the reference over the rows of a
+  // sequential load.
   const std::string input = MakeInput(Dataset::kBsbm);
   Graph seq = ParseWith(input, 1, nullptr);
   Graph par = ParseWith(input, 8, nullptr);
-  store::TripleTable t_seq;
-  seq.ForEachTriple([&](const Triple& t) { t_seq.Append(t); });
-  t_seq.Freeze();
-  store::TripleTable t_par;
-  par.ForEachTriple([&](const Triple& t) { t_par.Append(t); });
-  t_par.Freeze(8);
-  ASSERT_EQ(t_seq.size(), t_par.size());
-  auto a = t_seq.Permutation(store::IndexKind::kSpo);
-  auto b = t_par.Permutation(store::IndexKind::kSpo);
-  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin()));
-  ExpectStatsEqual(t_seq.stats(), t_par.stats(), "bsbm");
+  std::vector<Triple> seq_rows, par_rows;
+  seq.ForEachTriple([&](const Triple& t) { seq_rows.push_back(t); });
+  par.ForEachTriple([&](const Triple& t) { par_rows.push_back(t); });
+  const store::ReferenceTableStats ref =
+      store::ComputeReferenceTableStats(seq_rows);
+  for (uint32_t threads : kThreadCounts) {
+    ExpectFreezeMatchesReference(par_rows, ref, threads,
+                                 "bsbm t" + std::to_string(threads));
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/plan.h"
 #include "query/sparql_parser.h"
@@ -106,10 +107,10 @@ TEST(QueryPlanTest, AllModesReturnTheSameRows) {
   Graph g = MakeSkewedGraph();
   BgpEvaluator eval(g);
   BgpQuery q = MustParse(kSkewedChain);
-  auto naive = eval.Evaluate(q, SIZE_MAX, PlannerMode::kNaive);
+  auto naive = Drain(eval, q, PlannerMode::kNaive);
   ASSERT_TRUE(naive.ok());
   for (PlannerMode mode : kAllPlannerModes) {
-    auto rows = eval.Evaluate(q, SIZE_MAX, mode);
+    auto rows = Drain(eval, q, mode);
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows->size(), naive->size()) << PlannerModeName(mode);
   }
@@ -152,7 +153,7 @@ TEST(ExplainTest, InvalidHeadIsAnError) {
   BgpQuery q = MustParse(kSkewedChain);
   q.distinguished = {"nosuchvar"};
   EXPECT_TRUE(eval.Explain(q).status().IsInvalidArgument());
-  EXPECT_TRUE(eval.Evaluate(q).status().IsInvalidArgument());
+  EXPECT_TRUE(Drain(eval, q).status().IsInvalidArgument());
 }
 
 // ------------------------------------------------------------- limit edges
@@ -161,7 +162,7 @@ TEST(EvaluateLimitTest, LimitZeroReturnsNoRows) {
   Graph g = MakeSkewedGraph();
   BgpEvaluator eval(g);
   BgpQuery q = MustParse("SELECT ?a ?b WHERE { ?a <http://skew/big> ?b }");
-  auto rows = eval.Evaluate(q, /*limit=*/0);
+  auto rows = Drain(eval, q, CursorOptions{.limit = 0});
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -171,7 +172,7 @@ TEST(EvaluateLimitTest, LimitIsExact) {
   BgpEvaluator eval(g);
   BgpQuery q = MustParse("SELECT ?a ?b WHERE { ?a <http://skew/big> ?b }");
   for (size_t limit : {1u, 7u, 100u, 1000u}) {
-    auto rows = eval.Evaluate(q, limit);
+    auto rows = Drain(eval, q, CursorOptions{.limit = limit});
     ASSERT_TRUE(rows.ok());
     EXPECT_EQ(rows->size(), std::min<size_t>(limit, 100));
   }
@@ -181,7 +182,7 @@ TEST(EvaluateLimitTest, LimitZeroOnBooleanQuery) {
   Graph g = MakeSkewedGraph();
   BgpEvaluator eval(g);
   BgpQuery q = MustParse("ASK WHERE { ?a <http://skew/big> ?b }");
-  auto rows = eval.Evaluate(q, /*limit=*/0);
+  auto rows = Drain(eval, q, CursorOptions{.limit = 0});
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
   // ExistsMatch is unaffected by row limits.
@@ -199,7 +200,7 @@ TEST(PlanExecutorTest, RepeatedVariablePatternOnEveryMode) {
   BgpEvaluator eval(g);
   BgpQuery q = MustParse("SELECT ?x WHERE { ?x <http://p> ?x }");
   for (PlannerMode mode : kAllPlannerModes) {
-    auto rows = eval.Evaluate(q, SIZE_MAX, mode);
+    auto rows = Drain(eval, q, mode);
     ASSERT_TRUE(rows.ok());
     ASSERT_EQ(rows->size(), 1u) << PlannerModeName(mode);
     EXPECT_EQ((*rows)[0][0].lexical, "http://self");
@@ -215,7 +216,7 @@ TEST(PlanExecutorTest, ImpossibleConstantShortCircuits) {
   QueryPlan plan = eval.Plan(q);
   EXPECT_TRUE(plan.compiled.impossible);
   EXPECT_FALSE(eval.ExistsMatch(q));
-  EXPECT_EQ(eval.CountEmbeddings(q), 0u);
+  EXPECT_EQ(eval.Explain(q)->num_embeddings, 0u);
 }
 
 TEST(PlanExecutorTest, CartesianProductStaysCorrect) {
@@ -225,8 +226,8 @@ TEST(PlanExecutorTest, CartesianProductStaysCorrect) {
   BgpQuery q = MustParse(
       "SELECT ?c ?t WHERE { ?c <http://skew/tiny> ?t . "
       "?x <http://skew/mid> ?y }");
-  EXPECT_EQ(eval.CountEmbeddings(q), 10u);  // 1 tiny x 10 mid
-  auto rows = eval.Evaluate(q);
+  EXPECT_EQ(eval.Explain(q)->num_embeddings, 10u);  // 1 tiny x 10 mid
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);  // projected on the tiny side only
 }

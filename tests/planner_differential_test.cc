@@ -15,6 +15,7 @@
 #include "gen/hetero.h"
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/pruned_evaluator.h"
 #include "query/rbgp.h"
@@ -131,12 +132,12 @@ void RunDifferential(const Workload& w, bool saturate) {
   }
 
   for (const BgpQuery& q : queries) {
-    auto baseline = eval.Evaluate(q, SIZE_MAX, PlannerMode::kNaive);
+    auto baseline = Drain(eval, q, PlannerMode::kNaive);
     ASSERT_TRUE(baseline.ok()) << q.ToString();
     std::set<std::string> expected = Canonical(*baseline);
     for (PlannerMode mode :
          {PlannerMode::kGreedy, PlannerMode::kSummary}) {
-      auto rows = eval.Evaluate(q, SIZE_MAX, mode);
+      auto rows = Drain(eval, q, mode);
       ASSERT_TRUE(rows.ok()) << q.ToString();
       EXPECT_EQ(Canonical(*rows), expected)
           << w.name << " mode=" << PlannerModeName(mode)
@@ -185,8 +186,8 @@ TEST(PrunedPlannerDifferentialTest, AllModesAgreeWithDirect) {
     for (int i = 0; i < 10; ++i) {
       BgpQuery q = GenerateRbgpQuery(g_inf, rng);
       if (q.triples.empty()) continue;
-      auto expected = direct.Evaluate(q, SIZE_MAX, PlannerMode::kNaive);
-      auto actual = pruned.Evaluate(q);
+      auto expected = Drain(direct, q, PlannerMode::kNaive);
+      auto actual = Drain(pruned, q);
       ASSERT_TRUE(expected.ok());
       ASSERT_TRUE(actual.ok());
       EXPECT_EQ(Canonical(*actual), Canonical(*expected))

@@ -2,6 +2,7 @@
 
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/pruned_evaluator.h"
 #include "query/rbgp.h"
 #include "query/sparql_parser.h"
@@ -37,8 +38,8 @@ TEST_F(PrunedEvaluatorTest, AgreesWithDirectEvaluationOnHits) {
   Graph g_inf = reasoner::Saturate(g_);
   BgpEvaluator direct(g_inf);
   EXPECT_TRUE(pruned_.ExistsMatch(q));
-  auto expected = direct.Evaluate(q);
-  auto actual = pruned_.Evaluate(q);
+  auto expected = Drain(direct, q);
+  auto actual = Drain(pruned_, q);
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(actual->size(), expected->size());
@@ -63,8 +64,8 @@ TEST_F(PrunedEvaluatorTest, PrunedEvaluateReturnsEmptyRows) {
   // with direct evaluation.
   Graph g_inf = reasoner::Saturate(g_);
   BgpEvaluator direct(g_inf);
-  auto direct_rows = direct.Evaluate(q);
-  auto pruned_rows = pruned_.Evaluate(q);
+  auto direct_rows = Drain(direct, q);
+  auto pruned_rows = Drain(pruned_, q);
   ASSERT_TRUE(direct_rows.ok());
   ASSERT_TRUE(pruned_rows.ok());
   EXPECT_EQ(pruned_rows->size(), direct_rows->size());

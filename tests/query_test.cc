@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/sparql_parser.h"
 #include "reasoner/saturation.h"
@@ -114,7 +115,7 @@ TEST_F(EvalFixture, PaperQueryEmptyWithoutSaturation) {
       "?x1 b:hasTitle \"Le Port des Brumes\" }");
   BgpEvaluator eval(ex_.graph);
   EXPECT_FALSE(eval.ExistsMatch(q));
-  auto rows = eval.Evaluate(q);
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -126,7 +127,7 @@ TEST_F(EvalFixture, PaperQueryAnswersOnSaturation) {
       "?x1 b:hasTitle \"Le Port des Brumes\" }");
   Graph sat = reasoner::Saturate(ex_.graph);
   BgpEvaluator eval(sat);
-  auto rows = eval.Evaluate(q);
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0][0].lexical, "G. Simenon");
@@ -147,7 +148,7 @@ TEST_F(EvalFixture, ConstantNotInDictionaryMeansEmpty) {
   BgpQuery q = Parse("SELECT ?x WHERE { ?x <http://never/seen> ?y }");
   BgpEvaluator eval(ex_.graph);
   EXPECT_FALSE(eval.ExistsMatch(q));
-  EXPECT_EQ(eval.CountEmbeddings(q), 0u);
+  EXPECT_EQ(eval.Explain(q)->num_embeddings, 0u);
 }
 
 TEST_F(EvalFixture, RepeatedVariableMustBindConsistently) {
@@ -158,7 +159,7 @@ TEST_F(EvalFixture, RepeatedVariableMustBindConsistently) {
   g.Add({d.EncodeIri("http://b"), p, d.EncodeIri("http://c")});
   BgpQuery q = Parse("SELECT ?x WHERE { ?x <http://p> ?x }");
   BgpEvaluator eval(g);
-  auto rows = eval.Evaluate(q);
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);
   EXPECT_EQ((*rows)[0][0].lexical, "http://a");
@@ -170,7 +171,7 @@ TEST_F(EvalFixture, JoinAcrossPatterns) {
       "PREFIX f: <http://example.org/fig2/>\n"
       "SELECT ?r ?v WHERE { ?a f:reviewed ?r . ?r f:author ?v }");
   BgpEvaluator eval(fig.graph);
-  auto rows = eval.Evaluate(q);
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 1u);  // a1 reviewed r4, r4 author a2
   EXPECT_EQ((*rows)[0][0].lexical, "http://example.org/fig2/r4");
@@ -184,7 +185,7 @@ TEST_F(EvalFixture, DistinctProjection) {
       "PREFIX f: <http://example.org/fig2/>\n"
       "SELECT ?s WHERE { ?s f:title ?t }");
   BgpEvaluator eval(fig.graph);
-  auto rows = eval.Evaluate(q);
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 4u);
 }
@@ -195,19 +196,19 @@ TEST_F(EvalFixture, LimitStopsEarly) {
       "PREFIX f: <http://example.org/fig2/>\n"
       "SELECT ?s WHERE { ?s f:title ?t }");
   BgpEvaluator eval(fig.graph);
-  auto rows = eval.Evaluate(q, /*limit=*/2);
+  auto rows = Drain(eval, q, CursorOptions{.limit = 2});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 2u);
 }
 
-TEST_F(EvalFixture, CountEmbeddingsCountsAllMatches) {
+TEST_F(EvalFixture, ExplainCountsAllEmbeddings) {
   gen::Figure2Example fig = gen::BuildFigure2();
   BgpQuery q = Parse(
       "PREFIX f: <http://example.org/fig2/>\n"
       "SELECT ?s WHERE { ?s f:editor ?e }");
   BgpEvaluator eval(fig.graph);
-  EXPECT_EQ(eval.CountEmbeddings(q), 3u);  // r2-e1, r3-e2, r5-e2
-  auto rows = eval.Evaluate(q);
+  EXPECT_EQ(eval.Explain(q)->num_embeddings, 3u);  // r2-e1, r3-e2, r5-e2
+  auto rows = Drain(eval, q);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 3u);
 }
@@ -223,7 +224,7 @@ TEST_F(EvalFixture, BooleanAsk) {
   BgpEvaluator eval(fig.graph);
   EXPECT_TRUE(eval.ExistsMatch(yes));
   EXPECT_FALSE(eval.ExistsMatch(no));
-  auto rows = eval.Evaluate(yes);
+  auto rows = Drain(eval, yes);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);  // one empty row = true
   EXPECT_TRUE((*rows)[0].empty());

@@ -12,6 +12,7 @@
 
 #include "gen/hetero.h"
 #include "gen/paper_example.h"
+#include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/rbgp.h"
 #include "query/sparql_parser.h"
@@ -89,7 +90,7 @@ TEST_P(ReferenceEvalTest, RandomRbgpQueriesAgree) {
     BgpQuery q = GenerateRbgpQuery(g, rng, gen_opt);
     if (q.triples.empty()) continue;
     auto expected = ReferenceEvaluate(g, q);
-    auto actual = fast.Evaluate(q);
+    auto actual = Drain(fast, q);
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(RowsToStrings(*actual), expected) << q.ToString();
     EXPECT_EQ(fast.ExistsMatch(q), !expected.empty());
@@ -119,7 +120,7 @@ TEST(ReferenceEvalFixedTest, HandwrittenQueriesAgree) {
     auto q = ParseSparql(text);
     ASSERT_TRUE(q.ok()) << q.status().ToString();
     auto expected = ReferenceEvaluate(ex.graph, *q);
-    auto actual = fast.Evaluate(*q);
+    auto actual = Drain(fast, *q);
     ASSERT_TRUE(actual.ok());
     EXPECT_EQ(RowsToStrings(*actual), expected) << text;
   }
@@ -138,7 +139,7 @@ TEST(ReferenceEvalFixedTest, CartesianProductQuery) {
   ASSERT_TRUE(query.ok());
   BgpEvaluator fast(g);
   auto expected = ReferenceEvaluate(g, *query);
-  auto actual = fast.Evaluate(*query);
+  auto actual = Drain(fast, *query);
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(expected.size(), 2u);
   EXPECT_EQ(RowsToStrings(*actual), expected);

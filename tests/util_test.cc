@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
-
-#include <set>
-#include <string>
-#include <vector>
+#include <sched.h>
 
 #include <atomic>
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/parallel_for.h"
@@ -12,6 +13,7 @@
 #include "util/status.h"
 #include "util/statusor.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rdfsum {
@@ -274,7 +276,7 @@ TEST(TimerTest, MeasuresSomething) {
 // ------------------------------------------------------------ ParallelFor
 
 TEST(ParallelForTest, ResolveThreadCountClamps) {
-  EXPECT_GE(util::ResolveThreadCount(0, 100), 1u);  // 0 = hardware, >= 1
+  EXPECT_GE(util::ResolveThreadCount(0, 100), 1u);  // 0 = all cores, >= 1
   EXPECT_EQ(util::ResolveThreadCount(8, 3), 3u);    // never more than work
   EXPECT_EQ(util::ResolveThreadCount(8, 0), 1u);    // empty work -> 1 thread
   EXPECT_EQ(util::ResolveThreadCount(4, 4), 4u);
@@ -285,6 +287,32 @@ TEST(ParallelForTest, ResolveThreadCountClamps) {
   EXPECT_EQ(util::ResolveThreadCount(0xFFFFFFFFu, 1ull << 33),
             util::kMaxThreads);
 }
+
+#if defined(__linux__)
+TEST(ParallelForTest, AllCoresMeansTheAffinityMask) {
+  // "0 = all cores" counts the CPUs the calling thread may run on, not the
+  // host's: a thread pinned to one CPU resolves to one worker, and a pool
+  // it creates gets one worker thread.
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
+  bool pinned = false;
+  uint32_t resolved = 0, pool_size = 0;
+  std::thread probe([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
+    resolved = util::ResolveThreadCount(0, 1000);
+    pool_size = util::ThreadPool(0).size();
+  });
+  probe.join();
+  ASSERT_TRUE(pinned);
+  EXPECT_EQ(resolved, 1u);
+  EXPECT_EQ(pool_size, 1u);
+}
+#endif
 
 TEST(ParallelForTest, ShardRangesCoverDisjointly) {
   for (uint64_t total : {0ull, 1ull, 7ull, 64ull, 65ull, 1000ull}) {
