@@ -58,8 +58,13 @@ bool ParseHex(std::string_view text, size_t pos, size_t len, uint32_t* out) {
   return true;
 }
 
-/// Decodes escapes valid in both IRIs and literals; advances pos past the
-/// escape sequence (pos initially points at the backslash).
+}  // namespace
+
+namespace internal {
+
+/// Decodes the escape at text[pos] (a backslash) into `out` and advances
+/// `pos` past it; valid in both IRIs and literals. The Turtle parser decodes
+/// its escapes through this function too.
 Status DecodeEscape(std::string_view text, size_t& pos, std::string* out) {
   if (pos + 1 >= text.size()) {
     return Status::InvalidArgument("dangling backslash");
@@ -94,6 +99,12 @@ Status DecodeEscape(std::string_view text, size_t& pos, std::string* out) {
       return Status::InvalidArgument(std::string("unknown escape \\") + c);
   }
 }
+
+}  // namespace internal
+
+namespace {
+
+using internal::DecodeEscape;
 
 StatusOr<Term> ParseIriAt(std::string_view text, size_t& pos) {
   // text[pos] == '<'
@@ -221,15 +232,14 @@ struct ChunkDiag {
   std::string message;
 };
 
-/// Outcome of the shared per-line driver over one chunk of input. The
-/// sequential path runs a single chunk covering the whole text; the parallel
-/// path runs one per chunk and merges them in chunk order. All line numbers
-/// are chunk-relative (1-based) — the merge offsets them by the preceding
+/// Outcome of the shared per-line driver over one chunk of input; at one
+/// thread a single chunk covers the whole text. All line numbers are
+/// chunk-relative (1-based) — the merge offsets them by the preceding
 /// chunks' line counts to recover global numbers.
 struct ChunkParse {
   uint64_t lines = 0;
   uint64_t triples = 0;
-  uint64_t duplicates = 0;  // only the sequential sink can observe these
+  uint64_t duplicates = 0;  // seen only by chunk 0, which adds to the graph
   uint64_t skipped = 0;
   std::vector<ChunkDiag> diagnostics;  // first kMaxDiagnostics skip reasons
   uint64_t error_line = 0;             // strict-mode failure line; 0 = none
@@ -279,7 +289,7 @@ Status ParseLine(std::string_view line, const ParseOptions& options,
 /// early on a strict-mode parse failure or a governance trip, leaving the
 /// failure in `out`. Chunk views handed to this driver must not carry their
 /// trailing chunk-boundary '\n' (the final chunk keeps its tail verbatim),
-/// so per-chunk line counts sum exactly to the sequential count.
+/// so per-chunk line counts sum exactly to the one-chunk count.
 template <typename Emit>
 void ParseChunkLines(std::string_view text, const ParseOptions& options,
                      ChunkParse* out, Emit&& emit) {
@@ -352,10 +362,10 @@ Status ChunkFailure(const ChunkParse& cp, uint64_t line_offset) {
                                  ": " + cp.error_message);
 }
 
-/// Per-chunk staging state for the parallel path. The chunk-local dictionary
-/// assigns dense local ids in the chunk's own first-occurrence order;
-/// `hashes[i]` caches HashTerm for local id i+1 so the merge pass never
-/// rehashes a term.
+/// Per-chunk state. Chunks after the first stage their triples: the
+/// chunk-local dictionary assigns dense local ids in the chunk's own
+/// first-occurrence order; `hashes[i]` caches HashTerm for local id i+1 so
+/// the merge pass never rehashes a term.
 struct ChunkStage {
   ChunkParse parse;
   Dictionary dict;
@@ -365,7 +375,7 @@ struct ChunkStage {
 };
 
 /// Minimum bytes of input per parse chunk: below this, thread spawn and
-/// merge overhead dominate and the sequential path wins. Small enough that
+/// merge overhead dominate and one chunk wins. Small enough that
 /// multi-threaded tests on few-KB inputs still exercise real chunking.
 constexpr size_t kMinChunkBytes = 256;
 
@@ -388,45 +398,17 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
   const uint32_t num_chunks = util::ResolveThreadCount(
       options.num_threads, std::max<uint64_t>(text.size() / kMinChunkBytes, 1));
 
-  if (num_chunks <= 1) {
-    // Sequential path: one chunk, terms interned straight into the graph.
-    // Pre-size the triple set and the dictionary from the input size before
-    // the Add loop: one line ≈ one triple, and empirically large N-Triples
-    // files intern roughly one fresh term per triple (subjects repeat across
-    // triples, predicates are few). Without this every large load rehashes
-    // the open-addressing index log(n) times; an under-estimate only means a
-    // couple of residual doublings.
-    const size_t estimated_triples =
-        static_cast<size_t>(std::count(text.begin(), text.end(), '\n')) + 1;
-    graph->Reserve(graph->NumTriples() + estimated_triples);
-    graph->dict().Reserve(graph->dict().size() + estimated_triples);
-
-    Timer timer;
-    ChunkParse cp;
-    ParseChunkLines(text, options, &cp,
-                    [graph](const Term& s, const Term& p, const Term& o) {
-                      return graph->AddTerms(s, p, o);
-                    });
-    MergeChunkStats(cp, /*line_offset=*/0, stats);
-    if (stats != nullptr) {
-      stats->parse_seconds += timer.ElapsedSeconds();
-      stats->chunks = 1;
-    }
-    if (!cp.exec_status.ok() || cp.error_line != 0) {
-      return ChunkFailure(cp, /*line_offset=*/0);
-    }
-    return Status::OK();
-  }
-
-  // Parallel path. Chunk boundaries land just after a '\n', so every chunk
-  // is a whole number of lines; each worker parses its chunk into a local
-  // dictionary + staged triples, and the merge below replays them in chunk
-  // order — reproducing the sequential parse byte-for-byte (ids, insertion
-  // order, stats, diagnostics). Invariants: src/io/README.md.
+  // Chunk boundaries land just after a '\n', so every chunk is a whole
+  // number of lines. Chunk 0 interns straight into the graph; the others
+  // parse into a local dictionary + staged triples in parallel, and the
+  // replay below feeds them in chunk order — reproducing the one-chunk parse
+  // byte-for-byte (ids, insertion order, stats, diagnostics). Invariants:
+  // src/io/README.md.
   std::vector<std::pair<size_t, size_t>> bounds;
   bounds.reserve(num_chunks);
   const size_t target = text.size() / num_chunks;
-  for (size_t begin = 0; begin < text.size();) {
+  size_t begin = 0;
+  do {
     size_t end = text.size();
     if (bounds.size() + 1 < num_chunks) {
       const size_t probe = begin + target;
@@ -437,7 +419,7 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
     }
     bounds.emplace_back(begin, end);
     begin = end;
-  }
+  } while (begin < text.size());
 
   Timer timer;
   std::vector<ChunkStage> stages(bounds.size());
@@ -450,13 +432,27 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
         // Non-final chunks end with the boundary '\n'; strip it so the
         // uniform split-on-'\n' driver counts exactly this chunk's lines
         // (the final chunk keeps its tail, trailing newline included, to
-        // preserve the sequential trailing-empty-line semantics).
+        // preserve the trailing-empty-line semantics).
         const bool final_chunk = ce == text.size();
         std::string_view view =
             text.substr(cb, ce - cb - (final_chunk ? 0 : 1));
+        // One line ≈ one triple, and empirically large N-Triples files
+        // intern roughly one fresh term per triple (subjects repeat across
+        // triples, predicates are few); pre-sizing avoids rehashing the
+        // open-addressing index log(n) times.
         const size_t estimated =
             static_cast<size_t>(std::count(view.begin(), view.end(), '\n')) +
             1;
+        if (shard == 0) {
+          graph->Reserve(graph->NumTriples() + estimated);
+          graph->dict().Reserve(graph->dict().size() + estimated);
+          ParseChunkLines(view, options, &cs.parse,
+                          [graph](const Term& s, const Term& p,
+                                  const Term& o) {
+                            return graph->AddTerms(s, p, o);
+                          });
+          return;
+        }
         cs.dict.Reserve(estimated);
         cs.hashes.reserve(estimated);
         cs.staged.reserve(estimated);
@@ -470,8 +466,7 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
                 return id;
               };
               // Declaration order sequences the interns s, then p, then o —
-              // the same local first-occurrence order the sequential
-              // AddTerms produces globally.
+              // the same local first-occurrence order AddTerms produces.
               TermId s_id = intern(s), p_id = intern(p), o_id = intern(o);
               cs.staged.push_back(Triple{s_id, p_id, o_id});
               return true;  // freshness is resolved at replay
@@ -482,29 +477,39 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
     stats->chunks = static_cast<uint32_t>(bounds.size());
   }
 
-  // Fold stats and surface the first failure in chunk (= stream) order;
-  // counters of chunks past a failure are discarded, like the sequential
-  // parser never reaching those lines. An injected chunk fault precedes its
-  // chunk's parse, so it carries no partial counters.
+  // Fold stats and find the first failure in chunk (= stream) order;
+  // counters of chunks past a failure are discarded, like a parse that
+  // never reaches those lines. An injected chunk fault precedes its chunk's
+  // parse, so it carries no partial counters or staged triples.
+  Status failure;
+  size_t replay_end = 0;
   uint64_t line_offset = 0;
   for (const ChunkStage& cs : stages) {
-    if (!cs.inject.ok()) return cs.inject;
-    const bool failed = !cs.parse.exec_status.ok() || cs.parse.error_line != 0;
+    ++replay_end;
+    if (!cs.inject.ok()) {
+      failure = cs.inject;
+      break;
+    }
     MergeChunkStats(cs.parse, line_offset, stats);
-    if (failed) return ChunkFailure(cs.parse, line_offset);
+    if (!cs.parse.exec_status.ok() || cs.parse.error_line != 0) {
+      failure = ChunkFailure(cs.parse, line_offset);
+      break;
+    }
     line_offset += cs.parse.lines;
   }
+  if (failure.ok()) RDFSUM_FAILPOINT("load:dict-merge");
 
-  // Deterministic merge: walk chunks in order; the first use of each local
-  // id interns its term into the shared dictionary (reusing the cached
-  // hash), so final ids are assigned in sequential first-occurrence order.
-  RDFSUM_FAILPOINT("load:dict-merge");
+  // Deterministic replay of chunks 1.., through the failing chunk's staged
+  // prefix: the first use of each local id interns its term into the shared
+  // dictionary (reusing the cached hash), so final ids are assigned in
+  // stream first-occurrence order, and a failed parse leaves the same
+  // triples and dictionary at every thread count.
   Timer intern_timer;
   size_t staged_total = 0;
   size_t distinct_total = 0;
-  for (const ChunkStage& cs : stages) {
-    staged_total += cs.staged.size();
-    distinct_total += cs.hashes.size();
+  for (size_t i = 1; i < replay_end; ++i) {
+    staged_total += stages[i].staged.size();
+    distinct_total += stages[i].hashes.size();
   }
   graph->Reserve(graph->NumTriples() + staged_total);
   graph->dict().Reserve(graph->dict().size() + distinct_total);
@@ -513,7 +518,8 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
   uint64_t replayed = 0;
   uint64_t duplicates = 0;
   std::vector<TermId> remap;
-  for (ChunkStage& cs : stages) {
+  for (size_t i = 1; i < replay_end; ++i) {
+    ChunkStage& cs = stages[i];
     remap.assign(cs.hashes.size() + 1, kInvalidTermId);
     auto global_id = [&](TermId local) {
       TermId& slot = remap[local];
@@ -537,7 +543,7 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
     stats->duplicates += duplicates;
     stats->intern_seconds += intern_timer.ElapsedSeconds();
   }
-  return Status::OK();
+  return failure;
 }
 
 Status NTriplesParser::ParseFile(const std::string& path, Graph* graph,

@@ -15,8 +15,10 @@ namespace rdfsum::io {
 
 /// Parsing knobs.
 struct ParseOptions {
-  /// In strict mode any malformed line aborts with InvalidArgument; otherwise
-  /// malformed lines are counted and skipped (useful for crawled data).
+  /// In strict mode any malformed line aborts with InvalidArgument, and the
+  /// graph keeps the triples of the lines before it (the same at every
+  /// thread count); otherwise malformed lines are counted and skipped
+  /// (useful for crawled data).
   bool strict = true;
   /// 0 = unlimited. A line longer than this is malformed without being
   /// parsed — the recovery guard against a corrupt dump whose missing
@@ -29,15 +31,16 @@ struct ParseOptions {
   /// cancellation aborts the parse with the context's status (partial
   /// triples already added to the graph stay — callers discard the graph).
   util::ExecContext* exec = nullptr;
-  /// Parse worker threads: 1 = the sequential path (default), 0 = all
-  /// available CPUs, N = exactly N (clamped by util::ResolveThreadCount).
-  /// With more than one thread the input is chunked on line boundaries,
-  /// chunks are parsed into per-chunk staging buffers (local dictionary +
-  /// staged triples) in parallel, and a deterministic merge pass interns
-  /// the staged terms in stream order — the resulting graph, dictionary id
-  /// assignment, stats, and diagnostics are byte-identical to the
-  /// sequential parse at every thread count (invariants in
-  /// src/io/README.md). Each worker polls `exec` per 256 lines.
+  /// Parse worker threads: 1 (default), 0 = all available CPUs, N = exactly
+  /// N (clamped by util::ResolveThreadCount). The input is chunked on line
+  /// boundaries, one chunk per thread: the first chunk interns straight
+  /// into the graph, the others are parsed in parallel into per-chunk
+  /// staging buffers (local dictionary + staged triples), and a
+  /// deterministic merge pass interns the staged terms in stream order — the
+  /// resulting graph, dictionary id assignment, stats, and diagnostics are
+  /// byte-identical at every thread count, after a strict-mode failure too
+  /// (invariants in src/io/README.md). Each worker polls `exec` per 256
+  /// lines.
   uint32_t num_threads = 1;
 };
 
@@ -55,14 +58,14 @@ struct ParseStats {
   /// capped at kMaxDiagnostics. Strict mode reports the first failure in
   /// the returned Status instead.
   std::vector<std::string> diagnostics;
-  /// Phase-time breakdown of the load. On the parallel path `parse_seconds`
-  /// is the chunk-parse fan-out wall time and `intern_seconds` the
-  /// deterministic dictionary-merge + graph-replay pass; the sequential
-  /// path interleaves interning with parsing, so everything lands in
-  /// `parse_seconds` and `intern_seconds` stays 0.
+  /// Phase-time breakdown of the load: `parse_seconds` is the chunk-parse
+  /// fan-out wall time and `intern_seconds` the deterministic
+  /// dictionary-merge + graph-replay pass. The first chunk interleaves
+  /// interning with parsing, so at one thread everything lands in
+  /// `parse_seconds` and `intern_seconds` is ~0.
   double parse_seconds = 0.0;
   double intern_seconds = 0.0;
-  /// Chunks the input was split into (1 on the sequential path).
+  /// Chunks the input was split into (1 at one thread).
   uint32_t chunks = 1;
 };
 

@@ -10,6 +10,11 @@
 #include "util/string_util.h"
 
 namespace rdfsum::io {
+namespace internal {
+// Defined in ntriples_parser.cc: Turtle decodes escapes like N-Triples.
+Status DecodeEscape(std::string_view text, size_t& pos, std::string* out);
+}  // namespace internal
+
 namespace {
 
 constexpr std::string_view kXsdInteger =
@@ -86,6 +91,12 @@ class Parser {
   Status Err(const std::string& msg) {
     return Status::InvalidArgument("line " + std::to_string(line_) + ": " +
                                    msg);
+  }
+
+  /// Decodes the escape at pos_ through the N-Triples decoder.
+  Status Escape(std::string* out) {
+    Status st = internal::DecodeEscape(text_, pos_, out);
+    return st.ok() ? st : Err(std::string(st.message()));
   }
 
   bool EatKeyword(std::string_view kw) {
@@ -296,10 +307,8 @@ class Parser {
     std::string iri;
     while (pos_ < text_.size() && text_[pos_] != '>') {
       if (text_[pos_] == '\\') {
-        // Keep escapes verbatim minus the backslash for \u handling already
-        // done by the N-Triples path; here accept the raw character.
-        ++pos_;
-        if (pos_ >= text_.size()) return Err("dangling escape in IRI");
+        RDFSUM_RETURN_IF_ERROR(Escape(&iri));
+        continue;
       }
       iri.push_back(text_[pos_++]);
     }
@@ -340,21 +349,7 @@ class Parser {
     while (pos_ < text_.size() && text_[pos_] != quote) {
       char c = text_[pos_];
       if (c == '\\') {
-        if (pos_ + 1 >= text_.size()) return Err("dangling escape");
-        char e = text_[pos_ + 1];
-        switch (e) {
-          case 't': lex.push_back('\t'); break;
-          case 'n': lex.push_back('\n'); break;
-          case 'r': lex.push_back('\r'); break;
-          case 'b': lex.push_back('\b'); break;
-          case 'f': lex.push_back('\f'); break;
-          case '"': lex.push_back('"'); break;
-          case '\'': lex.push_back('\''); break;
-          case '\\': lex.push_back('\\'); break;
-          default:
-            return Err(std::string("unknown escape \\") + e);
-        }
-        pos_ += 2;
+        RDFSUM_RETURN_IF_ERROR(Escape(&lex));
         continue;
       }
       if (c == '\n') return Err("newline in single-quoted literal");

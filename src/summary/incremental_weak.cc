@@ -1,463 +1,45 @@
 #include "summary/incremental_weak.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <set>
-#include <tuple>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dense_graph.h"
+#include "summary/maintenance.h"
 #include "util/timer.h"
 
-// Both incremental builders run on the DenseGraph substrate: resources and
-// properties are dense ids, and the paper's rd / dp-src / dp-targ maps are
-// flat vectors instead of per-builder unordered_maps. A key invariant makes
-// the property-attachment sets (`src_dps_` / `targ_dps_`) plain vectors: a
-// property is attached to exactly one summary node per side (`dp_src_[p]`),
-// so per-node attachment lists are disjoint and never need de-duplication.
+// Both entry points run on WeakSummaryMaintainer, the one port of the §6.2
+// algorithms: W feeds it the graph, TW first pins every typed resource to
+// its class-set node.
 
 namespace rdfsum::summary {
-namespace {
-
-/// Internal summary-node id (NEWINTEGER() in the paper); decoupled from
-/// TermIds until the final graph is assembled.
-using NodeId = uint32_t;
-constexpr NodeId kNoNode = 0xFFFFFFFFu;
-
-class Builder {
- public:
-  Builder(const Graph& g, const IncrementalWeakOptions& options)
-      : g_(g), dg_(g.Dense()), options_(options) {}
-
-  SummaryResult Build() {
-    Timer timer;
-    const uint32_t n = dg_.num_nodes();
-    const uint32_t p = dg_.num_properties();
-    rd_.assign(n, kNoNode);
-    dp_src_.assign(p, kNoNode);
-    dp_targ_.assign(p, kNoNode);
-    dtp_src_.assign(p, kNoNode);
-    dtp_targ_.assign(p, kNoNode);
-    SummarizeDataTriples();
-    SummarizeTypeTriples();
-    SummaryResult out = Assemble();
-    out.stats.build_seconds = timer.ElapsedSeconds();
-    return out;
-  }
-
- private:
-  // ---- Algorithm 1: summarizing data triples ----
-  void SummarizeDataTriples() {
-    for (const DenseGraph::Edge& e : dg_.data_edges()) {
-      GetSource(e.s, e.p);
-      GetTarget(e.o, e.p);
-      // GETTARGET may have merged the node GETSOURCE returned (and
-      // vice-versa), so re-resolve both before recording the edge
-      // (lines 5-7 of Algorithm 1).
-      NodeId src = GetSource(e.s, e.p);
-      NodeId targ = GetTarget(e.o, e.p);
-      if (dtp_src_[e.p] == kNoNode) {
-        dtp_src_[e.p] = src;
-        dtp_targ_[e.p] = targ;
-      }
-      // Property 4 guarantees a single data edge per property; if the edge
-      // exists, src/targ already coincide with its endpoints by the merges
-      // above.
-    }
-  }
-
-  // ---- Algorithm 2: representing a subject (GETSOURCE) ----
-  NodeId GetSource(uint32_t s, uint32_t p) {
-    NodeId src_u = dp_src_[p];
-    NodeId src_s = rd_[s];
-    if (src_u == kNoNode && src_s == kNoNode) {
-      NodeId fresh = CreateDataNode(s);
-      dp_src_[p] = fresh;
-      src_dps_[fresh].push_back(p);
-      return fresh;
-    }
-    if (src_u != kNoNode && src_s == kNoNode) {
-      Represent(s, src_u);
-      return src_u;
-    }
-    if (src_u == kNoNode && src_s != kNoNode) {
-      dp_src_[p] = src_s;
-      src_dps_[src_s].push_back(p);
-      return src_s;
-    }
-    if (src_s == src_u) return src_s;
-    return MergeDataNodes(src_s, src_u);
-  }
-
-  NodeId GetTarget(uint32_t o, uint32_t p) {
-    NodeId targ_u = dp_targ_[p];
-    NodeId targ_o = rd_[o];
-    if (targ_u == kNoNode && targ_o == kNoNode) {
-      NodeId fresh = CreateDataNode(o);
-      dp_targ_[p] = fresh;
-      targ_dps_[fresh].push_back(p);
-      return fresh;
-    }
-    if (targ_u != kNoNode && targ_o == kNoNode) {
-      Represent(o, targ_u);
-      return targ_u;
-    }
-    if (targ_u == kNoNode && targ_o != kNoNode) {
-      dp_targ_[p] = targ_o;
-      targ_dps_[targ_o].push_back(p);
-      return targ_o;
-    }
-    if (targ_o == targ_u) return targ_o;
-    return MergeDataNodes(targ_o, targ_u);
-  }
-
-  NodeId CreateDataNode(uint32_t r) {
-    NodeId d = next_node_++;
-    dr_.emplace_back();
-    src_dps_.emplace_back();
-    targ_dps_.emplace_back();
-    Represent(r, d);
-    return d;
-  }
-
-  void Represent(uint32_t r, NodeId d) {
-    rd_[r] = d;
-    dr_[d].push_back(r);
-  }
-
-  size_t EdgeCount(NodeId n) const {
-    return src_dps_[n].size() + targ_dps_[n].size();
-  }
-
-  /// Merges two summary nodes; the survivor absorbs the other's represented
-  /// resources and property attachments ("replaces the node with less
-  /// edges"). Returns the surviving node.
-  NodeId MergeDataNodes(NodeId a, NodeId b) {
-    NodeId keep = a;
-    NodeId drop = b;
-    if (options_.merge_smaller_node && EdgeCount(a) < EdgeCount(b)) {
-      keep = b;
-      drop = a;
-    }
-    // Re-point represented resources.
-    for (uint32_t r : dr_[drop]) rd_[r] = keep;
-    Absorb(&dr_[keep], &dr_[drop]);
-    // Re-point property attachments and the summary edges.
-    for (uint32_t p : src_dps_[drop]) {
-      dp_src_[p] = keep;
-      if (dtp_src_[p] == drop) dtp_src_[p] = keep;
-    }
-    Absorb(&src_dps_[keep], &src_dps_[drop]);
-    for (uint32_t p : targ_dps_[drop]) {
-      dp_targ_[p] = keep;
-      if (dtp_targ_[p] == drop) dtp_targ_[p] = keep;
-    }
-    Absorb(&targ_dps_[keep], &targ_dps_[drop]);
-    // Class sets (only non-empty once type triples are processed; merges
-    // do not happen then for W, but keep it correct anyway).
-    auto cit = dcls_.find(drop);
-    if (cit != dcls_.end()) {
-      dcls_[keep].insert(cit->second.begin(), cit->second.end());
-      dcls_.erase(cit);
-    }
-    return keep;
-  }
-
-  static void Absorb(std::vector<uint32_t>* into, std::vector<uint32_t>* from) {
-    into->insert(into->end(), from->begin(), from->end());
-    from->clear();
-    from->shrink_to_fit();
-  }
-
-  // ---- Algorithm 3: summarizing type triples ----
-  void SummarizeTypeTriples() {
-    NodeId typed_only = kNoNode;  // REPRESENTTYPEDONLY: one shared node
-    for (const Triple& t : g_.types()) {
-      uint32_t s = dg_.node_of(t.s);
-      if (rd_[s] != kNoNode) {
-        dcls_[rd_[s]].insert(t.o);
-      } else {
-        if (typed_only == kNoNode) typed_only = CreateTypedOnlyNode();
-        Represent(s, typed_only);
-        dcls_[typed_only].insert(t.o);
-      }
-    }
-  }
-
-  NodeId CreateTypedOnlyNode() {
-    NodeId d = next_node_++;
-    dr_.emplace_back();
-    src_dps_.emplace_back();
-    targ_dps_.emplace_back();
-    return d;
-  }
-
-  // ---- Final assembly & decoding ----
-  SummaryResult Assemble() {
-    SummaryResult out;
-    out.kind = SummaryKind::kWeak;
-    out.graph = Graph(g_.dict_ptr());
-    Dictionary& dict = out.graph.dict();
-
-    std::vector<TermId> node_uri(next_node_, kInvalidTermId);
-    auto uri_of = [&](NodeId d) {
-      if (node_uri[d] == kInvalidTermId) {
-        node_uri[d] = dict.MintNodeUri("node:w");
-      }
-      return node_uri[d];
-    };
-
-    // Deterministic minting order: walk data properties in graph order,
-    // then class-set holders.
-    for (const DenseGraph::Edge& e : dg_.data_edges()) {
-      if (dtp_src_[e.p] != kNoNode) {
-        uri_of(dtp_src_[e.p]);
-        uri_of(dtp_targ_[e.p]);
-      }
-    }
-    for (uint32_t p = 0; p < dg_.num_properties(); ++p) {
-      if (dtp_src_[p] != kNoNode) {
-        out.graph.Add(
-            Triple{uri_of(dtp_src_[p]), dg_.property_term(p),
-                   uri_of(dtp_targ_[p])});
-      }
-    }
-    const TermId rdf_type = g_.vocab().rdf_type;
-    for (const auto& [d, classes] : dcls_) {
-      for (TermId c : classes) {
-        out.graph.Add(Triple{uri_of(d), rdf_type, c});
-      }
-    }
-    for (const Triple& t : g_.schema()) out.graph.Add(t);
-
-    out.node_map.reserve(dg_.num_nodes());
-    for (uint32_t r = 0; r < dg_.num_nodes(); ++r) {
-      if (rd_[r] != kNoNode) {
-        out.node_map.emplace(dg_.term_of(r), uri_of(rd_[r]));
-      }
-    }
-    if (options_.record_members) {
-      for (NodeId d = 0; d < next_node_; ++d) {
-        if (dr_[d].empty()) continue;
-        auto& v = out.members[uri_of(d)];
-        v.reserve(dr_[d].size());
-        for (uint32_t r : dr_[d]) v.push_back(dg_.term_of(r));
-      }
-    }
-    out.stats = ComputeSummaryStats(out.graph, 0.0);
-    return out;
-  }
-
-  const Graph& g_;
-  const DenseGraph& dg_;
-  IncrementalWeakOptions options_;
-  NodeId next_node_ = 0;
-
-  std::vector<NodeId> rd_;  // dense resource id -> summary node
-  std::vector<std::vector<uint32_t>> dr_;  // summary node -> dense resources
-  std::vector<NodeId> dp_src_;   // dense property id -> summary node
-  std::vector<NodeId> dp_targ_;
-  // Summary node -> attached property ids (disjoint across nodes per side).
-  std::vector<std::vector<uint32_t>> src_dps_;
-  std::vector<std::vector<uint32_t>> targ_dps_;
-  // The single summary data edge per property (kNoNode src = absent).
-  std::vector<NodeId> dtp_src_;
-  std::vector<NodeId> dtp_targ_;
-  std::unordered_map<NodeId, std::unordered_set<TermId>> dcls_;
-};
-
-/// Incremental TW builder: types first, then data triples. Untyped
-/// endpoints merge per property exactly as in the weak algorithm; typed
-/// endpoints are resolved through their class-set node and never merged.
-class TypedWeakBuilder {
- public:
-  TypedWeakBuilder(const Graph& g, const IncrementalWeakOptions& options)
-      : g_(g), dg_(g.Dense()), options_(options) {}
-
-  SummaryResult Build() {
-    Timer timer;
-    const uint32_t n = dg_.num_nodes();
-    const uint32_t p = dg_.num_properties();
-    rd_.assign(n, kNoNode);
-    dp_src_.assign(p, kNoNode);
-    dp_targ_.assign(p, kNoNode);
-    SummarizeTypeTriplesFirst();
-    SummarizeDataTriples();
-    SummaryResult out = Assemble();
-    out.stats.build_seconds = timer.ElapsedSeconds();
-    return out;
-  }
-
- private:
-  void SummarizeTypeTriplesFirst() {
-    // One node per distinct class set (the clsd map), in canonical node
-    // order; the substrate already de-duplicated the sets.
-    std::vector<NodeId> node_of_set(dg_.num_class_sets(), kNoNode);
-    for (uint32_t i = 0; i < dg_.num_nodes(); ++i) {
-      uint32_t set_id = dg_.ClassSetId(i);
-      if (set_id == DenseGraph::kNone) continue;
-      NodeId& d = node_of_set[set_id];
-      if (d == kNoNode) {
-        d = NewNode();
-        std::span<const TermId> classes = dg_.ClassesOf(i);
-        dcls_[d].assign(classes.begin(), classes.end());
-      }
-      Represent(i, d);
-    }
-  }
-
-  void SummarizeDataTriples() {
-    for (const DenseGraph::Edge& e : dg_.data_edges()) {
-      NodeId src = ResolveEndpoint(e.s, e.p, /*as_source=*/true);
-      NodeId targ = ResolveEndpoint(e.o, e.p, /*as_source=*/false);
-      // Merges inside ResolveEndpoint may have replaced earlier results;
-      // re-resolve as in Algorithm 1.
-      src = ResolveEndpoint(e.s, e.p, true);
-      targ = ResolveEndpoint(e.o, e.p, false);
-      edges_.insert({src, dg_.property_term(e.p), targ});
-    }
-  }
-
-  NodeId ResolveEndpoint(uint32_t r, uint32_t p, bool as_source) {
-    if (dg_.IsTyped(r)) return rd_[r];  // typed: class-set node, no merge
-    auto& dp = as_source ? dp_src_ : dp_targ_;
-    auto& dps = as_source ? src_dps_ : targ_dps_;
-    NodeId via_prop = dp[p];
-    NodeId via_res = rd_[r];
-    if (via_prop == kNoNode && via_res == kNoNode) {
-      NodeId fresh = NewNode();
-      Represent(r, fresh);
-      dp[p] = fresh;
-      dps[fresh].push_back(p);
-      return fresh;
-    }
-    if (via_prop != kNoNode && via_res == kNoNode) {
-      Represent(r, via_prop);
-      return via_prop;
-    }
-    if (via_prop == kNoNode && via_res != kNoNode) {
-      dp[p] = via_res;
-      dps[via_res].push_back(p);
-      return via_res;
-    }
-    if (via_prop == via_res) return via_res;
-    return Merge(via_res, via_prop);
-  }
-
-  NodeId NewNode() {
-    NodeId d = next_node_++;
-    dr_.emplace_back();
-    src_dps_.emplace_back();
-    targ_dps_.emplace_back();
-    return d;
-  }
-
-  void Represent(uint32_t r, NodeId d) {
-    rd_[r] = d;
-    dr_[d].push_back(r);
-  }
-
-  size_t EdgeCount(NodeId n) const {
-    return src_dps_[n].size() + targ_dps_[n].size();
-  }
-
-  NodeId Merge(NodeId a, NodeId b) {
-    NodeId keep = a, drop = b;
-    if (options_.merge_smaller_node && EdgeCount(a) < EdgeCount(b)) {
-      std::swap(keep, drop);
-    }
-    for (uint32_t r : dr_[drop]) rd_[r] = keep;
-    dr_[keep].insert(dr_[keep].end(), dr_[drop].begin(), dr_[drop].end());
-    dr_[drop].clear();
-    auto move_side = [&](std::vector<NodeId>& dp,
-                         std::vector<std::vector<uint32_t>>& dps) {
-      for (uint32_t p : dps[drop]) dp[p] = keep;
-      dps[keep].insert(dps[keep].end(), dps[drop].begin(), dps[drop].end());
-      dps[drop].clear();
-    };
-    move_side(dp_src_, src_dps_);
-    move_side(dp_targ_, targ_dps_);
-    // Rewrite recorded edges touching the dropped node.
-    std::vector<std::tuple<NodeId, TermId, NodeId>> moved;
-    for (auto it = edges_.begin(); it != edges_.end();) {
-      auto [s, p, o] = *it;
-      if (s == drop || o == drop) {
-        moved.emplace_back(s == drop ? keep : s, p, o == drop ? keep : o);
-        it = edges_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    edges_.insert(moved.begin(), moved.end());
-    return keep;
-  }
-
-  SummaryResult Assemble() {
-    SummaryResult out;
-    out.kind = SummaryKind::kTypedWeak;
-    out.graph = Graph(g_.dict_ptr());
-    Dictionary& dict = out.graph.dict();
-    std::vector<TermId> node_uri(next_node_, kInvalidTermId);
-    auto uri_of = [&](NodeId d) {
-      if (node_uri[d] == kInvalidTermId) {
-        node_uri[d] = dict.MintNodeUri("node:tw");
-      }
-      return node_uri[d];
-    };
-    for (const auto& [s, p, o] : edges_) {
-      out.graph.Add(Triple{uri_of(s), p, uri_of(o)});
-    }
-    const TermId rdf_type = g_.vocab().rdf_type;
-    for (const auto& [d, classes] : dcls_) {
-      for (TermId c : classes) out.graph.Add(Triple{uri_of(d), rdf_type, c});
-    }
-    for (const Triple& t : g_.schema()) out.graph.Add(t);
-    out.node_map.reserve(dg_.num_nodes());
-    for (uint32_t r = 0; r < dg_.num_nodes(); ++r) {
-      if (rd_[r] != kNoNode) {
-        out.node_map.emplace(dg_.term_of(r), uri_of(rd_[r]));
-      }
-    }
-    if (options_.record_members) {
-      for (NodeId d = 0; d < next_node_; ++d) {
-        if (dr_[d].empty()) continue;
-        auto& v = out.members[uri_of(d)];
-        v.reserve(dr_[d].size());
-        for (uint32_t r : dr_[d]) v.push_back(dg_.term_of(r));
-      }
-    }
-    out.stats = ComputeSummaryStats(out.graph, 0.0);
-    return out;
-  }
-
-  const Graph& g_;
-  const DenseGraph& dg_;
-  IncrementalWeakOptions options_;
-  NodeId next_node_ = 0;
-  std::vector<NodeId> rd_;
-  std::vector<std::vector<uint32_t>> dr_;
-  std::vector<NodeId> dp_src_;
-  std::vector<NodeId> dp_targ_;
-  std::vector<std::vector<uint32_t>> src_dps_;
-  std::vector<std::vector<uint32_t>> targ_dps_;
-  std::unordered_map<NodeId, std::vector<TermId>> dcls_;
-  std::set<std::tuple<NodeId, TermId, NodeId>> edges_;
-};
-
-}  // namespace
 
 SummaryResult IncrementalWeakSummarize(const Graph& g,
                                        const IncrementalWeakOptions& options) {
-  Builder builder(g, options);
-  return builder.Build();
+  Timer timer;
+  // Graph order is data, then type, then schema triples: Algorithm 1, then 3.
+  SummaryResult out = WeakSummaryMaintainer(g, options).Snapshot();
+  out.stats.build_seconds = timer.ElapsedSeconds();
+  return out;
 }
 
 SummaryResult IncrementalTypedWeakSummarize(
     const Graph& g, const IncrementalWeakOptions& options) {
-  TypedWeakBuilder builder(g, options);
-  return builder.Build();
+  Timer timer;
+  using NodeId = WeakSummaryMaintainer::NodeId;
+  const DenseGraph& dg = g.Dense();
+  WeakSummaryMaintainer core(g.dict_ptr(), options);
+  // Types first: one pinned node per distinct class set (the clsd map); the
+  // substrate already de-duplicated the sets.
+  std::vector<NodeId> node_of_set(dg.num_class_sets(),
+                                  WeakSummaryMaintainer::kNoNode);
+  for (uint32_t i = 0; i < dg.num_nodes(); ++i) {
+    const uint32_t set_id = dg.ClassSetId(i);
+    if (set_id == DenseGraph::kNone) continue;
+    node_of_set[set_id] = core.Pin(dg.term_of(i), node_of_set[set_id]);
+  }
+  g.ForEachTriple([&core](const Triple& t) { core.AddTriple(t); });
+  SummaryResult out = core.Assemble(SummaryKind::kTypedWeak);
+  out.stats.build_seconds = timer.ElapsedSeconds();
+  return out;
 }
 
 }  // namespace rdfsum::summary

@@ -15,12 +15,13 @@ struct IncrementalWeakOptions {
   bool record_members = false;
 };
 
-/// A faithful port of the paper's Algorithms 1–3 (§6.2): the weak summary is
-/// built by a single pass over the data triples, representing each subject
-/// and object with a summary data node and merging nodes as shared
-/// properties are discovered (maps rd/dr, dpSrc/dpTarg, srcDps/targDps,
-/// dtp), followed by a pass over the type triples (typed-only resources all
-/// represented by one fresh node, Algorithm 3 REPRESENTTYPEDONLY).
+/// The paper's Algorithms 1–3 (§6.2): the weak summary is built by a single
+/// pass over the data triples, representing each subject and object with a
+/// summary data node and merging nodes as shared properties are discovered
+/// (maps rd/dr, dpSrc/dpTarg, srcDps/targDps), followed by a pass over the
+/// type triples (typed-only resources all represented by one fresh node,
+/// Algorithm 3 REPRESENTTYPEDONLY). Runs WeakSummaryMaintainer
+/// (summary/maintenance.h), the one port of the algorithms, over `g`.
 ///
 /// Produces a summary isomorphic to Summarize(g, SummaryKind::kWeak); the
 /// batch union-find builder is the production path, this one exists to
@@ -28,12 +29,12 @@ struct IncrementalWeakOptions {
 SummaryResult IncrementalWeakSummarize(
     const Graph& g, const IncrementalWeakOptions& options = {});
 
-/// The typed-weak counterpart of the §6.2 algorithm suite: type triples are
-/// summarized first (one node per class set, the paper's `clsd` map), then
-/// data triples are summarized with per-property merging applied to untyped
-/// endpoints only — typed nodes are never stored in dpSrc/dpTarg
-/// (footnote 3). Produces a summary isomorphic to
-/// Summarize(g, kTypedWeak) under the default
+/// The typed-weak counterpart of the §6.2 algorithm suite, on the same
+/// core: each typed resource is first pinned to one node per class set (the
+/// paper's `clsd` map), then data triples are summarized with per-property
+/// merging applied to untyped endpoints only — pinned nodes never enter
+/// dpSrc/dpTarg and never merge (footnote 3). Produces a summary isomorphic
+/// to Summarize(g, kTypedWeak) under the default
 /// TypedSummaryMode::kPerPropertyProjection.
 SummaryResult IncrementalTypedWeakSummarize(
     const Graph& g, const IncrementalWeakOptions& options = {});

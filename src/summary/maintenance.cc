@@ -1,17 +1,56 @@
 #include "summary/maintenance.h"
 
 #include <algorithm>
+#include <string_view>
 
 namespace rdfsum::summary {
 
 WeakSummaryMaintainer::WeakSummaryMaintainer(
     std::shared_ptr<Dictionary> dict, const IncrementalWeakOptions& options)
-    : dict_(std::move(dict)), vocab_(*dict_), options_(options) {}
+    : dict_(std::move(dict)), vocab_(*dict_), options_(options) {
+  Cover(static_cast<TermId>(dict_->size()));
+}
 
 WeakSummaryMaintainer::WeakSummaryMaintainer(
     const Graph& initial, const IncrementalWeakOptions& options)
     : WeakSummaryMaintainer(initial.dict_ptr(), options) {
   initial.ForEachTriple([this](const Triple& t) { AddTriple(t); });
+}
+
+void WeakSummaryMaintainer::Cover(TermId id) {
+  if (id < rd_.size()) return;
+  const size_t n = std::max({size_t{id} + 1, 2 * rd_.size(), dict_->size()});
+  rd_.resize(n, kNoNode);
+  dp_[kSource].resize(n, kNoNode);
+  dp_[kTarget].resize(n, kNoNode);
+  free_edge_.resize(n, 0);
+}
+
+// Algorithm 2: GETSOURCE for side kSource, GETTARGET for kTarget. Inline
+// and defined before its caller: it runs twice per data triple.
+inline WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::Resolve(
+    Side side, TermId r, TermId p) {
+  const NodeId via_res = rd_[r];
+  const NodeId via_prop = dp_[side][p];
+  if (via_res == via_prop && via_res != kNoNode) return via_res;
+  // Typed-weak: a typed resource keeps its class-set node, never enters dp
+  // and never merges (footnote 3).
+  if (pinned(via_res)) return via_res;
+  if (via_prop == kNoNode) {
+    NodeId d = via_res;
+    if (d == kNoNode) {
+      d = NewNode();
+      Represent(r, d);
+    }
+    dp_[side][p] = d;
+    dps_[side][d].push_back(p);
+    return d;
+  }
+  if (via_res == kNoNode) {
+    Represent(r, via_prop);
+    return via_prop;
+  }
+  return Merge(via_res, via_prop);
 }
 
 void WeakSummaryMaintainer::AddTriple(const Triple& t) {
@@ -20,200 +59,141 @@ void WeakSummaryMaintainer::AddTriple(const Triple& t) {
     if (schema_seen_.insert(t).second) schema_.push_back(t);
     return;
   }
+  Cover(std::max({t.s, t.p, t.o}));
   if (vocab_.IsType(t.p)) {
-    auto it = rd_.find(t.s);
-    if (it != rd_.end()) {
-      dcls_[it->second].insert(t.o);
-    } else {
-      pending_typed_only_[t.s].insert(t.o);
-    }
+    const NodeId d = rd_[t.s];
+    const TermId row[2] = {d != kNoNode ? d : t.s, t.o};
+    (d != kNoNode ? node_classes_ : pool_).Insert(row);
     return;
   }
-  // Data triple: Algorithm 1, one step. If either endpoint was waiting in
-  // the typed-only pool, it becomes a real node and takes its classes along.
-  GetSource(t.s, t.p);
-  GetTarget(t.o, t.p);
-  NodeId src = GetSource(t.s, t.p);
-  NodeId targ = GetTarget(t.o, t.p);
-  if (!dtp_.count(t.p)) {
-    dtp_.emplace(t.p, DataTriple{src, t.p, targ});
-    dp_src_.emplace(t.p, src);
-    src_dps_[src].insert(t.p);
-    dp_targ_.emplace(t.p, targ);
-    targ_dps_[targ].insert(t.p);
+  // Algorithm 1, one step. GETTARGET may merge the node GETSOURCE returned;
+  // the paper re-resolves both, but an unpinned end is recorded as dp, which
+  // merges keep current, and pinned nodes never merge.
+  const NodeId src = Resolve(kSource, t.s, t.p);
+  const NodeId targ = Resolve(kTarget, t.o, t.p);
+  if (!pinned(src) && !pinned(targ)) {
+    if (free_edge_[t.p]) return;  // W keeps one edge per property
+    free_edge_[t.p] = 1;
   }
+  const TermId row[3] = {pinned(src) ? src : kNoNode, t.p,
+                         pinned(targ) ? targ : kNoNode};
+  edges_.Insert(row);
 }
 
-WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::GetSource(TermId s,
-                                                               TermId p) {
-  NodeId src_u = Get(dp_src_, p);
-  NodeId src_s = Get(rd_, s);
-  if (src_u == kNoNode && src_s == kNoNode) {
-    NodeId fresh = CreateDataNode(s);
-    dp_src_[p] = fresh;
-    src_dps_[fresh].insert(p);
-    return fresh;
-  }
-  if (src_u != kNoNode && src_s == kNoNode) {
-    Represent(s, src_u);
-    return src_u;
-  }
-  if (src_u == kNoNode && src_s != kNoNode) {
-    dp_src_[p] = src_s;
-    src_dps_[src_s].insert(p);
-    return src_s;
-  }
-  if (src_s == src_u) return src_s;
-  return MergeDataNodes(src_s, src_u);
-}
-
-WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::GetTarget(TermId o,
-                                                               TermId p) {
-  NodeId targ_u = Get(dp_targ_, p);
-  NodeId targ_o = Get(rd_, o);
-  if (targ_u == kNoNode && targ_o == kNoNode) {
-    NodeId fresh = CreateDataNode(o);
-    dp_targ_[p] = fresh;
-    targ_dps_[fresh].insert(p);
-    return fresh;
-  }
-  if (targ_u != kNoNode && targ_o == kNoNode) {
-    Represent(o, targ_u);
-    return targ_u;
-  }
-  if (targ_u == kNoNode && targ_o != kNoNode) {
-    dp_targ_[p] = targ_o;
-    targ_dps_[targ_o].insert(p);
-    return targ_o;
-  }
-  if (targ_o == targ_u) return targ_o;
-  return MergeDataNodes(targ_o, targ_u);
-}
-
-WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::CreateDataNode(TermId r) {
-  NodeId d = next_node_++;
-  Represent(r, d);
-  return d;
+WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::NewNode() {
+  dr_.emplace_back();
+  dps_[kSource].emplace_back();
+  dps_[kTarget].emplace_back();
+  merged_into_.push_back(kNoNode);
+  return static_cast<NodeId>(dr_.size() - 1);
 }
 
 void WeakSummaryMaintainer::Represent(TermId r, NodeId d) {
   rd_[r] = d;
   dr_[d].push_back(r);
-  // Migrate classes accumulated while r was typed-only.
-  auto pit = pending_typed_only_.find(r);
-  if (pit != pending_typed_only_.end()) {
-    dcls_[d].insert(pit->second.begin(), pit->second.end());
-    pending_typed_only_.erase(pit);
+}
+
+// Typed-weak: pins `r` to `d`, or to a fresh pinned node when `d` is
+// kNoNode, and returns the node.
+WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::Pin(TermId r, NodeId d) {
+  if (d == kNoNode) {
+    d = NewNode();
+    num_pinned_ = d + 1;
   }
+  Represent(r, d);
+  return d;
 }
 
-size_t WeakSummaryMaintainer::EdgeCount(NodeId n) const {
-  size_t count = 0;
-  auto s = src_dps_.find(n);
-  if (s != src_dps_.end()) count += s->second.size();
-  auto t = targ_dps_.find(n);
-  if (t != targ_dps_.end()) count += t->second.size();
-  return count;
-}
-
-WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::MergeDataNodes(NodeId a,
-                                                                    NodeId b) {
+// MERGEDATANODES: the survivor absorbs the other node's resources and
+// property attachments ("replaces the node with less edges"). A property is
+// attached to one node per side, so the attachment lists stay disjoint.
+WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::Merge(NodeId a,
+                                                           NodeId b) {
+  auto edge_count = [this](NodeId n) {
+    return dps_[kSource][n].size() + dps_[kTarget][n].size();
+  };
   NodeId keep = a, drop = b;
-  if (options_.merge_smaller_node && EdgeCount(a) < EdgeCount(b)) {
+  if (options_.merge_smaller_node && edge_count(a) < edge_count(b)) {
     std::swap(keep, drop);
   }
-  auto dit = dr_.find(drop);
-  if (dit != dr_.end()) {
-    auto& keep_list = dr_[keep];
-    for (TermId r : dit->second) {
-      rd_[r] = keep;
-      keep_list.push_back(r);
-    }
-    dr_.erase(dit);
-  }
-  auto sit = src_dps_.find(drop);
-  if (sit != src_dps_.end()) {
-    auto& keep_set = src_dps_[keep];
-    for (TermId p : sit->second) {
-      dp_src_[p] = keep;
-      auto t = dtp_.find(p);
-      if (t != dtp_.end() && t->second.src == drop) t->second.src = keep;
-      keep_set.insert(p);
-    }
-    src_dps_.erase(sit);
-  }
-  auto tit = targ_dps_.find(drop);
-  if (tit != targ_dps_.end()) {
-    auto& keep_set = targ_dps_[keep];
-    for (TermId p : tit->second) {
-      dp_targ_[p] = keep;
-      auto t = dtp_.find(p);
-      if (t != dtp_.end() && t->second.targ == drop) t->second.targ = keep;
-      keep_set.insert(p);
-    }
-    targ_dps_.erase(tit);
-  }
-  auto cit = dcls_.find(drop);
-  if (cit != dcls_.end()) {
-    dcls_[keep].insert(cit->second.begin(), cit->second.end());
-    dcls_.erase(cit);
+  auto absorb = [keep, drop](std::vector<std::vector<TermId>>& lists) {
+    lists[keep].insert(lists[keep].end(), lists[drop].begin(),
+                       lists[drop].end());
+    std::vector<TermId>().swap(lists[drop]);
+  };
+  merged_into_[drop] = keep;
+  for (TermId r : dr_[drop]) rd_[r] = keep;
+  absorb(dr_);
+  for (Side side : {kSource, kTarget}) {
+    for (TermId p : dps_[side][drop]) dp_[side][p] = keep;
+    absorb(dps_[side]);
   }
   return keep;
 }
 
 uint64_t WeakSummaryMaintainer::num_summary_nodes() const {
-  return dr_.size() + (pending_typed_only_.empty() ? 0 : 1);
+  uint64_t n = static_cast<uint64_t>(std::count_if(
+      dr_.begin(), dr_.end(), [](const auto& rs) { return !rs.empty(); }));
+  for (size_t i = 0; i < pool_.size(); ++i) {
+    if (rd_[pool_.row(i)[0]] == kNoNode) return n + 1;
+  }
+  return n;
 }
 
-SummaryResult WeakSummaryMaintainer::Snapshot() const {
+SummaryResult WeakSummaryMaintainer::Assemble(SummaryKind kind) const {
   SummaryResult out;
-  out.kind = SummaryKind::kWeak;
+  out.kind = kind;
   out.graph = Graph(dict_);
   Dictionary& dict = out.graph.dict();
-
-  std::unordered_map<NodeId, TermId> node_uri;
+  const std::string_view tag =
+      kind == SummaryKind::kWeak ? "node:w" : "node:tw";
+  std::vector<TermId> node_uri(dr_.size(), kInvalidTermId);
   auto uri_of = [&](NodeId d) {
-    auto [it, inserted] = node_uri.emplace(d, kInvalidTermId);
-    if (inserted) it->second = dict.MintNodeUri("node:w");
-    return it->second;
+    if (node_uri[d] == kInvalidTermId) node_uri[d] = dict.MintNodeUri(tag);
+    return node_uri[d];
   };
-  for (const auto& [p, dt] : dtp_) {
-    out.graph.Add(Triple{uri_of(dt.src), p, uri_of(dt.targ)});
+  for (size_t i = 0; i < edges_.size(); ++i) {
+    const TermId* e = edges_.row(i);
+    out.graph.Add(
+        Triple{uri_of(e[0] == kNoNode ? dp_[kSource][e[1]] : e[0]), e[1],
+               uri_of(e[2] == kNoNode ? dp_[kTarget][e[1]] : e[2])});
   }
   const TermId rdf_type = vocab_.rdf_type;
-  for (const auto& [d, classes] : dcls_) {
-    for (TermId c : classes) out.graph.Add(Triple{uri_of(d), rdf_type, c});
+  for (size_t i = 0; i < node_classes_.size(); ++i) {
+    NodeId d = node_classes_.row(i)[0];
+    while (merged_into_[d] != kNoNode) d = merged_into_[d];
+    out.graph.Add(Triple{uri_of(d), rdf_type, node_classes_.row(i)[1]});
   }
-  // The typed-only pool materializes as a single Nτ node (Algorithm 3).
-  if (!pending_typed_only_.empty()) {
-    TermId ntau = dict.MintNodeUri("node:w");
-    for (const auto& [r, classes] : pending_typed_only_) {
-      out.node_map.emplace(r, ntau);
-      for (TermId c : classes) {
-        out.graph.Add(Triple{ntau, rdf_type, c});
+  // Algorithm 3: the typed-only pool materializes as a single Nτ node.
+  TermId pool = kInvalidTermId;
+  for (size_t i = 0; i < pool_.size(); ++i) {
+    const TermId r = pool_.row(i)[0];
+    TermId node;
+    if (rd_[r] != kNoNode) {
+      node = uri_of(rd_[r]);
+    } else {
+      if (pool == kInvalidTermId) pool = dict.MintNodeUri(tag);
+      node = pool;
+      if (out.node_map.emplace(r, pool).second && options_.record_members) {
+        out.members[pool].push_back(r);
       }
     }
-    if (options_.record_members) {
-      auto& v = out.members[ntau];
-      for (const auto& [r, classes] : pending_typed_only_) v.push_back(r);
-    }
+    out.graph.Add(Triple{node, rdf_type, pool_.row(i)[1]});
   }
   for (const Triple& t : schema_) out.graph.Add(t);
-  for (const auto& [r, d] : rd_) out.node_map.emplace(r, uri_of(d));
+  size_t represented = out.node_map.size();
+  for (const auto& rs : dr_) represented += rs.size();
+  out.node_map.reserve(represented);
+  for (TermId r = 0; r < rd_.size(); ++r) {
+    if (rd_[r] != kNoNode) out.node_map.emplace(r, uri_of(rd_[r]));
+  }
   if (options_.record_members) {
-    for (const auto& [d, rs] : dr_) {
-      auto& v = out.members[uri_of(d)];
-      v.insert(v.end(), rs.begin(), rs.end());
+    for (NodeId d = 0; d < dr_.size(); ++d) {
+      if (!dr_[d].empty()) out.members[uri_of(d)] = dr_[d];
     }
   }
   out.stats = ComputeSummaryStats(out.graph, 0.0);
   return out;
-}
-
-WeakSummaryMaintainer::NodeId WeakSummaryMaintainer::Get(
-    const std::unordered_map<TermId, NodeId>& m, TermId k) {
-  auto it = m.find(k);
-  return it == m.end() ? kNoNode : it->second;
 }
 
 }  // namespace rdfsum::summary

@@ -3,13 +3,13 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "rdf/graph.h"
 #include "summary/incremental_weak.h"
 #include "summary/summary.h"
+#include "util/row_set.h"
 
 namespace rdfsum::summary {
 
@@ -19,6 +19,10 @@ namespace rdfsum::summary {
 /// pursued). Because the weak summary is a union-find quotient, insertions
 /// only ever merge summary nodes, so a stream of AddTriple calls maintains
 /// exactly the state of the §6.2 algorithms.
+///
+/// This class is the one port of Algorithms 1–3: IncrementalWeakSummarize
+/// feeds it a whole graph, and IncrementalTypedWeakSummarize runs it with
+/// typed resources pinned to their class-set nodes.
 ///
 /// Semantics guarantee: after any prefix of insertions, Snapshot() is
 /// isomorphic to Summarize(G_prefix, SummaryKind::kWeak) — insertion order
@@ -39,50 +43,59 @@ class WeakSummaryMaintainer {
   void AddTriple(const Triple& t);
 
   /// Materializes the current summary (graph + node map). Cost is linear in
-  /// the summary size, not in the number of triples seen.
-  SummaryResult Snapshot() const;
+  /// the dictionary size and the number of distinct type triples seen, not
+  /// in the number of data triples.
+  SummaryResult Snapshot() const { return Assemble(SummaryKind::kWeak); }
 
   uint64_t num_triples_seen() const { return triples_seen_; }
 
   /// Current number of summary data nodes (including the pending typed-only
-  /// pool, which materializes as one Nτ node).
+  /// pool, which materializes as one Nτ node). Linear in the number of
+  /// nodes and pooled type triples.
   uint64_t num_summary_nodes() const;
 
  private:
+  friend SummaryResult IncrementalTypedWeakSummarize(
+      const Graph& g, const IncrementalWeakOptions& options);
+
   using NodeId = uint32_t;
   static constexpr NodeId kNoNode = 0xFFFFFFFFu;
+  enum Side { kSource = 0, kTarget = 1 };
 
-  NodeId GetSource(TermId s, TermId p);
-  NodeId GetTarget(TermId o, TermId p);
-  NodeId CreateDataNode(TermId r);
+  void Cover(TermId id);
+  NodeId NewNode();
   void Represent(TermId r, NodeId d);
-  NodeId MergeDataNodes(NodeId a, NodeId b);
-  size_t EdgeCount(NodeId n) const;
-  static NodeId Get(const std::unordered_map<TermId, NodeId>& m, TermId k);
+  NodeId Pin(TermId r, NodeId d);
+  bool pinned(NodeId d) const { return d < num_pinned_; }
+  NodeId Resolve(Side side, TermId r, TermId p);
+  NodeId Merge(NodeId a, NodeId b);
+  SummaryResult Assemble(SummaryKind kind) const;
 
   std::shared_ptr<Dictionary> dict_;
   Vocabulary vocab_;
   IncrementalWeakOptions options_;
   uint64_t triples_seen_ = 0;
-  NodeId next_node_ = 0;
+  /// Typed-weak class-set nodes are ids [0, num_pinned_): they are created
+  /// before the first triple is added, and W has none.
+  NodeId num_pinned_ = 0;
 
-  struct DataTriple {
-    NodeId src;
-    TermId p;
-    NodeId targ;
-  };
-
-  std::unordered_map<TermId, NodeId> rd_;
-  std::unordered_map<NodeId, std::vector<TermId>> dr_;
-  std::unordered_map<TermId, NodeId> dp_src_;
-  std::unordered_map<TermId, NodeId> dp_targ_;
-  std::unordered_map<NodeId, std::unordered_set<TermId>> src_dps_;
-  std::unordered_map<NodeId, std::unordered_set<TermId>> targ_dps_;
-  std::unordered_map<TermId, DataTriple> dtp_;
-  std::unordered_map<NodeId, std::unordered_set<TermId>> dcls_;
-  /// Resources seen only in τ triples so far, with their classes; they
-  /// migrate to a real node the moment a data triple mentions them.
-  std::unordered_map<TermId, std::unordered_set<TermId>> pending_typed_only_;
+  // Indexed by TermId; dictionary ids are dense and append-only, so these
+  // grow (Cover) as new ids arrive.
+  std::vector<NodeId> rd_;         // resource -> summary node
+  std::vector<NodeId> dp_[2];      // property -> its source / target node
+  std::vector<uint8_t> free_edge_;  // property -> has an unpinned-ends edge
+  // Indexed by NodeId.
+  std::vector<std::vector<TermId>> dr_;      // node -> resources
+  std::vector<std::vector<TermId>> dps_[2];  // node -> properties it ends
+  std::vector<NodeId> merged_into_;          // kNoNode while the node lives
+  /// Summary edges (src, p, targ). An unpinned end is stored as kNoNode and
+  /// stands for dp_[side][p], which merges keep current.
+  util::RowSet edges_{3};
+  /// Type triples as (node, class) when the resource had a node, else as
+  /// (resource, class): Algorithm 3's typed-only pool, whose resources
+  /// leave it when a data triple gives them a node. Merges move neither.
+  util::RowSet node_classes_{2};
+  util::RowSet pool_{2};
   std::vector<Triple> schema_;
   std::unordered_set<Triple, TripleHash> schema_seen_;
 };

@@ -17,8 +17,7 @@ namespace rdfsum::util {
 /// than work items, always at least one, never more than kMaxThreads (so a
 /// bogus request — e.g. "-1" wrapped to ~4e9 by a caller's parser — cannot
 /// exhaust the process with thread spawns). All arithmetic is 64-bit so a
-/// work-item count above 2^32 cannot truncate into the clamp (the bug the
-/// old per-call clamps in summary/parallel.cc had).
+/// work-item count above 2^32 cannot truncate into the clamp.
 inline constexpr uint32_t kMaxThreads = 256;
 
 inline uint32_t ResolveThreadCount(uint32_t requested, uint64_t work_items) {

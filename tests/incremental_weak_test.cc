@@ -164,5 +164,18 @@ TEST(IncrementalTypedWeakTest, MatchesBatchOnBsbm) {
   EXPECT_TRUE(AreSummariesIsomorphic(inc.graph, batch.graph));
 }
 
+TEST(IncrementalTypedWeakTest, MatchesBatchOnLubm) {
+  // LUBM's multi-typed resources exercise the pinned class-set nodes.
+  gen::LubmOptions opt;
+  opt.num_universities = 1;
+  Graph g = gen::GenerateLubm(opt);
+  SummaryResult inc = IncrementalTypedWeakSummarize(g);
+  SummaryResult batch = Summarize(g, SummaryKind::kTypedWeak);
+  EXPECT_EQ(inc.stats.num_data_nodes, batch.stats.num_data_nodes);
+  EXPECT_EQ(inc.graph.NumTriples(), batch.graph.NumTriples());
+  EXPECT_TRUE(AreSummariesIsomorphic(inc.graph, batch.graph));
+  EXPECT_TRUE(CheckHomomorphism(g, inc).ok());
+}
+
 }  // namespace
 }  // namespace rdfsum::summary

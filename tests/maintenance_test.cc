@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "gen/bsbm.h"
@@ -46,6 +47,48 @@ TEST(MaintenanceTest, InsertionOrderDoesNotMatter) {
     EXPECT_TRUE(AreSummariesIsomorphic(snapshot.graph, batch.graph))
         << "order run " << run;
   }
+}
+
+/// Groups resources by summary node: the partition a node_map induces.
+std::vector<std::vector<TermId>> Partition(const SummaryResult& r) {
+  std::map<TermId, std::vector<TermId>> by_node;
+  for (const auto& [resource, node] : r.node_map) {
+    by_node[node].push_back(resource);
+  }
+  std::vector<std::vector<TermId>> blocks;
+  for (auto& [node, resources] : by_node) {
+    std::sort(resources.begin(), resources.end());
+    blocks.push_back(std::move(resources));
+  }
+  std::sort(blocks.begin(), blocks.end());
+  return blocks;
+}
+
+TEST(MaintenanceTest, ShuffledStreamMatchesIncrementalWeakSummarize) {
+  // The batch entry point feeds data before types; a stream that delivers
+  // all type triples first, each group shuffled, must land on the same
+  // summary and the same resource partition.
+  gen::BsbmOptions opt;
+  opt.num_products = 80;
+  opt.untyped_offer_fraction = 0.3;
+  Graph g = gen::GenerateBsbm(opt);
+  std::vector<Triple> types = g.types();
+  std::vector<Triple> rest = g.data();
+  rest.insert(rest.end(), g.schema().begin(), g.schema().end());
+  Random rng(7);
+  for (std::vector<Triple>* v : {&types, &rest}) {
+    for (size_t i = v->size(); i > 1; --i) {
+      std::swap((*v)[i - 1], (*v)[rng.Uniform(i)]);
+    }
+  }
+  WeakSummaryMaintainer maintainer(g.dict_ptr());
+  for (const Triple& t : types) maintainer.AddTriple(t);
+  for (const Triple& t : rest) maintainer.AddTriple(t);
+  SummaryResult streamed = maintainer.Snapshot();
+  SummaryResult batch = IncrementalWeakSummarize(g);
+  EXPECT_TRUE(AreSummariesIsomorphic(streamed.graph, batch.graph));
+  EXPECT_EQ(streamed.node_map.size(), batch.node_map.size());
+  EXPECT_EQ(Partition(streamed), Partition(batch));
 }
 
 TEST(MaintenanceTest, TypeBeforeDataMigratesOutOfNTauPool) {

@@ -1,9 +1,10 @@
-// Differential wall for the parallel ingestion pipeline: with
-// ParseOptions::num_threads != 1 the loaded graph must be BYTE-identical to
-// the sequential parse — same dense dictionary ids, same triple insertion
-// order, same serialized N-Triples, same stats and diagnostics — for every
-// dataset shape and thread count, including pathological chunkings (CRLF,
-// long lines, comments/blanks/malformed lines straddling chunk boundaries).
+// Differential wall for the chunked ingestion pipeline: at every
+// ParseOptions::num_threads the loaded graph must be BYTE-identical to the
+// one-chunk parse — same dense dictionary ids, same triple insertion order,
+// same serialized N-Triples, same stats and diagnostics — for every dataset
+// shape and thread count, including pathological chunkings (CRLF, long
+// lines, comments/blanks/malformed lines straddling chunk boundaries), and
+// after a strict-mode failure.
 // TripleTable::Freeze() is held to an independent reference: the three
 // sorted permutations and the table statistics must match
 // ComputeReferenceTableStats at every thread count.
@@ -30,7 +31,7 @@
 namespace rdfsum::io {
 namespace {
 
-// 1 re-checks that the explicit-sequential route stays the baseline; 2/4
+// 1 is the one-chunk parse the other counts must reproduce; 2/4
 // split evenly, 7 leaves ragged chunk bounds, 8 oversubscribes the 1-core
 // CI runner, 0 = all hardware threads.
 constexpr uint32_t kThreadCounts[] = {1, 2, 4, 7, 8, 0};
@@ -270,6 +271,8 @@ TEST(ParallelLoadChunkingTest, StrictErrorReportsFirstGlobalLine) {
   ASSERT_FALSE(seq_st.ok());
   EXPECT_NE(seq_st.message().find("line 97:"), std::string::npos)
       << seq_st.ToString();
+  // The failed parse keeps the 96 lines before the failing one.
+  EXPECT_EQ(seq.NumTriples(), 96u);
   for (uint32_t threads : kThreadCounts) {
     Graph par;
     ParseOptions options;
@@ -281,6 +284,10 @@ TEST(ParallelLoadChunkingTest, StrictErrorReportsFirstGlobalLine) {
     // Stats reflect progress up to the failing line, like the sequential
     // parse: 96 good triples before line 97.
     EXPECT_EQ(stats.triples, 96u) << "t" << threads;
+    // So does the graph: same triples, same dictionary at every count.
+    EXPECT_EQ(NTriplesWriter::ToString(par), NTriplesWriter::ToString(seq))
+        << "t" << threads;
+    EXPECT_EQ(par.dict().size(), seq.dict().size()) << "t" << threads;
   }
 }
 
@@ -323,10 +330,10 @@ TEST(ParallelLoadChunkingTest, MaxLineBytesEnforcedInChunks) {
 }
 
 // ---------------------------------------------------------------------------
-// Failpoints: the two new load failpoints must surface their injected
-// status through the parallel pipeline in chunk order.
+// Failpoints: both load failpoints surface their injected status at every
+// thread count, the one-chunk parse included.
 
-class ParallelLoadFailpointTest : public ::testing::Test {
+class ParallelLoadFailpointTest : public ::testing::TestWithParam<uint32_t> {
  protected:
   void SetUp() override {
     if (!util::FaultInjection::compiled_in()) {
@@ -338,32 +345,35 @@ class ParallelLoadFailpointTest : public ::testing::Test {
   }
 };
 
-TEST_F(ParallelLoadFailpointTest, ChunkFailpointAbortsParallelLoad) {
+TEST_P(ParallelLoadFailpointTest, ChunkFailpointAbortsParallelLoad) {
   util::FaultInjection::Arm("load:chunk", Status::IOError("injected chunk"));
   std::string input;
   for (int i = 0; i < 500; ++i) input += Line(i) + "\n";
   Graph g;
   ParseOptions options;
-  options.num_threads = 4;
+  options.num_threads = GetParam();
   Status st = NTriplesParser::ParseString(input, &g, nullptr, options);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_GE(util::FaultInjection::HitCount("load:chunk"), 1u);
 }
 
-TEST_F(ParallelLoadFailpointTest, DictMergeFailpointAbortsParallelLoad) {
+TEST_P(ParallelLoadFailpointTest, DictMergeFailpointAbortsParallelLoad) {
   util::FaultInjection::Arm("load:dict-merge",
                             Status::IOError("injected merge"));
   std::string input;
   for (int i = 0; i < 500; ++i) input += Line(i) + "\n";
   Graph g;
   ParseOptions options;
-  options.num_threads = 4;
+  options.num_threads = GetParam();
   Status st = NTriplesParser::ParseString(input, &g, nullptr, options);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsIOError()) << st.ToString();
   EXPECT_EQ(util::FaultInjection::HitCount("load:dict-merge"), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelLoadFailpointTest,
+                         ::testing::Values(1u, 4u));
 
 // ---------------------------------------------------------------------------
 // Freeze differential: permutations and statistics must match the reference

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "io/ntriples_parser.h"
 #include "io/ntriples_writer.h"
 #include "io/turtle_parser.h"
 #include "rdf/graph.h"
@@ -118,6 +119,22 @@ TEST(TurtleParserTest, SingleQuoteLiterals) {
 TEST(TurtleParserTest, EscapesInLiterals) {
   Graph g = ParseOk(R"(<http://s> <http://p> "a\tb\"c" .)");
   EXPECT_EQ(g.dict().Decode(g.data()[0].o).lexical, "a\tb\"c");
+}
+
+TEST(TurtleParserTest, EscapesDecodeLikeNTriples) {
+  // \u and \U escapes decode through the N-Triples decoder, in literals and
+  // in IRIs alike, so both front ends load the same line to the same graph.
+  for (const std::string line : {
+           R"(<http://s> <http://p> "caf\u00E9" .)",
+           R"(<http://s> <http://p> "x\U0001F600y" .)",
+           R"(<http://a\u0041> <http://p> <http://o> .)",
+       }) {
+    Graph nt;
+    ASSERT_TRUE(NTriplesParser::ParseString(line, &nt).ok()) << line;
+    Graph ttl = ParseOk(line);
+    EXPECT_EQ(NTriplesWriter::ToString(ttl), NTriplesWriter::ToString(nt))
+        << line;
+  }
 }
 
 TEST(TurtleParserTest, NumericLiterals) {
