@@ -1,10 +1,12 @@
 #include "io/ntriples_parser.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "io/term_scanner.h"
 #include "util/fault_injection.h"
 #include "util/parallel_for.h"
 #include "util/string_util.h"
@@ -19,205 +21,15 @@ void SkipWs(std::string_view text, size_t& pos) {
   while (pos < text.size() && IsWs(text[pos])) ++pos;
 }
 
-/// Appends the UTF-8 encoding of `cp` to `out`; returns false for invalid
-/// code points.
-bool AppendUtf8(uint32_t cp, std::string* out) {
-  if (cp <= 0x7F) {
-    out->push_back(static_cast<char>(cp));
-  } else if (cp <= 0x7FF) {
-    out->push_back(static_cast<char>(0xC0 | (cp >> 6)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp <= 0xFFFF) {
-    if (cp >= 0xD800 && cp <= 0xDFFF) return false;  // surrogate
-    out->push_back(static_cast<char>(0xE0 | (cp >> 12)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else if (cp <= 0x10FFFF) {
-    out->push_back(static_cast<char>(0xF0 | (cp >> 18)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-    out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseHex(std::string_view text, size_t pos, size_t len, uint32_t* out) {
-  if (pos + len > text.size()) return false;
-  uint32_t value = 0;
-  for (size_t i = 0; i < len; ++i) {
-    char c = text[pos + i];
-    value <<= 4;
-    if (c >= '0' && c <= '9') value |= static_cast<uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') value |= static_cast<uint32_t>(c - 'a' + 10);
-    else if (c >= 'A' && c <= 'F') value |= static_cast<uint32_t>(c - 'A' + 10);
-    else return false;
-  }
-  *out = value;
-  return true;
-}
-
-}  // namespace
-
-namespace internal {
-
-/// Decodes the escape at text[pos] (a backslash) into `out` and advances
-/// `pos` past it; valid in both IRIs and literals. The Turtle parser decodes
-/// its escapes through this function too.
-Status DecodeEscape(std::string_view text, size_t& pos, std::string* out) {
-  if (pos + 1 >= text.size()) {
-    return Status::InvalidArgument("dangling backslash");
-  }
-  char c = text[pos + 1];
-  switch (c) {
-    case 't': out->push_back('\t'); pos += 2; return Status::OK();
-    case 'b': out->push_back('\b'); pos += 2; return Status::OK();
-    case 'n': out->push_back('\n'); pos += 2; return Status::OK();
-    case 'r': out->push_back('\r'); pos += 2; return Status::OK();
-    case 'f': out->push_back('\f'); pos += 2; return Status::OK();
-    case '"': out->push_back('"'); pos += 2; return Status::OK();
-    case '\'': out->push_back('\''); pos += 2; return Status::OK();
-    case '\\': out->push_back('\\'); pos += 2; return Status::OK();
-    case 'u': {
-      uint32_t cp = 0;
-      if (!ParseHex(text, pos + 2, 4, &cp) || !AppendUtf8(cp, out)) {
-        return Status::InvalidArgument("bad \\u escape");
-      }
-      pos += 6;
-      return Status::OK();
-    }
-    case 'U': {
-      uint32_t cp = 0;
-      if (!ParseHex(text, pos + 2, 8, &cp) || !AppendUtf8(cp, out)) {
-        return Status::InvalidArgument("bad \\U escape");
-      }
-      pos += 10;
-      return Status::OK();
-    }
-    default:
-      return Status::InvalidArgument(std::string("unknown escape \\") + c);
-  }
-}
-
-}  // namespace internal
-
-namespace {
-
-using internal::DecodeEscape;
-
-StatusOr<Term> ParseIriAt(std::string_view text, size_t& pos) {
-  // text[pos] == '<'
-  ++pos;
-  std::string iri;
-  while (pos < text.size()) {
-    char c = text[pos];
-    if (c == '>') {
-      ++pos;
-      if (iri.empty()) return Status::InvalidArgument("empty IRI");
-      return Term::Iri(iri);
-    }
-    if (c == '\\') {
-      RDFSUM_RETURN_IF_ERROR(DecodeEscape(text, pos, &iri));
-      continue;
-    }
-    if (c == ' ' || c == '<' || c == '"' || c == '{' || c == '}' ||
-        c == '|' || c == '^' || c == '`') {
-      return Status::InvalidArgument("illegal character in IRI");
-    }
-    iri.push_back(c);
-    ++pos;
-  }
-  return Status::InvalidArgument("unterminated IRI");
-}
-
-StatusOr<Term> ParseBlankAt(std::string_view text, size_t& pos) {
-  // text[pos..pos+1] == "_:"
-  pos += 2;
-  std::string label;
-  while (pos < text.size()) {
-    char c = text[pos];
-    if (std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-' ||
-        c == '.') {
-      label.push_back(c);
-      ++pos;
-    } else {
-      break;
-    }
-  }
-  // A trailing '.' belongs to the statement terminator, not the label.
-  while (!label.empty() && label.back() == '.') {
-    label.pop_back();
-    --pos;
-  }
-  if (label.empty()) return Status::InvalidArgument("empty blank node label");
-  return Term::Blank(label);
-}
-
-StatusOr<Term> ParseLiteralAt(std::string_view text, size_t& pos) {
-  // text[pos] == '"'
-  ++pos;
-  std::string lex;
-  bool closed = false;
-  while (pos < text.size()) {
-    char c = text[pos];
-    if (c == '"') {
-      ++pos;
-      closed = true;
-      break;
-    }
-    if (c == '\\') {
-      RDFSUM_RETURN_IF_ERROR(DecodeEscape(text, pos, &lex));
-      continue;
-    }
-    lex.push_back(c);
-    ++pos;
-  }
-  if (!closed) return Status::InvalidArgument("unterminated literal");
-  if (pos < text.size() && text[pos] == '@') {
-    ++pos;
-    std::string lang;
-    while (pos < text.size() &&
-           (std::isalnum(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '-')) {
-      lang.push_back(text[pos]);
-      ++pos;
-    }
-    if (lang.empty()) return Status::InvalidArgument("empty language tag");
-    return Term::LangLiteral(lex, lang);
-  }
-  if (pos + 1 < text.size() && text[pos] == '^' && text[pos + 1] == '^') {
-    pos += 2;
-    if (pos >= text.size() || text[pos] != '<') {
-      return Status::InvalidArgument("datatype must be an IRI");
-    }
-    auto dt = ParseIriAt(text, pos);
-    if (!dt.ok()) return dt.status();
-    return Term::TypedLiteral(lex, dt->lexical);
-  }
-  return Term::Literal(lex);
-}
-
-StatusOr<Term> ParseTermAt(std::string_view text, size_t& pos) {
-  SkipWs(text, pos);
-  if (pos >= text.size()) return Status::InvalidArgument("expected term");
-  char c = text[pos];
-  if (c == '<') return ParseIriAt(text, pos);
-  if (c == '"') return ParseLiteralAt(text, pos);
-  if (c == '_' && pos + 1 < text.size() && text[pos + 1] == ':') {
-    return ParseBlankAt(text, pos);
-  }
-  return Status::InvalidArgument("unrecognized term start: '" +
-                                 std::string(1, c) + "'");
-}
+using internal::ScanTerm;
+using internal::TermScratch;
 
 /// Enforces ParseOptions::max_term_bytes on a decoded term. The line-level
 /// max_line_bytes guard bounds how much a single term scan can accumulate,
 /// so a post-decode check here is enough.
-Status CheckTermSize(const Term& t, const ParseOptions& options) {
+Status CheckTermSize(TermRef t, const ParseOptions& options) {
   if (options.max_term_bytes == 0) return Status::OK();
-  const uint64_t size =
-      t.lexical.size() + t.datatype.size() + t.language.size();
+  const uint64_t size = t.bytes();
   if (size > options.max_term_bytes) {
     return Status::InvalidArgument(
         "term of " + std::to_string(size) + " bytes exceeds max_term_bytes (" +
@@ -247,24 +59,75 @@ struct ChunkParse {
   Status exec_status;  // non-OK when governance tripped mid-chunk
 };
 
-/// Parses one statement line and feeds it to `emit(s, p, o) -> fresh`.
-template <typename Emit>
+/// A small direct-mapped cache of recently interned IRIs and blank nodes
+/// with their ids. Dumps repeat a subject line after line and draw
+/// predicates and many objects from small sets, so a hit skips HashTerm and
+/// the dictionary probe. Dictionary ids are append-only, so a cached id
+/// never goes stale; an entry keeps its own copy of the bytes because a
+/// scanned TermRef dies with its line. Literals bypass the cache.
+class RecentTerms {
+ public:
+  /// The id of `t`: cached, or `intern(t)` (which then fills the entry).
+  template <typename Intern>
+  TermId Get(TermRef t, Intern&& intern) {
+    if (t.is_literal()) return intern(t);
+    Entry& e = entries_[Index(t.lexical)];
+    if (e.id != kInvalidTermId && e.kind == t.kind && e.lexical == t.lexical) {
+      return e.id;
+    }
+    e.id = intern(t);
+    e.kind = t.kind;
+    e.lexical.assign(t.lexical);
+    return e.id;
+  }
+
+ private:
+  static constexpr int kBits = 8;
+
+  struct Entry {
+    TermId id = kInvalidTermId;
+    TermKind kind = TermKind::kIri;
+    std::string lexical;
+  };
+
+  /// Mixes the length and the last eight bytes, where IRIs of one dump
+  /// differ (their prefixes are shared).
+  static size_t Index(std::string_view s) {
+    uint64_t tail = 0;
+    const size_t n = std::min<size_t>(s.size(), sizeof(tail));
+    if (n > 0) std::memcpy(&tail, s.data() + s.size() - n, n);
+    return static_cast<size_t>(((tail ^ s.size()) * 0x9E3779B97F4A7C15ULL) >>
+                               (64 - kBits));
+  }
+
+  std::array<Entry, size_t{1} << kBits> entries_;
+};
+
+/// Line-loop state that lives across the lines of one chunk.
+struct LineState {
+  TermScratch scratch[3];  // decode buffers of s, p, o
+  RecentTerms recent;
+};
+
+/// Parses one statement line, interns its terms through `intern(TermRef) ->
+/// TermId` (s, then p, then o: first-occurrence order) and hands the triple
+/// to `add(Triple) -> fresh`.
+template <typename Intern, typename Add>
 Status ParseLine(std::string_view line, const ParseOptions& options,
-                 ChunkParse* out, Emit&& emit) {
+                 LineState* state, ChunkParse* out, Intern&& intern,
+                 Add&& add) {
   size_t pos = 0;
-  auto s = ParseTermAt(line, pos);
-  if (!s.ok()) return s.status();
-  RDFSUM_RETURN_IF_ERROR(CheckTermSize(*s, options));
-  auto p = ParseTermAt(line, pos);
-  if (!p.ok()) return p.status();
-  if (!p->is_iri()) {
+  TermRef s, p, o;
+  RDFSUM_RETURN_IF_ERROR(ScanTerm(line, pos, &state->scratch[0], &s));
+  RDFSUM_RETURN_IF_ERROR(CheckTermSize(s, options));
+  RDFSUM_RETURN_IF_ERROR(ScanTerm(line, pos, &state->scratch[1], &p));
+  if (!p.is_iri()) {
     return Status::InvalidArgument("property must be an IRI");
   }
-  RDFSUM_RETURN_IF_ERROR(CheckTermSize(*p, options));
-  auto o = ParseTermAt(line, pos);
-  if (!o.ok()) return o.status();
-  RDFSUM_RETURN_IF_ERROR(CheckTermSize(*o, options));
-  if (s->is_literal()) {
+  RDFSUM_RETURN_IF_ERROR(CheckTermSize(p, options));
+  RDFSUM_RETURN_IF_ERROR(ScanTerm(line, pos, &state->scratch[2], &o));
+  RDFSUM_RETURN_IF_ERROR(CheckTermSize(o, options));
+  if (s.is_literal()) {
     return Status::InvalidArgument("subject must not be a literal");
   }
   SkipWs(line, pos);
@@ -276,25 +139,30 @@ Status ParseLine(std::string_view line, const ParseOptions& options,
   if (pos != line.size()) {
     return Status::InvalidArgument("trailing garbage after '.'");
   }
-  bool fresh = emit(*s, *p, *o);
+  // Declaration order sequences the interns s, then p, then o.
+  const TermId s_id = state->recent.Get(s, intern);
+  const TermId p_id = state->recent.Get(p, intern);
+  const TermId o_id = state->recent.Get(o, intern);
+  const bool fresh = add(Triple{s_id, p_id, o_id});
   ++out->triples;
   if (!fresh) ++out->duplicates;
   return Status::OK();
 }
 
-/// The line loop, parameterized over a triple sink: splits `text` on '\n'
-/// (a trailing newline yields a final empty line), strips '\r' and
-/// surrounding whitespace, skips comments/blanks, enforces max_line_bytes,
-/// and polls options.exec every ExecContext::kCheckInterval lines. Stops
+/// The line loop, parameterized over ParseLine's intern and add: splits
+/// `text` on '\n' (a trailing newline yields a final empty line), strips
+/// '\r' and surrounding whitespace, skips comments/blanks, enforces
+/// max_line_bytes, and polls options.exec every ExecContext::kCheckInterval lines. Stops
 /// early on a strict-mode parse failure or a governance trip, leaving the
 /// failure in `out`. Chunk views handed to this driver must not carry their
 /// trailing chunk-boundary '\n' (the final chunk keeps its tail verbatim),
 /// so per-chunk line counts sum exactly to the one-chunk count.
-template <typename Emit>
+template <typename Intern, typename Add>
 void ParseChunkLines(std::string_view text, const ParseOptions& options,
-                     ChunkParse* out, Emit&& emit) {
+                     ChunkParse* out, Intern&& intern, Add&& add) {
   size_t start = 0;
   uint64_t line_no = 0;
+  LineState state;
   while (start <= text.size()) {
     size_t end = text.find('\n', start);
     std::string_view line = end == std::string_view::npos
@@ -320,7 +188,7 @@ void ParseChunkLines(std::string_view text, const ParseOptions& options,
             " bytes exceeds max_line_bytes (" +
             std::to_string(options.max_line_bytes) + ")");
       } else {
-        st = ParseLine(stripped, options, out, emit);
+        st = ParseLine(stripped, options, &state, out, intern, add);
       }
       if (!st.ok()) {
         if (options.strict) {
@@ -383,13 +251,14 @@ constexpr size_t kMinChunkBytes = 256;
 
 StatusOr<Term> NTriplesParser::ParseTerm(std::string_view text) {
   size_t pos = 0;
-  auto term = ParseTermAt(text, pos);
-  if (!term.ok()) return term;
+  TermScratch scratch;
+  TermRef term;
+  RDFSUM_RETURN_IF_ERROR(ScanTerm(text, pos, &scratch, &term));
   SkipWs(text, pos);
   if (pos != text.size()) {
     return Status::InvalidArgument("trailing characters after term");
   }
-  return term;
+  return term.ToTerm();
 }
 
 Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
@@ -446,11 +315,11 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
         if (shard == 0) {
           graph->Reserve(graph->NumTriples() + estimated);
           graph->dict().Reserve(graph->dict().size() + estimated);
-          ParseChunkLines(view, options, &cs.parse,
-                          [graph](const Term& s, const Term& p,
-                                  const Term& o) {
-                            return graph->AddTerms(s, p, o);
-                          });
+          Dictionary& dict = graph->dict();
+          ParseChunkLines(
+              view, options, &cs.parse,
+              [&dict](TermRef t) { return dict.Encode(t); },
+              [graph](const Triple& t) { return graph->Add(t); });
           return;
         }
         cs.dict.Reserve(estimated);
@@ -458,17 +327,14 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
         cs.staged.reserve(estimated);
         ParseChunkLines(
             view, options, &cs.parse,
-            [&cs](const Term& s, const Term& p, const Term& o) {
-              auto intern = [&cs](const Term& t) {
-                const uint64_t h = Dictionary::HashTerm(t);
-                TermId id = cs.dict.EncodeHashed(t, h);
-                if (id > cs.hashes.size()) cs.hashes.push_back(h);
-                return id;
-              };
-              // Declaration order sequences the interns s, then p, then o —
-              // the same local first-occurrence order AddTerms produces.
-              TermId s_id = intern(s), p_id = intern(p), o_id = intern(o);
-              cs.staged.push_back(Triple{s_id, p_id, o_id});
+            [&cs](TermRef t) {
+              const uint64_t h = Dictionary::HashTerm(t);
+              TermId id = cs.dict.EncodeHashed(t, h);
+              if (id > cs.hashes.size()) cs.hashes.push_back(h);
+              return id;
+            },
+            [&cs](const Triple& t) {
+              cs.staged.push_back(t);
               return true;  // freshness is resolved at replay
             });
       });

@@ -74,8 +74,10 @@ struct ParseStats {
 ///
 /// Supported term forms: <iri>, _:label, "literal", "literal"@lang,
 /// "literal"^^<datatype>, with \t \b \n \r \f \" \' \\ \uXXXX \UXXXXXXXX
-/// escapes in literals and \uXXXX escapes in IRIs. Comment lines (#) and
-/// blank lines are ignored.
+/// escapes in literals and only \uXXXX \UXXXXXXXX escapes in IRIs. IRIs
+/// exclude bytes #x00-#x20, and language tags follow LANGTAG. Comment lines
+/// (#) and blank lines are ignored. Grammar and the zero-copy term scanner:
+/// src/io/README.md.
 class NTriplesParser {
  public:
   /// Parses all lines of `text` into `graph`. Pre-sizes the graph's triple
@@ -91,7 +93,8 @@ class NTriplesParser {
                           ParseStats* stats = nullptr,
                           const ParseOptions& options = {});
 
-  /// Parses a single term serialization, e.g. `<http://a>` or `"x"@en`.
+  /// Parses a single term serialization, e.g. `<http://a>` or `"x"@en`,
+  /// through the same scanner as ParseString and copies it into a Term.
   /// Exposed for tests and for the SPARQL parser, which reuses it.
   static StatusOr<Term> ParseTerm(std::string_view text);
 };

@@ -5,16 +5,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "io/term_scanner.h"
 #include "rdf/vocabulary.h"
 #include "util/statusor.h"
 #include "util/string_util.h"
 
 namespace rdfsum::io {
-namespace internal {
-// Defined in ntriples_parser.cc: Turtle decodes escapes like N-Triples.
-Status DecodeEscape(std::string_view text, size_t& pos, std::string* out);
-}  // namespace internal
-
 namespace {
 
 constexpr std::string_view kXsdInteger =
@@ -93,7 +89,7 @@ class Parser {
                                    msg);
   }
 
-  /// Decodes the escape at pos_ through the N-Triples decoder.
+  /// Decodes the string escape at pos_ through the N-Triples decoder.
   Status Escape(std::string* out) {
     Status st = internal::DecodeEscape(text_, pos_, out);
     return st.ok() ? st : Err(std::string(st.message()));
@@ -303,17 +299,12 @@ class Parser {
     if (pos_ >= text_.size() || text_[pos_] != '<') {
       return Err("expected IRI");
     }
-    ++pos_;
-    std::string iri;
-    while (pos_ < text_.size() && text_[pos_] != '>') {
-      if (text_[pos_] == '\\') {
-        RDFSUM_RETURN_IF_ERROR(Escape(&iri));
-        continue;
-      }
-      iri.push_back(text_[pos_++]);
-    }
-    if (pos_ >= text_.size()) return Err("unterminated IRI");
-    ++pos_;
+    // IRIREF is the same production as in N-Triples, so it goes through the
+    // same scanner (byte and escape rules: io/term_scanner.h).
+    std::string_view body;
+    Status st = internal::ScanIri(text_, pos_, &iri_scratch_, &body);
+    if (!st.ok()) return Err(std::string(st.message()));
+    std::string iri(body);
     // Resolve against @base for relative IRIs (pragmatic concatenation).
     if (!base_.empty() && iri.find(':') == std::string::npos) {
       iri = base_ + iri;
@@ -443,6 +434,7 @@ class Parser {
   uint64_t statement_line_ = 1;  // line it started on, for diagnostics
   uint64_t anon_counter_ = 0;
   std::string base_;
+  std::string iri_scratch_;  // ScanIri's decode buffer
   std::unordered_map<std::string, std::string> prefixes_;
 };
 

@@ -20,29 +20,22 @@ uint64_t HashPiece(uint64_t h, std::string_view s) {
   return h;
 }
 
-/// Decoded record boundaries inside a DictionaryView arena. The view is
+/// The term behind view record `id`, borrowed from the arena. The view is
 /// pre-validated by FrozenImage::Attach, so lengths are trusted here.
-struct ViewRecord {
-  TermKind kind;
-  std::string_view lexical;
-  std::string_view datatype;
-  std::string_view language;
-};
-
-ViewRecord ReadViewRecord(const DictionaryView& view, uint32_t id) {
+TermRef ReadViewRecord(const DictionaryView& view, uint32_t id) {
   const char* rec = view.arena.data() + view.term_offsets[id - 1];
   uint32_t lens[3];
   std::memcpy(lens, rec + 1, sizeof(lens));
   const char* bytes = rec + 1 + sizeof(lens);
-  return ViewRecord{static_cast<TermKind>(static_cast<uint8_t>(rec[0])),
-                    std::string_view(bytes, lens[0]),
-                    std::string_view(bytes + lens[0], lens[1]),
-                    std::string_view(bytes + lens[0] + lens[1], lens[2])};
+  return TermRef{static_cast<TermKind>(static_cast<uint8_t>(rec[0])),
+                 std::string_view(bytes, lens[0]),
+                 std::string_view(bytes + lens[0], lens[1]),
+                 std::string_view(bytes + lens[0] + lens[1], lens[2])};
 }
 
 }  // namespace
 
-uint64_t Dictionary::HashTerm(const Term& term) {
+uint64_t Dictionary::HashTerm(TermRef term) {
   uint64_t h = 0xCBF29CE484222325ULL + static_cast<uint64_t>(term.kind);
   h = HashPiece(h, term.lexical);
   h = HashPiece(h, term.datatype);
@@ -71,10 +64,8 @@ Dictionary::~Dictionary() {
   }
 }
 
-bool Dictionary::ViewTermEquals(uint32_t id, const Term& term) const {
-  ViewRecord rec = ReadViewRecord(view_, id);
-  return rec.kind == term.kind && rec.lexical == term.lexical &&
-         rec.datatype == term.datatype && rec.language == term.language;
+bool Dictionary::ViewTermEquals(uint32_t id, TermRef term) const {
+  return ReadViewRecord(view_, id) == term;
 }
 
 const Term& Dictionary::DecodeView(uint32_t id) const {
@@ -86,17 +77,12 @@ const Term& Dictionary::DecodeView(uint32_t id) const {
   if (const Term* cached = slot.load(std::memory_order_relaxed)) {
     return *cached;
   }
-  ViewRecord rec = ReadViewRecord(view_, id);
-  auto* t = new Term();
-  t->kind = rec.kind;
-  t->lexical.assign(rec.lexical);
-  t->datatype.assign(rec.datatype);
-  t->language.assign(rec.language);
+  auto* t = new Term(ReadViewRecord(view_, id).ToTerm());
   slot.store(t, std::memory_order_release);
   return *t;
 }
 
-TermId Dictionary::ViewLookup(const Term& term, uint64_t h) const {
+TermId Dictionary::ViewLookup(TermRef term, uint64_t h) const {
   if (view_.slots.empty()) return kInvalidTermId;
   const size_t mask = view_.slots.size() - 1;
   size_t i = static_cast<size_t>(h) & mask;
@@ -108,7 +94,7 @@ TermId Dictionary::ViewLookup(const Term& term, uint64_t h) const {
   }
 }
 
-size_t Dictionary::FindSlot(const Term& term, uint64_t h) const {
+size_t Dictionary::FindSlot(TermRef term, uint64_t h) const {
   const size_t mask = slots_.size() - 1;
   size_t i = static_cast<size_t>(h) & mask;
   while (true) {
@@ -116,7 +102,7 @@ size_t Dictionary::FindSlot(const Term& term, uint64_t h) const {
     if (slot.id == kInvalidTermId) return i;
     // Overlay slots store global ids; the local term index subtracts the
     // view base (a no-op for owned dictionaries, where base_terms_ == 0).
-    if (slot.hash == h && terms_[slot.id - base_terms_] == term) return i;
+    if (slot.hash == h && term == terms_[slot.id - base_terms_]) return i;
     i = (i + 1) & mask;
   }
 }
@@ -146,20 +132,20 @@ void Dictionary::Reserve(size_t num_terms) {
   if (want > slots_.size()) Rehash(want);
 }
 
-TermId Dictionary::EncodeHashed(const Term& term, const uint64_t h) {
+TermId Dictionary::EncodeHashed(TermRef term, const uint64_t h) {
   if (TermId base_id = ViewLookup(term, h); base_id != kInvalidTermId) {
     return base_id;
   }
   size_t i = FindSlot(term, h);
   if (slots_[i].id != kInvalidTermId) return slots_[i].id;
   TermId id = static_cast<TermId>(base_terms_ + terms_.size());
-  terms_.push_back(term);
+  terms_.push_back(term.ToTerm());
   slots_[i] = Slot{h, id};
   GrowIfNeeded();
   return id;
 }
 
-TermId Dictionary::Lookup(const Term& term) const {
+TermId Dictionary::Lookup(TermRef term) const {
   const uint64_t h = HashTerm(term);
   if (TermId base_id = ViewLookup(term, h); base_id != kInvalidTermId) {
     return base_id;
@@ -171,7 +157,7 @@ TermId Dictionary::MintNodeUri(std::string_view tag) {
   while (true) {
     std::string uri = std::string(kMintedPrefix) + std::string(tag) + ":" +
                       std::to_string(mint_counter_++);
-    Term term = Term::Iri(uri);
+    const TermRef term{TermKind::kIri, uri, {}, {}};
     if (Lookup(term) == kInvalidTermId) return Encode(term);
   }
 }

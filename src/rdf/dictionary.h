@@ -78,25 +78,28 @@ class Dictionary {
   /// validated (FrozenImage::Attach does); this constructor trusts it.
   static std::shared_ptr<Dictionary> FromView(const DictionaryView& view);
 
-  /// Interns `term`, returning its id (existing or fresh).
-  TermId Encode(const Term& term) { return EncodeHashed(term, HashTerm(term)); }
+  /// Interns `term`, returning its id (existing or fresh). A Term is built
+  /// from the ref only when the id is fresh.
+  TermId Encode(TermRef term) { return EncodeHashed(term, HashTerm(term)); }
 
   /// Encode with a precomputed HashTerm(term) value. The parallel loader's
   /// merge pass interns every staged term exactly once per chunk and already
   /// paid for the hash in the chunk's local dictionary; skipping the rehash
   /// here keeps the sequential merge phase off the profile.
-  TermId EncodeHashed(const Term& term, uint64_t hash);
+  TermId EncodeHashed(TermRef term, uint64_t hash);
 
-  TermId EncodeIri(std::string_view iri) { return Encode(Term::Iri(iri)); }
+  TermId EncodeIri(std::string_view iri) {
+    return Encode({TermKind::kIri, iri, {}, {}});
+  }
   TermId EncodeLiteral(std::string_view lex) {
-    return Encode(Term::Literal(lex));
+    return Encode({TermKind::kLiteral, lex, {}, {}});
   }
   TermId EncodeBlank(std::string_view label) {
-    return Encode(Term::Blank(label));
+    return Encode({TermKind::kBlank, label, {}, {}});
   }
 
   /// Returns the id of `term` or kInvalidTermId if it was never interned.
-  TermId Lookup(const Term& term) const;
+  TermId Lookup(TermRef term) const;
 
   /// Decodes an id; requires 1 <= id < size().
   const Term& Decode(TermId id) const {
@@ -136,7 +139,7 @@ class Dictionary {
   /// kind + lexical + datatype + language with a murmur-style avalanche.
   /// Deterministic across processes — frozen images serialize slot tables
   /// keyed by it, so changing this function is a format break.
-  static uint64_t HashTerm(const Term& term);
+  static uint64_t HashTerm(TermRef term);
 
  private:
   static constexpr size_t kInitialSlots = 64;  // power of two
@@ -150,14 +153,14 @@ class Dictionary {
 
   /// Index of the overlay slot holding `term` (hash `h`), or of the empty
   /// slot where it would be inserted. Requires a non-full table.
-  size_t FindSlot(const Term& term, uint64_t h) const;
+  size_t FindSlot(TermRef term, uint64_t h) const;
 
   /// Probes the view's on-disk slot table; kInvalidTermId when absent (or
   /// when there is no view).
-  TermId ViewLookup(const Term& term, uint64_t h) const;
+  TermId ViewLookup(TermRef term, uint64_t h) const;
 
   /// Compares `term` against view record `id` piecewise, no allocation.
-  bool ViewTermEquals(uint32_t id, const Term& term) const;
+  bool ViewTermEquals(uint32_t id, TermRef term) const;
 
   /// Decode's miss path: materializes the Term behind view id `id` and
   /// publishes it in view_cache_, under view_cache_mu_.

@@ -12,7 +12,8 @@ Graph::Graph(std::shared_ptr<Dictionary> dict)
     : dict_(std::move(dict)), vocab_(*dict_) {}
 
 bool Graph::Add(const Triple& t) {
-  if (!all_.insert(t).second) return false;
+  const TermId row[3] = {t.s, t.p, t.o};
+  if (!all_.Insert(row)) return false;
   if (vocab_.IsType(t.p)) {
     types_.push_back(t);
   } else if (vocab_.IsSchemaProperty(t.p)) {
@@ -23,13 +24,14 @@ bool Graph::Add(const Triple& t) {
   return true;
 }
 
-bool Graph::AddTerms(const Term& s, const Term& p, const Term& o) {
+bool Graph::AddTerms(TermRef s, TermRef p, TermRef o) {
   return Add(Triple{dict_->Encode(s), dict_->Encode(p), dict_->Encode(o)});
 }
 
 bool Graph::AddIris(std::string_view s, std::string_view p,
                     std::string_view o) {
-  return AddTerms(Term::Iri(s), Term::Iri(p), Term::Iri(o));
+  return AddTerms({TermKind::kIri, s, {}, {}}, {TermKind::kIri, p, {}, {}},
+                  {TermKind::kIri, o, {}, {}});
 }
 
 void Graph::AddAll(const Graph& other) {
@@ -37,15 +39,7 @@ void Graph::AddAll(const Graph& other) {
   other.ForEachTriple([this](const Triple& t) { Add(t); });
 }
 
-void Graph::Reserve(size_t num_triples) {
-  // Monotonic: unordered_set::reserve may rehash *down* to fit a smaller
-  // request, which would throw away an earlier, larger reservation (e.g. a
-  // bulk pre-reserve followed by a small ParseString).
-  const size_t capacity =
-      static_cast<size_t>(static_cast<double>(all_.bucket_count()) *
-                          all_.max_load_factor());
-  if (num_triples > capacity) all_.reserve(num_triples);
-}
+void Graph::Reserve(size_t num_triples) { all_.Reserve(num_triples); }
 
 const DenseGraph& Graph::Dense() const {
   if (!dense_ || dense_built_at_ != all_.size()) {

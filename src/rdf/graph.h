@@ -3,13 +3,13 @@
 
 #include <memory>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
 #include "rdf/vocabulary.h"
+#include "util/row_set.h"
 #include "util/status.h"
 
 namespace rdfsum {
@@ -47,7 +47,7 @@ class Graph {
   bool Add(const Triple& t);
 
   /// Interns the terms and adds the triple.
-  bool AddTerms(const Term& s, const Term& p, const Term& o);
+  bool AddTerms(TermRef s, TermRef p, TermRef o);
 
   /// Convenience: adds <s> <p> <o> with all three terms IRIs.
   bool AddIris(std::string_view s, std::string_view p, std::string_view o);
@@ -59,7 +59,10 @@ class Graph {
   /// Add loops to avoid rehashing on the hot path.
   void Reserve(size_t num_triples);
 
-  bool Contains(const Triple& t) const { return all_.count(t) > 0; }
+  bool Contains(const Triple& t) const {
+    const TermId row[3] = {t.s, t.p, t.o};
+    return all_.Find(row) != util::RowSet::kNotFound;
+  }
 
   /// Data component D_G.
   const std::vector<Triple>& data() const { return data_; }
@@ -70,7 +73,7 @@ class Graph {
 
   /// |G|e: total number of (distinct) triples.
   size_t NumTriples() const { return all_.size(); }
-  bool Empty() const { return all_.empty(); }
+  bool Empty() const { return all_.size() == 0; }
 
   Dictionary& dict() { return *dict_; }
   const Dictionary& dict() const { return *dict_; }
@@ -113,7 +116,7 @@ class Graph {
   std::vector<Triple> data_;
   std::vector<Triple> types_;
   std::vector<Triple> schema_;
-  std::unordered_set<Triple, TripleHash> all_;
+  util::RowSet all_{3};  // membership; order lives in the vectors above
 
   // Lazily built substrate; shared so copies reuse it until they mutate.
   mutable std::shared_ptr<const DenseGraph> dense_;

@@ -14,6 +14,37 @@ enum class TermKind : uint8_t {
   kBlank = 2,
 };
 
+struct Term;
+
+/// A borrowed RDF term: a kind plus views of its three pieces (same meaning
+/// as Term's fields). Dictionary probes and the N-Triples scanner work on
+/// refs so a term that is already interned is never copied into a string;
+/// a Term is built only when a new id is inserted (ToTerm). A ref is valid
+/// while the bytes it views are: never keep one past the Term, input text
+/// or scratch buffer it was taken from.
+struct TermRef {
+  TermKind kind = TermKind::kIri;
+  std::string_view lexical;
+  std::string_view datatype;
+  std::string_view language;
+
+  bool is_iri() const { return kind == TermKind::kIri; }
+  bool is_literal() const { return kind == TermKind::kLiteral; }
+
+  /// Decoded bytes of all three pieces (ParseOptions::max_term_bytes).
+  size_t bytes() const {
+    return lexical.size() + datatype.size() + language.size();
+  }
+
+  bool operator==(const TermRef& other) const {
+    return kind == other.kind && lexical == other.lexical &&
+           datatype == other.datatype && language == other.language;
+  }
+
+  /// An owning copy.
+  Term ToTerm() const;
+};
+
 /// One RDF term: an IRI, a literal (with optional datatype IRI or language
 /// tag), or a blank node. Terms are value types; graphs store dictionary-
 /// encoded ids (TermId) instead of Term objects.
@@ -52,6 +83,11 @@ struct Term {
            datatype == other.datatype && language == other.language;
   }
 
+  /// A view of this term; valid while the term is alive and unchanged.
+  operator TermRef() const {  // NOLINT
+    return TermRef{kind, lexical, datatype, language};
+  }
+
   /// Appends the canonical N-Triples rendering to `out`: <iri>, "lit",
   /// "lit"@en, "lit"^^<dt>, _:label, with \\ " \n \r \t escaped inside
   /// literals. The served ROW frames and the CLI both print these bytes.
@@ -60,6 +96,11 @@ struct Term {
   /// AppendNTriples into a fresh string.
   std::string ToNTriples() const;
 };
+
+inline Term TermRef::ToTerm() const {
+  return Term{kind, std::string(lexical), std::string(datatype),
+              std::string(language)};
+}
 
 }  // namespace rdfsum
 

@@ -442,9 +442,13 @@ Status Server::Reload(const std::string& path) {
   uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;
   auto snap = Snapshot::Open(target, next_epoch);
   if (!snap.ok()) return snap.status();
+  // The old epoch leaves through `retired`, so when this was its last
+  // reference its teardown runs after the lock that every request's
+  // snapshot() takes is released.
+  std::shared_ptr<Snapshot> retired = std::move(snap).value();
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    snapshot_ = std::move(snap).value();
+    snapshot_.swap(retired);
   }
   epoch_.store(next_epoch, std::memory_order_relaxed);
   // Skeletons were picked against the old image's statistics; they would

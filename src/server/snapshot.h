@@ -28,11 +28,12 @@ namespace rdfsum::server {
 /// the evaluator plans and opens cursors from const state, and the
 /// view-mode Dictionary's decode cache is internally locked. Summary
 /// minting is the one lazy mutation, and it is isolated by construction:
-/// each kind mints into a *private* graph with a *private* dictionary
-/// (the table is decoded through the serving dictionary — a read — and
-/// re-interned), so minting never writes memory a concurrent reader
-/// probes. A std::once_flag per kind makes each mint happen exactly once;
-/// concurrent first requests for different kinds proceed independently.
+/// each kind mints into a *private* graph whose *private* view dictionary
+/// reads the same mapped (read-only) image bytes as the serving one but
+/// has its own overlay and decode cache, so minting never writes memory a
+/// concurrent reader probes. A std::once_flag per kind makes each mint
+/// happen exactly once; concurrent first requests for different kinds
+/// proceed independently.
 class Snapshot {
  public:
   /// Opens and validates `path` (store::MmapStore's corruption wall runs in
@@ -52,9 +53,10 @@ class Snapshot {
 
   /// The summary of this snapshot's graph, minted on first request (once
   /// per kind, per the once_flag contract above) and memoized for the
-  /// snapshot's lifetime. The result lives in a private id space — use it
-  /// for pruning verdicts and estimation, not for joining ids against the
-  /// serving dictionary.
+  /// snapshot's lifetime. Term ids of the image mean the same in the
+  /// result as in the serving dictionary, but minted summary nodes live in
+  /// a private overlay above them — use the result for pruning verdicts and
+  /// estimation, not for decoding its node ids through dict().
   StatusOr<const summary::SummaryResult*> Summary(summary::SummaryKind kind);
 
   /// Stefanoni-style cardinality estimator over the weak summary, for
@@ -62,8 +64,8 @@ class Snapshot {
   StatusOr<const summary::CardinalityEstimator*> Estimator();
 
   /// One STATS line per summary kind that has completed a mint attempt:
-  /// kind name, wall seconds (graph re-intern + summarize), and whether it
-  /// succeeded.
+  /// kind name, wall seconds (private graph build + summarize), and whether
+  /// it succeeded.
   struct MintReport {
     const char* kind;
     bool ok;
@@ -76,8 +78,9 @@ class Snapshot {
 
   struct MintSlot {
     std::once_flag once;
-    /// Private re-interned copy of the snapshot's triples; its dictionary
-    /// is untouched by any other thread, so summarization can mint freely.
+    /// Private copy of the snapshot's triples over a private view
+    /// dictionary (ImageGraph); no other thread touches it, so
+    /// summarization can mint freely.
     std::optional<Graph> graph;
     std::optional<summary::SummaryResult> result;
     Status status;
@@ -87,9 +90,10 @@ class Snapshot {
     std::atomic<bool> done{false};
   };
 
-  /// Decodes the snapshot's table through the serving dictionary and
-  /// re-interns every triple into a fresh graph + dictionary.
-  Graph ReinternedGraph() const;
+  /// The table's SPO rows, by id, in a graph over a fresh view dictionary
+  /// of the image (not the serving one, and not MmapStore::ToGraph, which
+  /// shares it and needs the dense sections).
+  Graph ImageGraph() const;
 
   MintSlot& slot(summary::SummaryKind kind) {
     return mints_[static_cast<size_t>(kind)];

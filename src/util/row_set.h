@@ -14,10 +14,10 @@ namespace rdfsum::util {
 /// path does one hash probe and no per-row allocation (the std::set of
 /// vectors it replaced allocated per row and compared in O(width log n)).
 ///
-/// Shared by the query layer for projection dedup (Distinct), and as the key
-/// directory of each hash-join build partition (SharedHashJoinBuild):
-/// InsertOrFind hands back a dense ordinal per distinct key that callers
-/// index side arrays with.
+/// Shared by Graph as its triple-membership index (width 3), by the query
+/// layer for projection dedup (Distinct), and as the key directory of each
+/// hash-join build partition (SharedHashJoinBuild): InsertOrFind hands back
+/// a dense ordinal per distinct key that callers index side arrays with.
 ///
 /// A width of 0 models the boolean projection: there is exactly one possible
 /// (empty) row. Capacity is bounded by ~4B rows (ordinals are uint32_t).
@@ -60,6 +60,14 @@ class RowSet {
     return {ordinal, true};
   }
 
+  /// Sizes the arena and table for `n` rows; never shrinks them.
+  void Reserve(size_t n) {
+    arena_.reserve(n * width_);
+    size_t want = slots_.size();
+    while (n * 10 >= want * 7) want *= 2;
+    if (want > slots_.size()) Rehash(want);
+  }
+
   /// Ordinal of the row, or kNotFound. Never mutates.
   uint32_t Find(const TermId* row_data) const {
     if (width_ == 0) return count_ > 0 ? 0 : kNotFound;
@@ -86,9 +94,10 @@ class RowSet {
     return h;
   }
 
-  void Grow() {
-    std::vector<uint32_t> old = std::move(slots_);
-    slots_.assign(old.size() * 2, 0);
+  void Grow() { Rehash(slots_.size() * 2); }
+
+  void Rehash(size_t slot_count) {
+    slots_.assign(slot_count, 0);
     const size_t mask = slots_.size() - 1;
     for (size_t r = 0; r < count_; ++r) {
       size_t idx = static_cast<size_t>(Hash(row(r))) & mask;

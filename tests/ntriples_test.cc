@@ -193,6 +193,52 @@ TEST(NTriplesParserTest, ParseTermStandalone) {
   EXPECT_FALSE(NTriplesParser::ParseTerm("<http://a> junk").ok());
 }
 
+// ---- IRIREF and LANGTAG grammar: bytes #x00-#x20 are not IRI characters,
+// IRIs allow only \u / \U escapes, and LANGTAG is
+// [a-zA-Z]+ ('-' [a-zA-Z0-9]+)*.
+
+/// Expects `term` to be rejected both standalone and, as the object of the
+/// second line of a strict parse, with an error naming that line.
+void ExpectTermRejected(const std::string& term) {
+  EXPECT_FALSE(NTriplesParser::ParseTerm(term).ok()) << "accepted: " << term;
+  Graph g;
+  Status st = NTriplesParser::ParseString(
+      "<http://s> <http://p> <http://o> .\n<http://s> <http://p> " + term +
+          " .\n",
+      &g);
+  ASSERT_FALSE(st.ok()) << "accepted: " << term;
+  EXPECT_NE(st.message().find("line 2:"), std::string::npos) << st.ToString();
+  EXPECT_EQ(g.NumTriples(), 1u);
+}
+
+TEST(NTriplesParserTest, RejectsControlBytesInIris) {
+  ExpectTermRejected("<http://a\tb>");
+  ExpectTermRejected("<http://a\x01z>");
+  ExpectTermRejected(std::string("<http://a\0z>", 12));
+  ExpectTermRejected("<http://a b>");
+}
+
+TEST(NTriplesParserTest, RejectsNonUcharEscapesInIris) {
+  ExpectTermRejected(R"(<http://a\nb>)");
+  ExpectTermRejected(R"(<http://a\tb>)");
+  ExpectTermRejected(R"(<http://a\\b>)");
+  ExpectTermRejected(R"("x"^^<http://a\nb>)");
+  auto t = NTriplesParser::ParseTerm(R"(<http://a\u0041\U00000042>)");
+  ASSERT_TRUE(t.ok()) << t.status().ToString();
+  EXPECT_EQ(t->lexical, "http://aAB");
+}
+
+TEST(NTriplesParserTest, RejectsMalformedLanguageTags) {
+  ExpectTermRejected("\"x\"@-");
+  ExpectTermRejected("\"x\"@en-");
+  ExpectTermRejected("\"x\"@1a");
+  ExpectTermRejected("\"x\"@en--us");
+  for (const char* ok : {"\"x\"@en-US", "\"x\"@de-CH-1996", "\"x\"@x-1"}) {
+    auto t = NTriplesParser::ParseTerm(ok);
+    EXPECT_TRUE(t.ok()) << ok << ": " << t.status().ToString();
+  }
+}
+
 TEST(NTriplesParserTest, MissingFileIsIOError) {
   Graph g;
   Status st = NTriplesParser::ParseFile("/nonexistent/file.nt", &g);

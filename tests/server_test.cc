@@ -43,6 +43,8 @@
 #include "server/snapshot.h"
 #include "server/wire.h"
 #include "store/mmap_store.h"
+#include "summary/isomorphism.h"
+#include "summary/summarizer.h"
 #include "summary/summary.h"
 
 namespace rdfsum {
@@ -567,6 +569,61 @@ TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
   ASSERT_TRUE(est1.ok());
   EXPECT_EQ(*est1, *est2);
   EXPECT_EQ((*snap)->MintReports().size(), 2u);  // no extra mint
+}
+
+/// Mints all six summary kinds and the estimator on a snapshot of the
+/// image of `g` and checks that the mint runs over the image's own ids: the
+/// serving dictionary does not grow, the private dictionary decodes every
+/// base id as the serving one does, and the weak summary is the one the
+/// original graph has.
+void ExpectMintOverImageIds(const Graph& g, const std::string& name,
+                            bool include_dense) {
+  const std::string image = TempPath(name);
+  store::FreezeOptions fo;
+  fo.include_dense = include_dense;
+  ASSERT_TRUE(store::FreezeGraphToFile(g, image, fo).ok());
+  auto snap = server::Snapshot::Open(image, 1);
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  const Dictionary& serving = (*snap)->dict();
+  const size_t serving_size = serving.size();
+
+  for (int k = 0; k < 6; ++k) {
+    const auto kind = static_cast<summary::SummaryKind>(k);
+    auto r = (*snap)->Summary(kind);
+    ASSERT_TRUE(r.ok()) << summary::SummaryKindName(kind) << ": "
+                        << r.status().ToString();
+  }
+  ASSERT_TRUE((*snap)->Estimator().ok());
+  EXPECT_EQ(serving.size(), serving_size);
+
+  auto weak = (*snap)->Summary(summary::SummaryKind::kWeak);
+  ASSERT_TRUE(weak.ok());
+  const summary::SummaryResult original =
+      summary::Summarize(g, summary::SummaryKind::kWeak);
+  EXPECT_TRUE(summary::AreSummariesIsomorphic((*weak)->graph, original.graph));
+
+  const Dictionary& minted = (*weak)->graph.dict();
+  ASSERT_NE(&minted, &serving);
+  ASSERT_EQ(minted.base_terms(), serving.base_terms());
+  ASSERT_GT(minted.size(), minted.base_terms() + 1);  // minted above the base
+  for (TermId id = 1; id <= serving.base_terms(); ++id) {
+    ASSERT_EQ(minted.Decode(id).ToNTriples(), serving.Decode(id).ToNTriples())
+        << "id " << id;
+  }
+}
+
+TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
+  gen::BsbmOptions opt;
+  opt.num_products = 12;
+  ExpectMintOverImageIds(gen::GenerateBsbm(opt), "mint_ids.rsb",
+                         /*include_dense=*/true);
+}
+
+TEST(ServerTest, SummaryMintRunsOverTheImageIdsWithoutDenseSections) {
+  gen::BsbmOptions opt;
+  opt.num_products = 12;
+  ExpectMintOverImageIds(gen::GenerateBsbm(opt), "mint_ids_nodense.rsb",
+                         /*include_dense=*/false);
 }
 
 TEST(ServerTest, SummaryPlannerServesWithMemoizedEstimator) {

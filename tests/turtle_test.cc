@@ -236,6 +236,23 @@ TEST(TurtleParserTest, ErrorsMentionLine) {
   EXPECT_NE(st.message().find("line 3"), std::string::npos);
 }
 
+TEST(TurtleParserTest, IriGrammarMatchesNTriples) {
+  // IRIREF goes through the N-Triples scanner: bytes #x00-#x20 are
+  // illegal and only \u / \U escapes are allowed. Errors name the line.
+  for (const std::string& iri :
+       {std::string("<http://a\tb>"), std::string("<http://a\x01z>"),
+        std::string(R"(<http://a\nb>)")}) {
+    Graph g;
+    Status st = TurtleParser::ParseString(
+        "<http://s> <http://p> <http://o> .\n<http://s> <http://p> " + iri +
+            " .\n",
+        &g);
+    ASSERT_FALSE(st.ok()) << "accepted: " << iri;
+    EXPECT_NE(st.message().find("line 2:"), std::string::npos)
+        << st.ToString();
+  }
+}
+
 TEST(TurtleParserTest, NTriplesWriterOutputIsValidTurtle) {
   // N-Triples is a Turtle subset: round-trip through the writer.
   Graph g;
