@@ -203,8 +203,7 @@ void RunPartitionSweep(bench::BenchJson& json) {
 /// Warm-start sweep (the mmap-store tentpole's headline number): wall time
 /// from a cold file to the first answered pattern count, parse path (.nt ->
 /// Graph -> TripleTable::Freeze) vs store path (MmapStore::Open over a
-/// frozen image, checksums verified). Runs after the partition sweep so
-/// every substrate is already built — freezing reuses it for free.
+/// frozen image, checksums verified).
 void RunWarmstartSweep(bench::BenchJson& json) {
   const char* tmp_env = std::getenv("TMPDIR");
   const std::string tmp = tmp_env != nullptr ? tmp_env : "/tmp";

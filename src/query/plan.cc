@@ -347,6 +347,14 @@ const char* StepOperatorName(size_t step_no, const PlanStep& s) {
   return s.use_hash_join ? "hash" : "nlj";
 }
 
+/// The "plan mode=… [fallback=greedy] est_cost=…" line both renderings
+/// open with.
+std::string PlanHeader(const QueryPlan& plan) {
+  std::string out = "plan mode=" + std::string(PlannerModeName(plan.mode));
+  if (plan.summary_fallback) out += " fallback=greedy";
+  return out + " est_cost=" + FormatEstimate(plan.estimated_cost) + "\n";
+}
+
 }  // namespace
 
 std::string QueryPlan::ToString() const {
@@ -359,11 +367,7 @@ std::string QueryPlan::ToString() const {
                   FormatEstimate(s.estimated_matches),
                   FormatEstimate(s.estimated_rows)});
   }
-  std::string out = "plan mode=" + std::string(PlannerModeName(mode));
-  if (summary_fallback) out += " fallback=greedy";
-  out += " est_cost=" + FormatEstimate(estimated_cost) + "\n";
-  out += table.ToAscii();
-  return out;
+  return PlanHeader(*this) + table.ToAscii();
 }
 
 std::string Explanation::ToString() const {
@@ -377,9 +381,7 @@ std::string Explanation::ToString() const {
                   FormatEstimate(s.estimated_rows),
                   FormatWithCommas(actual)});
   }
-  std::string out = "plan mode=" + std::string(PlannerModeName(plan.mode)) +
-                    " est_cost=" + FormatEstimate(plan.estimated_cost) + "\n";
-  out += table.ToAscii();
+  std::string out = PlanHeader(plan) + table.ToAscii();
   if (!operators.empty()) {
     out += "operators (rows produced):\n";
     for (const OperatorStats& op : operators) {

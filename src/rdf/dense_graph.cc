@@ -134,46 +134,4 @@ DenseGraph::DenseGraph(const Graph& g) {
   num_class_sets_ = static_cast<uint32_t>(rep_of_set.size());
 }
 
-DenseGraph::Raw DenseGraph::raw() const {
-  Raw r;
-  r.terms = terms_;
-  r.node_of_term = node_of_term_;
-  r.has_data = has_data_;
-  r.prop_terms = prop_terms_;
-  r.prop_of_term = prop_of_term_;
-  r.edges = edges_;
-  r.out_offsets = out_offsets_;
-  r.out_entries = out_entries_;
-  r.in_offsets = in_offsets_;
-  r.in_entries = in_entries_;
-  r.source_anchor = source_anchor_;
-  r.target_anchor = target_anchor_;
-  r.class_offsets = class_offsets_;
-  r.classes = classes_;
-  r.class_set_id = class_set_id_;
-  r.num_class_sets = num_class_sets_;
-  return r;
-}
-
-DenseGraph DenseGraph::FromRaw(const Raw& r) {
-  DenseGraph g;
-  g.terms_.assign(r.terms.begin(), r.terms.end());
-  g.node_of_term_.assign(r.node_of_term.begin(), r.node_of_term.end());
-  g.has_data_.assign(r.has_data.begin(), r.has_data.end());
-  g.prop_terms_.assign(r.prop_terms.begin(), r.prop_terms.end());
-  g.prop_of_term_.assign(r.prop_of_term.begin(), r.prop_of_term.end());
-  g.edges_.assign(r.edges.begin(), r.edges.end());
-  g.out_offsets_.assign(r.out_offsets.begin(), r.out_offsets.end());
-  g.out_entries_.assign(r.out_entries.begin(), r.out_entries.end());
-  g.in_offsets_.assign(r.in_offsets.begin(), r.in_offsets.end());
-  g.in_entries_.assign(r.in_entries.begin(), r.in_entries.end());
-  g.source_anchor_.assign(r.source_anchor.begin(), r.source_anchor.end());
-  g.target_anchor_.assign(r.target_anchor.begin(), r.target_anchor.end());
-  g.class_offsets_.assign(r.class_offsets.begin(), r.class_offsets.end());
-  g.classes_.assign(r.classes.begin(), r.classes.end());
-  g.class_set_id_.assign(r.class_set_id.begin(), r.class_set_id.end());
-  g.num_class_sets_ = r.num_class_sets;
-  return g;
-}
-
 }  // namespace rdfsum

@@ -61,36 +61,6 @@ class DenseGraph {
 
   explicit DenseGraph(const Graph& g);
 
-  /// Flat-array view of the whole substrate — the serialization surface the
-  /// frozen-image writer walks (rdf/frozen_image.h). Field order mirrors
-  /// the private storage; spans borrow this DenseGraph.
-  struct Raw {
-    std::span<const TermId> terms;
-    std::span<const NodeId> node_of_term;
-    std::span<const uint8_t> has_data;
-    std::span<const TermId> prop_terms;
-    std::span<const PropId> prop_of_term;
-    std::span<const Edge> edges;
-    std::span<const uint32_t> out_offsets;
-    std::span<const Neighbor> out_entries;
-    std::span<const uint32_t> in_offsets;
-    std::span<const Neighbor> in_entries;
-    std::span<const NodeId> source_anchor;
-    std::span<const NodeId> target_anchor;
-    std::span<const uint32_t> class_offsets;
-    std::span<const TermId> classes;
-    std::span<const uint32_t> class_set_id;
-    uint32_t num_class_sets = 0;
-  };
-
-  Raw raw() const;
-
-  /// Rebuilds a DenseGraph by copying `r`'s arrays (bulk memcpys — no graph
-  /// walk). The arrays must be internally consistent: this is the loader
-  /// for image sections already bounds-validated by FrozenImage::Attach,
-  /// not a public construction path.
-  static DenseGraph FromRaw(const Raw& r);
-
   // ---- Nodes ----------------------------------------------------------
   uint32_t num_nodes() const { return static_cast<uint32_t>(terms_.size()); }
   /// TermId of dense node `i`.
@@ -153,8 +123,6 @@ class DenseGraph {
   uint32_t num_class_sets() const { return num_class_sets_; }
 
  private:
-  DenseGraph() = default;  // for FromRaw
-
   // Nodes, canonical order.
   std::vector<TermId> terms_;
   std::vector<NodeId> node_of_term_;  // indexed by TermId

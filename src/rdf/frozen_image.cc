@@ -5,16 +5,12 @@
 #include <cstdio>
 #include <numeric>
 
-#include "rdf/dense_graph.h"
-
 namespace rdfsum {
 
 // The on-disk arrays are reinterpreted in place; these pin the layouts the
 // format depends on. A platform where they fail needs explicit marshalling,
 // not a silent format fork.
 static_assert(sizeof(Triple) == 12 && alignof(Triple) == 4);
-static_assert(sizeof(DenseGraph::Edge) == 12 && alignof(DenseGraph::Edge) == 4);
-static_assert(sizeof(DenseGraph::Neighbor) == 8);
 
 namespace {
 
@@ -36,22 +32,29 @@ void AppendPod(std::string* out, const void* p, size_t n) {
   out->append(static_cast<const char*>(p), n);
 }
 
+template <typename T>
+std::string PodBytes(const std::vector<T>& v) {
+  return std::string(reinterpret_cast<const char*>(v.data()),
+                     v.size() * sizeof(T));
+}
+
 }  // namespace
 
 // ---- ImageBuilder -----------------------------------------------------------
 
 void ImageBuilder::Add(SectionId id, std::string bytes) {
-  sections_.emplace_back(static_cast<uint32_t>(id), std::move(bytes));
+  owned_.push_back(std::move(bytes));
+  sections_.push_back({static_cast<uint32_t>(id), owned_.back()});
 }
 
-Status ImageBuilder::WriteFile(const std::string& path, uint32_t flags) const {
+Status ImageBuilder::WriteFile(const std::string& path) const {
   if (!HostIsLittleEndian()) {
     return Status::NotSupported("frozen images require a little-endian host");
   }
   std::vector<size_t> order(sections_.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return sections_[a].first < sections_[b].first;
+    return sections_[a].id < sections_[b].id;
   });
 
   // Canonical layout: each payload starts at ImageAlignUp of the previous
@@ -73,38 +76,37 @@ Status ImageBuilder::WriteFile(const std::string& path, uint32_t flags) const {
     end = d.offset + d.size;
     descs.push_back(d);
   }
-  const uint64_t file_size = end;
 
   ImageHeader header{};
   std::memcpy(header.magic, kImageMagic, sizeof(kImageMagic));
   header.version_major = kImageVersionMajor;
   header.version_minor = kImageVersionMinor;
-  header.file_size = file_size;
+  header.file_size = end;
   header.section_count = static_cast<uint32_t>(sections_.size());
-  header.flags = flags;
   header.table_checksum =
       ImageFnv1a64(descs.data(), descs.size() * sizeof(SectionDesc));
   header.header_checksum = ImageFnv1a64(&header, 40);
 
-  std::string buf;
-  buf.reserve(file_size);
-  AppendPod(&buf, &header, sizeof(header));
-  AppendPod(&buf, descs.data(), descs.size() * sizeof(SectionDesc));
-  for (size_t i = 0; i < order.size(); ++i) {
-    buf.resize(descs[i].offset, '\0');  // zero padding up to the payload
-    buf += sections_[order[i]].second;
-  }
-  buf.resize(file_size, '\0');
-
+  // Streamed section by section: no second in-memory copy of the image.
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IOError("cannot open " + path + " for writing");
   }
-  const size_t written = std::fwrite(buf.data(), 1, buf.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != buf.size() || !closed) {
-    return Status::IOError("short write to " + path);
+  auto put = [&](const void* p, size_t n) {
+    return n == 0 || std::fwrite(p, 1, n, f) == n;  // p may be null if n == 0
+  };
+  static constexpr char kZeros[kImageAlignment] = {};
+  bool ok = put(&header, sizeof(header)) &&
+            put(descs.data(), descs.size() * sizeof(SectionDesc));
+  uint64_t pos = table_end;
+  for (size_t i = 0; ok && i < order.size(); ++i) {
+    std::span<const char> bytes = sections_[order[i]].bytes;
+    ok = put(kZeros, descs[i].offset - pos) &&  // zero padding, < 64 bytes
+         put(bytes.data(), bytes.size());
+    pos = descs[i].offset + bytes.size();
   }
+  const bool closed = std::fclose(f) == 0;
+  if (!ok || !closed) return Status::IOError("short write to " + path);
   return Status::OK();
 }
 
@@ -149,38 +151,9 @@ void AppendDictionarySections(const Dictionary& dict, ImageMeta* meta,
   meta->num_terms = n;
   meta->num_slots = num_slots;
   meta->mint_counter = dict.mint_counter();
-  out->AddArray<uint64_t>(SectionId::kTermOffsets, offsets);
+  out->Add(SectionId::kTermOffsets, PodBytes(offsets));
   out->Add(SectionId::kTermArena, std::move(arena));
-  out->AddArray<DictionaryView::Slot>(SectionId::kDictSlots, slots);
-}
-
-void AppendDenseSections(const DenseGraph& dg, ImageMeta* meta,
-                         ImageBuilder* out) {
-  const DenseGraph::Raw r = dg.raw();
-  meta->num_nodes = r.terms.size();
-  meta->num_props = r.prop_terms.size();
-  meta->num_data_edges = r.edges.size();
-  meta->node_of_term_len = r.node_of_term.size();
-  meta->prop_of_term_len = r.prop_of_term.size();
-  meta->num_out_entries = r.out_entries.size();
-  meta->num_in_entries = r.in_entries.size();
-  meta->num_class_entries = r.classes.size();
-  meta->num_class_sets = r.num_class_sets;
-  out->AddArray(SectionId::kNodeTerms, r.terms);
-  out->AddArray(SectionId::kNodeOfTerm, r.node_of_term);
-  out->AddArray(SectionId::kHasData, r.has_data);
-  out->AddArray(SectionId::kPropTerms, r.prop_terms);
-  out->AddArray(SectionId::kPropOfTerm, r.prop_of_term);
-  out->AddArray(SectionId::kEdges, r.edges);
-  out->AddArray(SectionId::kOutOffsets, r.out_offsets);
-  out->AddArray(SectionId::kOutEntries, r.out_entries);
-  out->AddArray(SectionId::kInOffsets, r.in_offsets);
-  out->AddArray(SectionId::kInEntries, r.in_entries);
-  out->AddArray(SectionId::kSourceAnchor, r.source_anchor);
-  out->AddArray(SectionId::kTargetAnchor, r.target_anchor);
-  out->AddArray(SectionId::kClassOffsets, r.class_offsets);
-  out->AddArray(SectionId::kClasses, r.classes);
-  out->AddArray(SectionId::kClassSetId, r.class_set_id);
+  out->Add(SectionId::kDictSlots, PodBytes(slots));
 }
 
 // ---- FrozenImage ------------------------------------------------------------
@@ -309,7 +282,8 @@ Status ValidateStructure(const FrozenImage& img) {
     }
   }
 
-  // Component triples: bounds only (order is payload, not structure).
+  // Component triples: bounds only (order is payload, not structure), and
+  // together they are the whole graph.
   auto check_triples = [&](SectionId id, uint64_t count,
                            const char* name) -> Status {
     if (!SizeIs(count, sizeof(Triple), bytes(id).size())) {
@@ -327,130 +301,19 @@ Status ValidateStructure(const FrozenImage& img) {
       check_triples(SectionId::kTypeTriples, m.num_type_triples, "type"));
   RDFSUM_RETURN_IF_ERROR(check_triples(SectionId::kSchemaTriples,
                                        m.num_schema_triples, "schema"));
-
-  if (!img.has_dense()) return Status::OK();
-
-  // Dense substrate: dense ids are u32 with 0xFFFFFFFF as the kNone
-  // sentinel, CSR offsets are u32 — pin the ranges before the size checks
-  // that multiply by them.
-  constexpr uint32_t kNone = 0xFFFFFFFFu;
-  if (m.num_nodes >= kNone || m.num_props >= kNone ||
-      m.num_class_sets >= kNone || m.num_out_entries > kNone ||
-      m.num_in_entries > kNone || m.num_class_entries > kNone) {
-    return Corrupt("dense counts exceed u32 id space");
-  }
-  struct Sized {
-    SectionId id;
-    uint64_t count;
-    uint64_t elem;
-    const char* name;
-  };
-  const Sized sized[] = {
-      {SectionId::kNodeTerms, m.num_nodes, 4, "node-term"},
-      {SectionId::kNodeOfTerm, m.node_of_term_len, 4, "node-of-term"},
-      {SectionId::kHasData, m.num_nodes, 1, "has-data"},
-      {SectionId::kPropTerms, m.num_props, 4, "prop-term"},
-      {SectionId::kPropOfTerm, m.prop_of_term_len, 4, "prop-of-term"},
-      {SectionId::kEdges, m.num_data_edges, 12, "edge"},
-      {SectionId::kOutOffsets, m.num_nodes + 1, 4, "out-offset"},
-      {SectionId::kOutEntries, m.num_out_entries, 8, "out-entry"},
-      {SectionId::kInOffsets, m.num_nodes + 1, 4, "in-offset"},
-      {SectionId::kInEntries, m.num_in_entries, 8, "in-entry"},
-      {SectionId::kSourceAnchor, m.num_props, 4, "source-anchor"},
-      {SectionId::kTargetAnchor, m.num_props, 4, "target-anchor"},
-      {SectionId::kClassOffsets, m.num_nodes + 1, 4, "class-offset"},
-      {SectionId::kClasses, m.num_class_entries, 4, "class"},
-      {SectionId::kClassSetId, m.num_nodes, 4, "class-set-id"},
-  };
-  for (const Sized& s : sized) {
-    if (!SizeIs(s.count, s.elem, bytes(s.id).size())) {
-      return Corrupt(std::string(s.name) + " section size mismatch");
-    }
-  }
-  auto check_ids = [&](std::span<const uint32_t> ids, uint64_t limit,
-                       bool allow_none, const char* name) -> Status {
-    for (uint32_t v : ids) {
-      if (allow_none && v == kNone) continue;
-      if (v >= limit) {
-        return Corrupt(std::string(name) + " entry out of range");
-      }
-    }
-    return Status::OK();
-  };
-  auto check_terms = [&](std::span<const uint32_t> ids,
-                         const char* name) -> Status {
-    for (uint32_t v : ids) {
-      if (v == 0 || v > m.num_terms) {
-        return Corrupt(std::string(name) + " entry is not a term id");
-      }
-    }
-    return Status::OK();
-  };
-  auto check_csr = [&](std::span<const uint32_t> offs2, uint64_t total,
-                       const char* name) -> Status {
-    if (offs2.front() != 0 || offs2.back() != total) {
-      return Corrupt(std::string(name) + " offsets do not span the entries");
-    }
-    for (size_t i = 1; i < offs2.size(); ++i) {
-      if (offs2[i] < offs2[i - 1]) {
-        return Corrupt(std::string(name) + " offsets not monotone");
-      }
-    }
-    return Status::OK();
-  };
-  RDFSUM_RETURN_IF_ERROR(check_terms(
-      img.Array<uint32_t>(SectionId::kNodeTerms), "node-term"));
-  RDFSUM_RETURN_IF_ERROR(check_terms(
-      img.Array<uint32_t>(SectionId::kPropTerms), "prop-term"));
-  RDFSUM_RETURN_IF_ERROR(check_terms(img.Array<uint32_t>(SectionId::kClasses),
-                                     "class"));
-  RDFSUM_RETURN_IF_ERROR(check_ids(
-      img.Array<uint32_t>(SectionId::kNodeOfTerm), m.num_nodes, true,
-      "node-of-term"));
-  RDFSUM_RETURN_IF_ERROR(check_ids(
-      img.Array<uint32_t>(SectionId::kPropOfTerm), m.num_props, true,
-      "prop-of-term"));
-  RDFSUM_RETURN_IF_ERROR(check_ids(
-      img.Array<uint32_t>(SectionId::kSourceAnchor), m.num_nodes, true,
-      "source-anchor"));
-  RDFSUM_RETURN_IF_ERROR(check_ids(
-      img.Array<uint32_t>(SectionId::kTargetAnchor), m.num_nodes, true,
-      "target-anchor"));
-  RDFSUM_RETURN_IF_ERROR(check_ids(
-      img.Array<uint32_t>(SectionId::kClassSetId), m.num_class_sets, true,
-      "class-set-id"));
-  for (const DenseGraph::Edge& e : img.Array<DenseGraph::Edge>(
-           SectionId::kEdges)) {
-    if (e.s >= m.num_nodes || e.o >= m.num_nodes || e.p >= m.num_props) {
-      return Corrupt("edge with out-of-range dense id");
-    }
-  }
-  RDFSUM_RETURN_IF_ERROR(check_csr(
-      img.Array<uint32_t>(SectionId::kOutOffsets), m.num_out_entries, "out"));
-  RDFSUM_RETURN_IF_ERROR(check_csr(
-      img.Array<uint32_t>(SectionId::kInOffsets), m.num_in_entries, "in"));
-  RDFSUM_RETURN_IF_ERROR(check_csr(
-      img.Array<uint32_t>(SectionId::kClassOffsets), m.num_class_entries,
-      "class"));
-  for (const DenseGraph::Neighbor& nb : img.Array<DenseGraph::Neighbor>(
-           SectionId::kOutEntries)) {
-    if (nb.p >= m.num_props || nb.node >= m.num_nodes) {
-      return Corrupt("out-entry with out-of-range dense id");
-    }
-  }
-  for (const DenseGraph::Neighbor& nb : img.Array<DenseGraph::Neighbor>(
-           SectionId::kInEntries)) {
-    if (nb.p >= m.num_props || nb.node >= m.num_nodes) {
-      return Corrupt("in-entry with out-of-range dense id");
-    }
+  RDFSUM_RETURN_IF_ERROR(
+      check_triples(SectionId::kDataTriples, m.num_data_triples, "data"));
+  // No overflow: each count was just bounded by its section's byte size.
+  if (m.num_data_triples + m.num_type_triples + m.num_schema_triples !=
+      m.num_triples) {
+    return Corrupt("component counts do not sum to the triple count");
   }
   return Status::OK();
 }
 
 }  // namespace
 
-StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
-                                          const Options& options) {
+StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size) {
   if (!HostIsLittleEndian()) {
     return Status::NotSupported("frozen images require a little-endian host");
   }
@@ -469,7 +332,8 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
     return Status::NotSupported(
         "frozen image has major version " +
         std::to_string(header.version_major) + "; this build reads " +
-        std::to_string(kImageVersionMajor));
+        std::to_string(kImageVersionMajor) +
+        " (re-freeze the graph with this build)");
   }
   if (header.file_size != size) {
     return Corrupt("declared file size does not match the actual size");
@@ -489,7 +353,6 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
   FrozenImage img;
   img.data_ = data;
   img.size_ = size;
-  img.flags_ = header.flags;
   img.descs_.resize(header.section_count);
   std::memcpy(img.descs_.data(), data + sizeof(ImageHeader), table_bytes);
   for (uint32_t i = 0; i <= kImageMaxSections; ++i) img.section_index_[i] = -1;
@@ -521,25 +384,16 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
   }
   if (prev_end != size) return Corrupt("trailing bytes after last section");
 
-  for (uint32_t id = 1; id <= 10; ++id) {
+  for (uint32_t id = 1;
+       id <= static_cast<uint32_t>(SectionId::kDataTriples); ++id) {
     if (img.section_index_[id] < 0) {
       return Corrupt("required section " + std::to_string(id) + " missing");
     }
   }
-  for (uint32_t id = 11; id <= 25; ++id) {
-    const bool present = img.section_index_[id] >= 0;
-    if (present != img.has_dense()) {
-      return Corrupt(img.has_dense()
-                         ? "dense section " + std::to_string(id) + " missing"
-                         : "dense section present without the dense flag");
-    }
-  }
 
-  if (options.verify_checksums) {
-    for (const SectionDesc& d : img.descs_) {
-      if (ImageFnv1a64(data + d.offset, d.size) != d.checksum) {
-        return Corrupt("checksum mismatch in section " + std::to_string(d.id));
-      }
+  for (const SectionDesc& d : img.descs_) {
+    if (ImageFnv1a64(data + d.offset, d.size) != d.checksum) {
+      return Corrupt("checksum mismatch in section " + std::to_string(d.id));
     }
   }
 
@@ -549,9 +403,7 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size,
   }
   std::memcpy(&img.meta_, meta_bytes.data(), sizeof(ImageMeta));
 
-  if (options.validate_structure) {
-    RDFSUM_RETURN_IF_ERROR(ValidateStructure(img));
-  }
+  RDFSUM_RETURN_IF_ERROR(ValidateStructure(img));
   return img;
 }
 
@@ -563,27 +415,6 @@ DictionaryView FrozenImage::dictionary_view() const {
   v.arena = SectionBytes(SectionId::kTermArena);
   v.slots = Array<DictionaryView::Slot>(SectionId::kDictSlots);
   return v;
-}
-
-std::shared_ptr<const DenseGraph> LoadDenseFromImage(const FrozenImage& img) {
-  DenseGraph::Raw r;
-  r.terms = img.Array<TermId>(SectionId::kNodeTerms);
-  r.node_of_term = img.Array<uint32_t>(SectionId::kNodeOfTerm);
-  r.has_data = img.Array<uint8_t>(SectionId::kHasData);
-  r.prop_terms = img.Array<TermId>(SectionId::kPropTerms);
-  r.prop_of_term = img.Array<uint32_t>(SectionId::kPropOfTerm);
-  r.edges = img.Array<DenseGraph::Edge>(SectionId::kEdges);
-  r.out_offsets = img.Array<uint32_t>(SectionId::kOutOffsets);
-  r.out_entries = img.Array<DenseGraph::Neighbor>(SectionId::kOutEntries);
-  r.in_offsets = img.Array<uint32_t>(SectionId::kInOffsets);
-  r.in_entries = img.Array<DenseGraph::Neighbor>(SectionId::kInEntries);
-  r.source_anchor = img.Array<uint32_t>(SectionId::kSourceAnchor);
-  r.target_anchor = img.Array<uint32_t>(SectionId::kTargetAnchor);
-  r.class_offsets = img.Array<uint32_t>(SectionId::kClassOffsets);
-  r.classes = img.Array<TermId>(SectionId::kClasses);
-  r.class_set_id = img.Array<uint32_t>(SectionId::kClassSetId);
-  r.num_class_sets = static_cast<uint32_t>(img.meta().num_class_sets);
-  return std::make_shared<const DenseGraph>(DenseGraph::FromRaw(r));
 }
 
 }  // namespace rdfsum

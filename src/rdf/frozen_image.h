@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <memory>
+#include <deque>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,48 +15,44 @@
 
 namespace rdfsum {
 
-class DenseGraph;
-
 /// The frozen-image binary format (".rsb"): a single file whose sections are
 /// 64-byte-aligned flat arrays addressable directly from an mmap'd region —
 /// the dictionary term arena and its open-addressing index, the three sorted
-/// triple permutations with their statistics, and (optionally) the DenseGraph
-/// substrate arrays. `docs/FORMAT.md` is the normative specification; this
-/// header is its executable twin — every constant and struct below is named
-/// there, and the corruption wall (tests/image_corruption_test.cc) is pinned
-/// against both.
+/// triple permutations with their statistics, and the graph's three
+/// components in insertion order. `docs/FORMAT.md` is the normative
+/// specification; this header is its executable twin — every constant and
+/// struct below is named there, and the corruption wall
+/// (tests/image_corruption_test.cc) is pinned against both.
 ///
 /// Layering: this file owns the *format* — header/section-table plumbing,
 /// checksum and structural validation, and the encode/decode of the
-/// rdf-level sections (dictionary, dense substrate). The store-level
-/// assembly (building a TripleTable over the mapped permutations, the mmap
-/// itself, freezing a Graph to a file) lives in store/mmap_store.{h,cc}.
+/// dictionary sections. The store-level assembly (building a TripleTable
+/// over the mapped permutations, the mmap itself, freezing a Graph to a
+/// file) lives in store/mmap_store.{h,cc}.
 
 // ---- Format constants -------------------------------------------------------
 
 inline constexpr char kImageMagic[8] = {'R', 'D', 'F', 'S', 'U', 'M', 'S',
                                         'B'};
-inline constexpr uint32_t kImageVersionMajor = 1;
+inline constexpr uint32_t kImageVersionMajor = 2;
 inline constexpr uint32_t kImageVersionMinor = 0;
 /// Every section payload starts at a multiple of this; inter-section padding
 /// bytes MUST be zero (validated — un-checksummed bytes are not a hiding
 /// place for corruption).
 inline constexpr uint64_t kImageAlignment = 64;
 inline constexpr uint32_t kImageMaxSections = 64;
-/// Header flag bit: the DenseGraph substrate sections are present.
-inline constexpr uint32_t kImageFlagDense = 1u << 0;
 
 /// Section identifiers. Ids appear in the section table in strictly
-/// ascending order; ids 1-10 are required, 11-25 are present iff
-/// kImageFlagDense is set. Unknown higher ids (up to kImageMaxSections) are
-/// ignored by readers (minor-version evolution rule, see docs/FORMAT.md §7).
+/// ascending order; ids 1-11 are required. Unknown higher ids (up to
+/// kImageMaxSections) are ignored by readers (minor-version evolution rule,
+/// see docs/FORMAT.md §7).
 ///
-/// kTypeTriples/kSchemaTriples keep the graph's type and schema components
-/// verbatim in original insertion order — together with kEdges (the data
-/// component in graph order) they let MmapStore::ToGraph() rebuild a Graph
-/// whose component vectors, canonical dense numbering, and minted-URI
-/// counter are byte-identical to the graph that was frozen, which is what
-/// makes summaries computed from an image identical to the parse path.
+/// kDataTriples/kTypeTriples/kSchemaTriples keep the graph's three
+/// components verbatim in original insertion order: they let
+/// MmapStore::ToGraph() rebuild a Graph whose component vectors, canonical
+/// dense numbering, and minted-URI counter are byte-identical to the graph
+/// that was frozen, which is what makes summaries computed from an image
+/// identical to the parse path.
 enum class SectionId : uint32_t {
   kMeta = 1,           // ImageMeta
   kTermOffsets = 2,    // u64[num_terms + 1], offsets into kTermArena
@@ -68,21 +64,7 @@ enum class SectionId : uint32_t {
   kPredStats = 8,      // ImagePredStat[num_predicates], sorted by p
   kTypeTriples = 9,    // Triple[num_type_triples], insertion order
   kSchemaTriples = 10, // Triple[num_schema_triples], insertion order
-  kNodeTerms = 11,     // TermId[num_nodes]
-  kNodeOfTerm = 12,    // u32[node_of_term_len]
-  kHasData = 13,       // u8[num_nodes]
-  kPropTerms = 14,     // TermId[num_props]
-  kPropOfTerm = 15,    // u32[prop_of_term_len]
-  kEdges = 16,         // DenseGraph::Edge[num_data_edges], graph order
-  kOutOffsets = 17,    // u32[num_nodes + 1]
-  kOutEntries = 18,    // DenseGraph::Neighbor[num_out_entries]
-  kInOffsets = 19,     // u32[num_nodes + 1]
-  kInEntries = 20,     // DenseGraph::Neighbor[num_in_entries]
-  kSourceAnchor = 21,  // NodeId[num_props]
-  kTargetAnchor = 22,  // NodeId[num_props]
-  kClassOffsets = 23,  // u32[num_nodes + 1]
-  kClasses = 24,       // TermId[num_class_entries]
-  kClassSetId = 25,    // u32[num_nodes]
+  kDataTriples = 11,   // Triple[num_data_triples], insertion order
 };
 
 /// File header, the first 64 bytes. header_checksum covers bytes [0, 40)
@@ -94,7 +76,7 @@ struct ImageHeader {
   uint32_t version_minor;
   uint64_t file_size;
   uint32_t section_count;
-  uint32_t flags;
+  uint32_t reserved_flags;  // writers MUST zero; readers ignore
   uint64_t table_checksum;
   uint64_t header_checksum;
   uint8_t reserved[16];  // writers MUST zero; readers ignore
@@ -115,7 +97,8 @@ static_assert(sizeof(SectionDesc) == 32);
 
 /// The kMeta section: every count the other sections are sized by. A reader
 /// validates each section's byte size against these counts *exactly*, so a
-/// flipped count can never drive an out-of-bounds view.
+/// flipped count can never drive an out-of-bounds view. The three component
+/// counts sum to num_triples.
 struct ImageMeta {
   uint64_t num_terms;   // dictionary entries, excluding reserved id 0
   uint64_t num_slots;   // open-addressing slots; power of two, > num_terms
@@ -127,17 +110,8 @@ struct ImageMeta {
   uint64_t num_predicates;  // rows in kPredStats
   uint64_t num_type_triples;
   uint64_t num_schema_triples;
-  // DenseGraph substrate counts; all zero when kImageFlagDense is unset.
-  uint64_t num_nodes;
-  uint64_t num_props;
-  uint64_t num_data_edges;
-  uint64_t node_of_term_len;
-  uint64_t prop_of_term_len;
-  uint64_t num_out_entries;
-  uint64_t num_in_entries;
-  uint64_t num_class_entries;
-  uint64_t num_class_sets;
-  uint64_t reserved[5];  // writers MUST zero; readers ignore
+  uint64_t num_data_triples;
+  uint64_t reserved[13];  // writers MUST zero; readers ignore
 };
 static_assert(sizeof(ImageMeta) == 192);
 
@@ -175,27 +149,37 @@ inline constexpr uint64_t ImageAlignUp(uint64_t n) {
 
 // ---- Writing ----------------------------------------------------------------
 
-/// Accumulates section payloads in memory and writes a complete image:
-/// header, section table (ascending id order), 64-aligned payloads with
-/// zeroed gaps, per-section + header + table checksums. Deterministic: the
-/// same sections produce byte-identical files.
+/// Collects section payloads and writes a complete image: header, section
+/// table (ascending id order), 64-aligned payloads with zeroed gaps,
+/// per-section + header + table checksums. Deterministic: the same sections
+/// produce byte-identical files.
 class ImageBuilder {
  public:
+  /// Adds a section whose payload the builder owns.
   void Add(SectionId id, std::string bytes);
 
+  /// Adds a section that borrows `data`, which must outlive WriteFile():
+  /// the large arrays (permutations, components) are written in place, not
+  /// copied.
   template <typename T>
   void AddArray(SectionId id, std::span<const T> data) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Add(id, std::string(reinterpret_cast<const char*>(data.data()),
-                        data.size() * sizeof(T)));
+    sections_.push_back({static_cast<uint32_t>(id),
+                         {reinterpret_cast<const char*>(data.data()),
+                          data.size() * sizeof(T)}});
   }
 
   /// Writes the assembled image. Fails with kIOError on any write problem;
   /// a partially written file is left behind (callers overwrite or unlink).
-  Status WriteFile(const std::string& path, uint32_t flags) const;
+  Status WriteFile(const std::string& path) const;
 
  private:
-  std::vector<std::pair<uint32_t, std::string>> sections_;
+  struct Section {
+    uint32_t id;
+    std::span<const char> bytes;
+  };
+  std::vector<Section> sections_;
+  std::deque<std::string> owned_;  // Add()'s payloads, at stable addresses
 };
 
 /// Serializes `dict` into the kTermOffsets / kTermArena / kDictSlots
@@ -205,11 +189,6 @@ class ImageBuilder {
 /// rehash history. Works on owned and view-mode dictionaries alike.
 void AppendDictionarySections(const Dictionary& dict, ImageMeta* meta,
                               ImageBuilder* out);
-
-/// Serializes the DenseGraph substrate arrays into sections 11-25 and fills
-/// the dense fields of `meta`.
-void AppendDenseSections(const DenseGraph& dg, ImageMeta* meta,
-                         ImageBuilder* out);
 
 // ---- Reading ----------------------------------------------------------------
 
@@ -221,38 +200,26 @@ void AppendDenseSections(const DenseGraph& dg, ImageMeta* meta,
 ///    and section-table checksums;
 ///  - section table: ascending ids, 64-byte alignment, in-bounds and
 ///    non-overlapping payloads in table order, zeroed gaps, required
-///    sections present (and dense sections present iff flagged);
-///  - per-section FNV-1a-64 checksums (skippable via Options for
-///    open-at-page-cache-speed on trusted files);
+///    sections present;
+///  - per-section FNV-1a-64 checksums;
 ///  - structural validation: every section's size matches the kMeta counts
 ///    exactly, term-arena offsets are monotone and records well-formed,
 ///    the slot table is a power of two with a free slot, permutations are
-///    sorted with in-range ids, CSR offset arrays are monotone, and every
-///    dense id is in range — so no later accessor can read out of bounds
-///    even on a checksum-valid adversarial file.
+///    sorted, every stored triple has in-range ids, and the component
+///    counts sum to the triple count — so no later accessor can read out
+///    of bounds even on a checksum-valid adversarial file.
 ///
-/// Any violation returns kCorruption; an unsupported major version or a
-/// big-endian host returns kNotSupported. Never UB, never an allocation
-/// driven by an unvalidated count.
+/// Any violation returns kCorruption; an unsupported major version (a v1
+/// image included: re-freeze it) or a big-endian host returns
+/// kNotSupported. Never UB, never an allocation driven by an unvalidated
+/// count.
 class FrozenImage {
  public:
-  struct Options {
-    bool verify_checksums = true;
-    bool validate_structure = true;
-  };
-
   FrozenImage() = default;
 
-  // (Two overloads instead of `= {}`: GCC rejects brace defaults for
-  // aggregates with member initializers, PR 88165.)
-  static StatusOr<FrozenImage> Attach(const char* data, size_t size) {
-    return Attach(data, size, Options());
-  }
-  static StatusOr<FrozenImage> Attach(const char* data, size_t size,
-                                      const Options& options);
+  static StatusOr<FrozenImage> Attach(const char* data, size_t size);
 
   const ImageMeta& meta() const { return meta_; }
-  bool has_dense() const { return (flags_ & kImageFlagDense) != 0; }
   /// Total image size in bytes (== file size, validated at Attach).
   size_t size() const { return size_; }
 
@@ -278,17 +245,11 @@ class FrozenImage {
  private:
   const char* data_ = nullptr;
   size_t size_ = 0;
-  uint32_t flags_ = 0;
   ImageMeta meta_{};
   // Dense id -> index into descs_; -1 when absent.
   std::vector<SectionDesc> descs_;
   int section_index_[kImageMaxSections + 1] = {};
 };
-
-/// Rebuilds a DenseGraph from the image's substrate sections (bulk copies —
-/// O(bytes) memcpys, no graph walk). Requires has_dense(). The result is
-/// self-contained: it does not borrow the image.
-std::shared_ptr<const DenseGraph> LoadDenseFromImage(const FrozenImage& img);
 
 }  // namespace rdfsum
 

@@ -90,18 +90,6 @@ class Graph {
   /// a single Dense() call before sharing a graph across threads.
   const DenseGraph& Dense() const;
 
-  /// Installs a pre-built substrate for the graph's *current* triples, so
-  /// the next Dense() serves it instead of rebuilding. Used by the frozen-
-  /// image open path (store::MmapStore::ToGraph), where the substrate was
-  /// computed at freeze time and stored in the image; `dense` must be what
-  /// DenseGraph(*this) would build — the image reconstruction preserves
-  /// insertion order precisely so that this holds. A later mutation
-  /// invalidates it like any cached substrate.
-  void InstallDense(std::shared_ptr<const DenseGraph> dense) {
-    dense_ = std::move(dense);
-    dense_built_at_ = all_.size();
-  }
-
   /// Invokes `fn(const Triple&)` for every triple in D, then T, then S.
   template <typename Fn>
   void ForEachTriple(Fn&& fn) const {

@@ -19,23 +19,12 @@ StatusOr<std::shared_ptr<Snapshot>> Snapshot::Open(const std::string& path,
   return snap;
 }
 
-Graph Snapshot::ImageGraph() const {
-  // A private view dictionary over the same mapped bytes: base ids equal
-  // the serving ids, so the SPO rows go in as they are, while minted nodes
-  // and lazy decodes land in this dictionary's own overlay and view cache.
-  Graph g(Dictionary::FromView(store_->image().dictionary_view()));
-  auto spo = store_->table().Permutation(store::IndexKind::kSpo);
-  g.Reserve(spo.size());
-  for (const Triple& t : spo) g.Add(t);
-  return g;
-}
-
 StatusOr<const summary::SummaryResult*> Snapshot::Summary(
     summary::SummaryKind kind) {
   MintSlot& s = slot(kind);
   std::call_once(s.once, [&] {
     Timer timer;
-    s.graph.emplace(ImageGraph());
+    s.graph.emplace(store_->ToGraph());
     auto r = summary::TrySummarize(*s.graph, kind);
     if (r.ok()) {
       s.result.emplace(std::move(r).value());

@@ -79,7 +79,7 @@ class Snapshot {
   struct MintSlot {
     std::once_flag once;
     /// Private copy of the snapshot's triples over a private view
-    /// dictionary (ImageGraph); no other thread touches it, so
+    /// dictionary (MmapStore::ToGraph); no other thread touches it, so
     /// summarization can mint freely.
     std::optional<Graph> graph;
     std::optional<summary::SummaryResult> result;
@@ -89,11 +89,6 @@ class Snapshot {
     /// late readers acquire it before touching status/seconds.
     std::atomic<bool> done{false};
   };
-
-  /// The table's SPO rows, by id, in a graph over a fresh view dictionary
-  /// of the image (not the serving one, and not MmapStore::ToGraph, which
-  /// shares it and needs the dense sections).
-  Graph ImageGraph() const;
 
   MintSlot& slot(summary::SummaryKind kind) {
     return mints_[static_cast<size_t>(kind)];

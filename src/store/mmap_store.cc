@@ -13,7 +13,6 @@
 #define RDFSUM_HAVE_MMAP 1
 #endif
 
-#include "rdf/dense_graph.h"
 #include "store/table_stats.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
@@ -59,18 +58,14 @@ Status FreezeGraphToFile(const Graph& g, const std::string& path,
 
   meta.num_type_triples = g.types().size();
   meta.num_schema_triples = g.schema().size();
+  meta.num_data_triples = g.data().size();
   builder.AddArray<Triple>(SectionId::kTypeTriples, g.types());
   builder.AddArray<Triple>(SectionId::kSchemaTriples, g.schema());
-
-  uint32_t flags = 0;
-  if (options.include_dense) {
-    flags |= kImageFlagDense;
-    AppendDenseSections(g.Dense(), &meta, &builder);
-  }
+  builder.AddArray<Triple>(SectionId::kDataTriples, g.data());
 
   builder.Add(SectionId::kMeta,
               std::string(reinterpret_cast<const char*>(&meta), sizeof(meta)));
-  return builder.WriteFile(path, flags);
+  return builder.WriteFile(path);
 }
 
 MmapStore::~MmapStore() {
@@ -80,7 +75,7 @@ MmapStore::~MmapStore() {
 }
 
 StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
-    const std::string& path, const OpenOptions& options) {
+    const std::string& path) {
   RDFSUM_FAILPOINT("image:open");
 
   std::unique_ptr<MmapStore> store(new MmapStore());
@@ -121,12 +116,8 @@ StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
     store->size_ = store->heap_.size();
   }
 
-  FrozenImage::Options img_options;
-  img_options.verify_checksums = options.verify_checksums;
-  img_options.validate_structure = options.validate_structure;
-  RDFSUM_ASSIGN_OR_RETURN(
-      store->image_, FrozenImage::Attach(store->data_, store->size_,
-                                         img_options));
+  RDFSUM_ASSIGN_OR_RETURN(store->image_,
+                          FrozenImage::Attach(store->data_, store->size_));
 
   store->dict_ = Dictionary::FromView(store->image_.dictionary_view());
 
@@ -150,29 +141,15 @@ StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
   return store;
 }
 
-StatusOr<Graph> MmapStore::ToGraph() const {
-  if (!image_.has_dense()) {
-    return Status::NotSupported(
-        "image was frozen without the dense substrate (freeze with "
-        "include_dense to summarize from it)");
-  }
-  std::shared_ptr<const DenseGraph> dense = LoadDenseFromImage(image_);
-  Graph g(dict_);
+Graph MmapStore::ToGraph() const {
+  Graph g(Dictionary::FromView(image_.dictionary_view()));
   g.Reserve(image_.meta().num_triples);
-  // Replay the data component from the dense edge list: kEdges preserves
-  // graph (insertion) order, so the rebuilt data_ vector — and with it the
-  // canonical dense numbering — matches the frozen graph exactly.
-  for (const DenseGraph::Edge& e : dense->data_edges()) {
-    g.Add(Triple{dense->term_of(e.s), dense->property_term(e.p),
-                 dense->term_of(e.o)});
+  // Insertion order as frozen: D, then T, then S (Graph::ForEachTriple), so
+  // the component vectors and the canonical dense numbering match exactly.
+  for (SectionId id : {SectionId::kDataTriples, SectionId::kTypeTriples,
+                       SectionId::kSchemaTriples}) {
+    for (const Triple& t : image_.Array<Triple>(id)) g.Add(t);
   }
-  for (const Triple& t : image_.Array<Triple>(SectionId::kTypeTriples)) {
-    g.Add(t);
-  }
-  for (const Triple& t : image_.Array<Triple>(SectionId::kSchemaTriples)) {
-    g.Add(t);
-  }
-  g.InstallDense(std::move(dense));
   return g;
 }
 

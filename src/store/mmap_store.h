@@ -14,11 +14,6 @@
 namespace rdfsum::store {
 
 struct FreezeOptions {
-  /// Also serialize the DenseGraph substrate (sections 11-25). Required for
-  /// summarization and ToGraph() from the image; pure query serving only
-  /// needs the permutations. Freezing an already-warm graph reuses its
-  /// cached substrate.
-  bool include_dense = true;
   /// Workers for the permutation sorts + statistics (TripleTable::Freeze):
   /// 1 = sequential (default), 0 = all available CPUs. The image bytes are
   /// identical at every thread count.
@@ -30,9 +25,9 @@ struct FreezeOptions {
 };
 
 /// Writes `g` as a frozen store image (rdf/frozen_image.h): dictionary,
-/// sorted SPO/POS/OSP permutations with statistics, the type and schema
-/// components verbatim, and (by default) the dense substrate. The output is
-/// deterministic — the same graph produces byte-identical files.
+/// sorted SPO/POS/OSP permutations with statistics, and the data, type and
+/// schema components verbatim. The output is deterministic — the same graph
+/// produces byte-identical files.
 /// Failpoint: `image:write`.
 /// (Two overloads instead of `= {}`: GCC PR 88165, see fault_injection.h.)
 Status FreezeGraphToFile(const Graph& g, const std::string& path,
@@ -55,20 +50,9 @@ inline Status FreezeGraphToFile(const Graph& g, const std::string& path) {
 /// must outlive every evaluator, cursor, and Graph handed out from it.
 class MmapStore {
  public:
-  struct OpenOptions {
-    /// Verify per-section FNV-1a-64 checksums at open (recommended).
-    bool verify_checksums = true;
-    /// Run the structural validation gate at open (see FrozenImage).
-    bool validate_structure = true;
-  };
-
-  /// Opens and validates `path`. Failpoint: `image:open`.
-  /// (Two overloads instead of `= {}`: GCC PR 88165, see fault_injection.h.)
-  static StatusOr<std::unique_ptr<MmapStore>> Open(
-      const std::string& path, const OpenOptions& options);
-  static StatusOr<std::unique_ptr<MmapStore>> Open(const std::string& path) {
-    return Open(path, OpenOptions());
-  }
+  /// Opens and validates `path` (checksums and structure, always).
+  /// Failpoint: `image:open`.
+  static StatusOr<std::unique_ptr<MmapStore>> Open(const std::string& path);
 
   ~MmapStore();
   MmapStore(const MmapStore&) = delete;
@@ -76,19 +60,17 @@ class MmapStore {
 
   const FrozenImage& image() const { return image_; }
   const Dictionary& dict() const { return *dict_; }
-  const std::shared_ptr<Dictionary>& dict_ptr() const { return dict_; }
   const TripleTable& table() const { return table_; }
-  bool has_dense() const { return image_.has_dense(); }
 
   /// Materializes a full Graph from the image, byte-identical to the graph
-  /// that was frozen: the data component is replayed from the stored dense
-  /// edges (original insertion order), types and schema from their verbatim
-  /// sections, the dictionary (with its minted-URI counter) is shared with
-  /// this store, and the stored substrate is installed so Dense() never
-  /// rebuilds. Summaries computed from the result equal the parse path's
-  /// bit for bit. Requires has_dense(); the Graph shares this store's
-  /// dictionary and must not outlive it.
-  StatusOr<Graph> ToGraph() const;
+  /// that was frozen: the data, type and schema components are replayed in
+  /// their stored insertion order into a graph over a fresh view dictionary
+  /// of the image (same ids and minted-URI counter as the frozen graph, but
+  /// its own overlay and decode cache — not dict()). Dense() builds lazily
+  /// as for a parsed graph, and summaries computed from the result equal
+  /// the parse path's bit for bit. Each call returns an independent graph;
+  /// it borrows the mapped bytes and must not outlive this store.
+  Graph ToGraph() const;
 
  private:
   MmapStore() = default;

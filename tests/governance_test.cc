@@ -210,6 +210,10 @@ TEST(GovernanceTest, SummaryPlannerFallsBackToExactGreedyPlan) {
   }
   EXPECT_NE(summary_plan.ToString().find("fallback=greedy"),
             std::string::npos);
+  // --explain renders the same header, so it reports the fallback too.
+  auto explained = eval.Explain(q);
+  ASSERT_TRUE(explained.ok()) << explained.status().ToString();
+  EXPECT_NE(explained->ToString().find("fallback=greedy"), std::string::npos);
 }
 
 TEST(GovernanceTest, HealthyEstimatorDoesNotTriggerFallback) {

@@ -3,12 +3,13 @@
 // (a retired .rdfsum summary file, random bytes), given nonzero padding,
 // and given adversarial counts behind *valid* checksums.
 // FrozenImage::Attach must return kCorruption (kIOError for unreadable
-// files, kNotSupported for a future major version) — never crash, never
+// files, kNotSupported for another major version) — never crash, never
 // read out of bounds, never let an unvalidated count drive an allocation.
 // Runs under ASan/UBSan in CI, where "never UB" is machine-checked.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -37,8 +38,8 @@ std::string FileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// A small but fully featured image: literals with datatypes/tags, type and
-// schema triples, dense substrate — every section is non-trivial.
+// A small but fully featured image: literals with datatypes/tags, data,
+// type and schema triples — every section is non-trivial.
 std::string ImageBytes() {
   gen::Figure2Example ex = gen::BuildFigure2();
   const std::string path = TempPath("image_corruption_base.rsb");
@@ -208,6 +209,19 @@ TEST(ImageCorruptionTest, FutureMajorVersionIsNotSupported) {
   EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
 }
 
+TEST(ImageCorruptionTest, Version1ImageIsNotSupported) {
+  // The v1 layout stored the dense substrate and no kDataTriples; a v2
+  // reader refuses it by version and asks for a re-freeze.
+  std::string bytes = ImageBytes();
+  WriteAt<uint32_t>(&bytes, 8, 1);
+  Reseal(&bytes);
+  Status st = AttachStatus(bytes);
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(st.ToString().find("re-freeze"), std::string::npos)
+      << st.ToString();
+}
+
 TEST(ImageCorruptionTest, NonzeroPaddingIsRejected) {
   // Alignment gaps are not covered by any section checksum — so the reader
   // validates them to zero; they must not be a hiding place.
@@ -234,15 +248,23 @@ TEST(ImageCorruptionTest, ResealedHugeCountFailsStructurally) {
   size_t meta_off = 0, meta_size = 0;
   ASSERT_TRUE(FindSection(bytes, SectionId::kMeta, &meta_off, &meta_size));
   ASSERT_EQ(meta_size, sizeof(ImageMeta));
-  // Attack every count field in turn.
+  // Attack every count field in turn. Words are u64s in ImageMeta order:
+  // 0 num_terms, 1 num_slots, 2 mint_counter, 3 num_triples, 4-6 the
+  // distinct subject/predicate/object counts, 7 num_predicates, 8-10 the
+  // type/schema/data component counts, 11-23 reserved.
+  constexpr size_t kMintCounterWord =
+      offsetof(ImageMeta, mint_counter) / sizeof(uint64_t);
+  constexpr size_t kFirstReservedWord =
+      offsetof(ImageMeta, reserved) / sizeof(uint64_t);
+  static_assert(kMintCounterWord == 2 && kFirstReservedWord == 11);
   for (size_t field = 0; field < sizeof(ImageMeta) / 8; ++field) {
     std::string mutated = bytes;
     WriteAt<uint64_t>(&mutated, meta_off + field * 8, 1ULL << 60);
     Reseal(&mutated);
     Status st = AttachStatus(mutated);
-    if (field == 2 || field >= 19) {
+    if (field == kMintCounterWord || field >= kFirstReservedWord) {
       // mint_counter is a free-running counter (any value is legal);
-      // reserved[5] words are ignored by readers. The file stays valid.
+      // reserved words are ignored by readers. The file stays valid.
       EXPECT_TRUE(st.ok()) << "meta word " << field;
       continue;
     }
@@ -273,17 +295,57 @@ TEST(ImageCorruptionTest, ResealedUnsortedPermutationIsRejected) {
 
 TEST(ImageCorruptionTest, ResealedOutOfRangeTermIdIsRejected) {
   // A triple whose subject points past the dictionary: Decode would read
-  // out of the term-offsets array. The id-range gate rejects it.
+  // out of the term-offsets array. The id-range gate rejects it in a sorted
+  // permutation and in a stored component alike.
   const std::string bytes = ImageBytes();
-  size_t off = 0, size = 0;
-  ASSERT_TRUE(FindSection(bytes, SectionId::kSpo, &off, &size));
-  ASSERT_GE(size, sizeof(Triple));
-  std::string mutated = bytes;
-  WriteAt<uint32_t>(&mutated, off, 0xFFFFFFFFu);  // first row's subject
+  for (SectionId id : {SectionId::kSpo, SectionId::kDataTriples,
+                       SectionId::kTypeTriples}) {
+    SCOPED_TRACE("section " + std::to_string(static_cast<uint32_t>(id)));
+    size_t off = 0, size = 0;
+    ASSERT_TRUE(FindSection(bytes, id, &off, &size));
+    ASSERT_GE(size, sizeof(Triple));
+    std::string mutated = bytes;
+    WriteAt<uint32_t>(&mutated, off, 0xFFFFFFFFu);  // first row's subject
+    Reseal(&mutated);
+    Status st = AttachStatus(mutated);
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
+}
+
+TEST(ImageCorruptionTest, ResealedComponentCountsMustSumToTriples) {
+  // Every section size stays honest to its count; only the relation between
+  // the counts lies. Drop the last data row (payload, section size and
+  // num_data_triples together), so the permutations and num_triples hold
+  // one row more than the three components do.
+  const std::string bytes = ImageBytes();
+  size_t meta_off = 0, meta_size = 0;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kMeta, &meta_off, &meta_size));
+  size_t data_off = 0, data_size = 0;
+  ASSERT_TRUE(
+      FindSection(bytes, SectionId::kDataTriples, &data_off, &data_size));
+  ASSERT_GE(data_size, sizeof(Triple));
+  ASSERT_EQ(data_off + data_size, bytes.size()) << "kDataTriples is last";
+  std::string mutated = bytes.substr(0, bytes.size() - sizeof(Triple));
+  const size_t count_off =
+      meta_off + offsetof(ImageMeta, num_data_triples);
+  WriteAt<uint64_t>(&mutated, count_off,
+                    ReadAt<uint64_t>(mutated, count_off) - 1);
+  // Shrink the section's table entry and the declared file size to match.
+  const uint32_t count = ReadAt<uint32_t>(mutated, kOffSectionCount);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t desc = sizeof(ImageHeader) + i * sizeof(SectionDesc);
+    if (ReadAt<uint32_t>(mutated, desc) ==
+        static_cast<uint32_t>(SectionId::kDataTriples)) {
+      WriteAt<uint64_t>(&mutated, desc + 16, data_size - sizeof(Triple));
+    }
+  }
+  WriteAt<uint64_t>(&mutated, kOffFileSize, mutated.size());
   Reseal(&mutated);
   Status st = AttachStatus(mutated);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.ToString().find("sum"), std::string::npos) << st.ToString();
 }
 
 TEST(ImageCorruptionTest, AppendedJunkIsRejected) {
@@ -300,22 +362,6 @@ TEST(ImageCorruptionTest, AppendedJunkIsRejected) {
   st = AttachStatus(bytes);
   ASSERT_FALSE(st.ok());
   EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-}
-
-TEST(ImageCorruptionTest, ChecksumSkippingStillValidatesStructure) {
-  // verify_checksums=false is the trusted-file fast path; the structural
-  // wall stays up (it is what makes later accessors memory-safe).
-  const std::string bytes = ImageBytes();
-  size_t off = 0, size = 0;
-  ASSERT_TRUE(FindSection(bytes, SectionId::kSpo, &off, &size));
-  std::string mutated = bytes;
-  WriteAt<uint32_t>(&mutated, off, 0xFFFFFFFFu);
-  Reseal(&mutated);
-  FrozenImage::Options opt;
-  opt.verify_checksums = false;
-  auto img = FrozenImage::Attach(mutated.data(), mutated.size(), opt);
-  ASSERT_FALSE(img.ok());
-  EXPECT_TRUE(img.status().IsCorruption()) << img.status().ToString();
 }
 
 class ImageFailpointTest : public ::testing::Test {

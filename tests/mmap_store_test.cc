@@ -31,7 +31,6 @@
 namespace rdfsum {
 namespace {
 
-using store::FreezeOptions;
 using store::MmapStore;
 
 std::string TempPath(const std::string& name) {
@@ -42,6 +41,22 @@ Graph BsbmGraph(uint32_t products) {
   gen::BsbmOptions opt;
   opt.num_products = products;
   return gen::GenerateBsbm(opt);
+}
+
+/// A graph with no data edges: kDataTriples is empty and every node is a
+/// typed resource.
+Graph TypesOnlyGraph() {
+  Graph g;
+  TermId a = g.dict().Encode(Term::Iri("http://ex.org/a"));
+  TermId b = g.dict().Encode(Term::Iri("http://ex.org/b"));
+  TermId type = g.dict().Encode(
+      Term::Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"));
+  TermId c1 = g.dict().Encode(Term::Iri("http://ex.org/C1"));
+  TermId c2 = g.dict().Encode(Term::Iri("http://ex.org/C2"));
+  g.Add({a, type, c1});
+  g.Add({b, type, c2});
+  g.Add({b, type, c1});
+  return g;
 }
 
 std::unique_ptr<MmapStore> FreezeAndOpen(const Graph& g,
@@ -64,7 +79,6 @@ TEST(MmapStoreTest, RoundTripCountsAndStats) {
   Graph g = BsbmGraph(40);
   auto store = FreezeAndOpen(g, "roundtrip.rsb");
   EXPECT_EQ(store->table().size(), g.NumTriples());
-  EXPECT_TRUE(store->has_dense());
 
   // The restored statistics equal the parse path's.
   store::TripleTable reference;
@@ -108,10 +122,9 @@ TEST(MmapStoreTest, FreezeIsDeterministic) {
   // round trip loses nothing the format records.
   auto store = MmapStore::Open(a);
   ASSERT_TRUE(store.ok());
-  auto again = (*store)->ToGraph();
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  Graph again = (*store)->ToGraph();
   const std::string c = TempPath("det_c.rsb");
-  ASSERT_TRUE(store::FreezeGraphToFile(*again, c).ok());
+  ASSERT_TRUE(store::FreezeGraphToFile(again, c).ok());
   EXPECT_EQ(FileBytes(a), FileBytes(c));
 }
 
@@ -153,22 +166,21 @@ TEST(MmapStoreTest, SummaryPlannerMatchesOverMaterializedGraph) {
   // path; rows must still match the parse path exactly.
   Graph g = BsbmGraph(40);
   auto store = FreezeAndOpen(g, "splan.rsb");
-  auto from_image = store->ToGraph();
-  ASSERT_TRUE(from_image.ok());
+  Graph from_image = store->ToGraph();
 
   summary::SummaryResult model_a =
       summary::Summarize(g, summary::SummaryKind::kWeak);
   summary::SummaryResult model_b =
-      summary::Summarize(*from_image, summary::SummaryKind::kWeak);
+      summary::Summarize(from_image, summary::SummaryKind::kWeak);
   summary::CardinalityEstimator est_a(g, model_a);
-  summary::CardinalityEstimator est_b(*from_image, model_b);
+  summary::CardinalityEstimator est_b(from_image, model_b);
   query::EvaluatorOptions opt_a;
   opt_a.planner = query::PlannerMode::kSummary;
   opt_a.estimator = &est_a;
   query::EvaluatorOptions opt_b = opt_a;
   opt_b.estimator = &est_b;
   query::BgpEvaluator eval_a(g, opt_a);
-  query::BgpEvaluator eval_b(*from_image, opt_b);
+  query::BgpEvaluator eval_b(from_image, opt_b);
 
   Random rng(11);
   for (int i = 0; i < 10; ++i) {
@@ -181,33 +193,54 @@ TEST(MmapStoreTest, SummaryPlannerMatchesOverMaterializedGraph) {
   }
 }
 
-TEST(MmapStoreTest, ToGraphIsByteIdenticalForSummaries) {
-  gen::Figure2Example ex = gen::BuildFigure2();
-  auto store = FreezeAndOpen(ex.graph, "fig2.rsb");
-  auto g2 = store->ToGraph();
-  ASSERT_TRUE(g2.ok()) << g2.status().ToString();
-  ASSERT_EQ(g2->NumTriples(), ex.graph.NumTriples());
+/// Freezes `g`, materializes the image, and requires the component vectors
+/// and the N-Triples of every quotient summary to equal the original's. The
+/// summaries mint in lockstep: both dictionaries start at the frozen
+/// minted-URI counter, and each kind advances both by the same count.
+void ExpectToGraphByteIdentical(const Graph& g, const std::string& name) {
+  auto store = FreezeAndOpen(g, name);
+  Graph g2 = store->ToGraph();
+  ASSERT_EQ(g2.NumTriples(), g.NumTriples());
+  EXPECT_EQ(g2.data(), g.data());
+  EXPECT_EQ(g2.types(), g.types());
+  EXPECT_EQ(g2.schema(), g.schema());
 
   for (summary::SummaryKind kind : summary::kAllQuotientKinds) {
-    summary::SummaryResult a = summary::Summarize(ex.graph, kind);
-    summary::SummaryResult b = summary::Summarize(*g2, kind);
-    // Stronger than isomorphism: identical triple sets under a shared
-    // dictionary (ToGraph shares the store's dictionary, whose ids extend
-    // the frozen ones).
+    summary::SummaryResult a = summary::Summarize(g, kind);
+    summary::SummaryResult b = summary::Summarize(g2, kind);
     EXPECT_EQ(a.graph.NumTriples(), b.graph.NumTriples())
         << summary::SummaryKindName(kind);
     EXPECT_TRUE(summary::AreSummariesIsomorphic(a.graph, b.graph))
         << summary::SummaryKindName(kind);
+    // Stronger than isomorphism: the same N-Triples, byte for byte.
+    EXPECT_EQ(io::NTriplesWriter::ToString(a.graph),
+              io::NTriplesWriter::ToString(b.graph))
+        << summary::SummaryKindName(kind);
+  }
+}
+
+TEST(MmapStoreTest, ToGraphIsByteIdenticalForSummaries) {
+  {
+    SCOPED_TRACE("figure 2");
+    gen::Figure2Example ex = gen::BuildFigure2();
+    ExpectToGraphByteIdentical(ex.graph, "fig2.rsb");
+  }
+  {
+    SCOPED_TRACE("bsbm");
+    ExpectToGraphByteIdentical(BsbmGraph(30), "bytes_bsbm.rsb");
+  }
+  {
+    SCOPED_TRACE("types only");
+    ExpectToGraphByteIdentical(TypesOnlyGraph(), "bytes_typesonly.rsb");
   }
 }
 
 TEST(MmapStoreTest, SaturationAfterToGraphMatches) {
   Graph g = BsbmGraph(20);
   auto store = FreezeAndOpen(g, "sat.rsb");
-  auto g2 = store->ToGraph();
-  ASSERT_TRUE(g2.ok());
+  Graph g2 = store->ToGraph();
   Graph sat_a = reasoner::Saturate(g);
-  Graph sat_b = reasoner::Saturate(*g2);
+  Graph sat_b = reasoner::Saturate(g2);
   EXPECT_EQ(sat_a.NumTriples(), sat_b.NumTriples());
 }
 
@@ -233,9 +266,8 @@ TEST(MmapStoreTest, EmptyGraphRoundTrips) {
   auto store = FreezeAndOpen(g, "empty.rsb");
   EXPECT_EQ(store->table().size(), 0u);
   EXPECT_TRUE(store->table().empty());
-  auto g2 = store->ToGraph();
-  ASSERT_TRUE(g2.ok()) << g2.status().ToString();
-  EXPECT_EQ(g2->NumTriples(), 0u);
+  Graph g2 = store->ToGraph();
+  EXPECT_EQ(g2.NumTriples(), 0u);
   // An empty store still evaluates (to zero rows) without tripping.
   query::BgpEvaluator eval(store->dict(), store->table());
   auto q = query::ParseSparql("SELECT ?s WHERE { ?s ?p ?o }");
@@ -246,66 +278,17 @@ TEST(MmapStoreTest, EmptyGraphRoundTrips) {
 }
 
 TEST(MmapStoreTest, TypesOnlyGraphRoundTrips) {
-  // A graph with no data edges: the dense substrate is all nodes/classes,
-  // kEdges is empty, and summarization still matches.
-  Graph g;
-  TermId a = g.dict().Encode(Term::Iri("http://ex.org/a"));
-  TermId b = g.dict().Encode(Term::Iri("http://ex.org/b"));
-  TermId type = g.dict().Encode(
-      Term::Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type"));
-  TermId c1 = g.dict().Encode(Term::Iri("http://ex.org/C1"));
-  TermId c2 = g.dict().Encode(Term::Iri("http://ex.org/C2"));
-  g.Add({a, type, c1});
-  g.Add({b, type, c2});
-  g.Add({b, type, c1});
-
+  // No data edges: kDataTriples is empty, and summarization still matches.
+  Graph g = TypesOnlyGraph();
   auto store = FreezeAndOpen(g, "typesonly.rsb");
   EXPECT_EQ(store->table().size(), 3u);
-  auto g2 = store->ToGraph();
-  ASSERT_TRUE(g2.ok()) << g2.status().ToString();
-  EXPECT_EQ(g2->NumTriples(), 3u);
+  Graph g2 = store->ToGraph();
+  EXPECT_EQ(g2.NumTriples(), 3u);
   summary::SummaryResult sa =
       summary::Summarize(g, summary::SummaryKind::kTypeBased);
   summary::SummaryResult sb =
-      summary::Summarize(*g2, summary::SummaryKind::kTypeBased);
+      summary::Summarize(g2, summary::SummaryKind::kTypeBased);
   EXPECT_TRUE(summary::AreSummariesIsomorphic(sa.graph, sb.graph));
-}
-
-TEST(MmapStoreTest, NoDenseImageServesQueriesButNotToGraph) {
-  Graph g = BsbmGraph(10);
-  const std::string path = TempPath("nodense.rsb");
-  FreezeOptions opt;
-  opt.include_dense = false;
-  ASSERT_TRUE(store::FreezeGraphToFile(g, path, opt).ok());
-  auto store = MmapStore::Open(path);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_FALSE((*store)->has_dense());
-  EXPECT_EQ((*store)->table().size(), g.NumTriples());
-
-  query::BgpEvaluator eval((*store)->dict(), (*store)->table());
-  query::BgpEvaluator reference(g);
-  Random rng(3);
-  for (int i = 0; i < 5; ++i) {
-    query::BgpQuery q = query::GenerateRbgpQuery(g, rng);
-    if (q.triples.empty()) continue;
-    EXPECT_EQ(eval.Explain(q)->num_embeddings,
-              reference.Explain(q)->num_embeddings);
-  }
-
-  auto g2 = (*store)->ToGraph();
-  EXPECT_FALSE(g2.ok());
-  EXPECT_TRUE(g2.status().IsNotSupported()) << g2.status().ToString();
-}
-
-TEST(MmapStoreTest, NoDenseImageIsSmaller) {
-  Graph g = BsbmGraph(30);
-  const std::string full = TempPath("size_full.rsb");
-  const std::string lean = TempPath("size_lean.rsb");
-  FreezeOptions no_dense;
-  no_dense.include_dense = false;
-  ASSERT_TRUE(store::FreezeGraphToFile(g, full).ok());
-  ASSERT_TRUE(store::FreezeGraphToFile(g, lean, no_dense).ok());
-  EXPECT_LT(FileBytes(lean).size(), FileBytes(full).size());
 }
 
 TEST(MmapStoreTest, DictionaryViewDecodesEveryTermIdentically) {
@@ -382,17 +365,6 @@ TEST(MmapStoreTest, UnfreezeMaterializesBorrowedTable) {
   t.Freeze();
   EXPECT_GE(t.size(), before);  // dedup may or may not absorb the new row
   EXPECT_FALSE(t.borrowed());
-}
-
-TEST(MmapStoreTest, OpenWithoutChecksumVerification) {
-  Graph g = BsbmGraph(10);
-  const std::string path = TempPath("fast_open.rsb");
-  ASSERT_TRUE(store::FreezeGraphToFile(g, path).ok());
-  MmapStore::OpenOptions opt;
-  opt.verify_checksums = false;
-  auto store = MmapStore::Open(path, opt);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->table().size(), g.NumTriples());
 }
 
 TEST(MmapStoreTest, MissingFileIsCleanError) {

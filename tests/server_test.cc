@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "gen/bsbm.h"
+#include "io/ntriples_writer.h"
 #include "query/evaluator.h"
 #include "query/plan.h"
 #include "query/sparql_parser.h"
@@ -571,17 +572,21 @@ TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
   EXPECT_EQ((*snap)->MintReports().size(), 2u);  // no extra mint
 }
 
-/// Mints all six summary kinds and the estimator on a snapshot of the
-/// image of `g` and checks that the mint runs over the image's own ids: the
-/// serving dictionary does not grow, the private dictionary decodes every
-/// base id as the serving one does, and the weak summary is the one the
-/// original graph has.
-void ExpectMintOverImageIds(const Graph& g, const std::string& name,
-                            bool include_dense) {
-  const std::string image = TempPath(name);
-  store::FreezeOptions fo;
-  fo.include_dense = include_dense;
-  ASSERT_TRUE(store::FreezeGraphToFile(g, image, fo).ok());
+TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
+  // Mints all six summary kinds and the estimator on a snapshot and checks
+  // that the mint runs over the image's own ids: the serving dictionary
+  // does not grow, the private dictionary decodes every base id as the
+  // serving one does, and each minted summary is the one the original
+  // graph has, N-Triples byte for byte. Each kind mints into a fresh
+  // dictionary at the frozen minted-URI counter, so each reference summary
+  // is taken from a freshly generated original graph too.
+  auto make_graph = [] {
+    gen::BsbmOptions opt;
+    opt.num_products = 12;
+    return gen::GenerateBsbm(opt);
+  };
+  const std::string image = TempPath("mint_ids.rsb");
+  ASSERT_TRUE(store::FreezeGraphToFile(make_graph(), image).ok());
   auto snap = server::Snapshot::Open(image, 1);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   const Dictionary& serving = (*snap)->dict();
@@ -592,6 +597,11 @@ void ExpectMintOverImageIds(const Graph& g, const std::string& name,
     auto r = (*snap)->Summary(kind);
     ASSERT_TRUE(r.ok()) << summary::SummaryKindName(kind) << ": "
                         << r.status().ToString();
+    const summary::SummaryResult original =
+        summary::Summarize(make_graph(), kind);
+    EXPECT_EQ(io::NTriplesWriter::ToString((*r)->graph),
+              io::NTriplesWriter::ToString(original.graph))
+        << summary::SummaryKindName(kind);
   }
   ASSERT_TRUE((*snap)->Estimator().ok());
   EXPECT_EQ(serving.size(), serving_size);
@@ -599,7 +609,7 @@ void ExpectMintOverImageIds(const Graph& g, const std::string& name,
   auto weak = (*snap)->Summary(summary::SummaryKind::kWeak);
   ASSERT_TRUE(weak.ok());
   const summary::SummaryResult original =
-      summary::Summarize(g, summary::SummaryKind::kWeak);
+      summary::Summarize(make_graph(), summary::SummaryKind::kWeak);
   EXPECT_TRUE(summary::AreSummariesIsomorphic((*weak)->graph, original.graph));
 
   const Dictionary& minted = (*weak)->graph.dict();
@@ -610,20 +620,6 @@ void ExpectMintOverImageIds(const Graph& g, const std::string& name,
     ASSERT_EQ(minted.Decode(id).ToNTriples(), serving.Decode(id).ToNTriples())
         << "id " << id;
   }
-}
-
-TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
-  gen::BsbmOptions opt;
-  opt.num_products = 12;
-  ExpectMintOverImageIds(gen::GenerateBsbm(opt), "mint_ids.rsb",
-                         /*include_dense=*/true);
-}
-
-TEST(ServerTest, SummaryMintRunsOverTheImageIdsWithoutDenseSections) {
-  gen::BsbmOptions opt;
-  opt.num_products = 12;
-  ExpectMintOverImageIds(gen::GenerateBsbm(opt), "mint_ids_nodense.rsb",
-                         /*include_dense=*/false);
 }
 
 TEST(ServerTest, SummaryPlannerServesWithMemoizedEstimator) {

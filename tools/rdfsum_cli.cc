@@ -8,7 +8,7 @@
 //   rdfsum query     <file> <sparql...> [--no-prune] [--explicit-only]
 //                    [--plan naive|greedy|summary] [--explain] [--limit N]
 //                    [--offset N | --page N] [--stream]
-//   rdfsum freeze    <file> [--out graph.rsb] [--no-dense]
+//   rdfsum freeze    <file> [--out graph.rsb]
 //                                                 write a frozen store image
 //
 // stats/summarize/query accept `--store graph.rsb` instead of <file>: the
@@ -98,10 +98,10 @@ int Usage() {
       "                    pattern, index, join op, est vs. actual rows;\n"
       "                    --page N is 1-based and needs --limit as the page\n"
       "                    size; --stream flushes each row as it is produced)\n"
-      "  rdfsum freeze    <file> [--out graph.rsb] [--no-dense]\n"
+      "  rdfsum freeze    <file> [--out graph.rsb]\n"
       "                   (writes a frozen store image: mmap-able dictionary,\n"
-      "                    SPO/POS/OSP permutations + stats, dense substrate;\n"
-      "                    --no-dense drops the substrate — queries only)\n"
+      "                    SPO/POS/OSP permutations + stats, and the data,\n"
+      "                    type and schema triples in insertion order)\n"
       "  rdfsum serve     <graph.rsb> [--host H] [--port N] [--workers N]\n"
       "                   [--queue-depth N] [--no-plan-cache]\n"
       "                   [--plan naive|greedy|summary]\n"
@@ -139,7 +139,7 @@ int Usage() {
       "                     nested-loop instead of exceeding it\n"
       "\n"
       "exit codes: 0 ok; 1 other failure; 2 usage; 3 bad input data\n"
-      "  (parse error, corrupt summary file, missing file); 4 resource\n"
+      "  (parse error, corrupt image, missing file); 4 resource\n"
       "  governance trip (timeout, cancellation, row/memory budget)\n";
   return kExitUsage;
 }
@@ -216,9 +216,7 @@ Status LoadGraphFromStore(const std::string& store_path,
   StatusOr<std::unique_ptr<store::MmapStore>> opened =
       store::MmapStore::Open(store_path);
   if (!opened.ok()) return opened.status();
-  StatusOr<Graph> from_image = (*opened)->ToGraph();
-  if (!from_image.ok()) return from_image.status();
-  *g = std::move(from_image).value();
+  *g = (*opened)->ToGraph();
   *store_out = std::move(opened).value();
   return Status::OK();
 }
@@ -591,7 +589,6 @@ int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
   options.freeze_seconds = &freeze_seconds;
   for (size_t i = 1; i < args.size(); ++i) {
     if (args[i] == "--out" && i + 1 < args.size()) out = args[++i];
-    else if (args[i] == "--no-dense") options.include_dense = false;
     else return Fail("unknown option " + args[i]);
   }
   if (out.empty()) out = args[0] + ".rsb";
@@ -600,14 +597,6 @@ int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
   Timer timer;
   Status load = LoadGraph(args[0], &g, exec, threads, &parse_stats);
   if (!load.ok()) return FailStatus(load);
-  // Warm the dense substrate here (timed separately) so FreezeGraphToFile
-  // reuses the cache and freeze_seconds isolates the permutation sorts.
-  double dense_seconds = 0.0;
-  if (options.include_dense) {
-    Timer dense_timer;
-    g.Dense();
-    dense_seconds = dense_timer.ElapsedSeconds();
-  }
   Status st = store::FreezeGraphToFile(g, out, options);
   if (!st.ok()) return FailStatus(st);
   // Re-open what we just wrote: cheap, and it proves the image passes the
@@ -616,15 +605,13 @@ int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
       store::MmapStore::Open(out);
   if (!check.ok()) return FailStatus(check.status());
   std::cout << "froze " << g.NumTriples() << " triples ("
-            << (*check)->image().size() << " bytes"
-            << (options.include_dense ? ", dense substrate" : "") << ") to "
+            << (*check)->image().size() << " bytes) to "
             << out << " in " << timer.ElapsedMillis() << " ms\n"
             << "phases (threads=" << threads << ", chunks="
             << parse_stats.chunks << "): "
             << PhaseMs("parse", parse_stats.parse_seconds) << ", "
             << PhaseMs("intern", parse_stats.intern_seconds) << ", "
-            << PhaseMs("freeze", freeze_seconds) << ", "
-            << PhaseMs("dense", dense_seconds) << "\n";
+            << PhaseMs("freeze", freeze_seconds) << "\n";
   return 0;
 }
 
