@@ -76,7 +76,7 @@ class BenchJson {
 
   /// Load-sweep record: a thread-sweep row that additionally carries the
   /// ingestion phase breakdown (chunk-parse wall, dictionary-merge/replay
-  /// wall, Freeze wall, all in seconds) so load scaling can be attributed
+  /// wall, table-build wall, all in seconds) so load scaling can be attributed
   /// to the phase that moved across PRs.
   void RecordLoad(const std::string& name, uint64_t scale, double seconds,
                   uint32_t requested, uint32_t effective, double parse_seconds,

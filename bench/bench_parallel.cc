@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <thread>
+#include <utility>
 
 #include "bench_common.h"
 #include "io/ntriples_parser.h"
@@ -214,7 +215,7 @@ void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
 }
 
 // The ingestion pipeline this PR parallelizes: N-Triples parse (chunked),
-// dictionary merge + replay, and TripleTable::Freeze, swept across thread
+// dictionary merge + replay, and TripleTable::Build, swept across thread
 // counts. Each row records the requested and effective thread counts
 // (effective = chunks the parser actually split into) plus the phase
 // breakdown; any deviation from the sequential load — triples, ids, or
@@ -238,10 +239,10 @@ void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
     out->ok =
         io::NTriplesParser::ParseString(input, &out->g, &out->stats, options)
             .ok();
-    store::TripleTable table;
-    out->g.ForEachTriple([&](const Triple& tr) { table.Append(tr); });
+    std::vector<Triple> rows = out->g.Triples();
     Timer ft;
-    table.Freeze(threads);
+    const store::TripleTable table =
+        store::TripleTable::Build(std::move(rows), threads);
     out->freeze_seconds = ft.ElapsedSeconds();
     out->total = t.ElapsedSeconds();
     auto spo = table.Permutation(store::IndexKind::kSpo);

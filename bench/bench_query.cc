@@ -163,7 +163,7 @@ const Graph& CachedLubm(uint64_t universities) {
 
 /// Freezes `g` once per (workload, scale) to a temp .rsb, reopens it via
 /// MmapStore, and memoizes the open store for the process lifetime. Every
-/// section at a given scale shares this store's borrow-mode table instead
+/// section at a given scale shares this store's borrowed table instead
 /// of rebuilding (re-sorting) it from the Graph per evaluator; the one-time
 /// freeze+open wall lands in the `<workload>_freeze_open` record.
 const store::MmapStore& FrozenStore(bench::BenchJson* json,

@@ -92,13 +92,9 @@ void BM_WeakPartition(benchmark::State& state) {
 BENCHMARK(BM_WeakPartition)->Unit(benchmark::kMillisecond);
 
 void BM_TripleTableFreeze(benchmark::State& state) {
-  const Graph& g = CachedBsbm(250'000);
-  std::vector<Triple> rows;
-  g.ForEachTriple([&](const Triple& t) { rows.push_back(t); });
+  const std::vector<Triple> rows = CachedBsbm(250'000).Triples();
   for (auto _ : state) {
-    store::TripleTable table;
-    table.AppendAll(rows);
-    table.Freeze();
+    store::TripleTable table = store::TripleTable::Build(rows);
     benchmark::DoNotOptimize(table);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -108,9 +104,7 @@ BENCHMARK(BM_TripleTableFreeze)->Unit(benchmark::kMillisecond);
 
 void BM_TripleTableScanByProperty(benchmark::State& state) {
   const Graph& g = CachedBsbm(250'000);
-  store::TripleTable table;
-  g.ForEachTriple([&](const Triple& t) { table.Append(t); });
-  table.Freeze();
+  const store::TripleTable table = store::TripleTable::Build(g.Triples());
   // Scan every property id round-robin.
   std::vector<TermId> props;
   for (const Triple& t : g.data()) props.push_back(t.p);
@@ -125,17 +119,12 @@ void BM_TripleTableScanByProperty(benchmark::State& state) {
 BENCHMARK(BM_TripleTableScanByProperty)->Unit(benchmark::kMicrosecond);
 
 void BM_TripleTablePointLookup(benchmark::State& state) {
-  const Graph& g = CachedBsbm(250'000);
-  store::TripleTable table;
-  std::vector<Triple> rows;
-  g.ForEachTriple([&](const Triple& t) {
-    table.Append(t);
-    rows.push_back(t);
-  });
-  table.Freeze();
+  const std::vector<Triple> rows = CachedBsbm(250'000).Triples();
+  const store::TripleTable table = store::TripleTable::Build(rows);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Contains(rows[i++ % rows.size()]));
+    const Triple& t = rows[i++ % rows.size()];
+    benchmark::DoNotOptimize(table.Count({t.s, t.p, t.o}));
   }
 }
 BENCHMARK(BM_TripleTablePointLookup);
@@ -202,7 +191,7 @@ void RunPartitionSweep(bench::BenchJson& json) {
 
 /// Warm-start sweep (the mmap-store tentpole's headline number): wall time
 /// from a cold file to the first answered pattern count, parse path (.nt ->
-/// Graph -> TripleTable::Freeze) vs store path (MmapStore::Open over a
+/// Graph -> TripleTable::Build) vs store path (MmapStore::Open over a
 /// frozen image, checksums verified).
 void RunWarmstartSweep(bench::BenchJson& json) {
   const char* tmp_env = std::getenv("TMPDIR");
@@ -229,9 +218,8 @@ void RunWarmstartSweep(bench::BenchJson& json) {
     if (!io::NTriplesParser::ParseFile(base + ".nt", &parsed).ok()) {
       std::exit(1);
     }
-    store::TripleTable table;
-    parsed.ForEachTriple([&](const Triple& tr) { table.Append(tr); });
-    table.Freeze();
+    const store::TripleTable table =
+        store::TripleTable::Build(parsed.Triples());
     store::TriplePattern q;
     q.p = parsed.dict().Lookup(probe);
     uint64_t parse_count = table.Count(q);

@@ -119,15 +119,18 @@ class IndexScanCursor final : public Cursor {
       : pat_(pat),
         width_(num_vars),
         label_(std::move(label)),
-        index_(store::TripleTable::ChooseIndex(ConstOnly(pat))),
-        scan_(table.OpenScanSlice(ConstOnly(pat), begin_offset, end_offset)) {
+        index_(store::TripleTable::ChooseIndex(ConstOnly(pat))) {
+    std::span<const Triple> range = table.MatchSpan(ConstOnly(pat));
+    end_offset = std::min(end_offset, range.size());
+    begin_offset = std::min(begin_offset, end_offset);
+    scan_ = range.subspan(begin_offset, end_offset - begin_offset);
     poll_.ctx = exec;
   }
 
   bool Next(IdRow* row) override {
     if (!status_.ok()) return false;
-    Triple t;
-    while (scan_.Next(&t)) {
+    while (next_ < scan_.size()) {
+      const Triple& t = scan_[next_++];
       if (poll_.Expired(&status_)) return false;
       row->assign(width_, kUnbound);
       if (BindTriple(pat_, t, row)) {
@@ -147,7 +150,8 @@ class IndexScanCursor final : public Cursor {
   size_t width_;
   std::string label_;
   store::IndexKind index_;
-  store::ScanCursor scan_;
+  std::span<const Triple> scan_;  // the morsel of the match range
+  size_t next_ = 0;
   ExecPoll poll_;
 };
 
@@ -183,24 +187,21 @@ class IndexNestedLoopJoinCursor : public Cursor {
  protected:
   bool NextNestedLoop(IdRow* row) {
     for (;;) {
-      if (inner_open_) {
-        Triple t;
-        while (scan_.Next(&t)) {
-          if (poll_.Expired(&status_)) return false;
-          *row = current_;
-          if (BindTriple(pat_, t, row)) {
-            ++rows_produced_;
-            return true;
-          }
+      while (next_ < scan_.size()) {
+        const Triple& t = scan_[next_++];
+        if (poll_.Expired(&status_)) return false;
+        *row = current_;
+        if (BindTriple(pat_, t, row)) {
+          ++rows_produced_;
+          return true;
         }
-        inner_open_ = false;
       }
       if (!input_->Next(&current_)) {
         status_ = input_->status();
         return false;
       }
-      scan_ = table_.OpenScan(Instantiate(pat_, current_));
-      inner_open_ = true;
+      scan_ = table_.MatchSpan(Instantiate(pat_, current_));
+      next_ = 0;
     }
   }
 
@@ -212,8 +213,8 @@ class IndexNestedLoopJoinCursor : public Cursor {
   ExecPoll poll_;
 
  private:
-  store::ScanCursor scan_;
-  bool inner_open_ = false;
+  std::span<const Triple> scan_;  // the current input row's match range
+  size_t next_ = 0;
 };
 
 class ProjectCursor final : public Cursor {

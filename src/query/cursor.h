@@ -28,9 +28,9 @@ using IdRow = std::vector<TermId>;
 ///
 /// Lifecycle: Open (construction) -> Next until it returns false ->
 /// destruction. Exhaustion is stable: once Next returns false it keeps
-/// returning false. Cursors borrow the TripleTable they scan (it must stay
-/// frozen and outlive them) but own everything else, including copies of
-/// the compiled patterns — the QueryPlan they were compiled from may die.
+/// returning false. Cursors borrow the TripleTable they scan (it must
+/// outlive them) but own everything else, including copies of the compiled
+/// patterns — the QueryPlan they were compiled from may die.
 ///
 /// Next() returning false means either exhaustion or failure; status()
 /// distinguishes them: OK after a clean drain, or the governance/failpoint
@@ -104,12 +104,12 @@ std::unique_ptr<Cursor> MakeSingletonCursor(size_t width);
 store::TriplePattern ConstOnly(const CompiledPattern& pat);
 
 /// Leaf scan: emits one binding row of width `num_vars` per triple matching
-/// `pat`'s constants, serving matches from a resumable store::ScanCursor
-/// (one binary search at open, pointer bumps per pull). Handles repeated
+/// `pat`'s constants, walking the pattern's TripleTable::MatchSpan (one
+/// binary search at open, one index step per pull). Handles repeated
 /// variables (?x p ?x binds consistently or skips). `label` is the pattern
 /// text for Describe. [begin_offset, end_offset) restricts the scan to that
-/// sub-range of the match range (one morsel; offsets clamped, see
-/// TripleTable::OpenScanSlice); the default is the whole range.
+/// sub-range of the match range (one morsel; offsets clamped to the range
+/// length); the default is the whole range.
 std::unique_ptr<Cursor> MakeIndexScanCursor(const store::TripleTable& table,
                                             const CompiledPattern& pat,
                                             size_t num_vars,

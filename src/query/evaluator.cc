@@ -1,21 +1,17 @@
 #include "query/evaluator.h"
 
-#include <cassert>
 #include <utility>
 
 namespace rdfsum::query {
 
 BgpEvaluator::BgpEvaluator(const Graph& g, EvaluatorOptions options)
-    : dict_(&g.dict()), options_(options) {
-  g.ForEachTriple([&](const Triple& t) { table_.Append(t); });
-  table_.Freeze();
-}
+    : dict_(&g.dict()),
+      options_(options),
+      table_(store::TripleTable::Build(g.Triples())) {}
 
 BgpEvaluator::BgpEvaluator(const Dictionary& dict, store::TripleTable table,
                            EvaluatorOptions options)
-    : dict_(&dict), options_(options), table_(std::move(table)) {
-  assert(table_.frozen() && "store-backed evaluation requires a frozen table");
-}
+    : dict_(&dict), options_(options), table_(std::move(table)) {}
 
 QueryPlan BgpEvaluator::Plan(const BgpQuery& q) const {
   return Plan(q, options_.planner);

@@ -56,11 +56,11 @@ class BgpEvaluator {
   BgpEvaluator(Graph&&, EvaluatorOptions) = delete;
 
   /// Evaluates over an already-built table — the frozen-image path, where
-  /// `table` is a borrow-mode TripleTable over an mmap'd store
+  /// `table` is a borrowed TripleTable over an mmap'd store
   /// (store::MmapStore) and no Graph ever exists. The evaluator only needs
   /// the dictionary for planning and Decode, so this is all a store-backed
   /// query requires; `dict` (and the storage a borrowed table references)
-  /// must outlive the evaluator.
+  /// must outlive the evaluator. Copying a table is O(1).
   BgpEvaluator(const Dictionary& dict, store::TripleTable table,
                EvaluatorOptions options = {});
 
@@ -97,7 +97,7 @@ class BgpEvaluator {
   StatusOr<Explanation> Explain(const BgpQuery& q) const;
   StatusOr<Explanation> Explain(const BgpQuery& q, PlannerMode mode) const;
 
-  /// The frozen table the evaluator runs on (statistics, index counts).
+  /// The table the evaluator runs on (statistics, index counts).
   const store::TripleTable& table() const { return table_; }
 
  private:

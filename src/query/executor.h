@@ -45,8 +45,9 @@ struct ExecutorOptions {
   /// hash joins fit themselves into (or degrade under) the memory budget.
   util::ExecContext* exec = nullptr;
   /// Intra-query fan-out: morsel workers for the join pipeline. 1 (the
-  /// default) compiles the sequential tree; 0 means hardware
-  /// concurrency; k>=2 asks for k workers (granted even above the core
+  /// default) compiles the sequential tree; 0 means
+  /// util::AvailableCpuCount() (the CPUs in the process's affinity mask);
+  /// k>=2 asks for k workers (granted even above the core
   /// count — the shared pool multiplexes). Fan-out only engages when the
   /// driving scan clears the gate below; the result stream is byte-identical
   /// to sequential either way, at every thread count.

@@ -127,7 +127,7 @@ struct QueryPlan {
 };
 
 /// Builds the plan: compiles `q` against `dict`, then orders the patterns
-/// per `mode` using the frozen table's statistics. `estimator` (optional)
+/// per `mode` using the table's statistics. `estimator` (optional)
 /// enables the kSummary refinement; it must estimate over the same graph
 /// `table` indexes.
 QueryPlan BuildQueryPlan(const BgpQuery& q, const Dictionary& dict,

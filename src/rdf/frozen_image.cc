@@ -28,6 +28,22 @@ bool SizeIs(uint64_t count, uint64_t elem, uint64_t actual) {
   return count * elem == actual;
 }
 
+/// One triple's term of an order-independent multiset fingerprint: the
+/// wrapping sum of TripleMix over a section is equal for two sections
+/// holding the same triples in any order, and a changed row changes it
+/// except with probability about 2^-64. (splitmix64's finalizer.)
+uint64_t Mix64(uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+uint64_t TripleMix(const Triple& t) {
+  return Mix64(Mix64((uint64_t{t.s} << 32) | t.p) + t.o);
+}
+
 void AppendPod(std::string* out, const void* p, size_t n) {
   out->append(static_cast<const char*>(p), n);
 }
@@ -228,9 +244,9 @@ Status ValidateStructure(const FrozenImage& img) {
   }
 
   // Permutations: strictly sorted (the table is deduplicated) with every
-  // position a live term id.
-  auto check_perm = [&](SectionId id, auto less,
-                        const char* name) -> Status {
+  // position a live term id, each fingerprinted into *sum (TripleMix).
+  auto check_perm = [&](SectionId id, auto less, const char* name,
+                        uint64_t* sum) -> Status {
     if (!SizeIs(m.num_triples, sizeof(Triple), bytes(id).size())) {
       return Corrupt(std::string(name) + " permutation size mismatch");
     }
@@ -244,12 +260,14 @@ Status ValidateStructure(const FrozenImage& img) {
       if (i > 0 && !less(rows[i - 1], t)) {
         return Corrupt(std::string(name) + " permutation not strictly sorted");
       }
+      *sum += TripleMix(t);
     }
     return Status::OK();
   };
+  uint64_t spo_sum = 0, pos_sum = 0, osp_sum = 0;
   RDFSUM_RETURN_IF_ERROR(check_perm(
       SectionId::kSpo, [](const Triple& a, const Triple& b) { return a < b; },
-      "SPO"));
+      "SPO", &spo_sum));
   RDFSUM_RETURN_IF_ERROR(check_perm(
       SectionId::kPos,
       [](const Triple& a, const Triple& b) {
@@ -257,7 +275,7 @@ Status ValidateStructure(const FrozenImage& img) {
         if (a.o != b.o) return a.o < b.o;
         return a.s < b.s;
       },
-      "POS"));
+      "POS", &pos_sum));
   RDFSUM_RETURN_IF_ERROR(check_perm(
       SectionId::kOsp,
       [](const Triple& a, const Triple& b) {
@@ -265,7 +283,12 @@ Status ValidateStructure(const FrozenImage& img) {
         if (a.s != b.s) return a.s < b.s;
         return a.p < b.p;
       },
-      "OSP"));
+      "OSP", &osp_sum));
+  // Sorted and in range is not enough: a pattern served from POS must
+  // answer from the same triples as one served from SPO.
+  if (pos_sum != spo_sum || osp_sum != spo_sum) {
+    return Corrupt("permutations do not hold the same triples");
+  }
 
   if (!SizeIs(m.num_predicates, sizeof(ImagePredStat),
               bytes(SectionId::kPredStats).size())) {
@@ -283,7 +306,8 @@ Status ValidateStructure(const FrozenImage& img) {
   }
 
   // Component triples: bounds only (order is payload, not structure), and
-  // together they are the whole graph.
+  // together they are the whole graph: the permutations' triples.
+  uint64_t component_sum = 0;
   auto check_triples = [&](SectionId id, uint64_t count,
                            const char* name) -> Status {
     if (!SizeIs(count, sizeof(Triple), bytes(id).size())) {
@@ -294,6 +318,7 @@ Status ValidateStructure(const FrozenImage& img) {
           t.p > m.num_terms || t.o > m.num_terms) {
         return Corrupt(std::string(name) + " row with out-of-range term id");
       }
+      component_sum += TripleMix(t);
     }
     return Status::OK();
   };
@@ -307,6 +332,9 @@ Status ValidateStructure(const FrozenImage& img) {
   if (m.num_data_triples + m.num_type_triples + m.num_schema_triples !=
       m.num_triples) {
     return Corrupt("component counts do not sum to the triple count");
+  }
+  if (component_sum != spo_sum) {
+    return Corrupt("components do not hold the permutations' triples");
   }
   return Status::OK();
 }

@@ -41,6 +41,13 @@ void Graph::AddAll(const Graph& other) {
 
 void Graph::Reserve(size_t num_triples) { all_.Reserve(num_triples); }
 
+std::vector<Triple> Graph::Triples() const {
+  std::vector<Triple> out;
+  out.reserve(NumTriples());
+  ForEachTriple([&](const Triple& t) { out.push_back(t); });
+  return out;
+}
+
 const DenseGraph& Graph::Dense() const {
   if (!dense_ || dense_built_at_ != all_.size()) {
     dense_ = std::make_shared<const DenseGraph>(*this);

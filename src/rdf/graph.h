@@ -90,6 +90,10 @@ class Graph {
   /// a single Dense() call before sharing a graph across threads.
   const DenseGraph& Dense() const;
 
+  /// Every triple in D, then T, then S, gathered into one vector (the rows
+  /// a store::TripleTable is built from).
+  std::vector<Triple> Triples() const;
+
   /// Invokes `fn(const Triple&)` for every triple in D, then T, then S.
   template <typename Fn>
   void ForEachTriple(Fn&& fn) const {

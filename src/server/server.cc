@@ -89,7 +89,7 @@ Status Server::Start(const std::string& image_path,
     return Status::InvalidArgument("serve: num_workers must be >= 1");
   }
   plan_cache_ = std::make_unique<PlanCache>(
-      options_.plan_cache ? options_.plan_cache_capacity : 0);
+      options_.plan_cache ? ServerOptions::kPlanCacheCapacity : 0);
   spare_parallel_slots_.store(options_.num_workers,
                               std::memory_order_relaxed);
 

@@ -32,9 +32,10 @@ struct ServerOptions {
   /// HELLO (never a silent hang).
   uint32_t num_workers = 4;
   uint32_t queue_depth = 16;
-  /// Plan-skeleton cache over normalized BGP shapes (server/plan_cache.h).
+  /// Plan-skeleton cache over normalized BGP shapes (server/plan_cache.h),
+  /// holding up to kPlanCacheCapacity skeletons.
   bool plan_cache = true;
-  size_t plan_cache_capacity = 256;
+  static constexpr size_t kPlanCacheCapacity = 256;
   /// Planner used when a request leaves the planner byte at its default.
   query::PlannerMode default_planner = query::PlannerMode::kGreedy;
   /// Per-request governance defaults; a request's nonzero timeout_ms /

@@ -19,52 +19,43 @@ StatusOr<std::shared_ptr<Snapshot>> Snapshot::Open(const std::string& path,
   return snap;
 }
 
-StatusOr<const summary::SummaryResult*> Snapshot::Summary(
-    summary::SummaryKind kind) {
-  MintSlot& s = slot(kind);
-  std::call_once(s.once, [&] {
+void Snapshot::Mint() {
+  std::call_once(mint_once_, [&] {
     Timer timer;
-    s.graph.emplace(store_->ToGraph());
-    auto r = summary::TrySummarize(*s.graph, kind);
+    graph_.emplace(store_->ToGraph());
+    auto r = summary::TrySummarize(*graph_, summary::SummaryKind::kWeak);
+    mint_seconds_ = timer.ElapsedSeconds();
     if (r.ok()) {
-      s.result.emplace(std::move(r).value());
+      weak_.emplace(std::move(r).value());
+      // The estimator compiles patterns against the summary's dictionary
+      // at estimate time; that dictionary is graph_'s private one, which no
+      // thread mutates after the mint completes — concurrent Estimate()
+      // calls are pure reads.
+      estimator_.emplace(*graph_, *weak_);
     } else {
-      s.status = r.status();
-      s.graph.reset();
+      mint_status_ = r.status();
+      graph_.reset();
     }
-    s.seconds = timer.ElapsedSeconds();
-    s.done.store(true, std::memory_order_release);
+    mint_done_.store(true, std::memory_order_release);
   });
-  if (!s.status.ok()) return s.status;
-  return &*s.result;
+}
+
+StatusOr<const summary::SummaryResult*> Snapshot::WeakSummary() {
+  Mint();
+  if (!mint_status_.ok()) return mint_status_;
+  return &*weak_;
 }
 
 StatusOr<const summary::CardinalityEstimator*> Snapshot::Estimator() {
-  std::call_once(estimator_once_, [&] {
-    auto sum = Summary(summary::SummaryKind::kWeak);
-    if (!sum.ok()) {
-      estimator_status_ = sum.status();
-      return;
-    }
-    // The estimator compiles patterns against its summary's dictionary at
-    // estimate time; that dictionary is the kWeak slot's private one, which
-    // no thread mutates after the mint completes — concurrent Estimate()
-    // calls are pure reads.
-    estimator_.emplace(*slot(summary::SummaryKind::kWeak).graph, **sum);
-  });
-  if (!estimator_status_.ok()) return estimator_status_;
+  Mint();
+  if (!mint_status_.ok()) return mint_status_;
   return &*estimator_;
 }
 
 std::vector<Snapshot::MintReport> Snapshot::MintReports() const {
-  std::vector<MintReport> out;
-  for (size_t i = 0; i < 6; ++i) {
-    const MintSlot& s = mints_[i];
-    if (!s.done.load(std::memory_order_acquire)) continue;
-    out.push_back({summary::SummaryKindName(static_cast<summary::SummaryKind>(i)),
-                   s.status.ok(), s.seconds});
-  }
-  return out;
+  if (!mint_done_.load(std::memory_order_acquire)) return {};
+  return {{summary::SummaryKindName(summary::SummaryKind::kWeak),
+           mint_status_.ok(), mint_seconds_}};
 }
 
 }  // namespace rdfsum::server

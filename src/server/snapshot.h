@@ -18,7 +18,8 @@
 namespace rdfsum::server {
 
 /// One immutable epoch of the serving daemon: a validated mmap'd `.rsb`
-/// image, a zero-copy BgpEvaluator over it, and lazily-minted summaries.
+/// image, a zero-copy BgpEvaluator over it, and a lazily-minted weak
+/// summary with the cardinality estimator over it.
 /// Snapshots are published behind shared_ptr (server/server.h): every
 /// in-flight request holds a reference, so an epoch swap never invalidates
 /// a running query — the old snapshot drains and frees when its last
@@ -26,14 +27,13 @@ namespace rdfsum::server {
 ///
 /// Thread safety. All query-path members are read-only after Open():
 /// the evaluator plans and opens cursors from const state, and the
-/// view-mode Dictionary's decode cache is internally locked. Summary
-/// minting is the one lazy mutation, and it is isolated by construction:
-/// each kind mints into a *private* graph whose *private* view dictionary
-/// reads the same mapped (read-only) image bytes as the serving one but
-/// has its own overlay and decode cache, so minting never writes memory a
-/// concurrent reader probes. A std::once_flag per kind makes each mint
-/// happen exactly once; concurrent first requests for different kinds
-/// proceed independently.
+/// view-mode Dictionary's decode cache is internally locked. The summary
+/// mint is the one lazy mutation, and it is isolated by construction: it
+/// mints into a *private* graph whose *private* view dictionary reads the
+/// same mapped (read-only) image bytes as the serving one but has its own
+/// overlay and decode cache, so minting never writes memory a concurrent
+/// reader probes. One std::once_flag makes the mint (weak summary plus
+/// estimator) happen exactly once; concurrent first requests wait for it.
 class Snapshot {
  public:
   /// Opens and validates `path` (store::MmapStore's corruption wall runs in
@@ -51,19 +51,19 @@ class Snapshot {
   const Dictionary& dict() const { return store_->dict(); }
   const store::TripleTable& table() const { return store_->table(); }
 
-  /// The summary of this snapshot's graph, minted on first request (once
-  /// per kind, per the once_flag contract above) and memoized for the
-  /// snapshot's lifetime. Term ids of the image mean the same in the
-  /// result as in the serving dictionary, but minted summary nodes live in
-  /// a private overlay above them — use the result for pruning verdicts and
-  /// estimation, not for decoding its node ids through dict().
-  StatusOr<const summary::SummaryResult*> Summary(summary::SummaryKind kind);
+  /// The weak summary of this snapshot's graph, minted on first request
+  /// (per the once_flag contract above) and memoized for the snapshot's
+  /// lifetime. Term ids of the image mean the same in the result as in the
+  /// serving dictionary, but minted summary nodes live in a private overlay
+  /// above them — use the result for pruning verdicts and estimation, not
+  /// for decoding its node ids through dict().
+  StatusOr<const summary::SummaryResult*> WeakSummary();
 
   /// Stefanoni-style cardinality estimator over the weak summary, for
-  /// kSummary planning; built (and its summary minted) on first request.
+  /// kSummary planning; built with the weak summary on first request.
   StatusOr<const summary::CardinalityEstimator*> Estimator();
 
-  /// One STATS line per summary kind that has completed a mint attempt:
+  /// One STATS line once the mint attempt has completed (none before):
   /// kind name, wall seconds (private graph build + summarize), and whether
   /// it succeeded.
   struct MintReport {
@@ -76,23 +76,8 @@ class Snapshot {
  private:
   Snapshot() = default;
 
-  struct MintSlot {
-    std::once_flag once;
-    /// Private copy of the snapshot's triples over a private view
-    /// dictionary (MmapStore::ToGraph); no other thread touches it, so
-    /// summarization can mint freely.
-    std::optional<Graph> graph;
-    std::optional<summary::SummaryResult> result;
-    Status status;
-    double seconds = 0.0;
-    /// Release-published after the mint attempt finishes; MintReports and
-    /// late readers acquire it before touching status/seconds.
-    std::atomic<bool> done{false};
-  };
-
-  MintSlot& slot(summary::SummaryKind kind) {
-    return mints_[static_cast<size_t>(kind)];
-  }
+  /// Mints the weak summary and the estimator, exactly once.
+  void Mint();
 
   std::string path_;
   uint64_t epoch_ = 0;
@@ -100,11 +85,18 @@ class Snapshot {
   std::unique_ptr<store::MmapStore> store_;
   std::optional<query::BgpEvaluator> evaluator_;
 
-  MintSlot mints_[6];  // indexed by SummaryKind
-
-  std::once_flag estimator_once_;
+  std::once_flag mint_once_;
+  /// Private copy of the snapshot's triples over a private view dictionary
+  /// (MmapStore::ToGraph); no other thread touches it, so summarization
+  /// can mint freely.
+  std::optional<Graph> graph_;
+  std::optional<summary::SummaryResult> weak_;
   std::optional<summary::CardinalityEstimator> estimator_;
-  Status estimator_status_;
+  Status mint_status_;
+  double mint_seconds_ = 0.0;
+  /// Release-published after the mint attempt finishes; MintReports
+  /// acquires it before touching mint_status_/mint_seconds_.
+  std::atomic<bool> mint_done_{false};
 };
 
 }  // namespace rdfsum::server

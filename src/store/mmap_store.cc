@@ -27,10 +27,9 @@ Status FreezeGraphToFile(const Graph& g, const std::string& path,
   ImageMeta meta{};
   AppendDictionarySections(g.dict(), &meta, &builder);
 
-  TripleTable table;
-  g.ForEachTriple([&](const Triple& t) { table.Append(t); });
+  std::vector<Triple> rows = g.Triples();
   Timer freeze_timer;
-  table.Freeze(options.num_threads);
+  TripleTable table = TripleTable::Build(std::move(rows), options.num_threads);
   if (options.freeze_seconds != nullptr) {
     *options.freeze_seconds = freeze_timer.ElapsedSeconds();
   }
@@ -134,7 +133,7 @@ StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
   TableStats stats = TableStats::Restore(
       m.num_triples, m.num_distinct_subjects, m.num_distinct_predicates,
       m.num_distinct_objects, per_predicate);
-  store->table_ = TripleTable::BorrowFrozen(
+  store->table_ = TripleTable::Borrow(
       store->image_.Array<Triple>(SectionId::kSpo),
       store->image_.Array<Triple>(SectionId::kPos),
       store->image_.Array<Triple>(SectionId::kOsp), std::move(stats));

@@ -14,12 +14,12 @@
 namespace rdfsum::store {
 
 struct FreezeOptions {
-  /// Workers for the permutation sorts + statistics (TripleTable::Freeze):
+  /// Workers for the permutation sorts + statistics (TripleTable::Build):
   /// 1 = sequential (default), 0 = all available CPUs. The image bytes are
   /// identical at every thread count.
   uint32_t num_threads = 1;
   /// When non-null, receives the wall seconds spent sorting/deduplicating
-  /// the permutations (TripleTable::Freeze) — the `freeze` entry of the
+  /// the permutations (TripleTable::Build) — the `freeze` entry of the
   /// CLI's phase-time breakdown.
   double* freeze_seconds = nullptr;
 };
@@ -41,8 +41,9 @@ inline Status FreezeGraphToFile(const Graph& g, const std::string& path) {
 /// FrozenImage::Attach's corruption wall, served zero-copy —
 ///
 ///  - dict(): a view-mode Dictionary probing the on-disk slot table,
-///  - table(): a borrow-mode TripleTable whose permutations are spans into
-///    the mapping, driving Scan/Count/cursors without loading the file.
+///  - table(): a borrowed TripleTable (TripleTable::Borrow) whose
+///    permutations are spans into the mapping, serving MatchSpan/Count
+///    without loading the file.
 ///
 /// Open cost is O(validated bytes) page-cache reads, not O(triples) parsing
 /// and sorting — the warm-start path (`warmstart_*` in

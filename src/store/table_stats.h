@@ -22,11 +22,10 @@ struct PredicateStats {
   uint64_t distinct_objects = 0;
 };
 
-/// Table-wide statistics computed once at TripleTable::Freeze() from the
+/// Table-wide statistics computed once at TripleTable::Build() from the
 /// already-sorted SPO/POS/OSP permutations (single pass each, no hashing:
-/// distinct counts are run-boundary counts in sorted order). Statistics are
-/// exactly as stale as the indexes themselves — a frozen table cannot drift
-/// from its stats, and un-freezing (Append) invalidates both together.
+/// distinct counts are run-boundary counts in sorted order). A table is
+/// immutable, so it can never drift from its stats.
 class TableStats {
  public:
   TableStats() = default;

@@ -16,16 +16,13 @@ CardinalityEstimator::CardinalityEstimator(
     : dict_(g.dict_ptr()),
       kind_(summary.kind),
       options_(options),
+      summary_table_(store::TripleTable::Build(summary.graph.Triples())),
       node_map_(summary.node_map) {
   extent_size_.reserve(summary.graph.NumTriples());
   for (const auto& [node, summary_node] : node_map_) {
     (void)node;
     ++extent_size_[summary_node];
   }
-
-  summary.graph.ForEachTriple(
-      [&](const Triple& t) { summary_table_.Append(t); });
-  summary_table_.Freeze();
 
   // Edge multiplicities: how many triples of G each summary edge stands
   // for. Schema triples are copied verbatim into the summary, so they keep
@@ -191,10 +188,10 @@ CardinalityEstimate CardinalityEstimator::EstimatePatterns(
       }
       used[best] = true;
       const Pattern& pat = q.patterns[best];
-      est.summary_table_.Scan(Instantiate(pat), [&](const Triple& m) {
+      for (const Triple& m : est.summary_table_.MatchSpan(Instantiate(pat))) {
         if (++probes > est.options_.max_summary_probes) {
           truncated = true;
-          return false;
+          break;
         }
         uint32_t newly[3];
         int num_newly = 0;
@@ -218,8 +215,8 @@ CardinalityEstimate CardinalityEstimator::EstimatePatterns(
           mults.pop_back();
         }
         for (int i = 0; i < num_newly; ++i) bindings[newly[i]] = kUnboundVar;
-        return !truncated;
-      });
+        if (truncated) break;
+      }
       used[best] = false;
     }
   };
@@ -270,11 +267,10 @@ double CardinalityEstimator::EstimatePatternCount(
     }
   }
   double sum = 0.0;
-  summary_table_.Scan(probe, [&](const Triple& m) {
-    if (repeated_so && m.s != m.o) return true;
+  for (const Triple& m : summary_table_.MatchSpan(probe)) {
+    if (repeated_so && m.s != m.o) continue;
     sum += Multiplicity(m);
-    return true;
-  });
+  }
   return sum / constant_discount;
 }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <unordered_set>
 
-#include "rdf/graph_stats.h"
 #include "summary/union_find.h"
 
 namespace rdfsum::summary {
@@ -45,7 +45,7 @@ struct CliqueBuilder {
     return slot;
   }
 
-  void Run(CliqueScope scope, const std::vector<uint8_t>& typed) {
+  void Run(CliqueScope scope) {
     for (const DenseGraph::Edge& e : dg.data_edges()) {
       bool s_in = true;
       bool o_in = true;
@@ -53,11 +53,11 @@ struct CliqueBuilder {
         case CliqueScope::kAll:
           break;
         case CliqueScope::kUntypedEndpoints:
-          s_in = !typed[e.s];
-          o_in = !typed[e.o];
+          s_in = !dg.IsTyped(e.s);
+          o_in = !dg.IsTyped(e.o);
           break;
         case CliqueScope::kUntypedDataGraph: {
-          bool both = !typed[e.s] && !typed[e.o];
+          bool both = !dg.IsTyped(e.s) && !dg.IsTyped(e.o);
           s_in = both;
           o_in = both;
           break;
@@ -104,32 +104,12 @@ struct CliqueBuilder {
   }
 };
 
-/// Scope-filter flags per dense node: IsTyped by default, or the caller's
-/// typed-resource set mapped onto dense ids.
-std::vector<uint8_t> TypedFlags(
-    const DenseGraph& dg, CliqueScope scope,
-    const std::unordered_set<TermId>* typed_resources) {
-  std::vector<uint8_t> typed(dg.num_nodes(), 0);
-  if (scope == CliqueScope::kAll) return typed;  // never consulted
-  if (typed_resources != nullptr) {
-    for (TermId t : *typed_resources) {
-      uint32_t i = dg.node_of(t);
-      if (i != kNone) typed[i] = 1;
-    }
-  } else {
-    for (uint32_t i = 0; i < dg.num_nodes(); ++i) typed[i] = dg.IsTyped(i);
-  }
-  return typed;
-}
-
 }  // namespace
 
-PropertyCliques ComputePropertyCliques(
-    const Graph& g, CliqueScope scope,
-    const std::unordered_set<TermId>* typed_resources) {
+PropertyCliques ComputePropertyCliques(const Graph& g, CliqueScope scope) {
   const DenseGraph& dg = g.Dense();
   CliqueBuilder b(dg);
-  b.Run(scope, TypedFlags(dg, scope, typed_resources));
+  b.Run(scope);
 
   PropertyCliques out;
   const uint32_t p = static_cast<uint32_t>(b.pid_of_obs.size());
@@ -179,15 +159,10 @@ PropertyCliques ComputePropertyCliques(
   return out;
 }
 
-DenseCliqueAssignment ComputeDenseCliqueAssignment(
-    const DenseGraph& dg, CliqueScope scope,
-    const std::vector<uint8_t>* typed_override) {
+DenseCliqueAssignment ComputeDenseCliqueAssignment(const DenseGraph& dg,
+                                                   CliqueScope scope) {
   CliqueBuilder b(dg);
-  if (typed_override != nullptr) {
-    b.Run(scope, *typed_override);
-  } else {
-    b.Run(scope, TypedFlags(dg, scope, nullptr));
-  }
+  b.Run(scope);
 
   DenseCliqueAssignment out;
   std::vector<uint32_t> src_clique =

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "rdf/dense_graph.h"
@@ -61,20 +60,16 @@ struct PropertyCliques {
   }
 };
 
-/// Computes source/target property cliques. For scopes other than kAll the
-/// typed-resource set is required; pass null to have it computed internally.
-PropertyCliques ComputePropertyCliques(
-    const Graph& g, CliqueScope scope = CliqueScope::kAll,
-    const std::unordered_set<TermId>* typed_resources = nullptr);
+/// Computes source/target property cliques. Scopes other than kAll filter
+/// on DenseGraph::IsTyped.
+PropertyCliques ComputePropertyCliques(const Graph& g,
+                                       CliqueScope scope = CliqueScope::kAll);
 
 /// The clique assignment reduced to flat arrays over the dense substrate:
 /// SC/TC per dense node id, no TermId hash maps anywhere. This is the hot
 /// path behind ComputeStrongPartition / ComputeTypedStrongPartition.
-///
-/// `typed_override`, when non-null, is a bitmask by dense node id replacing
-/// DenseGraph::IsTyped for scope filtering. Clique ids are 1-based with 0 =
-/// empty clique, numbered in first-in-scope-observation order exactly like
-/// PropertyCliques.
+/// Clique ids are 1-based with 0 = empty clique, numbered in
+/// first-in-scope-observation order exactly like PropertyCliques.
 struct DenseCliqueAssignment {
   std::vector<uint32_t> source_clique_of_node;  // by DenseGraph node id
   std::vector<uint32_t> target_clique_of_node;
@@ -82,9 +77,8 @@ struct DenseCliqueAssignment {
   uint32_t num_target_cliques = 0;
 };
 
-DenseCliqueAssignment ComputeDenseCliqueAssignment(
-    const DenseGraph& dg, CliqueScope scope,
-    const std::vector<uint8_t>* typed_override = nullptr);
+DenseCliqueAssignment ComputeDenseCliqueAssignment(const DenseGraph& dg,
+                                                   CliqueScope scope);
 
 /// Distance between two data properties within a source (source=true) or
 /// target clique (Definition 6): 0 if some resource carries both, else the

@@ -44,8 +44,9 @@ inline std::pair<uint64_t, uint64_t> ShardRange(uint64_t total, uint32_t shard,
 /// parallel pass, and the barrier between passes. Pool tasks replace the
 /// per-call std::thread spawns this used to do: concurrent summarize/load/
 /// query requests now share one set of OS threads, and nested fan-out (a
-/// parallel Freeze inside a parallel load) is safe because TaskGroup::Wait
-/// helps run its own group's queued shards (see util/thread_pool.h).
+/// parallel table build inside a parallel load) is safe because
+/// TaskGroup::Wait helps run its own group's queued shards (see
+/// util/thread_pool.h).
 ///
 /// Shard count, sharding, and outputs are untouched by pool size: a shard
 /// is a unit of *work division*, not a dedicated thread, so results stay

@@ -24,7 +24,7 @@ uint32_t AvailableCpuCount();
 
 /// Process-wide work-stealing task pool. One pool (ThreadPool::Shared(),
 /// lazily constructed and sized to the CPUs it may use) serves every
-/// parallel phase — summarize shards, parallel Freeze sorts, chunked
+/// parallel phase — summarize shards, parallel table-build sorts, chunked
 /// parsing, and query morsels — so concurrent requests share one set of OS
 /// threads instead of each spawning their own.
 ///
@@ -41,7 +41,7 @@ uint32_t AvailableCpuCount();
 /// not-yet-started tasks out of the deques and runs them on the calling
 /// thread — and only then blocks for tasks already running elsewhere. The
 /// helping step is what makes nested parallelism (a pool task that itself
-/// fans out, e.g. a parallel Freeze inside a parallel load) deadlock-free:
+/// fans out, e.g. a parallel table build inside a parallel load) deadlock-free:
 /// a waiter always makes progress on its own work even when every pool
 /// worker is busy or the pool is smaller than the fan-out.
 ///

@@ -348,6 +348,43 @@ TEST(ImageCorruptionTest, ResealedComponentCountsMustSumToTriples) {
   EXPECT_NE(st.ToString().find("sum"), std::string::npos) << st.ToString();
 }
 
+TEST(ImageCorruptionTest, ResealedPermutationsMustHoldTheSameTriples) {
+  // Each mutation keeps its section sorted and every id in range, so only
+  // the same-triples rule catches it. POS and OSP: raise the last key of
+  // the last row to the largest term id (the row stays last, and its triple
+  // cannot be in SPO, or it would sort after it). Data: point the first
+  // row's object at another term. A pattern served from the mutated index
+  // would answer a triple SPO does not hold.
+  const std::string bytes = ImageBytes();
+  size_t meta_off = 0, meta_size = 0;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kMeta, &meta_off, &meta_size));
+  const uint32_t num_terms = static_cast<uint32_t>(
+      ReadAt<uint64_t>(bytes, meta_off + offsetof(ImageMeta, num_terms)));
+  struct Mutation {
+    SectionId id;
+    bool last_row;
+    size_t field;  // byte offset in the row: 0 = s, 4 = p, 8 = o
+  };
+  for (const Mutation& m : {Mutation{SectionId::kPos, true, 0},
+                            Mutation{SectionId::kOsp, true, 4},
+                            Mutation{SectionId::kDataTriples, false, 8}}) {
+    SCOPED_TRACE("section " + std::to_string(static_cast<uint32_t>(m.id)));
+    size_t off = 0, size = 0;
+    ASSERT_TRUE(FindSection(bytes, m.id, &off, &size));
+    ASSERT_GE(size, sizeof(Triple));
+    const size_t at = off + (m.last_row ? size - sizeof(Triple) : 0) + m.field;
+    const uint32_t old_id = ReadAt<uint32_t>(bytes, at);
+    const uint32_t new_id = m.last_row ? num_terms : old_id % num_terms + 1;
+    ASSERT_NE(new_id, old_id);
+    std::string mutated = bytes;
+    WriteAt<uint32_t>(&mutated, at, new_id);
+    Reseal(&mutated);
+    Status st = AttachStatus(mutated);
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
+}
+
 TEST(ImageCorruptionTest, AppendedJunkIsRejected) {
   std::string bytes = ImageBytes();
   bytes += std::string(64, '\x7f');

@@ -81,9 +81,7 @@ TEST(MmapStoreTest, RoundTripCountsAndStats) {
   EXPECT_EQ(store->table().size(), g.NumTriples());
 
   // The restored statistics equal the parse path's.
-  store::TripleTable reference;
-  g.ForEachTriple([&](const Triple& t) { reference.Append(t); });
-  reference.Freeze();
+  const store::TripleTable reference = store::TripleTable::Build(g.Triples());
   EXPECT_EQ(store->table().stats().num_triples(),
             reference.stats().num_triples());
   EXPECT_EQ(store->table().stats().num_distinct_subjects(),
@@ -99,9 +97,7 @@ TEST(MmapStoreTest, RoundTripCountsAndStats) {
 TEST(MmapStoreTest, PermutationsAreIdenticalToRebuilt) {
   Graph g = BsbmGraph(25);
   auto store = FreezeAndOpen(g, "perms.rsb");
-  store::TripleTable reference;
-  g.ForEachTriple([&](const Triple& t) { reference.Append(t); });
-  reference.Freeze();
+  const store::TripleTable reference = store::TripleTable::Build(g.Triples());
   for (auto kind : {store::IndexKind::kSpo, store::IndexKind::kPos,
                     store::IndexKind::kOsp}) {
     auto mapped = store->table().Permutation(kind);
@@ -352,19 +348,6 @@ TEST(MmapStoreTest, ConcurrentViewDecodesAreStableAndMatchOwnedMode) {
       }
     }
   }
-}
-
-TEST(MmapStoreTest, UnfreezeMaterializesBorrowedTable) {
-  Graph g = BsbmGraph(10);
-  auto store = FreezeAndOpen(g, "unfreeze.rsb");
-  store::TripleTable t = store->table();  // copies the borrowed views
-  ASSERT_TRUE(t.frozen());
-  size_t before = t.size();
-  t.Unfreeze();
-  t.Append({1, 2, 3});
-  t.Freeze();
-  EXPECT_GE(t.size(), before);  // dedup may or may not absorb the new row
-  EXPECT_FALSE(t.borrowed());
 }
 
 TEST(MmapStoreTest, MissingFileIsCleanError) {

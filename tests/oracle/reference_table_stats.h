@@ -8,8 +8,8 @@
 
 namespace rdfsum::store {
 
-/// A frozen triple table computed the obvious way, as the oracle
-/// TripleTable::Freeze is compared against at every thread count: each
+/// A triple table computed the obvious way, as the oracle
+/// TripleTable::Build is compared against at every thread count: each
 /// permutation is std::sort + std::unique of the raw rows under its own key
 /// order, and every statistic is the size of a std::set of the keys it
 /// counts over the distinct rows — no run boundaries, no shards.

@@ -5,7 +5,7 @@
 // shape and thread count, including pathological chunkings (CRLF, long
 // lines, comments/blanks/malformed lines straddling chunk boundaries), and
 // after a strict-mode failure.
-// TripleTable::Freeze() is held to an independent reference: the three
+// TripleTable::Build() is held to an independent reference: the three
 // sorted permutations and the table statistics must match
 // ComputeReferenceTableStats at every thread count.
 
@@ -376,8 +376,9 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelLoadFailpointTest,
                          ::testing::Values(1u, 4u));
 
 // ---------------------------------------------------------------------------
-// Freeze differential: permutations and statistics must match the reference
-// table (tests/oracle/reference_table_stats.h) at every thread count.
+// Table-build differential: permutations and statistics must match the
+// reference table (tests/oracle/reference_table_stats.h) at every thread
+// count.
 
 namespace {
 void ExpectStatsEqual(const store::TableStats& a, const store::TableStats& b,
@@ -419,14 +420,12 @@ std::vector<Triple> SyntheticTriples(size_t n) {
 }
 }  // namespace
 
-/// Freezes `rows` at `threads` and compares every permutation and statistic
-/// with the reference table.
+/// Builds a table from `rows` at `threads` and compares every permutation
+/// and statistic with the reference table.
 void ExpectFreezeMatchesReference(const std::vector<Triple>& rows,
                                   const store::ReferenceTableStats& ref,
                                   uint32_t threads, const std::string& label) {
-  store::TripleTable table;
-  table.AppendAll(rows);
-  table.Freeze(threads);
+  const store::TripleTable table = store::TripleTable::Build(rows, threads);
   const std::pair<store::IndexKind, const std::vector<Triple>*> expected[] = {
       {store::IndexKind::kSpo, &ref.spo},
       {store::IndexKind::kPos, &ref.pos},

@@ -540,13 +540,14 @@ TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
   auto snap = server::Snapshot::Open(image, 1);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
-  // Concurrent first requests for the same kind get the same minted object.
+  // Concurrent first requests get the same minted object.
+  EXPECT_TRUE((*snap)->MintReports().empty());  // nothing minted yet
   constexpr int kThreads = 4;
   const summary::SummaryResult* seen[kThreads] = {};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      auto r = (*snap)->Summary(summary::SummaryKind::kWeak);
+      auto r = (*snap)->WeakSummary();
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       seen[t] = *r;
     });
@@ -554,32 +555,30 @@ TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
   for (std::thread& t : threads) t.join();
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t], seen[0]);
 
-  // A second kind mints independently; both show up in the mint report
-  // with a recorded wall time.
-  auto typed = (*snap)->Summary(summary::SummaryKind::kTypedWeak);
-  ASSERT_TRUE(typed.ok());
+  // The mint shows up in the mint report with a recorded wall time.
   auto reports = (*snap)->MintReports();
-  ASSERT_EQ(reports.size(), 2u);
-  for (const auto& r : reports) {
-    EXPECT_TRUE(r.ok);
-    EXPECT_GE(r.seconds, 0.0);
-  }
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_STREQ(reports[0].kind, "W");
+  EXPECT_TRUE(reports[0].ok);
+  EXPECT_GE(reports[0].seconds, 0.0);
   // The estimator memoizes too and reuses the weak mint.
   auto est1 = (*snap)->Estimator();
   auto est2 = (*snap)->Estimator();
   ASSERT_TRUE(est1.ok());
   EXPECT_EQ(*est1, *est2);
-  EXPECT_EQ((*snap)->MintReports().size(), 2u);  // no extra mint
+  EXPECT_EQ((*snap)->MintReports().size(), 1u);  // no extra mint
 }
 
 TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
-  // Mints all six summary kinds and the estimator on a snapshot and checks
-  // that the mint runs over the image's own ids: the serving dictionary
-  // does not grow, the private dictionary decodes every base id as the
-  // serving one does, and each minted summary is the one the original
-  // graph has, N-Triples byte for byte. Each kind mints into a fresh
-  // dictionary at the frozen minted-URI counter, so each reference summary
-  // is taken from a freshly generated original graph too.
+  // Mints the weak summary and the estimator on a snapshot and checks that
+  // the mint runs over the image's own ids: the serving dictionary does
+  // not grow, the private dictionary decodes every base id as the serving
+  // one does, and the minted summary is the one the original graph has,
+  // N-Triples byte for byte. The mint runs in a fresh dictionary at the
+  // frozen minted-URI counter, so the reference summary is taken from a
+  // freshly generated original graph too. The other five kinds are held
+  // to the same bytes through ToGraph() by
+  // MmapStoreTest.ToGraphIsByteIdenticalForSummaries.
   auto make_graph = [] {
     gen::BsbmOptions opt;
     opt.num_products = 12;
@@ -592,24 +591,15 @@ TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
   const Dictionary& serving = (*snap)->dict();
   const size_t serving_size = serving.size();
 
-  for (int k = 0; k < 6; ++k) {
-    const auto kind = static_cast<summary::SummaryKind>(k);
-    auto r = (*snap)->Summary(kind);
-    ASSERT_TRUE(r.ok()) << summary::SummaryKindName(kind) << ": "
-                        << r.status().ToString();
-    const summary::SummaryResult original =
-        summary::Summarize(make_graph(), kind);
-    EXPECT_EQ(io::NTriplesWriter::ToString((*r)->graph),
-              io::NTriplesWriter::ToString(original.graph))
-        << summary::SummaryKindName(kind);
-  }
+  auto weak = (*snap)->WeakSummary();
+  ASSERT_TRUE(weak.ok()) << weak.status().ToString();
+  const summary::SummaryResult original =
+      summary::Summarize(make_graph(), summary::SummaryKind::kWeak);
+  EXPECT_EQ(io::NTriplesWriter::ToString((*weak)->graph),
+            io::NTriplesWriter::ToString(original.graph));
   ASSERT_TRUE((*snap)->Estimator().ok());
   EXPECT_EQ(serving.size(), serving_size);
 
-  auto weak = (*snap)->Summary(summary::SummaryKind::kWeak);
-  ASSERT_TRUE(weak.ok());
-  const summary::SummaryResult original =
-      summary::Summarize(make_graph(), summary::SummaryKind::kWeak);
   EXPECT_TRUE(summary::AreSummariesIsomorphic((*weak)->graph, original.graph));
 
   const Dictionary& minted = (*weak)->graph.dict();

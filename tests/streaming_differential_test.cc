@@ -51,8 +51,8 @@ BgpQuery MustParse(const std::string& text) {
 
 constexpr TermId kUnbound = kInvalidTermId;
 
-/// Verbatim copy of the PR 3 executor: follows plan.steps by backtracking
-/// over TripleTable::Scan visitor ranges. Do not "modernize" — its whole
+/// The pre-streaming executor: follows plan.steps by backtracking over
+/// TripleTable::MatchSpan ranges. Do not "modernize" — its whole
 /// value is being the independent materializing implementation the cursor
 /// tree is compared against byte-for-byte.
 class LegacyPlanRunner {
@@ -94,7 +94,7 @@ class LegacyPlanRunner {
     }
     const CompiledPattern& pat =
         plan_.compiled.patterns[plan_.steps[depth].pattern];
-    table_.Scan(Instantiate(pat), [&](const Triple& m) {
+    for (const Triple& m : table_.MatchSpan(Instantiate(pat))) {
       uint32_t newly[3];
       int num_newly = 0;
       bool ok = true;
@@ -113,8 +113,8 @@ class LegacyPlanRunner {
       if (ok) bind(pat.o, m.o);
       if (ok) Recurse(depth + 1, fn);
       for (int i = 0; i < num_newly; ++i) bindings_[newly[i]] = kUnbound;
-      return !stop_;
-    });
+      if (stop_) return;
+    }
   }
 
   const store::TripleTable& table_;

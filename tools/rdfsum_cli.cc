@@ -258,9 +258,7 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
     // here on the loaded graph so a regression in any cold-path stage is
     // visible from this one command.
     Timer freeze_timer;
-    store::TripleTable table;
-    g.ForEachTriple([&](const Triple& t) { table.Append(t); });
-    table.Freeze(threads);
+    store::TripleTable::Build(g.Triples(), threads);
     const double freeze_seconds = freeze_timer.ElapsedSeconds();
     Timer dense_timer;
     g.Dense();
