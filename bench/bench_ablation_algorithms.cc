@@ -36,7 +36,6 @@ bool PrintAblation() {
                       "incr. arbitrary-merge (ms)", "isomorphic"});
   for (uint64_t scale : BenchScales()) {
     const Graph& g = CachedBsbm(scale);
-    g.Dense();  // warm the substrate so no column pays for building it
 
     Timer t1;
     auto batch = Summarize(g, SummaryKind::kWeak);

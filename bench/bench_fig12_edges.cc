@@ -58,7 +58,7 @@ void PrintFigure12() {
 // emission half of the summarizer.
 void BM_QuotientConstruction(benchmark::State& state) {
   const Graph& g = CachedBsbm(100'000);
-  summary::NodePartition part = summary::ComputeWeakPartition(g);
+  summary::NodePartition part = summary::ComputeWeakPartition(DenseGraph(g));
   for (auto _ : state) {
     auto r = summary::QuotientByPartition(g, part, SummaryKind::kWeak).value();
     benchmark::DoNotOptimize(r);
@@ -70,8 +70,9 @@ BENCHMARK(BM_QuotientConstruction)->Unit(benchmark::kMillisecond);
 
 void BM_WeakPartitionOnly(benchmark::State& state) {
   const Graph& g = CachedBsbm(100'000);
+  const DenseGraph dg(g);
   for (auto _ : state) {
-    auto part = summary::ComputeWeakPartition(g);
+    auto part = summary::ComputeWeakPartition(dg);
     benchmark::DoNotOptimize(part);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *

@@ -94,11 +94,13 @@ void PrintSweep(bench::BenchJson* json, const std::string& prefix,
                       "speedup@4", "equal"});
   for (uint64_t scale : BenchScales()) {
     const Graph& g = CachedBsbm(scale);
-    g.Dense();  // substrate shared by every run below; build it once up front
+    const DenseGraph dg(g);  // substrate of the partition-only runs below
     oracle(g);
 
     std::vector<ParallelRun> runs;
-    for (uint32_t threads : kSweepThreads) runs.push_back(run(g, threads));
+    for (uint32_t threads : kSweepThreads) {
+      runs.push_back(run(g, dg, threads));
+    }
     json->RecordThreads(prefix + "_sequential", scale, runs[0].seconds, 1, 1);
     std::vector<std::string> row = {Num(g.NumTriples())};
     double at1 = runs[0].seconds;
@@ -133,7 +135,7 @@ void PrintParallelWeak(bench::BenchJson* json, const std::string& prefix,
       [&](const Graph& g) {
         oracle = summary::ReferenceSummarize(g, SummaryKind::kWeak).value();
       },
-      [&](const Graph& g, uint32_t threads) {
+      [&](const Graph& g, const DenseGraph& dg, uint32_t threads) {
         summary::SummaryResult r;
         double secs = BestOfTwo(
             [&] { r = Summarize(g, SummaryKind::kWeak, Threads(threads)); });
@@ -142,7 +144,7 @@ void PrintParallelWeak(bench::BenchJson* json, const std::string& prefix,
             summary::AreSummariesIsomorphic(oracle.graph, r.graph);
         return ParallelRun{
             secs, matched,
-            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
+            util::ResolveThreadCount(threads, dg.num_data_edges())};
       });
 }
 
@@ -153,13 +155,13 @@ void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
       json, "weak_partition",
       "Sharded weak partition only (quotient excluded)", all_equal,
       [&](const Graph& g) { oracle = summary::ReferenceWeakPartition(g); },
-      [&](const Graph& g, uint32_t threads) {
+      [&](const Graph&, const DenseGraph& dg, uint32_t threads) {
         NodePartition part;
         double secs =
-            BestOfTwo([&] { part = ComputeWeakPartition(g, threads); });
+            BestOfTwo([&] { part = ComputeWeakPartition(dg, threads); });
         return ParallelRun{
             secs, SamePartition(oracle, part),
-            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
+            util::ResolveThreadCount(threads, dg.num_data_edges())};
       });
 }
 
@@ -176,7 +178,7 @@ void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
         oracle =
             summary::ReferenceQuotient(g, part, SummaryKind::kWeak).value();
       },
-      [&](const Graph& g, uint32_t threads) {
+      [&](const Graph& g, const DenseGraph& dg, uint32_t threads) {
         summary::SummaryResult r;
         double secs = BestOfTwo([&] {
           r = QuotientByPartition(g, part, SummaryKind::kWeak,
@@ -189,7 +191,7 @@ void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
             summary::AreSummariesIsomorphic(oracle.graph, r.graph);
         return ParallelRun{
             secs, matched,
-            util::ResolveThreadCount(threads, g.Dense().num_data_edges())};
+            util::ResolveThreadCount(threads, dg.num_data_edges())};
       });
 }
 
@@ -201,16 +203,16 @@ void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
       [&](const Graph& g) {
         oracle = summary::ReferenceBisimulationPartition(g, 2, true);
       },
-      [&](const Graph& g, uint32_t threads) {
+      [&](const Graph&, const DenseGraph& dg, uint32_t threads) {
         NodePartition part;
         double secs = BestOfTwo([&] {
           part = ComputeBisimulationPartition(
-              g, 2, true, summary::BisimulationDirection::kForwardBackward,
+              dg, 2, true, summary::BisimulationDirection::kForwardBackward,
               threads);
         });
         return ParallelRun{
             secs, SamePartition(oracle, part),
-            util::ResolveThreadCount(threads, g.Dense().num_nodes())};
+            util::ResolveThreadCount(threads, dg.num_nodes())};
       });
 }
 

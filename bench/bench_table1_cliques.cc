@@ -36,7 +36,8 @@ std::string CliqueToString(const Graph& g,
 
 void PrintTable1() {
   gen::Figure2Example ex = gen::BuildFigure2();
-  PropertyCliques cliques = ComputePropertyCliques(ex.graph);
+  const DenseGraph dg(ex.graph);
+  PropertyCliques cliques = ComputePropertyCliques(dg);
 
   TablePrinter table({"r", "SC(r)", "TC(r)"});
   struct Entry {
@@ -62,21 +63,22 @@ void PrintTable1() {
   TablePrinter distances({"pair", "distance (Definition 6)"});
   distances.AddRow(
       {"d(a,t)", std::to_string(summary::PropertyDistance(
-                     ex.graph, ex.author, ex.title, true))});
+                     dg, ex.author, ex.title, true))});
   distances.AddRow(
       {"d(a,e)", std::to_string(summary::PropertyDistance(
-                     ex.graph, ex.author, ex.editor, true))});
+                     dg, ex.author, ex.editor, true))});
   distances.AddRow(
       {"d(a,c)", std::to_string(summary::PropertyDistance(
-                     ex.graph, ex.author, ex.comment, true))});
+                     dg, ex.author, ex.comment, true))});
   distances.Print(std::cout, "Property distances in SC1 (§3.1)");
   std::cout.flush();
 }
 
 void BM_ComputeCliques(benchmark::State& state) {
   const Graph& g = CachedBsbm(static_cast<uint64_t>(state.range(0)));
+  const DenseGraph dg(g);
   for (auto _ : state) {
-    auto c = ComputePropertyCliques(g);
+    auto c = ComputePropertyCliques(dg);
     benchmark::DoNotOptimize(c);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -89,9 +91,9 @@ BENCHMARK(BM_ComputeCliques)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ComputeCliquesUntypedScope(benchmark::State& state) {
-  const Graph& g = CachedBsbm(static_cast<uint64_t>(state.range(0)));
+  const DenseGraph dg(CachedBsbm(static_cast<uint64_t>(state.range(0))));
   for (auto _ : state) {
-    auto c = ComputePropertyCliques(g, CliqueScope::kUntypedEndpoints);
+    auto c = ComputePropertyCliques(dg, CliqueScope::kUntypedEndpoints);
     benchmark::DoNotOptimize(c);
   }
 }

@@ -22,7 +22,7 @@ namespace {
 
 void PrintCliqueTable(const gen::Figure2Example& ex) {
   summary::PropertyCliques cliques =
-      summary::ComputePropertyCliques(ex.graph);
+      summary::ComputePropertyCliques(DenseGraph(ex.graph));
   auto render = [&](const std::vector<std::vector<TermId>>& members,
                     uint32_t id) {
     if (id == 0) return std::string("{}");

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "rdf/graph.h"
-
 namespace rdfsum {
 namespace {
 
@@ -20,8 +18,8 @@ uint64_t Mix(uint64_t h) {
 
 }  // namespace
 
-DenseGraph::DenseGraph(const Graph& g) {
-  const size_t dict_size = g.dict().size();
+DenseGraph::DenseGraph(const GraphView& g) {
+  const size_t dict_size = g.dict->size();
   node_of_term_.assign(dict_size, kNone);
   prop_of_term_.assign(dict_size, kNone);
 
@@ -45,8 +43,8 @@ DenseGraph::DenseGraph(const Graph& g) {
   };
 
   // Pass 1: canonical node + property numbering, encoded edges, anchors.
-  edges_.reserve(g.data().size());
-  for (const Triple& t : g.data()) {
+  edges_.reserve(g.data.size());
+  for (const Triple& t : g.data) {
     NodeId s = intern_node(t.s);
     NodeId o = intern_node(t.o);
     PropId p = intern_prop(t.p);
@@ -56,7 +54,7 @@ DenseGraph::DenseGraph(const Graph& g) {
   }
   const uint32_t num_data_only =
       static_cast<uint32_t>(terms_.size());  // endpoints of data triples
-  for (const Triple& t : g.types()) intern_node(t.s);
+  for (const Triple& t : g.types) intern_node(t.s);
   const uint32_t n = num_nodes();
   has_data_.assign(n, 0);
   for (uint32_t i = 0; i < num_data_only; ++i) has_data_[i] = 1;
@@ -86,17 +84,17 @@ DenseGraph::DenseGraph(const Graph& g) {
 
   // Pass 3: per-node class sets (CSR), sorted and de-duplicated.
   class_offsets_.assign(n + 1, 0);
-  for (const Triple& t : g.types()) ++class_offsets_[node_of_term_[t.s] + 1];
+  for (const Triple& t : g.types) ++class_offsets_[node_of_term_[t.s] + 1];
   for (uint32_t i = 0; i < n; ++i) class_offsets_[i + 1] += class_offsets_[i];
-  classes_.resize(g.types().size());
+  classes_.resize(g.types.size());
   {
     std::vector<uint32_t> fill(class_offsets_.begin(),
                                class_offsets_.end() - 1);
-    for (const Triple& t : g.types()) {
+    for (const Triple& t : g.types) {
       classes_[fill[node_of_term_[t.s]]++] = t.o;
     }
   }
-  // A Graph is a set of triples, so (subject, class) pairs are already
+  // A graph is a set of triples, so (subject, class) pairs are already
   // unique; sorting each slice is all that's needed for a canonical set.
   for (uint32_t i = 0; i < n; ++i) {
     std::sort(classes_.begin() + class_offsets_[i],

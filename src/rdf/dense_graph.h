@@ -5,16 +5,15 @@
 #include <span>
 #include <vector>
 
+#include "rdf/graph.h"
 #include "rdf/triple.h"
 
 namespace rdfsum {
 
-class Graph;
-
-/// Immutable dense-ID view of a Graph's data and type components: the shared
+/// Immutable dense-ID view of a graph's data and type components: the shared
 /// substrate every summarization hot path runs on.
 ///
-/// Built once per graph (see Graph::Dense() for the cached accessor), it
+/// Built from a GraphView (summary::TrySummarize builds one per call), it
 /// replaces the per-algorithm `unordered_map<TermId, ...>` indexing idiom
 /// with flat arrays:
 ///
@@ -35,10 +34,10 @@ class Graph;
 ///  - **Type info.** Per-node sorted, de-duplicated class sets (CSR layout)
 ///    plus a dense "class set id" shared by nodes with equal class sets.
 ///
-/// The view holds TermIds and dense ids only; it never touches term strings.
-/// It is invalidated by any mutation of the underlying Graph (Graph::Dense()
-/// rebuilds automatically; a standalone DenseGraph must not outlive the
-/// graph state it was built from).
+/// The view holds TermIds and dense ids only; it never touches term strings,
+/// and it copies what it needs, so it stays valid (describing the graph as
+/// it was) after the source graph changes or goes away. Being immutable, it
+/// can be read from any number of threads.
 class DenseGraph {
  public:
   using NodeId = uint32_t;
@@ -59,7 +58,7 @@ class DenseGraph {
     NodeId node;
   };
 
-  explicit DenseGraph(const Graph& g);
+  explicit DenseGraph(const GraphView& g);
 
   // ---- Nodes ----------------------------------------------------------
   uint32_t num_nodes() const { return static_cast<uint32_t>(terms_.size()); }

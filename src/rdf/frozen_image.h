@@ -48,11 +48,10 @@ inline constexpr uint32_t kImageMaxSections = 64;
 /// see docs/FORMAT.md §7).
 ///
 /// kDataTriples/kTypeTriples/kSchemaTriples keep the graph's three
-/// components verbatim in original insertion order: they let
-/// MmapStore::ToGraph() rebuild a Graph whose component vectors, canonical
-/// dense numbering, and minted-URI counter are byte-identical to the graph
-/// that was frozen, which is what makes summaries computed from an image
-/// identical to the parse path.
+/// components verbatim in original insertion order: MmapStore::View() reads
+/// them in place, with the canonical dense numbering and minted-URI counter
+/// of the graph that was frozen, which is what makes summaries computed
+/// from an image byte-identical to the parse path's.
 enum class SectionId : uint32_t {
   kMeta = 1,           // ImageMeta
   kTermOffsets = 2,    // u64[num_terms + 1], offsets into kTermArena

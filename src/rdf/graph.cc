@@ -48,13 +48,7 @@ std::vector<Triple> Graph::Triples() const {
   return out;
 }
 
-const DenseGraph& Graph::Dense() const {
-  if (!dense_ || dense_built_at_ != all_.size()) {
-    dense_ = std::make_shared<const DenseGraph>(*this);
-    dense_built_at_ = all_.size();
-  }
-  return *dense_;
-}
+DenseGraph Graph::Dense() const { return DenseGraph(*this); }
 
 Graph Graph::Clone() const {
   Graph out(dict_);

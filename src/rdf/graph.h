@@ -2,6 +2,7 @@
 #define RDFSUM_RDF_GRAPH_H_
 
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -16,6 +17,20 @@ namespace rdfsum {
 
 class DenseGraph;
 
+/// A read-only view of a graph's three components over its dictionary —
+/// everything the summarizers and the cardinality estimator read. A Graph
+/// converts to one implicitly, and store::MmapStore::View() makes one over
+/// an image's stored components. The spans borrow: a view must not outlive
+/// the triples it was taken from. The dictionary is shared and writable
+/// because a summary mints its nodes into it.
+struct GraphView {
+  std::shared_ptr<Dictionary> dict;
+  Vocabulary vocab;
+  std::span<const Triple> data;
+  std::span<const Triple> types;
+  std::span<const Triple> schema;
+};
+
 /// An RDF graph in the paper's triple-based representation G = <D, S, T>
 /// (§2.1):
 ///   - D (data component): all triples that are neither τ nor RDFS,
@@ -29,8 +44,7 @@ class DenseGraph;
 /// Insertion de-duplicates: a Graph is a *set* of triples.
 class Graph {
  public:
-  /// Copying a Graph copies the triple storage but shares the dictionary
-  /// (and the cached DenseGraph substrate, which is immutable once built).
+  /// Copying a Graph copies the triple storage but shares the dictionary.
   Graph(const Graph&) = default;
   Graph(Graph&&) = default;
   Graph& operator=(const Graph&) = default;
@@ -83,12 +97,14 @@ class Graph {
   /// Deep copy sharing the same dictionary.
   Graph Clone() const;
 
-  /// The dense-ID substrate (canonical node numbering + CSR adjacency; see
-  /// DenseGraph). Built lazily on first call and cached; automatically
-  /// rebuilt if triples were added since. NOT thread-safe, even across
-  /// const callers (the lazy build mutates the cache): warm the cache with
-  /// a single Dense() call before sharing a graph across threads.
-  const DenseGraph& Dense() const;
+  /// The components as a read-only view (valid until the next mutation).
+  operator GraphView() const {
+    return {dict_, vocab_, data_, types_, schema_};
+  }
+
+  /// Builds the dense-ID substrate of this graph (see DenseGraph); nothing
+  /// is cached.
+  DenseGraph Dense() const;
 
   /// Every triple in D, then T, then S, gathered into one vector (the rows
   /// a store::TripleTable is built from).
@@ -109,10 +125,6 @@ class Graph {
   std::vector<Triple> types_;
   std::vector<Triple> schema_;
   util::RowSet all_{3};  // membership; order lives in the vectors above
-
-  // Lazily built substrate; shared so copies reuse it until they mutate.
-  mutable std::shared_ptr<const DenseGraph> dense_;
-  mutable size_t dense_built_at_ = 0;  // all_.size() when dense_ was built
 };
 
 /// Verifies the "well-behaved" conditions of §2.1: (i) no class appears in a

@@ -437,6 +437,10 @@ bool Server::HandleQuery(int fd, const std::string& payload,
 
 Status Server::Reload(const std::string& path) {
   RDFSUM_FAILPOINT("serve:swap");
+  // One reload at a time, from open to plan-cache clear: two racing reloads
+  // would otherwise both take epoch N+1, and the one whose open (and mint)
+  // finished last would be swapped in even if it was the older request.
+  std::lock_guard<std::mutex> reload_lock(reload_mu_);
   std::string target = path;
   if (target.empty()) target = snapshot()->path();
   uint64_t next_epoch = epoch_.load(std::memory_order_relaxed) + 1;

@@ -57,10 +57,11 @@ struct ServerOptions {
 /// drained by `num_workers` worker threads; each connection is handled by
 /// one worker for its whole lifetime. The live Snapshot is published behind
 /// a shared_ptr: every request copies the pointer once up front and runs
-/// entirely against that epoch, so Reload() — which opens the new image
-/// first, then swaps the pointer and clears the plan cache — is invisible
-/// to in-flight queries. The displaced snapshot stays alive until its last
-/// request drops its reference (the drain invariant); there is no
+/// entirely against that epoch, so Reload() — which opens (and mints) the
+/// new image first, then swaps the pointer and clears the plan cache — is
+/// invisible to in-flight queries, and no request ever waits for a mint.
+/// Reloads run one at a time. The displaced snapshot stays alive until its
+/// last request drops its reference (the drain invariant); there is no
 /// stop-the-world anywhere on the swap path.
 ///
 /// Failpoints: `serve:accept` (each accepted connection) and `serve:swap`
@@ -83,10 +84,12 @@ class Server {
   /// The bound port (resolves ephemeral binds). Valid after Start().
   uint16_t port() const { return port_; }
 
-  /// Atomically replaces the live snapshot with a freshly opened (and fully
-  /// validated) image at `path` — or re-opens the current path when `path`
-  /// is empty — bumping the epoch and clearing the plan cache. On failure
-  /// the current snapshot keeps serving untouched. Failpoint: `serve:swap`.
+  /// Atomically replaces the live snapshot with a freshly opened (fully
+  /// validated, already minted) image at `path` — or re-opens the current
+  /// path when `path` is empty — bumping the epoch and clearing the plan
+  /// cache. Concurrent calls are serialized, so epochs rise in publish
+  /// order. On failure the current snapshot keeps serving untouched.
+  /// Failpoint: `serve:swap`.
   Status Reload(const std::string& path);
 
   /// Signals shutdown: stops accepting, wakes idle workers, lets in-flight
@@ -108,7 +111,7 @@ class Server {
 
   /// The STATS payload: `key: value` lines — epoch, image path/size, query
   /// and admission counters, plan-cache hit rate, per-phase latency
-  /// (parse/plan/exec), and one line per memoized summary mint.
+  /// (parse/plan/exec), and one line per summary mint of the epoch.
   std::string StatsText() const;
 
  private:
@@ -123,6 +126,9 @@ class Server {
   uint16_t port_ = 0;
   int listen_fd_ = -1;
 
+  /// Serializes Reload() end to end (open, swap, epoch bump, plan-cache
+  /// clear), so epochs are published in the order they are numbered.
+  std::mutex reload_mu_;
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<Snapshot> snapshot_;
   std::atomic<uint64_t> epoch_{0};

@@ -1,15 +1,12 @@
 #ifndef RDFSUM_SERVER_SNAPSHOT_H_
 #define RDFSUM_SERVER_SNAPSHOT_H_
 
-#include <atomic>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "query/evaluator.h"
-#include "rdf/graph.h"
 #include "store/mmap_store.h"
 #include "summary/cardinality.h"
 #include "summary/summarizer.h"
@@ -18,26 +15,27 @@
 namespace rdfsum::server {
 
 /// One immutable epoch of the serving daemon: a validated mmap'd `.rsb`
-/// image, a zero-copy BgpEvaluator over it, and a lazily-minted weak
-/// summary with the cardinality estimator over it.
+/// image, a zero-copy BgpEvaluator over it, and the weak summary with the
+/// cardinality estimator over it, both minted by Open().
 /// Snapshots are published behind shared_ptr (server/server.h): every
 /// in-flight request holds a reference, so an epoch swap never invalidates
 /// a running query — the old snapshot drains and frees when its last
 /// reference drops (the drain invariant, src/server/README.md).
 ///
-/// Thread safety. All query-path members are read-only after Open():
-/// the evaluator plans and opens cursors from const state, and the
-/// view-mode Dictionary's decode cache is internally locked. The summary
-/// mint is the one lazy mutation, and it is isolated by construction: it
-/// mints into a *private* graph whose *private* view dictionary reads the
-/// same mapped (read-only) image bytes as the serving one but has its own
-/// overlay and decode cache, so minting never writes memory a concurrent
-/// reader probes. One std::once_flag makes the mint (weak summary plus
-/// estimator) happen exactly once; concurrent first requests wait for it.
+/// Thread safety. Every member is read-only once Open() returns: the
+/// evaluator plans and opens cursors from const state, the view-mode
+/// Dictionary's decode cache is internally locked, and the summary and
+/// estimator are finished before any other thread can see the snapshot.
+/// The mint ran over MmapStore::View(), whose private view dictionary reads
+/// the same mapped (read-only) image bytes as the serving one but has its
+/// own overlay and decode cache, so it never wrote memory a reader probes.
 class Snapshot {
  public:
   /// Opens and validates `path` (store::MmapStore's corruption wall runs in
-  /// full). `epoch` is the server-assigned generation number.
+  /// full), then mints the weak summary and its estimator from the image's
+  /// stored components. A failed mint does not fail the open: the snapshot
+  /// serves, and WeakSummary()/Estimator() return the mint's status.
+  /// `epoch` is the server-assigned generation number.
   static StatusOr<std::shared_ptr<Snapshot>> Open(const std::string& path,
                                                   uint64_t epoch);
 
@@ -51,21 +49,19 @@ class Snapshot {
   const Dictionary& dict() const { return store_->dict(); }
   const store::TripleTable& table() const { return store_->table(); }
 
-  /// The weak summary of this snapshot's graph, minted on first request
-  /// (per the once_flag contract above) and memoized for the snapshot's
-  /// lifetime. Term ids of the image mean the same in the result as in the
-  /// serving dictionary, but minted summary nodes live in a private overlay
-  /// above them — use the result for pruning verdicts and estimation, not
-  /// for decoding its node ids through dict().
-  StatusOr<const summary::SummaryResult*> WeakSummary();
+  /// The weak summary of this snapshot's graph. Term ids of the image mean
+  /// the same in the result as in the serving dictionary, but minted
+  /// summary nodes live in a private overlay above them — use the result
+  /// for pruning verdicts and estimation, not for decoding its node ids
+  /// through dict().
+  StatusOr<const summary::SummaryResult*> WeakSummary() const;
 
   /// Stefanoni-style cardinality estimator over the weak summary, for
-  /// kSummary planning; built with the weak summary on first request.
-  StatusOr<const summary::CardinalityEstimator*> Estimator();
+  /// kSummary planning.
+  StatusOr<const summary::CardinalityEstimator*> Estimator() const;
 
-  /// One STATS line once the mint attempt has completed (none before):
-  /// kind name, wall seconds (private graph build + summarize), and whether
-  /// it succeeded.
+  /// The STATS line of the mint Open() ran: kind name, wall seconds (view +
+  /// summarize), and whether it succeeded.
   struct MintReport {
     const char* kind;
     bool ok;
@@ -76,27 +72,17 @@ class Snapshot {
  private:
   Snapshot() = default;
 
-  /// Mints the weak summary and the estimator, exactly once.
-  void Mint();
-
   std::string path_;
   uint64_t epoch_ = 0;
   uint64_t num_triples_ = 0;
   std::unique_ptr<store::MmapStore> store_;
   std::optional<query::BgpEvaluator> evaluator_;
-
-  std::once_flag mint_once_;
-  /// Private copy of the snapshot's triples over a private view dictionary
-  /// (MmapStore::ToGraph); no other thread touches it, so summarization
-  /// can mint freely.
-  std::optional<Graph> graph_;
+  /// Both share the view dictionary of the mint, which borrows store_'s
+  /// bytes; declared after store_, so they are destroyed first.
   std::optional<summary::SummaryResult> weak_;
   std::optional<summary::CardinalityEstimator> estimator_;
   Status mint_status_;
   double mint_seconds_ = 0.0;
-  /// Release-published after the mint attempt finishes; MintReports
-  /// acquires it before touching mint_status_/mint_seconds_.
-  std::atomic<bool> mint_done_{false};
 };
 
 }  // namespace rdfsum::server

@@ -140,14 +140,25 @@ StatusOr<std::unique_ptr<MmapStore>> MmapStore::Open(
   return store;
 }
 
+GraphView MmapStore::View() const {
+  std::shared_ptr<Dictionary> dict =
+      Dictionary::FromView(image_.dictionary_view());
+  // Interned before anything else, as a Graph over the same dictionary
+  // would, so minted ids match the parse path's.
+  const Vocabulary vocab(*dict);
+  return {std::move(dict), vocab, image_.Array<Triple>(SectionId::kDataTriples),
+          image_.Array<Triple>(SectionId::kTypeTriples),
+          image_.Array<Triple>(SectionId::kSchemaTriples)};
+}
+
 Graph MmapStore::ToGraph() const {
-  Graph g(Dictionary::FromView(image_.dictionary_view()));
+  const GraphView view = View();
+  Graph g(view.dict);
   g.Reserve(image_.meta().num_triples);
   // Insertion order as frozen: D, then T, then S (Graph::ForEachTriple), so
   // the component vectors and the canonical dense numbering match exactly.
-  for (SectionId id : {SectionId::kDataTriples, SectionId::kTypeTriples,
-                       SectionId::kSchemaTriples}) {
-    for (const Triple& t : image_.Array<Triple>(id)) g.Add(t);
+  for (std::span<const Triple> part : {view.data, view.types, view.schema}) {
+    for (const Triple& t : part) g.Add(t);
   }
   return g;
 }

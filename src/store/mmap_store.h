@@ -48,7 +48,8 @@ inline Status FreezeGraphToFile(const Graph& g, const std::string& path) {
 /// Open cost is O(validated bytes) page-cache reads, not O(triples) parsing
 /// and sorting — the warm-start path (`warmstart_*` in
 /// BENCH_substrate.json). The store is immutable and self-contained; it
-/// must outlive every evaluator, cursor, and Graph handed out from it.
+/// must outlive every evaluator, cursor, GraphView and Graph handed out
+/// from it.
 class MmapStore {
  public:
   /// Opens and validates `path` (checksums and structure, always).
@@ -63,14 +64,19 @@ class MmapStore {
   const Dictionary& dict() const { return *dict_; }
   const TripleTable& table() const { return table_; }
 
-  /// Materializes a full Graph from the image, byte-identical to the graph
-  /// that was frozen: the data, type and schema components are replayed in
-  /// their stored insertion order into a graph over a fresh view dictionary
-  /// of the image (same ids and minted-URI counter as the frozen graph, but
-  /// its own overlay and decode cache — not dict()). Dense() builds lazily
-  /// as for a parsed graph, and summaries computed from the result equal
-  /// the parse path's bit for bit. Each call returns an independent graph;
-  /// it borrows the mapped bytes and must not outlive this store.
+  /// The image's data, type and schema components in their stored
+  /// insertion order, as a read-only view over a fresh view dictionary of
+  /// the image (same ids and minted-URI counter as the frozen graph, but its
+  /// own overlay and decode cache — not dict()). Summaries and estimators
+  /// computed from it equal the parse path's bit for bit, and minting into
+  /// its dictionary never writes memory a reader of dict() probes. Each call
+  /// returns an independent view; it and its dictionary borrow the mapped
+  /// bytes and must not outlive this store.
+  GraphView View() const;
+
+  /// View() replayed into a Graph, byte-identical to the graph that was
+  /// frozen — for callers that need a mutable graph (the CLI's saturation,
+  /// tests). It copies every triple; summarize View() instead.
   Graph ToGraph() const;
 
  private:

@@ -11,9 +11,9 @@ constexpr TermId kUnboundVar = kInvalidTermId;
 }  // namespace
 
 CardinalityEstimator::CardinalityEstimator(
-    const Graph& g, const SummaryResult& summary,
+    const GraphView& g, const SummaryResult& summary,
     const CardinalityEstimatorOptions& options)
-    : dict_(g.dict_ptr()),
+    : dict_(g.dict),
       kind_(summary.kind),
       options_(options),
       summary_table_(store::TripleTable::Build(summary.graph.Triples())),
@@ -31,12 +31,12 @@ CardinalityEstimator::CardinalityEstimator(
     auto it = node_map_.find(n);
     return it == node_map_.end() ? n : it->second;
   };
-  multiplicity_.reserve(g.data().size() + g.types().size());
-  for (const Triple& t : g.data()) {
+  multiplicity_.reserve(g.data.size() + g.types.size());
+  for (const Triple& t : g.data) {
     ++multiplicity_[Triple{map_node(t.s), t.p, map_node(t.o)}];
   }
-  const TermId rdf_type = g.vocab().rdf_type;
-  for (const Triple& t : g.types()) {
+  const TermId rdf_type = g.vocab.rdf_type;
+  for (const Triple& t : g.types) {
     ++multiplicity_[Triple{map_node(t.s), rdf_type, t.o}];
   }
 }

@@ -62,7 +62,7 @@ class CardinalityEstimator {
  public:
   /// Builds the estimator for `g` from `summary`, which must be a summary
   /// *of g* (its node_map keys g's data nodes). Cost: one pass over g.
-  CardinalityEstimator(const Graph& g, const SummaryResult& summary,
+  CardinalityEstimator(const GraphView& g, const SummaryResult& summary,
                        const CardinalityEstimatorOptions& options = {});
 
   /// Estimated number of embeddings of the whole BGP body.

@@ -106,8 +106,8 @@ struct CliqueBuilder {
 
 }  // namespace
 
-PropertyCliques ComputePropertyCliques(const Graph& g, CliqueScope scope) {
-  const DenseGraph& dg = g.Dense();
+PropertyCliques ComputePropertyCliques(const DenseGraph& dg,
+                                       CliqueScope scope) {
   CliqueBuilder b(dg);
   b.Run(scope);
 
@@ -183,31 +183,35 @@ DenseCliqueAssignment ComputeDenseCliqueAssignment(const DenseGraph& dg,
   return out;
 }
 
-int PropertyDistance(const Graph& g, TermId p1, TermId p2, bool source) {
+int PropertyDistance(const DenseGraph& dg, TermId p1, TermId p2,
+                     bool source) {
   if (p1 == p2) return 0;
+  const uint32_t from = dg.property_of(p1);
+  const uint32_t to = dg.property_of(p2);
+  if (from == kNone || to == kNone) return -1;
   // Bipartite BFS: property -> resources carrying it -> their properties.
   // Each property hop corresponds to one witness resource; the paper's
   // distance is (number of witness resources on the shortest chain) - 1.
-  std::unordered_map<TermId, std::vector<TermId>> props_of_node;
-  std::unordered_map<TermId, std::vector<TermId>> nodes_of_prop;
-  for (const Triple& t : g.data()) {
-    TermId node = source ? t.s : t.o;
-    props_of_node[node].push_back(t.p);
-    nodes_of_prop[t.p].push_back(node);
+  std::vector<std::vector<uint32_t>> props_of_node(dg.num_nodes());
+  std::vector<std::vector<uint32_t>> nodes_of_prop(dg.num_properties());
+  for (const DenseGraph::Edge& e : dg.data_edges()) {
+    const uint32_t node = source ? e.s : e.o;
+    props_of_node[node].push_back(e.p);
+    nodes_of_prop[e.p].push_back(node);
   }
-  if (!nodes_of_prop.count(p1) || !nodes_of_prop.count(p2)) return -1;
-  std::unordered_map<TermId, int> dist;
-  std::deque<TermId> frontier;
-  dist[p1] = 0;
-  frontier.push_back(p1);
+  std::vector<int> dist(dg.num_properties(), -1);
+  std::deque<uint32_t> frontier;
+  dist[from] = 0;
+  frontier.push_back(from);
   while (!frontier.empty()) {
-    TermId cur = frontier.front();
+    const uint32_t cur = frontier.front();
     frontier.pop_front();
-    int d = dist[cur];
-    for (TermId node : nodes_of_prop[cur]) {
-      for (TermId next : props_of_node[node]) {
-        if (dist.emplace(next, d + 1).second) {
-          if (next == p2) return d;  // (d+1) hops -> distance (d+1)-1 = d
+    const int d = dist[cur];
+    for (uint32_t node : nodes_of_prop[cur]) {
+      for (uint32_t next : props_of_node[node]) {
+        if (dist[next] < 0) {
+          dist[next] = d + 1;
+          if (next == to) return d;  // (d+1) hops -> distance (d+1)-1 = d
           frontier.push_back(next);
         }
       }

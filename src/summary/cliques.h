@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "rdf/dense_graph.h"
-#include "rdf/graph.h"
 #include "reasoner/schema_index.h"
 
 namespace rdfsum::summary {
@@ -62,7 +61,7 @@ struct PropertyCliques {
 
 /// Computes source/target property cliques. Scopes other than kAll filter
 /// on DenseGraph::IsTyped.
-PropertyCliques ComputePropertyCliques(const Graph& g,
+PropertyCliques ComputePropertyCliques(const DenseGraph& dg,
                                        CliqueScope scope = CliqueScope::kAll);
 
 /// The clique assignment reduced to flat arrays over the dense substrate:
@@ -84,7 +83,8 @@ DenseCliqueAssignment ComputeDenseCliqueAssignment(const DenseGraph& dg,
 /// target clique (Definition 6): 0 if some resource carries both, else the
 /// length of the shortest witness chain minus one. Returns -1 when the
 /// properties are not in the same clique.
-int PropertyDistance(const Graph& g, TermId p1, TermId p2, bool source);
+int PropertyDistance(const DenseGraph& dg, TermId p1, TermId p2,
+                     bool source);
 
 /// The saturated clique C+ of Lemma 1: the property set plus all its
 /// generalizations (super-properties).

@@ -25,7 +25,7 @@ SummaryResult IncrementalTypedWeakSummarize(
     const Graph& g, const IncrementalWeakOptions& options) {
   Timer timer;
   using NodeId = WeakSummaryMaintainer::NodeId;
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   WeakSummaryMaintainer core(g.dict_ptr(), options);
   // Types first: one pinned node per distinct class set (the clsd map); the
   // substrate already de-duplicated the sets.

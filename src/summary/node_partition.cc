@@ -10,7 +10,7 @@
 #include "summary/union_find.h"
 #include "util/parallel_for.h"
 
-// All partition kinds run on the DenseGraph substrate (Graph::Dense()):
+// All partition kinds run on the DenseGraph substrate:
 // flat arrays indexed by dense node / property id instead of per-algorithm
 // unordered_map scaffolding. The canonical class-id semantics are unchanged
 // — dense node id order *is* the canonical first-encounter order — and every
@@ -120,11 +120,8 @@ NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
 
 }  // namespace
 
-NodePartition ComputeWeakPartition(const Graph& g, uint32_t num_threads,
+NodePartition ComputeWeakPartition(const DenseGraph& dg, uint32_t num_threads,
                                    util::ExecContext* exec) {
-  // The substrate is built (or fetched from cache) before any shard runs;
-  // shards only ever read it.
-  const DenseGraph& dg = g.Dense();
   const uint32_t n = dg.num_nodes();
   const uint32_t num_props = dg.num_properties();
   const uint32_t threads =
@@ -199,8 +196,7 @@ NodePartition ComputeWeakPartition(const Graph& g, uint32_t num_threads,
   return WeakPartitionFromRoots(dg, root);
 }
 
-NodePartition ComputeStrongPartition(const Graph& g) {
-  const DenseGraph& dg = g.Dense();
+NodePartition ComputeStrongPartition(const DenseGraph& dg) {
   DenseCliqueAssignment cliques =
       ComputeDenseCliqueAssignment(dg, CliqueScope::kAll);
   // Raw class = dense id of the (source clique, target clique) pair; the
@@ -219,16 +215,14 @@ NodePartition ComputeStrongPartition(const Graph& g) {
   return Finalize(dg, raw, static_cast<uint32_t>(pair_class.size()));
 }
 
-NodePartition ComputeTypePartition(const Graph& g) {
+NodePartition ComputeTypePartition(const DenseGraph& dg) {
   // Typed resources by exact class set; every untyped data node a fresh
   // singleton (C(∅) is fresh per node).
-  const DenseGraph& dg = g.Dense();
   return TypedPartition(dg, dg.num_nodes(), [](uint32_t i) { return i; });
 }
 
-NodePartition ComputeTypedWeakPartition(const Graph& g,
+NodePartition ComputeTypedWeakPartition(const DenseGraph& dg,
                                         TypedSummaryMode mode) {
-  const DenseGraph& dg = g.Dense();
   const uint32_t n = dg.num_nodes();
   std::vector<uint8_t> untyped = UntypedFlags(dg);
   std::vector<uint8_t> covered(n, 0);
@@ -242,9 +236,8 @@ NodePartition ComputeTypedWeakPartition(const Graph& g,
   });
 }
 
-NodePartition ComputeTypedStrongPartition(const Graph& g,
+NodePartition ComputeTypedStrongPartition(const DenseGraph& dg,
                                           TypedSummaryMode mode) {
-  const DenseGraph& dg = g.Dense();
   CliqueScope scope = mode == TypedSummaryMode::kPerPropertyProjection
                           ? CliqueScope::kUntypedEndpoints
                           : CliqueScope::kUntypedDataGraph;
@@ -260,12 +253,11 @@ NodePartition ComputeTypedStrongPartition(const Graph& g,
   });
 }
 
-NodePartition ComputeBisimulationPartition(const Graph& g, uint32_t depth,
-                                           bool use_types,
+NodePartition ComputeBisimulationPartition(const DenseGraph& dg,
+                                           uint32_t depth, bool use_types,
                                            BisimulationDirection direction,
                                            uint32_t num_threads,
                                            util::ExecContext* exec) {
-  const DenseGraph& dg = g.Dense();
   const uint32_t n = dg.num_nodes();
   const uint32_t threads = util::ResolveThreadCount(num_threads, n);
 

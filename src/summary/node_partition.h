@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "rdf/graph.h"
+#include "rdf/dense_graph.h"
 #include "summary/summary.h"
 
 namespace rdfsum::summary {
@@ -14,6 +14,10 @@ namespace rdfsum::summary {
 /// component (subjects, then objects, triple by triple) followed by the type
 /// component (subjects), which makes partitions deterministic for a given
 /// graph construction order.
+///
+/// Every partition function reads only the dense substrate of the graph
+/// (DenseGraph), so one substrate serves any number of partitions, from
+/// any number of threads.
 struct NodePartition {
   std::unordered_map<TermId, uint32_t> class_of;
   uint32_t num_classes = 0;
@@ -30,24 +34,26 @@ struct NodePartition {
 /// tripped context returns an empty partition the caller must discard after
 /// consulting exec->Check() (governance errors are sticky, so the check
 /// replays).
-NodePartition ComputeWeakPartition(const Graph& g, uint32_t num_threads = 1,
+NodePartition ComputeWeakPartition(const DenseGraph& dg,
+                                   uint32_t num_threads = 1,
                                    util::ExecContext* exec = nullptr);
 
 /// ≡S (Definition 7): same (source clique, target clique); typed-only
 /// resources have (∅,∅) and form one class (Nτ).
-NodePartition ComputeStrongPartition(const Graph& g);
+NodePartition ComputeStrongPartition(const DenseGraph& dg);
 
 /// ≡T (Definition 8): typed resources grouped by their exact class set;
 /// every untyped data node is a singleton (C(∅) is fresh per call).
-NodePartition ComputeTypePartition(const Graph& g);
+NodePartition ComputeTypePartition(const DenseGraph& dg);
 
 /// TW's node partition: typed resources by class set; untyped resources by
 /// untyped-weak equivalence per `mode` (see TypedSummaryMode).
-NodePartition ComputeTypedWeakPartition(const Graph& g, TypedSummaryMode mode);
+NodePartition ComputeTypedWeakPartition(const DenseGraph& dg,
+                                        TypedSummaryMode mode);
 
 /// TS's node partition: typed resources by class set; untyped resources by
 /// untyped-strong equivalence per `mode`.
-NodePartition ComputeTypedStrongPartition(const Graph& g,
+NodePartition ComputeTypedStrongPartition(const DenseGraph& dg,
                                           TypedSummaryMode mode);
 
 /// Baseline from the paper's related work (§8): k-bounded bisimulation over
@@ -68,7 +74,7 @@ NodePartition ComputeTypedStrongPartition(const Graph& g,
 /// returns an empty partition the caller must discard after consulting
 /// exec->Check() (governance errors are sticky, so the check replays).
 NodePartition ComputeBisimulationPartition(
-    const Graph& g, uint32_t depth, bool use_types,
+    const DenseGraph& dg, uint32_t depth, bool use_types,
     BisimulationDirection direction = BisimulationDirection::kForwardBackward,
     uint32_t num_threads = 1, util::ExecContext* exec = nullptr);
 

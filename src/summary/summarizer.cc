@@ -18,25 +18,26 @@
 namespace rdfsum::summary {
 namespace {
 
-NodePartition ComputePartition(const Graph& g, SummaryKind kind,
+NodePartition ComputePartition(const DenseGraph& dg, SummaryKind kind,
                                const SummaryOptions& options) {
   switch (kind) {
     case SummaryKind::kWeak:
-      return ComputeWeakPartition(g, options.num_threads, options.exec);
+      return ComputeWeakPartition(dg, options.num_threads, options.exec);
     case SummaryKind::kStrong:
-      return ComputeStrongPartition(g);
+      return ComputeStrongPartition(dg);
     case SummaryKind::kTypedWeak:
-      return ComputeTypedWeakPartition(g, options.typed_mode);
+      return ComputeTypedWeakPartition(dg, options.typed_mode);
     case SummaryKind::kTypedStrong:
-      return ComputeTypedStrongPartition(g, options.typed_mode);
+      return ComputeTypedStrongPartition(dg, options.typed_mode);
     case SummaryKind::kTypeBased:
-      return ComputeTypePartition(g);
+      return ComputeTypePartition(dg);
     case SummaryKind::kBisimulation:
       return ComputeBisimulationPartition(
-          g, options.bisimulation_depth, options.bisimulation_uses_types,
-          options.bisimulation_direction, options.num_threads, options.exec);
+          dg, options.bisimulation_depth, /*use_types=*/true,
+          BisimulationDirection::kForwardBackward, options.num_threads,
+          options.exec);
   }
-  return ComputeWeakPartition(g, options.num_threads, options.exec);
+  return ComputeWeakPartition(dg, options.num_threads, options.exec);
 }
 
 /// Sharded construction of the quotient edge set: shards classify contiguous
@@ -51,11 +52,11 @@ NodePartition ComputePartition(const Graph& g, SummaryKind kind,
 /// and fall through to their join barrier — partial shard output is never
 /// merged), and the "quotient:shard" failpoint injects per-shard failures
 /// at each shard boundary in fault-injection builds.
-Status QuotientEdges(const Graph& g, const NodePartition& part,
-                    const std::vector<TermId>& class_node,
-                    uint32_t num_threads, util::ExecContext* exec,
-                    Graph* out) {
-  const DenseGraph& dg = g.Dense();  // built/cached before any worker spawns
+Status QuotientEdges(const GraphView& g, const DenseGraph& dg,
+                     const NodePartition& part,
+                     const std::vector<TermId>& class_node,
+                     uint32_t num_threads, util::ExecContext* exec,
+                     Graph* out) {
   const uint32_t n = dg.num_nodes();
 
   // Resolve every dense node to its class id once, instead of one hash
@@ -116,10 +117,10 @@ Status QuotientEdges(const Graph& g, const NodePartition& part,
       });
   for (const Status& st : shard_status) RDFSUM_RETURN_IF_ERROR(st);
 
-  // Type component: same recipe over g.types() with (class(s), class term)
+  // Type component: same recipe over g.types with (class(s), class term)
   // keys. Type subjects are dense nodes by the substrate's canonical
   // numbering, so node_of never misses.
-  const std::vector<Triple>& types = g.types();
+  const std::span<const Triple> types = g.types;
   const uint32_t type_threads =
       util::ResolveThreadCount(num_threads, types.size());
   std::vector<util::RowSet> shard_types(type_threads, util::RowSet(2));
@@ -151,7 +152,7 @@ Status QuotientEdges(const Graph& g, const NodePartition& part,
   // edge's first surviving occurrence is in the earliest shard that saw it,
   // at that shard's first-occurrence position: Graph::Add's cross-shard
   // dedup reproduces the sequential insertion order exactly.
-  size_t distinct_upper = g.schema().size();
+  size_t distinct_upper = g.schema.size();
   for (const util::RowSet& set : shard_edges) distinct_upper += set.size();
   for (const util::RowSet& set : shard_types) distinct_upper += set.size();
   out->Reserve(distinct_upper);
@@ -162,29 +163,27 @@ Status QuotientEdges(const Graph& g, const NodePartition& part,
                       class_node[row[2]]});
     }
   }
-  const TermId rdf_type = g.vocab().rdf_type;
+  const TermId rdf_type = g.vocab.rdf_type;
   for (const util::RowSet& set : shard_types) {
     for (size_t r = 0; r < set.size(); ++r) {
       const TermId* row = set.row(r);
       out->Add(Triple{class_node[row[0]], rdf_type, row[1]});
     }
   }
-  for (const Triple& t : g.schema()) out->Add(t);
+  for (const Triple& t : g.schema) out->Add(t);
   return Status::OK();
 }
 
-}  // namespace
-
-StatusOr<SummaryResult> QuotientByPartition(const Graph& g,
-                                            const NodePartition& part,
-                                            SummaryKind kind,
-                                            const SummaryOptions& options) {
+/// QuotientByPartition over a substrate `dg` already built from `g`.
+StatusOr<SummaryResult> Quotient(const GraphView& g, const DenseGraph& dg,
+                                 const NodePartition& part, SummaryKind kind,
+                                 const SummaryOptions& options) {
   Timer timer;
   util::ExecContext* exec = options.exec;
   if (exec != nullptr) RDFSUM_RETURN_IF_ERROR(exec->Check());
   SummaryResult out;
   out.kind = kind;
-  out.graph = Graph(g.dict_ptr());
+  out.graph = Graph(g.dict);
 
   // One minted node per equivalence class, in class-id order.
   std::string tag = AsciiToLower(SummaryKindName(kind));
@@ -194,7 +193,7 @@ StatusOr<SummaryResult> QuotientByPartition(const Graph& g,
     class_node[c] = dict.MintNodeUri("node:" + tag);
   }
 
-  RDFSUM_RETURN_IF_ERROR(QuotientEdges(g, part, class_node,
+  RDFSUM_RETURN_IF_ERROR(QuotientEdges(g, dg, part, class_node,
                                        options.num_threads, exec, &out.graph));
 
   out.node_map.reserve(part.class_of.size());
@@ -211,17 +210,30 @@ StatusOr<SummaryResult> QuotientByPartition(const Graph& g,
   return out;
 }
 
-StatusOr<SummaryResult> TrySummarize(const Graph& g, SummaryKind kind,
+}  // namespace
+
+StatusOr<SummaryResult> QuotientByPartition(const GraphView& g,
+                                            const NodePartition& part,
+                                            SummaryKind kind,
+                                            const SummaryOptions& options) {
+  return Quotient(g, DenseGraph(g), part, kind, options);
+}
+
+StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
                                      const SummaryOptions& options) {
   Timer timer;
-  NodePartition part = ComputePartition(g, kind, options);
+  // One substrate per call, read by both phases; partition_seconds starts
+  // after it is built.
+  const DenseGraph dg(g);
+  Timer partition_timer;
+  NodePartition part = ComputePartition(dg, kind, options);
   // A governed partition phase bails out of its shards early when the
   // context trips; the partial partition must be discarded, and the sticky
   // Check() replays the reason.
   if (options.exec != nullptr) RDFSUM_RETURN_IF_ERROR(options.exec->Check());
-  double partition_seconds = timer.ElapsedSeconds();
+  const double partition_seconds = partition_timer.ElapsedSeconds();
   RDFSUM_ASSIGN_OR_RETURN(SummaryResult out,
-                          QuotientByPartition(g, part, kind, options));
+                          Quotient(g, dg, part, kind, options));
   out.stats.partition_seconds = partition_seconds;
   out.stats.build_seconds = timer.ElapsedSeconds();
   return out;
@@ -244,7 +256,7 @@ SummaryResult ValueOrDie(StatusOr<SummaryResult> result,
 
 }  // namespace
 
-SummaryResult Summarize(const Graph& g, SummaryKind kind,
+SummaryResult Summarize(const GraphView& g, SummaryKind kind,
                         const SummaryOptions& options) {
   return ValueOrDie(TrySummarize(g, kind, options), "Summarize");
 }

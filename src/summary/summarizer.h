@@ -16,7 +16,12 @@ namespace rdfsum::summary {
 ///
 /// The summary shares `g`'s dictionary; summary nodes are freshly minted
 /// urn:rdfsum: URIs (the dictionary is mutated through the shared pointer,
-/// which is why it is held by shared_ptr rather than by value).
+/// which is why it is held by shared_ptr rather than by value). Everything
+/// else is read-only: each call builds its own dense substrate (DenseGraph)
+/// once and both phases read it, so calls over the same triples may run
+/// concurrently when each view carries a dictionary of its own.
+/// SummaryStats::partition_seconds excludes the substrate build;
+/// build_seconds includes it.
 ///
 /// `options.num_threads` sets the shard count of the one build path: the
 /// partition phase for the kinds with sharded partitions (W, BISIM) and the
@@ -28,21 +33,22 @@ namespace rdfsum::summary {
 /// token the sharded phases poll; a tripped context returns kCancelled or
 /// kDeadlineExceeded with all partial output discarded. Returns
 /// kInvalidArgument only via QuotientByPartition's coverage contract.
-StatusOr<SummaryResult> TrySummarize(const Graph& g, SummaryKind kind,
+StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
                                      const SummaryOptions& options = {});
 
 /// Ungoverned convenience wrapper over TrySummarize for the overwhelmingly
 /// common "summarize this graph, it cannot fail" call. Must not be called
 /// with options.exec set — without an error channel, a governance failure
 /// here aborts the process (a usage bug, not a runtime condition).
-SummaryResult Summarize(const Graph& g, SummaryKind kind,
+SummaryResult Summarize(const GraphView& g, SummaryKind kind,
                         const SummaryOptions& options = {});
 
 /// Builds the quotient of `g` through an explicit partition (exposed so
-/// callers can experiment with custom equivalence relations; Summarize is
-/// implemented on top of this). The partition must cover every data node and
-/// type-triple subject of `g` (all ComputeXxxPartition results do); a node
-/// it misses returns kInvalidArgument (the library does not throw).
+/// callers can experiment with custom equivalence relations; Summarize runs
+/// the same quotient over its own substrate, this builds one). The
+/// partition must cover every data node and type-triple subject of `g`
+/// (all ComputeXxxPartition results do); a node it misses returns
+/// kInvalidArgument (the library does not throw).
 ///
 /// The summary edge set is built by sharding the dense edge list into
 /// `options.num_threads` contiguous ranges (one at the default of 1): each
@@ -51,7 +57,7 @@ SummaryResult Summarize(const Graph& g, SummaryKind kind,
 /// first-occurrence insertion order — and therefore the same minted node ids
 /// and serialized output — at every shard count (see src/summary/README.md).
 /// options.exec makes the shards cancellable (kCancelled/kDeadlineExceeded).
-StatusOr<SummaryResult> QuotientByPartition(const Graph& g,
+StatusOr<SummaryResult> QuotientByPartition(const GraphView& g,
                                             const NodePartition& part,
                                             SummaryKind kind,
                                             const SummaryOptions& options = {});

@@ -47,7 +47,8 @@ enum class TypedSummaryMode {
 
 /// Which labeled neighborhoods the bisimulation baseline compares: outgoing
 /// edges only (forward), incoming only (backward), or both — the fb variant
-/// the paper's §8 baseline uses, and the default everywhere.
+/// the paper's §8 baseline uses, and the one SummaryKind::kBisimulation
+/// summarizes with.
 enum class BisimulationDirection {
   kForward,
   kBackward,
@@ -64,16 +65,12 @@ struct SummaryOptions {
   /// CPUs. The result is byte-identical at every value (see
   /// src/summary/README.md for the sharding invariants that guarantee it).
   uint32_t num_threads = 1;
-  /// Refinement rounds for SummaryKind::kBisimulation: nodes are equivalent
-  /// iff their k-hop labeled neighborhoods are (k = depth). Larger depths
-  /// approach full bisimulation, whose size the paper's §8 warns "can be as
-  /// large as the input graph".
+  /// Refinement rounds for SummaryKind::kBisimulation (forward-backward,
+  /// seeded with the nodes' class sets): nodes are equivalent iff their
+  /// k-hop labeled neighborhoods are (k = depth). Larger depths approach
+  /// full bisimulation, whose size the paper's §8 warns "can be as large as
+  /// the input graph".
   uint32_t bisimulation_depth = 2;
-  /// Seed the bisimulation colors with the nodes' class sets.
-  bool bisimulation_uses_types = true;
-  /// Which neighborhoods the refinement signatures include.
-  BisimulationDirection bisimulation_direction =
-      BisimulationDirection::kForwardBackward;
   /// Optional governance (deadline + cancellation token). Borrowed; must
   /// outlive the call; nullptr = ungoverned. Shard workers poll it between
   /// chunks and fall through to their join barrier, and the TrySummarize

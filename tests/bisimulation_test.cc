@@ -15,15 +15,15 @@ namespace {
 
 TEST(BisimulationTest, DepthZeroUntypedCollapsesEverything) {
   gen::Figure2Example ex = gen::BuildFigure2();
-  NodePartition part =
-      ComputeBisimulationPartition(ex.graph, /*depth=*/0, /*use_types=*/false);
+  NodePartition part = ComputeBisimulationPartition(
+      DenseGraph(ex.graph), /*depth=*/0, /*use_types=*/false);
   EXPECT_EQ(part.num_classes, 1u);
 }
 
 TEST(BisimulationTest, DepthZeroWithTypesGroupsByClassSet) {
   gen::Figure2Example ex = gen::BuildFigure2();
   NodePartition part =
-      ComputeBisimulationPartition(ex.graph, 0, /*use_types=*/true);
+      ComputeBisimulationPartition(DenseGraph(ex.graph), 0, /*use_types=*/true);
   // Class sets: {Book}, {Journal} (r2, r6), {Spec}, untyped -> 4 classes.
   EXPECT_EQ(part.num_classes, 4u);
   EXPECT_EQ(part.class_of.at(ex.r2), part.class_of.at(ex.r6));
@@ -34,10 +34,10 @@ TEST(BisimulationTest, RefinementIsMonotone) {
   gen::HeteroOptions opt;
   opt.seed = 31;
   opt.num_nodes = 150;
-  Graph g = gen::GenerateHetero(opt);
+  const DenseGraph dg(gen::GenerateHetero(opt));
   uint32_t prev = 0;
   for (uint32_t depth = 0; depth <= 4; ++depth) {
-    NodePartition part = ComputeBisimulationPartition(g, depth, true);
+    NodePartition part = ComputeBisimulationPartition(dg, depth, true);
     EXPECT_GE(part.num_classes, prev) << "depth " << depth;
     prev = part.num_classes;
   }
@@ -52,7 +52,7 @@ TEST(BisimulationTest, DepthOneSeparatesByPropertySignature) {
   g.Add({x1, p, d.EncodeIri("y1")});
   g.Add({x2, p, d.EncodeIri("y2")});
   g.Add({x3, q, d.EncodeIri("y3")});
-  NodePartition part = ComputeBisimulationPartition(g, 1, false);
+  NodePartition part = ComputeBisimulationPartition(DenseGraph(g), 1, false);
   // x1 ~ x2 (both have only outgoing p to an all-equal color), x3 differs.
   EXPECT_EQ(part.class_of.at(x1), part.class_of.at(x2));
   EXPECT_NE(part.class_of.at(x1), part.class_of.at(x3));
@@ -104,8 +104,8 @@ TEST(BisimulationTest, DeterministicAcrossRuns) {
   gen::HeteroOptions opt;
   opt.seed = 12;
   Graph g = gen::GenerateHetero(opt);
-  NodePartition a = ComputeBisimulationPartition(g, 2, true);
-  NodePartition b = ComputeBisimulationPartition(g, 2, true);
+  NodePartition a = ComputeBisimulationPartition(DenseGraph(g), 2, true);
+  NodePartition b = ComputeBisimulationPartition(DenseGraph(g), 2, true);
   EXPECT_EQ(a.num_classes, b.num_classes);
   for (const auto& [n, c] : a.class_of) EXPECT_EQ(b.class_of.at(n), c);
 }
@@ -124,21 +124,22 @@ TEST(BisimulationTest, DirectionSelectsNeighborhoods) {
   g.Add({x1, p, y1});
   g.Add({x2, p, y2});
   g.Add({x3, q, y3});
+  const DenseGraph dg(g);
 
   NodePartition fwd = ComputeBisimulationPartition(
-      g, 1, false, BisimulationDirection::kForward);
+      dg, 1, false, BisimulationDirection::kForward);
   EXPECT_EQ(fwd.class_of.at(x1), fwd.class_of.at(x2));
   EXPECT_NE(fwd.class_of.at(x1), fwd.class_of.at(x3));
   EXPECT_EQ(fwd.class_of.at(y1), fwd.class_of.at(y3));
 
   NodePartition bwd = ComputeBisimulationPartition(
-      g, 1, false, BisimulationDirection::kBackward);
+      dg, 1, false, BisimulationDirection::kBackward);
   EXPECT_EQ(bwd.class_of.at(y1), bwd.class_of.at(y2));
   EXPECT_NE(bwd.class_of.at(y1), bwd.class_of.at(y3));
   EXPECT_EQ(bwd.class_of.at(x1), bwd.class_of.at(x3));
 
   NodePartition fb = ComputeBisimulationPartition(
-      g, 1, false, BisimulationDirection::kForwardBackward);
+      dg, 1, false, BisimulationDirection::kForwardBackward);
   EXPECT_NE(fb.class_of.at(y1), fb.class_of.at(y3));
   EXPECT_NE(fb.class_of.at(x1), fb.class_of.at(x3));
 }
@@ -148,12 +149,12 @@ TEST(BisimulationTest, ParallelRoundsMatchSequential) {
   opt.seed = 5;
   opt.num_nodes = 180;
   opt.type_probability = 0.3;
-  Graph g = gen::GenerateHetero(opt);
+  const DenseGraph dg(gen::GenerateHetero(opt));
   for (uint32_t depth : {0u, 2u, 4u}) {
-    NodePartition seq = ComputeBisimulationPartition(g, depth, true);
+    NodePartition seq = ComputeBisimulationPartition(dg, depth, true);
     for (uint32_t threads : {2u, 7u, 0u}) {
       NodePartition par = ComputeBisimulationPartition(
-          g, depth, true, BisimulationDirection::kForwardBackward, threads);
+          dg, depth, true, BisimulationDirection::kForwardBackward, threads);
       EXPECT_EQ(par.num_classes, seq.num_classes)
           << "depth " << depth << " threads " << threads;
       for (const auto& [n, c] : seq.class_of) {

@@ -69,7 +69,7 @@ TEST(CancellationTest, CancelledPartitionReturnsEmptyAndStickyStatus) {
     util::ExecContext ctx;
     ctx.Cancel();
     summary::NodePartition part =
-        summary::ComputeWeakPartition(TestGraph(), threads, &ctx);
+        summary::ComputeWeakPartition(DenseGraph(TestGraph()), threads, &ctx);
     EXPECT_TRUE(part.class_of.empty()) << "threads " << threads;
     EXPECT_TRUE(ctx.Check().IsCancelled()) << "threads " << threads;
   }

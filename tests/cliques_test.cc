@@ -37,10 +37,11 @@ std::set<TermId> MembersOfNodeTargetClique(const PropertyCliques& c,
 
 class Table1Test : public ::testing::Test {
  protected:
-  Table1Test() : ex_(BuildFigure2()) {
-    cliques_ = ComputePropertyCliques(ex_.graph);
+  Table1Test() : ex_(BuildFigure2()), dg_(ex_.graph) {
+    cliques_ = ComputePropertyCliques(dg_);
   }
   Figure2Example ex_;
+  DenseGraph dg_;
   PropertyCliques cliques_;
 };
 
@@ -110,33 +111,30 @@ TEST_F(Table1Test, CliquesPartitionDataProperties) {
 // ------------------------------------------------ Definition 6: distances
 
 TEST_F(Table1Test, PropertyDistances) {
-  const Graph& g = ex_.graph;
-  EXPECT_EQ(PropertyDistance(g, ex_.author, ex_.title, true), 0);   // r1
-  EXPECT_EQ(PropertyDistance(g, ex_.title, ex_.editor, true), 0);   // r2
-  EXPECT_EQ(PropertyDistance(g, ex_.author, ex_.editor, true), 1);  // chain
-  EXPECT_EQ(PropertyDistance(g, ex_.author, ex_.comment, true), 2);
-  EXPECT_EQ(PropertyDistance(g, ex_.author, ex_.author, true), 0);
+  EXPECT_EQ(PropertyDistance(dg_, ex_.author, ex_.title, true), 0);   // r1
+  EXPECT_EQ(PropertyDistance(dg_, ex_.title, ex_.editor, true), 0);   // r2
+  EXPECT_EQ(PropertyDistance(dg_, ex_.author, ex_.editor, true), 1);  // chain
+  EXPECT_EQ(PropertyDistance(dg_, ex_.author, ex_.comment, true), 2);
+  EXPECT_EQ(PropertyDistance(dg_, ex_.author, ex_.author, true), 0);
 }
 
 TEST_F(Table1Test, DistanceAcrossCliquesIsMinusOne) {
-  EXPECT_EQ(PropertyDistance(ex_.graph, ex_.author, ex_.reviewed, true), -1);
-  EXPECT_EQ(PropertyDistance(ex_.graph, ex_.reviewed, ex_.published, true),
-            -1);
+  EXPECT_EQ(PropertyDistance(dg_, ex_.author, ex_.reviewed, true), -1);
+  EXPECT_EQ(PropertyDistance(dg_, ex_.reviewed, ex_.published, true), -1);
   // On the target side r and p share r4.
-  EXPECT_EQ(PropertyDistance(ex_.graph, ex_.reviewed, ex_.published, false),
-            0);
+  EXPECT_EQ(PropertyDistance(dg_, ex_.reviewed, ex_.published, false), 0);
 }
 
 TEST_F(Table1Test, DistanceSymmetry) {
-  EXPECT_EQ(PropertyDistance(ex_.graph, ex_.comment, ex_.author, true), 2);
+  EXPECT_EQ(PropertyDistance(dg_, ex_.comment, ex_.author, true), 2);
 }
 
 // ------------------------------------------------ scopes
 
 TEST(CliqueScopeTest, UntypedEndpointsScopeSplitsCliques) {
   Figure2Example ex = BuildFigure2();
-  PropertyCliques c =
-      ComputePropertyCliques(ex.graph, CliqueScope::kUntypedEndpoints);
+  PropertyCliques c = ComputePropertyCliques(DenseGraph(ex.graph),
+                                             CliqueScope::kUntypedEndpoints);
   // Untyped subjects: r3 {e,c}, r4 {a,t}, a1 {r}, e1 {p} — four source
   // cliques, no bridge through the typed r1/r2/r5.
   EXPECT_EQ(c.num_source_cliques, 4u);
@@ -150,8 +148,8 @@ TEST(CliqueScopeTest, UntypedEndpointsScopeSplitsCliques) {
 
 TEST(CliqueScopeTest, UntypedDataGraphScopeIsStricter) {
   Figure2Example ex = BuildFigure2();
-  PropertyCliques c =
-      ComputePropertyCliques(ex.graph, CliqueScope::kUntypedDataGraph);
+  PropertyCliques c = ComputePropertyCliques(DenseGraph(ex.graph),
+                                             CliqueScope::kUntypedDataGraph);
   // t1 is the object of a typed subject's triple: outside UD entirely.
   EXPECT_EQ(c.TargetCliqueOf(ex.t1), 0u);
   // t3 is the object of untyped r4: inside UD.
@@ -174,8 +172,8 @@ TEST_P(CliqueLemmaTest, SaturationCoarsensCliques) {
   Graph g = gen::GenerateHetero(opt);
   Graph sat = reasoner::Saturate(g);
 
-  PropertyCliques before = ComputePropertyCliques(g);
-  PropertyCliques after = ComputePropertyCliques(sat);
+  PropertyCliques before = ComputePropertyCliques(DenseGraph(g));
+  PropertyCliques after = ComputePropertyCliques(DenseGraph(sat));
 
   for (const auto& members : before.source_clique_members) {
     std::set<uint32_t> containing;
@@ -197,7 +195,7 @@ TEST_P(CliqueLemmaTest, NodeCliqueConsistentWithProperties) {
   opt.seed = GetParam() + 1000;
   opt.num_nodes = 100;
   Graph g = gen::GenerateHetero(opt);
-  PropertyCliques c = ComputePropertyCliques(g);
+  PropertyCliques c = ComputePropertyCliques(DenseGraph(g));
   for (const Triple& t : g.data()) {
     uint32_t sc = c.SourceCliqueOf(t.s);
     auto it = c.property_index.find(t.p);
@@ -226,7 +224,7 @@ TEST(SaturatedCliqueTest, AddsSuperProperties) {
 
 TEST(CliqueEdgeCaseTest, EmptyGraph) {
   Graph g;
-  PropertyCliques c = ComputePropertyCliques(g);
+  PropertyCliques c = ComputePropertyCliques(DenseGraph(g));
   EXPECT_EQ(c.num_source_cliques, 0u);
   EXPECT_EQ(c.num_target_cliques, 0u);
 }
@@ -236,7 +234,7 @@ TEST(CliqueEdgeCaseTest, SelfLoopJoinsBothSides) {
   Dictionary& d = g.dict();
   TermId n = d.EncodeIri("n"), p = d.EncodeIri("p");
   g.Add({n, p, n});
-  PropertyCliques c = ComputePropertyCliques(g);
+  PropertyCliques c = ComputePropertyCliques(DenseGraph(g));
   EXPECT_EQ(c.SourceCliqueOf(n), 1u);
   EXPECT_EQ(c.TargetCliqueOf(n), 1u);
 }

@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/bsbm.h"
 #include "gen/hetero.h"
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
+#include "io/ntriples_writer.h"
 #include "oracle/reference_partition.h"
 #include "rdf/graph.h"
 #include "summary/node_partition.h"
+#include "summary/summarizer.h"
 
 namespace rdfsum {
 namespace {
@@ -21,7 +26,7 @@ using summary::NodePartition;
 
 TEST(DenseGraphTest, EmptyGraph) {
   Graph g;
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   EXPECT_EQ(dg.num_nodes(), 0u);
   EXPECT_EQ(dg.num_properties(), 0u);
   EXPECT_TRUE(dg.data_edges().empty());
@@ -36,7 +41,7 @@ TEST(DenseGraphTest, CanonicalNodeAndPropertyOrder) {
   g.Add({a, p1, b});
   g.Add({c, p2, a});
 
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   // Canonical order: subjects then objects, triple by triple.
   ASSERT_EQ(dg.num_nodes(), 3u);
   EXPECT_EQ(dg.term_of(0), a);
@@ -64,7 +69,7 @@ TEST(DenseGraphTest, CsrAdjacencyAndAnchors) {
   g.Add({a, q, c});
   g.Add({b, p, c});
 
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   uint32_t na = dg.node_of(a), nb = dg.node_of(b), nc = dg.node_of(c);
   ASSERT_EQ(dg.OutEdges(na).size(), 2u);
   EXPECT_EQ(dg.OutEdges(na)[0].p, dg.property_of(p));
@@ -89,7 +94,7 @@ TEST(DenseGraphTest, SelfLoop) {
   TermId p = d.EncodeIri("p");
   g.Add({a, p, a});
 
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   ASSERT_EQ(dg.num_nodes(), 1u);
   ASSERT_EQ(dg.OutEdges(0).size(), 1u);
   ASSERT_EQ(dg.InEdges(0).size(), 1u);
@@ -114,7 +119,7 @@ TEST(DenseGraphTest, TypedOnlyNodes) {
   TermId x = d.EncodeIri("x");
   g.Add({x, v.rdf_type, c1});
 
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   ASSERT_EQ(dg.num_nodes(), 3u);  // a, b, then typed-only x
   uint32_t nx = dg.node_of(x);
   EXPECT_EQ(nx, 2u);  // type subjects come after data endpoints
@@ -146,20 +151,78 @@ TEST(DenseGraphTest, ClassSetIdsDeduplicateEqualSets) {
   g.Add({b, v.rdf_type, c2});
   g.Add({b, v.rdf_type, c1});
 
-  const DenseGraph& dg = g.Dense();
+  const DenseGraph dg(g);
   EXPECT_EQ(dg.ClassSetId(dg.node_of(a)), dg.ClassSetId(dg.node_of(b)));
   EXPECT_EQ(dg.num_class_sets(), 1u);
 }
 
-TEST(DenseGraphTest, CacheInvalidatedByAdd) {
+TEST(DenseGraphTest, SubstrateIsASnapshotOfTheGraph) {
   Graph g;
   Dictionary& d = g.dict();
   TermId a = d.EncodeIri("a"), b = d.EncodeIri("b");
   TermId p = d.EncodeIri("p");
   g.Add({a, p, b});
-  EXPECT_EQ(g.Dense().num_nodes(), 2u);
+  const DenseGraph before(g);
   g.Add({b, p, d.EncodeIri("c")});
+  // Nothing is cached on the graph: an earlier substrate keeps describing
+  // the graph it was built from, and a new one sees the added triple.
+  EXPECT_EQ(before.num_nodes(), 2u);
+  EXPECT_EQ(DenseGraph(g).num_nodes(), 3u);
   EXPECT_EQ(g.Dense().num_nodes(), 3u);
+}
+
+// ---- One const Graph summarized from many threads ---------------------------
+
+/// `g` as a view over a private copy of its dictionary (same ids, fresh
+/// minted-URI counter), so a summary minting into it touches nothing shared.
+GraphView PrivateView(const Graph& g) {
+  GraphView view = g;
+  auto dict = std::make_shared<Dictionary>();
+  for (TermId id = 1; id < g.dict().size(); ++id) {
+    dict->Encode(g.dict().Decode(id));
+  }
+  view.dict = std::move(dict);
+  return view;
+}
+
+/// Every summary kind of `view` at two shards, as N-Triples.
+std::string AllSummaries(const GraphView& view) {
+  summary::SummaryOptions options;
+  options.num_threads = 2;
+  std::string out;
+  for (summary::SummaryKind kind :
+       {summary::SummaryKind::kWeak, summary::SummaryKind::kStrong,
+        summary::SummaryKind::kTypedWeak, summary::SummaryKind::kTypedStrong,
+        summary::SummaryKind::kTypeBased,
+        summary::SummaryKind::kBisimulation}) {
+    out += io::NTriplesWriter::ToString(
+        summary::Summarize(view, kind, options).graph);
+  }
+  return out;
+}
+
+TEST(DenseGraphTest, SharedConstGraphSummarizesFromManyThreads) {
+  // A Graph caches no substrate, so threads may summarize one const Graph
+  // at once with no warm-up: each call builds its own DenseGraph. Summaries
+  // mint into the dictionary, so each thread's view carries its own copy.
+  gen::BsbmOptions opt;
+  opt.num_products = 40;
+  const Graph g = gen::GenerateBsbm(opt);
+  const std::string expected = AllSummaries(PrivateView(g));
+  ASSERT_FALSE(expected.empty());
+
+  constexpr int kThreads = 4;
+  std::vector<GraphView> views;
+  for (int t = 0; t < kThreads; ++t) views.push_back(PrivateView(g));
+  std::vector<std::string> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { got[t] = AllSummaries(views[t]); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[t], expected) << "thread " << t;
+  }
 }
 
 // ---- Differential tests: substrate partitions vs the reference oracle ------
@@ -176,26 +239,27 @@ void ExpectIdentical(const NodePartition& got, const NodePartition& want,
 }
 
 void CheckAllPartitionKinds(const Graph& g) {
-  ExpectIdentical(summary::ComputeWeakPartition(g),
+  const DenseGraph dg(g);
+  ExpectIdentical(summary::ComputeWeakPartition(dg),
                   summary::ReferenceWeakPartition(g), "weak");
-  ExpectIdentical(summary::ComputeStrongPartition(g),
+  ExpectIdentical(summary::ComputeStrongPartition(dg),
                   summary::ReferenceStrongPartition(g), "strong");
-  ExpectIdentical(summary::ComputeTypePartition(g),
+  ExpectIdentical(summary::ComputeTypePartition(dg),
                   summary::ReferenceTypePartition(g), "type");
   for (auto mode : {summary::TypedSummaryMode::kPerPropertyProjection,
                     summary::TypedSummaryMode::kUntypedDataGraph}) {
-    ExpectIdentical(summary::ComputeTypedWeakPartition(g, mode),
+    ExpectIdentical(summary::ComputeTypedWeakPartition(dg, mode),
                     summary::ReferenceTypedWeakPartition(g, mode),
                     "typed-weak");
-    ExpectIdentical(summary::ComputeTypedStrongPartition(g, mode),
+    ExpectIdentical(summary::ComputeTypedStrongPartition(dg, mode),
                     summary::ReferenceTypedStrongPartition(g, mode),
                     "typed-strong");
   }
   for (uint32_t depth : {1u, 3u}) {
-    ExpectIdentical(summary::ComputeBisimulationPartition(g, depth, true),
+    ExpectIdentical(summary::ComputeBisimulationPartition(dg, depth, true),
                     summary::ReferenceBisimulationPartition(g, depth, true),
                     "bisim-typed");
-    ExpectIdentical(summary::ComputeBisimulationPartition(g, depth, false),
+    ExpectIdentical(summary::ComputeBisimulationPartition(dg, depth, false),
                     summary::ReferenceBisimulationPartition(g, depth, false),
                     "bisim-untyped");
   }
@@ -240,7 +304,8 @@ TEST(DensePartitionDifferentialTest, EmptyAndTypedOnlyGraphs) {
   typed_only.Add({d.EncodeIri("x"), v.rdf_type, c1});
   typed_only.Add({d.EncodeIri("y"), v.rdf_type, c1});
   CheckAllPartitionKinds(typed_only);
-  EXPECT_EQ(summary::ComputeWeakPartition(typed_only).num_classes, 1u);
+  EXPECT_EQ(summary::ComputeWeakPartition(DenseGraph(typed_only)).num_classes,
+            1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Odds and ends: logging, DOT options, evaluator generality beyond the RBGP
+// Odds and ends: DOT options, evaluator generality beyond the RBGP
 // dialect, and small API surfaces not covered by the focused suites.
 
 #include <gtest/gtest.h>
@@ -10,20 +10,9 @@
 #include "query/sparql_parser.h"
 #include "summary/cliques.h"
 #include "summary/summarizer.h"
-#include "util/logging.h"
 
 namespace rdfsum {
 namespace {
-
-TEST(LoggingTest, LevelRoundTrip) {
-  LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Below-threshold messages are swallowed; above-threshold emit to stderr.
-  RDFSUM_LOG(Debug) << "invisible " << 42;
-  RDFSUM_LOG(Error) << "visible-" << 1;
-  SetLogLevel(before);
-}
 
 TEST(DotWriterTest, FullIrisWhenLocalNamesDisabled) {
   Graph g;
@@ -111,9 +100,10 @@ TEST(PropertyDistanceTest, TargetSideChain) {
   g.Add({d.EncodeIri("s2"), p2, y1});
   g.Add({d.EncodeIri("s3"), p2, y2});
   g.Add({d.EncodeIri("s4"), p3, y2});
-  EXPECT_EQ(summary::PropertyDistance(g, p1, p2, /*source=*/false), 0);
-  EXPECT_EQ(summary::PropertyDistance(g, p1, p3, /*source=*/false), 1);
-  EXPECT_EQ(summary::PropertyDistance(g, p1, p3, /*source=*/true), -1);
+  const DenseGraph dg(g);
+  EXPECT_EQ(summary::PropertyDistance(dg, p1, p2, /*source=*/false), 0);
+  EXPECT_EQ(summary::PropertyDistance(dg, p1, p3, /*source=*/false), 1);
+  EXPECT_EQ(summary::PropertyDistance(dg, p1, p3, /*source=*/true), -1);
 }
 
 TEST(SummaryStatsTest, ToStringMentionsEverything) {

@@ -1,7 +1,8 @@
 // Frozen-image round trip: freeze a graph, mmap it back, and prove the
 // store serves *identical* results through every path — zero-copy queries
-// off the mapped permutations, ToGraph() materialization, and summaries of
-// every kind, all byte-for-byte equal to the parse-path originals. The
+// off the mapped permutations, the View() of the stored components, the
+// ToGraph() replay, and summaries of every kind, all byte-for-byte equal to
+// the parse-path originals. The
 // adversarial half of the wall (truncation, bit flips, wrong formats) lives
 // in tests/image_corruption_test.cc.
 
@@ -157,26 +158,27 @@ TEST(MmapStoreTest, ZeroCopyQueriesMatchParsePathAllPlanners) {
   ASSERT_GT(compared, 0);
 }
 
-TEST(MmapStoreTest, SummaryPlannerMatchesOverMaterializedGraph) {
-  // kSummary needs an estimator over a graph, so it runs on the ToGraph()
-  // path; rows must still match the parse path exactly.
+TEST(MmapStoreTest, SummaryPlannerMatchesOverTheImageView) {
+  // kSummary plans with an estimator over the image's View() and runs on
+  // the zero-copy table, as the daemon does; rows must still match the
+  // parse path exactly.
   Graph g = BsbmGraph(40);
   auto store = FreezeAndOpen(g, "splan.rsb");
-  Graph from_image = store->ToGraph();
+  const GraphView view = store->View();
 
   summary::SummaryResult model_a =
       summary::Summarize(g, summary::SummaryKind::kWeak);
   summary::SummaryResult model_b =
-      summary::Summarize(from_image, summary::SummaryKind::kWeak);
+      summary::Summarize(view, summary::SummaryKind::kWeak);
   summary::CardinalityEstimator est_a(g, model_a);
-  summary::CardinalityEstimator est_b(from_image, model_b);
+  summary::CardinalityEstimator est_b(view, model_b);
   query::EvaluatorOptions opt_a;
   opt_a.planner = query::PlannerMode::kSummary;
   opt_a.estimator = &est_a;
   query::EvaluatorOptions opt_b = opt_a;
   opt_b.estimator = &est_b;
   query::BgpEvaluator eval_a(g, opt_a);
-  query::BgpEvaluator eval_b(from_image, opt_b);
+  query::BgpEvaluator eval_b(store->dict(), store->table(), opt_b);
 
   Random rng(11);
   for (int i = 0; i < 10; ++i) {
@@ -189,29 +191,40 @@ TEST(MmapStoreTest, SummaryPlannerMatchesOverMaterializedGraph) {
   }
 }
 
-/// Freezes `g`, materializes the image, and requires the component vectors
-/// and the N-Triples of every quotient summary to equal the original's. The
-/// summaries mint in lockstep: both dictionaries start at the frozen
-/// minted-URI counter, and each kind advances both by the same count.
+/// Freezes `g` and requires both ways back from the image — the View()
+/// summaries read and the ToGraph() replay — to hold the original's
+/// components, and the N-Triples of every summary kind over each to equal
+/// the original's. The summaries mint in lockstep: all three dictionaries
+/// start at the frozen minted-URI counter, and each kind advances each by
+/// the same count.
 void ExpectToGraphByteIdentical(const Graph& g, const std::string& name) {
   auto store = FreezeAndOpen(g, name);
   Graph g2 = store->ToGraph();
+  const GraphView view = store->View();
   ASSERT_EQ(g2.NumTriples(), g.NumTriples());
   EXPECT_EQ(g2.data(), g.data());
   EXPECT_EQ(g2.types(), g.types());
   EXPECT_EQ(g2.schema(), g.schema());
+  EXPECT_TRUE(std::ranges::equal(view.data, g.data()));
+  EXPECT_TRUE(std::ranges::equal(view.types, g.types()));
+  EXPECT_TRUE(std::ranges::equal(view.schema, g.schema()));
+  EXPECT_EQ(view.vocab.rdf_type, g.vocab().rdf_type);
 
-  for (summary::SummaryKind kind : summary::kAllQuotientKinds) {
-    summary::SummaryResult a = summary::Summarize(g, kind);
-    summary::SummaryResult b = summary::Summarize(g2, kind);
-    EXPECT_EQ(a.graph.NumTriples(), b.graph.NumTriples())
-        << summary::SummaryKindName(kind);
-    EXPECT_TRUE(summary::AreSummariesIsomorphic(a.graph, b.graph))
-        << summary::SummaryKindName(kind);
-    // Stronger than isomorphism: the same N-Triples, byte for byte.
-    EXPECT_EQ(io::NTriplesWriter::ToString(a.graph),
-              io::NTriplesWriter::ToString(b.graph))
-        << summary::SummaryKindName(kind);
+  for (summary::SummaryKind kind :
+       {summary::SummaryKind::kWeak, summary::SummaryKind::kStrong,
+        summary::SummaryKind::kTypedWeak, summary::SummaryKind::kTypedStrong,
+        summary::SummaryKind::kTypeBased,
+        summary::SummaryKind::kBisimulation}) {
+    SCOPED_TRACE(summary::SummaryKindName(kind));
+    const summary::SummaryResult a = summary::Summarize(g, kind);
+    const std::string a_nt = io::NTriplesWriter::ToString(a.graph);
+    for (const GraphView& from_image : {GraphView(g2), view}) {
+      const summary::SummaryResult b = summary::Summarize(from_image, kind);
+      EXPECT_EQ(a.graph.NumTriples(), b.graph.NumTriples());
+      EXPECT_TRUE(summary::AreSummariesIsomorphic(a.graph, b.graph));
+      // Stronger than isomorphism: the same N-Triples, byte for byte.
+      EXPECT_EQ(a_nt, io::NTriplesWriter::ToString(b.graph));
+    }
   }
 }
 

@@ -99,13 +99,8 @@ StatusOr<SummaryResult> ReferenceSummarize(const Graph& g, SummaryKind kind,
       part = ReferenceTypePartition(g);
       break;
     case SummaryKind::kBisimulation:
-      if (options.bisimulation_direction !=
-          BisimulationDirection::kForwardBackward) {
-        return Status::InvalidArgument(
-            "the reference bisimulation is forward-backward only");
-      }
       part = ReferenceBisimulationPartition(g, options.bisimulation_depth,
-                                            options.bisimulation_uses_types);
+                                            /*use_types=*/true);
       break;
   }
   return ReferenceQuotient(g, part, kind, options);

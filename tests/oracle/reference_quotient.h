@@ -23,8 +23,8 @@ StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
 
 /// The oracle summary of `g`: ReferenceQuotient over the kind's reference
 /// partition (reference_partition.h), with the options' typed mode and
-/// bisimulation depth/types. The reference bisimulation refines forward and
-/// backward only; another bisimulation_direction returns kInvalidArgument.
+/// bisimulation depth (the bisimulation is forward-backward and seeded with
+/// class sets, as the library's).
 StatusOr<SummaryResult> ReferenceSummarize(const Graph& g, SummaryKind kind,
                                            const SummaryOptions& options = {});
 

@@ -130,13 +130,13 @@ INSTANTIATE_TEST_SUITE_P(
 // walk over the same partition.
 TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
   Graph g_ref = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-  NodePartition part_ref = ComputeWeakPartition(g_ref);
+  NodePartition part_ref = ComputeWeakPartition(DenseGraph(g_ref));
   SummaryResult ref =
       ReferenceQuotient(g_ref, part_ref, SummaryKind::kWeak).value();
   const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
   for (uint32_t threads : kThreadCounts) {
     Graph g_par = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-    NodePartition part_par = ComputeWeakPartition(g_par);
+    NodePartition part_par = ComputeWeakPartition(DenseGraph(g_par));
     SummaryOptions options;
     options.num_threads = threads;
     SummaryResult par =
@@ -153,9 +153,10 @@ TEST(ParallelQuotientTest, RecordMembersMatchesOracle) {
   Graph g_ref = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
   SummaryOptions ref_options;
   ref_options.record_members = true;
-  SummaryResult ref = ReferenceQuotient(g_ref, ComputeStrongPartition(g_ref),
-                                        SummaryKind::kStrong, ref_options)
-                          .value();
+  SummaryResult ref =
+      ReferenceQuotient(g_ref, ComputeStrongPartition(DenseGraph(g_ref)),
+                        SummaryKind::kStrong, ref_options)
+          .value();
 
   for (uint32_t threads : kThreadCounts) {
     Graph g_par = MakeGraph(Dataset::kBsbm, /*saturated=*/false);

@@ -82,8 +82,9 @@ TEST_P(ParallelWeakSweepTest, PartitionByteIdenticalAcrossThreadCounts) {
   Graph g = HeteroGraph(seed);
   // Byte-identity against the one-shard run and the frozen pre-substrate
   // oracle: same class_of, same canonical class ids.
-  NodePartition par = ComputeWeakPartition(g, threads);
-  ExpectIdenticalPartition(par, ComputeWeakPartition(g), "vs one shard");
+  const DenseGraph dg(g);
+  NodePartition par = ComputeWeakPartition(dg, threads);
+  ExpectIdenticalPartition(par, ComputeWeakPartition(dg), "vs one shard");
   ExpectIdenticalPartition(par, ReferenceWeakPartition(g), "vs reference");
 
   SummaryResult oracle = Oracle(g, SummaryKind::kWeak);
@@ -112,7 +113,7 @@ TEST(ParallelWeakTest, MatchesOracleOnBsbm) {
   SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(0));
   EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, par.graph));
   for (uint32_t threads : kThreadCounts) {
-    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(DenseGraph(g), threads),
                              ReferenceWeakPartition(g), "bsbm");
   }
 }
@@ -125,7 +126,7 @@ TEST(ParallelWeakTest, MatchesOracleOnLubm) {
   SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(0));
   EXPECT_TRUE(AreSummariesIsomorphic(oracle.graph, par.graph));
   for (uint32_t threads : kThreadCounts) {
-    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(DenseGraph(g), threads),
                              ReferenceWeakPartition(g), "lubm");
   }
 }
@@ -151,7 +152,7 @@ TEST(ParallelWeakTest, SinglePropertyGraph) {
   for (uint32_t threads : kThreadCounts) {
     SummaryResult par = Summarize(g, SummaryKind::kWeak, Threads(threads));
     EXPECT_EQ(par.stats.num_data_nodes, 2u) << "threads " << threads;
-    ExpectIdenticalPartition(ComputeWeakPartition(g, threads),
+    ExpectIdenticalPartition(ComputeWeakPartition(DenseGraph(g), threads),
                              ReferenceWeakPartition(g), "single-property");
   }
 }
@@ -208,17 +209,18 @@ class ParallelBisimSweepTest
 TEST_P(ParallelBisimSweepTest, PartitionByteIdenticalAcrossThreadCounts) {
   auto [threads, depth] = GetParam();
   Graph g = HeteroGraph(11);
+  const DenseGraph dg(g);
   for (BisimulationDirection dir :
        {BisimulationDirection::kForward, BisimulationDirection::kBackward,
         BisimulationDirection::kForwardBackward}) {
-    NodePartition one = ComputeBisimulationPartition(g, depth, true, dir);
+    NodePartition one = ComputeBisimulationPartition(dg, depth, true, dir);
     NodePartition par =
-        ComputeBisimulationPartition(g, depth, true, dir, threads);
+        ComputeBisimulationPartition(dg, depth, true, dir, threads);
     ExpectIdenticalPartition(par, one, "vs one shard");
   }
   // The fb default additionally matches the frozen pre-substrate oracle.
   NodePartition par_fb = ComputeBisimulationPartition(
-      g, depth, true, BisimulationDirection::kForwardBackward, threads);
+      dg, depth, true, BisimulationDirection::kForwardBackward, threads);
   ExpectIdenticalPartition(par_fb, ReferenceBisimulationPartition(g, depth, true),
                            "vs reference");
 }

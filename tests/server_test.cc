@@ -13,8 +13,10 @@
 //     with kResourceExhausted before HELLO;
 //   - plan cache: same-shape queries with different constants hit, and the
 //     skeleton-instantiated plan returns identical rows;
-//   - summary memoization: one mint per kind per snapshot, reported in
-//     STATS.
+//   - summary mint: every epoch is minted by Snapshot::Open, before Start
+//     or Reload publishes it, so no request ever mints; a failed mint still
+//     publishes a serving epoch, reported in STATS;
+//   - reload serialization: racing RELOADs publish epochs in order.
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,7 @@
 #include "summary/isomorphism.h"
 #include "summary/summarizer.h"
 #include "summary/summary.h"
+#include "util/fault_injection.h"
 
 namespace rdfsum {
 namespace {
@@ -180,6 +183,10 @@ Status RawServedRows(uint16_t port, const std::string& sparql,
 constexpr char kAllQuery[] = "SELECT ?s ?p ?o WHERE { ?s ?p ?o }";
 constexpr char kMarkerQuery[] =
     "SELECT ?s ?o WHERE { ?s <http://swap.example.org/marker> ?o }";
+/// A join the summary planner orders with the estimator.
+constexpr char kSummaryQuery[] =
+    "SELECT ?s WHERE { ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type>"
+    " ?t . ?s <http://bsbm.example.org/price> ?p }";
 
 TEST(ServerTest, ServedRowsAreByteIdenticalToLocalEvaluation) {
   const std::string image = FreezeBsbm(20, "ident.rsb");
@@ -540,8 +547,8 @@ TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
   auto snap = server::Snapshot::Open(image, 1);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
 
-  // Concurrent first requests get the same minted object.
-  EXPECT_TRUE((*snap)->MintReports().empty());  // nothing minted yet
+  // Open already minted; concurrent first requests get the same object.
+  EXPECT_EQ((*snap)->MintReports().size(), 1u);
   constexpr int kThreads = 4;
   const summary::SummaryResult* seen[kThreads] = {};
   std::vector<std::thread> threads;
@@ -570,14 +577,14 @@ TEST(ServerTest, SnapshotMemoizesSummariesAcrossConcurrentRequests) {
 }
 
 TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
-  // Mints the weak summary and the estimator on a snapshot and checks that
-  // the mint runs over the image's own ids: the serving dictionary does
-  // not grow, the private dictionary decodes every base id as the serving
-  // one does, and the minted summary is the one the original graph has,
-  // N-Triples byte for byte. The mint runs in a fresh dictionary at the
-  // frozen minted-URI counter, so the reference summary is taken from a
-  // freshly generated original graph too. The other five kinds are held
-  // to the same bytes through ToGraph() by
+  // Checks that the weak summary and the estimator Snapshot::Open mints run
+  // over the image's own ids: the serving dictionary holds no more terms
+  // than a freshly opened store's, the private dictionary decodes every
+  // base id as the serving one does, and the minted summary is the one the
+  // original graph has, N-Triples byte for byte. The mint runs in a fresh
+  // dictionary at the frozen minted-URI counter, so the reference summary
+  // is taken from a freshly generated original graph too. The other five
+  // kinds are held to the same bytes through View() by
   // MmapStoreTest.ToGraphIsByteIdenticalForSummaries.
   auto make_graph = [] {
     gen::BsbmOptions opt;
@@ -589,7 +596,9 @@ TEST(ServerTest, SummaryMintRunsOverTheImageIds) {
   auto snap = server::Snapshot::Open(image, 1);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
   const Dictionary& serving = (*snap)->dict();
-  const size_t serving_size = serving.size();
+  auto fresh = store::MmapStore::Open(image);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  const size_t serving_size = (*fresh)->dict().size();
 
   auto weak = (*snap)->WeakSummary();
   ASSERT_TRUE(weak.ok()) << weak.status().ToString();
@@ -627,12 +636,117 @@ TEST(ServerTest, SummaryPlannerServesWithMemoizedEstimator) {
   ASSERT_TRUE(ServedRows("127.0.0.1", port, q, req, &second).ok());
   EXPECT_EQ(first, LocalRows(image, q));
   EXPECT_EQ(second, first);
-  // The weak-summary mint the estimator triggered shows up in STATS.
+  // The weak-summary mint Start ran shows up in STATS.
   auto client = Client::Connect("127.0.0.1", port);
   ASSERT_TRUE(client.ok());
   auto stats = (*client)->Stats();
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("summary_mint_W: ok"), std::string::npos) << *stats;
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServerTest, ReloadPublishesAMintedEpoch) {
+  // Start and Reload publish a snapshot only after Snapshot::Open minted
+  // it, so the W row is there before any request, and the first
+  // summary-planned request after a reload plans with that estimator.
+  const std::string image_a = FreezeBsbm(15, "minted_a.rsb", 0);
+  const std::string image_b = FreezeBsbm(15, "minted_b.rsb", 7);
+  Server server;
+  ASSERT_TRUE(server.Start(image_a).ok());
+  auto expect_minted = [&](uint64_t epoch) {
+    std::shared_ptr<server::Snapshot> snap = server.snapshot();
+    EXPECT_EQ(snap->epoch(), epoch);
+    const auto reports = snap->MintReports();
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_STREQ(reports[0].kind, "W");
+    EXPECT_TRUE(reports[0].ok);
+    EXPECT_TRUE(snap->Estimator().ok());
+  };
+  expect_minted(1);
+  ASSERT_TRUE(server.Reload(image_b).ok());
+  expect_minted(2);
+
+  QueryRequest req;
+  req.planner = 2;  // summary
+  for (const char* q : {kSummaryQuery, kMarkerQuery}) {
+    std::vector<std::string> rows;
+    ASSERT_TRUE(ServedRows("127.0.0.1", server.port(), q, req, &rows).ok());
+    EXPECT_EQ(rows, LocalRows(image_b, q)) << q;
+  }
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServerTest, FailedMintStillPublishesAServingEpoch) {
+  if (!util::FaultInjection::compiled_in()) {
+    GTEST_SKIP() << "failpoints not compiled in (Release build)";
+  }
+  const std::string image_a = FreezeBsbm(15, "mintfail_a.rsb", 0);
+  const std::string image_b = FreezeBsbm(15, "mintfail_b.rsb", 7);
+  Server server;
+  ASSERT_TRUE(server.Start(image_a).ok());
+  util::FaultInjection::Clear();
+  util::FaultInjection::Arm("quotient:shard", Status::Internal("shard died"));
+  const Status reloaded = server.Reload(image_b);
+  util::FaultInjection::Clear();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+  EXPECT_EQ(server.snapshot()->epoch(), 2u);
+  EXPECT_TRUE(server.snapshot()->Estimator().status().IsInternal());
+  EXPECT_NE(server.StatsText().find("summary_mint_W: failed"),
+            std::string::npos)
+      << server.StatsText();
+
+  // Summary planning degrades to greedy; the rows do not change.
+  QueryRequest req;
+  req.planner = 2;  // summary
+  for (const char* q : {kSummaryQuery, kMarkerQuery}) {
+    std::vector<std::string> rows;
+    ASSERT_TRUE(ServedRows("127.0.0.1", server.port(), q, req, &rows).ok());
+    EXPECT_EQ(rows, LocalRows(image_b, q)) << q;
+  }
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServerTest, ConcurrentReloadsPublishEpochsInOrder) {
+  // Four threads reload ten times each; every reload takes the next epoch,
+  // and a reader polling the live snapshot never sees its epoch go down.
+  const std::string image_a = FreezeBsbm(50, "reloads_a.rsb", 0);
+  const std::string image_b = FreezeBsbm(50, "reloads_b.rsb", 3);
+  Server server;
+  ASSERT_TRUE(server.Start(image_a).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> decreases{0};
+  std::thread reader([&] {
+    uint64_t last = 0;
+    while (!done.load()) {
+      const uint64_t epoch = server.snapshot()->epoch();
+      if (epoch < last) decreases.fetch_add(1);
+      last = epoch;
+      std::this_thread::yield();
+    }
+  });
+  constexpr int kThreads = 4;
+  constexpr int kReloadsPerThread = 10;
+  std::vector<std::thread> reloaders;
+  for (int t = 0; t < kThreads; ++t) {
+    reloaders.emplace_back([&, t] {
+      for (int i = 0; i < kReloadsPerThread; ++i) {
+        const Status st = server.Reload((t + i) % 2 == 0 ? image_b : image_a);
+        EXPECT_TRUE(st.ok()) << st.ToString();
+      }
+    });
+  }
+  for (std::thread& t : reloaders) t.join();
+  done.store(true);
+  reader.join();
+  EXPECT_EQ(server.snapshot()->epoch(), 1u + kThreads * kReloadsPerThread);
+  const std::string reloads =
+      "\nreloads: " + std::to_string(kThreads * kReloadsPerThread) + "\n";
+  EXPECT_NE(server.StatsText().find(reloads), std::string::npos)
+      << server.StatsText();
+  EXPECT_EQ(decreases.load(), 0);
   server.Stop();
   server.Wait();
 }

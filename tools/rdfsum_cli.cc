@@ -40,6 +40,7 @@
 #include "io/turtle_parser.h"
 #include "query/pruned_evaluator.h"
 #include "query/sparql_parser.h"
+#include "rdf/dense_graph.h"
 #include "rdf/graph.h"
 #include "rdf/graph_stats.h"
 #include "store/mmap_store.h"
@@ -261,7 +262,7 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
     store::TripleTable::Build(g.Triples(), threads);
     const double freeze_seconds = freeze_timer.ElapsedSeconds();
     Timer dense_timer;
-    g.Dense();
+    const DenseGraph dense(g);
     const double dense_seconds = dense_timer.ElapsedSeconds();
     std::cout << "phases (threads=" << threads
               << ", chunks=" << parse_stats.chunks << "): "
