@@ -64,10 +64,6 @@ Dictionary::~Dictionary() {
   }
 }
 
-bool Dictionary::ViewTermEquals(uint32_t id, TermRef term) const {
-  return ReadViewRecord(view_, id) == term;
-}
-
 const Term& Dictionary::DecodeView(uint32_t id) const {
   assert(id >= 1 && id <= base_terms_);
   // Decode's acquire load missed; re-check under the lock, since another
@@ -82,14 +78,17 @@ const Term& Dictionary::DecodeView(uint32_t id) const {
   return *t;
 }
 
-TermId Dictionary::ViewLookup(TermRef term, uint64_t h) const {
-  if (view_.slots.empty()) return kInvalidTermId;
-  const size_t mask = view_.slots.size() - 1;
+TermId Dictionary::ViewLookup(const DictionaryView& view, TermRef term,
+                              uint64_t h) {
+  if (view.slots.empty()) return kInvalidTermId;
+  const size_t mask = view.slots.size() - 1;
   size_t i = static_cast<size_t>(h) & mask;
   while (true) {
-    const DictionaryView::Slot& slot = view_.slots[i];
+    const DictionaryView::Slot& slot = view.slots[i];
     if (slot.id == kInvalidTermId) return kInvalidTermId;
-    if (slot.hash == h && ViewTermEquals(slot.id, term)) return slot.id;
+    if (slot.hash == h && ReadViewRecord(view, slot.id) == term) {
+      return slot.id;
+    }
     i = (i + 1) & mask;
   }
 }
@@ -133,7 +132,7 @@ void Dictionary::Reserve(size_t num_terms) {
 }
 
 TermId Dictionary::EncodeHashed(TermRef term, const uint64_t h) {
-  if (TermId base_id = ViewLookup(term, h); base_id != kInvalidTermId) {
+  if (TermId base_id = ViewLookup(view_, term, h); base_id != kInvalidTermId) {
     return base_id;
   }
   size_t i = FindSlot(term, h);
@@ -147,7 +146,7 @@ TermId Dictionary::EncodeHashed(TermRef term, const uint64_t h) {
 
 TermId Dictionary::Lookup(TermRef term) const {
   const uint64_t h = HashTerm(term);
-  if (TermId base_id = ViewLookup(term, h); base_id != kInvalidTermId) {
+  if (TermId base_id = ViewLookup(view_, term, h); base_id != kInvalidTermId) {
     return base_id;
   }
   return slots_[FindSlot(term, h)].id;  // kInvalidTermId when absent

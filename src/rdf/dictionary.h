@@ -101,6 +101,12 @@ class Dictionary {
   /// Returns the id of `term` or kInvalidTermId if it was never interned.
   TermId Lookup(TermRef term) const;
 
+  /// Returns the id of `term` in a validated view's slot table, or
+  /// kInvalidTermId when the view does not hold it. Builds no dictionary.
+  static TermId LookupInView(const DictionaryView& view, TermRef term) {
+    return ViewLookup(view, term, HashTerm(term));
+  }
+
   /// Decodes an id; requires 1 <= id < size().
   const Term& Decode(TermId id) const {
     if (id <= base_terms_) {
@@ -155,12 +161,10 @@ class Dictionary {
   /// slot where it would be inserted. Requires a non-full table.
   size_t FindSlot(TermRef term, uint64_t h) const;
 
-  /// Probes the view's on-disk slot table; kInvalidTermId when absent (or
+  /// Probes a view's on-disk slot table; kInvalidTermId when absent (or
   /// when there is no view).
-  TermId ViewLookup(TermRef term, uint64_t h) const;
-
-  /// Compares `term` against view record `id` piecewise, no allocation.
-  bool ViewTermEquals(uint32_t id, TermRef term) const;
+  static TermId ViewLookup(const DictionaryView& view, TermRef term,
+                           uint64_t h);
 
   /// Decode's miss path: materializes the Term behind view id `id` and
   /// publishes it in view_cache_, under view_cache_mu_.

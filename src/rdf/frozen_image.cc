@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <numeric>
+
+#include "rdf/vocabulary.h"
 
 namespace rdfsum {
 
@@ -28,10 +31,7 @@ bool SizeIs(uint64_t count, uint64_t elem, uint64_t actual) {
   return count * elem == actual;
 }
 
-/// One triple's term of an order-independent multiset fingerprint: the
-/// wrapping sum of TripleMix over a section is equal for two sections
-/// holding the same triples in any order, and a changed row changes it
-/// except with probability about 2^-64. (splitmix64's finalizer.)
+/// splitmix64's finalizer: a bijection of u64 with full avalanche.
 uint64_t Mix64(uint64_t x) {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ull;
@@ -40,8 +40,24 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// One triple's term of an order-independent multiset fingerprint: the
+/// wrapping sum of TripleMix over a section is equal for two sections
+/// holding the same triples in any order, and a changed row changes it
+/// except with probability about 2^-64.
 uint64_t TripleMix(const Triple& t) {
   return Mix64(Mix64((uint64_t{t.s} << 32) | t.p) + t.o);
+}
+
+// ImageHash64's multipliers. Each is odd, so multiplying by one is a
+// bijection of u64.
+constexpr uint64_t kHashP1 = 0x9E3779B185EBCA87ull;
+constexpr uint64_t kHashP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr uint64_t kHashP3 = 0x165667B19E3779F9ull;
+constexpr uint64_t kHashP4 = 0x85EBCA77C2B2AE63ull;
+
+/// A bijection of `lane` for a fixed word `w`, and of `w` for a fixed lane.
+uint64_t HashRound(uint64_t lane, uint64_t w) {
+  return std::rotl(lane + w * kHashP2, 31) * kHashP1;
 }
 
 void AppendPod(std::string* out, const void* p, size_t n) {
@@ -55,6 +71,35 @@ std::string PodBytes(const std::vector<T>& v) {
 }
 
 }  // namespace
+
+uint64_t ImageHash64(const void* data, size_t size, uint64_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  auto word = [p](size_t at) {
+    uint64_t w;
+    std::memcpy(&w, p + at, sizeof(w));  // images are little-endian only
+    return w;
+  };
+  uint64_t lanes[4] = {seed + kHashP1 + kHashP2, seed + kHashP2, seed,
+                       seed - kHashP1};
+  size_t i = 0;
+  for (; size - i >= 32; i += 32) {
+    for (size_t k = 0; k < 4; ++k) {
+      lanes[k] = HashRound(lanes[k], word(i + 8 * k));
+    }
+  }
+  uint64_t h = seed + kHashP3 + size;
+  auto fold = [&h](uint64_t w) {
+    h = std::rotl(h ^ HashRound(0, w), 27) * kHashP1 + kHashP4;
+  };
+  for (uint64_t lane : lanes) fold(lane);
+  for (; size - i >= 8; i += 8) fold(word(i));
+  if (i < size) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, p + i, size - i);
+    fold(tail);
+  }
+  return Mix64(h);
+}
 
 // ---- ImageBuilder -----------------------------------------------------------
 
@@ -88,7 +133,7 @@ Status ImageBuilder::WriteFile(const std::string& path) const {
     d.id = id;
     d.offset = ImageAlignUp(end);
     d.size = bytes.size();
-    d.checksum = ImageFnv1a64(bytes.data(), bytes.size());
+    d.checksum = ImageHash64(bytes.data(), bytes.size());
     end = d.offset + d.size;
     descs.push_back(d);
   }
@@ -100,14 +145,25 @@ Status ImageBuilder::WriteFile(const std::string& path) const {
   header.file_size = end;
   header.section_count = static_cast<uint32_t>(sections_.size());
   header.table_checksum =
-      ImageFnv1a64(descs.data(), descs.size() * sizeof(SectionDesc));
-  header.header_checksum = ImageFnv1a64(&header, 40);
+      ImageHash64(descs.data(), descs.size() * sizeof(SectionDesc));
+  header.header_checksum = ImageHash64(&header, 40);
 
-  // Streamed section by section: no second in-memory copy of the image.
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
+  // Written to a new file beside `path`, then renamed over it: truncating
+  // `path` in place would rewrite pages a live reader has mapped. The new
+  // file is created exclusively, so concurrent writers never share one;
+  // names a crashed writer left behind are skipped.
+  std::string tmp;
+  std::FILE* f = nullptr;
+  for (uint32_t n = 0; f == nullptr && n < 64; ++n) {
+    tmp = path + ".tmp" + std::to_string(n);
+    errno = 0;
+    f = std::fopen(tmp.c_str(), "wbx");
+    if (f == nullptr && errno != EEXIST) break;
   }
+  if (f == nullptr) {
+    return Status::IOError("cannot create a file beside " + path);
+  }
+  // Streamed section by section: no second in-memory copy of the image.
   auto put = [&](const void* p, size_t n) {
     return n == 0 || std::fwrite(p, 1, n, f) == n;  // p may be null if n == 0
   };
@@ -122,7 +178,14 @@ Status ImageBuilder::WriteFile(const std::string& path) const {
     pos = descs[i].offset + bytes.size();
   }
   const bool closed = std::fclose(f) == 0;
-  if (!ok || !closed) return Status::IOError("short write to " + path);
+  if (!ok || !closed) {
+    std::remove(tmp.c_str());
+    return Status::IOError("short write to " + path);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot replace " + path);
+  }
   return Status::OK();
 }
 
@@ -230,9 +293,16 @@ Status ValidateStructure(const FrozenImage& img) {
               bytes(SectionId::kDictSlots).size())) {
     return Corrupt("slot section size mismatch");
   }
+  // Occupied slots number exactly the terms, so a probe always reaches a
+  // free slot and ends.
+  uint64_t occupied = 0;
   for (const DictionaryView::Slot& s :
        img.Array<DictionaryView::Slot>(SectionId::kDictSlots)) {
     if (s.id > m.num_terms) return Corrupt("slot id out of range");
+    occupied += s.id != kInvalidTermId;
+  }
+  if (occupied != m.num_terms) {
+    return Corrupt("slot table does not hold one slot per term");
   }
 
   // Statistics counts cannot exceed what they count (a lying count would
@@ -305,11 +375,14 @@ Status ValidateStructure(const FrozenImage& img) {
     }
   }
 
-  // Component triples: bounds only (order is payload, not structure), and
-  // together they are the whole graph: the permutations' triples.
+  // Component triples: bounds only (order is payload, not structure), each
+  // row in the component Graph::Add routes it to (View() summarizes the
+  // components as stored), and together they are the whole graph: the
+  // permutations' triples.
+  const Vocabulary vocab = Vocabulary::InView(img.dictionary_view());
   uint64_t component_sum = 0;
-  auto check_triples = [&](SectionId id, uint64_t count,
-                           const char* name) -> Status {
+  auto check_triples = [&](SectionId id, uint64_t count, const char* name,
+                           auto routed_here) -> Status {
     if (!SizeIs(count, sizeof(Triple), bytes(id).size())) {
       return Corrupt(std::string(name) + " section size mismatch");
     }
@@ -318,16 +391,24 @@ Status ValidateStructure(const FrozenImage& img) {
           t.p > m.num_terms || t.o > m.num_terms) {
         return Corrupt(std::string(name) + " row with out-of-range term id");
       }
+      if (!routed_here(t.p)) {
+        return Corrupt(std::string(name) +
+                       " row that Graph::Add routes to another component");
+      }
       component_sum += TripleMix(t);
     }
     return Status::OK();
   };
   RDFSUM_RETURN_IF_ERROR(
-      check_triples(SectionId::kTypeTriples, m.num_type_triples, "type"));
-  RDFSUM_RETURN_IF_ERROR(check_triples(SectionId::kSchemaTriples,
-                                       m.num_schema_triples, "schema"));
-  RDFSUM_RETURN_IF_ERROR(
-      check_triples(SectionId::kDataTriples, m.num_data_triples, "data"));
+      check_triples(SectionId::kTypeTriples, m.num_type_triples, "type",
+                    [&](TermId p) { return vocab.IsType(p); }));
+  RDFSUM_RETURN_IF_ERROR(check_triples(
+      SectionId::kSchemaTriples, m.num_schema_triples, "schema",
+      [&](TermId p) { return vocab.IsSchemaProperty(p); }));
+  RDFSUM_RETURN_IF_ERROR(check_triples(
+      SectionId::kDataTriples, m.num_data_triples, "data", [&](TermId p) {
+        return !vocab.IsType(p) && !vocab.IsSchemaProperty(p);
+      }));
   // No overflow: each count was just bounded by its section's byte size.
   if (m.num_data_triples + m.num_type_triples + m.num_schema_triples !=
       m.num_triples) {
@@ -353,15 +434,17 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size) {
   if (std::memcmp(header.magic, kImageMagic, sizeof(kImageMagic)) != 0) {
     return Corrupt("bad magic (not a frozen store image)");
   }
-  if (ImageFnv1a64(data, 40) != header.header_checksum) {
-    return Corrupt("header checksum mismatch");
-  }
+  // The major version decides how the rest is verified (v2 checksummed
+  // with another hash), so it is read before the header checksum.
   if (header.version_major != kImageVersionMajor) {
     return Status::NotSupported(
         "frozen image has major version " +
         std::to_string(header.version_major) + "; this build reads " +
         std::to_string(kImageVersionMajor) +
         " (re-freeze the graph with this build)");
+  }
+  if (ImageHash64(data, 40) != header.header_checksum) {
+    return Corrupt("header checksum mismatch");
   }
   if (header.file_size != size) {
     return Corrupt("declared file size does not match the actual size");
@@ -373,7 +456,7 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size) {
       uint64_t{header.section_count} * sizeof(SectionDesc);
   const uint64_t table_end = sizeof(ImageHeader) + table_bytes;
   if (table_end > size) return Corrupt("section table past end of file");
-  if (ImageFnv1a64(data + sizeof(ImageHeader), table_bytes) !=
+  if (ImageHash64(data + sizeof(ImageHeader), table_bytes) !=
       header.table_checksum) {
     return Corrupt("section table checksum mismatch");
   }
@@ -420,7 +503,7 @@ StatusOr<FrozenImage> FrozenImage::Attach(const char* data, size_t size) {
   }
 
   for (const SectionDesc& d : img.descs_) {
-    if (ImageFnv1a64(data + d.offset, d.size) != d.checksum) {
+    if (ImageHash64(data + d.offset, d.size) != d.checksum) {
       return Corrupt("checksum mismatch in section " + std::to_string(d.id));
     }
   }

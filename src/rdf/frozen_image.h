@@ -34,7 +34,7 @@ namespace rdfsum {
 
 inline constexpr char kImageMagic[8] = {'R', 'D', 'F', 'S', 'U', 'M', 'S',
                                         'B'};
-inline constexpr uint32_t kImageVersionMajor = 2;
+inline constexpr uint32_t kImageVersionMajor = 3;
 inline constexpr uint32_t kImageVersionMinor = 0;
 /// Every section payload starts at a multiple of this; inter-section padding
 /// bytes MUST be zero (validated — un-checksummed bytes are not a hiding
@@ -66,9 +66,11 @@ enum class SectionId : uint32_t {
   kDataTriples = 11,   // Triple[num_data_triples], insertion order
 };
 
-/// File header, the first 64 bytes. header_checksum covers bytes [0, 40)
-/// (everything before itself); table_checksum covers the section table that
-/// immediately follows the header. All integers little-endian.
+/// File header, the first 64 bytes. header_checksum is ImageHash64 over
+/// bytes [0, 40) (everything before itself); table_checksum is ImageHash64
+/// over the section table that immediately follows the header. A reader
+/// checks version_major before either: the major version decides how the
+/// rest is verified. All integers little-endian.
 struct ImageHeader {
   char magic[8];
   uint32_t version_major;
@@ -84,7 +86,7 @@ static_assert(sizeof(ImageHeader) == 64);
 
 /// One section-table entry (32 bytes). `offset` is absolute and 64-aligned;
 /// `size` is the exact payload byte count (padding excluded); `checksum` is
-/// FNV-1a-64 over the payload bytes.
+/// ImageHash64 over the payload bytes.
 struct SectionDesc {
   uint32_t id;
   uint32_t reserved;  // writers MUST zero; readers ignore
@@ -130,17 +132,14 @@ static_assert(sizeof(ImagePredStat) == 32);
 /// memcpy.
 inline constexpr uint64_t kImageTermRecordHeaderBytes = 1 + 3 * 4;
 
-/// FNV-1a-64 with the standard offset basis (docs/FORMAT.md §1).
-inline constexpr uint64_t kImageFnvSeed = 1469598103934665603ULL;
-inline uint64_t ImageFnv1a64(const void* data, size_t size,
-                             uint64_t h = kImageFnvSeed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+/// The image format's one hash (docs/FORMAT.md §1.1), word-wise: four u64
+/// lanes consume 32-byte little-endian stripes, then the lanes fold into a
+/// length-seeded state one step each, then the remaining whole words, then
+/// the remaining bytes as one zero-padded word, then splitmix64's
+/// finalizer. Every step is a bijection of the state for fixed other
+/// input, so any change confined to one 8-byte word of the input — every
+/// single-bit flip included — changes the hash.
+uint64_t ImageHash64(const void* data, size_t size, uint64_t seed = 0);
 
 inline constexpr uint64_t ImageAlignUp(uint64_t n) {
   return (n + kImageAlignment - 1) & ~(kImageAlignment - 1);
@@ -168,8 +167,10 @@ class ImageBuilder {
                           data.size() * sizeof(T)}});
   }
 
-  /// Writes the assembled image. Fails with kIOError on any write problem;
-  /// a partially written file is left behind (callers overwrite or unlink).
+  /// Writes the assembled image to a new file beside `path`, then renames
+  /// it over `path`: a reader that maps the old file keeps reading the old
+  /// bytes, and no reader ever sees a partial image. Fails with kIOError
+  /// on any write problem, leaving `path` as it was and no file behind.
   Status WriteFile(const std::string& path) const;
 
  private:
@@ -195,21 +196,25 @@ void AppendDictionarySections(const Dictionary& dict, ImageMeta* meta,
 /// in-memory buffer — FrozenImage never owns the bytes). Attach() performs
 /// the full corruption wall:
 ///
-///  - header: magic, major version, declared vs. actual file size, header
-///    and section-table checksums;
+///  - header: magic, major version, header checksum, declared vs. actual
+///    file size, section-table checksum;
 ///  - section table: ascending ids, 64-byte alignment, in-bounds and
 ///    non-overlapping payloads in table order, zeroed gaps, required
 ///    sections present;
-///  - per-section FNV-1a-64 checksums;
+///  - per-section ImageHash64 checksums (word-wise, so verifying them runs
+///    at memory speed, not a byte at a time);
 ///  - structural validation: every section's size matches the kMeta counts
 ///    exactly, term-arena offsets are monotone and records well-formed,
-///    the slot table is a power of two with a free slot, permutations are
-///    sorted, every stored triple has in-range ids, and the component
-///    counts sum to the triple count — so no later accessor can read out
-///    of bounds even on a checksum-valid adversarial file.
+///    the slot table is a power of two with exactly one occupied slot per
+///    term (so a probe always ends), permutations are sorted, every stored
+///    triple has in-range ids, the six triple sections hold the same
+///    triples, and every component row sits in the component Graph::Add
+///    routes it to — so no later accessor can read out of bounds, and no
+///    index or view disagrees with another, even on a checksum-valid
+///    adversarial file.
 ///
-/// Any violation returns kCorruption; an unsupported major version (a v1
-/// image included: re-freeze it) or a big-endian host returns
+/// Any violation returns kCorruption; an unsupported major version (v1
+/// and v2 images included: re-freeze them) or a big-endian host returns
 /// kNotSupported. Never UB, never an allocation driven by an unvalidated
 /// count.
 class FrozenImage {

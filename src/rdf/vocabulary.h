@@ -44,6 +44,11 @@ struct Vocabulary {
   Vocabulary() = default;
   explicit Vocabulary(Dictionary& dict);
 
+  /// The built-ins' ids in a frozen image's dictionary, looked up, never
+  /// interned: a built-in the image lacks keeps kInvalidTermId, which no
+  /// stored triple uses. `view` must be validated (FrozenImage::Attach).
+  static Vocabulary InView(const DictionaryView& view);
+
   /// True iff `p` is one of the four RDFS constraint properties
   /// (≺sc, ≺sp, ←↩d, ↪→r).
   bool IsSchemaProperty(TermId p) const {

@@ -14,9 +14,10 @@
 namespace rdfsum::store {
 
 struct FreezeOptions {
-  /// Workers for the permutation sorts + statistics (TripleTable::Build):
-  /// 1 = sequential (default), 0 = all available CPUs. The image bytes are
-  /// identical at every thread count.
+  /// Workers for the table statistics (TripleTable::Build; the
+  /// permutations are sorted on the calling thread): 1 = sequential
+  /// (default), 0 = all available CPUs. The image bytes are identical at
+  /// every thread count.
   uint32_t num_threads = 1;
   /// When non-null, receives the wall seconds spent sorting/deduplicating
   /// the permutations (TripleTable::Build) — the `freeze` entry of the
@@ -27,7 +28,10 @@ struct FreezeOptions {
 /// Writes `g` as a frozen store image (rdf/frozen_image.h): dictionary,
 /// sorted SPO/POS/OSP permutations with statistics, and the data, type and
 /// schema components verbatim. The output is deterministic — the same graph
-/// produces byte-identical files.
+/// produces byte-identical files. The image is written beside `path` and
+/// renamed over it, so freezing into the path an open MmapStore (or a
+/// serving daemon) maps leaves that store reading its old image; the next
+/// Open reads the new one.
 /// Failpoint: `image:write`.
 /// (Two overloads instead of `= {}`: GCC PR 88165, see fault_injection.h.)
 Status FreezeGraphToFile(const Graph& g, const std::string& path,
@@ -45,11 +49,13 @@ inline Status FreezeGraphToFile(const Graph& g, const std::string& path) {
 ///    permutations are spans into the mapping, serving MatchSpan/Count
 ///    without loading the file.
 ///
-/// Open cost is O(validated bytes) page-cache reads, not O(triples) parsing
-/// and sorting — the warm-start path (`warmstart_*` in
-/// BENCH_substrate.json). The store is immutable and self-contained; it
-/// must outlive every evaluator, cursor, GraphView and Graph handed out
-/// from it.
+/// Open cost is one pass over the image bytes, not O(triples) parsing and
+/// sorting — the warm-start path (`warmstart_*` in BENCH_substrate.json):
+/// the word-wise checksums (ImageHash64) read at memory speed, so the
+/// structural checks (sortedness, id ranges, the same-triples fingerprint,
+/// component routing) are most of the rest. The store is immutable and
+/// self-contained; it must outlive every evaluator, cursor, GraphView and
+/// Graph handed out from it.
 class MmapStore {
  public:
   /// Opens and validates `path` (checksums and structure, always).

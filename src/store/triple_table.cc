@@ -3,10 +3,101 @@
 #include <algorithm>
 #include <utility>
 
-#include "util/parallel_for.h"
-#include "util/parallel_sort.h"
-
 namespace rdfsum::store {
+namespace {
+
+/// Stable LSD counting sorts of triples by 16-bit digits of their ids,
+/// sharing one scratch buffer of the rows' size.
+class CountingSorter {
+ public:
+  /// Writes `src` to *out, sorted stably by Keys with the last key most
+  /// significant: two passes per key, by the low then the high 16 bits of
+  /// the id minus the key's smallest id (an order-preserving shift that
+  /// keeps the histograms as small as the ids' range). A pass whose digit
+  /// every row shares would move nothing and is skipped. `src` may be
+  /// *out's own rows. Requires a non-empty `src`.
+  template <TermId Triple::*... Keys>
+  void Sort(std::span<const Triple> src, std::vector<Triple>* out) {
+    constexpr size_t kDigits = 2 * sizeof...(Keys);
+    // Every pass reorders the same rows, so one read finds each key's id
+    // range and one more counts every pass's digit: digit 2k is the low
+    // and digit 2k + 1 the high 16 bits of key k, less lo[k].
+    const TermId first[] = {src.front().*Keys...};
+    TermId lo[] = {src.front().*Keys...};
+    TermId hi[] = {src.front().*Keys...};
+    for (const Triple& t : src) {
+      size_t k = 0;
+      ((lo[k] = std::min(lo[k], t.*Keys), hi[k] = std::max(hi[k], t.*Keys),
+        ++k),
+       ...);
+    }
+    auto digit = [&lo](TermId id, size_t d) {
+      return ((id - lo[d / 2]) >> (d % 2 * 16)) & kMask;
+    };
+    std::vector<size_t> counts[kDigits];
+    for (size_t d = 0; d < kDigits; d += 2) {
+      const TermId range = hi[d / 2] - lo[d / 2];
+      counts[d].resize(std::min(range, kMask) + 1);
+      counts[d + 1].resize((range >> 16) + 1);
+    }
+    for (const Triple& t : src) {
+      size_t d = 0;
+      ((++counts[d][digit(t.*Keys, d)], ++counts[d + 1][digit(t.*Keys, d + 1)],
+        d += 2),
+       ...);
+    }
+    bool moves[kDigits];
+    size_t num_moving = 0;
+    for (size_t d = 0; d < kDigits; ++d) {
+      moves[d] = counts[d][digit(first[d / 2], d)] != src.size();
+      num_moving += moves[d];
+    }
+
+    // The passes alternate between *out and the scratch buffer, starting
+    // with the one `src` is not, so a sort needs the scratch only for a
+    // second moving pass (for any, when `src` is *out). A new *out takes
+    // the scratch's memory rather than allocating its own: a buffer is
+    // allocated only when a sort needs one more, and none is freed and
+    // allocated again in between.
+    const bool in_place = out->data() == src.data();
+    if (!in_place && out->empty()) out->swap(scratch_);
+    if (num_moving > (in_place ? 0 : 1)) scratch_.resize(src.size());
+    if (!in_place) out->resize(src.size());
+    std::span<const Triple> rows = src;
+    size_t d = 0;
+    (..., (Pass<Keys>(lo[d / 2], moves[d], 0, &counts[d], &rows, out),
+           Pass<Keys>(lo[d / 2], moves[d + 1], 16, &counts[d + 1], &rows, out),
+           d += 2));
+    if (rows.data() == scratch_.data()) {
+      out->swap(scratch_);
+    } else if (rows.data() != out->data()) {
+      std::copy(src.begin(), src.end(), out->begin());
+    }
+  }
+
+ private:
+  static constexpr TermId kMask = 0xFFFF;
+
+  /// One stable counting pass of *rows, unless `moves` is false, by the
+  /// digit at `shift` of Key less `lo`, whose histogram is *counts: into
+  /// whichever of *out and scratch_ *rows is not; *rows then spans it.
+  template <TermId Triple::*Key>
+  void Pass(TermId lo, bool moves, int shift, std::vector<size_t>* counts,
+            std::span<const Triple>* rows, std::vector<Triple>* out) {
+    if (!moves) return;
+    size_t start = 0;  // counts become each bucket's next write position
+    for (size_t& n : *counts) start += std::exchange(n, start);
+    Triple* to = rows->data() == out->data() ? scratch_.data() : out->data();
+    for (const Triple& t : *rows) {
+      to[(*counts)[((t.*Key - lo) >> shift) & kMask]++] = t;
+    }
+    *rows = {to, rows->size()};
+  }
+
+  std::vector<Triple> scratch_;
+};
+
+}  // namespace
 
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {
@@ -36,30 +127,19 @@ TripleTable TripleTable::Build(std::vector<Triple> rows,
   auto storage = std::make_shared<Storage>();
   std::vector<Triple>& spo = storage->spo;
   spo = std::move(rows);
-  const uint32_t threads = util::ResolveThreadCount(
-      num_threads, spo.size() / util::kMinSortItemsPerShard);
-  util::ParallelSort(spo.begin(), spo.end(), std::less<Triple>(), threads);
-  spo.erase(std::unique(spo.begin(), spo.end()), spo.end());
-  // The two secondary permutations are independent: copy + sort each on its
-  // own branch, splitting the worker budget between them. One thread runs
-  // both branches in turn, inline.
-  const uint32_t branches = std::min(threads, 2u);
-  const uint32_t half = std::max(1u, threads / 2);
-  util::ParallelFor(branches, [&](uint32_t first) {
-    for (uint32_t which = first; which < 2; which += branches) {
-      if (which == 0) {
-        storage->pos = spo;
-        util::ParallelSort(storage->pos.begin(), storage->pos.end(),
-                           PosLess(), half);
-      } else {
-        storage->osp = spo;
-        util::ParallelSort(storage->osp.begin(), storage->osp.end(),
-                           OspLess(), half);
-      }
-    }
-  });
+  if (!spo.empty()) {
+    // LSD passes: the key sorted last is the most significant, and ties
+    // keep the order the earlier passes left. So (s, p, o) order is three
+    // keys, o first; OSP is SPO stably sorted by o (ties in (s, p) order);
+    // POS is OSP stably sorted by p (ties in (o, s) order).
+    CountingSorter sorter;
+    sorter.Sort<&Triple::o, &Triple::p, &Triple::s>(spo, &spo);
+    spo.erase(std::unique(spo.begin(), spo.end()), spo.end());
+    sorter.Sort<&Triple::o>(spo, &storage->osp);
+    sorter.Sort<&Triple::p>(storage->osp, &storage->pos);
+  }
   storage->stats =
-      TableStats::Compute(spo, storage->pos, storage->osp, threads);
+      TableStats::Compute(spo, storage->pos, storage->osp, num_threads);
   return TripleTable(storage, storage->spo, storage->pos, storage->osp);
 }
 

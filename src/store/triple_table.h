@@ -53,13 +53,14 @@ class TripleTable {
   /// Sorts `rows` into the three permutations, removes duplicate rows, and
   /// computes the table statistics (see stats()).
   ///
-  /// The SPO sort runs sharded (util/parallel_sort.h), then the POS and OSP
-  /// copies sort concurrently with half the workers each, and the
-  /// statistics reduce per-range. 1 = one shard on the calling thread (no
-  /// pool task is submitted), 0 = all available CPUs; the permutations and
-  /// stats are byte-identical at every thread count (the sort comparators
-  /// key on all three triple components, so equal elements are identical
-  /// rows).
+  /// The permutations are sorted by counting, on the calling thread: SPO
+  /// by stable 16-bit-digit passes (keys o, then p, then s; a pass whose
+  /// digit every row shares is skipped), deduplicated, then OSP as stable
+  /// passes by o over SPO and POS as stable passes by p over OSP. Build
+  /// holds one scratch copy of the rows while it sorts and frees it before
+  /// it returns. `num_threads` shards only the statistics (1 = the calling
+  /// thread, no pool task; 0 = all available CPUs); the permutations and
+  /// stats are byte-identical at every thread count.
   static TripleTable Build(std::vector<Triple> rows, uint32_t num_threads = 1);
 
   /// A table over externally owned permutations of one deduplicated triple

@@ -1,5 +1,5 @@
 // The frozen-image corruption wall (docs/FORMAT.md §8): images are
-// truncated at every length, bit-flipped at every byte, fed wrong formats
+// truncated at every length, bit-flipped at every bit, fed wrong formats
 // (a retired .rdfsum summary file, random bytes), given nonzero padding,
 // and given adversarial counts behind *valid* checksums.
 // FrozenImage::Attach must return kCorruption (kIOError for unreadable
@@ -13,7 +13,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gen/paper_example.h"
@@ -83,14 +85,14 @@ void Reseal(std::string* bytes) {
     const uint64_t off = ReadAt<uint64_t>(*bytes, desc + 8);
     const uint64_t size = ReadAt<uint64_t>(*bytes, desc + 16);
     if (off + size <= bytes->size()) {
-      WriteAt(bytes, desc + 24, ImageFnv1a64(bytes->data() + off, size));
+      WriteAt(bytes, desc + 24, ImageHash64(bytes->data() + off, size));
     }
   }
   WriteAt(bytes, kOffTableChecksum,
-          ImageFnv1a64(bytes->data() + sizeof(ImageHeader),
-                       count * sizeof(SectionDesc)));
+          ImageHash64(bytes->data() + sizeof(ImageHeader),
+                      count * sizeof(SectionDesc)));
   WriteAt(bytes, kOffHeaderChecksum,
-          ImageFnv1a64(bytes->data(), kOffHeaderChecksum));
+          ImageHash64(bytes->data(), kOffHeaderChecksum));
 }
 
 // Finds the in-file byte range of a section's payload via the table.
@@ -106,6 +108,52 @@ bool FindSection(const std::string& bytes, SectionId id, size_t* off,
     }
   }
   return false;
+}
+
+// The byte pattern of the pinned ImageHash64 vectors: byte i is
+// (7 * i + 1) mod 256.
+std::vector<unsigned char> HashPattern(size_t size) {
+  std::vector<unsigned char> bytes(size);
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<unsigned char>(7 * i + 1);
+  }
+  return bytes;
+}
+
+TEST(ImageHashTest, PinnedVectors) {
+  // The same table is in docs/FORMAT.md §1: changing a value is a format
+  // break.
+  const std::vector<unsigned char> bytes = HashPattern(100);
+  const std::pair<size_t, uint64_t> vectors[] = {
+      {0, 0x8a5e6b8842b6e4feull},   {1, 0xc35951c6c3fea57eull},
+      {7, 0xcc7f01e7a99b22ebull},   {8, 0x9119d38ac573bd85ull},
+      {31, 0x16522ae16dc0b65cull},  {32, 0x73e5f38de8027136ull},
+      {33, 0xd41c35a99dbf96d4ull},  {64, 0x4bb53088d95f4c07ull},
+      {100, 0x329947671a8a7c30ull},
+  };
+  for (const auto& [size, hash] : vectors) {
+    EXPECT_EQ(ImageHash64(bytes.data(), size), hash) << "length " << size;
+  }
+  EXPECT_EQ(ImageHash64(bytes.data(), 100, 0x0123456789abcdefull),
+            0x931d65f206a85223ull);
+}
+
+TEST(ImageHashTest, EverySingleBitFlipChangesTheHash) {
+  // Guaranteed, not probable: every step is a bijection of the state for
+  // fixed other input. Lengths 1 to 100 cover tail-only, whole-word and
+  // striped inputs.
+  for (size_t size = 1; size <= 100; ++size) {
+    std::vector<unsigned char> bytes = HashPattern(size);
+    const uint64_t base = ImageHash64(bytes.data(), size);
+    for (size_t i = 0; i < size; ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        bytes[i] ^= static_cast<unsigned char>(1 << bit);
+        ASSERT_NE(ImageHash64(bytes.data(), size), base)
+            << "length " << size << " byte " << i << " bit " << bit;
+        bytes[i] ^= static_cast<unsigned char>(1 << bit);
+      }
+    }
+  }
 }
 
 TEST(ImageCorruptionTest, TheBaseImageAttaches) {
@@ -126,23 +174,27 @@ TEST(ImageCorruptionTest, TruncationAtEveryLengthIsRejected) {
 
 TEST(ImageCorruptionTest, EveryBitFlipIsDetected) {
   const std::string bytes = ImageBytes();
-  // One flipped bit per byte position, skipping bytes the format documents
-  // as ignored (header/desc reserved fields) — a flip there must *succeed*,
-  // which the minor-version-evolution test below pins separately.
+  // Every bit of every byte flipped in turn, skipping bytes the format
+  // documents as ignored (header/desc reserved fields) — a flip there must
+  // *succeed*, which the minor-version-evolution test below pins separately.
   // (SectionDesc::reserved and ImageMeta reserved words are semantically
   // ignored but still covered by the table/section checksums, so flips
   // there are caught too — only the header's reserved tail is outside
   // every checksum by design.)
   std::vector<bool> ignored(bytes.size(), false);
   for (size_t i = 48; i < 64; ++i) ignored[i] = true;  // header reserved
+  std::string mutated = bytes;
   for (size_t i = 0; i < bytes.size(); ++i) {
     if (ignored[i]) continue;
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ (1 << (i % 8)));
-    Status st = AttachStatus(mutated);
-    ASSERT_FALSE(st.ok()) << "accepted a bit flip at byte " << i;
-    ASSERT_TRUE(st.IsCorruption() || st.IsNotSupported())
-        << "byte " << i << ": " << st.ToString();
+    for (int bit = 0; bit < 8; ++bit) {
+      mutated[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      Status st = AttachStatus(mutated);
+      ASSERT_FALSE(st.ok()) << "accepted a flip of bit " << bit << " of byte "
+                            << i;
+      ASSERT_TRUE(st.IsCorruption() || st.IsNotSupported())
+          << "byte " << i << " bit " << bit << ": " << st.ToString();
+    }
+    mutated[i] = bytes[i];
   }
 }
 
@@ -170,8 +222,16 @@ TEST(ImageCorruptionTest, V1SummaryFileIsRejectedCleanly) {
   const uint64_t payload_size = payload.size();
   bytes.append(reinterpret_cast<const char*>(&payload_size),
                sizeof(payload_size));
-  const uint64_t checksum = ImageFnv1a64(
-      payload.data(), payload.size(), ImageFnv1a64(bytes.data() + 9, 8));
+  auto fnv1a64 = [](const char* p, size_t n, uint64_t h) {
+    for (size_t i = 0; i < n; ++i) {
+      h ^= static_cast<unsigned char>(p[i]);
+      h *= 1099511628211ULL;
+    }
+    return h;
+  };
+  const uint64_t checksum =
+      fnv1a64(payload.data(), payload.size(),
+              fnv1a64(bytes.data() + 9, 8, 1469598103934665603ULL));
   bytes.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
   bytes += payload;
   ASSERT_GT(bytes.size(), sizeof(ImageHeader));
@@ -210,16 +270,26 @@ TEST(ImageCorruptionTest, FutureMajorVersionIsNotSupported) {
 }
 
 TEST(ImageCorruptionTest, Version1ImageIsNotSupported) {
-  // The v1 layout stored the dense substrate and no kDataTriples; a v2
-  // reader refuses it by version and asks for a re-freeze.
-  std::string bytes = ImageBytes();
-  WriteAt<uint32_t>(&bytes, 8, 1);
-  Reseal(&bytes);
-  Status st = AttachStatus(bytes);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
-  EXPECT_NE(st.ToString().find("re-freeze"), std::string::npos)
-      << st.ToString();
+  // The v1 layout stored the dense substrate and no kDataTriples; v2 was
+  // checksummed with FNV-1a. A v3 reader refuses both by version and asks
+  // for a re-freeze — whether the header checksum is resealed with this
+  // build's hash or, as in a real old file, is another hash's: the version
+  // is read before the checksum it decides.
+  const std::string base = ImageBytes();
+  for (uint32_t major : {1u, 2u}) {
+    for (bool reseal : {true, false}) {
+      SCOPED_TRACE("major " + std::to_string(major) +
+                   (reseal ? " resealed" : " stale checksums"));
+      std::string bytes = base;
+      WriteAt<uint32_t>(&bytes, 8, major);
+      if (reseal) Reseal(&bytes);
+      Status st = AttachStatus(bytes);
+      ASSERT_FALSE(st.ok());
+      EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+      EXPECT_NE(st.ToString().find("re-freeze"), std::string::npos)
+          << st.ToString();
+    }
+  }
 }
 
 TEST(ImageCorruptionTest, NonzeroPaddingIsRejected) {
@@ -272,6 +342,27 @@ TEST(ImageCorruptionTest, ResealedHugeCountFailsStructurally) {
     ASSERT_TRUE(st.IsCorruption()) << "field " << field << ": "
                                    << st.ToString();
   }
+}
+
+TEST(ImageCorruptionTest, ResealedSlotTableWithNoFreeSlotIsRejected) {
+  // Every empty slot claims term 1: each id stays in range, but a probe
+  // for a term the image lacks would never reach a free slot and never
+  // end. Occupied slots must number exactly the terms.
+  const std::string bytes = ImageBytes();
+  size_t off = 0, size = 0;
+  ASSERT_TRUE(FindSection(bytes, SectionId::kDictSlots, &off, &size));
+  std::string mutated = bytes;
+  for (size_t at = off; at < off + size; at += sizeof(DictionaryView::Slot)) {
+    const size_t id_at = at + offsetof(DictionaryView::Slot, id);
+    if (ReadAt<uint32_t>(mutated, id_at) == kInvalidTermId) {
+      WriteAt<uint32_t>(&mutated, id_at, 1);
+    }
+  }
+  ASSERT_NE(mutated, bytes);
+  Reseal(&mutated);
+  Status st = AttachStatus(mutated);
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 TEST(ImageCorruptionTest, ResealedUnsortedPermutationIsRejected) {
@@ -382,6 +473,59 @@ TEST(ImageCorruptionTest, ResealedPermutationsMustHoldTheSameTriples) {
     Status st = AttachStatus(mutated);
     ASSERT_FALSE(st.ok());
     EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  }
+}
+
+TEST(ImageCorruptionTest, ResealedComponentRowsMustBeRoutedAsGraphAddWould) {
+  // Each mutation moves one row between components and keeps every count,
+  // size and checksum honest, so the six triple sections still hold the
+  // same triples; only the routing rule catches it. View() summarizes the
+  // components as stored, so a type row filed as data would be summarized
+  // as a data edge, unlike in ToGraph()'s graph.
+  const std::string bytes = ImageBytes();
+  auto attached = FrozenImage::Attach(bytes.data(), bytes.size());
+  ASSERT_TRUE(attached.ok()) << attached.status().ToString();
+  struct Move {
+    SectionId from, to;
+    uint64_t ImageMeta::*from_count;
+    uint64_t ImageMeta::*to_count;
+  };
+  for (const Move& mv :
+       {Move{SectionId::kTypeTriples, SectionId::kDataTriples,
+             &ImageMeta::num_type_triples, &ImageMeta::num_data_triples},
+        Move{SectionId::kDataTriples, SectionId::kSchemaTriples,
+             &ImageMeta::num_data_triples, &ImageMeta::num_schema_triples}}) {
+    SCOPED_TRACE("section " + std::to_string(static_cast<uint32_t>(mv.from)) +
+                 " -> " + std::to_string(static_cast<uint32_t>(mv.to)));
+    std::string sections[static_cast<size_t>(SectionId::kDataTriples) + 1];
+    for (uint32_t id = 1; id <= static_cast<uint32_t>(SectionId::kDataTriples);
+         ++id) {
+      std::span<const char> payload =
+          attached->SectionBytes(static_cast<SectionId>(id));
+      sections[id].assign(payload.data(), payload.size());
+    }
+    std::string& from = sections[static_cast<size_t>(mv.from)];
+    std::string& to = sections[static_cast<size_t>(mv.to)];
+    ASSERT_GE(from.size(), sizeof(Triple));
+    to += from.substr(0, sizeof(Triple));
+    from.erase(0, sizeof(Triple));
+    ImageMeta meta = attached->meta();
+    --(meta.*mv.from_count);
+    ++(meta.*mv.to_count);
+    sections[static_cast<size_t>(SectionId::kMeta)].assign(
+        reinterpret_cast<const char*>(&meta), sizeof(meta));
+    ImageBuilder builder;
+    for (uint32_t id = 1; id <= static_cast<uint32_t>(SectionId::kDataTriples);
+         ++id) {
+      builder.Add(static_cast<SectionId>(id), sections[id]);
+    }
+    const std::string path = TempPath("misrouted.rsb");
+    ASSERT_TRUE(builder.WriteFile(path).ok());
+    auto opened = MmapStore::Open(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(opened.status().IsCorruption()) << opened.status().ToString();
+    EXPECT_NE(opened.status().ToString().find("routes"), std::string::npos)
+        << opened.status().ToString();
   }
 }
 

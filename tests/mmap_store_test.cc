@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <fstream>
 #include <latch>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -360,6 +361,37 @@ TEST(MmapStoreTest, ConcurrentViewDecodesAreStableAndMatchOwnedMode) {
         EXPECT_EQ(seen[t][id], stable) << "id " << id;
       }
     }
+  }
+}
+
+TEST(MmapStoreTest, RefreezeDoesNotChangeAnOpenStore) {
+  // Freezing into the path an open store maps replaces the file instead of
+  // rewriting it in place: the open store keeps serving the old image, and
+  // the next Open serves the new one. (B is the larger image, so an
+  // in-place rewrite would show as wrong rows rather than a fault past the
+  // old end.)
+  const Graph a = BsbmGraph(20);
+  const Graph b = BsbmGraph(40);
+  const std::string path = TempPath("refreeze.rsb");
+  ASSERT_TRUE(store::FreezeGraphToFile(a, path).ok());
+  auto open_a = MmapStore::Open(path);
+  ASSERT_TRUE(open_a.ok()) << open_a.status().ToString();
+  ASSERT_TRUE(store::FreezeGraphToFile(b, path).ok());
+  auto open_b = MmapStore::Open(path);
+  ASSERT_TRUE(open_b.ok()) << open_b.status().ToString();
+
+  const store::TripleTable table_a = store::TripleTable::Build(a.Triples());
+  const store::TripleTable table_b = store::TripleTable::Build(b.Triples());
+  for (auto kind : {store::IndexKind::kSpo, store::IndexKind::kPos,
+                    store::IndexKind::kOsp}) {
+    SCOPED_TRACE(store::IndexKindName(kind));
+    auto expect_eq = [](std::span<const Triple> got,
+                        std::span<const Triple> want) {
+      EXPECT_TRUE(
+          std::equal(got.begin(), got.end(), want.begin(), want.end()));
+    };
+    expect_eq((*open_a)->table().Permutation(kind), table_a.Permutation(kind));
+    expect_eq((*open_b)->table().Permutation(kind), table_b.Permutation(kind));
   }
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
+#include <tuple>
 #include <vector>
 
 #include "gen/bsbm.h"
@@ -42,6 +44,75 @@ TEST(TripleTableTest, BuildSortsAndDedups) {
   EXPECT_EQ(t.size(), 2u);
   std::span<const Triple> spo = t.Permutation(store::IndexKind::kSpo);
   EXPECT_TRUE(std::is_sorted(spo.begin(), spo.end()));
+}
+
+// Build's permutations must be exactly std::sort + std::unique of the
+// rows under each permutation's order.
+void ExpectBuildMatchesComparisonSort(const std::vector<Triple>& rows) {
+  const TripleTable t = TripleTable::Build(rows);
+  auto sorted = [&](auto key) {
+    std::vector<Triple> out = rows;
+    auto less = [&](const Triple& a, const Triple& b) {
+      return key(a) < key(b);
+    };
+    std::sort(out.begin(), out.end(), less);
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  auto spo = sorted([](const Triple& r) { return std::tie(r.s, r.p, r.o); });
+  auto pos = sorted([](const Triple& r) { return std::tie(r.p, r.o, r.s); });
+  auto osp = sorted([](const Triple& r) { return std::tie(r.o, r.s, r.p); });
+  auto expect_eq = [](std::span<const Triple> got,
+                      const std::vector<Triple>& want, const char* name) {
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << name;
+  };
+  expect_eq(t.Permutation(store::IndexKind::kSpo), spo, "SPO");
+  expect_eq(t.Permutation(store::IndexKind::kPos), pos, "POS");
+  expect_eq(t.Permutation(store::IndexKind::kOsp), osp, "OSP");
+}
+
+// Seeded rows whose ids are `high | (random & mask)`: every tenth row
+// repeats an earlier one, so deduplication has work to do.
+std::vector<Triple> RandomRows(size_t n, uint32_t high, uint32_t mask) {
+  uint64_t state = 0x2545f4914f6cdd1dull;
+  auto next = [&] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return high | (static_cast<uint32_t>(state >> 32) & mask);
+  };
+  std::vector<Triple> rows;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 10 == 9) {
+      rows.push_back(rows[i / 2]);
+    } else {
+      const TermId s = next(), p = next(), o = next();
+      rows.push_back({s, p, o});
+    }
+  }
+  return rows;
+}
+
+TEST(TripleTableTest, BuildMatchesComparisonSortWithNoPassSkipped) {
+  // Ids above 2^16 in every position, and both 16-bit digits of s, p and o
+  // differ between rows, so no pass is skipped.
+  const std::vector<Triple> rows = RandomRows(20000, 0x10000u, 0xFFFFFFFFu);
+  for (auto key : {&Triple::s, &Triple::p, &Triple::o}) {
+    for (int shift : {0, 16}) {
+      EXPECT_TRUE(std::any_of(rows.begin(), rows.end(), [&](const Triple& r) {
+        return ((r.*key ^ rows[0].*key) >> shift & 0xFFFFu) != 0;
+      }));
+    }
+  }
+  ExpectBuildMatchesComparisonSort(rows);
+}
+
+TEST(TripleTableTest, BuildMatchesComparisonSortWhenHighDigitsAreShared) {
+  // Every id shares its high digit (0x0003), so those passes are skipped;
+  // and a single predicate skips both of p's.
+  ExpectBuildMatchesComparisonSort(RandomRows(20000, 0x30000u, 0xFFFFu));
+  std::vector<Triple> one_predicate = RandomRows(5000, 0x30000u, 0xFFFFu);
+  for (Triple& r : one_predicate) r.p = 0x30007u;
+  ExpectBuildMatchesComparisonSort(one_predicate);
 }
 
 TEST(TripleTableTest, ScanFullTable) {
