@@ -64,10 +64,6 @@ double BestOfTwo(Fn&& fn) {
   return std::min(first, t2.ElapsedSeconds());
 }
 
-bool SamePartition(const NodePartition& a, const NodePartition& b) {
-  return a.num_classes == b.num_classes && a.class_of == b.class_of;
-}
-
 /// One measurement at one thread count: wall time, whether the result
 /// matched the oracle, and the thread count the runtime actually used for
 /// the dominant sharded phase (ResolveThreadCount of the requested count
@@ -150,7 +146,7 @@ void PrintParallelWeak(bench::BenchJson* json, const std::string& prefix,
 
 // Partition construction alone — the phase the sharded scan parallelizes.
 void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
-  NodePartition oracle;
+  summary::ReferencePartition oracle;
   PrintSweep(
       json, "weak_partition",
       "Sharded weak partition only (quotient excluded)", all_equal,
@@ -160,13 +156,14 @@ void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
         double secs =
             BestOfTwo([&] { part = ComputeWeakPartition(dg, threads); });
         return ParallelRun{
-            secs, SamePartition(oracle, part),
+            secs, summary::PartitionMismatch(dg, part, oracle).empty(),
             util::ResolveThreadCount(threads, dg.num_data_edges())};
       });
 }
 
-// Quotient construction alone over a fixed weak partition (the oracle's),
-// checked against the oracle's sequential quotient walk.
+// Quotient construction alone over a fixed weak partition, checked against
+// the oracle's sequential quotient walk over the oracle's partition (the
+// weak_partition sweep holds the two partitions equal).
 void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
   NodePartition part;
   summary::SummaryResult oracle;
@@ -174,9 +171,10 @@ void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
       json, "quotient",
       "Sharded quotient construction (fixed weak partition)", all_equal,
       [&](const Graph& g) {
-        part = summary::ReferenceWeakPartition(g);
-        oracle =
-            summary::ReferenceQuotient(g, part, SummaryKind::kWeak).value();
+        part = ComputeWeakPartition(DenseGraph(g));
+        oracle = summary::ReferenceQuotient(
+                     g, summary::ReferenceWeakPartition(g), SummaryKind::kWeak)
+                     .value();
       },
       [&](const Graph& g, const DenseGraph& dg, uint32_t threads) {
         summary::SummaryResult r;
@@ -196,7 +194,7 @@ void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
 }
 
 void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
-  NodePartition oracle;
+  summary::ReferencePartition oracle;
   PrintSweep(
       json, "bisim", "Sharded bisimulation refinement (depth 2, typed)",
       all_equal,
@@ -211,7 +209,7 @@ void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
               threads);
         });
         return ParallelRun{
-            secs, SamePartition(oracle, part),
+            secs, summary::PartitionMismatch(dg, part, oracle).empty(),
             util::ResolveThreadCount(threads, dg.num_nodes())};
       });
 }

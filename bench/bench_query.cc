@@ -210,9 +210,8 @@ void RunWorkload(bench::BenchJson* json, const std::string& workload,
   // already-sorted table, so setup no longer pays a per-section re-sort.
   const store::MmapStore& st = FrozenStore(json, workload, g);
   Timer setup_timer;
-  summary::SummaryResult s =
-      summary::Summarize(g, summary::SummaryKind::kWeak);
-  summary::CardinalityEstimator estimator(g, s);
+  summary::CardinalityEstimator estimator(
+      summary::Summarize(g, summary::SummaryKind::kWeak));
   query::EvaluatorOptions options;
   options.estimator = &estimator;
   BgpEvaluator eval(st.dict(), st.table(), options);
@@ -618,9 +617,8 @@ bool PrintQueryBench() {
 
 void BM_PlanAndExecute(benchmark::State& state) {
   const Graph& g = CachedBsbm(100'000);
-  summary::SummaryResult s =
-      summary::Summarize(g, summary::SummaryKind::kWeak);
-  summary::CardinalityEstimator estimator(g, s);
+  summary::CardinalityEstimator estimator(
+      summary::Summarize(g, summary::SummaryKind::kWeak));
   query::EvaluatorOptions options;
   options.estimator = &estimator;
   BgpEvaluator eval(g, options);

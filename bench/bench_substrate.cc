@@ -162,10 +162,8 @@ void RunPartitionSweep(bench::BenchJson& json) {
     double strong_s = t.ElapsedSeconds();
 
     // The sweep doubles as a correctness check at full bench scale.
-    if (weak.num_classes != ref_weak.num_classes ||
-        strong.num_classes != ref_strong.num_classes ||
-        weak.class_of != ref_weak.class_of ||
-        strong.class_of != ref_strong.class_of) {
+    if (!summary::PartitionMismatch(dg, weak, ref_weak).empty() ||
+        !summary::PartitionMismatch(dg, strong, ref_strong).empty()) {
       std::printf("MISMATCH against reference at scale %llu\n",
                   static_cast<unsigned long long>(scale));
       std::exit(1);

@@ -41,9 +41,7 @@ int main() {
 
   // 2. Summarize with each kind and report the sizes.
   for (summary::SummaryKind kind : summary::kAllQuotientKinds) {
-    summary::SummaryOptions options;
-    options.record_members = true;
-    summary::SummaryResult r = summary::Summarize(g, kind, options);
+    summary::SummaryResult r = summary::Summarize(g, kind);
     std::cout << "Summary " << summary::SummaryKindName(kind) << ": "
               << r.stats.ToString() << "\n";
     // Every input data node maps to a summary node (the rd mapping).

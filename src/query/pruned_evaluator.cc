@@ -16,15 +16,13 @@ SummaryPrunedEvaluator::SummaryPrunedEvaluator(const Graph& g,
     if (wants_estimator) {
       // The estimator must model the graph actually queried: `h` describes
       // the unsaturated input, so summarize the saturation itself.
-      summary::SummaryResult model =
-          summary::Summarize(graph_, options.kind);
-      estimator_.emplace(graph_, model);
+      estimator_.emplace(summary::Summarize(graph_, options.kind));
     }
   } else {
     graph_ = g.Clone();
-    // `h` is a summary of exactly graph_; reuse it before its graph is
-    // moved into the pruning slot.
-    if (wants_estimator) estimator_.emplace(graph_, h);
+    // `h` is a summary of exactly graph_; the estimator copies it before its
+    // graph is moved into the pruning slot.
+    if (wants_estimator) estimator_.emplace(h);
     summary_ = std::move(h.graph);
   }
   EvaluatorOptions graph_options;

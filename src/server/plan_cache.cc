@@ -2,11 +2,13 @@
 
 namespace rdfsum::server {
 
-std::string PlanCache::Key(const std::string& shape,
-                           query::PlannerMode mode) {
+std::string PlanCache::Key(const std::string& shape, query::PlannerMode mode,
+                           uint64_t epoch) {
   std::string key = shape;
   key.push_back('|');
   key.append(query::PlannerModeName(mode));
+  key.push_back('|');
+  key.append(std::to_string(epoch));
   return key;
 }
 

@@ -14,24 +14,29 @@
 namespace rdfsum::server {
 
 /// LRU cache of plan skeletons keyed on normalized BGP shape + planner mode
-/// (query::NormalizedBgpShape — variables and constants abstracted, so any
-/// two queries with the same join structure share an entry regardless of
-/// which concrete terms they name). A hit skips the planner's statistics
-/// probes and the kSummary estimator enumeration; the skeleton is
-/// re-instantiated against the request's constants with PlanFromSkeleton,
-/// which is correct for *any* constants because result sets are
-/// planner-invariant (src/query/README.md).
+/// + epoch (query::NormalizedBgpShape — variables and constants abstracted,
+/// so any two queries with the same join structure share an entry
+/// regardless of which concrete terms they name). A hit skips the planner's
+/// statistics probes and the kSummary estimator enumeration; the skeleton
+/// is re-instantiated against the request's constants with
+/// PlanFromSkeleton, which is correct for *any* constants because result
+/// sets are planner-invariant (src/query/README.md).
 ///
-/// Entries describe one snapshot's statistics, so the server clears the
-/// cache on every epoch swap (src/server/README.md). Thread-safe; the
-/// hit/miss counters feed STATS and survive Clear().
+/// Entries describe one snapshot's statistics, so every key names the epoch
+/// it was planned on: a request pinned to an older epoch that plans after a
+/// swap inserts a skeleton no request on the new epoch can hit. The server
+/// also clears the cache on every epoch swap, to free the old entries
+/// (src/server/README.md). Thread-safe; the hit/miss counters feed STATS
+/// and survive Clear().
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity) : capacity_(capacity) {}
 
   /// The full cache key for a request: the shape with the planner mode
-  /// appended (the same shape plans differently under different modes).
-  static std::string Key(const std::string& shape, query::PlannerMode mode);
+  /// (the same shape plans differently under different modes) and the
+  /// epoch of the snapshot the request pinned appended.
+  static std::string Key(const std::string& shape, query::PlannerMode mode,
+                         uint64_t epoch);
 
   /// True (and *out filled) on a hit; the entry becomes most-recent. Every
   /// call counts as exactly one hit or one miss.

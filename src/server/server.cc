@@ -308,11 +308,17 @@ bool Server::HandleQuery(int fd, const std::string& payload,
   const query::BgpQuery& q = *parsed;
 
   phase.Reset();
+  Status fp = RDFSUM_FAILPOINT_STATUS("serve:plan");
+  if (!fp.ok()) {
+    queries_failed_.fetch_add(1, std::memory_order_relaxed);
+    return WriteFrame(fd, kFrameDone, EncodeDone(fp, 0)).ok();
+  }
   query::QueryPlan plan;
   std::string cache_key;
   bool cached = false;
   if (plan_cache_->capacity() > 0) {
-    cache_key = PlanCache::Key(query::NormalizedBgpShape(q), mode);
+    cache_key =
+        PlanCache::Key(query::NormalizedBgpShape(q), mode, snap->epoch());
     query::PlanSkeleton skeleton;
     if (plan_cache_->Lookup(cache_key, &skeleton)) {
       plan = query::PlanFromSkeleton(q, snap->dict(), skeleton);
@@ -455,9 +461,12 @@ Status Server::Reload(const std::string& path) {
     snapshot_.swap(retired);
   }
   epoch_.store(next_epoch, std::memory_order_relaxed);
-  // Skeletons were picked against the old image's statistics; they would
-  // still be *correct* (results are plan-invariant) but possibly slow, and
-  // "correct but quietly mis-tuned forever" is the wrong failure mode.
+  // Skeletons picked against the old image's statistics would still be
+  // *correct* (results are plan-invariant) but possibly slow, and "correct
+  // but quietly mis-tuned forever" is the wrong failure mode. Cache keys
+  // carry their epoch, so no new-epoch request can hit one (not even one a
+  // request still pinned to the old epoch inserts after this point); the
+  // clear only frees them.
   plan_cache_->Clear();
   reloads_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();

@@ -64,8 +64,9 @@ struct ServerOptions {
 /// last request drops its reference (the drain invariant); there is no
 /// stop-the-world anywhere on the swap path.
 ///
-/// Failpoints: `serve:accept` (each accepted connection) and `serve:swap`
-/// (each Reload, before the new image is opened).
+/// Failpoints: `serve:accept` (each accepted connection), `serve:plan`
+/// (each parsed QUERY, after its epoch is pinned and before the plan-cache
+/// lookup) and `serve:swap` (each Reload, before the new image is opened).
 class Server {
  public:
   Server() = default;

@@ -22,8 +22,7 @@ StatusOr<std::shared_ptr<Snapshot>> Snapshot::Open(const std::string& path,
   auto weak = summary::TrySummarize(view, summary::SummaryKind::kWeak);
   snap->mint_seconds_ = timer.ElapsedSeconds();
   if (weak.ok()) {
-    snap->weak_.emplace(std::move(weak).value());
-    snap->estimator_.emplace(view, *snap->weak_);
+    snap->estimator_.emplace(std::move(weak).value());
   } else {
     snap->mint_status_ = weak.status();
   }
@@ -32,7 +31,7 @@ StatusOr<std::shared_ptr<Snapshot>> Snapshot::Open(const std::string& path,
 
 StatusOr<const summary::SummaryResult*> Snapshot::WeakSummary() const {
   if (!mint_status_.ok()) return mint_status_;
-  return &*weak_;
+  return &estimator_->summary();
 }
 
 StatusOr<const summary::CardinalityEstimator*> Snapshot::Estimator() const {

@@ -15,8 +15,8 @@
 namespace rdfsum::server {
 
 /// One immutable epoch of the serving daemon: a validated mmap'd `.rsb`
-/// image, a zero-copy BgpEvaluator over it, and the weak summary with the
-/// cardinality estimator over it, both minted by Open().
+/// image, a zero-copy BgpEvaluator over it, and the cardinality estimator
+/// that owns the weak summary Open() minted.
 /// Snapshots are published behind shared_ptr (server/server.h): every
 /// in-flight request holds a reference, so an epoch swap never invalidates
 /// a running query — the old snapshot drains and frees when its last
@@ -57,7 +57,7 @@ class Snapshot {
   StatusOr<const summary::SummaryResult*> WeakSummary() const;
 
   /// Stefanoni-style cardinality estimator over the weak summary, for
-  /// kSummary planning.
+  /// kSummary planning. It owns the summary WeakSummary() returns.
   StatusOr<const summary::CardinalityEstimator*> Estimator() const;
 
   /// The STATS line of the mint Open() ran: kind name, wall seconds (view +
@@ -77,9 +77,9 @@ class Snapshot {
   uint64_t num_triples_ = 0;
   std::unique_ptr<store::MmapStore> store_;
   std::optional<query::BgpEvaluator> evaluator_;
-  /// Both share the view dictionary of the mint, which borrows store_'s
-  /// bytes; declared after store_, so they are destroyed first.
-  std::optional<summary::SummaryResult> weak_;
+  /// Owns the weak summary. It shares the view dictionary of the mint,
+  /// which borrows store_'s bytes; declared after store_, so it is
+  /// destroyed first.
   std::optional<summary::CardinalityEstimator> estimator_;
   Status mint_status_;
   double mint_seconds_ = 0.0;

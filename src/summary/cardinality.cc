@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <string>
+#include <utility>
 
 namespace rdfsum::summary {
 namespace {
@@ -11,33 +12,14 @@ constexpr TermId kUnboundVar = kInvalidTermId;
 }  // namespace
 
 CardinalityEstimator::CardinalityEstimator(
-    const GraphView& g, const SummaryResult& summary,
-    const CardinalityEstimatorOptions& options)
-    : dict_(g.dict),
-      kind_(summary.kind),
+    SummaryResult summary, const CardinalityEstimatorOptions& options)
+    : summary_(std::move(summary)),
       options_(options),
-      summary_table_(store::TripleTable::Build(summary.graph.Triples())),
-      node_map_(summary.node_map) {
-  extent_size_.reserve(summary.graph.NumTriples());
-  for (const auto& [node, summary_node] : node_map_) {
+      summary_table_(store::TripleTable::Build(summary_.graph.Triples())) {
+  extent_size_.reserve(summary_.graph.NumTriples());
+  for (const auto& [node, summary_node] : summary_.node_map) {
     (void)node;
     ++extent_size_[summary_node];
-  }
-
-  // Edge multiplicities: how many triples of G each summary edge stands
-  // for. Schema triples are copied verbatim into the summary, so they keep
-  // an implicit multiplicity of 1 (the map's default on miss).
-  auto map_node = [&](TermId n) {
-    auto it = node_map_.find(n);
-    return it == node_map_.end() ? n : it->second;
-  };
-  multiplicity_.reserve(g.data.size() + g.types.size());
-  for (const Triple& t : g.data) {
-    ++multiplicity_[Triple{map_node(t.s), t.p, map_node(t.o)}];
-  }
-  const TermId rdf_type = g.vocab.rdf_type;
-  for (const Triple& t : g.types) {
-    ++multiplicity_[Triple{map_node(t.s), rdf_type, t.o}];
   }
 }
 
@@ -47,8 +29,10 @@ uint64_t CardinalityEstimator::ExtentSize(TermId summary_node) const {
 }
 
 double CardinalityEstimator::Multiplicity(const Triple& t) const {
-  auto it = multiplicity_.find(t);
-  return it == multiplicity_.end() ? 1.0 : static_cast<double>(it->second);
+  // Schema edges have no entry: each stands for itself.
+  auto it = summary_.multiplicity.find(t);
+  return it == summary_.multiplicity.end() ? 1.0
+                                           : static_cast<double>(it->second);
 }
 
 CardinalityEstimator::Compiled CardinalityEstimator::Compile(
@@ -67,14 +51,14 @@ CardinalityEstimator::Compiled CardinalityEstimator::Compile(
       s.var = it->second;
       ++out.occurrences[s.var];
     } else {
-      TermId id = dict_->Lookup(t.term);
+      TermId id = summary_.graph.dict().Lookup(t.term);
       if (id == kInvalidTermId) {
         s.impossible = true;
       } else {
         // A data constant stands for its equivalence class in the summary;
         // properties, classes and schema constants map to themselves.
-        auto it = node_map_.find(id);
-        if (it == node_map_.end()) {
+        auto it = summary_.node_map.find(id);
+        if (it == summary_.node_map.end()) {
           s.constant = id;
         } else {
           s.constant = it->second;

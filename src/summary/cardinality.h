@@ -2,7 +2,6 @@
 #define RDFSUM_SUMMARY_CARDINALITY_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -54,16 +53,18 @@ struct CardinalityEstimatorOptions {
 /// why Estimate() clamps any non-empty sum to at least 1. The estimate is a
 /// heuristic in between, never a wrong emptiness verdict.
 ///
-/// The estimator is self-contained: it copies the representation map and
-/// builds its own index over the summary graph, so it stays valid after the
-/// SummaryResult it was built from is destroyed (the dictionary is kept
-/// alive via shared_ptr).
+/// The estimator owns the SummaryResult it estimates from: it reads the
+/// quotient's edge counts (SummaryResult::multiplicity) and representation
+/// map where they are, counts each summary node's extent from node_map once,
+/// and indexes the summary graph. It never reads the summarized graph
+/// itself, and it keeps the shared dictionary alive via the summary graph.
 class CardinalityEstimator {
  public:
-  /// Builds the estimator for `g` from `summary`, which must be a summary
-  /// *of g* (its node_map keys g's data nodes). Cost: one pass over g.
-  CardinalityEstimator(const GraphView& g, const SummaryResult& summary,
-                       const CardinalityEstimatorOptions& options = {});
+  /// Builds the estimator over `summary`, a quotient summary of the graph
+  /// to be estimated (its multiplicity counts that graph's triples; a
+  /// summary whose multiplicity is empty estimates every edge at 1).
+  explicit CardinalityEstimator(
+      SummaryResult summary, const CardinalityEstimatorOptions& options = {});
 
   /// Estimated number of embeddings of the whole BGP body.
   CardinalityEstimate EstimatePatterns(
@@ -81,7 +82,9 @@ class CardinalityEstimator {
   /// schema and literal-only nodes).
   uint64_t ExtentSize(TermId summary_node) const;
 
-  SummaryKind kind() const { return kind_; }
+  SummaryKind kind() const { return summary_.kind; }
+  /// The summary the estimates come from.
+  const SummaryResult& summary() const { return summary_; }
 
  private:
   struct Slot {
@@ -108,14 +111,9 @@ class CardinalityEstimator {
   Compiled Compile(const std::vector<query::TriplePatternQ>& patterns) const;
   double Multiplicity(const Triple& summary_triple) const;
 
-  std::shared_ptr<Dictionary> dict_;  // shared with graph and summary
-  SummaryKind kind_;
+  SummaryResult summary_;
   CardinalityEstimatorOptions options_;
   store::TripleTable summary_table_;
-  /// Data/type triples of G per summary edge; schema edges have mult 1.
-  std::unordered_map<Triple, uint64_t, TripleHash> multiplicity_;
-  /// rd: data node of G -> summary node (copied from the SummaryResult).
-  std::unordered_map<TermId, TermId> node_map_;
   /// Summary node -> number of represented data nodes.
   std::unordered_map<TermId, uint64_t> extent_size_;
 };

@@ -12,7 +12,6 @@ struct IncrementalWeakOptions {
   /// false, merges are arbitrary (always into the first operand) — exposed
   /// for the ablation benchmark.
   bool merge_smaller_node = true;
-  bool record_members = false;
 };
 
 /// The paper's Algorithms 1–3 (§6.2): the weak summary is built by a single

@@ -174,9 +174,7 @@ SummaryResult WeakSummaryMaintainer::Assemble(SummaryKind kind) const {
     } else {
       if (pool == kInvalidTermId) pool = dict.MintNodeUri(tag);
       node = pool;
-      if (out.node_map.emplace(r, pool).second && options_.record_members) {
-        out.members[pool].push_back(r);
-      }
+      out.node_map.emplace(r, pool);
     }
     out.graph.Add(Triple{node, rdf_type, pool_.row(i)[1]});
   }
@@ -186,11 +184,6 @@ SummaryResult WeakSummaryMaintainer::Assemble(SummaryKind kind) const {
   out.node_map.reserve(represented);
   for (TermId r = 0; r < rd_.size(); ++r) {
     if (rd_[r] != kNoNode) out.node_map.emplace(r, uri_of(rd_[r]));
-  }
-  if (options_.record_members) {
-    for (NodeId d = 0; d < dr_.size(); ++d) {
-      if (!dr_[d].empty()) out.members[uri_of(d)] = dr_[d];
-    }
   }
   out.stats = ComputeSummaryStats(out.graph, 0.0);
   return out;

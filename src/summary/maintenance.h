@@ -42,7 +42,8 @@ class WeakSummaryMaintainer {
   /// insertions are harmless (idempotent).
   void AddTriple(const Triple& t);
 
-  /// Materializes the current summary (graph + node map). Cost is linear in
+  /// Materializes the current summary (graph + node map; it counts no
+  /// edges, so multiplicity stays empty). Cost is linear in
   /// the dictionary size and the number of distinct type triples seen, not
   /// in the number of data triples.
   SummaryResult Snapshot() const { return Assemble(SummaryKind::kWeak); }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "rdf/dense_graph.h"
@@ -23,21 +24,18 @@ namespace {
 constexpr uint32_t kNone = DenseGraph::kNone;
 
 /// Renumbers a raw class assignment (by dense node id, raw ids < `bound`)
-/// into dense canonical ids: class ids are assigned in first-encounter order
-/// over dense node ids, which is exactly the old ForEachDataNodeInOrder walk.
-NodePartition Finalize(const DenseGraph& dg, const std::vector<uint32_t>& raw,
-                       uint32_t bound) {
+/// in place into dense canonical ids: class ids are assigned in
+/// first-encounter order over dense node ids, which is exactly the old
+/// ForEachDataNodeInOrder walk.
+NodePartition Finalize(std::vector<uint32_t> raw, uint32_t bound) {
   NodePartition out;
-  const uint32_t n = dg.num_nodes();
   std::vector<uint32_t> remap(bound, kNone);
-  uint32_t next = 0;
-  out.class_of.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t& cls = remap[raw[i]];
-    if (cls == kNone) cls = next++;
-    out.class_of.emplace(dg.term_of(i), cls);
+  for (uint32_t& cls : raw) {
+    uint32_t& canonical = remap[cls];
+    if (canonical == kNone) canonical = out.num_classes++;
+    cls = canonical;
   }
-  out.num_classes = next;
+  out.class_of = std::move(raw);
   return out;
 }
 
@@ -101,7 +99,7 @@ NodePartition TypedPartition(const DenseGraph& dg, uint32_t untyped_bound,
     uint32_t set_id = dg.ClassSetId(i);
     raw[i] = set_id != kNone ? set_id : base + assign_untyped(i);
   }
-  return Finalize(dg, raw, base + untyped_bound);
+  return Finalize(std::move(raw), base + untyped_bound);
 }
 
 /// Assembles the weak NodePartition from resolved union-find roots
@@ -115,7 +113,7 @@ NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
   for (uint32_t i = 0; i < n; ++i) {
     raw[i] = dg.HasData(i) ? root_of[i] : n;
   }
-  return Finalize(dg, raw, n + 1);
+  return Finalize(std::move(raw), n + 1);
 }
 
 }  // namespace
@@ -212,7 +210,7 @@ NodePartition ComputeStrongPartition(const DenseGraph& dg) {
         pair_class.emplace(key, static_cast<uint32_t>(pair_class.size()));
     raw[i] = it->second;
   }
-  return Finalize(dg, raw, static_cast<uint32_t>(pair_class.size()));
+  return Finalize(std::move(raw), static_cast<uint32_t>(pair_class.size()));
 }
 
 NodePartition ComputeTypePartition(const DenseGraph& dg) {
@@ -333,7 +331,7 @@ NodePartition ComputeBisimulationPartition(const DenseGraph& dg,
         color[i], static_cast<uint32_t>(color_class.size()));
     raw[i] = it->second;
   }
-  return Finalize(dg, raw, static_cast<uint32_t>(color_class.size()));
+  return Finalize(std::move(raw), static_cast<uint32_t>(color_class.size()));
 }
 
 }  // namespace rdfsum::summary

@@ -2,7 +2,7 @@
 #define RDFSUM_SUMMARY_NODE_PARTITION_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "rdf/dense_graph.h"
 #include "summary/summary.h"
@@ -17,9 +17,11 @@ namespace rdfsum::summary {
 ///
 /// Every partition function reads only the dense substrate of the graph
 /// (DenseGraph), so one substrate serves any number of partitions, from
-/// any number of threads.
+/// any number of threads, and the partition is indexed the same way:
+/// class_of[i] is the class of dense node i (DenseGraph::term_of(i) names
+/// it), so class_of.size() == num_nodes() and every id is < num_classes.
 struct NodePartition {
-  std::unordered_map<TermId, uint32_t> class_of;
+  std::vector<uint32_t> class_of;
   uint32_t num_classes = 0;
 };
 

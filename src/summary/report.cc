@@ -86,14 +86,21 @@ SummaryReport DescribeSummary(const SummaryResult& summary) {
 
   auto facts = CollectFacts(h);
 
-  // Member counts: from `members` if recorded, else derived from node_map.
-  std::unordered_map<TermId, uint64_t> counts;
-  if (!summary.members.empty()) {
-    for (const auto& [node, members] : summary.members) {
-      counts[node] = members.size();
+  // Member counts and the three smallest member ids, from node_map.
+  struct Members {
+    uint64_t count = 0;
+    std::vector<TermId> smallest;  // ascending, at most kSamples
+  };
+  constexpr size_t kSamples = 3;
+  std::unordered_map<TermId, Members> members;
+  for (const auto& [g_node, h_node] : summary.node_map) {
+    Members& m = members[h_node];
+    ++m.count;
+    std::vector<TermId>& s = m.smallest;
+    if (s.size() < kSamples || g_node < s.back()) {
+      s.insert(std::upper_bound(s.begin(), s.end(), g_node), g_node);
+      if (s.size() > kSamples) s.pop_back();
     }
-  } else {
-    for (const auto& [g_node, h_node] : summary.node_map) ++counts[h_node];
   }
 
   for (const auto& [node, f] : facts) {
@@ -104,13 +111,11 @@ SummaryReport DescribeSummary(const SummaryResult& summary) {
     nr.source_properties = f.sources;
     nr.target_properties = f.targets;
     nr.types = f.types;
-    auto cit = counts.find(node);
-    nr.member_count = cit == counts.end() ? 0 : cit->second;
-    auto mit = summary.members.find(node);
-    if (mit != summary.members.end()) {
-      for (size_t i = 0; i < mit->second.size() && i < 3; ++i) {
-        nr.sample_members.push_back(
-            h.dict().Decode(mit->second[i]).ToNTriples());
+    auto mit = members.find(node);
+    if (mit != members.end()) {
+      nr.member_count = mit->second.count;
+      for (TermId m : mit->second.smallest) {
+        nr.sample_members.push_back(h.dict().Decode(m).ToNTriples());
       }
     }
     report.nodes.push_back(std::move(nr));

@@ -21,7 +21,7 @@ struct NodeReport {
   std::vector<std::string> source_properties;  // local names, sorted
   std::vector<std::string> target_properties;
   std::vector<std::string> types;
-  /// A few decoded sample members (at most 3), when members were recorded.
+  /// The decoded members with the smallest term ids (at most 3, ascending).
   std::vector<std::string> sample_members;
 };
 
@@ -38,9 +38,8 @@ struct SummaryReport {
   std::string ToString() const;
 };
 
-/// Builds the report. Member counts and samples are only available when the
-/// summary was built with SummaryOptions::record_members; otherwise they are
-/// derived from node_map (counts only).
+/// Builds the report. Member counts and samples come from node_map, so the
+/// report depends only on the summary.
 SummaryReport DescribeSummary(const SummaryResult& summary);
 
 /// The paper-style label of a single summary node, e.g. "N^{author}_{reviewed}",

@@ -1,6 +1,6 @@
 #include "summary/summarizer.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -46,7 +46,8 @@ NodePartition ComputePartition(const DenseGraph& dg, SummaryKind kind,
 /// and with it every downstream canonical numbering — is the global
 /// first-occurrence order of the input walk at every shard count (one shard
 /// at num_threads = 1). See src/summary/README.md for why the merge order
-/// fixes determinism.
+/// fixes determinism. Each shard also counts the input rows that land on
+/// each of its summary edges; the merge sums them into `multiplicity`.
 ///
 /// `exec` governs the shard loops (workers stop mid-range on cancellation
 /// and fall through to their join barrier — partial shard output is never
@@ -56,125 +57,104 @@ Status QuotientEdges(const GraphView& g, const DenseGraph& dg,
                      const NodePartition& part,
                      const std::vector<TermId>& class_node,
                      uint32_t num_threads, util::ExecContext* exec,
-                     Graph* out) {
-  const uint32_t n = dg.num_nodes();
+                     SummaryResult* out) {
+  const std::vector<uint32_t>& class_of = part.class_of;
 
-  // Resolve every dense node to its class id once, instead of one hash
-  // lookup per edge endpoint. Workers flag missing nodes; the Status
-  // materializes after the join so no worker ever blocks on an error.
-  std::vector<uint32_t> class_of_dense(n);
-  std::atomic<bool> missing{false};
-  util::ParallelForRanges(
-      util::ResolveThreadCount(num_threads, n), n,
-      [&](uint32_t, uint64_t begin, uint64_t end) {
-        util::CancellableChunks(exec, begin, end, [&](uint64_t cb,
-                                                      uint64_t ce) {
-          for (uint64_t i = cb; i < ce; ++i) {
-            auto it =
-                part.class_of.find(dg.term_of(static_cast<uint32_t>(i)));
-            if (it == part.class_of.end()) {
-              missing.store(true, std::memory_order_relaxed);
-            } else {
-              class_of_dense[i] = it->second;
-            }
-          }
+  // One dedup table per shard, with the count of input rows that hit each
+  // of its ordinals. Shard failures (injected or governance) land in
+  // per-shard slots and surface after the join.
+  struct Shard {
+    util::RowSet rows;
+    std::vector<uint64_t> counts;
+    Status status;
+    explicit Shard(size_t width) : rows(width) {}
+    void Count(const TermId* row) {
+      auto [ordinal, inserted] = rows.InsertOrFind(row);
+      if (inserted) counts.push_back(0);
+      ++counts[ordinal];
+    }
+  };
+  auto run_shards = [&](uint64_t num_rows, size_t width, auto&& classify) {
+    std::vector<Shard> shards(util::ResolveThreadCount(num_threads, num_rows),
+                              Shard(width));
+    util::ParallelForRanges(
+        static_cast<uint32_t>(shards.size()), num_rows,
+        [&](uint32_t shard, uint64_t begin, uint64_t end) {
+          Shard& sh = shards[shard];
+          sh.status = RDFSUM_FAILPOINT_STATUS("quotient:shard");
+          if (!sh.status.ok()) return;
+          sh.status = util::CancellableChunks(
+              exec, begin, end,
+              [&](uint64_t cb, uint64_t ce) { classify(sh, cb, ce); });
         });
-      });
-  if (exec != nullptr) RDFSUM_RETURN_IF_ERROR(exec->Check());
-  if (missing.load()) {
-    return Status::InvalidArgument(
-        "partition does not cover every graph node");
-  }
+    return shards;
+  };
 
   // Data component: each shard scans a contiguous EdgeRange and dedups the
   // summary edges (class(s), property, class(o)) it sees, in first-occurrence
-  // order, into a private RowSet. Shard failures (injected or governance)
-  // land in per-shard slots and surface after the join.
-  const uint32_t edge_threads =
-      util::ResolveThreadCount(num_threads, dg.num_data_edges());
-  std::vector<util::RowSet> shard_edges(edge_threads, util::RowSet(3));
-  std::vector<Status> shard_status(edge_threads);
-  util::ParallelForRanges(
-      edge_threads, dg.num_data_edges(),
-      [&](uint32_t shard, uint64_t begin, uint64_t end) {
-        Status fp = RDFSUM_FAILPOINT_STATUS("quotient:shard");
-        if (!fp.ok()) {
-          shard_status[shard] = std::move(fp);
-          return;
-        }
-        util::RowSet& set = shard_edges[shard];
+  // order.
+  std::vector<Shard> data_shards = run_shards(
+      dg.num_data_edges(), 3, [&](Shard& sh, uint64_t cb, uint64_t ce) {
         TermId row[3];
-        shard_status[shard] =
-            util::CancellableChunks(exec, begin, end, [&](uint64_t cb,
-                                                          uint64_t ce) {
-              for (const DenseGraph::Edge& e : dg.EdgeRange(cb, ce)) {
-                row[0] = class_of_dense[e.s];
-                row[1] = e.p;
-                row[2] = class_of_dense[e.o];
-                set.Insert(row);
-              }
-            });
+        for (const DenseGraph::Edge& e : dg.EdgeRange(cb, ce)) {
+          row[0] = class_of[e.s];
+          row[1] = e.p;
+          row[2] = class_of[e.o];
+          sh.Count(row);
+        }
       });
-  for (const Status& st : shard_status) RDFSUM_RETURN_IF_ERROR(st);
+  for (const Shard& sh : data_shards) RDFSUM_RETURN_IF_ERROR(sh.status);
 
   // Type component: same recipe over g.types with (class(s), class term)
   // keys. Type subjects are dense nodes by the substrate's canonical
   // numbering, so node_of never misses.
   const std::span<const Triple> types = g.types;
-  const uint32_t type_threads =
-      util::ResolveThreadCount(num_threads, types.size());
-  std::vector<util::RowSet> shard_types(type_threads, util::RowSet(2));
-  std::vector<Status> type_status(type_threads);
-  util::ParallelForRanges(
-      type_threads, types.size(),
-      [&](uint32_t shard, uint64_t begin, uint64_t end) {
-        Status fp = RDFSUM_FAILPOINT_STATUS("quotient:shard");
-        if (!fp.ok()) {
-          type_status[shard] = std::move(fp);
-          return;
-        }
-        util::RowSet& set = shard_types[shard];
+  std::vector<Shard> type_shards = run_shards(
+      types.size(), 2, [&](Shard& sh, uint64_t cb, uint64_t ce) {
         TermId row[2];
-        type_status[shard] =
-            util::CancellableChunks(exec, begin, end, [&](uint64_t cb,
-                                                          uint64_t ce) {
-              for (uint64_t i = cb; i < ce; ++i) {
-                const Triple& t = types[i];
-                row[0] = class_of_dense[dg.node_of(t.s)];
-                row[1] = t.o;
-                set.Insert(row);
-              }
-            });
+        for (uint64_t i = cb; i < ce; ++i) {
+          row[0] = class_of[dg.node_of(types[i].s)];
+          row[1] = types[i].o;
+          sh.Count(row);
+        }
       });
-  for (const Status& st : type_status) RDFSUM_RETURN_IF_ERROR(st);
+  for (const Shard& sh : type_shards) RDFSUM_RETURN_IF_ERROR(sh.status);
 
   // Merge in shard-index order. Shards are contiguous input ranges, so an
   // edge's first surviving occurrence is in the earliest shard that saw it,
   // at that shard's first-occurrence position: Graph::Add's cross-shard
-  // dedup reproduces the sequential insertion order exactly.
-  size_t distinct_upper = g.schema.size();
-  for (const util::RowSet& set : shard_edges) distinct_upper += set.size();
-  for (const util::RowSet& set : shard_types) distinct_upper += set.size();
-  out->Reserve(distinct_upper);
-  for (const util::RowSet& set : shard_edges) {
-    for (size_t r = 0; r < set.size(); ++r) {
-      const TermId* row = set.row(r);
-      out->Add(Triple{class_node[row[0]], dg.property_term(row[1]),
-                      class_node[row[2]]});
+  // dedup reproduces the sequential insertion order exactly, and the
+  // multiplicity of an edge several shards saw is the sum of their counts.
+  size_t distinct_upper = 0;
+  for (const Shard& sh : data_shards) distinct_upper += sh.rows.size();
+  for (const Shard& sh : type_shards) distinct_upper += sh.rows.size();
+  out->graph.Reserve(distinct_upper + g.schema.size());
+  out->multiplicity.reserve(distinct_upper);
+  auto merge = [&](const Shard& sh, size_t r, const Triple& t) {
+    out->graph.Add(t);
+    out->multiplicity[t] += sh.counts[r];
+  };
+  for (const Shard& sh : data_shards) {
+    for (size_t r = 0; r < sh.rows.size(); ++r) {
+      const TermId* row = sh.rows.row(r);
+      merge(sh, r,
+            Triple{class_node[row[0]], dg.property_term(row[1]),
+                   class_node[row[2]]});
     }
   }
   const TermId rdf_type = g.vocab.rdf_type;
-  for (const util::RowSet& set : shard_types) {
-    for (size_t r = 0; r < set.size(); ++r) {
-      const TermId* row = set.row(r);
-      out->Add(Triple{class_node[row[0]], rdf_type, row[1]});
+  for (const Shard& sh : type_shards) {
+    for (size_t r = 0; r < sh.rows.size(); ++r) {
+      const TermId* row = sh.rows.row(r);
+      merge(sh, r, Triple{class_node[row[0]], rdf_type, row[1]});
     }
   }
-  for (const Triple& t : g.schema) out->Add(t);
+  for (const Triple& t : g.schema) out->graph.Add(t);
   return Status::OK();
 }
 
-/// QuotientByPartition over a substrate `dg` already built from `g`.
+/// QuotientByPartition over a substrate `dg` already built from `g`, with a
+/// partition of that substrate's shape (every caller's is, or is checked).
 StatusOr<SummaryResult> Quotient(const GraphView& g, const DenseGraph& dg,
                                  const NodePartition& part, SummaryKind kind,
                                  const SummaryOptions& options) {
@@ -194,16 +174,12 @@ StatusOr<SummaryResult> Quotient(const GraphView& g, const DenseGraph& dg,
   }
 
   RDFSUM_RETURN_IF_ERROR(QuotientEdges(g, dg, part, class_node,
-                                       options.num_threads, exec, &out.graph));
+                                       options.num_threads, exec, &out));
 
-  out.node_map.reserve(part.class_of.size());
-  for (const auto& [n, c] : part.class_of) {
-    out.node_map.emplace(n, class_node[c]);
-  }
-  if (options.record_members) {
-    for (const auto& [n, c] : part.class_of) {
-      out.members[class_node[c]].push_back(n);
-    }
+  const uint32_t n = dg.num_nodes();
+  out.node_map.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    out.node_map.emplace(dg.term_of(i), class_node[part.class_of[i]]);
   }
   out.stats = ComputeSummaryStats(out.graph, timer.ElapsedSeconds());
   out.stats.quotient_seconds = out.stats.build_seconds;
@@ -216,7 +192,16 @@ StatusOr<SummaryResult> QuotientByPartition(const GraphView& g,
                                             const NodePartition& part,
                                             SummaryKind kind,
                                             const SummaryOptions& options) {
-  return Quotient(g, DenseGraph(g), part, kind, options);
+  const DenseGraph dg(g);
+  const uint32_t num_classes = part.num_classes;
+  if (part.class_of.size() != dg.num_nodes() || num_classes > dg.num_nodes() ||
+      std::any_of(part.class_of.begin(), part.class_of.end(),
+                  [&](uint32_t c) { return c >= num_classes; })) {
+    return Status::InvalidArgument(
+        "partition must map every graph node to a class id below "
+        "num_classes, and num_classes must not exceed the node count");
+  }
+  return Quotient(g, dg, part, kind, options);
 }
 
 StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
@@ -242,8 +227,8 @@ StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
 namespace {
 
 /// The shared contract of the ungoverned wrappers: they have no error
-/// channel, so a failure (an incomplete partition — a caller bug — or a
-/// context the caller was told not to pass) is fatal.
+/// channel, so a failure (only a context the caller was told not to pass,
+/// or an injected fault) is fatal.
 SummaryResult ValueOrDie(StatusOr<SummaryResult> result,
                          const char* function) {
   if (!result.ok()) {
@@ -284,11 +269,8 @@ StatusOr<SummaryResult> TrySummarizeSaturatedViaShortcut(
     if (it != second.node_map.end()) composed.emplace(n, it->second);
   }
   second.node_map = std::move(composed);
-  if (options.record_members) {
-    std::unordered_map<TermId, std::vector<TermId>> members;
-    for (const auto& [n, h] : second.node_map) members[h].push_back(n);
-    second.members = std::move(members);
-  }
+  // The second quotient counted the saturated summary's triples, not G∞'s.
+  second.multiplicity.clear();
   second.stats.partition_seconds += first.stats.partition_seconds;
   second.stats.quotient_seconds += first.stats.quotient_seconds;
   second.stats.build_seconds = timer.ElapsedSeconds();

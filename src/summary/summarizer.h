@@ -31,8 +31,8 @@ namespace rdfsum::summary {
 ///
 /// The governed entry point: options.exec carries a deadline/cancellation
 /// token the sharded phases poll; a tripped context returns kCancelled or
-/// kDeadlineExceeded with all partial output discarded. Returns
-/// kInvalidArgument only via QuotientByPartition's coverage contract.
+/// kDeadlineExceeded with all partial output discarded; those are its only
+/// errors.
 StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
                                      const SummaryOptions& options = {});
 
@@ -46,17 +46,20 @@ SummaryResult Summarize(const GraphView& g, SummaryKind kind,
 /// Builds the quotient of `g` through an explicit partition (exposed so
 /// callers can experiment with custom equivalence relations; Summarize runs
 /// the same quotient over its own substrate, this builds one). The
-/// partition must cover every data node and type-triple subject of `g`
-/// (all ComputeXxxPartition results do); a node it misses returns
-/// kInvalidArgument (the library does not throw).
+/// partition is indexed by the dense node ids of DenseGraph(g), as every
+/// ComputeXxxPartition result is: unless class_of.size() == num_nodes(),
+/// every class id is below num_classes and num_classes <= num_nodes(), it
+/// returns kInvalidArgument (the library does not throw).
 ///
 /// The summary edge set is built by sharding the dense edge list into
 /// `options.num_threads` contiguous ranges (one at the default of 1): each
 /// shard classifies its range into summary edges through a private dedup
-/// table, and shards merge in shard-index order, which yields the global
-/// first-occurrence insertion order — and therefore the same minted node ids
-/// and serialized output — at every shard count (see src/summary/README.md).
-/// options.exec makes the shards cancellable (kCancelled/kDeadlineExceeded).
+/// table that also counts the input rows per edge, and shards merge in
+/// shard-index order, which yields the global first-occurrence insertion
+/// order — and therefore the same minted node ids, serialized output and
+/// SummaryResult::multiplicity — at every shard count (see
+/// src/summary/README.md). options.exec makes the shards cancellable
+/// (kCancelled/kDeadlineExceeded).
 StatusOr<SummaryResult> QuotientByPartition(const GraphView& g,
                                             const NodePartition& part,
                                             SummaryKind kind,
@@ -65,7 +68,9 @@ StatusOr<SummaryResult> QuotientByPartition(const GraphView& g,
 /// Computes Summary(G∞) via the completeness shortcut of Propositions 5/8:
 /// summarize G, saturate the (small) summary, summarize again. Only sound
 /// for kWeak and kStrong (Propositions 7/10 show TW/TS lack this property);
-/// other kinds fall back to saturating G first. Governed like TrySummarize
+/// other kinds fall back to saturating G first. A W or S result has an
+/// empty SummaryResult::multiplicity: its second quotient counted the
+/// saturated summary's triples, not G∞'s. Governed like TrySummarize
 /// (saturation itself is not yet cancellable — the summarization phases
 /// around it are).
 StatusOr<SummaryResult> TrySummarizeSaturatedViaShortcut(

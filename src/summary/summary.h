@@ -57,8 +57,6 @@ enum class BisimulationDirection {
 
 struct SummaryOptions {
   TypedSummaryMode typed_mode = TypedSummaryMode::kPerPropertyProjection;
-  /// Fill SummaryResult::members (the paper's `dr` multimap).
-  bool record_members = false;
   /// Shard count of the one summarizer path — the sharded quotient
   /// construction (every kind) and the sharded partitions (W and BISIM).
   /// 1 = one shard on the calling thread (default), 0 = all available
@@ -106,10 +104,18 @@ struct SummaryResult {
   /// The summary graph; shares the input graph's dictionary, with summary
   /// nodes minted as urn:rdfsum: URIs.
   Graph graph;
-  /// The paper's `rd` map: every data node of G -> its summary node.
+  /// The paper's `rd` map: every data node of G -> its summary node. Its
+  /// inverse is the paper's `dr` map (a class's members).
   std::unordered_map<TermId, TermId> node_map;
-  /// The paper's `dr` map (filled iff options.record_members).
-  std::unordered_map<TermId, std::vector<TermId>> members;
+  /// How many triples of G each data or type summary edge stands for (the
+  /// quotient's per-edge counts, Definition 9): one entry per data and type
+  /// edge, summing to |D_G| over the data edges and to |T_G| over the type
+  /// edges. Schema edges have no entry (each stands for itself, count 1).
+  /// Filled by the quotient (Summarize, QuotientByPartition); empty for
+  /// results that do not count G's triples — the W/S saturation shortcut,
+  /// whose second quotient counts the saturated summary's triples, and
+  /// WeakSummaryMaintainer snapshots.
+  std::unordered_map<Triple, uint64_t, TripleHash> multiplicity;
   SummaryStats stats;
 };
 

@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "gen/hetero.h"
@@ -44,11 +45,9 @@ class CardinalityTest : public ::testing::Test {
           opt.num_universities = 1;
           return opt;
         }())),
-        summary_(Summarize(g_, SummaryKind::kWeak)),
-        estimator_(g_, summary_) {}
+        estimator_(Summarize(g_, SummaryKind::kWeak)) {}
 
   Graph g_;
-  SummaryResult summary_;
   CardinalityEstimator estimator_;
 };
 
@@ -114,12 +113,12 @@ TEST_F(CardinalityTest, UnknownConstantEstimatesZero) {
 TEST_F(CardinalityTest, ExtentSizesSumToMappedNodes) {
   uint64_t total = 0;
   std::unordered_set<TermId> summary_nodes;
-  for (const auto& [node, summary_node] : summary_.node_map) {
+  for (const auto& [node, summary_node] : estimator_.summary().node_map) {
     (void)node;
     summary_nodes.insert(summary_node);
   }
   for (TermId sn : summary_nodes) total += estimator_.ExtentSize(sn);
-  EXPECT_EQ(total, summary_.node_map.size());
+  EXPECT_EQ(total, estimator_.summary().node_map.size());
   // Nodes the summary never minted report extent 1 (schema, classes).
   EXPECT_EQ(estimator_.ExtentSize(kInvalidTermId), 1u);
 }
@@ -139,11 +138,11 @@ TEST_F(CardinalityTest, JoinEstimateIsDampedByExtents) {
 }
 
 TEST_F(CardinalityTest, EstimatorOutlivesItsSummaryResult) {
-  // The estimator is self-contained: destroy the SummaryResult it was
-  // built from and keep estimating.
+  // The estimator owns its summary: destroy the moved-from SummaryResult
+  // and keep estimating.
   auto scoped = std::make_unique<SummaryResult>(
       Summarize(g_, SummaryKind::kStrong));
-  CardinalityEstimator est(g_, *scoped);
+  CardinalityEstimator est(std::move(*scoped));
   scoped.reset();
   BgpQuery q = MustParse(
       "SELECT ?s WHERE { ?s <http://lubm.example.org/advisor> ?o }");
@@ -158,7 +157,7 @@ TEST(CardinalityOptionsTest, BudgetTruncationIsReported) {
   SummaryResult s = Summarize(g, SummaryKind::kBisimulation);
   CardinalityEstimatorOptions copt;
   copt.max_summary_embeddings = 2;
-  CardinalityEstimator est(g, s, copt);
+  CardinalityEstimator est(std::move(s), copt);
   // An all-variable pattern has one summary embedding per summary edge —
   // far more than 2.
   BgpQuery q;
@@ -179,7 +178,7 @@ TEST_F(CardinalityTest, ProbeBudgetExhaustionNeverFakesEmptiness) {
   // upper bound, never to the (provably-empty) 0 verdict.
   CardinalityEstimatorOptions opt;
   opt.max_summary_probes = 1;
-  CardinalityEstimator strangled(g_, summary_, opt);
+  CardinalityEstimator strangled(estimator_.summary(), opt);
   BgpQuery chain = MustParse(
       "PREFIX l: <http://lubm.example.org/>\n"
       "SELECT ?x WHERE { ?x l:advisor ?a . ?a l:teacherOf ?c }");
@@ -199,8 +198,7 @@ TEST_F(CardinalityTest, ProbeBudgetExhaustionNeverFakesEmptiness) {
 
 TEST(SummaryPlannerTest, EstimatorDrivenPlansReturnIdenticalRows) {
   gen::BookExample book = gen::BuildBookExample();
-  SummaryResult s = Summarize(book.graph, SummaryKind::kWeak);
-  CardinalityEstimator est(book.graph, s);
+  CardinalityEstimator est(Summarize(book.graph, SummaryKind::kWeak));
   query::EvaluatorOptions options;
   options.planner = query::PlannerMode::kSummary;
   options.estimator = &est;

@@ -227,19 +227,13 @@ TEST(DenseGraphTest, SharedConstGraphSummarizesFromManyThreads) {
 
 // ---- Differential tests: substrate partitions vs the reference oracle ------
 
-void ExpectIdentical(const NodePartition& got, const NodePartition& want,
-                     const char* label) {
-  EXPECT_EQ(got.num_classes, want.num_classes) << label;
-  ASSERT_EQ(got.class_of.size(), want.class_of.size()) << label;
-  for (const auto& [node, cls] : want.class_of) {
-    auto it = got.class_of.find(node);
-    ASSERT_NE(it, got.class_of.end()) << label << " missing node " << node;
-    EXPECT_EQ(it->second, cls) << label << " node " << node;
-  }
-}
-
 void CheckAllPartitionKinds(const Graph& g) {
   const DenseGraph dg(g);
+  auto ExpectIdentical = [&](const NodePartition& got,
+                             const summary::ReferencePartition& want,
+                             const char* label) {
+    EXPECT_EQ(summary::PartitionMismatch(dg, got, want), "") << label;
+  };
   ExpectIdentical(summary::ComputeWeakPartition(dg),
                   summary::ReferenceWeakPartition(g), "weak");
   ExpectIdentical(summary::ComputeStrongPartition(dg),

@@ -176,14 +176,13 @@ TEST(GovernanceTest, EvaluateSurfacesGovernanceStatus) {
 
 TEST(GovernanceTest, SummaryPlannerFallsBackToExactGreedyPlan) {
   const Graph& g = TestGraph();
-  summary::SummaryResult model =
-      summary::Summarize(g, summary::SummaryKind::kWeak);
   // An estimator whose enumeration budget is one probe: every non-trivial
   // estimate truncates, so kSummary planning cannot trust its numbers.
   summary::CardinalityEstimatorOptions est_options;
   est_options.max_summary_embeddings = 1;
   est_options.max_summary_probes = 1;
-  summary::CardinalityEstimator estimator(g, model, est_options);
+  summary::CardinalityEstimator estimator(
+      summary::Summarize(g, summary::SummaryKind::kWeak), est_options);
 
   BgpQuery q = MustParse(
       "SELECT ?p ?f ?t WHERE { ?p <http://bsbm.example.org/producer> ?f . "
@@ -218,9 +217,8 @@ TEST(GovernanceTest, SummaryPlannerFallsBackToExactGreedyPlan) {
 
 TEST(GovernanceTest, HealthyEstimatorDoesNotTriggerFallback) {
   const Graph& g = TestGraph();
-  summary::SummaryResult model =
-      summary::Summarize(g, summary::SummaryKind::kWeak);
-  summary::CardinalityEstimator estimator(g, model);
+  summary::CardinalityEstimator estimator(
+      summary::Summarize(g, summary::SummaryKind::kWeak));
   BgpQuery q = MustParse(kJoinQuery);
   EvaluatorOptions options;
   options.planner = PlannerMode::kSummary;

@@ -147,16 +147,15 @@ TEST(MaintenanceTest, DuplicateInsertionsAreIdempotent) {
                                      batch.graph));
 }
 
-TEST(MaintenanceTest, HomomorphismAndMembers) {
+TEST(MaintenanceTest, HomomorphismAndNodeMap) {
   gen::BsbmOptions opt;
   opt.num_products = 60;
   Graph g = gen::GenerateBsbm(opt);
-  IncrementalWeakOptions options;
-  options.record_members = true;
-  WeakSummaryMaintainer maintainer(g, options);
+  WeakSummaryMaintainer maintainer(g);
   SummaryResult snap = maintainer.Snapshot();
   EXPECT_TRUE(CheckHomomorphism(g, snap).ok());
-  EXPECT_FALSE(snap.members.empty());
+  EXPECT_FALSE(snap.node_map.empty());
+  EXPECT_TRUE(snap.multiplicity.empty());  // the maintainer counts no edges
 }
 
 TEST(MaintenanceTest, SummaryOnlyGrowsCoarser) {

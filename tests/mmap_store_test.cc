@@ -167,12 +167,10 @@ TEST(MmapStoreTest, SummaryPlannerMatchesOverTheImageView) {
   auto store = FreezeAndOpen(g, "splan.rsb");
   const GraphView view = store->View();
 
-  summary::SummaryResult model_a =
-      summary::Summarize(g, summary::SummaryKind::kWeak);
-  summary::SummaryResult model_b =
-      summary::Summarize(view, summary::SummaryKind::kWeak);
-  summary::CardinalityEstimator est_a(g, model_a);
-  summary::CardinalityEstimator est_b(view, model_b);
+  summary::CardinalityEstimator est_a(
+      summary::Summarize(g, summary::SummaryKind::kWeak));
+  summary::CardinalityEstimator est_b(
+      summary::Summarize(view, summary::SummaryKind::kWeak));
   query::EvaluatorOptions opt_a;
   opt_a.planner = query::PlannerMode::kSummary;
   opt_a.estimator = &est_a;

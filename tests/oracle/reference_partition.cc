@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -40,9 +41,9 @@ struct NodeIndex {
   }
 };
 
-NodePartition Finalize(const Graph& g,
-                       const std::unordered_map<TermId, uint32_t>& raw) {
-  NodePartition out;
+ReferencePartition Finalize(const Graph& g,
+                            const std::unordered_map<TermId, uint32_t>& raw) {
+  ReferencePartition out;
   std::unordered_map<uint32_t, uint32_t> remap;
   ForEachDataNodeInOrder(g, [&](TermId n) {
     if (out.class_of.count(n)) return;
@@ -186,7 +187,8 @@ RefCliques ComputeRefCliques(const Graph& g, RefScope scope,
 }
 
 template <typename AssignUntyped>
-NodePartition TypedPartition(const Graph& g, AssignUntyped&& assign_untyped) {
+ReferencePartition TypedPartition(const Graph& g,
+                                  AssignUntyped&& assign_untyped) {
   auto class_sets = ClassSets(g);
   std::map<std::vector<TermId>, uint32_t> set_class;
   std::unordered_map<TermId, uint32_t> raw;
@@ -208,7 +210,7 @@ NodePartition TypedPartition(const Graph& g, AssignUntyped&& assign_untyped) {
 
 }  // namespace
 
-NodePartition ReferenceWeakPartition(const Graph& g) {
+ReferencePartition ReferenceWeakPartition(const Graph& g) {
   NodeIndex idx(g);
   UnionFind uf(static_cast<uint32_t>(idx.nodes.size()));
   std::unordered_map<TermId, uint32_t> source_anchor;  // property -> node idx
@@ -239,7 +241,7 @@ NodePartition ReferenceWeakPartition(const Graph& g) {
   return Finalize(g, raw);
 }
 
-NodePartition ReferenceStrongPartition(const Graph& g) {
+ReferencePartition ReferenceStrongPartition(const Graph& g) {
   RefCliques cliques = ComputeRefCliques(g, RefScope::kAll, nullptr);
   std::map<std::pair<uint32_t, uint32_t>, uint32_t> pair_class;
   std::unordered_map<TermId, uint32_t> raw;
@@ -254,7 +256,7 @@ NodePartition ReferenceStrongPartition(const Graph& g) {
   return Finalize(g, raw);
 }
 
-NodePartition ReferenceTypePartition(const Graph& g) {
+ReferencePartition ReferenceTypePartition(const Graph& g) {
   auto class_sets = ClassSets(g);
   std::map<std::vector<TermId>, uint32_t> set_class;
   std::unordered_map<TermId, uint32_t> raw;
@@ -273,8 +275,8 @@ NodePartition ReferenceTypePartition(const Graph& g) {
   return Finalize(g, raw);
 }
 
-NodePartition ReferenceTypedWeakPartition(const Graph& g,
-                                          TypedSummaryMode mode) {
+ReferencePartition ReferenceTypedWeakPartition(const Graph& g,
+                                               TypedSummaryMode mode) {
   std::unordered_set<TermId> typed = TypedResources(g);
   auto is_untyped = [&](TermId n) { return typed.count(n) == 0; };
 
@@ -313,8 +315,9 @@ NodePartition ReferenceTypedWeakPartition(const Graph& g,
   });
 }
 
-NodePartition ReferenceBisimulationPartition(const Graph& g, uint32_t depth,
-                                             bool use_types) {
+ReferencePartition ReferenceBisimulationPartition(const Graph& g,
+                                                  uint32_t depth,
+                                                  bool use_types) {
   NodeIndex idx(g);
   const uint32_t n = static_cast<uint32_t>(idx.nodes.size());
 
@@ -376,8 +379,8 @@ NodePartition ReferenceBisimulationPartition(const Graph& g, uint32_t depth,
   return Finalize(g, raw);
 }
 
-NodePartition ReferenceTypedStrongPartition(const Graph& g,
-                                            TypedSummaryMode mode) {
+ReferencePartition ReferenceTypedStrongPartition(const Graph& g,
+                                                 TypedSummaryMode mode) {
   std::unordered_set<TermId> typed = TypedResources(g);
   RefScope scope = mode == TypedSummaryMode::kPerPropertyProjection
                        ? RefScope::kUntypedEndpoints
@@ -391,6 +394,33 @@ NodePartition ReferenceTypedStrongPartition(const Graph& g,
         pair_class.emplace(key, static_cast<uint32_t>(pair_class.size()));
     return it->second;
   });
+}
+
+std::string PartitionMismatch(const DenseGraph& dg, const NodePartition& got,
+                              const ReferencePartition& want) {
+  const uint32_t n = dg.num_nodes();
+  if (got.class_of.size() != n || want.class_of.size() != n) {
+    return "partition sizes " + std::to_string(got.class_of.size()) + " and " +
+           std::to_string(want.class_of.size()) + " for " + std::to_string(n) +
+           " nodes";
+  }
+  if (got.num_classes != want.num_classes) {
+    return "num_classes " + std::to_string(got.num_classes) + " != " +
+           std::to_string(want.num_classes);
+  }
+  for (uint32_t i = 0; i < n; ++i) {
+    const TermId term = dg.term_of(i);
+    auto it = want.class_of.find(term);
+    if (it == want.class_of.end()) {
+      return "node " + std::to_string(term) + " missing from the reference";
+    }
+    if (it->second != got.class_of[i]) {
+      return "node " + std::to_string(term) + " in class " +
+             std::to_string(got.class_of[i]) + ", reference " +
+             std::to_string(it->second);
+    }
+  }
+  return "";
 }
 
 }  // namespace rdfsum::summary

@@ -10,7 +10,7 @@
 namespace rdfsum::summary {
 
 StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
-                                          const NodePartition& part,
+                                          const ReferencePartition& part,
                                           SummaryKind kind,
                                           const SummaryOptions& options) {
   Timer timer;
@@ -69,10 +69,19 @@ StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
   for (const auto& [n, c] : part.class_of) {
     out.node_map.emplace(n, class_node[c]);
   }
-  if (options.record_members) {
-    for (const auto& [n, c] : part.class_of) {
-      out.members[class_node[c]].push_back(n);
-    }
+
+  // Edge counts: how many triples of G each data and type summary edge
+  // stands for; schema edges get no entry.
+  auto summary_node = [&](TermId n) {
+    auto it = out.node_map.find(n);
+    return it == out.node_map.end() ? n : it->second;
+  };
+  out.multiplicity.reserve(g.data().size() + g.types().size());
+  for (const Triple& t : g.data()) {
+    ++out.multiplicity[Triple{summary_node(t.s), t.p, summary_node(t.o)}];
+  }
+  for (const Triple& t : g.types()) {
+    ++out.multiplicity[Triple{summary_node(t.s), rdf_type, t.o}];
   }
   out.stats = ComputeSummaryStats(out.graph, timer.ElapsedSeconds());
   out.stats.quotient_seconds = out.stats.build_seconds;
@@ -81,7 +90,7 @@ StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
 
 StatusOr<SummaryResult> ReferenceSummarize(const Graph& g, SummaryKind kind,
                                            const SummaryOptions& options) {
-  NodePartition part;
+  ReferencePartition part;
   switch (kind) {
     case SummaryKind::kWeak:
       part = ReferenceWeakPartition(g);

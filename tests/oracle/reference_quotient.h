@@ -2,7 +2,7 @@
 #define RDFSUM_ORACLE_REFERENCE_QUOTIENT_H_
 
 #include "rdf/graph.h"
-#include "summary/node_partition.h"
+#include "oracle/reference_partition.h"
 #include "summary/summary.h"
 #include "util/statusor.h"
 
@@ -13,11 +13,13 @@ namespace rdfsum::summary {
 /// class-id order, then every data, type and schema triple of `g` added in
 /// input order through the partition (Definition 9). It is the oracle the
 /// sharded quotient must match byte for byte — same minted ids, same triple
-/// insertion order, same node_map and members — at every thread count.
+/// insertion order, same node_map — at every thread count. Its multiplicity
+/// is counted apart from the quotient walk, by a second walk of G's data and
+/// type triples through node_map.
 /// Returns kInvalidArgument when `part` misses a node, and honours
-/// options.exec and options.record_members; options.num_threads is ignored.
+/// options.exec; options.num_threads is ignored.
 StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
-                                          const NodePartition& part,
+                                          const ReferencePartition& part,
                                           SummaryKind kind,
                                           const SummaryOptions& options = {});
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -19,6 +20,7 @@
 #include "gen/lubm.h"
 #include "gen/paper_example.h"
 #include "io/ntriples_writer.h"
+#include "oracle/reference_partition.h"
 #include "oracle/reference_quotient.h"
 #include "reasoner/saturation.h"
 #include "summary/node_partition.h"
@@ -91,14 +93,20 @@ TEST_P(ParallelQuotientWallTest, ByteIdenticalAcrossKindsAndThreadCounts) {
   auto [dataset, saturated] = GetParam();
   for (SummaryKind kind : kAllKinds) {
     Graph g_ref = MakeGraph(dataset, saturated);
-    SummaryOptions ref_options;
-    ref_options.record_members = true;
-    SummaryResult ref = ReferenceSummarize(g_ref, kind, ref_options).value();
+    SummaryResult ref = ReferenceSummarize(g_ref, kind).value();
     const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
+    // The oracle's own counts cover G exactly: |D| over the data edges and
+    // |T| over the type edges.
+    uint64_t data_count = 0, type_count = 0;
+    for (const auto& [edge, count] : ref.multiplicity) {
+      (edge.p == g_ref.vocab().rdf_type ? type_count : data_count) += count;
+    }
+    EXPECT_EQ(data_count, g_ref.data().size()) << SummaryKindName(kind);
+    EXPECT_EQ(type_count, g_ref.types().size()) << SummaryKindName(kind);
 
     for (uint32_t threads : kThreadCounts) {
       Graph g_par = MakeGraph(dataset, saturated);
-      SummaryOptions par_options = ref_options;
+      SummaryOptions par_options;
       par_options.num_threads = threads;
       SummaryResult par = Summarize(g_par, kind, par_options);
       const std::string label = std::string(SummaryKindName(kind)) + " t" +
@@ -106,8 +114,10 @@ TEST_P(ParallelQuotientWallTest, ByteIdenticalAcrossKindsAndThreadCounts) {
       // Serialized summary (data, type, and schema insertion order plus
       // minted ids) is the byte-identity contract.
       EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(par.graph)) << label;
-      // The representation maps agree id-for-id too.
+      // The representation maps and the per-edge counts agree id-for-id
+      // too.
       EXPECT_EQ(ref.node_map, par.node_map) << label;
+      EXPECT_EQ(ref.multiplicity, par.multiplicity) << label;
       EXPECT_EQ(ref.stats.num_all_nodes, par.stats.num_all_nodes) << label;
       EXPECT_EQ(ref.stats.num_all_edges, par.stats.num_all_edges) << label;
       EXPECT_TRUE(CheckHomomorphism(g_par, par).ok()) << label;
@@ -130,9 +140,10 @@ INSTANTIATE_TEST_SUITE_P(
 // walk over the same partition.
 TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
   Graph g_ref = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-  NodePartition part_ref = ComputeWeakPartition(DenseGraph(g_ref));
   SummaryResult ref =
-      ReferenceQuotient(g_ref, part_ref, SummaryKind::kWeak).value();
+      ReferenceQuotient(g_ref, ReferenceWeakPartition(g_ref),
+                        SummaryKind::kWeak)
+          .value();
   const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
   for (uint32_t threads : kThreadCounts) {
     Graph g_par = MakeGraph(Dataset::kHetero, /*saturated=*/false);
@@ -144,31 +155,26 @@ TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
             .value();
     EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(par.graph))
         << "threads " << threads;
+    EXPECT_EQ(ref.node_map, par.node_map) << "threads " << threads;
+    EXPECT_EQ(ref.multiplicity, par.multiplicity) << "threads " << threads;
   }
 }
 
-// Member lists follow the partition's class_of iteration order, so the
-// oracle walk quotients the library's own partition here.
-TEST(ParallelQuotientTest, RecordMembersMatchesOracle) {
+// The oracle walk gives Summarize's representation map and edge counts.
+TEST(ParallelQuotientTest, NodeMapMatchesOracle) {
   Graph g_ref = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
-  SummaryOptions ref_options;
-  ref_options.record_members = true;
   SummaryResult ref =
-      ReferenceQuotient(g_ref, ComputeStrongPartition(DenseGraph(g_ref)),
-                        SummaryKind::kStrong, ref_options)
+      ReferenceQuotient(g_ref, ReferenceStrongPartition(g_ref),
+                        SummaryKind::kStrong)
           .value();
 
   for (uint32_t threads : kThreadCounts) {
     Graph g_par = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
-    SummaryOptions par_options = ref_options;
+    SummaryOptions par_options;
     par_options.num_threads = threads;
     SummaryResult par = Summarize(g_par, SummaryKind::kStrong, par_options);
-    ASSERT_EQ(ref.members.size(), par.members.size()) << "threads " << threads;
-    for (const auto& [node, members] : ref.members) {
-      auto it = par.members.find(node);
-      ASSERT_NE(it, par.members.end());
-      EXPECT_EQ(members, it->second) << "threads " << threads;
-    }
+    EXPECT_EQ(ref.node_map, par.node_map) << "threads " << threads;
+    EXPECT_EQ(ref.multiplicity, par.multiplicity) << "threads " << threads;
   }
 }
 
@@ -194,18 +200,30 @@ TEST(ParallelQuotientTest, MoreThreadsThanTriples) {
   EXPECT_EQ(r.stats.num_type_edges, 1u);
 }
 
-// A partition that misses graph nodes returns kInvalidArgument at every
-// thread count (the library does not throw).
+// A partition that does not have the substrate's shape returns
+// kInvalidArgument at every thread count (the library does not throw): one
+// that misses graph nodes, one that maps a node to a class id at or above
+// num_classes, and one with more classes than nodes.
 TEST(ParallelQuotientTest, IncompletePartitionReturnsInvalidArgument) {
   Graph g = MakeGraph(Dataset::kPaper, /*saturated=*/false);
+  const uint32_t n = DenseGraph(g).num_nodes();
   NodePartition partial;
   partial.num_classes = 1;  // covers no node at all
-  for (uint32_t threads : kThreadCounts) {
-    SummaryOptions options;
-    options.num_threads = threads;
-    auto r = QuotientByPartition(g, partial, SummaryKind::kWeak, options);
-    ASSERT_FALSE(r.ok()) << "threads " << threads;
-    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+  NodePartition out_of_range;
+  out_of_range.class_of.assign(n, 0);
+  out_of_range.class_of[n / 2] = 5;
+  out_of_range.num_classes = 1;
+  NodePartition oversized;
+  oversized.class_of.assign(n, 0);
+  oversized.num_classes = UINT32_MAX;
+  for (const NodePartition* part : {&partial, &out_of_range, &oversized}) {
+    for (uint32_t threads : kThreadCounts) {
+      SummaryOptions options;
+      options.num_threads = threads;
+      auto r = QuotientByPartition(g, *part, SummaryKind::kWeak, options);
+      ASSERT_FALSE(r.ok()) << "threads " << threads;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+    }
   }
 }
 

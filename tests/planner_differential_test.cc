@@ -117,9 +117,8 @@ class PlannerDifferentialTest : public ::testing::TestWithParam<bool> {};
 void RunDifferential(const Workload& w, bool saturate) {
   Graph target = saturate ? reasoner::Saturate(w.graph) : w.graph.Clone();
   // kSummary gets a real estimator so the refinement path is exercised.
-  summary::SummaryResult s =
-      summary::Summarize(target, summary::SummaryKind::kWeak);
-  summary::CardinalityEstimator estimator(target, s);
+  summary::CardinalityEstimator estimator(
+      summary::Summarize(target, summary::SummaryKind::kWeak));
   EvaluatorOptions options;
   options.estimator = &estimator;
   BgpEvaluator eval(target, options);

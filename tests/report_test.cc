@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/paper_example.h"
 #include "summary/report.h"
@@ -12,9 +15,7 @@ namespace {
 class ReportTest : public ::testing::Test {
  protected:
   ReportTest() : ex_(gen::BuildFigure2()) {
-    SummaryOptions options;
-    options.record_members = true;
-    weak_ = Summarize(ex_.graph, SummaryKind::kWeak, options);
+    weak_ = Summarize(ex_.graph, SummaryKind::kWeak);
   }
   gen::Figure2Example ex_;
   SummaryResult weak_;
@@ -51,12 +52,22 @@ TEST_F(ReportTest, DescribeSummaryCountsMembers) {
   EXPECT_FALSE(report.nodes[0].sample_members.empty());
 }
 
-TEST_F(ReportTest, DescribeWorksWithoutRecordedMembers) {
-  SummaryResult plain = Summarize(ex_.graph, SummaryKind::kWeak);
-  SummaryReport report = DescribeSummary(plain);
+TEST_F(ReportTest, DescribeSamplesTheSmallestMemberIds) {
+  SummaryReport report = DescribeSummary(weak_);
   ASSERT_EQ(report.nodes.size(), 6u);
-  EXPECT_EQ(report.nodes[0].member_count, 5u);  // derived from node_map
-  EXPECT_TRUE(report.nodes[0].sample_members.empty());
+  for (const NodeReport& n : report.nodes) {
+    std::vector<TermId> members;
+    for (const auto& [g_node, h_node] : weak_.node_map) {
+      if (h_node == n.node) members.push_back(g_node);
+    }
+    std::sort(members.begin(), members.end());
+    members.resize(std::min<size_t>(members.size(), 3));
+    std::vector<std::string> want;
+    for (TermId m : members) {
+      want.push_back(weak_.graph.dict().Decode(m).ToNTriples());
+    }
+    EXPECT_EQ(n.sample_members, want) << n.label;
+  }
 }
 
 TEST_F(ReportTest, ToStringListsEveryNode) {

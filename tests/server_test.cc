@@ -16,6 +16,8 @@
 //   - summary mint: every epoch is minted by Snapshot::Open, before Start
 //     or Reload publishes it, so no request ever mints; a failed mint still
 //     publishes a serving epoch, reported in STATS;
+//   - plan cache across a swap: a request pinned to an older epoch never
+//     leaves a skeleton a newer epoch's request hits;
 //   - reload serialization: racing RELOADs publish epochs in order.
 
 #include <gtest/gtest.h>
@@ -705,6 +707,47 @@ TEST(ServerTest, FailedMintStillPublishesAServingEpoch) {
     ASSERT_TRUE(ServedRows("127.0.0.1", server.port(), q, req, &rows).ok());
     EXPECT_EQ(rows, LocalRows(image_b, q)) << q;
   }
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServerTest, SkeletonFromAnOlderEpochIsNeverServed) {
+  if (!util::FaultInjection::compiled_in()) {
+    GTEST_SKIP() << "failpoints not compiled in (Release build)";
+  }
+  // Client A pins epoch 1 and stalls in `serve:plan` (after the pin, before
+  // the plan-cache lookup) while a reload publishes epoch 2 and clears the
+  // cache; A then plans on epoch 1 and inserts its skeleton. Client B sends
+  // the same shape on epoch 2 and must not be served A's skeleton.
+  const std::string image_a = FreezeBsbm(15, "stale_plan_a.rsb", 3);
+  const std::string image_b = FreezeBsbm(15, "stale_plan_b.rsb", 7);
+  Server server;
+  ASSERT_TRUE(server.Start(image_a).ok());
+  util::FaultInjection::Clear();
+  util::FaultInjection::Arm("serve:plan", Status::OK(),
+                            {.countdown = 1, .latency_ms = 300});
+  std::vector<std::string> rows_a;
+  Status st_a;
+  std::thread client_a([&] {
+    st_a = ServedRows("127.0.0.1", server.port(), kMarkerQuery, {}, &rows_a);
+  });
+  while (util::FaultInjection::HitCount("serve:plan") == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const Status reloaded = server.Reload(image_b);
+  client_a.join();
+  util::FaultInjection::Clear();
+  ASSERT_TRUE(reloaded.ok()) << reloaded.ToString();
+  ASSERT_TRUE(st_a.ok()) << st_a.ToString();
+  EXPECT_EQ(rows_a, LocalRows(image_a, kMarkerQuery));  // epoch 1's rows
+
+  std::vector<std::string> rows_b;
+  ASSERT_TRUE(
+      ServedRows("127.0.0.1", server.port(), kMarkerQuery, {}, &rows_b).ok());
+  EXPECT_EQ(rows_b, LocalRows(image_b, kMarkerQuery));
+  const std::string stats = server.StatsText();
+  EXPECT_NE(stats.find("plan_cache_hits: 0\n"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("plan_cache_misses: 2\n"), std::string::npos) << stats;
   server.Stop();
   server.Wait();
 }

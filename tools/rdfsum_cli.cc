@@ -299,7 +299,6 @@ int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
   std::string store_path;
   bool saturate = false, report = false;
   summary::SummaryOptions options;
-  options.record_members = true;
   std::vector<std::string> positional;
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--kind" && i + 1 < args.size()) kind_name = args[++i];
@@ -497,7 +496,6 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
   // when the summary planner asks for one.
   std::optional<query::SummaryPrunedEvaluator> pruned;
   std::optional<Graph> direct_target;
-  std::optional<summary::SummaryResult> model;
   std::optional<summary::CardinalityEstimator> estimator;
   std::optional<query::BgpEvaluator> direct;
   if (zero_copy) {
@@ -514,9 +512,8 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
     query::EvaluatorOptions direct_options;
     direct_options.planner = planner;
     if (planner == query::PlannerMode::kSummary) {
-      model.emplace(
+      estimator.emplace(
           summary::Summarize(*direct_target, summary::SummaryKind::kWeak));
-      estimator.emplace(*direct_target, *model);
       direct_options.estimator = &*estimator;
     }
     direct.emplace(*direct_target, direct_options);
