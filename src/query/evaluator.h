@@ -1,8 +1,12 @@
 #ifndef RDFSUM_QUERY_EVALUATOR_H_
 #define RDFSUM_QUERY_EVALUATOR_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "query/bgp.h"
@@ -15,8 +19,117 @@
 namespace rdfsum::query {
 
 /// One answer row: the bindings of the distinguished variables, in query
-/// head order.
-using Row = std::vector<Term>;
+/// head order, borrowed from the evaluator's dictionary. A row holds one
+/// `const Term*` per column (inline up to kInlineColumns, on the heap
+/// beyond), so decoding copies no Term and, for rows of up to
+/// kInlineColumns columns, allocates nothing.
+///
+/// Lifetime: that of the references Dictionary::Decode hands out. A row
+/// stays valid while its dictionary lives; for an owned dictionary only
+/// until that dictionary interns another term (Encode, MintNodeUri — so
+/// Summarize, and constructing a SummaryPrunedEvaluator, over the same
+/// graph end it). View-mode base terms stay valid for the dictionary's
+/// lifetime. Copy the Terms out of a row that must outlive that.
+///
+/// A copy borrows the same terms. `==` compares the terms by value, so rows
+/// from two dictionaries compare equal when they bind the same terms.
+class Row {
+ public:
+  static constexpr size_t kInlineColumns = 4;
+
+  /// Iterates the columns as `const Term&`.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = Term;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const Term*;
+    using reference = const Term&;
+
+    const_iterator() = default;
+    explicit const_iterator(const Term* const* at) : at_(at) {}
+    reference operator*() const { return **at_; }
+    pointer operator->() const { return *at_; }
+    const_iterator& operator++() {
+      ++at_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++at_;
+      return before;
+    }
+    bool operator==(const const_iterator& other) const {
+      return at_ == other.at_;
+    }
+
+   private:
+    const Term* const* at_ = nullptr;
+  };
+
+  Row() = default;
+  Row(const Row& other) { *this = other; }
+  Row& operator=(const Row& other) {
+    if (this == &other) return *this;
+    size_ = 0;
+    reserve(other.size_);
+    std::copy_n(other.data(), other.size_, data());
+    size_ = other.size_;
+    return *this;
+  }
+  Row(Row&& other) noexcept { *this = std::move(other); }
+  Row& operator=(Row&& other) noexcept {
+    if (this == &other) return *this;
+    spill_ = std::move(other.spill_);
+    size_ = other.size_;
+    capacity_ = other.capacity_;
+    if (!spill_) std::copy_n(other.inline_, size_, inline_);
+    other.size_ = 0;
+    other.capacity_ = kInlineColumns;
+    return *this;
+  }
+
+  /// Appends a column bound to `term`, which must outlive the row.
+  void push_back(const Term& term) {
+    if (size_ == capacity_) reserve(capacity_ * 2);
+    data()[size_++] = &term;
+  }
+  void push_back(const Term&&) = delete;  // would dangle
+
+  void reserve(size_t n) {
+    if (n <= capacity_) return;
+    auto grown = std::make_unique<const Term*[]>(n);
+    std::copy_n(data(), size_, grown.get());
+    spill_ = std::move(grown);
+    capacity_ = n;
+  }
+
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const Term& operator[](size_t i) const { return *data()[i]; }
+  const Term& front() const { return *data()[0]; }
+  const_iterator begin() const { return const_iterator(data()); }
+  const_iterator end() const { return const_iterator(data() + size_); }
+
+  bool operator==(const Row& other) const {
+    if (size_ != other.size_) return false;
+    const Term* const* a = data();
+    const Term* const* b = other.data();
+    for (size_t i = 0; i < size_; ++i) {
+      if (a[i] != b[i] && !(*a[i] == *b[i])) return false;
+    }
+    return true;
+  }
+
+ private:
+  const Term** data() { return spill_ ? spill_.get() : inline_; }
+  const Term* const* data() const { return spill_ ? spill_.get() : inline_; }
+
+  const Term* inline_[kInlineColumns] = {};
+  std::unique_ptr<const Term*[]> spill_;  // set once the row outgrows inline_
+  size_t size_ = 0;
+  size_t capacity_ = kInlineColumns;
+};
 
 struct EvaluatorOptions {
   /// How Plan()/Open()/Explain() order the patterns by default; per-call
@@ -84,7 +197,9 @@ class BgpEvaluator {
                                          const QueryPlan& plan,
                                          CursorOptions options = {}) const;
 
-  /// Decodes a cursor-produced row into Terms, in head order.
+  /// Decodes a cursor-produced row, in head order, into a Row that borrows
+  /// the dictionary's own Terms: no Term is copied. See Row for how long
+  /// the result stays valid.
   Row Decode(const IdRow& row) const;
 
   /// True iff the query has at least one embedding into the graph. Pulls a

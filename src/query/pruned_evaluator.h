@@ -57,7 +57,7 @@ class SummaryPrunedEvaluator {
   /// Streaming evaluation: opens a pull cursor over the graph-side answers,
   /// or an empty cursor without ever touching the graph when the summary
   /// proves emptiness (the head is still validated either way). Decode()
-  /// turns produced IdRows into Terms.
+  /// turns produced IdRows into Rows borrowing the graph's dictionary.
   StatusOr<std::unique_ptr<Cursor>> Open(const BgpQuery& q,
                                          CursorOptions options = {});
   Row Decode(const IdRow& row) const;

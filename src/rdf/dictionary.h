@@ -107,7 +107,12 @@ class Dictionary {
     return ViewLookup(view, term, HashTerm(term));
   }
 
-  /// Decodes an id; requires 1 <= id < size().
+  /// Decodes an id; requires 1 <= id < size(). Returns the dictionary's
+  /// own Term, which callers may borrow (query::Row does) for as long as
+  /// the dictionary lives — but in owned mode, and for overlay ids in view
+  /// mode, only until the dictionary interns another term (Encode,
+  /// MintNodeUri), since the term store may reallocate. View-mode base
+  /// terms (id <= base_terms()) stay valid for the dictionary's lifetime.
   const Term& Decode(TermId id) const {
     if (id <= base_terms_) {
       const Term* cached = view_cache_[id].load(std::memory_order_acquire);

@@ -1,7 +1,9 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <system_error>
 
 namespace rdfsum {
 
@@ -18,6 +20,17 @@ std::vector<std::string_view> Split(std::string_view input, char sep) {
     start = pos + 1;
   }
   return out;
+}
+
+bool ParseDecimal(std::string_view text, uint64_t max, uint64_t* out) {
+  // from_chars into an unsigned type takes no sign, no blank and no
+  // prefix, and reports overflow instead of wrapping.
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, value);
+  if (r.ec != std::errc() || r.ptr != end || value > max) return false;
+  *out = value;
+  return true;
 }
 
 std::string_view StripWhitespace(std::string_view input) {

@@ -26,6 +26,12 @@ std::string FormatWithCommas(uint64_t n);
 /// Formats a double with `digits` decimal places.
 std::string FormatDouble(double value, int digits);
 
+/// Strict decimal parse for command-line numbers: `text` must be one or
+/// more ASCII digits and nothing else (no sign, no whitespace, no prefix)
+/// with a value of at most `max`. Returns false, leaving *out untouched,
+/// otherwise — std::stoull would wrap "-5" and skip leading blanks.
+bool ParseDecimal(std::string_view text, uint64_t max, uint64_t* out);
+
 /// Lower-cases ASCII characters.
 std::string AsciiToLower(std::string_view input);
 

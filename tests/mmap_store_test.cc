@@ -362,6 +362,52 @@ TEST(MmapStoreTest, ConcurrentViewDecodesAreStableAndMatchOwnedMode) {
   }
 }
 
+TEST(MmapStoreTest, ViewRowsBorrowBaseTermsThatOverlayGrowthNeverMoves) {
+  // Decode borrows: every column of a store-backed row is the view
+  // dictionary's own cached base Term. Base terms never move, so rows
+  // decoded before the overlay grows — thousands of interned terms, then a
+  // minted summary node — still read the same Term objects afterwards.
+  Graph g = BsbmGraph(20);
+  auto store = FreezeAndOpen(g, "rows.rsb");
+  Dictionary* dict = const_cast<Dictionary*>(&store->dict());
+  query::BgpEvaluator eval(*dict, store->table());
+  auto q = query::ParseSparql("SELECT ?s ?p ?o WHERE { ?s ?p ?o }");
+  ASSERT_TRUE(q.ok());
+  auto cursor = eval.Open(*q);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+  std::vector<query::IdRow> ids;
+  std::vector<query::Row> rows;
+  query::IdRow id_row;
+  while ((*cursor)->Next(&id_row)) {
+    ids.push_back(id_row);
+    rows.push_back(eval.Decode(id_row));
+  }
+  ASSERT_EQ(rows.size(), g.NumTriples());
+  std::vector<std::vector<Term>> copied;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t i = 0; i < ids[r].size(); ++i) {
+      ASSERT_LE(ids[r][i], dict->base_terms());
+      ASSERT_EQ(&rows[r][i], &dict->Decode(ids[r][i])) << "row " << r;
+    }
+    copied.emplace_back(rows[r].begin(), rows[r].end());
+  }
+
+  const size_t base_size = dict->size();
+  for (int i = 0; i < 4096; ++i) {
+    dict->EncodeIri("http://overlay.example.org/" + std::to_string(i));
+  }
+  const TermId minted = dict->MintNodeUri("row");
+  ASSERT_EQ(dict->size(), base_size + 4097);
+  ASSERT_GT(minted, dict->base_terms());
+
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t i = 0; i < ids[r].size(); ++i) {
+      ASSERT_EQ(&rows[r][i], &dict->Decode(ids[r][i])) << "row " << r;
+      ASSERT_EQ(rows[r][i], copied[r][i]) << "row " << r;
+    }
+  }
+}
+
 TEST(MmapStoreTest, RefreezeDoesNotChangeAnOpenStore) {
   // Freezing into the path an open store maps replaces the file instead of
   // rewriting it in place: the open store keeps serving the old image, and

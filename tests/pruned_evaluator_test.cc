@@ -45,6 +45,27 @@ TEST_F(PrunedEvaluatorTest, AgreesWithDirectEvaluationOnHits) {
   EXPECT_EQ(actual->size(), expected->size());
 }
 
+TEST_F(PrunedEvaluatorTest, DecodeBorrowsTheQueriedGraphsDictionary) {
+  // The pruned evaluator queries Saturate(g_), which shares g_'s
+  // dictionary: its rows point at that dictionary's own Terms.
+  BgpQuery q = MustParse(
+      "PREFIX l: <http://lubm.example.org/>\n"
+      "SELECT ?p ?c WHERE { ?p l:teacherOf ?c }");
+  auto cursor = pruned_.Open(q);
+  ASSERT_TRUE(cursor.ok());
+  IdRow ids;
+  size_t n = 0;
+  while ((*cursor)->Next(&ids)) {
+    Row row = pruned_.Decode(ids);
+    ASSERT_EQ(row.size(), 2u);
+    for (size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(&row[i], &g_.dict().Decode(ids[i]));
+    }
+    ++n;
+  }
+  EXPECT_GT(n, 0u);
+}
+
 TEST_F(PrunedEvaluatorTest, PrunesAbsentProperty) {
   BgpQuery q = MustParse(
       "PREFIX l: <http://lubm.example.org/>\n"

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "gen/paper_example.h"
 #include "oracle/drain.h"
 #include "query/evaluator.h"
@@ -228,6 +233,125 @@ TEST_F(EvalFixture, BooleanAsk) {
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 1u);  // one empty row = true
   EXPECT_TRUE((*rows)[0].empty());
+}
+
+// --------------------------------------------------------------------- rows
+
+/// Drains `q` on `eval`, checking that every decoded column is the very
+/// Term object `dict` holds for the id (Decode copies nothing), and returns
+/// the rows with their terms copied out.
+std::vector<std::vector<Term>> DrainBorrowed(const BgpEvaluator& eval,
+                                             const BgpQuery& q,
+                                             const Dictionary& dict) {
+  std::vector<std::vector<Term>> out;
+  auto cursor = eval.Open(q);
+  EXPECT_TRUE(cursor.ok()) << cursor.status().ToString();
+  if (!cursor.ok()) return out;
+  IdRow ids;
+  while ((*cursor)->Next(&ids)) {
+    Row row = eval.Decode(ids);
+    EXPECT_EQ(row.size(), ids.size());
+    std::vector<Term> copied;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(&row[i], &dict.Decode(ids[i])) << "column " << i;
+      copied.push_back(row[i]);
+    }
+    out.push_back(std::move(copied));
+  }
+  return out;
+}
+
+/// A 6-hop chain n0 -p0-> n1 -p1-> ... -p5-> n6 over a fresh dictionary.
+Graph ChainGraph() {
+  Graph g;
+  for (int i = 0; i < 6; ++i) {
+    const std::string at = std::to_string(i);
+    g.AddIris("http://c/n" + at, "http://c/p" + at,
+              "http://c/n" + std::to_string(i + 1));
+  }
+  return g;
+}
+
+TEST(RowTest, DecodeBorrowsTheOwnedDictionarysTerms) {
+  gen::Figure2Example fig = gen::BuildFigure2();
+  BgpEvaluator eval(fig.graph);
+  auto q = ParseSparql("SELECT ?s ?p ?o WHERE { ?s ?p ?o }");
+  ASSERT_TRUE(q.ok());
+  EXPECT_EQ(DrainBorrowed(eval, *q, fig.graph.dict()).size(),
+            fig.graph.NumTriples());
+}
+
+TEST(RowTest, SixColumnSelectDecodesThroughTheSpill) {
+  static_assert(Row::kInlineColumns < 6);
+  Graph g = ChainGraph();
+  BgpEvaluator eval(g);
+  auto q = ParseSparql(
+      "SELECT ?a ?p ?b ?q ?c ?r WHERE { ?a ?p ?b . ?b ?q ?c . ?c ?r ?d . "
+      "?d <http://c/p5> ?e }");
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<std::vector<Term>> rows = DrainBorrowed(eval, *q, g.dict());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0], (std::vector<Term>{
+                         Term::Iri("http://c/n2"), Term::Iri("http://c/p2"),
+                         Term::Iri("http://c/n3"), Term::Iri("http://c/p3"),
+                         Term::Iri("http://c/n4"), Term::Iri("http://c/p4")}));
+
+  // The same row through Drain, iterated as const Term&.
+  auto drained = Drain(eval, *q);
+  ASSERT_TRUE(drained.ok());
+  ASSERT_EQ(drained->size(), 1u);
+  std::vector<Term> iterated;
+  for (const Term& t : (*drained)[0]) iterated.push_back(t);
+  EXPECT_EQ(iterated, rows[0]);
+  EXPECT_EQ((*drained)[0].front(), rows[0].front());
+}
+
+TEST(RowTest, CopiesBorrowTheSameTermsAndCompareByValue) {
+  Graph g = ChainGraph();
+  const Dictionary& d = g.dict();
+  std::vector<const Term*> terms;
+  for (TermId id = 1; id < d.size(); ++id) terms.push_back(&d.Decode(id));
+  ASSERT_GE(terms.size(), 6u);
+
+  for (size_t width : {size_t{0}, size_t{1}, Row::kInlineColumns,
+                       Row::kInlineColumns + 1, size_t{6}}) {
+    std::optional<Row> original(std::in_place);
+    for (size_t i = 0; i < width; ++i) original->push_back(*terms[i]);
+    EXPECT_EQ(original->size(), width);
+    EXPECT_EQ(original->empty(), width == 0);
+
+    Row copy = *original;
+    EXPECT_EQ(copy, *original);
+    for (size_t i = 0; i < width; ++i) EXPECT_EQ(&copy[i], terms[i]);
+
+    Row assigned;
+    assigned.push_back(*terms[5]);
+    assigned = *original;
+    EXPECT_EQ(assigned, *original);
+
+    // A copy owns its column pointers: it outlives the row it came from.
+    original.reset();
+    for (size_t i = 0; i < width; ++i) EXPECT_EQ(&copy[i], terms[i]);
+
+    Row moved = std::move(copy);
+    EXPECT_EQ(moved.size(), width);
+    EXPECT_EQ(moved, assigned);
+    for (size_t i = 0; i < width; ++i) EXPECT_EQ(&moved[i], terms[i]);
+  }
+
+  Row a, b;
+  EXPECT_EQ(a, b);
+  a.push_back(*terms[0]);
+  EXPECT_FALSE(a == b);  // sizes differ
+  b.push_back(*terms[1]);
+  EXPECT_FALSE(a == b);  // terms differ
+
+  // Equal terms held by another dictionary compare equal by value.
+  Graph twin = ChainGraph();
+  Row from_twin;
+  from_twin.push_back(twin.dict().Decode(twin.dict().Lookup(*terms[0])));
+  EXPECT_NE(&from_twin[0], &a[0]);
+  EXPECT_EQ(from_twin, a);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 #include <sched.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -142,6 +144,46 @@ TEST(StringUtilTest, FormatWithCommas) {
 TEST(StringUtilTest, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
+}
+
+TEST(StringUtilTest, ParseDecimalAcceptsPlainDigits) {
+  uint64_t v = 7;
+  EXPECT_TRUE(ParseDecimal("0", UINT64_MAX, &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(ParseDecimal("00042", UINT64_MAX, &v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(ParseDecimal("18446744073709551615", UINT64_MAX, &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseDecimal("4294967295", UINT32_MAX, &v));
+  EXPECT_EQ(v, UINT32_MAX);
+  EXPECT_TRUE(ParseDecimal("65535", 0xFFFF, &v));
+  EXPECT_EQ(v, 0xFFFFu);
+}
+
+TEST(StringUtilTest, ParseDecimalRejectsEverythingElse) {
+  const char* bad[] = {"",   "-5",  "-0",   "+3",   " 5",  "5 ",  "\t5",
+                       "5\n", "0x10", "1e3",  "1.0",  "abc", "5a",  "a5",
+                       "--1", "1 2", "\xd9\xa3" /* Arabic-Indic three */};
+  for (const char* text : bad) {
+    uint64_t v = 7;
+    EXPECT_FALSE(ParseDecimal(text, UINT64_MAX, &v)) << "'" << text << "'";
+    EXPECT_EQ(v, 7u) << "'" << text << "'";  // untouched on failure
+  }
+  // A NUL inside the view is a non-digit, not a terminator.
+  uint64_t v = 7;
+  EXPECT_FALSE(ParseDecimal(std::string_view("5\0", 2), UINT64_MAX, &v));
+}
+
+TEST(StringUtilTest, ParseDecimalRejectsOutOfRange) {
+  uint64_t v = 7;
+  EXPECT_FALSE(ParseDecimal("18446744073709551616", UINT64_MAX, &v));
+  EXPECT_FALSE(ParseDecimal("99999999999999999999999", UINT64_MAX, &v));
+  EXPECT_FALSE(ParseDecimal("4294967296", UINT32_MAX, &v));
+  EXPECT_FALSE(ParseDecimal("65536", 0xFFFF, &v));
+  EXPECT_FALSE(ParseDecimal("1", 0, &v));
+  EXPECT_EQ(v, 7u);
+  EXPECT_TRUE(ParseDecimal("0", 0, &v));
+  EXPECT_EQ(v, 0u);
 }
 
 TEST(StringUtilTest, AsciiToLower) {

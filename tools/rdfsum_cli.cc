@@ -24,6 +24,7 @@
 
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -181,18 +182,13 @@ Status LoadGraph(const std::string& path, Graph* g,
   return st;
 }
 
-/// Strict decimal uint32 parse: rejects junk, trailing characters, and
-/// out-of-range values (std::stoul alone accepts "-1" as ~4e9).
+/// Strict decimal uint32 parse (ParseDecimal): rejects signs, blanks,
+/// trailing characters and out-of-range values.
 bool ParseUint32(const std::string& s, uint32_t* out) {
-  try {
-    size_t pos = 0;
-    unsigned long v = std::stoul(s, &pos);
-    if (pos != s.size() || v > 0xFFFFFFFFul) return false;
-    *out = static_cast<uint32_t>(v);
-    return true;
-  } catch (...) {
-    return false;
-  }
+  uint64_t v = 0;
+  if (!ParseDecimal(s, UINT32_MAX, &v)) return false;
+  *out = static_cast<uint32_t>(v);
+  return true;
 }
 
 bool ParseKind(const std::string& name, summary::SummaryKind* kind) {
@@ -551,13 +547,16 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
   if (!cursor.ok()) return FailStatus(cursor.status());
   uint64_t printed = 0;
   query::IdRow encoded;
+  std::string line;  // one row's rendering, reused across rows
   while ((*cursor)->Next(&encoded)) {
     query::Row row = prune ? pruned->Decode(encoded) : direct->Decode(encoded);
+    line.clear();
     for (size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) std::cout << "\t";
-      std::cout << row[i].ToNTriples();
+      if (i > 0) line.push_back('\t');
+      row[i].AppendNTriples(&line);
     }
-    std::cout << "\n";
+    line.push_back('\n');
+    std::cout.write(line.data(), static_cast<std::streamsize>(line.size()));
     if (stream) std::cout.flush();
     ++printed;
   }

@@ -17,11 +17,13 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "query/plan.h"
 #include "server/client.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace rdfsum {
 namespace {
@@ -69,24 +71,13 @@ int Usage() {
   return kExitUsage;
 }
 
-bool ParseUint64(const std::string& s, uint64_t* out) {
-  try {
-    size_t pos = 0;
-    unsigned long long v = std::stoull(s, &pos);
-    if (pos != s.size()) return false;
-    *out = v;
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
 bool SplitHostPort(const std::string& arg, std::string* host,
                    uint16_t* port) {
   size_t colon = arg.rfind(':');
   if (colon == std::string::npos || colon + 1 >= arg.size()) return false;
   uint64_t p = 0;
-  if (!ParseUint64(arg.substr(colon + 1), &p) || p == 0 || p > 0xFFFF) {
+  if (!ParseDecimal(std::string_view(arg).substr(colon + 1), 0xFFFF, &p) ||
+      p == 0) {
     return false;
   }
   *host = arg.substr(0, colon);
@@ -107,46 +98,46 @@ int Run(int argc, char** argv) {
 
   if (cmd == "query") {
     server::QueryRequest req;
-    uint64_t cancel_after = 0;
+    uint64_t cancel_after = 0, timeout_ms = 0, parallelism = 0;
+    // The numeric options, each with the largest value its field holds. A
+    // malformed or out-of-range value is a usage error before any connect.
+    struct NumericOption {
+      const char* name;
+      uint64_t max;
+      uint64_t* value;
+    };
+    const NumericOption numeric[] = {
+        {"--limit", UINT64_MAX, &req.limit},
+        {"--offset", UINT64_MAX, &req.offset},
+        {"--timeout-ms", UINT32_MAX, &timeout_ms},
+        {"--max-rows", UINT64_MAX, &req.max_rows},
+        {"--cancel-after", UINT64_MAX, &cancel_after},
+        {"--parallelism", UINT32_MAX, &parallelism},
+    };
     std::vector<std::string> positional;
     for (size_t i = 0; i < args.size(); ++i) {
-      uint64_t v = 0;
-      if (args[i] == "--plan" && i + 1 < args.size()) {
+      const NumericOption* num = nullptr;
+      for (const NumericOption& n : numeric) {
+        if (args[i] == n.name) num = &n;
+      }
+      if (num != nullptr) {
+        if (i + 1 >= args.size()) {
+          std::cerr << "rdfsum_client: " << args[i] << " needs a value\n";
+          return kExitUsage;
+        }
+        if (!ParseDecimal(args[i + 1], num->max, num->value)) {
+          std::cerr << "rdfsum_client: bad " << args[i] << " " << args[i + 1]
+                    << "\n";
+          return kExitUsage;
+        }
+        ++i;
+      } else if (args[i] == "--plan" && i + 1 < args.size()) {
         query::PlannerMode mode;
         if (!query::ParsePlannerMode(args[++i], &mode)) {
           std::cerr << "rdfsum_client: bad --plan " << args[i] << "\n";
           return kExitUsage;
         }
         req.planner = static_cast<uint8_t>(mode);
-      } else if (args[i] == "--limit" && i + 1 < args.size() &&
-                 ParseUint64(args[i + 1], &v)) {
-        req.limit = v;
-        ++i;
-      } else if (args[i] == "--offset" && i + 1 < args.size() &&
-                 ParseUint64(args[i + 1], &v)) {
-        req.offset = v;
-        ++i;
-      } else if (args[i] == "--timeout-ms" && i + 1 < args.size() &&
-                 ParseUint64(args[i + 1], &v)) {
-        req.timeout_ms = static_cast<uint32_t>(v);
-        ++i;
-      } else if (args[i] == "--max-rows" && i + 1 < args.size() &&
-                 ParseUint64(args[i + 1], &v)) {
-        req.max_rows = v;
-        ++i;
-      } else if (args[i] == "--cancel-after" && i + 1 < args.size() &&
-                 ParseUint64(args[i + 1], &v)) {
-        cancel_after = v;
-        ++i;
-      } else if (args[i] == "--parallelism" && i + 1 < args.size() &&
-                 ParseUint64(args[i + 1], &v)) {
-        if (v > UINT32_MAX) {
-          std::cerr << "rdfsum_client: bad --parallelism " << args[i + 1]
-                    << "\n";
-          return kExitUsage;
-        }
-        req.parallelism = static_cast<uint32_t>(v);
-        ++i;
       } else if (args[i].rfind("--", 0) == 0) {
         std::cerr << "rdfsum_client: unknown option " << args[i] << "\n";
         return kExitUsage;
@@ -154,6 +145,8 @@ int Run(int argc, char** argv) {
         positional.push_back(args[i]);
       }
     }
+    req.timeout_ms = static_cast<uint32_t>(timeout_ms);
+    req.parallelism = static_cast<uint32_t>(parallelism);
     if (positional.empty()) return Usage();
     std::string sparql;
     for (const std::string& p : positional) {
