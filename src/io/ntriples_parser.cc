@@ -111,7 +111,7 @@ struct LineState {
 
 /// Parses one statement line, interns its terms through `intern(TermRef) ->
 /// TermId` (s, then p, then o: first-occurrence order) and hands the triple
-/// to `add(Triple) -> fresh`.
+/// to `add(Triple)`.
 template <typename Intern, typename Add>
 Status ParseLine(std::string_view line, const ParseOptions& options,
                  LineState* state, ChunkParse* out, Intern&& intern,
@@ -143,9 +143,8 @@ Status ParseLine(std::string_view line, const ParseOptions& options,
   const TermId s_id = state->recent.Get(s, intern);
   const TermId p_id = state->recent.Get(p, intern);
   const TermId o_id = state->recent.Get(o, intern);
-  const bool fresh = add(Triple{s_id, p_id, o_id});
+  add(Triple{s_id, p_id, o_id});
   ++out->triples;
-  if (!fresh) ++out->duplicates;
   return Status::OK();
 }
 
@@ -305,10 +304,12 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
         const bool final_chunk = ce == text.size();
         std::string_view view =
             text.substr(cb, ce - cb - (final_chunk ? 0 : 1));
-        // One line ≈ one triple, and empirically large N-Triples files
-        // intern roughly one fresh term per triple (subjects repeat across
-        // triples, predicates are few); pre-sizing avoids rehashing the
-        // open-addressing index log(n) times.
+        // One line is at most one triple, so the line count sizes the
+        // triple set and the staging buffers. The dictionaries are sized
+        // for one fresh term per line: an upper bound, not an estimate
+        // (100k BSBM lines intern 31k terms). Growing chunk 0's dictionary
+        // by doubling instead parsed no faster and raised peak RSS under
+        // glibc's malloc (src/io/README.md).
         const size_t estimated =
             static_cast<size_t>(std::count(view.begin(), view.end(), '\n')) +
             1;
@@ -316,10 +317,26 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
           graph->Reserve(graph->NumTriples() + estimated);
           graph->dict().Reserve(graph->dict().size() + estimated);
           Dictionary& dict = graph->dict();
+          // Interning stays in line (ids in first-occurrence order); the
+          // inserts of one batch run back to back, so their RowSet probes
+          // are not interleaved with scanning. The batch (48 KiB) stays in
+          // cache whatever the input size.
+          std::vector<Triple> batch;
+          batch.reserve(kInsertBatch);
+          auto flush = [&] {
+            for (const Triple& t : batch) {
+              if (!graph->Add(t)) ++cs.parse.duplicates;
+            }
+            batch.clear();
+          };
           ParseChunkLines(
               view, options, &cs.parse,
               [&dict](TermRef t) { return dict.Encode(t); },
-              [graph](const Triple& t) { return graph->Add(t); });
+              [&](const Triple& t) {
+                batch.push_back(t);
+                if (batch.size() == kInsertBatch) flush();
+              });
+          flush();  // the tail, also after a strict failure or an exec trip
           return;
         }
         cs.dict.Reserve(estimated);
@@ -333,10 +350,7 @@ Status NTriplesParser::ParseString(std::string_view text, Graph* graph,
               if (id > cs.hashes.size()) cs.hashes.push_back(h);
               return id;
             },
-            [&cs](const Triple& t) {
-              cs.staged.push_back(t);
-              return true;  // freshness is resolved at replay
-            });
+            [&cs](const Triple& t) { cs.staged.push_back(t); });
       });
   if (stats != nullptr) {
     stats->parse_seconds += timer.ElapsedSeconds();

@@ -80,6 +80,13 @@ struct ParseStats {
 /// src/io/README.md.
 class NTriplesParser {
  public:
+  /// Triples the first chunk (the whole text at one thread) collects
+  /// between graph inserts: it interns each line's terms as it scans them,
+  /// then adds a full batch to the graph in one loop (src/io/README.md).
+  /// A constant, not a ParseOptions knob; tests place lines on either side
+  /// of a batch boundary with it.
+  static constexpr size_t kInsertBatch = 4096;
+
   /// Parses all lines of `text` into `graph`. Pre-sizes the graph's triple
   /// set and dictionary from the input's line count so bulk loads don't
   /// rehash the open-addressing index repeatedly.

@@ -1,5 +1,6 @@
 #include "rdf/dictionary.h"
 
+#include <bit>
 #include <cassert>
 #include <cstring>
 #include <string>
@@ -9,13 +10,35 @@
 namespace rdfsum {
 namespace {
 
-/// FNV-1a over a string fragment, seeded so empty fields still separate
-/// "lit" from "lit"@en etc.
+// HashTerm's constants. The multiplier is odd, so multiplying by it is a
+// bijection of u64.
+constexpr uint64_t kTermHashSeed = 0x165667B19E3779F9ULL;
+constexpr uint64_t kTermHashP = 0x9E3779B185EBCA87ULL;
+
+/// One word into the state: a bijection of `h` for a fixed word and of the
+/// word for a fixed `h`. The rotation brings the product's high bits down,
+/// so the next multiply spreads them again.
+uint64_t FoldWord(uint64_t h, uint64_t w) {
+  return std::rotl((h ^ w) * kTermHashP, 29);
+}
+
+/// A string fragment: its length, then its bytes eight at a time
+/// (little-endian), then any 1-7 remaining bytes as one zero-padded word.
+/// The length keeps the fragments apart, so "a" + "b" and "ab" + "" differ.
 uint64_t HashPiece(uint64_t h, std::string_view s) {
-  h ^= 0x9E3779B97F4A7C15ULL;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 0x100000001B3ULL;
+  constexpr size_t kWord = sizeof(uint64_t);
+  h = FoldWord(h, s.size());
+  const char* p = s.data();
+  size_t n = s.size();
+  for (; n >= kWord; p += kWord, n -= kWord) {
+    uint64_t w;
+    std::memcpy(&w, p, kWord);
+    h = FoldWord(h, w);
+  }
+  if (n > 0) {
+    uint64_t tail = 0;
+    std::memcpy(&tail, p, n);
+    h = FoldWord(h, tail);
   }
   return h;
 }
@@ -36,15 +59,17 @@ TermRef ReadViewRecord(const DictionaryView& view, uint32_t id) {
 }  // namespace
 
 uint64_t Dictionary::HashTerm(TermRef term) {
-  uint64_t h = 0xCBF29CE484222325ULL + static_cast<uint64_t>(term.kind);
+  uint64_t h = kTermHashSeed ^ static_cast<uint64_t>(term.kind);
   h = HashPiece(h, term.lexical);
   h = HashPiece(h, term.datatype);
   h = HashPiece(h, term.language);
-  // Final avalanche so power-of-two masking sees high-entropy low bits.
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return h;
+  // splitmix64's finalizer: the slot tables mask the low bits, and the
+  // word folds leave them weakest.
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
 }
 
 std::shared_ptr<Dictionary> Dictionary::FromView(const DictionaryView& view) {

@@ -146,8 +146,9 @@ class Dictionary {
   /// Prefix shared by all minted URIs.
   static constexpr std::string_view kMintedPrefix = "urn:rdfsum:";
 
-  /// The on-disk / in-memory slot hash of a term: seeded FNV-1a over
-  /// kind + lexical + datatype + language with a murmur-style avalanche.
+  /// The on-disk / in-memory slot hash of a term: a word-at-a-time fold of
+  /// the kind, then of each of lexical, datatype and language (length, then
+  /// bytes), ending in splitmix64's finalizer (docs/FORMAT.md §5.3).
   /// Deterministic across processes — frozen images serialize slot tables
   /// keyed by it, so changing this function is a format break.
   static uint64_t HashTerm(TermRef term);

@@ -34,7 +34,7 @@ namespace rdfsum {
 
 inline constexpr char kImageMagic[8] = {'R', 'D', 'F', 'S', 'U', 'M', 'S',
                                         'B'};
-inline constexpr uint32_t kImageVersionMajor = 3;
+inline constexpr uint32_t kImageVersionMajor = 4;
 inline constexpr uint32_t kImageVersionMinor = 0;
 /// Every section payload starts at a multiple of this; inter-section padding
 /// bytes MUST be zero (validated — un-checksummed bytes are not a hiding
@@ -213,8 +213,8 @@ void AppendDictionarySections(const Dictionary& dict, ImageMeta* meta,
 ///    index or view disagrees with another, even on a checksum-valid
 ///    adversarial file.
 ///
-/// Any violation returns kCorruption; an unsupported major version (v1
-/// and v2 images included: re-freeze them) or a big-endian host returns
+/// Any violation returns kCorruption; an unsupported major version (v1 to
+/// v3 images included: re-freeze them) or a big-endian host returns
 /// kNotSupported. Never UB, never an allocation driven by an unvalidated
 /// count.
 class FrozenImage {

@@ -400,6 +400,7 @@ bool Server::HandleQuery(int fd, const std::string& payload,
   uint64_t rows_sent = 0;
   bool peer_ok = true;
   Status row_status;
+  Status protocol_error;  // a frame other than CANCEL arrived mid-stream
   query::IdRow row;
   while ((*cursor)->Next(&row)) {
     AppendRow(snap->dict(), row, out->OpenFrame(kFrameRow));
@@ -414,17 +415,27 @@ bool Server::HandleQuery(int fd, const std::string& payload,
     }
     if (rows_sent % kCancelPollInterval == 0) {
       // A client that wants out sends CANCEL mid-stream; a vanished client
-      // shows up as readable-EOF. Either way, stop pulling.
+      // shows up as readable-EOF. Either way, stop pulling. Any other
+      // frame breaks the one-request-at-a-time rule: it cannot be queued
+      // (it is already read) or dropped (its sender would wait forever),
+      // so the stream ends with a classified DONE and the connection
+      // closes, as for an unknown frame type.
       pollfd pfd{fd, POLLIN, 0};
       if (::poll(&pfd, 1, 0) > 0) {
         Frame in;
         if (!ReadFrame(fd, &in).ok() || in.type == kFrameCancel) {
           exec.Cancel();
+        } else {
+          protocol_error = Status::InvalidArgument(
+              "frame type " + std::to_string(in.type) +
+              " sent while a query streams; only CANCEL may precede DONE");
+          break;
         }
       }
     }
   }
   Status result = row_status.ok() ? (*cursor)->status() : row_status;
+  if (!protocol_error.ok()) result = protocol_error;
   cursor->reset();  // join any in-flight morsels before releasing slots
   if (extra_slots > 0) {
     spare_parallel_slots_.fetch_add(extra_slots, std::memory_order_relaxed);
@@ -438,7 +449,7 @@ bool Server::HandleQuery(int fd, const std::string& payload,
   if (!peer_ok) return false;
   // DONE leaves in the same send() as the buffered tail of the rows.
   out->Append(kFrameDone, EncodeDone(result, rows_sent)).IgnoreError();
-  return out->Flush(fd).ok();
+  return out->Flush(fd).ok() && protocol_error.ok();
 }
 
 Status Server::Reload(const std::string& path) {

@@ -63,70 +63,95 @@ uint64_t NextRandom(uint64_t* state) {
   return z ^ (z >> 31);
 }
 
+void WarnBadSpec(std::string_view spec) {
+  std::fprintf(stderr, "rdfsum: ignoring bad failpoint spec '%.*s'\n",
+               static_cast<int>(spec.size()), spec.data());
+}
+
+/// Arms random mode from `random[:SEED[:PERCENT]]`; an empty or absent
+/// SEED takes the clock. A SEED that is not a u64 decimal or a PERCENT
+/// outside 1..100 makes the spec malformed: it warns and arms nothing.
+void ArmRandomSpecLocked(Registry& r, std::string_view spec) {
+  uint64_t seed = static_cast<uint64_t>(
+      std::chrono::steady_clock::now().time_since_epoch().count());
+  uint64_t percent = 1;
+  bool ok = true;
+  constexpr std::string_view kPrefix = "random:";
+  if (StartsWith(spec, kPrefix)) {
+    const std::string_view rest = spec.substr(kPrefix.size());
+    const size_t colon = rest.find(':');
+    const std::string_view seed_str = rest.substr(0, colon);
+    if (!seed_str.empty()) ok = ParseDecimal(seed_str, UINT64_MAX, &seed);
+    if (ok && colon != std::string_view::npos) {
+      ok = ParseDecimal(rest.substr(colon + 1), 100, &percent) && percent > 0;
+    }
+  }
+  if (!ok) {
+    WarnBadSpec(spec);
+    return;
+  }
+  r.random_mode = true;
+  r.random_percent = static_cast<uint32_t>(percent);
+  r.rng_state = seed;
+  std::fprintf(stderr,
+               "rdfsum: fault injection armed (random mode, seed=%llu, "
+               "p=%u%%)\n",
+               static_cast<unsigned long long>(seed), r.random_percent);
+  g_armed.store(true, std::memory_order_release);
+}
+
+/// Arms what an RDFSUM_FAILPOINTS value names; called under the registry
+/// mutex.
+void ArmSpecLocked(Registry& r, std::string_view spec) {
+  if (spec == "random" || StartsWith(spec, "random:")) {
+    ArmRandomSpecLocked(r, spec);
+    return;
+  }
+  // name=code[;name=code...]  (',' also accepted as separator); a
+  // malformed entry is skipped with a warning, the others still arm.
+  size_t pos = 0;
+  size_t armed = 0;
+  while (pos < spec.size()) {
+    const size_t end = spec.find_first_of(";,", pos);
+    const std::string_view entry = spec.substr(
+        pos, end == std::string_view::npos ? std::string_view::npos
+                                           : end - pos);
+    pos = end == std::string_view::npos ? spec.size() : end + 1;
+    if (entry.empty()) continue;
+    const size_t eq = entry.find('=');
+    if (eq == std::string_view::npos || eq == 0) {
+      WarnBadSpec(entry);
+      continue;
+    }
+    const std::string name(entry.substr(0, eq));
+    const std::string_view code = entry.substr(eq + 1);
+    ArmedPoint p;
+    if (StartsWith(code, "sleep:")) {
+      p.latency_only = true;
+      if (!ParseDecimal(code.substr(6), UINT64_MAX, &p.latency_ms)) {
+        WarnBadSpec(entry);
+        continue;
+      }
+    } else if (!ParseCode(code, &p.status, name)) {
+      WarnBadSpec(entry);
+      continue;
+    }
+    r.points[name] = std::move(p);
+    ++armed;
+  }
+  if (armed > 0) {
+    std::fprintf(stderr, "rdfsum: fault injection armed (%zu failpoint(s))\n",
+                 armed);
+    g_armed.store(true, std::memory_order_release);
+  }
+}
+
 /// Parses RDFSUM_FAILPOINTS once; called under the registry mutex.
 void ParseEnvLocked(Registry& r) {
   if (r.env_parsed) return;
   r.env_parsed = true;
   const char* env = std::getenv("RDFSUM_FAILPOINTS");
-  if (env == nullptr || *env == '\0') return;
-  std::string spec = env;
-  if (StartsWith(spec, "random")) {
-    // random[:seed[:percent]]
-    uint64_t seed =
-        static_cast<uint64_t>(std::chrono::steady_clock::now()
-                                  .time_since_epoch()
-                                  .count());
-    uint32_t percent = 1;
-    size_t first = spec.find(':');
-    if (first != std::string::npos) {
-      size_t second = spec.find(':', first + 1);
-      std::string seed_str = spec.substr(
-          first + 1, second == std::string::npos ? std::string::npos
-                                                 : second - first - 1);
-      if (!seed_str.empty()) seed = std::strtoull(seed_str.c_str(), nullptr, 10);
-      if (second != std::string::npos) {
-        percent = static_cast<uint32_t>(
-            std::strtoul(spec.c_str() + second + 1, nullptr, 10));
-      }
-    }
-    r.random_mode = true;
-    r.random_percent = percent == 0 ? 1 : percent;
-    r.rng_state = seed;
-    std::fprintf(stderr,
-                 "rdfsum: fault injection armed (random mode, seed=%llu, "
-                 "p=%u%%)\n",
-                 static_cast<unsigned long long>(seed), r.random_percent);
-    g_armed.store(true, std::memory_order_release);
-    return;
-  }
-  // name=code[;name=code...]  (',' also accepted as separator)
-  size_t pos = 0;
-  while (pos < spec.size()) {
-    size_t end = spec.find_first_of(";,", pos);
-    std::string entry = spec.substr(
-        pos, end == std::string::npos ? std::string::npos : end - pos);
-    pos = end == std::string::npos ? spec.size() : end + 1;
-    size_t eq = entry.find('=');
-    if (eq == std::string::npos || eq == 0) continue;
-    std::string name = entry.substr(0, eq);
-    std::string code = entry.substr(eq + 1);
-    ArmedPoint p;
-    if (StartsWith(code, "sleep:")) {
-      p.latency_only = true;
-      p.latency_ms = std::strtoull(code.c_str() + 6, nullptr, 10);
-      p.status = Status::OK();
-    } else if (!ParseCode(code, &p.status, name)) {
-      std::fprintf(stderr, "rdfsum: ignoring bad failpoint spec '%s'\n",
-                   entry.c_str());
-      continue;
-    }
-    r.points[name] = std::move(p);
-  }
-  if (!r.points.empty()) {
-    std::fprintf(stderr, "rdfsum: fault injection armed (%zu failpoint(s))\n",
-                 r.points.size());
-    g_armed.store(true, std::memory_order_release);
-  }
+  if (env != nullptr) ArmSpecLocked(r, env);
 }
 
 }  // namespace
@@ -178,6 +203,13 @@ void FaultInjection::Arm(std::string_view name, Status status,
   p.latency_only = p.status.ok();
   r.points[std::string(name)] = std::move(p);
   g_armed.store(true, std::memory_order_release);
+}
+
+void FaultInjection::ArmSpec(std::string_view spec) {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  r.env_parsed = true;  // explicit arming overrides env lazily-parsed state
+  ArmSpecLocked(r, spec);
 }
 
 void FaultInjection::ArmRandom(uint64_t seed, uint32_t percent) {

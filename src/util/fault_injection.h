@@ -29,9 +29,11 @@ namespace rdfsum::util {
 ///     codes: ioerror, corruption, cancelled, deadline, resource, internal,
 ///     invalid, notfound. `name=sleep:MS` injects latency only.
 ///         RDFSUM_FAILPOINTS="random:SEED[:PERCENT]"
-///     arms *every* failpoint to fail with PERCENT% probability (default 1)
-///     using a deterministic RNG seeded with SEED — the CI fault wall; the
-///     seed is logged so failures replay.
+///     arms *every* failpoint to fail with PERCENT% probability (1..100,
+///     default 1) using a deterministic RNG seeded with SEED (a u64) — the
+///     CI fault wall; the seed is logged so failures replay. Numbers are
+///     strict decimals: a malformed value is reported on stderr ("ignoring
+///     bad failpoint spec") and arms nothing.
 ///
 /// Thread safety: Hit() takes a mutex. Failpoints are a debugging facility;
 /// the contention is irrelevant and keeps the registry simple.
@@ -71,6 +73,11 @@ class FaultInjection {
   }
   static void Arm(std::string_view name, Status status,
                   const ArmOptions& options);
+
+  /// Arms what an RDFSUM_FAILPOINTS value names, with the same warnings on
+  /// stderr: a malformed random-mode spec arms nothing, a malformed entry
+  /// of a name=code list is skipped.
+  static void ArmSpec(std::string_view spec);
 
   /// Arms every failpoint to fail with `percent`% probability, seeded
   /// deterministically. Equivalent to RDFSUM_FAILPOINTS=random:seed:percent.

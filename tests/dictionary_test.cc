@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <string_view>
+
 #include "rdf/dictionary.h"
 #include "rdf/term.h"
 #include "rdf/triple.h"
@@ -133,6 +137,83 @@ TEST(DictionaryTest, MintedLiteralLookalikeIsNotMinted) {
   Dictionary d;
   TermId lit = d.EncodeLiteral("urn:rdfsum:node:w:0");
   EXPECT_FALSE(d.IsMinted(lit));
+}
+
+/// The lexical form of the pinned HashTerm vectors: `n` bytes of a..z.
+std::string PinnedLexical(size_t n) {
+  std::string s;
+  for (size_t i = 0; i < n; ++i) s.push_back(static_cast<char>('a' + i % 26));
+  return s;
+}
+
+TEST(DictionaryTest, HashTermPinnedVectors) {
+  // The same table is in docs/FORMAT.md §5.3: frozen images store slot
+  // tables keyed by HashTerm, so changing a value is a format break.
+  // Lengths 0, 7, 8, 9, 16 and 33 cover the empty piece, tail-only, one
+  // whole word, word + tail, two words and four words + tail.
+  constexpr std::string_view kXsdString =
+      "http://www.w3.org/2001/XMLSchema#string";
+  struct Vector {
+    TermKind kind;
+    std::string_view datatype;
+    std::string_view language;
+    size_t length;
+    uint64_t hash;
+  };
+  const Vector vectors[] = {
+      {TermKind::kIri, {}, {}, 0, 0x1b92511efff5d679ull},
+      {TermKind::kIri, {}, {}, 7, 0xf4b0c2524c51c720ull},
+      {TermKind::kIri, {}, {}, 8, 0xfef0815ec9ee78b7ull},
+      {TermKind::kIri, {}, {}, 9, 0xfa4a02dabec19e5aull},
+      {TermKind::kIri, {}, {}, 16, 0x91781f1e30a822a1ull},
+      {TermKind::kIri, {}, {}, 33, 0xd75e88c90f0f6dd9ull},
+      {TermKind::kBlank, {}, {}, 0, 0x52b14a1911cff701ull},
+      {TermKind::kBlank, {}, {}, 7, 0xa1c46fce145e5775ull},
+      {TermKind::kBlank, {}, {}, 8, 0x50aa24955124164bull},
+      {TermKind::kBlank, {}, {}, 9, 0x8f0576667e8a50e6ull},
+      {TermKind::kBlank, {}, {}, 16, 0xd51b19ed2232e10cull},
+      {TermKind::kBlank, {}, {}, 33, 0xa89b4c57e7e0923bull},
+      {TermKind::kLiteral, kXsdString, {}, 0, 0x3715bfd48d076f4full},
+      {TermKind::kLiteral, kXsdString, {}, 7, 0xf904ee7099f820dbull},
+      {TermKind::kLiteral, kXsdString, {}, 8, 0x68029023ac953966ull},
+      {TermKind::kLiteral, kXsdString, {}, 9, 0x8ad25709ae8e18d5ull},
+      {TermKind::kLiteral, kXsdString, {}, 16, 0x8c6ad0a2358fad9aull},
+      {TermKind::kLiteral, kXsdString, {}, 33, 0xc6e537c952851c79ull},
+      {TermKind::kLiteral, {}, "en", 0, 0x6ff7fc2d08024058ull},
+      {TermKind::kLiteral, {}, "en", 7, 0x1849ad9dce63150full},
+      {TermKind::kLiteral, {}, "en", 8, 0xfc815790ec688857ull},
+      {TermKind::kLiteral, {}, "en", 9, 0x4c5b25f501ba9208ull},
+      {TermKind::kLiteral, {}, "en", 16, 0x0dc32e82f7385ebeull},
+      {TermKind::kLiteral, {}, "en", 33, 0x764f6ff2d92fd074ull},
+  };
+  for (const Vector& v : vectors) {
+    const std::string lexical = PinnedLexical(v.length);
+    EXPECT_EQ(Dictionary::HashTerm({v.kind, lexical, v.datatype, v.language}),
+              v.hash)
+        << "kind " << static_cast<int>(v.kind) << " datatype '" << v.datatype
+        << "' language '" << v.language << "' length " << v.length;
+  }
+}
+
+TEST(DictionaryTest, HashTermSeparatesKindsAndPieces) {
+  // Each piece is hashed with its length, so moving bytes from one piece
+  // to the next, or changing only the kind, changes the hash.
+  const uint64_t hashes[] = {
+      Dictionary::HashTerm({TermKind::kLiteral, "abcdefghij", {}, {}}),
+      Dictionary::HashTerm({TermKind::kLiteral, "abcdefgh", "ij", {}}),
+      Dictionary::HashTerm({TermKind::kLiteral, "abcdefgh", {}, "ij"}),
+      Dictionary::HashTerm({TermKind::kLiteral, {}, "abcdefghij", {}}),
+      Dictionary::HashTerm({TermKind::kIri, "abcdefghij", {}, {}}),
+      Dictionary::HashTerm({TermKind::kBlank, "abcdefghij", {}, {}}),
+      Dictionary::HashTerm({TermKind::kIri, std::string_view("ab\0", 3), {},
+                            {}}),
+      Dictionary::HashTerm({TermKind::kIri, "ab", {}, {}}),
+  };
+  for (size_t i = 0; i < std::size(hashes); ++i) {
+    for (size_t j = i + 1; j < std::size(hashes); ++j) {
+      EXPECT_NE(hashes[i], hashes[j]) << i << " vs " << j;
+    }
+  }
 }
 
 TEST(VocabularyTest, InternsBuiltins) {

@@ -75,6 +75,48 @@ TEST_F(FaultInjectionTest, RandomModeIsDeterministicPerSeed) {
   EXPECT_TRUE(FaultInjection::Hit("t:any").ok());
 }
 
+TEST_F(FaultInjectionTest, MalformedSpecsWarnAndArmNothing) {
+  // RDFSUM_FAILPOINTS values go through ArmSpec. A seed that is not a u64
+  // decimal or a percent outside 1..100 used to wrap or fall back
+  // silently ("random:7x:-5" armed p=4294967291%).
+  for (const char* spec :
+       {"random:7x:-5", "random:-1:abc", "random:7:0", "random:7:101",
+        "random:7:", "random:7:50:1", "random: 7", "t:a=sleep:5ms",
+        "t:a=sleep:", "t:a=nosuchcode", "t:a"}) {
+    SCOPED_TRACE(spec);
+    FaultInjection::Clear();
+    testing::internal::CaptureStderr();
+    FaultInjection::ArmSpec(spec);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("ignoring bad failpoint spec"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("armed"), std::string::npos) << err;
+    EXPECT_FALSE(FaultInjection::enabled());
+    EXPECT_TRUE(FaultInjection::Hit("t:a").ok());
+  }
+}
+
+TEST_F(FaultInjectionTest, WellFormedSpecsArm) {
+  testing::internal::CaptureStderr();
+  FaultInjection::ArmSpec("random:7:100");
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("seed=7, p=100%"), std::string::npos) << err;
+  EXPECT_FALSE(FaultInjection::Hit("t:any").ok());
+
+  // A list arms its good entries and skips the bad one.
+  FaultInjection::Clear();
+  testing::internal::CaptureStderr();
+  FaultInjection::ArmSpec("t:a=corruption;t:b=bogus,t:c=sleep:0");
+  err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("ignoring bad failpoint spec 't:b=bogus'"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("armed (2 failpoint(s))"), std::string::npos) << err;
+  EXPECT_TRUE(FaultInjection::Hit("t:a").IsCorruption());
+  EXPECT_TRUE(FaultInjection::Hit("t:b").ok());
+  EXPECT_TRUE(FaultInjection::Hit("t:c").ok());
+}
+
 // ---- integration: the named sites actually fire -------------------------
 
 TEST_F(FaultInjectionTest, HashJoinBuildSiteDegradesOrFails) {

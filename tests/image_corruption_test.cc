@@ -271,7 +271,7 @@ TEST(ImageCorruptionTest, FutureMajorVersionIsNotSupported) {
 
 TEST(ImageCorruptionTest, Version1ImageIsNotSupported) {
   // The v1 layout stored the dense substrate and no kDataTriples; v2 was
-  // checksummed with FNV-1a. A v3 reader refuses both by version and asks
+  // checksummed with FNV-1a. This reader refuses both by version and asks
   // for a re-freeze — whether the header checksum is resealed with this
   // build's hash or, as in a real old file, is another hash's: the version
   // is read before the checksum it decides.
@@ -290,6 +290,23 @@ TEST(ImageCorruptionTest, Version1ImageIsNotSupported) {
           << st.ToString();
     }
   }
+}
+
+TEST(ImageCorruptionTest, Version3ImageIsNotSupported) {
+  // A v3 image has v4's layout and checksums; only its kDictSlots table is
+  // keyed by the byte-serial FNV-1a HashTerm, so a v4 reader that took it
+  // would probe every lookup at the wrong slot and miss terms the image
+  // holds. The version gate refuses it even behind valid checksums.
+  std::string bytes = ImageBytes();
+  WriteAt<uint32_t>(&bytes, 8, 3);
+  Reseal(&bytes);
+  Status st = AttachStatus(bytes);
+  ASSERT_FALSE(st.ok());
+  EXPECT_TRUE(st.IsNotSupported()) << st.ToString();
+  EXPECT_NE(st.ToString().find("major version 3"), std::string::npos)
+      << st.ToString();
+  EXPECT_NE(st.ToString().find("re-freeze"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(ImageCorruptionTest, NonzeroPaddingIsRejected) {

@@ -1,12 +1,15 @@
 // Differential wall for the N-Triples parser: lenient ParseString at one
 // and four threads against the naive per-character oracle
 // (tests/oracle/reference_ntriples), on generator output, a hand-written
-// corpus of the grammar's corners, and seeded mutants of that corpus.
+// corpus of the grammar's corners, and seeded mutants of that corpus; and
+// strict ParseString around the first chunk's insert-batch boundaries.
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/bsbm.h"
@@ -93,22 +96,39 @@ std::vector<uint64_t> DiagnosticLines(const ParseStats& stats) {
   return lines;
 }
 
-/// Lenient ParseString at t=1 and t=4 equals the oracle: the same skipped
-/// lines, the same dictionary, and the same deduplicated triples in the
-/// same order (per graph component, the order Graph keeps them in).
-void ExpectMatchesOracle(const std::string& text, const std::string& label) {
+/// ParseString at t=1 and t=4 equals the oracle: the same skipped lines,
+/// the same dictionary, and the same deduplicated triples in the same order
+/// (per graph component, the order Graph keeps them in). With `fail_line`
+/// 0 the parse is lenient; otherwise it is strict and must fail at that
+/// line, and the oracle reads only the lines before it: the graph a failed
+/// strict parse keeps.
+void ExpectMatchesOracle(const std::string& text, const std::string& label,
+                         uint64_t fail_line = 0) {
   SCOPED_TRACE(label);
-  const ReferenceNTriples ref = ReferenceParseNTriples(text, SeedTerms());
+  size_t prefix = fail_line == 0 ? text.size() : 0;
+  for (uint64_t line = 1; line < fail_line; ++line) {
+    prefix = text.find('\n', prefix) + 1;
+  }
+  const ReferenceNTriples ref = ReferenceParseNTriples(
+      std::string_view(text).substr(0, prefix), SeedTerms());
   for (uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     Graph g;
     ParseStats stats;
     ParseOptions options;
-    options.strict = false;
+    options.strict = fail_line != 0;
     options.num_threads = threads;
-    ASSERT_TRUE(NTriplesParser::ParseString(text, &g, &stats, options).ok());
-
-    EXPECT_EQ(stats.lines, ref.lines);
+    const Status st = NTriplesParser::ParseString(text, &g, &stats, options);
+    if (fail_line == 0) {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      EXPECT_EQ(stats.lines, ref.lines);
+    } else {
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.message().substr(0, st.message().find(':')),
+                "line " + std::to_string(fail_line))
+          << st.ToString();
+      EXPECT_EQ(stats.lines, fail_line);
+    }
     ASSERT_EQ(stats.skipped, ref.skipped_lines.size());
     const size_t shown =
         std::min(ref.skipped_lines.size(), ParseStats::kMaxDiagnostics);
@@ -216,6 +236,75 @@ TEST(NTriplesOracleTest, SeededMutantsMatch) {
     ExpectMatchesOracle(mutant, "mutant " + std::to_string(i));
     if (HasFatalFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Insert-batch boundaries. The first chunk (the whole text at one thread)
+// interns as it scans and adds its triples to the graph
+// NTriplesParser::kInsertBatch at a time. Duplicates and strict failures on
+// either side of a batch boundary must leave the oracle's graph,
+// dictionary and counters. The texts run five batches of lines, so the
+// first of four chunks spans a boundary too.
+
+constexpr uint64_t kBatch = NTriplesParser::kInsertBatch;
+constexpr uint64_t kBatchTextLines = 5 * kBatch;
+
+/// Line `i` (1-based) of a batch text: subjects and predicates repeat,
+/// objects are fresh.
+std::string BatchLine(uint64_t i) {
+  return "<http://batch.example/s" + std::to_string(i % 97) +
+         "> <http://batch.example/p" + std::to_string(i % 5) +
+         "> <http://batch.example/o" + std::to_string(i) + "> .";
+}
+
+/// kBatchTextLines lines; line i is `overrides[i]` when present, else
+/// BatchLine(i).
+std::string BatchText(const std::map<uint64_t, std::string>& overrides) {
+  std::string text;
+  for (uint64_t i = 1; i <= kBatchTextLines; ++i) {
+    const auto it = overrides.find(i);
+    text += (it != overrides.end() ? it->second : BatchLine(i)) + "\n";
+  }
+  return text;
+}
+
+/// Strict ParseString's duplicate count at t=1 and t=4 (the oracle keeps no
+/// duplicates to compare it with).
+void ExpectDuplicates(const std::string& text, uint64_t duplicates) {
+  for (uint32_t threads : {1u, 4u}) {
+    Graph g;
+    ParseStats stats;
+    ParseOptions options;
+    options.num_threads = threads;
+    ASSERT_TRUE(NTriplesParser::ParseString(text, &g, &stats, options).ok());
+    EXPECT_EQ(stats.triples, kBatchTextLines) << "threads=" << threads;
+    EXPECT_EQ(stats.duplicates, duplicates) << "threads=" << threads;
+  }
+}
+
+TEST(InsertBatchBoundaryTest, DuplicateInsideOneBatch) {
+  const std::string text = BatchText({{100, BatchLine(10)}});
+  ExpectMatchesOracle(text, "duplicate inside batch 1");
+  ExpectDuplicates(text, 1);
+}
+
+TEST(InsertBatchBoundaryTest, DuplicateAcrossABatchBoundary) {
+  // The first line of batch 2 repeats the last line of batch 1, and the
+  // first line of batch 3 repeats the first line of the text.
+  const std::string text = BatchText(
+      {{kBatch + 1, BatchLine(kBatch)}, {2 * kBatch + 1, BatchLine(1)}});
+  ExpectMatchesOracle(text, "duplicates across batch boundaries");
+  ExpectDuplicates(text, 2);
+}
+
+TEST(InsertBatchBoundaryTest, StrictFailureOnTheLastLineOfTheFirstBatch) {
+  ExpectMatchesOracle(BatchText({{kBatch, "broken line"}}),
+                      "strict failure at the end of batch 1", kBatch);
+}
+
+TEST(InsertBatchBoundaryTest, StrictFailureOnTheFirstLineOfTheSecondBatch) {
+  ExpectMatchesOracle(BatchText({{kBatch + 1, "broken line"}}),
+                      "strict failure at the start of batch 2", kBatch + 1);
 }
 
 }  // namespace

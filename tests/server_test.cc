@@ -25,6 +25,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -435,6 +436,65 @@ TEST(ServerTest, GovernancePropagatesOverTheWire) {
     EXPECT_TRUE(st.ok()) << st.ToString();
     EXPECT_EQ(rows.size(), 3u);
   }
+  server.Stop();
+  server.Wait();
+}
+
+TEST(ServerTest, FrameOtherThanCancelMidStreamEndsTheConnection) {
+  // A STATS pipelined behind a QUERY is read by the stream's cancel poll
+  // (every 64 rows). It cannot be answered in place or dropped (its sender
+  // would wait forever for a reply), so the stream ends with a classified
+  // DONE and the server closes the connection.
+  const std::string image = FreezeBsbm(300, "midstream.rsb");
+  Server server;
+  ASSERT_TRUE(server.Start(image).ok());
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A bounded wait: a dropped frame shows up as a read timeout, not a hang.
+  timeval timeout{10, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof timeout),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+  const auto start = std::chrono::steady_clock::now();
+  server::Frame frame;
+  ASSERT_TRUE(server::ReadFrame(fd, &frame).ok());
+  ASSERT_EQ(frame.type, server::kFrameHello);
+  QueryRequest req;
+  req.query = kAllQuery;
+  ASSERT_TRUE(server::WriteFrame(fd, server::kFrameQuery,
+                                 server::EncodeQueryRequest(req))
+                  .ok());
+  ASSERT_TRUE(server::WriteFrame(fd, server::kFrameStats, "").ok());
+
+  uint64_t rows = 0;
+  server::DoneReply done;
+  bool got_done = false;
+  while (server::ReadFrame(fd, &frame).ok()) {
+    if (frame.type == server::kFrameDone) {
+      ASSERT_TRUE(server::DecodeDone(frame.payload, &done));
+      got_done = true;
+      break;
+    }
+    ASSERT_EQ(frame.type, server::kFrameRow);
+    ++rows;
+  }
+  ASSERT_TRUE(got_done);
+  const Status st = server::StatusFromWire(done.code, done.message);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_EQ(done.rows, rows);
+  // The stream stopped at a poll, well short of the ~10K-row drain.
+  EXPECT_LT(rows, 9000u);
+  // Then EOF: recv returns 0, not a timeout's -1.
+  char byte;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  ::close(fd);
   server.Stop();
   server.Wait();
 }
