@@ -87,6 +87,14 @@ class BenchJson {
                                intern_seconds, freeze_seconds});
   }
 
+  /// Per-operation latency record: carries `ns_per_probe` in place of
+  /// `seconds`, so a nanosecond figure is never read as a wall time.
+  void RecordNsPerProbe(const std::string& name, uint64_t scale, double ns) {
+    Record_ r{name, scale, -1, -1, -1};
+    r.ns_per_probe = ns;
+    records_.push_back(r);
+  }
+
   /// Adds a top-level integer metadata field (e.g. the producing machine's
   /// hardware_concurrency) — context for interpreting the results, kept out
   /// of the results array so per-name diffs across PRs stay clean.
@@ -107,9 +115,13 @@ class BenchJson {
     std::fprintf(f, "  \"results\": [\n");
     for (size_t i = 0; i < records_.size(); ++i) {
       const Record_& r = records_[i];
-      std::fprintf(f, "    {\"name\": \"%s\", \"scale\": %llu, \"seconds\": %.6f",
-                   r.name.c_str(), static_cast<unsigned long long>(r.scale),
-                   r.seconds);
+      std::fprintf(f, "    {\"name\": \"%s\", \"scale\": %llu",
+                   r.name.c_str(), static_cast<unsigned long long>(r.scale));
+      if (r.ns_per_probe >= 0) {
+        std::fprintf(f, ", \"ns_per_probe\": %.1f", r.ns_per_probe);
+      } else {
+        std::fprintf(f, ", \"seconds\": %.6f", r.seconds);
+      }
       if (r.threads_requested >= 0) {
         std::fprintf(f,
                      ", \"threads_requested\": %lld, \"threads_effective\": %lld",
@@ -139,6 +151,7 @@ class BenchJson {
     double parse_seconds = -1;  // -1 = not a load row (phase breakdown absent)
     double intern_seconds = -1;
     double freeze_seconds = -1;
+    double ns_per_probe = -1;  // -1 = a wall-time row
   };
   std::string bench_name_;
   std::vector<std::pair<std::string, uint64_t>> meta_;

@@ -4,13 +4,16 @@
 //
 // Besides the google-benchmark microbenches, main() runs a before/after
 // partition sweep — reference (pre-substrate, hash-map indexed) vs current
-// (DenseGraph) weak and strong partitions across the BSBM scales — and
-// writes the wall times to BENCH_substrate.json for cross-PR tracking.
+// (DenseGraph) weak and strong partitions across the BSBM scales — a
+// warm-start sweep and an anchored-probe sweep, and writes the results to
+// BENCH_substrate.json for cross-PR tracking.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "io/ntriples_parser.h"
@@ -248,10 +251,63 @@ void RunWarmstartSweep(bench::BenchJson& json) {
   }
 }
 
+/// Anchored-probe sweep: the cost of one TripleTable::MatchSpan as an
+/// index nested-loop join issues it, with the index's leading key bound:
+/// SPO (s,p), POS (p,o) and OSP (o). The keys come from rows sampled at
+/// random, so consecutive probes land far apart in the index, as a join's
+/// do.
+void RunProbeSweep(bench::BenchJson& json) {
+  constexpr size_t kKeys = 1 << 16;
+  constexpr size_t kRounds = 8;
+  struct Probe {
+    const char* name;
+    store::TriplePattern (*pattern)(const Triple& t);
+  };
+  constexpr Probe kProbes[] = {
+      {"probe_spo_sp",
+       [](const Triple& t) { return store::TriplePattern{t.s, t.p, {}}; }},
+      {"probe_pos_po",
+       [](const Triple& t) { return store::TriplePattern{{}, t.p, t.o}; }},
+      {"probe_osp_o",
+       [](const Triple& t) { return store::TriplePattern{{}, {}, t.o}; }},
+  };
+  std::printf("\n%-12s %-16s %-16s %-16s\n", "scale", "spo_sp_ns",
+              "pos_po_ns", "osp_o_ns");
+  for (uint64_t scale : bench::BenchScales()) {
+    if (scale != 100'000 && scale != 250'000 && scale != 1'000'000) continue;
+    const std::vector<Triple> rows = CachedBsbm(scale).Triples();
+    const store::TripleTable table = store::TripleTable::Build(rows);
+    Random rng(11);
+    std::vector<Triple> keys(kKeys);
+    for (Triple& k : keys) k = rows[rng.Uniform(rows.size())];
+    std::printf("%-12s", bench::Num(scale).c_str());
+    for (const Probe& probe : kProbes) {
+      size_t matched = 0;
+      Timer t;
+      for (size_t r = 0; r < kRounds; ++r) {
+        for (const Triple& k : keys) {
+          matched += table.MatchSpan(probe.pattern(k)).size();
+        }
+      }
+      const double ns = t.ElapsedSeconds() * 1e9 / (kRounds * kKeys);
+      benchmark::DoNotOptimize(matched);
+      if (matched < kRounds * kKeys) {
+        std::printf("\nMISMATCH: a sampled row did not match its own %s\n",
+                    probe.name);
+        std::exit(1);
+      }
+      json.RecordNsPerProbe(probe.name, scale, ns);
+      std::printf(" %-16.1f", ns);
+    }
+    std::printf("\n");
+  }
+}
+
 void RunSweeps() {
   bench::BenchJson json("bench_substrate");
   RunPartitionSweep(json);
   RunWarmstartSweep(json);
+  RunProbeSweep(json);
   const char* path = std::getenv("RDFSUM_BENCH_JSON");
   std::string out = path != nullptr ? path : "BENCH_substrate.json";
   if (json.WriteFile(out)) {

@@ -105,7 +105,7 @@ store::TriplePattern ConstOnly(const CompiledPattern& pat);
 
 /// Leaf scan: emits one binding row of width `num_vars` per triple matching
 /// `pat`'s constants, walking the pattern's TripleTable::MatchSpan (one
-/// binary search at open, one index step per pull). Handles repeated
+/// lookup at open, one index step per pull). Handles repeated
 /// variables (?x p ?x binds consistently or skips). `label` is the pattern
 /// text for Describe. [begin_offset, end_offset) restricts the scan to that
 /// sub-range of the match range (one morsel; offsets clamped to the range
@@ -120,7 +120,8 @@ std::unique_ptr<Cursor> MakeIndexScanCursor(const store::TripleTable& table,
 
 /// Index nested-loop join: for each input row, instantiates `pat` with the
 /// row's bindings and extends the row with every match (a fresh index range
-/// per probe — O(log n) binary search each).
+/// per probe — an O(1) directory lookup of the lead key's rows, then a
+/// binary search inside them when more than the lead is bound).
 std::unique_ptr<Cursor> MakeIndexNestedLoopJoinCursor(
     std::unique_ptr<Cursor> input, const store::TripleTable& table,
     const CompiledPattern& pat, std::string label = "",

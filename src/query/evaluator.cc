@@ -47,7 +47,7 @@ Row BgpEvaluator::Decode(const IdRow& row) const {
 
 bool BgpEvaluator::ExistsMatch(const BgpQuery& q) const {
   // First-match semantics: never pay a hash build for a single pull — a
-  // nested-loop probe finds the first embedding in O(log n).
+  // nested-loop probe finds the first embedding in one index lookup.
   ExecutorOptions options;
   options.hash_join = HashJoinMode::kNever;
   CursorTree tree = CompileEmbeddingTree(table_, Plan(q), options);

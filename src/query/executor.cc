@@ -66,7 +66,7 @@ uint32_t ResolveFanOut(const store::TripleTable& table,
                        uint64_t* driving) {
   if (options.parallelism == 1) return 1;
   if (options.worker_mode == ParallelWorkerMode::kAuto && hw <= 1) return 1;
-  // The gate reads the *exact* match count (O(log n) index-range length),
+  // The gate reads the *exact* match count (one index-range length),
   // not an estimate: small probes must reliably stay sequential.
   *driving = table.Count(ConstOnly(first));
   const uint64_t gate = options.min_parallel_rows != 0

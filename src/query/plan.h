@@ -77,7 +77,7 @@ StatusOr<std::vector<uint32_t>> ResolveDistinguished(const BgpQuery& q,
 /// rows feeding it (the probe side) reach kHashJoinMinProbeRows, and the
 /// exact build-side row count (matches of the pattern with only its
 /// constants bound) fits kHashJoinBuildBudget. Below the probe floor the
-/// per-probe binary search of an index nested-loop join is cheaper than
+/// per-probe index lookup of an index nested-loop join is cheaper than
 /// building a table; above the build budget the table would not fit a
 /// sane memory envelope.
 inline constexpr double kHashJoinMinProbeRows = 4096.0;

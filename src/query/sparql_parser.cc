@@ -1,7 +1,9 @@
 #include "query/sparql_parser.h"
 
 #include <cctype>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -26,7 +28,7 @@ struct Token {
     kEnd,
   };
   Kind kind;
-  std::string text;
+  std::string_view text;  // a slice of the query text
 };
 
 class Lexer {
@@ -55,32 +57,32 @@ class Lexer {
         out.push_back({Token::Kind::kStar, "*"});
         ++pos_;
       } else if (c == '?' || c == '$') {
-        ++pos_;
-        std::string name;
-        while (pos_ < text_.size() && (IsNameChar(text_[pos_]))) {
-          name.push_back(text_[pos_++]);
+        const size_t start = ++pos_;
+        while (pos_ < text_.size() && IsNameChar(text_[pos_])) ++pos_;
+        if (pos_ == start) {
+          return Status::InvalidArgument("empty variable name");
         }
-        if (name.empty()) return Status::InvalidArgument("empty variable name");
-        out.push_back({Token::Kind::kVariable, name});
+        out.push_back(
+            {Token::Kind::kVariable, text_.substr(start, pos_ - start)});
       } else if (c == '<') {
         size_t end = text_.find('>', pos_);
         if (end == std::string_view::npos) {
           return Status::InvalidArgument("unterminated IRI");
         }
-        out.push_back(
-            {Token::Kind::kIri, std::string(text_.substr(pos_, end - pos_ + 1))});
+        out.push_back({Token::Kind::kIri, text_.substr(pos_, end - pos_ + 1)});
         pos_ = end + 1;
       } else if (c == '"') {
-        std::string lit = ReadLiteral();
+        std::string_view lit = ReadLiteral();
         if (lit.empty()) return Status::InvalidArgument("unterminated literal");
         out.push_back({Token::Kind::kLiteral, lit});
       } else if (IsNameStart(c)) {
-        std::string word;
+        const size_t start = pos_;
         while (pos_ < text_.size() &&
                (IsNameChar(text_[pos_]) || text_[pos_] == ':')) {
-          word.push_back(text_[pos_++]);
+          ++pos_;
         }
-        if (word.find(':') != std::string::npos) {
+        const std::string_view word = text_.substr(start, pos_ - start);
+        if (word.find(':') != std::string_view::npos) {
           out.push_back({Token::Kind::kPrefixedName, word});
         } else {
           out.push_back({Token::Kind::kKeyword, word});
@@ -115,7 +117,7 @@ class Lexer {
 
   /// Reads a literal with optional @lang or ^^<iri> suffix; returns the full
   /// source text ("" on error).
-  std::string ReadLiteral() {
+  std::string_view ReadLiteral() {
     size_t start = pos_;
     ++pos_;  // opening quote
     while (pos_ < text_.size()) {
@@ -146,7 +148,7 @@ class Lexer {
         pos_ = end + 1;
       }
     }
-    return std::string(text_.substr(start, pos_ - start));
+    return text_.substr(start, pos_ - start);
   }
 
   std::string_view text_;
@@ -166,18 +168,18 @@ class Parser {
           Cur().kind != Token::Kind::kKeyword) {
         return Status::InvalidArgument("expected prefix name after PREFIX");
       }
-      std::string label = Cur().text;
-      if (!label.empty() && label.back() == ':') label.pop_back();
+      std::string_view label = Cur().text;
+      if (!label.empty() && label.back() == ':') label.remove_suffix(1);
       // "ex:" lexes as a prefixed name with empty local part; "ex" followed
       // by ":" cannot occur since ':' is consumed into the word.
-      size_t colon = label.find(':');
-      if (colon != std::string::npos) label = label.substr(0, colon);
+      label = label.substr(0, label.find(':'));
       ++pos_;
       if (Cur().kind != Token::Kind::kIri) {
-        return Status::InvalidArgument("expected IRI after PREFIX " + label);
+        return Status::InvalidArgument("expected IRI after PREFIX " +
+                                       std::string(label));
       }
-      std::string iri = Cur().text;
-      prefixes_[label] = iri.substr(1, iri.size() - 2);
+      const std::string_view iri = Cur().text;
+      prefixes_[std::string(label)] = iri.substr(1, iri.size() - 2);
       ++pos_;
     }
 
@@ -189,7 +191,7 @@ class Parser {
         ++pos_;
       } else {
         while (Cur().kind == Token::Kind::kVariable) {
-          query.distinguished.push_back(Cur().text);
+          query.distinguished.emplace_back(Cur().text);
           ++pos_;
         }
         if (query.distinguished.empty()) {
@@ -215,7 +217,7 @@ class Parser {
       }
       if (IsKeyword("OPTIONAL") || IsKeyword("FILTER") || IsKeyword("UNION") ||
           IsKeyword("GRAPH") || IsKeyword("MINUS")) {
-        return Status::NotSupported(Cur().text +
+        return Status::NotSupported(std::string(Cur().text) +
                                     " is outside the BGP dialect");
       }
       TriplePatternQ triple;
@@ -265,7 +267,7 @@ class Parser {
   const Token& Cur() const { return tokens_[pos_]; }
   bool IsKeyword(std::string_view kw) const {
     return Cur().kind == Token::Kind::kKeyword &&
-           AsciiToLower(Cur().text) == AsciiToLower(kw);
+           EqualsIgnoreAsciiCase(Cur().text, kw);
   }
 
   StatusOr<PatternTerm> ParsePatternTerm(bool property_position) {
@@ -273,7 +275,7 @@ class Parser {
     switch (tok.kind) {
       case Token::Kind::kVariable:
         ++pos_;
-        return PatternTerm::Var(tok.text);
+        return PatternTerm::Var(std::string(tok.text));
       case Token::Kind::kIri: {
         auto term = io::NTriplesParser::ParseTerm(tok.text);
         if (!term.ok()) return term.status();
@@ -294,29 +296,39 @@ class Parser {
           ++pos_;
           return PatternTerm::Const(Term::Iri(vocab::kRdfType));
         }
-        return Status::InvalidArgument("unexpected keyword '" + tok.text +
-                                       "' in pattern");
+        return Status::InvalidArgument("unexpected keyword '" +
+                                       std::string(tok.text) + "' in pattern");
       case Token::Kind::kPrefixedName: {
-        size_t colon = tok.text.find(':');
-        std::string prefix = tok.text.substr(0, colon);
-        std::string local = tok.text.substr(colon + 1);
+        const size_t colon = tok.text.find(':');
+        const std::string_view prefix = tok.text.substr(0, colon);
         auto it = prefixes_.find(prefix);
         if (it == prefixes_.end()) {
-          return Status::InvalidArgument("undeclared prefix '" + prefix + ":'");
+          return Status::InvalidArgument("undeclared prefix '" +
+                                         std::string(prefix) + ":'");
         }
         ++pos_;
-        return PatternTerm::Const(Term::Iri(it->second + local));
+        std::string iri = it->second;
+        iri += tok.text.substr(colon + 1);
+        return PatternTerm::Const(Term{TermKind::kIri, std::move(iri), {}, {}});
       }
       default:
-        return Status::InvalidArgument("expected term, found '" + tok.text +
-                                       "'");
+        return Status::InvalidArgument("expected term, found '" +
+                                       std::string(tok.text) + "'");
     }
   }
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
   bool select_star_ = false;
-  std::unordered_map<std::string, std::string> prefixes_;
+  /// Transparent, so a prefix looks up as a slice of the query text.
+  struct PrefixHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view label) const {
+      return std::hash<std::string_view>()(label);
+    }
+  };
+  std::unordered_map<std::string, std::string, PrefixHash, std::equal_to<>>
+      prefixes_;
 };
 
 }  // namespace

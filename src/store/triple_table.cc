@@ -1,6 +1,8 @@
 #include "store/triple_table.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 namespace rdfsum::store {
@@ -111,15 +113,6 @@ const char* IndexKindName(IndexKind kind) {
   return "?";
 }
 
-IndexKind TripleTable::ChooseIndex(bool s_bound, bool p_bound, bool o_bound) {
-  if (s_bound && p_bound && o_bound) return IndexKind::kSpo;  // exact row
-  if (s_bound && o_bound) return IndexKind::kOsp;             // (o, s) prefix
-  if (s_bound) return IndexKind::kSpo;                        // (s[, p]) prefix
-  if (p_bound) return IndexKind::kPos;                        // (p[, o]) prefix
-  if (o_bound) return IndexKind::kOsp;                        // (o) prefix
-  return IndexKind::kSpo;                                     // full scan
-}
-
 TripleTable::TripleTable() : TripleTable(Build({})) {}
 
 TripleTable TripleTable::Build(std::vector<Triple> rows,
@@ -141,6 +134,40 @@ TripleTable TripleTable::Build(std::vector<Triple> rows,
   storage->stats =
       TableStats::Compute(spo, storage->pos, storage->osp, num_threads);
   return TripleTable(storage, storage->spo, storage->pos, storage->osp);
+}
+
+TripleTable::TripleTable(std::shared_ptr<Storage> storage,
+                         std::span<const Triple> spo,
+                         std::span<const Triple> pos,
+                         std::span<const Triple> osp)
+    : perms_{spo, pos, osp} {
+  static constexpr TermId Triple::*kLead[] = {&Triple::s, &Triple::p,
+                                              &Triple::o};
+  for (size_t k = 0; k < 3; ++k) {
+    const std::span<const Triple> perm = perms_[k];
+    if (perm.empty()) continue;
+    if (perm.size() > UINT32_MAX) {
+      throw std::length_error("TripleTable: more than 2^32 - 1 rows");
+    }
+    const TermId Triple::*lead = kLead[k];
+    Directory& dir = directories_[k];
+    dir.min_lead = perm.front().*lead;
+    dir.lead_range = perm.back().*lead - dir.min_lead;
+    while ((uint64_t{dir.lead_range} >> dir.shift) + 1 > perm.size()) {
+      ++dir.shift;
+    }
+    // One pass in lead order: an empty bucket starts where the next
+    // non-empty one does.
+    std::vector<uint32_t>& starts = storage->bucket_starts[k];
+    starts.resize((dir.lead_range >> dir.shift) + 1);
+    size_t next = 0;
+    for (uint32_t i = 0; i < perm.size(); ++i) {
+      const size_t b = (perm[i].*lead - dir.min_lead) >> dir.shift;
+      while (next <= b) starts[next++] = i;
+    }
+    dir.starts = starts;
+  }
+  storage_ = std::move(storage);
 }
 
 TripleTable TripleTable::Borrow(std::span<const Triple> spo,

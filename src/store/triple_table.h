@@ -82,16 +82,33 @@ class TripleTable {
     return perms_[static_cast<size_t>(kind)];
   }
 
-  /// The index that serves a pattern with the given bound positions.
-  static IndexKind ChooseIndex(bool s_bound, bool p_bound, bool o_bound);
+  /// The bytes of `kind`'s leading-key directory (see MatchSpan): at most
+  /// 4 per row of the permutation, whatever its id range.
+  size_t DirectoryBytes(IndexKind kind) const {
+    return directories_[static_cast<size_t>(kind)].starts.size_bytes();
+  }
+
+  /// The index that serves a pattern with the given bound positions. A
+  /// pattern binds its index's leading key unless it binds nothing.
+  static IndexKind ChooseIndex(bool s_bound, bool p_bound, bool o_bound) {
+    if (s_bound && p_bound && o_bound) return IndexKind::kSpo;  // exact row
+    if (s_bound && o_bound) return IndexKind::kOsp;  // (o, s) prefix
+    if (s_bound) return IndexKind::kSpo;             // (s[, p]) prefix
+    if (p_bound) return IndexKind::kPos;             // (p[, o]) prefix
+    if (o_bound) return IndexKind::kOsp;             // (o) prefix
+    return IndexKind::kSpo;                          // full scan
+  }
   static IndexKind ChooseIndex(const TriplePattern& pattern) {
     return ChooseIndex(pattern.s.has_value(), pattern.p.has_value(),
                        pattern.o.has_value());
   }
 
   /// The contiguous range of `pattern`'s matches in the index ChooseIndex
-  /// picks, in index order: one O(log n) binary search, no residual
-  /// filtering. The span aliases the table's permutation storage.
+  /// picks, in index order, with no residual filtering. The index's
+  /// leading-key directory gives the lead constant's bucket of rows in
+  /// O(1); a binary search runs only inside that bucket, and only when more
+  /// than the lead is bound or the bucket holds several lead ids. The span
+  /// aliases the table's permutation storage.
   ///
   /// This is also the morsel-splitting surface of the parallel executor:
   /// the range splits into fixed-size morsels for free —
@@ -127,37 +144,67 @@ class TripleTable {
     }
   };
 
-  /// What a table owns: the built permutations (empty when borrowed) and
-  /// the statistics. Shared by every copy, never mutated after Build.
+  /// What a table owns: the built permutations (empty when borrowed), the
+  /// statistics and the directories' bucket starts. Shared by every copy,
+  /// never mutated once the table is constructed.
   struct Storage {
     std::vector<Triple> spo, pos, osp;
     TableStats stats;
+    std::vector<uint32_t> bucket_starts[3];  // indexed by IndexKind
   };
 
-  TripleTable(std::shared_ptr<const Storage> storage,
-              std::span<const Triple> spo, std::span<const Triple> pos,
-              std::span<const Triple> osp)
-      : storage_(std::move(storage)), perms_{spo, pos, osp} {}
+  /// The leading-key directory of one permutation (lead s of SPO, p of POS,
+  /// o of OSP). A lead id in [min_lead, min_lead + lead_range] falls in
+  /// bucket (id - min_lead) >> shift, whose rows are [starts[b],
+  /// starts[b + 1]), the last bucket ending at the permutation's end.
+  /// `shift` is the smallest that keeps the bucket count at most the row
+  /// count, so dense ids get one id per bucket and the directory never
+  /// exceeds 4 bytes per row, whatever the id range. An empty permutation
+  /// has no buckets.
+  struct Directory {
+    TermId min_lead = 0;
+    TermId lead_range = 0;
+    uint32_t shift = 0;
+    std::span<const uint32_t> starts;
+  };
+
+  /// Derives the three directories into storage->bucket_starts with one
+  /// pass over each permutation: the one constructor Build and Borrow share.
+  TripleTable(std::shared_ptr<Storage> storage, std::span<const Triple> spo,
+              std::span<const Triple> pos, std::span<const Triple> osp);
 
   std::shared_ptr<const Storage> storage_;
   std::span<const Triple> perms_[3];  // indexed by IndexKind
+  Directory directories_[3];          // indexed by IndexKind
 };
 
 inline std::span<const Triple> TripleTable::MatchSpan(
     const TriplePattern& q) const {
+  const IndexKind kind = ChooseIndex(q);
+  const std::span<const Triple> index = Permutation(kind);
+  const std::optional<TermId>& lead =
+      kind == IndexKind::kSpo ? q.s : kind == IndexKind::kPos ? q.p : q.o;
+  if (!lead) return index;  // nothing bound: the whole table
+  const Directory& dir = directories_[static_cast<size_t>(kind)];
+  // Below min_lead the offset wraps past lead_range.
+  const TermId offset = *lead - dir.min_lead;
+  if (index.empty() || offset > dir.lead_range) return index.first(0);
+  const size_t b = offset >> dir.shift;
+  const Triple* begin = index.data() + dir.starts[b];
+  const Triple* end = index.data() + (b + 1 < dir.starts.size()
+                                          ? dir.starts[b + 1]
+                                          : index.size());
+  const int bound = q.s.has_value() + q.p.has_value() + q.o.has_value();
+  if (bound == 1 && dir.shift == 0) return {begin, end};
   constexpr TermId kMax = ~TermId{0};
   // Bound positions pin lo == hi == value; wildcards span [0, kMax]. The
   // chosen index has the bound positions as a key prefix, so
   // lower/upper_bound under its comparator yield the exact match range.
   const Triple lo{q.s.value_or(0), q.p.value_or(0), q.o.value_or(0)};
   const Triple hi{q.s.value_or(kMax), q.p.value_or(kMax), q.o.value_or(kMax)};
-  const IndexKind kind = ChooseIndex(q);
   auto range = [&](auto less) {
-    std::span<const Triple> index = Permutation(kind);
-    const Triple* begin =
-        std::lower_bound(index.data(), index.data() + index.size(), lo, less);
-    const Triple* end =
-        std::upper_bound(begin, index.data() + index.size(), hi, less);
+    begin = std::lower_bound(begin, end, lo, less);
+    end = std::upper_bound(begin, end, hi, less);
     return std::span<const Triple>(begin, end);
   };
   switch (kind) {

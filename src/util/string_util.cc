@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -90,6 +91,14 @@ std::string AsciiToLower(std::string_view input) {
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   }
   return out;
+}
+
+bool EqualsIgnoreAsciiCase(std::string_view a, std::string_view b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
+           return std::tolower(static_cast<unsigned char>(x)) ==
+                  std::tolower(static_cast<unsigned char>(y));
+         });
 }
 
 }  // namespace rdfsum

@@ -35,6 +35,10 @@ bool ParseDecimal(std::string_view text, uint64_t max, uint64_t* out);
 /// Lower-cases ASCII characters.
 std::string AsciiToLower(std::string_view input);
 
+/// True when `a` and `b` are equal with ASCII letters compared
+/// case-insensitively; allocates nothing.
+bool EqualsIgnoreAsciiCase(std::string_view a, std::string_view b);
+
 }  // namespace rdfsum
 
 #endif  // RDFSUM_UTIL_STRING_UTIL_H_

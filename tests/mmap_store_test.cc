@@ -109,6 +109,42 @@ TEST(MmapStoreTest, PermutationsAreIdenticalToRebuilt) {
   }
 }
 
+TEST(MmapStoreTest, BorrowedTableSpansEqualBuiltTableSpans) {
+  // The image table's directories are derived at open from the mapped
+  // permutations; a table built from the same graph must give every
+  // sampled pattern the same rows at the same offsets of its index.
+  Graph g = BsbmGraph(25);
+  auto store = FreezeAndOpen(g, "spans.rsb");
+  const store::TripleTable& mapped = store->table();
+  const store::TripleTable built = store::TripleTable::Build(g.Triples());
+  std::span<const Triple> spo = built.Permutation(store::IndexKind::kSpo);
+  const TermId absent = spo.back().s + 1;
+  size_t compared = 0;
+  for (size_t i = 0; i < spo.size(); i += 13) {
+    for (int mask = 0; mask < 8; ++mask) {
+      for (bool hit : {true, false}) {
+        store::TriplePattern q;
+        if (mask & 1) q.s = hit ? spo[i].s : absent;
+        if (mask & 2) q.p = spo[i].p;
+        if (mask & 4) q.o = spo[i].o;
+        const store::IndexKind kind = store::TripleTable::ChooseIndex(q);
+        std::span<const Triple> a = mapped.MatchSpan(q);
+        std::span<const Triple> b = built.MatchSpan(q);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << "mask=" << mask << " hit=" << hit;
+        EXPECT_EQ(a.data() - mapped.Permutation(kind).data(),
+                  b.data() - built.Permutation(kind).data())
+            << "mask=" << mask << " hit=" << hit;
+        if (hit) {
+          EXPECT_FALSE(a.empty()) << "mask=" << mask;
+        }
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 100u);
+}
+
 TEST(MmapStoreTest, FreezeIsDeterministic) {
   Graph g = BsbmGraph(15);
   const std::string a = TempPath("det_a.rsb");

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <tuple>
 #include <vector>
 
@@ -206,7 +208,8 @@ TEST(TripleTableTest, CopiesShareTheRowsTheySpan) {
 TEST(TripleTableTest, ChooseIndexCoversEveryBoundSet) {
   using store::IndexKind;
   // Every subset of bound positions must be a key prefix of the chosen
-  // permutation — that is the invariant making MatchSpan one O(log n) range.
+  // permutation — that is the invariant making MatchSpan one contiguous
+  // range.
   EXPECT_EQ(TripleTable::ChooseIndex(false, false, false), IndexKind::kSpo);
   EXPECT_EQ(TripleTable::ChooseIndex(true, false, false), IndexKind::kSpo);
   EXPECT_EQ(TripleTable::ChooseIndex(true, true, false), IndexKind::kSpo);
@@ -217,16 +220,42 @@ TEST(TripleTableTest, ChooseIndexCoversEveryBoundSet) {
   EXPECT_EQ(TripleTable::ChooseIndex(true, false, true), IndexKind::kOsp);
 }
 
-TEST(TripleTableTest, MatchSpanAgreesWithFilterOnEveryBoundSet) {
-  gen::BsbmOptions opt;
-  opt.num_products = 30;
-  Graph g = gen::GenerateBsbm(opt);
-  TripleTable t = TripleTable::Build(g.Triples());
-  // Exhaustively cross-check the O(log n) range against a filter over the
-  // whole index for all 8 bound-position combinations over sampled triples.
+// Constants no lead key of `t` holds that its directories must still
+// answer: 0 and 2^32 - 1, one below each permutation's smallest lead and one
+// above its largest, and ids between consecutive leads (they fall in empty
+// buckets, or in buckets whose other ids are present).
+std::vector<TermId> AbsentLeads(const TripleTable& t) {
+  std::vector<TermId> out = {0, ~TermId{0}};
+  const std::pair<store::IndexKind, TermId Triple::*> leads[] = {
+      {store::IndexKind::kSpo, &Triple::s},
+      {store::IndexKind::kPos, &Triple::p},
+      {store::IndexKind::kOsp, &Triple::o}};
+  for (const auto& [kind, lead] : leads) {
+    std::span<const Triple> perm = t.Permutation(kind);
+    if (perm.empty()) continue;
+    if (perm.front().*lead > 0) out.push_back(perm.front().*lead - 1);
+    if (perm.back().*lead < ~TermId{0}) out.push_back(perm.back().*lead + 1);
+    size_t gaps = 0;
+    for (size_t i = 1; i < perm.size() && gaps < 3; ++i) {
+      const TermId a = perm[i - 1].*lead, b = perm[i].*lead;
+      if (b - a < 2) continue;
+      out.push_back(a + 1);
+      out.push_back(a + (b - a) / 2);
+      ++gaps;
+    }
+  }
+  return out;
+}
+
+// MatchSpan must equal a filter over the whole permutation for all 8 bound
+// sets: for every `stride`-th row, with the row's own values (which must
+// match), and with each bound position in turn replaced by every absent
+// constant.
+void ExpectMatchSpanAgreesWithFilter(const TripleTable& t, size_t stride) {
+  const std::vector<TermId> absent = AbsentLeads(t);
   size_t sampled = 0;
   for (const Triple& probe : t.Permutation(store::IndexKind::kSpo)) {
-    if (sampled++ % 97 != 0) continue;
+    if (sampled++ % stride != 0) continue;
     for (int mask = 0; mask < 8; ++mask) {
       TriplePattern q;
       if (mask & 1) q.s = probe.s;
@@ -237,30 +266,86 @@ TEST(TripleTableTest, MatchSpanAgreesWithFilterOnEveryBoundSet) {
       EXPECT_EQ(t.Count(q), expected.size()) << "mask=" << mask;
       EXPECT_GE(expected.size(), 1u)
           << "probe triple must match its own pattern";
+      for (std::optional<TermId>* pos : {&q.s, &q.p, &q.o}) {
+        if (!pos->has_value()) continue;
+        const TermId kept = **pos;
+        for (TermId c : absent) {
+          *pos = c;
+          EXPECT_EQ(RangeRows(t, q), Filtered(t, q))
+              << "mask=" << mask << " constant=" << c;
+        }
+        *pos = kept;
+      }
     }
   }
-  ASSERT_GT(sampled, 0u);
+  // And every bound set over constants alone, which also covers tables
+  // with no rows to sample.
+  for (TermId c : absent) {
+    for (int mask = 1; mask < 8; ++mask) {
+      TriplePattern q;
+      if (mask & 1) q.s = c;
+      if (mask & 2) q.p = c;
+      if (mask & 4) q.o = c;
+      EXPECT_EQ(RangeRows(t, q), Filtered(t, q))
+          << "mask=" << mask << " constant=" << c;
+    }
+  }
+  EXPECT_EQ(RangeRows(t, {}), Filtered(t, {}));
+}
+
+TEST(TripleTableTest, MatchSpanAgreesWithFilterOnEveryBoundSet) {
+  gen::BsbmOptions opt;
+  opt.num_products = 30;
+  Graph g = gen::GenerateBsbm(opt);
+  ExpectMatchSpanAgreesWithFilter(TripleTable::Build(g.Triples()), 97);
+
+  // Sparse ids: two thousand rows over ids up to 2^32 - 1, and over a
+  // window just below 2^32, so every directory puts several ids in a
+  // bucket. Ids drawn from a few values per position make buckets that
+  // hold some present and some absent ids.
+  ExpectMatchSpanAgreesWithFilter(
+      TripleTable::Build(RandomRows(2000, 0, 0xFFFFFFFFu)), 97);
+  ExpectMatchSpanAgreesWithFilter(
+      TripleTable::Build(RandomRows(2000, 0xFFF00000u, 0xFFFFFu)), 97);
+  ExpectMatchSpanAgreesWithFilter(
+      TripleTable::Build(RandomRows(2000, 0xFFFF0000u, 0xF00Fu)), 97);
+
+  // One-row and empty tables.
+  ExpectMatchSpanAgreesWithFilter(TripleTable::Build({{7, 8, 9}}), 1);
+  ExpectMatchSpanAgreesWithFilter(
+      TripleTable::Build({{~TermId{0}, ~TermId{0}, ~TermId{0}}}), 1);
+  ExpectMatchSpanAgreesWithFilter(TripleTable(), 1);
 
   // And on the small table, with patterns that match nothing: every bound
   // set, an absent subject, and the exact walk order of one range.
   TripleTable small = MakeTable();
-  const TriplePattern patterns[] = {
-      {},
-      {1, std::nullopt, std::nullopt},
-      {std::nullopt, 10, std::nullopt},
-      {std::nullopt, std::nullopt, 3},
-      {1, 10, std::nullopt},
-      {std::nullopt, 10, 3},
-      {1, std::nullopt, 2},
-      {1, 10, 3},
-      {99, std::nullopt, std::nullopt},
-  };
-  for (const TriplePattern& p : patterns) {
-    EXPECT_EQ(RangeRows(small, p), Filtered(small, p));
-  }
+  ExpectMatchSpanAgreesWithFilter(small, 1);
   EXPECT_EQ(RangeRows(small, {1, std::nullopt, std::nullopt}),
             (std::vector<Triple>{{1, 10, 2}, {1, 10, 3}, {1, 11, 2}}));
   EXPECT_TRUE(small.MatchSpan({99, std::nullopt, std::nullopt}).empty());
+}
+
+TEST(TripleTableTest, DirectoryIsAtMostFourBytesPerRow) {
+  using store::IndexKind;
+  const std::vector<std::vector<Triple>> tables = {
+      {},
+      {{7, 8, 9}},
+      {{0, 0, 0}, {~TermId{0}, ~TermId{0}, ~TermId{0}}},
+      RandomRows(20000, 0x10000u, 0xFFFFFFFFu),
+      RandomRows(20000, 0x30000u, 0xFFFFu),
+  };
+  for (const std::vector<Triple>& rows : tables) {
+    const TripleTable t = TripleTable::Build(rows);
+    for (IndexKind kind : {IndexKind::kSpo, IndexKind::kPos, IndexKind::kOsp}) {
+      EXPECT_LE(t.DirectoryBytes(kind), 4 * t.size())
+          << store::IndexKindName(kind) << " over " << t.size() << " rows";
+    }
+  }
+  // Dense ids get one id per bucket: a bucket per subject of 0..99.
+  std::vector<Triple> dense;
+  for (TermId s = 0; s < 100; ++s) dense.push_back({s, 1, 2});
+  EXPECT_EQ(TripleTable::Build(dense).DirectoryBytes(IndexKind::kSpo),
+            100 * sizeof(uint32_t));
 }
 
 TEST(TableStatsTest, AggregatesMatchManualCounts) {

@@ -190,6 +190,13 @@ TEST(StringUtilTest, AsciiToLower) {
   EXPECT_EQ(AsciiToLower("SeLeCT"), "select");
 }
 
+TEST(StringUtilTest, EqualsIgnoreAsciiCase) {
+  EXPECT_TRUE(EqualsIgnoreAsciiCase("SeLeCT", "select"));
+  EXPECT_TRUE(EqualsIgnoreAsciiCase("", ""));
+  EXPECT_FALSE(EqualsIgnoreAsciiCase("SELECT", "SELECTS"));
+  EXPECT_FALSE(EqualsIgnoreAsciiCase("ASK", "ASL"));
+}
+
 // ---------------------------------------------------------------- random
 
 TEST(RandomTest, DeterministicForSeed) {
