@@ -1,6 +1,7 @@
 #ifndef RDFSUM_BENCH_BENCH_COMMON_H_
 #define RDFSUM_BENCH_BENCH_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +13,7 @@
 #include "gen/bsbm.h"
 #include "rdf/graph.h"
 #include "util/string_util.h"
+#include "util/timer.h"
 
 namespace rdfsum::bench {
 
@@ -46,6 +48,32 @@ inline const Graph& CachedBsbm(uint64_t triples) {
 }
 
 inline std::string Num(uint64_t n) { return FormatWithCommas(n); }
+
+/// Wall seconds of `repeats` back-to-back runs of one operation, sorted
+/// ascending. best() is the fastest run: with two repeats the first doubles
+/// as warm-up (single-shot timings at small scales are dominated by
+/// allocator/page-fault cold start). median() is the middle run (the upper
+/// middle for an even count), which one slow or fast run cannot move —
+/// the statistic for operations of a few milliseconds whose best-of-two
+/// swings with the host.
+struct RunTimes {
+  std::vector<double> seconds;
+  double best() const { return seconds.front(); }
+  double median() const { return seconds[seconds.size() / 2]; }
+};
+
+/// Times `repeats` (>= 1) runs of `fn`.
+template <typename Fn>
+RunTimes TimeRuns(int repeats, Fn&& fn) {
+  RunTimes out;
+  for (int i = 0; i < repeats; ++i) {
+    Timer timer;
+    fn();
+    out.seconds.push_back(timer.ElapsedSeconds());
+  }
+  std::sort(out.seconds.begin(), out.seconds.end());
+  return out;
+}
 
 /// Machine-readable results next to the human-readable tables: collects
 /// (name, scale, seconds) wall-time records and writes them as a JSON file

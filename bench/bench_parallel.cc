@@ -1,10 +1,14 @@
-// The paper's §9 future work — parallel summarization — measured: the one
-// sharded summarizer path (weak partition, quotient, full pipeline, and the
-// bisimulation baseline) across a thread sweep, each result checked against
-// the test oracles (tests/oracle/), plus parallel ingestion and the streaming
-// maintainer's per-triple cost. Wall times land in BENCH_parallel.json
-// (override the path with RDFSUM_BENCH_JSON) so the scaling trajectory can
-// be tracked and diffed across PRs.
+// Summarization at scale on one thread — the paper's Algorithms 1-3 and
+// Figure 13 describe a single-threaded summarizer, and a sharded build of
+// it (the paper's §9 future work) did not reach 1.5x at four threads here,
+// so it was collapsed to the one-pass code. This bench times that code
+// phase by phase (weak partition, quotient, the full Summarize pipeline,
+// and the bisimulation baseline), each result checked against the test
+// oracles (tests/oracle/), plus the N-Triples load across a thread sweep
+// (the parse is still chunked) and the streaming maintainer's per-triple
+// cost. Wall times land in BENCH_parallel.json (override the path with
+// RDFSUM_BENCH_JSON) so the trajectory can be tracked and diffed across
+// changes.
 
 #include <benchmark/benchmark.h>
 
@@ -25,7 +29,6 @@
 #include "summary/node_partition.h"
 #include "summary/summarizer.h"
 #include "util/csv.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace rdfsum {
@@ -34,190 +37,91 @@ namespace {
 using bench::BenchScales;
 using bench::CachedBsbm;
 using bench::Num;
+using bench::TimeRuns;
 using summary::ComputeBisimulationPartition;
 using summary::ComputeWeakPartition;
 using summary::NodePartition;
-using summary::QuotientByPartition;
-using summary::Summarize;
 using summary::SummaryKind;
-using summary::SummaryOptions;
 
 constexpr uint32_t kSweepThreads[] = {1, 2, 4, 8};
-static_assert(kSweepThreads[0] == 1, "the _sequential rows are the t=1 run");
 
-SummaryOptions Threads(uint32_t num_threads) {
-  SummaryOptions options;
-  options.num_threads = num_threads;
-  return options;
+/// Whether `r` is the oracle's summary up to the names of minted nodes.
+bool SameSummary(const summary::SummaryResult& oracle,
+                 const summary::SummaryResult& r) {
+  return r.graph.NumTriples() == oracle.graph.NumTriples() &&
+         r.stats.num_all_nodes == oracle.stats.num_all_nodes &&
+         summary::AreSummariesIsomorphic(oracle.graph, r.graph);
 }
 
-/// Best-of-two wall time; the first run doubles as warm-up (single-shot
-/// timings at small scales are dominated by allocator/page-fault
-/// cold-start, not the algorithm).
-template <typename Fn>
-double BestOfTwo(Fn&& fn) {
-  Timer t1;
-  fn();
-  double first = t1.ElapsedSeconds();
-  Timer t2;
-  fn();
-  return std::min(first, t2.ElapsedSeconds());
-}
-
-/// One measurement at one thread count: wall time, whether the result
-/// matched the oracle, and the thread count the runtime actually used for
-/// the dominant sharded phase (ResolveThreadCount of the requested count
-/// against that phase's work size; phases over smaller inputs — the type
-/// scan, bisimulation's node ranges — may resolve lower).
-struct ParallelRun {
-  double seconds = 0.0;
-  bool matched = false;
-  uint32_t effective_threads = 0;
-};
-
-// One thread sweep over the bench scales: `oracle(g)` prepares the oracle
-// result for the scale (untimed), then `run(g, threads)` times the library
-// at each thread count and checks it against that oracle. Records land in
-// the JSON as <prefix>_p<threads>, each carrying its requested and effective
-// thread counts, and <prefix>_sequential, which is the t=1 run (one shard
-// on the calling thread — there is no other build path). Any oracle
-// mismatch clears *all_equal (the caller turns that into a non-zero exit).
-template <typename Oracle, typename Run>
-void PrintSweep(bench::BenchJson* json, const std::string& prefix,
-                const std::string& title, bool* all_equal, Oracle&& oracle,
-                Run&& run) {
-  TablePrinter table({"triples", "1t (ms)", "2t (ms)", "4t (ms)", "8t (ms)",
-                      "speedup@4", "equal"});
+// The summarizer phase by phase, each checked against the oracles: the weak
+// partition alone (over a substrate built once per scale), the quotient
+// over that fixed partition (QuotientByPartition, which builds its own
+// substrate), the full weak pipeline through Summarize — what `rdfsum
+// summarize` and the daemon's mint run — and the bisimulation baseline
+// (depth 2, typed, forward-backward). Rows land as <phase>_sequential; any
+// oracle mismatch clears *all_equal (the caller turns that into a non-zero
+// exit).
+void PrintSummarizer(bench::BenchJson* json, bool* all_equal) {
+  TablePrinter table({"triples", "weak partition (ms)", "quotient (ms)",
+                      "pipeline (ms)", "bisim (ms)", "equal"});
   for (uint64_t scale : BenchScales()) {
     const Graph& g = CachedBsbm(scale);
-    const DenseGraph dg(g);  // substrate of the partition-only runs below
-    oracle(g);
+    const DenseGraph dg(g);
+    const summary::ReferencePartition ref_weak =
+        summary::ReferenceWeakPartition(g);
+    const summary::SummaryResult oracle =
+        summary::ReferenceQuotient(g, ref_weak, SummaryKind::kWeak).value();
 
-    std::vector<ParallelRun> runs;
-    for (uint32_t threads : kSweepThreads) {
-      runs.push_back(run(g, dg, threads));
-    }
-    json->RecordThreads(prefix + "_sequential", scale, runs[0].seconds, 1, 1);
-    std::vector<std::string> row = {Num(g.NumTriples())};
-    double at1 = runs[0].seconds;
-    double at4 = at1;
-    bool equal = true;
-    for (size_t i = 0; i < runs.size(); ++i) {
-      const uint32_t threads = kSweepThreads[i];
-      json->RecordThreads(prefix + "_p" + std::to_string(threads), scale,
-                          runs[i].seconds, threads, runs[i].effective_threads);
-      row.push_back(FormatDouble(runs[i].seconds * 1e3, 1));
-      if (threads == 4) at4 = runs[i].seconds;
-      equal = equal && runs[i].matched;
-    }
-    row.push_back(FormatDouble(at1 / at4, 2) + "x");
-    row.push_back(equal ? "yes" : "NO (bug!)");
+    NodePartition weak;
+    const double weak_s =
+        TimeRuns(2, [&] { weak = ComputeWeakPartition(dg); }).best();
+    bool equal = summary::PartitionMismatch(dg, weak, ref_weak).empty();
+
+    summary::SummaryResult quotient;
+    const double quotient_s =
+        TimeRuns(2, [&] {
+          quotient = summary::QuotientByPartition(g, weak, SummaryKind::kWeak)
+                         .value();
+        }).best();
+    equal = equal && SameSummary(oracle, quotient);
+
+    summary::SummaryResult pipeline;
+    const double pipeline_s =
+        TimeRuns(2, [&] {
+          pipeline = summary::Summarize(g, SummaryKind::kWeak);
+        }).best();
+    equal = equal && SameSummary(oracle, pipeline);
+
+    NodePartition bisim;
+    const double bisim_s =
+        TimeRuns(2, [&] {
+          bisim = ComputeBisimulationPartition(dg, 2, true);
+        }).best();
+    equal = equal &&
+            summary::PartitionMismatch(
+                dg, bisim, summary::ReferenceBisimulationPartition(g, 2, true))
+                .empty();
+
+    json->Record("weak_partition_sequential", scale, weak_s);
+    json->Record("quotient_sequential", scale, quotient_s);
+    json->Record("pipeline_sequential", scale, pipeline_s);
+    json->Record("bisim_sequential", scale, bisim_s);
+    table.AddRow({Num(g.NumTriples()), FormatDouble(weak_s * 1e3, 1),
+                  FormatDouble(quotient_s * 1e3, 1),
+                  FormatDouble(pipeline_s * 1e3, 1),
+                  FormatDouble(bisim_s * 1e3, 1),
+                  equal ? "yes" : "NO (bug!)"});
     *all_equal = *all_equal && equal;
-    table.AddRow(row);
   }
-  table.Print(std::cout, title);
+  table.Print(std::cout,
+              "Summarizer on one thread: weak partition, quotient, "
+              "Summarize(W), bisimulation (depth 2)");
 }
 
-// Partition + quotient through the Summarize facade with
-// SummaryOptions::num_threads — what `rdfsum summarize --threads N` runs.
-// The weak_* and pipeline_* rows of BENCH_parallel.json time this same
-// call (they predate the single build path); both are kept so the file's
-// history stays comparable.
-void PrintParallelWeak(bench::BenchJson* json, const std::string& prefix,
-                       const std::string& title, bool* all_equal) {
-  summary::SummaryResult oracle;
-  PrintSweep(
-      json, prefix, title, all_equal,
-      [&](const Graph& g) {
-        oracle = summary::ReferenceSummarize(g, SummaryKind::kWeak).value();
-      },
-      [&](const Graph& g, const DenseGraph& dg, uint32_t threads) {
-        summary::SummaryResult r;
-        double secs = BestOfTwo(
-            [&] { r = Summarize(g, SummaryKind::kWeak, Threads(threads)); });
-        bool matched =
-            r.graph.NumTriples() == oracle.graph.NumTriples() &&
-            summary::AreSummariesIsomorphic(oracle.graph, r.graph);
-        return ParallelRun{
-            secs, matched,
-            util::ResolveThreadCount(threads, dg.num_data_edges())};
-      });
-}
-
-// Partition construction alone — the phase the sharded scan parallelizes.
-void PrintParallelWeakPartitionOnly(bench::BenchJson* json, bool* all_equal) {
-  summary::ReferencePartition oracle;
-  PrintSweep(
-      json, "weak_partition",
-      "Sharded weak partition only (quotient excluded)", all_equal,
-      [&](const Graph& g) { oracle = summary::ReferenceWeakPartition(g); },
-      [&](const Graph&, const DenseGraph& dg, uint32_t threads) {
-        NodePartition part;
-        double secs =
-            BestOfTwo([&] { part = ComputeWeakPartition(dg, threads); });
-        return ParallelRun{
-            secs, summary::PartitionMismatch(dg, part, oracle).empty(),
-            util::ResolveThreadCount(threads, dg.num_data_edges())};
-      });
-}
-
-// Quotient construction alone over a fixed weak partition, checked against
-// the oracle's sequential quotient walk over the oracle's partition (the
-// weak_partition sweep holds the two partitions equal).
-void PrintParallelQuotient(bench::BenchJson* json, bool* all_equal) {
-  NodePartition part;
-  summary::SummaryResult oracle;
-  PrintSweep(
-      json, "quotient",
-      "Sharded quotient construction (fixed weak partition)", all_equal,
-      [&](const Graph& g) {
-        part = ComputeWeakPartition(DenseGraph(g));
-        oracle = summary::ReferenceQuotient(
-                     g, summary::ReferenceWeakPartition(g), SummaryKind::kWeak)
-                     .value();
-      },
-      [&](const Graph& g, const DenseGraph& dg, uint32_t threads) {
-        summary::SummaryResult r;
-        double secs = BestOfTwo([&] {
-          r = QuotientByPartition(g, part, SummaryKind::kWeak,
-                                  Threads(threads))
-                  .value();
-        });
-        bool matched =
-            r.graph.NumTriples() == oracle.graph.NumTriples() &&
-            r.stats.num_all_nodes == oracle.stats.num_all_nodes &&
-            summary::AreSummariesIsomorphic(oracle.graph, r.graph);
-        return ParallelRun{
-            secs, matched,
-            util::ResolveThreadCount(threads, dg.num_data_edges())};
-      });
-}
-
-void PrintParallelBisimulation(bench::BenchJson* json, bool* all_equal) {
-  summary::ReferencePartition oracle;
-  PrintSweep(
-      json, "bisim", "Sharded bisimulation refinement (depth 2, typed)",
-      all_equal,
-      [&](const Graph& g) {
-        oracle = summary::ReferenceBisimulationPartition(g, 2, true);
-      },
-      [&](const Graph&, const DenseGraph& dg, uint32_t threads) {
-        NodePartition part;
-        double secs = BestOfTwo([&] {
-          part = ComputeBisimulationPartition(
-              dg, 2, true, summary::BisimulationDirection::kForwardBackward,
-              threads);
-        });
-        return ParallelRun{
-            secs, summary::PartitionMismatch(dg, part, oracle).empty(),
-            util::ResolveThreadCount(threads, dg.num_nodes())};
-      });
-}
-
-// The ingestion pipeline this PR parallelizes: N-Triples parse (chunked),
-// dictionary merge + replay, and TripleTable::Build, swept across thread
-// counts. Each row records the requested and effective thread counts
-// (effective = chunks the parser actually split into) plus the phase
+// The ingestion pipeline: N-Triples parse (chunked), dictionary merge +
+// replay, and TripleTable::Build (on the calling thread), swept across
+// parse thread counts. Each row records the requested and effective thread
+// counts (effective = chunks the parser actually split into) plus the phase
 // breakdown; any deviation from the sequential load — triples, ids, or
 // frozen SPO permutation — clears *all_equal.
 void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
@@ -241,8 +145,7 @@ void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
             .ok();
     std::vector<Triple> rows = out->g.Triples();
     Timer ft;
-    const store::TripleTable table =
-        store::TripleTable::Build(std::move(rows), threads);
+    const store::TripleTable table = store::TripleTable::Build(std::move(rows));
     out->freeze_seconds = ft.ElapsedSeconds();
     out->total = t.ElapsedSeconds();
     auto spo = table.Permutation(store::IndexKind::kSpo);
@@ -328,16 +231,7 @@ bool PrintParallel() {
   json.MetaInt("hardware_concurrency", std::thread::hardware_concurrency());
   bool all_equal = true;
   PrintParallelLoad(&json, &all_equal);
-  PrintParallelWeak(&json, "weak",
-                    "Future work (§9): parallel weak summarization "
-                    "(substrate-sharded)",
-                    &all_equal);
-  PrintParallelWeakPartitionOnly(&json, &all_equal);
-  PrintParallelQuotient(&json, &all_equal);
-  PrintParallelWeak(&json, "pipeline",
-                    "Parallel pipeline: partition + quotient (Summarize, weak)",
-                    &all_equal);
-  PrintParallelBisimulation(&json, &all_equal);
+  PrintSummarizer(&json, &all_equal);
   PrintMaintenance();
   const char* path = std::getenv("RDFSUM_BENCH_JSON");
   std::string out = path != nullptr ? path : "BENCH_parallel.json";
@@ -345,43 +239,17 @@ bool PrintParallel() {
   if (wrote) {
     std::cout << "wrote " << out << "\n";
   } else {
-    // Failing loudly matters: CI's quotient gate reads this file next and
+    // Failing loudly matters: CI's bench gate reads this file next and
     // would otherwise silently validate a stale committed copy.
     std::cerr << "failed to write " << out << "\n";
   }
   if (!all_equal) {
-    std::cerr << "BUG: a sweep diverged from its oracle or its sequential "
-                 "baseline (see the 'equal' columns above)\n";
+    std::cerr << "BUG: a summarizer phase diverged from its oracle or a load "
+                 "from the one-chunk parse (see the 'equal' columns above)\n";
   }
   std::cout.flush();
   return all_equal && wrote;
 }
-
-void BM_ParallelWeak(benchmark::State& state) {
-  const Graph& g = CachedBsbm(250'000);
-  const SummaryOptions options =
-      Threads(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    auto r = Summarize(g, SummaryKind::kWeak, options);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ParallelWeak)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
-
-void BM_ParallelBisimulation(benchmark::State& state) {
-  const Graph& g = CachedBsbm(250'000);
-  const SummaryOptions options =
-      Threads(static_cast<uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    auto r = Summarize(g, SummaryKind::kBisimulation, options);
-    benchmark::DoNotOptimize(r);
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_ParallelBisimulation)->Arg(1)->Arg(2)->Arg(4)->Unit(
-    benchmark::kMillisecond);
 
 void BM_MaintainerInsert(benchmark::State& state) {
   const Graph& g = CachedBsbm(100'000);
@@ -400,7 +268,7 @@ BENCHMARK(BM_MaintainerInsert)->Unit(benchmark::kMillisecond);
 }  // namespace rdfsum
 
 int main(int argc, char** argv) {
-  // A parallel/sequential divergence is a correctness bug, not a perf
+  // An oracle or load divergence is a correctness bug, not a perf
   // datapoint: fail the run so CI's bench smoke gates on it.
   if (!rdfsum::PrintParallel()) return 1;
   benchmark::Initialize(&argc, argv);

@@ -58,21 +58,11 @@ namespace {
 using bench::BenchScales;
 using bench::CachedBsbm;
 using bench::Num;
+using bench::TimeRuns;
 using query::BgpEvaluator;
 using query::BgpQuery;
 using query::PlannerMode;
 using query::PlannerModeName;
-
-/// Best-of-two wall time; the first run doubles as warm-up.
-template <typename Fn>
-double BestOfTwo(Fn&& fn) {
-  Timer t1;
-  fn();
-  double first = t1.ElapsedSeconds();
-  Timer t2;
-  fn();
-  return std::min(first, t2.ElapsedSeconds());
-}
 
 struct ShapeQuery {
   std::string shape;  // "star", "chain", "snowflake"
@@ -226,10 +216,10 @@ void RunWorkload(bench::BenchJson* json, const std::string& workload,
     std::map<PlannerMode, double> qerr;
     for (PlannerMode mode : query::kAllPlannerModes) {
       std::vector<query::Row> rows;
-      secs[mode] = BestOfTwo([&] {
-        auto r = query::Drain(eval, q, mode);
-        rows = std::move(r).value();
-      });
+      secs[mode] = TimeRuns(2, [&] {
+                     auto r = query::Drain(eval, q, mode);
+                     rows = std::move(r).value();
+                   }).best();
       json->Record(workload + "_" + sq.shape + "_" + PlannerModeName(mode),
                    g.NumTriples(), secs[mode]);
       if (mode == PlannerMode::kNaive) {
@@ -290,11 +280,11 @@ std::multiset<std::string> DrainCursorCanonical(const BgpEvaluator& eval,
   return rows;
 }
 
-/// Wall time of opening a cursor and draining it (decoding every produced
-/// row, like the CLI does).
-double TimeCursorDrain(const BgpEvaluator& eval, const BgpQuery& q,
-                       query::CursorOptions options) {
-  return BestOfTwo([&] {
+/// Wall times of `repeats` cursor drains: open a cursor and decode every
+/// produced row, like the CLI does.
+bench::RunTimes TimeCursorDrains(const BgpEvaluator& eval, const BgpQuery& q,
+                                 query::CursorOptions options, int repeats) {
+  return TimeRuns(repeats, [&] {
     auto cursor = eval.Open(q, options);
     query::IdRow row;
     while ((*cursor)->Next(&row)) {
@@ -325,18 +315,18 @@ void RunStreamingBench(bench::BenchJson* json, const store::MmapStore& st,
   for (const ShapeQuery& sq : queries) {
     BgpQuery q = MustParse(sq.sparql);
     std::vector<query::Row> materialized;
-    double full_materialize = BestOfTwo([&] {
-      auto r = query::Drain(eval, q);
-      materialized = std::move(r).value();
-    });
+    double full_materialize = TimeRuns(2, [&] {
+                                auto r = query::Drain(eval, q);
+                                materialized = std::move(r).value();
+                              }).best();
     uint64_t cursor_rows = 0;
     std::multiset<std::string> streamed =
         DrainCursorCanonical(eval, q, {}, &cursor_rows);
     bool equal = streamed == CanonicalRows(materialized);
-    double full_cursor = TimeCursorDrain(eval, q, {});
+    double full_cursor = TimeCursorDrains(eval, q, {}, 2).best();
     query::CursorOptions limit10;
     limit10.limit = 10;
-    double at10 = TimeCursorDrain(eval, q, limit10);
+    double at10 = TimeCursorDrains(eval, q, limit10, 2).best();
     json->Record("stream_" + sq.shape + "_materialize_full", triples,
                  full_materialize);
     json->Record("stream_" + sq.shape + "_cursor_full", triples,
@@ -357,9 +347,14 @@ void RunStreamingBench(bench::BenchJson* json, const store::MmapStore& st,
               "first 10 distinct rows (greedy plans, largest BSBM scale)");
 }
 
+constexpr int kHashJoinRuns = 7;
+
 /// Hash joins on planner-flagged fat intermediates: unanchored joins whose
 /// probe side is every offer/review. kFromPlan (the flagged hash picks)
-/// vs. kNever (index nested loops all the way down).
+/// vs. kNever (index nested loops all the way down), each timed as the
+/// median of kHashJoinRuns drains: these drains take a few milliseconds
+/// while pool threads run the hash build, and a best-of-two read swung
+/// ±30% between runs.
 void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
                       uint64_t triples, bool* all_equal) {
   const std::string p = "PREFIX b: <http://bsbm.example.org/>\n";
@@ -392,8 +387,9 @@ void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
     bool equal = DrainCursorCanonical(eval, q, nlj, &rows_nlj) ==
                  DrainCursorCanonical(eval, q, from_plan, &rows_hash);
     equal = equal && rows_nlj == rows_hash;
-    double nlj_secs = TimeCursorDrain(eval, q, nlj);
-    double hash_secs = TimeCursorDrain(eval, q, from_plan);
+    double nlj_secs = TimeCursorDrains(eval, q, nlj, kHashJoinRuns).median();
+    double hash_secs =
+        TimeCursorDrains(eval, q, from_plan, kHashJoinRuns).median();
     json->Record("hashjoin_" + sq.shape + "_nlj", triples, nlj_secs);
     json->Record("hashjoin_" + sq.shape + "_hash", triples, hash_secs);
     table.AddRow({sq.shape, std::to_string(flagged), Num(rows_nlj),
@@ -460,10 +456,10 @@ std::pair<double, double> TimePairedDrains(const BgpEvaluator& eval,
                                            const query::CursorOptions& opts) {
   double best_base = 1e99, best_opts = 1e99;
   for (int rep = 0; rep < 5; ++rep) {
-    best_base =
-        std::min(best_base, BestOfTwo([&] { DrainOnce(eval, q, mode, base); }));
-    best_opts =
-        std::min(best_opts, BestOfTwo([&] { DrainOnce(eval, q, mode, opts); }));
+    best_base = std::min(
+        best_base, TimeRuns(2, [&] { DrainOnce(eval, q, mode, base); }).best());
+    best_opts = std::min(
+        best_opts, TimeRuns(2, [&] { DrainOnce(eval, q, mode, opts); }).best());
   }
   return {best_base, best_opts};
 }

@@ -91,8 +91,8 @@ class DenseGraph {
 
   uint64_t num_data_edges() const { return edges_.size(); }
 
-  /// Contiguous slice [begin, end) of data_edges() — the unit a parallel
-  /// shard scans (see util::ShardRange for the canonical split).
+  /// Contiguous slice [begin, end) of data_edges() — the unit a
+  /// cancellable chunked pass scans (util::CancellableChunks).
   std::span<const Edge> EdgeRange(uint64_t begin, uint64_t end) const {
     return {edges_.data() + begin, edges_.data() + end};
   }

@@ -29,7 +29,7 @@ Status FreezeGraphToFile(const Graph& g, const std::string& path,
 
   std::vector<Triple> rows = g.Triples();
   Timer freeze_timer;
-  TripleTable table = TripleTable::Build(std::move(rows), options.num_threads);
+  TripleTable table = TripleTable::Build(std::move(rows));
   if (options.freeze_seconds != nullptr) {
     *options.freeze_seconds = freeze_timer.ElapsedSeconds();
   }

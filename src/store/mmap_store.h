@@ -14,11 +14,6 @@
 namespace rdfsum::store {
 
 struct FreezeOptions {
-  /// Workers for the table statistics (TripleTable::Build; the
-  /// permutations are sorted on the calling thread): 1 = sequential
-  /// (default), 0 = all available CPUs. The image bytes are identical at
-  /// every thread count.
-  uint32_t num_threads = 1;
   /// When non-null, receives the wall seconds spent sorting/deduplicating
   /// the permutations (TripleTable::Build) — the `freeze` entry of the
   /// CLI's phase-time breakdown.

@@ -2,71 +2,36 @@
 
 #include <utility>
 
-#include "util/parallel_for.h"
 #include "util/string_util.h"
 
 namespace rdfsum::store {
 
 TableStats TableStats::Compute(const std::vector<Triple>& spo,
                                const std::vector<Triple>& pos,
-                               const std::vector<Triple>& osp,
-                               uint32_t num_threads) {
-  // One shard per ~64k triples: below that the three passes are a few
-  // hundred microseconds and the spawn cost dominates.
-  const uint32_t threads =
-      util::ResolveThreadCount(num_threads, spo.size() / 65536);
-
-  // The three permutations hold the same triple set, so one range sharding
-  // covers all three passes. Each shard starts its run-boundary comparisons
-  // against the global predecessor element, so runs spanning a shard border
-  // are counted exactly once. One shard is the whole table on the calling
-  // thread.
-  //
+                               const std::vector<Triple>& osp) {
   // SPO pass: distinct subjects globally (s runs) and per predicate
   // (distinct (s, p) pairs, which for a fixed p count its distinct
   // subjects). POS pass: per-predicate triple counts, distinct objects per
   // predicate ((p, o) runs) and distinct predicates (p runs). OSP pass:
   // distinct objects globally (o runs).
-  std::vector<TableStats> parts(threads);
-  util::ParallelForRanges(
-      threads, spo.size(), [&](uint32_t shard, uint64_t begin, uint64_t end) {
-        TableStats& part = parts[shard];
-        for (uint64_t i = begin; i < end; ++i) {
-          if (i == 0 || spo[i].s != spo[i - 1].s) {
-            ++part.num_distinct_subjects_;
-          }
-          if (i == 0 || spo[i].s != spo[i - 1].s || spo[i].p != spo[i - 1].p) {
-            ++part.by_predicate_[spo[i].p].distinct_subjects;
-          }
-        }
-        for (uint64_t i = begin; i < end; ++i) {
-          PredicateStats& ps = part.by_predicate_[pos[i].p];
-          ++ps.count;
-          if (i == 0 || pos[i].p != pos[i - 1].p) {
-            ++part.num_distinct_predicates_;
-          }
-          if (i == 0 || pos[i].p != pos[i - 1].p || pos[i].o != pos[i - 1].o) {
-            ++ps.distinct_objects;
-          }
-        }
-        for (uint64_t i = begin; i < end; ++i) {
-          if (i == 0 || osp[i].o != osp[i - 1].o) ++part.num_distinct_objects_;
-        }
-      });
-
-  TableStats out = std::move(parts[0]);
+  TableStats out;
   out.num_triples_ = spo.size();
-  for (size_t i = 1; i < parts.size(); ++i) {
-    const TableStats& part = parts[i];
-    out.num_distinct_subjects_ += part.num_distinct_subjects_;
-    out.num_distinct_predicates_ += part.num_distinct_predicates_;
-    out.num_distinct_objects_ += part.num_distinct_objects_;
-    for (const auto& [p, ps] : part.by_predicate_) {
-      PredicateStats& dst = out.by_predicate_[p];
-      dst.count += ps.count;
-      dst.distinct_subjects += ps.distinct_subjects;
-      dst.distinct_objects += ps.distinct_objects;
+  for (size_t i = 0; i < spo.size(); ++i) {
+    if (i == 0 || spo[i].s != spo[i - 1].s) ++out.num_distinct_subjects_;
+    if (i == 0 || spo[i].s != spo[i - 1].s || spo[i].p != spo[i - 1].p) {
+      ++out.by_predicate_[spo[i].p].distinct_subjects;
     }
+  }
+  for (size_t i = 0; i < pos.size(); ++i) {
+    PredicateStats& ps = out.by_predicate_[pos[i].p];
+    ++ps.count;
+    if (i == 0 || pos[i].p != pos[i - 1].p) ++out.num_distinct_predicates_;
+    if (i == 0 || pos[i].p != pos[i - 1].p || pos[i].o != pos[i - 1].o) {
+      ++ps.distinct_objects;
+    }
+  }
+  for (size_t i = 0; i < osp.size(); ++i) {
+    if (i == 0 || osp[i].o != osp[i - 1].o) ++out.num_distinct_objects_;
   }
   return out;
 }

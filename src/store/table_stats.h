@@ -31,16 +31,11 @@ class TableStats {
   TableStats() = default;
 
   /// Builds the stats from the three sorted permutations of the same triple
-  /// set: `spo` sorted by (s,p,o), `pos` by (p,o,s), `osp` by (o,s,p). The
-  /// run-boundary passes shard over contiguous ranges (each shard compares
-  /// against the global element before its range, so shard borders split
-  /// no run twice) and the partial counters / per-predicate maps are
-  /// summed, so the result is identical at every thread count. 1 = one
-  /// shard on the calling thread, 0 = all available CPUs.
+  /// set: `spo` sorted by (s,p,o), `pos` by (p,o,s), `osp` by (o,s,p), in
+  /// one run-boundary pass over each.
   static TableStats Compute(const std::vector<Triple>& spo,
                             const std::vector<Triple>& pos,
-                            const std::vector<Triple>& osp,
-                            uint32_t num_threads = 1);
+                            const std::vector<Triple>& osp);
 
   /// Reassembles stats previously computed by Compute() and serialized —
   /// the frozen-image open path (kPredStats section), where re-deriving

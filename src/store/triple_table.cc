@@ -115,8 +115,7 @@ const char* IndexKindName(IndexKind kind) {
 
 TripleTable::TripleTable() : TripleTable(Build({})) {}
 
-TripleTable TripleTable::Build(std::vector<Triple> rows,
-                               uint32_t num_threads) {
+TripleTable TripleTable::Build(std::vector<Triple> rows) {
   auto storage = std::make_shared<Storage>();
   std::vector<Triple>& spo = storage->spo;
   spo = std::move(rows);
@@ -131,8 +130,7 @@ TripleTable TripleTable::Build(std::vector<Triple> rows,
     sorter.Sort<&Triple::o>(spo, &storage->osp);
     sorter.Sort<&Triple::p>(storage->osp, &storage->pos);
   }
-  storage->stats =
-      TableStats::Compute(spo, storage->pos, storage->osp, num_threads);
+  storage->stats = TableStats::Compute(spo, storage->pos, storage->osp);
   return TripleTable(storage, storage->spo, storage->pos, storage->osp);
 }
 

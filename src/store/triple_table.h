@@ -53,15 +53,13 @@ class TripleTable {
   /// Sorts `rows` into the three permutations, removes duplicate rows, and
   /// computes the table statistics (see stats()).
   ///
-  /// The permutations are sorted by counting, on the calling thread: SPO
-  /// by stable 16-bit-digit passes (keys o, then p, then s; a pass whose
-  /// digit every row shares is skipped), deduplicated, then OSP as stable
-  /// passes by o over SPO and POS as stable passes by p over OSP. Build
-  /// holds one scratch copy of the rows while it sorts and frees it before
-  /// it returns. `num_threads` shards only the statistics (1 = the calling
-  /// thread, no pool task; 0 = all available CPUs); the permutations and
-  /// stats are byte-identical at every thread count.
-  static TripleTable Build(std::vector<Triple> rows, uint32_t num_threads = 1);
+  /// Build runs on the calling thread. The permutations are sorted by
+  /// counting: SPO by stable 16-bit-digit passes (keys o, then p, then s; a
+  /// pass whose digit every row shares is skipped), deduplicated, then OSP
+  /// as stable passes by o over SPO and POS as stable passes by p over OSP.
+  /// Build holds one scratch copy of the rows while it sorts and frees it
+  /// before it returns.
+  static TripleTable Build(std::vector<Triple> rows);
 
   /// A table over externally owned permutations of one deduplicated triple
   /// set (`spo` strictly sorted by (s,p,o), `pos` by (p,o,s), `osp` by

@@ -102,96 +102,30 @@ NodePartition TypedPartition(const DenseGraph& dg, uint32_t untyped_bound,
   return Finalize(std::move(raw), base + untyped_bound);
 }
 
-/// Assembles the weak NodePartition from resolved union-find roots
-/// (root_of[i] = root of dense node i, any values < num_nodes): nodes with
-/// no data property collapse into Nτ, a single shared raw class with id n
-/// distinct from every root.
-NodePartition WeakPartitionFromRoots(const DenseGraph& dg,
-                                     const std::vector<uint32_t>& root_of) {
-  const uint32_t n = dg.num_nodes();
-  std::vector<uint32_t> raw(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    raw[i] = dg.HasData(i) ? root_of[i] : n;
-  }
-  return Finalize(std::move(raw), n + 1);
-}
-
 }  // namespace
 
-NodePartition ComputeWeakPartition(const DenseGraph& dg, uint32_t num_threads,
+NodePartition ComputeWeakPartition(const DenseGraph& dg,
                                    util::ExecContext* exec) {
   const uint32_t n = dg.num_nodes();
-  const uint32_t num_props = dg.num_properties();
-  const uint32_t threads =
-      util::ResolveThreadCount(num_threads, dg.num_data_edges());
-
-  AtomicUnionFind uf(n);
-
-  // ---- Phase A: sharded scan of the dense edge list. Flat anchor arrays
-  // indexed by dense property id; the first occurrence of a property in a
-  // shard claims the anchor for free, every repeat hooks into the shared
-  // lock-free union-find.
-  std::vector<std::vector<uint32_t>> shard_src(threads);
-  std::vector<std::vector<uint32_t>> shard_tgt(threads);
-  util::ParallelForRanges(
-      threads, dg.num_data_edges(),
-      [&](uint32_t shard, uint64_t begin, uint64_t end) {
-        std::vector<uint32_t>& src = shard_src[shard];
-        std::vector<uint32_t>& tgt = shard_tgt[shard];
-        src.assign(num_props, kNone);
-        tgt.assign(num_props, kNone);
-        // Cancelled shards stop mid-range and fall through to the join; the
-        // half-built union-find is discarded below.
-        util::CancellableChunks(exec, begin, end, [&](uint64_t cb,
-                                                      uint64_t ce) {
-          for (const DenseGraph::Edge& e : dg.EdgeRange(cb, ce)) {
-            if (src[e.p] == kNone) {
-              src[e.p] = e.s;
-            } else {
-              uf.Union(e.s, src[e.p]);
-            }
-            if (tgt[e.p] == kNone) {
-              tgt[e.p] = e.o;
-            } else {
-              uf.Union(e.o, tgt[e.p]);
-            }
-          }
-        });
+  // One pass over the dense edge list: every subject joins its property's
+  // source anchor and every object its target anchor (the substrate's
+  // first-seen endpoints), which is Definition 7's "shares a property
+  // occurrence" closure.
+  UnionFind uf(n);
+  Status st = util::CancellableChunks(
+      exec, 0, dg.num_data_edges(), [&](uint64_t begin, uint64_t end) {
+        for (const DenseGraph::Edge& e : dg.EdgeRange(begin, end)) {
+          uf.Union(e.s, dg.SourceAnchor(e.p));
+          uf.Union(e.o, dg.TargetAnchor(e.p));
+        }
       });
-  if (exec != nullptr && !exec->Check().ok()) return NodePartition{};
+  if (!st.ok()) return NodePartition{};
 
-  // ---- Phase B: cross-shard unification — every shard anchor joins the
-  // substrate's global first-seen anchor of its property (threads × P
-  // unions).
-  for (uint32_t shard = 0; shard < threads; ++shard) {
-    for (uint32_t p = 0; p < num_props; ++p) {
-      if (shard_src[shard][p] != kNone) {
-        uf.Union(shard_src[shard][p], dg.SourceAnchor(p));
-      }
-      if (shard_tgt[shard][p] != kNone) {
-        uf.Union(shard_tgt[shard][p], dg.TargetAnchor(p));
-      }
-    }
-  }
-
-  // ---- Phase C: sharded compress — resolve every node to its final root
-  // (the structure is frozen now, so Find results are deterministic).
-  std::vector<uint32_t> root(n);
-  util::ParallelForRanges(
-      util::ResolveThreadCount(num_threads, n), n,
-      [&](uint32_t, uint64_t begin, uint64_t end) {
-        util::CancellableChunks(exec, begin, end,
-                                [&](uint64_t cb, uint64_t ce) {
-                                  for (uint64_t i = cb; i < ce; ++i) {
-                                    root[i] =
-                                        uf.Find(static_cast<uint32_t>(i));
-                                  }
-                                });
-      });
-  if (exec != nullptr && !exec->Check().ok()) return NodePartition{};
-
-  // ---- Phase D: canonical class numbering.
-  return WeakPartitionFromRoots(dg, root);
+  // Raw class = union-find root; nodes with no data property collapse into
+  // Nτ, one shared raw class n distinct from every root.
+  std::vector<uint32_t> raw(n);
+  for (uint32_t i = 0; i < n; ++i) raw[i] = dg.HasData(i) ? uf.Find(i) : n;
+  return Finalize(std::move(raw), n + 1);
 }
 
 NodePartition ComputeStrongPartition(const DenseGraph& dg) {
@@ -254,10 +188,8 @@ NodePartition ComputeTypedStrongPartition(const DenseGraph& dg,
 NodePartition ComputeBisimulationPartition(const DenseGraph& dg,
                                            uint32_t depth, bool use_types,
                                            BisimulationDirection direction,
-                                           uint32_t num_threads,
                                            util::ExecContext* exec) {
   const uint32_t n = dg.num_nodes();
-  const uint32_t threads = util::ResolveThreadCount(num_threads, n);
 
   // Seed colors: class-set hash (or a shared constant). The hash formula
   // matches the reference implementation so seed grouping is identical.
@@ -274,52 +206,43 @@ NodePartition ComputeBisimulationPartition(const DenseGraph& dg,
     }
   }
 
-  // Refinement rounds over the CSR adjacency, sharded over dense node-id
-  // ranges: each round reads the previous colors and writes disjoint slices
-  // of `next`, and the shard join is the re-labeling barrier before the
-  // buffers swap. Signatures use dense property ids — a bijective
-  // relabeling of the reference's TermIds, so equivalence classes (and
-  // therefore the canonical partition) are unchanged.
+  // Refinement rounds over the CSR adjacency: each round reads the
+  // previous colors and writes `next`, then the buffers swap. Signatures use
+  // dense property ids — a bijective relabeling of the reference's TermIds,
+  // so equivalence classes (and therefore the canonical partition) are
+  // unchanged.
   const bool fwd = direction != BisimulationDirection::kBackward;
   const bool bwd = direction != BisimulationDirection::kForward;
   std::vector<uint64_t> next(n);
+  std::vector<std::tuple<int, uint32_t, uint64_t>> sig;
   for (uint32_t round = 0; round < depth; ++round) {
-    util::ParallelForRanges(
-        threads, n, [&](uint32_t, uint64_t begin, uint64_t end) {
-          std::vector<std::tuple<int, uint32_t, uint64_t>> sig;
-          // Workers that observe cancellation stop mid-shard and fall
-          // through to the round barrier; the partial `next` slice is
-          // discarded below.
-          util::CancellableChunks(exec, begin, end, [&](uint64_t cb,
-                                                        uint64_t ce) {
-            for (uint64_t node = cb; node < ce; ++node) {
-              const uint32_t i = static_cast<uint32_t>(node);
-              sig.clear();
-              if (bwd) {
-                for (const DenseGraph::Neighbor& a : dg.InEdges(i)) {
-                  sig.emplace_back(0, a.p, color[a.node]);
-                }
-              }
-              if (fwd) {
-                for (const DenseGraph::Neighbor& a : dg.OutEdges(i)) {
-                  sig.emplace_back(1, a.p, color[a.node]);
-                }
-              }
-              std::sort(sig.begin(), sig.end());
-              sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-              uint64_t h =
-                  color[i] * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL;
-              for (const auto& [dir, p, c] : sig) {
-                h ^= (static_cast<uint64_t>(dir) * 0x2545F4914F6CDD1DULL +
-                      p) +
-                     0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-                h ^= c + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-              }
-              next[i] = h;
-            }
-          });
-        });
-    if (exec != nullptr && !exec->Check().ok()) return NodePartition{};
+    Status st = util::CancellableChunks(exec, 0, n, [&](uint64_t begin,
+                                                        uint64_t end) {
+      for (uint64_t node = begin; node < end; ++node) {
+        const uint32_t i = static_cast<uint32_t>(node);
+        sig.clear();
+        if (bwd) {
+          for (const DenseGraph::Neighbor& a : dg.InEdges(i)) {
+            sig.emplace_back(0, a.p, color[a.node]);
+          }
+        }
+        if (fwd) {
+          for (const DenseGraph::Neighbor& a : dg.OutEdges(i)) {
+            sig.emplace_back(1, a.p, color[a.node]);
+          }
+        }
+        std::sort(sig.begin(), sig.end());
+        sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
+        uint64_t h = color[i] * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL;
+        for (const auto& [dir, p, c] : sig) {
+          h ^= (static_cast<uint64_t>(dir) * 0x2545F4914F6CDD1DULL + p) +
+               0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+          h ^= c + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
+        }
+        next[i] = h;
+      }
+    });
+    if (!st.ok()) return NodePartition{};
     color.swap(next);
   }
 

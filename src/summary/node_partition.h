@@ -28,16 +28,11 @@ struct NodePartition {
 /// ≡W (Definition 7) with the Nτ convention: all typed-only resources form
 /// one class.
 ///
-/// One sharded union-find over the dense edge list (see
-/// src/summary/README.md): `num_threads` contiguous shards (1 = one shard on
-/// the calling thread, 0 = all available CPUs) hook repeat property
-/// endpoints into a lock-free union-find, so the partition is identical at
-/// every thread count. `exec` (optional) makes the shards cancellable: a
-/// tripped context returns an empty partition the caller must discard after
-/// consulting exec->Check() (governance errors are sticky, so the check
-/// replays).
+/// One union-find pass over the dense edge list (see src/summary/README.md).
+/// `exec` (optional) makes the pass cancellable: a tripped context returns
+/// an empty partition the caller must discard after consulting
+/// exec->Check() (governance errors are sticky, so the check replays).
 NodePartition ComputeWeakPartition(const DenseGraph& dg,
-                                   uint32_t num_threads = 1,
                                    util::ExecContext* exec = nullptr);
 
 /// ≡S (Definition 7): same (source clique, target clique); typed-only
@@ -65,20 +60,14 @@ NodePartition ComputeTypedStrongPartition(const DenseGraph& dg,
 /// summaries its size grows with structural diversity — the blow-up
 /// bench_baseline_bisimulation measures.
 ///
-/// `num_threads` shards each refinement round over dense node-id ranges
-/// (1 = one shard on the calling thread, 0 = all available CPUs); each
-/// round's spawn/join is the re-labeling barrier. Every per-node signature
-/// hash is a pure function of the previous round's colors, so the
-/// partition is identical at every thread count.
-///
-/// `exec` (optional) makes the rounds cancellable: workers poll it between
-/// chunks and fall through to the round barrier, and a tripped context
-/// returns an empty partition the caller must discard after consulting
-/// exec->Check() (governance errors are sticky, so the check replays).
+/// `exec` (optional) makes the rounds cancellable: each round polls it
+/// between chunks of nodes, and a tripped context returns an empty
+/// partition the caller must discard after consulting exec->Check()
+/// (governance errors are sticky, so the check replays).
 NodePartition ComputeBisimulationPartition(
     const DenseGraph& dg, uint32_t depth, bool use_types,
     BisimulationDirection direction = BisimulationDirection::kForwardBackward,
-    uint32_t num_threads = 1, util::ExecContext* exec = nullptr);
+    util::ExecContext* exec = nullptr);
 
 }  // namespace rdfsum::summary
 

@@ -22,7 +22,7 @@ NodePartition ComputePartition(const DenseGraph& dg, SummaryKind kind,
                                const SummaryOptions& options) {
   switch (kind) {
     case SummaryKind::kWeak:
-      return ComputeWeakPartition(dg, options.num_threads, options.exec);
+      return ComputeWeakPartition(dg, options.exec);
     case SummaryKind::kStrong:
       return ComputeStrongPartition(dg);
     case SummaryKind::kTypedWeak:
@@ -34,120 +34,89 @@ NodePartition ComputePartition(const DenseGraph& dg, SummaryKind kind,
     case SummaryKind::kBisimulation:
       return ComputeBisimulationPartition(
           dg, options.bisimulation_depth, /*use_types=*/true,
-          BisimulationDirection::kForwardBackward, options.num_threads,
-          options.exec);
+          BisimulationDirection::kForwardBackward, options.exec);
   }
-  return ComputeWeakPartition(dg, options.num_threads, options.exec);
+  return ComputeWeakPartition(dg, options.exec);
 }
 
-/// Sharded construction of the quotient edge set: shards classify contiguous
-/// ranges of the input into summary edges with private dedup tables, then the
-/// shards merge in shard-index order so the summary graph's insertion order —
-/// and with it every downstream canonical numbering — is the global
-/// first-occurrence order of the input walk at every shard count (one shard
-/// at num_threads = 1). See src/summary/README.md for why the merge order
-/// fixes determinism. Each shard also counts the input rows that land on
-/// each of its summary edges; the merge sums them into `multiplicity`.
+/// The quotient edge set in one pass per component: each pass maps its
+/// input rows to summary edges through a dedup table that records them in
+/// first-occurrence order and counts the input rows that land on each, so
+/// the summary graph's insertion order — and with it every downstream
+/// canonical numbering — is the first-occurrence order of the input walk,
+/// and the counts are SummaryResult::multiplicity.
 ///
-/// `exec` governs the shard loops (workers stop mid-range on cancellation
-/// and fall through to their join barrier — partial shard output is never
-/// merged), and the "quotient:shard" failpoint injects per-shard failures
-/// at each shard boundary in fault-injection builds.
+/// `exec` governs both passes (partial output is discarded), and the
+/// "quotient:shard" failpoint injects a failure once per call in
+/// fault-injection builds.
 Status QuotientEdges(const GraphView& g, const DenseGraph& dg,
                      const NodePartition& part,
                      const std::vector<TermId>& class_node,
-                     uint32_t num_threads, util::ExecContext* exec,
-                     SummaryResult* out) {
+                     util::ExecContext* exec, SummaryResult* out) {
+  RDFSUM_FAILPOINT("quotient:shard");
   const std::vector<uint32_t>& class_of = part.class_of;
 
-  // One dedup table per shard, with the count of input rows that hit each
-  // of its ordinals. Shard failures (injected or governance) land in
-  // per-shard slots and surface after the join.
-  struct Shard {
+  // A component's distinct summary edges, with the count of input rows
+  // that hit each of their ordinals.
+  struct Component {
     util::RowSet rows;
     std::vector<uint64_t> counts;
-    Status status;
-    explicit Shard(size_t width) : rows(width) {}
+    explicit Component(size_t width) : rows(width) {}
     void Count(const TermId* row) {
       auto [ordinal, inserted] = rows.InsertOrFind(row);
       if (inserted) counts.push_back(0);
       ++counts[ordinal];
     }
   };
-  auto run_shards = [&](uint64_t num_rows, size_t width, auto&& classify) {
-    std::vector<Shard> shards(util::ResolveThreadCount(num_threads, num_rows),
-                              Shard(width));
-    util::ParallelForRanges(
-        static_cast<uint32_t>(shards.size()), num_rows,
-        [&](uint32_t shard, uint64_t begin, uint64_t end) {
-          Shard& sh = shards[shard];
-          sh.status = RDFSUM_FAILPOINT_STATUS("quotient:shard");
-          if (!sh.status.ok()) return;
-          sh.status = util::CancellableChunks(
-              exec, begin, end,
-              [&](uint64_t cb, uint64_t ce) { classify(sh, cb, ce); });
-        });
-    return shards;
-  };
 
-  // Data component: each shard scans a contiguous EdgeRange and dedups the
-  // summary edges (class(s), property, class(o)) it sees, in first-occurrence
-  // order.
-  std::vector<Shard> data_shards = run_shards(
-      dg.num_data_edges(), 3, [&](Shard& sh, uint64_t cb, uint64_t ce) {
+  // Data component: (class(s), property, class(o)) over the dense edges.
+  Component data(3);
+  RDFSUM_RETURN_IF_ERROR(util::CancellableChunks(
+      exec, 0, dg.num_data_edges(), [&](uint64_t begin, uint64_t end) {
         TermId row[3];
-        for (const DenseGraph::Edge& e : dg.EdgeRange(cb, ce)) {
+        for (const DenseGraph::Edge& e : dg.EdgeRange(begin, end)) {
           row[0] = class_of[e.s];
           row[1] = e.p;
           row[2] = class_of[e.o];
-          sh.Count(row);
+          data.Count(row);
         }
-      });
-  for (const Shard& sh : data_shards) RDFSUM_RETURN_IF_ERROR(sh.status);
+      }));
 
-  // Type component: same recipe over g.types with (class(s), class term)
-  // keys. Type subjects are dense nodes by the substrate's canonical
-  // numbering, so node_of never misses.
+  // Type component: (class(s), class term) over g.types. Type subjects are
+  // dense nodes by the substrate's canonical numbering, so node_of never
+  // misses.
   const std::span<const Triple> types = g.types;
-  std::vector<Shard> type_shards = run_shards(
-      types.size(), 2, [&](Shard& sh, uint64_t cb, uint64_t ce) {
+  Component typed(2);
+  RDFSUM_RETURN_IF_ERROR(util::CancellableChunks(
+      exec, 0, types.size(), [&](uint64_t begin, uint64_t end) {
         TermId row[2];
-        for (uint64_t i = cb; i < ce; ++i) {
+        for (uint64_t i = begin; i < end; ++i) {
           row[0] = class_of[dg.node_of(types[i].s)];
           row[1] = types[i].o;
-          sh.Count(row);
+          typed.Count(row);
         }
-      });
-  for (const Shard& sh : type_shards) RDFSUM_RETURN_IF_ERROR(sh.status);
+      }));
 
-  // Merge in shard-index order. Shards are contiguous input ranges, so an
-  // edge's first surviving occurrence is in the earliest shard that saw it,
-  // at that shard's first-occurrence position: Graph::Add's cross-shard
-  // dedup reproduces the sequential insertion order exactly, and the
-  // multiplicity of an edge several shards saw is the sum of their counts.
-  size_t distinct_upper = 0;
-  for (const Shard& sh : data_shards) distinct_upper += sh.rows.size();
-  for (const Shard& sh : type_shards) distinct_upper += sh.rows.size();
-  out->graph.Reserve(distinct_upper + g.schema.size());
-  out->multiplicity.reserve(distinct_upper);
-  auto merge = [&](const Shard& sh, size_t r, const Triple& t) {
+  // Emit in first-occurrence order. Mapped data edges keep data properties,
+  // type edges use rdf:type and schema is copied, so Graph::Add routes each
+  // to its own component and nothing collides.
+  const size_t distinct = data.rows.size() + typed.rows.size();
+  out->graph.Reserve(distinct + g.schema.size());
+  out->multiplicity.reserve(distinct);
+  auto emit = [&](const Triple& t, uint64_t count) {
     out->graph.Add(t);
-    out->multiplicity[t] += sh.counts[r];
+    out->multiplicity[t] = count;
   };
-  for (const Shard& sh : data_shards) {
-    for (size_t r = 0; r < sh.rows.size(); ++r) {
-      const TermId* row = sh.rows.row(r);
-      merge(sh, r,
-            Triple{class_node[row[0]], dg.property_term(row[1]),
-                   class_node[row[2]]});
-    }
+  for (size_t r = 0; r < data.rows.size(); ++r) {
+    const TermId* row = data.rows.row(r);
+    emit(Triple{class_node[row[0]], dg.property_term(row[1]),
+                class_node[row[2]]},
+         data.counts[r]);
   }
   const TermId rdf_type = g.vocab.rdf_type;
-  for (const Shard& sh : type_shards) {
-    for (size_t r = 0; r < sh.rows.size(); ++r) {
-      const TermId* row = sh.rows.row(r);
-      merge(sh, r, Triple{class_node[row[0]], rdf_type, row[1]});
-    }
+  for (size_t r = 0; r < typed.rows.size(); ++r) {
+    const TermId* row = typed.rows.row(r);
+    emit(Triple{class_node[row[0]], rdf_type, row[1]}, typed.counts[r]);
   }
   for (const Triple& t : g.schema) out->graph.Add(t);
   return Status::OK();
@@ -173,8 +142,7 @@ StatusOr<SummaryResult> Quotient(const GraphView& g, const DenseGraph& dg,
     class_node[c] = dict.MintNodeUri("node:" + tag);
   }
 
-  RDFSUM_RETURN_IF_ERROR(QuotientEdges(g, dg, part, class_node,
-                                       options.num_threads, exec, &out));
+  RDFSUM_RETURN_IF_ERROR(QuotientEdges(g, dg, part, class_node, exec, &out));
 
   const uint32_t n = dg.num_nodes();
   out.node_map.reserve(n);
@@ -212,9 +180,9 @@ StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
   const DenseGraph dg(g);
   Timer partition_timer;
   NodePartition part = ComputePartition(dg, kind, options);
-  // A governed partition phase bails out of its shards early when the
-  // context trips; the partial partition must be discarded, and the sticky
-  // Check() replays the reason.
+  // A governed partition phase bails out early when the context trips; the
+  // partial partition must be discarded, and the sticky Check() replays the
+  // reason.
   if (options.exec != nullptr) RDFSUM_RETURN_IF_ERROR(options.exec->Check());
   const double partition_seconds = partition_timer.ElapsedSeconds();
   RDFSUM_ASSIGN_OR_RETURN(SummaryResult out,

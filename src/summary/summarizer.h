@@ -23,16 +23,13 @@ namespace rdfsum::summary {
 /// SummaryStats::partition_seconds excludes the substrate build;
 /// build_seconds includes it.
 ///
-/// `options.num_threads` sets the shard count of the one build path: the
-/// partition phase for the kinds with sharded partitions (W, BISIM) and the
-/// quotient phase for every kind; 1 is a single shard on the calling thread.
-/// The result is byte-identical at every thread count; per-phase wall times
-/// land in SummaryResult::stats.
+/// Both phases run on the calling thread; per-phase wall times land in
+/// SummaryResult::stats.
 ///
 /// The governed entry point: options.exec carries a deadline/cancellation
-/// token the sharded phases poll; a tripped context returns kCancelled or
-/// kDeadlineExceeded with all partial output discarded; those are its only
-/// errors.
+/// token the quotient and the W and BISIM partitions poll; a tripped
+/// context returns kCancelled or kDeadlineExceeded with all partial output
+/// discarded; those are its only errors.
 StatusOr<SummaryResult> TrySummarize(const GraphView& g, SummaryKind kind,
                                      const SummaryOptions& options = {});
 
@@ -51,15 +48,11 @@ SummaryResult Summarize(const GraphView& g, SummaryKind kind,
 /// every class id is below num_classes and num_classes <= num_nodes(), it
 /// returns kInvalidArgument (the library does not throw).
 ///
-/// The summary edge set is built by sharding the dense edge list into
-/// `options.num_threads` contiguous ranges (one at the default of 1): each
-/// shard classifies its range into summary edges through a private dedup
-/// table that also counts the input rows per edge, and shards merge in
-/// shard-index order, which yields the global first-occurrence insertion
-/// order — and therefore the same minted node ids, serialized output and
-/// SummaryResult::multiplicity — at every shard count (see
-/// src/summary/README.md). options.exec makes the shards cancellable
-/// (kCancelled/kDeadlineExceeded).
+/// The summary edge set is built in one pass over the dense edge list, then
+/// one over the type triples: each pass dedups the summary edges it sees in
+/// first-occurrence order and counts the input rows per edge into
+/// SummaryResult::multiplicity (see src/summary/README.md). options.exec
+/// makes the passes cancellable (kCancelled/kDeadlineExceeded).
 StatusOr<SummaryResult> QuotientByPartition(const GraphView& g,
                                             const NodePartition& part,
                                             SummaryKind kind,

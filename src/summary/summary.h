@@ -57,12 +57,6 @@ enum class BisimulationDirection {
 
 struct SummaryOptions {
   TypedSummaryMode typed_mode = TypedSummaryMode::kPerPropertyProjection;
-  /// Shard count of the one summarizer path — the sharded quotient
-  /// construction (every kind) and the sharded partitions (W and BISIM).
-  /// 1 = one shard on the calling thread (default), 0 = all available
-  /// CPUs. The result is byte-identical at every value (see
-  /// src/summary/README.md for the sharding invariants that guarantee it).
-  uint32_t num_threads = 1;
   /// Refinement rounds for SummaryKind::kBisimulation (forward-backward,
   /// seeded with the nodes' class sets): nodes are equivalent iff their
   /// k-hop labeled neighborhoods are (k = depth). Larger depths approach
@@ -70,11 +64,12 @@ struct SummaryOptions {
   /// the input graph".
   uint32_t bisimulation_depth = 2;
   /// Optional governance (deadline + cancellation token). Borrowed; must
-  /// outlive the call; nullptr = ungoverned. Shard workers poll it between
-  /// chunks and fall through to their join barrier, and the TrySummarize
-  /// entry points return its kCancelled/kDeadlineExceeded status (partial
-  /// phase output is discarded). Only the Try* entry points may be called
-  /// with a context set — plain Summarize has no error channel.
+  /// outlive the call; nullptr = ungoverned. The weak partition, the
+  /// bisimulation rounds and the quotient poll it between chunks, and the
+  /// TrySummarize entry points return its kCancelled/kDeadlineExceeded
+  /// status (partial phase output is discarded). Only the Try* entry
+  /// points may be called with a context set — plain Summarize has no error
+  /// channel.
   util::ExecContext* exec = nullptr;
 };
 

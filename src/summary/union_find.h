@@ -1,129 +1,52 @@
 #ifndef RDFSUM_SUMMARY_UNION_FIND_H_
 #define RDFSUM_SUMMARY_UNION_FIND_H_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 namespace rdfsum::summary {
 
-/// Disjoint-set forest with union by size and path compression.
-/// Elements are dense indices 0..size()-1.
+/// Disjoint-set forest over dense indices 0..size()-1. Union hooks the
+/// larger root under the smaller and Find halves the path it walks, so
+/// parent ids strictly decrease along every path and every set's root is
+/// its minimum element id. Which elements share a root depends only on the
+/// set of Union calls, never on their order.
 class UnionFind {
  public:
-  explicit UnionFind(uint32_t n = 0) { Grow(n); }
+  explicit UnionFind(uint32_t n = 0) { Add(n); }
 
   /// Adds `count` singleton sets; returns the index of the first one.
   uint32_t Add(uint32_t count = 1) {
-    uint32_t first = static_cast<uint32_t>(parent_.size());
-    Grow(count);
+    const uint32_t first = size();
+    parent_.resize(first + count);
+    std::iota(parent_.begin() + first, parent_.end(), first);
     return first;
   }
 
   uint32_t size() const { return static_cast<uint32_t>(parent_.size()); }
-  uint32_t NumSets() const { return num_sets_; }
 
+  /// Root (minimum element id) of x's set.
   uint32_t Find(uint32_t x) {
-    uint32_t root = x;
-    while (parent_[root] != root) root = parent_[root];
-    while (parent_[x] != root) {
-      uint32_t next = parent_[x];
-      parent_[x] = root;
-      x = next;
+    while (parent_[x] != x) {
+      parent_[x] = parent_[parent_[x]];
+      x = parent_[x];
     }
-    return root;
+    return x;
   }
 
-  /// Merges the sets of a and b; returns true iff they were distinct.
-  bool Union(uint32_t a, uint32_t b) {
-    uint32_t ra = Find(a);
-    uint32_t rb = Find(b);
-    if (ra == rb) return false;
-    if (size_[ra] < size_[rb]) std::swap(ra, rb);
-    parent_[rb] = ra;
-    size_[ra] += size_[rb];
-    --num_sets_;
-    return true;
-  }
-
-  bool Connected(uint32_t a, uint32_t b) { return Find(a) == Find(b); }
-
-  /// Size of the set containing x.
-  uint32_t SetSize(uint32_t x) { return size_[Find(x)]; }
-
- private:
-  void Grow(uint32_t count) {
-    uint32_t start = static_cast<uint32_t>(parent_.size());
-    parent_.resize(start + count);
-    size_.resize(start + count, 1);
-    for (uint32_t i = start; i < parent_.size(); ++i) parent_[i] = i;
-    num_sets_ += count;
-  }
-
-  std::vector<uint32_t> parent_;
-  std::vector<uint32_t> size_;
-  uint32_t num_sets_ = 0;
-};
-
-/// Concurrent disjoint-set forest for the parallel summarizers: lock-free
-/// Union (CAS hook of the larger root under the smaller) and Find with CAS
-/// path halving. No set sizes or counts — the parallel paths only need
-/// connectivity. Two properties the callers rely on:
-///
-///  - the resulting partition depends only on the *set* of Union calls,
-///    never on their interleaving (connectivity closure is confluent), so
-///    summaries come out identical at every thread count;
-///  - because hooking always points the larger root at the smaller one,
-///    parent ids strictly decrease along every path (termination) and, once
-///    all Unions have completed and their threads joined, the root of every
-///    element is the minimum element id of its set — Find results are then
-///    deterministic.
-class AtomicUnionFind {
- public:
-  explicit AtomicUnionFind(uint32_t n)
-      : parent_(std::make_unique<std::atomic<uint32_t>[]>(n)), size_(n) {
-    for (uint32_t i = 0; i < n; ++i) {
-      parent_[i].store(i, std::memory_order_relaxed);
-    }
-  }
-
-  uint32_t size() const { return size_; }
-
-  /// Root of x's set. Safe to call concurrently with Union/Find; the CAS
-  /// halving writes are benign (a lost race just costs an extra hop).
-  uint32_t Find(uint32_t x) {
-    while (true) {
-      uint32_t p = parent_[x].load(std::memory_order_acquire);
-      if (p == x) return x;
-      uint32_t gp = parent_[p].load(std::memory_order_acquire);
-      if (gp == p) return p;
-      parent_[x].compare_exchange_weak(p, gp, std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-      x = gp;
-    }
-  }
-
-  /// Merges the sets of a and b; lock-free under concurrent Union/Find.
+  /// Merges the sets of a and b.
   void Union(uint32_t a, uint32_t b) {
-    while (true) {
-      a = Find(a);
-      b = Find(b);
-      if (a == b) return;
-      if (a > b) std::swap(a, b);
-      uint32_t expected = b;
-      if (parent_[b].compare_exchange_strong(expected, a,
-                                             std::memory_order_acq_rel,
-                                             std::memory_order_acquire)) {
-        return;
-      }
-      // b gained a parent concurrently; chase the new roots and retry.
-    }
+    a = Find(a);
+    b = Find(b);
+    if (a == b) return;
+    if (a > b) std::swap(a, b);
+    parent_[b] = a;
   }
 
  private:
-  std::unique_ptr<std::atomic<uint32_t>[]> parent_;
-  uint32_t size_;
+  std::vector<uint32_t> parent_;
 };
 
 }  // namespace rdfsum::summary

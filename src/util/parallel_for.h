@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "util/exec_context.h"
 #include "util/status.h"
@@ -27,26 +25,13 @@ inline uint32_t ResolveThreadCount(uint32_t requested, uint64_t work_items) {
   return static_cast<uint32_t>(threads);
 }
 
-/// Half-open slice of [0, total) owned by `shard` of `num_shards`:
-/// contiguous, balanced to within one element, and jointly covering the
-/// whole range.
-inline std::pair<uint64_t, uint64_t> ShardRange(uint64_t total, uint32_t shard,
-                                                uint32_t num_shards) {
-  uint64_t chunk = total / num_shards;
-  uint64_t rem = total % num_shards;
-  uint64_t begin = shard * chunk + std::min<uint64_t>(shard, rem);
-  return {begin, begin + chunk + (shard < rem ? 1 : 0)};
-}
-
 /// Runs body(shard) for every shard in [0, num_threads): shard 0 on the
 /// calling thread, the rest as tasks on the shared ThreadPool, joining them
-/// all before returning — the shared fan-out/join boilerplate of every
-/// parallel pass, and the barrier between passes. Pool tasks replace the
-/// per-call std::thread spawns this used to do: concurrent summarize/load/
-/// query requests now share one set of OS threads, and nested fan-out (a
-/// parallel table build inside a parallel load) is safe because
-/// TaskGroup::Wait helps run its own group's queued shards (see
-/// util/thread_pool.h).
+/// all before returning — the shared fan-out/join boilerplate of the
+/// chunked N-Triples parse and the query morsels. Concurrent load and query
+/// requests share the pool's one set of OS threads, and nested fan-out is
+/// safe because TaskGroup::Wait helps run its own group's queued shards
+/// (see util/thread_pool.h).
 ///
 /// Shard count, sharding, and outputs are untouched by pool size: a shard
 /// is a unit of *work division*, not a dedicated thread, so results stay
@@ -65,35 +50,18 @@ void ParallelFor(uint32_t num_threads, Body&& body) {
   group.Wait();
 }
 
-/// Shards [0, total) contiguously over num_threads threads and runs
-/// body(shard, begin, end) per shard (empty ranges included, so per-shard
-/// state is initialized even when total < num_threads). Accepts 0 — the
-/// codebase's "all cores" sentinel — as 1, so forwarding an
-/// unresolved options value cannot divide by zero in ShardRange.
-template <typename Body>
-void ParallelForRanges(uint32_t num_threads, uint64_t total, Body&& body) {
-  const uint32_t shards = std::max(num_threads, 1u);
-  ParallelFor(shards, [&body, total, shards](uint32_t shard) {
-    auto [begin, end] = ShardRange(total, shard, shards);
-    body(shard, begin, end);
-  });
-}
-
-/// How many items a worker processes between ExecContext polls. Coarser
-/// than ExecContext::kCheckInterval because shard bodies do a few
+/// How many items a loop processes between ExecContext polls. Coarser
+/// than ExecContext::kCheckInterval because the chunked loops do a few
 /// nanoseconds of work per item; this still bounds cancellation latency to
-/// well under a millisecond of shard work.
+/// well under a millisecond of work.
 inline constexpr uint64_t kCancelCheckChunk = 8192;
 
 /// Runs body(chunk_begin, chunk_end) over [begin, end) in chunks of
 /// kCancelCheckChunk items, polling `ctx` between chunks. Stops at the first
 /// non-OK poll and returns that status (the remaining items are skipped —
-/// the caller must treat the shard's output as partial and discard it).
-///
-/// This is the worker-side half of cooperative cancellation: a worker that
-/// observes cancellation returns from its body normally and falls through
-/// to ParallelFor's join, so the per-round barriers of the parallel
-/// summarizers can never deadlock on a cancelled run.
+/// the caller must treat its output as partial and discard it). The
+/// summarizer's weak pass, bisimulation rounds and quotient poll through
+/// it.
 template <typename ChunkBody>
 Status CancellableChunks(const ExecContext* ctx, uint64_t begin, uint64_t end,
                          ChunkBody&& body) {

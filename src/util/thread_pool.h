@@ -24,9 +24,8 @@ uint32_t AvailableCpuCount();
 
 /// Process-wide work-stealing task pool. One pool (ThreadPool::Shared(),
 /// lazily constructed and sized to the CPUs it may use) serves every
-/// parallel phase — summarize shards, parallel table-build sorts, chunked
-/// parsing, and query morsels — so concurrent requests share one set of OS
-/// threads instead of each spawning their own.
+/// parallel phase — chunked parsing and query morsels — so concurrent
+/// requests share one set of OS threads instead of each spawning their own.
 ///
 /// Structure: one deque per worker, each guarded by its own mutex. A worker
 /// pops its own deque from the back (LIFO — the task it submitted last is

@@ -151,24 +151,5 @@ TEST(BisimulationTest, DirectionSelectsNeighborhoods) {
   EXPECT_NE(ClassOf(dg, fb, x1), ClassOf(dg, fb, x3));
 }
 
-TEST(BisimulationTest, ParallelRoundsMatchSequential) {
-  gen::HeteroOptions opt;
-  opt.seed = 5;
-  opt.num_nodes = 180;
-  opt.type_probability = 0.3;
-  const DenseGraph dg(gen::GenerateHetero(opt));
-  for (uint32_t depth : {0u, 2u, 4u}) {
-    NodePartition seq = ComputeBisimulationPartition(dg, depth, true);
-    for (uint32_t threads : {2u, 7u, 0u}) {
-      NodePartition par = ComputeBisimulationPartition(
-          dg, depth, true, BisimulationDirection::kForwardBackward, threads);
-      EXPECT_EQ(par.num_classes, seq.num_classes)
-          << "depth " << depth << " threads " << threads;
-      EXPECT_EQ(par.class_of, seq.class_of)
-          << "depth " << depth << " threads " << threads;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace rdfsum::summary

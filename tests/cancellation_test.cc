@@ -1,16 +1,17 @@
 // The cancellation wall (satellite of the governance PR): cooperative
 // cancellation must be prompt (observed within one ExecContext check
-// interval), clean (no partial output escapes, no crash), and barrier-safe
-// (threaded summarization shards fall through their join instead of
-// deadlocking). The randomized tests run under TSan in CI — a worker that
-// raced the cancel token would be flagged there.
+// interval), clean (no partial output escapes, no crash), and race-free: the
+// randomized test cancels from another thread while the summarizer runs,
+// and runs under TSan in CI, which would flag a racy read of the token.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <functional>
+#include <iostream>
 #include <random>
 #include <thread>
+#include <utility>
 
 #include "gen/bsbm.h"
 #include "io/ntriples_parser.h"
@@ -50,66 +51,86 @@ TEST(CancellationTest, PreCancelledSummarizeFailsWithoutWork) {
   EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
 }
 
-TEST(CancellationTest, PreCancelledThreadedSummarizeFails) {
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    util::ExecContext ctx;
-    ctx.Cancel();
-    summary::SummaryOptions options;
-    options.exec = &ctx;
-    options.num_threads = threads;
-    auto r = summary::TrySummarize(TestGraph(), summary::SummaryKind::kWeak,
-                                   options);
-    ASSERT_FALSE(r.ok()) << "threads " << threads;
-    EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
-  }
-}
-
 TEST(CancellationTest, CancelledPartitionReturnsEmptyAndStickyStatus) {
-  for (uint32_t threads : {1u, 4u}) {
-    util::ExecContext ctx;
-    ctx.Cancel();
-    summary::NodePartition part =
-        summary::ComputeWeakPartition(DenseGraph(TestGraph()), threads, &ctx);
-    EXPECT_TRUE(part.class_of.empty()) << "threads " << threads;
-    EXPECT_TRUE(ctx.Check().IsCancelled()) << "threads " << threads;
-  }
+  const DenseGraph dg(TestGraph());
+  util::ExecContext weak_ctx;
+  weak_ctx.Cancel();
+  EXPECT_TRUE(
+      summary::ComputeWeakPartition(dg, &weak_ctx).class_of.empty());
+  EXPECT_TRUE(weak_ctx.Check().IsCancelled());
+
+  util::ExecContext bisim_ctx;
+  bisim_ctx.Cancel();
+  EXPECT_TRUE(summary::ComputeBisimulationPartition(
+                  dg, 2, true, summary::BisimulationDirection::kForwardBackward,
+                  &bisim_ctx)
+                  .class_of.empty());
+  EXPECT_TRUE(bisim_ctx.Check().IsCancelled());
 }
 
 // Randomized cancellation points: a canceller thread fires after a random
-// delay while threaded summarization runs. Every iteration must terminate
-// (no shard deadlocks on its join barrier) and return either a complete
-// correct summary or kCancelled — nothing in between.
+// delay within the span of an uncancelled run, so the token trips before,
+// during or after each pass — the weak union-find pass, the bisimulation
+// rounds, and the quotient (alone, over a fixed partition). Every iteration
+// must terminate and return either a complete correct summary or
+// kCancelled — nothing in between.
 TEST(CancellationTest, RandomizedMidFlightCancellation) {
+  using Run = std::function<StatusOr<summary::SummaryResult>(
+      const summary::SummaryOptions&)>;
   const Graph& g = TestGraph();
-  const uint64_t expected_triples =
-      summary::Summarize(g, summary::SummaryKind::kWeak).graph.NumTriples();
+  const summary::NodePartition weak =
+      summary::ComputeWeakPartition(DenseGraph(g));
+  const std::pair<const char*, Run> targets[] = {
+      {"weak",
+       [&](const summary::SummaryOptions& o) {
+         return summary::TrySummarize(g, summary::SummaryKind::kWeak, o);
+       }},
+      {"bisimulation",
+       [&](const summary::SummaryOptions& o) {
+         return summary::TrySummarize(g, summary::SummaryKind::kBisimulation,
+                                      o);
+       }},
+      {"quotient",
+       [&](const summary::SummaryOptions& o) {
+         return summary::QuotientByPartition(g, weak,
+                                             summary::SummaryKind::kWeak, o);
+       }},
+  };
   std::mt19937_64 rng(20260808);
-  int cancelled_runs = 0, completed_runs = 0;
-  for (int iter = 0; iter < 30; ++iter) {
-    util::ExecContext ctx;
-    summary::SummaryOptions options;
-    options.exec = &ctx;
-    options.num_threads = 4;
-    const auto delay = std::chrono::microseconds(rng() % 3000);
-    std::thread canceller([&ctx, delay] {
-      std::this_thread::sleep_for(delay);
-      ctx.Cancel();
-    });
-    auto r =
-        summary::TrySummarize(g, summary::SummaryKind::kWeak, options);
-    canceller.join();
-    if (r.ok()) {
-      ++completed_runs;
-      EXPECT_EQ(r->graph.NumTriples(), expected_triples);
-    } else {
-      ++cancelled_runs;
-      EXPECT_TRUE(r.status().IsCancelled()) << r.status().ToString();
+  for (const auto& [name, run] : targets) {
+    const auto start = std::chrono::steady_clock::now();
+    const uint64_t expected_triples = run({}).value().graph.NumTriples();
+    const uint64_t span_us = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+    int cancelled_runs = 0, completed_runs = 0;
+    for (int iter = 0; iter < 30; ++iter) {
+      util::ExecContext ctx;
+      summary::SummaryOptions options;
+      options.exec = &ctx;
+      const auto delay =
+          std::chrono::microseconds(rng() % (span_us * 6 / 5 + 1));
+      std::thread canceller([&ctx, delay] {
+        std::this_thread::sleep_for(delay);
+        ctx.Cancel();
+      });
+      auto r = run(options);
+      canceller.join();
+      if (r.ok()) {
+        ++completed_runs;
+        EXPECT_EQ(r->graph.NumTriples(), expected_triples) << name;
+      } else {
+        ++cancelled_runs;
+        EXPECT_TRUE(r.status().IsCancelled())
+            << name << ": " << r.status().ToString();
+      }
     }
+    // Not asserted in ratio (timing-dependent), but both outcomes existing
+    // in a typical run is what gives the test its coverage.
+    std::cout << name << ": " << completed_runs << " completed, "
+              << cancelled_runs << " cancelled\n";
   }
-  // Not asserted in ratio (timing-dependent), but both outcomes existing in
-  // a typical run is what gives the test its coverage; log for the curious.
-  SCOPED_TRACE(testing::Message() << completed_runs << " completed, "
-                                  << cancelled_runs << " cancelled");
 }
 
 // A cursor stream must stop within one check interval of cancellation: at

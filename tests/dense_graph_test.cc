@@ -185,18 +185,15 @@ GraphView PrivateView(const Graph& g) {
   return view;
 }
 
-/// Every summary kind of `view` at two shards, as N-Triples.
+/// Every summary kind of `view`, as N-Triples.
 std::string AllSummaries(const GraphView& view) {
-  summary::SummaryOptions options;
-  options.num_threads = 2;
   std::string out;
   for (summary::SummaryKind kind :
        {summary::SummaryKind::kWeak, summary::SummaryKind::kStrong,
         summary::SummaryKind::kTypedWeak, summary::SummaryKind::kTypedStrong,
         summary::SummaryKind::kTypeBased,
         summary::SummaryKind::kBisimulation}) {
-    out += io::NTriplesWriter::ToString(
-        summary::Summarize(view, kind, options).graph);
+    out += io::NTriplesWriter::ToString(summary::Summarize(view, kind).graph);
   }
   return out;
 }

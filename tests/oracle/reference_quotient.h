@@ -8,16 +8,15 @@
 
 namespace rdfsum::summary {
 
-/// The sequential quotient walk QuotientByPartition ran before its edge set
-/// was built only by shards, kept verbatim: one minted node per class in
-/// class-id order, then every data, type and schema triple of `g` added in
-/// input order through the partition (Definition 9). It is the oracle the
-/// sharded quotient must match byte for byte — same minted ids, same triple
-/// insertion order, same node_map — at every thread count. Its multiplicity
+/// The pre-substrate quotient walk, kept verbatim: one minted node per class
+/// in class-id order, then every data, type and schema triple of `g` added
+/// in input order through the partition (Definition 9). It is the oracle
+/// QuotientByPartition's dense-edge dedup must match byte for byte — same
+/// minted ids, same triple insertion order, same node_map. Its multiplicity
 /// is counted apart from the quotient walk, by a second walk of G's data and
 /// type triples through node_map.
 /// Returns kInvalidArgument when `part` misses a node, and honours
-/// options.exec; options.num_threads is ignored.
+/// options.exec.
 StatusOr<SummaryResult> ReferenceQuotient(const Graph& g,
                                           const ReferencePartition& part,
                                           SummaryKind kind,

@@ -9,10 +9,10 @@
 namespace rdfsum::store {
 
 /// A triple table computed the obvious way, as the oracle
-/// TripleTable::Build is compared against at every thread count: each
-/// permutation is std::sort + std::unique of the raw rows under its own key
-/// order, and every statistic is the size of a std::set of the keys it
-/// counts over the distinct rows — no run boundaries, no shards.
+/// TripleTable::Build is compared against: each permutation is std::sort +
+/// std::unique of the raw rows under its own key order, and every statistic
+/// is the size of a std::set of the keys it counts over the distinct rows —
+/// no counting sort, no run boundaries.
 struct ReferenceTableStats {
   std::vector<Triple> spo;  // sorted by (s, p, o)
   std::vector<Triple> pos;  // sorted by (p, o, s)

@@ -7,7 +7,7 @@
 // after a strict-mode failure.
 // TripleTable::Build() is held to an independent reference: the three
 // sorted permutations and the table statistics must match
-// ComputeReferenceTableStats at every thread count.
+// ComputeReferenceTableStats.
 
 #include <gtest/gtest.h>
 
@@ -377,8 +377,7 @@ INSTANTIATE_TEST_SUITE_P(Threads, ParallelLoadFailpointTest,
 
 // ---------------------------------------------------------------------------
 // Table-build differential: permutations and statistics must match the
-// reference table (tests/oracle/reference_table_stats.h) at every thread
-// count.
+// reference table (tests/oracle/reference_table_stats.h).
 
 namespace {
 void ExpectStatsEqual(const store::TableStats& a, const store::TableStats& b,
@@ -420,12 +419,12 @@ std::vector<Triple> SyntheticTriples(size_t n) {
 }
 }  // namespace
 
-/// Builds a table from `rows` at `threads` and compares every permutation
-/// and statistic with the reference table.
+/// Builds a table from `rows` and compares every permutation and statistic
+/// with the reference table.
 void ExpectFreezeMatchesReference(const std::vector<Triple>& rows,
                                   const store::ReferenceTableStats& ref,
-                                  uint32_t threads, const std::string& label) {
-  const store::TripleTable table = store::TripleTable::Build(rows, threads);
+                                  const std::string& label) {
+  const store::TripleTable table = store::TripleTable::Build(rows);
   const std::pair<store::IndexKind, const std::vector<Triple>*> expected[] = {
       {store::IndexKind::kSpo, &ref.spo},
       {store::IndexKind::kPos, &ref.pos},
@@ -438,22 +437,15 @@ void ExpectFreezeMatchesReference(const std::vector<Triple>& rows,
   ExpectStatsEqual(table.stats(), ref.stats, label);
 }
 
-TEST(ParallelFreezeTest, ByteIdenticalAcrossThreadCounts) {
-  // Over 4 × 65536 rows, so the statistics pass (one shard per 64k rows)
-  // runs sharded too, not only the sorts.
+TEST(TableBuildTest, SyntheticTableMatches) {
   const std::vector<Triple> rows = SyntheticTriples(280000);
-  const store::ReferenceTableStats ref =
-      store::ComputeReferenceTableStats(rows);
-  for (uint32_t threads : kThreadCounts) {
-    ExpectFreezeMatchesReference(rows, ref, threads,
-                                 "t" + std::to_string(threads));
-  }
+  ExpectFreezeMatchesReference(rows, store::ComputeReferenceTableStats(rows),
+                               "synthetic");
 }
 
-TEST(ParallelFreezeTest, DatasetTableMatches) {
-  // Real dataset shape (BSBM) end-to-end: the table of a parallel load,
-  // frozen at every thread count, equals the reference over the rows of a
-  // sequential load.
+TEST(TableBuildTest, DatasetTableMatches) {
+  // Real dataset shape (BSBM) end-to-end: the table of a parallel load
+  // equals the reference over the rows of a sequential load.
   const std::string input = MakeInput(Dataset::kBsbm);
   Graph seq = ParseWith(input, 1, nullptr);
   Graph par = ParseWith(input, 8, nullptr);
@@ -462,10 +454,7 @@ TEST(ParallelFreezeTest, DatasetTableMatches) {
   par.ForEachTriple([&](const Triple& t) { par_rows.push_back(t); });
   const store::ReferenceTableStats ref =
       store::ComputeReferenceTableStats(seq_rows);
-  for (uint32_t threads : kThreadCounts) {
-    ExpectFreezeMatchesReference(par_rows, ref, threads,
-                                 "bsbm t" + std::to_string(threads));
-  }
+  ExpectFreezeMatchesReference(par_rows, ref, "bsbm");
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <queue>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "summary/union_find.h"
-#include "util/parallel_for.h"
 
 namespace rdfsum::summary {
 namespace {
@@ -13,17 +14,7 @@ namespace {
 TEST(UnionFindTest, SingletonsInitially) {
   UnionFind uf(5);
   EXPECT_EQ(uf.size(), 5u);
-  EXPECT_EQ(uf.NumSets(), 5u);
   for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(uf.Find(i), i);
-}
-
-TEST(UnionFindTest, UnionMergesAndCounts) {
-  UnionFind uf(4);
-  EXPECT_TRUE(uf.Union(0, 1));
-  EXPECT_FALSE(uf.Union(1, 0));
-  EXPECT_EQ(uf.NumSets(), 3u);
-  EXPECT_TRUE(uf.Connected(0, 1));
-  EXPECT_FALSE(uf.Connected(0, 2));
 }
 
 TEST(UnionFindTest, TransitiveUnions) {
@@ -31,10 +22,8 @@ TEST(UnionFindTest, TransitiveUnions) {
   uf.Union(0, 1);
   uf.Union(2, 3);
   uf.Union(1, 2);
-  EXPECT_TRUE(uf.Connected(0, 3));
-  EXPECT_EQ(uf.NumSets(), 3u);
-  EXPECT_EQ(uf.SetSize(0), 4u);
-  EXPECT_EQ(uf.SetSize(4), 1u);
+  EXPECT_EQ(uf.Find(0), uf.Find(3));
+  EXPECT_NE(uf.Find(0), uf.Find(4));
 }
 
 TEST(UnionFindTest, AddGrows) {
@@ -44,89 +33,74 @@ TEST(UnionFindTest, AddGrows) {
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(b, 1u);
   EXPECT_EQ(uf.size(), 4u);
-  EXPECT_EQ(uf.NumSets(), 4u);
   uf.Union(0, 3);
-  EXPECT_TRUE(uf.Connected(0, 3));
+  EXPECT_EQ(uf.Find(3), 0u);
 }
 
-TEST(UnionFindTest, PathCompressionKeepsAnswersStable) {
+TEST(UnionFindTest, RootIsMinimumElementOfSet) {
+  // Hooking always points the larger root at the smaller, so every set's
+  // root is its minimum element id, whatever order the unions come in.
   UnionFind uf(100);
-  for (uint32_t i = 1; i < 100; ++i) uf.Union(i - 1, i);
-  EXPECT_EQ(uf.NumSets(), 1u);
-  uint32_t root = uf.Find(0);
-  for (uint32_t i = 0; i < 100; ++i) EXPECT_EQ(uf.Find(i), root);
-  EXPECT_EQ(uf.SetSize(42), 100u);
-}
-
-TEST(UnionFindTest, ManyInterleavedUnions) {
-  UnionFind uf(1000);
-  for (uint32_t i = 0; i < 1000; i += 2) {
-    if (i + 1 < 1000) uf.Union(i, i + 1);
-  }
-  EXPECT_EQ(uf.NumSets(), 500u);
-  for (uint32_t i = 0; i + 3 < 1000; i += 4) uf.Union(i, i + 2);
-  EXPECT_EQ(uf.NumSets(), 250u);
-}
-
-// ---- AtomicUnionFind -------------------------------------------------------
-
-TEST(AtomicUnionFindTest, SingletonsInitially) {
-  AtomicUnionFind uf(5);
-  EXPECT_EQ(uf.size(), 5u);
-  for (uint32_t i = 0; i < 5; ++i) EXPECT_EQ(uf.Find(i), i);
-}
-
-TEST(AtomicUnionFindTest, TransitiveUnions) {
-  AtomicUnionFind uf(6);
-  uf.Union(0, 1);
-  uf.Union(2, 3);
-  uf.Union(1, 2);
-  EXPECT_EQ(uf.Find(0), uf.Find(3));
-  EXPECT_NE(uf.Find(0), uf.Find(4));
-}
-
-TEST(AtomicUnionFindTest, RootIsMinimumElementOfSet) {
-  // Hooking always points the larger root at the smaller, so after the
-  // unions settle every set's root is its minimum element id.
-  AtomicUnionFind uf(100);
   for (uint32_t i = 99; i >= 51; --i) uf.Union(i, i - 1);
   for (uint32_t i = 50; i < 100; ++i) EXPECT_EQ(uf.Find(i), 50u);
   for (uint32_t i = 0; i < 50; ++i) EXPECT_EQ(uf.Find(i), i);
 }
 
-TEST(AtomicUnionFindTest, ConcurrentUnionsMatchSequential) {
-  // Many threads race the same union workload; the resulting partition must
-  // equal the sequential UnionFind closure. Also the TSan exercise for the
-  // lock-free hook/compress paths.
-  constexpr uint32_t kNodes = 4096;
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  for (uint32_t i = 0; i + 1 < kNodes; i += 2) edges.emplace_back(i, i + 1);
-  for (uint32_t i = 0; i + 4 < kNodes; i += 16) edges.emplace_back(i, i + 4);
-  for (uint32_t i = 0; i + 64 < kNodes; i += 64) edges.emplace_back(i + 64, i);
-  edges.emplace_back(kNodes - 1, 0);
-
-  UnionFind seq(kNodes);
-  for (const auto& [a, b] : edges) seq.Union(a, b);
-
-  AtomicUnionFind par(kNodes);
-  util::ParallelForRanges(
-      8, edges.size(), [&](uint32_t, uint64_t begin, uint64_t end) {
-        for (uint64_t i = begin; i < end; ++i) {
-          par.Union(edges[i].first, edges[i].second);
+/// Connected components of the undirected graph on [0, n) with `edges`, by
+/// breadth-first search: component[i] is the minimum id reachable from i.
+std::vector<uint32_t> BfsComponents(
+    uint32_t n, const std::vector<std::pair<uint32_t, uint32_t>>& edges) {
+  std::vector<std::vector<uint32_t>> adj(n);
+  for (const auto& [a, b] : edges) {
+    adj[a].push_back(b);
+    adj[b].push_back(a);
+  }
+  constexpr uint32_t kUnseen = UINT32_MAX;
+  std::vector<uint32_t> component(n, kUnseen);
+  for (uint32_t start = 0; start < n; ++start) {
+    if (component[start] != kUnseen) continue;
+    // Ascending start ids: the first unseen id of a component is its
+    // minimum.
+    component[start] = start;
+    std::queue<uint32_t> frontier;
+    frontier.push(start);
+    while (!frontier.empty()) {
+      uint32_t v = frontier.front();
+      frontier.pop();
+      for (uint32_t w : adj[v]) {
+        if (component[w] == kUnseen) {
+          component[w] = start;
+          frontier.push(w);
         }
-      });
-  // Concurrent compress pass, then compare the partitions.
-  std::vector<uint32_t> root(kNodes);
-  util::ParallelForRanges(8, kNodes,
-                          [&](uint32_t, uint64_t begin, uint64_t end) {
-                            for (uint64_t i = begin; i < end; ++i) {
-                              root[i] = par.Find(static_cast<uint32_t>(i));
-                            }
-                          });
-  for (uint32_t i = 0; i < kNodes; ++i) {
-    for (uint32_t j : {i / 2, i / 3, (i + kNodes / 2) % kNodes}) {
-      EXPECT_EQ(root[i] == root[j], seq.Find(i) == seq.Find(j))
-          << "i=" << i << " j=" << j;
+      }
+    }
+  }
+  return component;
+}
+
+TEST(UnionFindTest, MatchesBreadthFirstConnectivityWithGrowth) {
+  // Random unions interleaved with Add growth: after every round, each
+  // element's root must be the minimum id of its BFS component — the same
+  // sets, and the root a deterministic name for its set.
+  std::mt19937_64 rng(20261019);
+  for (int trial = 0; trial < 20; ++trial) {
+    UnionFind uf;
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    for (int round = 0; round < 8; ++round) {
+      uf.Add(static_cast<uint32_t>(1 + rng() % 64));
+      const uint32_t n = uf.size();
+      const int unions = static_cast<int>(rng() % (n + 1));
+      for (int u = 0; u < unions; ++u) {
+        const uint32_t a = static_cast<uint32_t>(rng() % n);
+        const uint32_t b = static_cast<uint32_t>(rng() % n);
+        uf.Union(a, b);
+        edges.emplace_back(a, b);
+      }
+      const std::vector<uint32_t> component = BfsComponents(n, edges);
+      for (uint32_t i = 0; i < n; ++i) {
+        ASSERT_EQ(uf.Find(i), component[i])
+            << "trial " << trial << " round " << round << " element " << i;
+      }
     }
   }
 }

@@ -363,21 +363,6 @@ TEST(ParallelForTest, AllCoresMeansTheAffinityMask) {
 }
 #endif
 
-TEST(ParallelForTest, ShardRangesCoverDisjointly) {
-  for (uint64_t total : {0ull, 1ull, 7ull, 64ull, 65ull, 1000ull}) {
-    for (uint32_t shards : {1u, 2u, 7u, 16u}) {
-      uint64_t expected_begin = 0;
-      for (uint32_t s = 0; s < shards; ++s) {
-        auto [begin, end] = util::ShardRange(total, s, shards);
-        EXPECT_EQ(begin, expected_begin);
-        EXPECT_LE(end - begin, total / shards + 1);  // balanced
-        expected_begin = end;
-      }
-      EXPECT_EQ(expected_begin, total);
-    }
-  }
-}
-
 TEST(ParallelForTest, RunsEveryShardExactlyOnce) {
   constexpr uint32_t kShards = 7;
   std::atomic<uint32_t> mask{0};
@@ -385,30 +370,6 @@ TEST(ParallelForTest, RunsEveryShardExactlyOnce) {
     mask.fetch_or(1u << shard, std::memory_order_relaxed);
   });
   EXPECT_EQ(mask.load(), (1u << kShards) - 1);
-}
-
-TEST(ParallelForTest, ZeroThreadsActsAsOne) {
-  // 0 is the codebase's "hardware concurrency" sentinel; forwarding it
-  // unresolved must not divide by zero in ShardRange.
-  uint64_t covered = 0;
-  util::ParallelForRanges(0, 17,
-                          [&](uint32_t shard, uint64_t begin, uint64_t end) {
-                            EXPECT_EQ(shard, 0u);
-                            covered += end - begin;
-                          });
-  EXPECT_EQ(covered, 17u);
-}
-
-TEST(ParallelForTest, RangesSumMatchesTotal) {
-  constexpr uint64_t kTotal = 12345;
-  std::atomic<uint64_t> sum{0};
-  util::ParallelForRanges(5, kTotal,
-                          [&](uint32_t, uint64_t begin, uint64_t end) {
-                            uint64_t local = 0;
-                            for (uint64_t i = begin; i < end; ++i) local += i;
-                            sum.fetch_add(local, std::memory_order_relaxed);
-                          });
-  EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
 }
 
 }  // namespace

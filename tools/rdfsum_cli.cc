@@ -19,8 +19,8 @@
 //
 // Input format is chosen by extension: .ttl/.turtle uses the Turtle parser,
 // anything else the N-Triples parser. The global --threads flag (see Usage)
-// parallelizes the N-Triples load, freeze, and summarization with
-// byte-identical output.
+// parallelizes the N-Triples load and the query drain with byte-identical
+// output.
 
 #include <chrono>
 #include <csignal>
@@ -127,11 +127,11 @@ int Usage() {
       "\n"
       "global flags (any command):\n"
       "  --threads N        worker threads for the N-Triples load\n"
-      "                     (chunked parse + sharded intern), freeze's\n"
-      "                     permutation sorts, summarize's partition +\n"
-      "                     quotient phases, and query's morsel-parallel\n"
-      "                     drain; 0 = all cores, 1 = sequential (default).\n"
-      "                     Output is byte-identical at every thread count.\n"
+      "                     (chunked parse + sharded intern) and query's\n"
+      "                     morsel-parallel drain; 0 = all cores, 1 =\n"
+      "                     sequential (default). Freeze and summarize run\n"
+      "                     on one thread. Output is byte-identical at every\n"
+      "                     thread count.\n"
       "\n"
       "global resource-governance flags (any command; 0 = unlimited):\n"
       "  --timeout-ms N     wall-clock budget; exceeding it aborts with\n"
@@ -255,7 +255,7 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
     // here on the loaded graph so a regression in any cold-path stage is
     // visible from this one command.
     Timer freeze_timer;
-    store::TripleTable::Build(g.Triples(), threads);
+    store::TripleTable::Build(g.Triples());
     const double freeze_seconds = freeze_timer.ElapsedSeconds();
     Timer dense_timer;
     const DenseGraph dense(g);
@@ -272,20 +272,6 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
   Status wb = CheckWellBehaved(g);
   std::cout << "well-behaved: " << (wb.ok() ? "yes" : wb.ToString()) << "\n";
   return 0;
-}
-
-// `--threads` sets SummaryOptions::num_threads, the shard count of the one
-// summarizer path: the quotient phase shards for every kind, and W/BISIM
-// shard their partitions too; 1 is one shard on the calling thread.
-// Byte-identical at every thread count.
-StatusOr<summary::SummaryResult> RunSummarize(
-    const Graph& g, summary::SummaryKind kind,
-    const summary::SummaryOptions& options, uint32_t threads,
-    util::ExecContext* exec) {
-  summary::SummaryOptions threaded = options;
-  threaded.num_threads = threads;
-  threaded.exec = exec;
-  return summary::TrySummarize(g, kind, threaded);
 }
 
 int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
@@ -317,6 +303,7 @@ int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
   if (store_path.empty() ? positional.size() != 1 : !positional.empty()) {
     return Usage();
   }
+  options.exec = exec;
 
   std::unique_ptr<store::MmapStore> mstore;
   Graph g;
@@ -339,7 +326,7 @@ int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
   for (summary::SummaryKind kind : kinds) {
     Timer timer;
     StatusOr<summary::SummaryResult> r =
-        RunSummarize(g, kind, options, threads, exec);
+        summary::TrySummarize(g, kind, options);
     if (!r.ok()) return FailStatus(r.status());
     std::cout << summary::SummaryKindName(kind) << ": " << r->stats.ToString()
               << " (" << timer.ElapsedMillis() << " ms)\n";
@@ -579,7 +566,6 @@ int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
   if (args.empty()) return Usage();
   std::string out;
   store::FreezeOptions options;
-  options.num_threads = threads;
   double freeze_seconds = 0.0;
   options.freeze_seconds = &freeze_seconds;
   for (size_t i = 1; i < args.size(); ++i) {
