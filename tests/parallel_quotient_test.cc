@@ -1,19 +1,19 @@
-// Differential wall for the sharded quotient construction: at every
-// SummaryOptions::num_threads, one shard included, the summary must be
-// BYTE-identical to the oracle in tests/oracle/ (the reference partition
-// quotiented by the verbatim sequential walk) — same minted urn:rdfsum: ids,
-// same triple insertion order, same serialized N-Triples — for every summary
-// kind, dataset shape, raw/saturated input, and thread count. Minting
-// advances the shared dictionary's counter, so every comparison builds the
-// input graph twice (identical construction => identical TermIds) and
-// summarizes each copy once, exactly like the determinism tests in
-// parallel_test.cc.
+// Differential wall for the quotient against the oracle summary in
+// tests/oracle/ (the reference partition quotiented by the verbatim
+// sequential walk): every summary kind must serialize BYTE-identically to
+// the oracle — same minted urn:rdfsum: ids, same triple insertion order,
+// same node_map and per-edge counts — for every dataset shape and
+// raw/saturated input. Minting advances the shared dictionary's counter, so
+// every byte comparison builds the input graph twice (identical
+// construction => identical TermIds) and summarizes each copy once. The
+// file keeps the name it had when it also swept thread counts; the quotient
+// now runs one pass on the calling thread.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <stdexcept>
 #include <string>
+#include <tuple>
 
 #include "gen/bsbm.h"
 #include "gen/hetero.h"
@@ -29,11 +29,6 @@
 
 namespace rdfsum::summary {
 namespace {
-
-// 1 is one shard on the calling thread; 2/4 split evenly, 7 leaves ragged
-// shard ranges, 8 exceeds the class/type counts of the small datasets, 0 =
-// all hardware threads.
-constexpr uint32_t kThreadCounts[] = {1, 2, 4, 7, 8, 0};
 
 constexpr SummaryKind kAllKinds[] = {
     SummaryKind::kWeak,         SummaryKind::kStrong,
@@ -86,47 +81,42 @@ Graph MakeGraph(Dataset d, bool saturated) {
   return saturated ? reasoner::Saturate(g) : g;
 }
 
-class ParallelQuotientWallTest
+class QuotientWallTest
     : public ::testing::TestWithParam<std::tuple<Dataset, bool>> {};
 
-TEST_P(ParallelQuotientWallTest, ByteIdenticalAcrossKindsAndThreadCounts) {
+TEST_P(QuotientWallTest, ByteIdenticalToOracleForEveryKind) {
   auto [dataset, saturated] = GetParam();
   for (SummaryKind kind : kAllKinds) {
+    const std::string label = SummaryKindName(kind);
     Graph g_ref = MakeGraph(dataset, saturated);
     SummaryResult ref = ReferenceSummarize(g_ref, kind).value();
-    const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
     // The oracle's own counts cover G exactly: |D| over the data edges and
     // |T| over the type edges.
     uint64_t data_count = 0, type_count = 0;
     for (const auto& [edge, count] : ref.multiplicity) {
       (edge.p == g_ref.vocab().rdf_type ? type_count : data_count) += count;
     }
-    EXPECT_EQ(data_count, g_ref.data().size()) << SummaryKindName(kind);
-    EXPECT_EQ(type_count, g_ref.types().size()) << SummaryKindName(kind);
+    EXPECT_EQ(data_count, g_ref.data().size()) << label;
+    EXPECT_EQ(type_count, g_ref.types().size()) << label;
 
-    for (uint32_t threads : kThreadCounts) {
-      Graph g_par = MakeGraph(dataset, saturated);
-      SummaryOptions par_options;
-      par_options.num_threads = threads;
-      SummaryResult par = Summarize(g_par, kind, par_options);
-      const std::string label = std::string(SummaryKindName(kind)) + " t" +
-                                std::to_string(threads);
-      // Serialized summary (data, type, and schema insertion order plus
-      // minted ids) is the byte-identity contract.
-      EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(par.graph)) << label;
-      // The representation maps and the per-edge counts agree id-for-id
-      // too.
-      EXPECT_EQ(ref.node_map, par.node_map) << label;
-      EXPECT_EQ(ref.multiplicity, par.multiplicity) << label;
-      EXPECT_EQ(ref.stats.num_all_nodes, par.stats.num_all_nodes) << label;
-      EXPECT_EQ(ref.stats.num_all_edges, par.stats.num_all_edges) << label;
-      EXPECT_TRUE(CheckHomomorphism(g_par, par).ok()) << label;
-    }
+    Graph g = MakeGraph(dataset, saturated);
+    SummaryResult r = Summarize(g, kind);
+    // Serialized summary (data, type, and schema insertion order plus
+    // minted ids) is the byte-identity contract.
+    EXPECT_EQ(io::NTriplesWriter::ToString(ref.graph),
+              io::NTriplesWriter::ToString(r.graph))
+        << label;
+    // The representation maps and the per-edge counts agree id-for-id too.
+    EXPECT_EQ(ref.node_map, r.node_map) << label;
+    EXPECT_EQ(ref.multiplicity, r.multiplicity) << label;
+    EXPECT_EQ(ref.stats.num_all_nodes, r.stats.num_all_nodes) << label;
+    EXPECT_EQ(ref.stats.num_all_edges, r.stats.num_all_edges) << label;
+    EXPECT_TRUE(CheckHomomorphism(g, r).ok()) << label;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    DatasetsAndSaturation, ParallelQuotientWallTest,
+    DatasetsAndSaturation, QuotientWallTest,
     ::testing::Combine(::testing::Values(Dataset::kBsbm, Dataset::kLubm,
                                          Dataset::kPaper, Dataset::kHetero),
                        ::testing::Bool()),
@@ -135,76 +125,41 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(info.param) ? "_saturated" : "_raw");
     });
 
-// The explicit-partition entry point shards identically: quotient an
-// externally computed partition at every thread count against the oracle
-// walk over the same partition.
-TEST(ParallelQuotientTest, ExplicitPartitionByteIdentical) {
+// The explicit-partition entry point: quotient an externally computed
+// partition against the oracle walk over the same partition.
+TEST(QuotientOracleTest, ExplicitPartitionByteIdentical) {
   Graph g_ref = MakeGraph(Dataset::kHetero, /*saturated=*/false);
   SummaryResult ref =
       ReferenceQuotient(g_ref, ReferenceWeakPartition(g_ref),
                         SummaryKind::kWeak)
           .value();
-  const std::string ref_nt = io::NTriplesWriter::ToString(ref.graph);
-  for (uint32_t threads : kThreadCounts) {
-    Graph g_par = MakeGraph(Dataset::kHetero, /*saturated=*/false);
-    NodePartition part_par = ComputeWeakPartition(DenseGraph(g_par));
-    SummaryOptions options;
-    options.num_threads = threads;
-    SummaryResult par =
-        QuotientByPartition(g_par, part_par, SummaryKind::kWeak, options)
-            .value();
-    EXPECT_EQ(ref_nt, io::NTriplesWriter::ToString(par.graph))
-        << "threads " << threads;
-    EXPECT_EQ(ref.node_map, par.node_map) << "threads " << threads;
-    EXPECT_EQ(ref.multiplicity, par.multiplicity) << "threads " << threads;
-  }
+  Graph g = MakeGraph(Dataset::kHetero, /*saturated=*/false);
+  NodePartition part = ComputeWeakPartition(DenseGraph(g));
+  SummaryResult r = QuotientByPartition(g, part, SummaryKind::kWeak).value();
+  EXPECT_EQ(io::NTriplesWriter::ToString(ref.graph),
+            io::NTriplesWriter::ToString(r.graph));
+  EXPECT_EQ(ref.node_map, r.node_map);
+  EXPECT_EQ(ref.multiplicity, r.multiplicity);
 }
 
 // The oracle walk gives Summarize's representation map and edge counts.
-TEST(ParallelQuotientTest, NodeMapMatchesOracle) {
+TEST(QuotientOracleTest, NodeMapMatchesOracle) {
   Graph g_ref = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
   SummaryResult ref =
       ReferenceQuotient(g_ref, ReferenceStrongPartition(g_ref),
                         SummaryKind::kStrong)
           .value();
-
-  for (uint32_t threads : kThreadCounts) {
-    Graph g_par = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
-    SummaryOptions par_options;
-    par_options.num_threads = threads;
-    SummaryResult par = Summarize(g_par, SummaryKind::kStrong, par_options);
-    EXPECT_EQ(ref.node_map, par.node_map) << "threads " << threads;
-    EXPECT_EQ(ref.multiplicity, par.multiplicity) << "threads " << threads;
-  }
-}
-
-TEST(ParallelQuotientTest, EmptyGraphAllThreadCounts) {
-  for (uint32_t threads : kThreadCounts) {
-    Graph g;
-    SummaryOptions options;
-    options.num_threads = threads;
-    SummaryResult r = Summarize(g, SummaryKind::kWeak, options);
-    EXPECT_TRUE(r.graph.Empty()) << "threads " << threads;
-  }
-}
-
-TEST(ParallelQuotientTest, MoreThreadsThanTriples) {
-  Graph g;
-  Dictionary& d = g.dict();
-  g.Add({d.EncodeIri("a"), d.EncodeIri("p"), d.EncodeIri("b")});
-  g.Add({d.EncodeIri("a"), g.vocab().rdf_type, d.EncodeIri("C")});
-  SummaryOptions options;
-  options.num_threads = 64;
-  SummaryResult r = Summarize(g, SummaryKind::kWeak, options);
-  EXPECT_EQ(r.stats.num_data_edges, 1u);
-  EXPECT_EQ(r.stats.num_type_edges, 1u);
+  Graph g = MakeGraph(Dataset::kBsbm, /*saturated=*/false);
+  SummaryResult r = Summarize(g, SummaryKind::kStrong);
+  EXPECT_EQ(ref.node_map, r.node_map);
+  EXPECT_EQ(ref.multiplicity, r.multiplicity);
 }
 
 // A partition that does not have the substrate's shape returns
-// kInvalidArgument at every thread count (the library does not throw): one
-// that misses graph nodes, one that maps a node to a class id at or above
-// num_classes, and one with more classes than nodes.
-TEST(ParallelQuotientTest, IncompletePartitionReturnsInvalidArgument) {
+// kInvalidArgument (the library does not throw): one that misses graph
+// nodes, one that maps a node to a class id at or above num_classes, and one
+// with more classes than nodes.
+TEST(QuotientOracleTest, IncompletePartitionReturnsInvalidArgument) {
   Graph g = MakeGraph(Dataset::kPaper, /*saturated=*/false);
   const uint32_t n = DenseGraph(g).num_nodes();
   NodePartition partial;
@@ -217,13 +172,9 @@ TEST(ParallelQuotientTest, IncompletePartitionReturnsInvalidArgument) {
   oversized.class_of.assign(n, 0);
   oversized.num_classes = UINT32_MAX;
   for (const NodePartition* part : {&partial, &out_of_range, &oversized}) {
-    for (uint32_t threads : kThreadCounts) {
-      SummaryOptions options;
-      options.num_threads = threads;
-      auto r = QuotientByPartition(g, *part, SummaryKind::kWeak, options);
-      ASSERT_FALSE(r.ok()) << "threads " << threads;
-      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
-    }
+    auto r = QuotientByPartition(g, *part, SummaryKind::kWeak);
+    ASSERT_FALSE(r.ok());
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
   }
 }
 
