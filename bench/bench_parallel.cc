@@ -43,7 +43,8 @@ using summary::ComputeWeakPartition;
 using summary::NodePartition;
 using summary::SummaryKind;
 
-constexpr uint32_t kSweepThreads[] = {1, 2, 4, 8};
+// Parse thread counts the load sweep runs beside its one-thread row.
+constexpr uint32_t kParallelThreads[] = {2, 4, 8};
 
 /// Whether `r` is the oracle's summary up to the names of minted nodes.
 bool SameSummary(const summary::SummaryResult& oracle,
@@ -122,8 +123,8 @@ void PrintSummarizer(bench::BenchJson* json, bool* all_equal) {
 // replay, and TripleTable::Build (on the calling thread), swept across
 // parse thread counts. Each row records the requested and effective thread
 // counts (effective = chunks the parser actually split into) plus the phase
-// breakdown; any deviation from the sequential load — triples, ids, or
-// frozen SPO permutation — clears *all_equal.
+// breakdown; any deviation from the one-thread load (load_p1) — triples,
+// ids, or frozen SPO permutation — clears *all_equal.
 void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
   struct LoadRun {
     double total = 0.0;
@@ -160,37 +161,39 @@ void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
     if (second.total < out->total) *out = std::move(second);
   };
 
-  TablePrinter table({"triples", "sequential (ms)", "1t (ms)", "2t (ms)",
-                      "4t (ms)", "8t (ms)", "speedup@4", "equal"});
+  auto record = [&](uint64_t scale, uint32_t threads, const LoadRun& run) {
+    json->RecordLoad("load_p" + std::to_string(threads), scale, run.total,
+                     threads, run.stats.chunks, run.stats.parse_seconds,
+                     run.stats.intern_seconds, run.freeze_seconds);
+  };
+
+  TablePrinter table({"triples", "1t (ms)", "2t (ms)", "4t (ms)", "8t (ms)",
+                      "speedup@4", "equal"});
   for (uint64_t scale : BenchScales()) {
     const std::string input = io::NTriplesWriter::ToString(CachedBsbm(scale));
-    LoadRun seq;
-    best_of_two(input, 1, &seq);
-    json->RecordLoad("load_sequential", scale, seq.total, 1, 1,
-                     seq.stats.parse_seconds, seq.stats.intern_seconds,
-                     seq.freeze_seconds);
+    LoadRun p1;
+    best_of_two(input, 1, &p1);
+    record(scale, 1, p1);
 
-    std::vector<std::string> row = {Num(seq.g.NumTriples()),
-                                    FormatDouble(seq.total * 1e3, 1)};
-    double at4 = seq.total;
-    bool equal = seq.ok;
-    for (uint32_t threads : kSweepThreads) {
+    std::vector<std::string> row = {Num(p1.g.NumTriples()),
+                                    FormatDouble(p1.total * 1e3, 1)};
+    double at4 = p1.total;
+    bool equal = p1.ok;
+    for (uint32_t threads : kParallelThreads) {
       LoadRun par;
       best_of_two(input, threads, &par);
-      json->RecordLoad("load_p" + std::to_string(threads), scale, par.total,
-                       threads, par.stats.chunks, par.stats.parse_seconds,
-                       par.stats.intern_seconds, par.freeze_seconds);
+      record(scale, threads, par);
       row.push_back(FormatDouble(par.total * 1e3, 1));
       if (threads == 4) at4 = par.total;
       // Byte-identity: same triples with the same ids in the same insertion
       // order, same dictionary size, same frozen SPO permutation.
-      equal = equal && par.ok && par.g.data() == seq.g.data() &&
-              par.g.types() == seq.g.types() &&
-              par.g.schema() == seq.g.schema() &&
-              par.g.dict().size() == seq.g.dict().size() &&
-              par.spo == seq.spo;
+      equal = equal && par.ok && par.g.data() == p1.g.data() &&
+              par.g.types() == p1.g.types() &&
+              par.g.schema() == p1.g.schema() &&
+              par.g.dict().size() == p1.g.dict().size() &&
+              par.spo == p1.spo;
     }
-    row.push_back(FormatDouble(seq.total / at4, 2) + "x");
+    row.push_back(FormatDouble(p1.total / at4, 2) + "x");
     row.push_back(equal ? "yes" : "NO (bug!)");
     *all_equal = *all_equal && equal;
     table.AddRow(row);

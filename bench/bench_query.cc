@@ -11,9 +11,9 @@
 //
 // PR 4 adds two streaming sections at the largest BSBM scale of the sweep:
 // limit pushdown (a full drain into a row vector vs. a cursor drained to 10
-// rows — the stream_* records) and the hash-join pick on planner-flagged
-// fat intermediates (kNever vs. kFromPlan cursors over unanchored joins —
-// the hashjoin_* records). Both re-check result identity against the
+// rows — the stream_* records) and the hash-join pick on fat intermediates
+// (kNever vs. kFromPlan vs. kAlways cursors over unanchored joins — the
+// hashjoin_* records). Both re-check result identity against the
 // legacy path and fail the run on divergence, like the planner sweep.
 //
 // PR 10 reworks the substrate: each scale's graph is frozen ONCE to a
@@ -349,30 +349,37 @@ void RunStreamingBench(bench::BenchJson* json, const store::MmapStore& st,
 
 constexpr int kHashJoinRuns = 7;
 
-/// Hash joins on planner-flagged fat intermediates: unanchored joins whose
-/// probe side is every offer/review. kFromPlan (the flagged hash picks)
-/// vs. kNever (index nested loops all the way down), each timed as the
-/// median of kHashJoinRuns drains: these drains take a few milliseconds
-/// while pool threads run the hash build, and a best-of-two read swung
+/// Hash joins on fat intermediates: unanchored joins whose probe side is
+/// every offer/review. Each shape runs under kNever (index nested loops all
+/// the way down), kFromPlan (the planner's join pick) and kAlways (every
+/// join step hashed), so the table shows where the pick sits against both
+/// extremes. Each is timed as the median of kHashJoinRuns one-thread
+/// drains: these take a few milliseconds, and a best-of-two read swung
 /// ±30% between runs.
 void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
                       uint64_t triples, bool* all_equal) {
   const std::string p = "PREFIX b: <http://bsbm.example.org/>\n";
   const std::vector<ShapeQuery> queries = {
       // Every offer probes its price: the probe side is all offerProduct
-      // triples, the build side all price triples.
+      // triples, the build side all price triples. The probes lead with
+      // the bound offer (SPO), so the pick keeps the nested loop.
       {"fatchain",
        p + "SELECT ?o ?price WHERE { ?o b:offerProduct ?p . "
            "?o b:price ?price }"},
-      // Review x offer join on the shared product, then the price lookup —
-      // two flagged steps, the first keyed on the join variable ?p.
+      // Review x offer join on the shared product, then the price lookup.
+      // The offer step probes POS with the constant predicate leading: the
+      // one step the pick hashes.
       {"fatstar",
        p + "SELECT ?r ?price WHERE { ?r b:reviewFor ?p . "
            "?o b:offerProduct ?p . ?o b:price ?price }"},
   };
   BgpEvaluator eval(st.dict(), st.table());
   TablePrinter table({"query", "flagged steps", "rows", "nlj (ms)",
-                      "hash (ms)", "speedup", "equal"});
+                      "pick (ms)", "hash (ms)", "equal"});
+  const std::pair<const char*, query::HashJoinMode> modes[] = {
+      {"nlj", query::HashJoinMode::kNever},
+      {"pick", query::HashJoinMode::kFromPlan},
+      {"hash", query::HashJoinMode::kAlways}};
   for (const ShapeQuery& sq : queries) {
     BgpQuery q = MustParse(sq.sparql);
     query::QueryPlan plan = eval.Plan(q);
@@ -380,33 +387,35 @@ void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
     for (const query::PlanStep& step : plan.steps) {
       if (step.use_hash_join) ++flagged;
     }
-    query::CursorOptions nlj;
-    nlj.hash_join = query::HashJoinMode::kNever;
-    query::CursorOptions from_plan;  // the planner's flagged picks
-    uint64_t rows_nlj = 0, rows_hash = 0;
-    bool equal = DrainCursorCanonical(eval, q, nlj, &rows_nlj) ==
-                 DrainCursorCanonical(eval, q, from_plan, &rows_hash);
-    equal = equal && rows_nlj == rows_hash;
-    double nlj_secs = TimeCursorDrains(eval, q, nlj, kHashJoinRuns).median();
-    double hash_secs =
-        TimeCursorDrains(eval, q, from_plan, kHashJoinRuns).median();
-    json->Record("hashjoin_" + sq.shape + "_nlj", triples, nlj_secs);
-    json->Record("hashjoin_" + sq.shape + "_hash", triples, hash_secs);
-    table.AddRow({sq.shape, std::to_string(flagged), Num(rows_nlj),
-                  FormatDouble(nlj_secs * 1e3, 2),
-                  FormatDouble(hash_secs * 1e3, 2),
-                  FormatDouble(nlj_secs / std::max(1e-9, hash_secs), 2) + "x",
-                  equal ? "yes" : "NO (bug!)"});
-    *all_equal = *all_equal && equal;
-    if (flagged == 0) {
-      std::cerr << "warning: planner flagged no hash-join step for "
-                << sq.shape << " at " << triples
-                << " triples (below the probe floor?)\n";
+    std::multiset<std::string> reference;
+    uint64_t reference_rows = 0;
+    bool equal = true;
+    std::vector<std::string> row = {sq.shape, std::to_string(flagged)};
+    for (const auto& [name, mode] : modes) {
+      query::CursorOptions options;
+      options.hash_join = mode;
+      uint64_t rows = 0;
+      std::multiset<std::string> got =
+          DrainCursorCanonical(eval, q, options, &rows);
+      if (mode == query::HashJoinMode::kNever) {
+        reference = std::move(got);
+        reference_rows = rows;
+        row.push_back(Num(rows));
+      } else {
+        equal = equal && got == reference && rows == reference_rows;
+      }
+      double secs = TimeCursorDrains(eval, q, options, kHashJoinRuns).median();
+      json->Record("hashjoin_" + sq.shape + "_" + name, triples, secs);
+      row.push_back(FormatDouble(secs * 1e3, 2));
     }
+    row.push_back(equal ? "yes" : "NO (bug!)");
+    table.AddRow(row);
+    *all_equal = *all_equal && equal;
   }
   table.Print(std::cout,
-              "Hash joins on planner-flagged fat intermediates (kFromPlan "
-              "vs. nested loops, largest BSBM scale)");
+              "Hash joins on fat intermediates: nested loops (kNever), the "
+              "planner's pick (kFromPlan) and every step hashed (kAlways), "
+              "largest BSBM scale");
 }
 
 /// Drains a cursor into the ordered byte rendering of its stream — order

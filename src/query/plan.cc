@@ -216,8 +216,9 @@ QueryPlan BuildQueryPlanAttempt(
         bound_at_run(pc.s), bound_at_run(pc.p), bound_at_run(pc.o));
     step.estimated_matches = pick_matches;
     // Join-pick rule: hash-join a step with at least one already-bound join
-    // variable when the plan predicts a fat probe side and the exact
-    // build-side count fits the budget (kHashJoin* constants, plan.h).
+    // variable when its probes' index leads with a constant, the plan
+    // predicts a fat probe side and the exact build-side count fits the
+    // budget (kHashJoin* constants and the reasons, plan.h).
     const bool has_join_var =
         (pc.s.is_var && var_bound[pc.s.var]) ||
         (pc.p.is_var && var_bound[pc.p.var]) ||
@@ -228,7 +229,12 @@ QueryPlan BuildQueryPlanAttempt(
       if (!pc.p.is_var) consts.p = pc.p.constant;
       if (!pc.o.is_var) consts.o = pc.o.constant;
       step.estimated_build_rows = static_cast<double>(table.Count(consts));
-      step.use_hash_join = input_rows >= kHashJoinMinProbeRows &&
+      const CompiledSlot& lead = step.index == store::IndexKind::kSpo ? pc.s
+                                 : step.index == store::IndexKind::kPos
+                                     ? pc.p
+                                     : pc.o;
+      step.use_hash_join = !lead.is_var &&
+                           input_rows >= kHashJoinMinProbeRows &&
                            step.estimated_build_rows > 0.0 &&
                            step.estimated_build_rows <= kHashJoinBuildBudget;
     }

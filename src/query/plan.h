@@ -73,13 +73,17 @@ StatusOr<std::vector<uint32_t>> ResolveDistinguished(const BgpQuery& q,
                                                      const CompiledBgp& c);
 
 /// Join-pick rule (see src/query/README.md): a step is served by a hash
-/// join iff it joins on at least one already-bound variable, the estimated
-/// rows feeding it (the probe side) reach kHashJoinMinProbeRows, and the
-/// exact build-side row count (matches of the pattern with only its
-/// constants bound) fits kHashJoinBuildBudget. Below the probe floor the
-/// per-probe index lookup of an index nested-loop join is cheaper than
-/// building a table; above the build budget the table would not fit a
-/// sane memory envelope.
+/// join iff it joins on at least one already-bound variable, the lead key
+/// of the index its probes use (s for SPO, p for POS, o for OSP) is a
+/// constant of the pattern, the estimated rows feeding it (the probe side)
+/// reach kHashJoinMinProbeRows, and the exact build-side row count (matches
+/// of the pattern with only its constants bound) fits
+/// kHashJoinBuildBudget. With a join-variable lead the leading-key
+/// directory finds each probe's rows in O(1), so the nested loop stays
+/// whatever the probe side; with a constant lead every probe
+/// binary-searches the same bucket, which one build replaces once the
+/// probes reach the floor. Above the build budget the table would not fit
+/// a sane memory envelope.
 inline constexpr double kHashJoinMinProbeRows = 4096.0;
 inline constexpr double kHashJoinBuildBudget = 1u << 20;
 
@@ -95,9 +99,10 @@ struct PlanStep {
   double estimated_matches = 0.0;
   /// Estimated cumulative embeddings after this step.
   double estimated_rows = 0.0;
-  /// True when the planner flagged a fat intermediate feeding this step and
-  /// the executor should serve it with a hash join (join-pick rule
-  /// above). Always false for the first step (nothing to join with yet).
+  /// True when the planner flagged a fat intermediate feeding this step's
+  /// constant-led index and the executor should serve it with a hash join
+  /// (join-pick rule above). Always false for the first step (nothing to
+  /// join with yet).
   bool use_hash_join = false;
   /// Exact size of the step's would-be hash build side: matches of the
   /// pattern with only its constants bound. 0 for steps without join

@@ -5,13 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "gen/bsbm.h"
 #include "gen/paper_example.h"
 #include "oracle/drain.h"
 #include "query/evaluator.h"
 #include "query/plan.h"
 #include "query/sparql_parser.h"
+#include "store/triple_table.h"
 
 namespace rdfsum::query {
 namespace {
@@ -126,6 +129,149 @@ TEST(QueryPlanTest, ToStringListsEveryStep) {
   EXPECT_NE(rendered.find("greedy"), std::string::npos);
   EXPECT_NE(rendered.find("http://skew/tiny"), std::string::npos);
   EXPECT_NE(rendered.find("POS"), std::string::npos);
+}
+
+// -------------------------------------------------------------- join pick
+
+/// The lead key of the index a step's probes use: s for SPO, p for POS, o
+/// for OSP.
+const CompiledSlot& ProbeLead(const QueryPlan& plan, const PlanStep& step) {
+  const CompiledPattern& pat = plan.compiled.patterns[step.pattern];
+  switch (step.index) {
+    case store::IndexKind::kSpo:
+      return pat.s;
+    case store::IndexKind::kPos:
+      return pat.p;
+    case store::IndexKind::kOsp:
+      return pat.o;
+  }
+  return pat.s;
+}
+
+/// True when step `i` meets every clause of the join-pick rule but the
+/// lead: the estimated probe side reaches the floor and the exact build
+/// side is non-empty and fits the budget.
+bool ClearsFloorAndBudget(const QueryPlan& plan, size_t i) {
+  const PlanStep& step = plan.steps[i];
+  return i > 0 && plan.steps[i - 1].estimated_rows >= kHashJoinMinProbeRows &&
+         step.estimated_build_rows > 0.0 &&
+         step.estimated_build_rows <= kHashJoinBuildBudget;
+}
+
+TEST(QueryPlanTest, JoinPickFollowsTheProbeLead) {
+  // ~170k triples: every unanchored offer/review/product step below has a
+  // probe side above the 4096-row floor.
+  gen::BsbmOptions opt;
+  opt.num_products = 5000;
+  const Graph g = gen::GenerateBsbm(opt);
+  BgpEvaluator eval(g);
+  const std::string b = "PREFIX b: <http://bsbm.example.org/>\n";
+  // Stars and chains: their fat join steps probe SPO on a bound subject,
+  // which the leading-key directory finds in O(1) — nested loops
+  // throughout. (The greedy chain's one POS step is fed 858 country rows,
+  // under the floor.)
+  for (const char* body :
+       {"SELECT ?p ?l ?f WHERE { ?p b:label ?l . ?p b:producer ?pr . "
+        "?p b:productFeature ?f }",
+        "SELECT ?r ?c WHERE { ?r b:reviewFor ?p . ?r b:reviewer ?x . "
+        "?x b:country ?c }"}) {
+    for (PlannerMode mode : {PlannerMode::kNaive, PlannerMode::kGreedy}) {
+      QueryPlan plan = eval.Plan(MustParse(b + body), mode);
+      bool over_floor = false;
+      for (size_t i = 1; i < plan.steps.size(); ++i) {
+        const PlanStep& step = plan.steps[i];
+        EXPECT_FALSE(step.use_hash_join) << plan.ToString();
+        if (step.index != store::IndexKind::kSpo) continue;
+        EXPECT_TRUE(ProbeLead(plan, step).is_var) << plan.ToString();
+        over_floor = over_floor || ClearsFloorAndBudget(plan, i);
+      }
+      // The lead alone keeps them nested: an SPO step clears floor and
+      // budget.
+      EXPECT_TRUE(over_floor) << plan.ToString();
+    }
+  }
+
+  // The snowflake's offer step probes POS (p, o) with the constant
+  // predicate leading: every probe would search the same bucket, so one
+  // hash build replaces them.
+  const BgpQuery snowflake_q =
+      MustParse(b +
+                "SELECT ?r ?price WHERE { ?r b:reviewFor ?p . "
+                "?r b:reviewer ?x . ?x b:country ?c . "
+                "?o b:offerProduct ?p . ?o b:price ?price }");
+  for (PlannerMode mode : {PlannerMode::kNaive, PlannerMode::kGreedy}) {
+    QueryPlan plan = eval.Plan(snowflake_q, mode);
+    int offer_steps = 0;
+    for (size_t i = 1; i < plan.steps.size(); ++i) {
+      const PlanStep& step = plan.steps[i];
+      if (step.pattern != 3) {
+        EXPECT_FALSE(step.use_hash_join) << plan.ToString();
+        continue;
+      }
+      ++offer_steps;
+      EXPECT_EQ(step.index, store::IndexKind::kPos) << plan.ToString();
+      EXPECT_FALSE(ProbeLead(plan, step).is_var);
+      EXPECT_TRUE(ClearsFloorAndBudget(plan, i)) << plan.ToString();
+      EXPECT_TRUE(step.use_hash_join) << plan.ToString();
+    }
+    EXPECT_EQ(offer_steps, 1) << plan.ToString();
+  }
+}
+
+TEST(QueryPlanTest, ConstantLeadStaysNestedBelowFloorOrOverBudget) {
+  // Synthetic table: <fat> has 5000 rows (over the probe floor), <thin> 100
+  // (under it); <small> has 10 rows per object and <huge> 1025 x 1025 rows,
+  // one more than fits kHashJoinBuildBudget.
+  Dictionary d;
+  auto iri = [&](std::string_view local, int i = -1) {
+    std::string name = "http://lead/";
+    name += local;
+    if (i >= 0) name += std::to_string(i);
+    return d.EncodeIri(name);
+  };
+  const TermId fat = iri("fat"), thin = iri("thin"), small = iri("small"),
+               huge = iri("huge");
+  std::vector<TermId> nodes;
+  for (int i = 0; i < 1025; ++i) nodes.push_back(iri("n", i));
+  std::vector<Triple> rows;
+  for (int i = 0; i < 5000; ++i) {
+    rows.push_back({iri("a", i), fat, nodes[i % 1025]});
+  }
+  for (int i = 0; i < 100; ++i) rows.push_back({iri("t", i), thin, nodes[i]});
+  for (int j = 0; j < 10; ++j) {
+    const TermId s = iri("s", j);
+    for (TermId o : nodes) rows.push_back({s, small, o});
+  }
+  for (TermId s : nodes) {
+    for (TermId o : nodes) rows.push_back({s, huge, o});
+  }
+  ASSERT_GT(static_cast<double>(nodes.size() * nodes.size()),
+            kHashJoinBuildBudget);
+  const store::TripleTable table = store::TripleTable::Build(std::move(rows));
+
+  // Step 2 of each query probes POS (p, o) with its constant predicate
+  // leading; only the probe side and the build side differ.
+  auto second_step = [&](const char* first, const char* second) {
+    std::string text = "SELECT ?a WHERE { ?a <http://lead/";
+    text += first;
+    text += "> ?n . ?x <http://lead/";
+    text += second;
+    text += "> ?n }";
+    QueryPlan plan =
+        BuildQueryPlan(MustParse(text), d, table, PlannerMode::kNaive);
+    EXPECT_EQ(plan.steps.size(), 2u);
+    EXPECT_EQ(plan.steps[1].index, store::IndexKind::kPos);
+    EXPECT_FALSE(ProbeLead(plan, plan.steps[1]).is_var);
+    return plan.steps[1];
+  };
+  const PlanStep picked = second_step("fat", "small");
+  EXPECT_TRUE(picked.use_hash_join);
+  const PlanStep below_floor = second_step("thin", "small");
+  EXPECT_LT(below_floor.estimated_build_rows, kHashJoinBuildBudget);
+  EXPECT_FALSE(below_floor.use_hash_join);
+  const PlanStep over_budget = second_step("fat", "huge");
+  EXPECT_GT(over_budget.estimated_build_rows, kHashJoinBuildBudget);
+  EXPECT_FALSE(over_budget.use_hash_join);
 }
 
 // ---------------------------------------------------------------- explain
