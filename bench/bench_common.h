@@ -102,17 +102,15 @@ class BenchJson {
                                static_cast<int64_t>(effective)});
   }
 
-  /// Load-sweep record: a thread-sweep row that additionally carries the
-  /// ingestion phase breakdown (chunk-parse wall, dictionary-merge/replay
-  /// wall, table-build wall, all in seconds) so load scaling can be attributed
-  /// to the phase that moved across PRs.
+  /// Load record: the one-thread load's wall time with its phase
+  /// breakdown (the N-Triples parse and the table build, in seconds), so a
+  /// load regression can be attributed to the phase that moved.
   void RecordLoad(const std::string& name, uint64_t scale, double seconds,
-                  uint32_t requested, uint32_t effective, double parse_seconds,
-                  double intern_seconds, double freeze_seconds) {
-    records_.push_back(Record_{name, scale, seconds,
-                               static_cast<int64_t>(requested),
-                               static_cast<int64_t>(effective), parse_seconds,
-                               intern_seconds, freeze_seconds});
+                  double parse_seconds, double freeze_seconds) {
+    Record_ r{name, scale, seconds, -1, -1};
+    r.parse_seconds = parse_seconds;
+    r.freeze_seconds = freeze_seconds;
+    records_.push_back(r);
   }
 
   /// Per-operation latency record: carries `ns_per_probe` in place of
@@ -158,9 +156,8 @@ class BenchJson {
       }
       if (r.parse_seconds >= 0) {
         std::fprintf(f,
-                     ", \"parse_seconds\": %.6f, \"intern_seconds\": %.6f"
-                     ", \"freeze_seconds\": %.6f",
-                     r.parse_seconds, r.intern_seconds, r.freeze_seconds);
+                     ", \"parse_seconds\": %.6f, \"freeze_seconds\": %.6f",
+                     r.parse_seconds, r.freeze_seconds);
       }
       std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
     }
@@ -177,7 +174,6 @@ class BenchJson {
     int64_t threads_requested;  // -1 = not a thread-sweep row
     int64_t threads_effective;
     double parse_seconds = -1;  // -1 = not a load row (phase breakdown absent)
-    double intern_seconds = -1;
     double freeze_seconds = -1;
     double ns_per_probe = -1;  // -1 = a wall-time row
   };

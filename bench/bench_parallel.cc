@@ -4,11 +4,11 @@
 // so it was collapsed to the one-pass code. This bench times that code
 // phase by phase (weak partition, quotient, the full Summarize pipeline,
 // and the bisimulation baseline), each result checked against the test
-// oracles (tests/oracle/), plus the N-Triples load across a thread sweep
-// (the parse is still chunked) and the streaming maintainer's per-triple
-// cost. Wall times land in BENCH_parallel.json (override the path with
-// RDFSUM_BENCH_JSON) so the trajectory can be tracked and diffed across
-// changes.
+// oracles (tests/oracle/), plus the one-thread N-Triples load (a chunked
+// parse did not reach 1.5x at four threads either) and the streaming
+// maintainer's per-triple cost. Wall times land in BENCH_parallel.json
+// (override the path with RDFSUM_BENCH_JSON) so the trajectory can be
+// tracked and diffed across changes.
 
 #include <benchmark/benchmark.h>
 
@@ -42,9 +42,6 @@ using summary::ComputeBisimulationPartition;
 using summary::ComputeWeakPartition;
 using summary::NodePartition;
 using summary::SummaryKind;
-
-// Parse thread counts the load sweep runs beside its one-thread row.
-constexpr uint32_t kParallelThreads[] = {2, 4, 8};
 
 /// Whether `r` is the oracle's summary up to the names of minted nodes.
 bool SameSummary(const summary::SummaryResult& oracle,
@@ -119,87 +116,44 @@ void PrintSummarizer(bench::BenchJson* json, bool* all_equal) {
               "Summarize(W), bisimulation (depth 2)");
 }
 
-// The ingestion pipeline: N-Triples parse (chunked), dictionary merge +
-// replay, and TripleTable::Build (on the calling thread), swept across
-// parse thread counts. Each row records the requested and effective thread
-// counts (effective = chunks the parser actually split into) plus the phase
-// breakdown; any deviation from the one-thread load (load_p1) — triples,
-// ids, or frozen SPO permutation — clears *all_equal.
-void PrintParallelLoad(bench::BenchJson* json, bool* all_equal) {
-  struct LoadRun {
-    double total = 0.0;
-    double freeze_seconds = 0.0;
-    io::ParseStats stats;
-    Graph g;
-    std::vector<Triple> spo;
-    bool ok = false;
-  };
-  auto run_once = [](const std::string& input, uint32_t threads,
-                     LoadRun* out) {
-    Timer t;
-    out->g = Graph();
-    out->stats = io::ParseStats();
-    io::ParseOptions options;
-    options.num_threads = threads;
-    out->ok =
-        io::NTriplesParser::ParseString(input, &out->g, &out->stats, options)
-            .ok();
-    std::vector<Triple> rows = out->g.Triples();
-    Timer ft;
-    const store::TripleTable table = store::TripleTable::Build(std::move(rows));
-    out->freeze_seconds = ft.ElapsedSeconds();
-    out->total = t.ElapsedSeconds();
-    auto spo = table.Permutation(store::IndexKind::kSpo);
-    out->spo.assign(spo.begin(), spo.end());
-  };
-  // Best-of-two like the other sweeps, keeping the stats of the faster run.
-  auto best_of_two = [&](const std::string& input, uint32_t threads,
-                         LoadRun* out) {
-    LoadRun second;
-    run_once(input, threads, out);
-    run_once(input, threads, &second);
-    if (second.total < out->total) *out = std::move(second);
-  };
-
-  auto record = [&](uint64_t scale, uint32_t threads, const LoadRun& run) {
-    json->RecordLoad("load_p" + std::to_string(threads), scale, run.total,
-                     threads, run.stats.chunks, run.stats.parse_seconds,
-                     run.stats.intern_seconds, run.freeze_seconds);
-  };
-
-  TablePrinter table({"triples", "1t (ms)", "2t (ms)", "4t (ms)", "8t (ms)",
-                      "speedup@4", "equal"});
+// The load: the N-Triples parse and TripleTable::Build, both on the
+// calling thread, timed phase by phase (best of two runs by total). The
+// parsed graph must write back to the input text byte for byte, or
+// *all_equal is cleared.
+void PrintLoad(bench::BenchJson* json, bool* all_equal) {
+  TablePrinter table(
+      {"triples", "parse (ms)", "freeze (ms)", "total (ms)", "round trip"});
   for (uint64_t scale : BenchScales()) {
     const std::string input = io::NTriplesWriter::ToString(CachedBsbm(scale));
-    LoadRun p1;
-    best_of_two(input, 1, &p1);
-    record(scale, 1, p1);
-
-    std::vector<std::string> row = {Num(p1.g.NumTriples()),
-                                    FormatDouble(p1.total * 1e3, 1)};
-    double at4 = p1.total;
-    bool equal = p1.ok;
-    for (uint32_t threads : kParallelThreads) {
-      LoadRun par;
-      best_of_two(input, threads, &par);
-      record(scale, threads, par);
-      row.push_back(FormatDouble(par.total * 1e3, 1));
-      if (threads == 4) at4 = par.total;
-      // Byte-identity: same triples with the same ids in the same insertion
-      // order, same dictionary size, same frozen SPO permutation.
-      equal = equal && par.ok && par.g.data() == p1.g.data() &&
-              par.g.types() == p1.g.types() &&
-              par.g.schema() == p1.g.schema() &&
-              par.g.dict().size() == p1.g.dict().size() &&
-              par.spo == p1.spo;
+    Graph g;
+    bool ok = true;
+    double total = 0.0, parse_s = 0.0, freeze_s = 0.0;
+    for (int run = 0; run < 2; ++run) {
+      g = Graph();
+      Timer t;
+      ok = io::NTriplesParser::ParseString(input, &g).ok() && ok;
+      const double parsed = t.ElapsedSeconds();
+      std::vector<Triple> rows = g.Triples();
+      Timer ft;
+      const store::TripleTable built =
+          store::TripleTable::Build(std::move(rows));
+      const double frozen = ft.ElapsedSeconds();
+      const double elapsed = t.ElapsedSeconds();
+      benchmark::DoNotOptimize(built);
+      if (run == 0 || elapsed < total) {
+        total = elapsed;
+        parse_s = parsed;
+        freeze_s = frozen;
+      }
     }
-    row.push_back(FormatDouble(p1.total / at4, 2) + "x");
-    row.push_back(equal ? "yes" : "NO (bug!)");
+    const bool equal = ok && io::NTriplesWriter::ToString(g) == input;
+    json->RecordLoad("load_sequential", scale, total, parse_s, freeze_s);
+    table.AddRow({Num(g.NumTriples()), FormatDouble(parse_s * 1e3, 1),
+                  FormatDouble(freeze_s * 1e3, 1), FormatDouble(total * 1e3, 1),
+                  equal ? "yes" : "NO (bug!)"});
     *all_equal = *all_equal && equal;
-    table.AddRow(row);
   }
-  table.Print(std::cout,
-              "Parallel ingestion: chunked parse + dict merge + Freeze");
+  table.Print(std::cout, "Load on one thread: N-Triples parse + Freeze");
 }
 
 void PrintMaintenance() {
@@ -228,12 +182,11 @@ void PrintMaintenance() {
 
 bool PrintParallel() {
   bench::BenchJson json("bench_parallel");
-  // Interpretation context: speedups are bounded by the cores of the
-  // machine that produced the file (per-row threads_effective records what
-  // each measurement actually ran with).
+  // Interpretation context: the cores of the machine that produced the
+  // file (every row runs on one thread).
   json.MetaInt("hardware_concurrency", std::thread::hardware_concurrency());
   bool all_equal = true;
-  PrintParallelLoad(&json, &all_equal);
+  PrintLoad(&json, &all_equal);
   PrintSummarizer(&json, &all_equal);
   PrintMaintenance();
   const char* path = std::getenv("RDFSUM_BENCH_JSON");
@@ -248,7 +201,8 @@ bool PrintParallel() {
   }
   if (!all_equal) {
     std::cerr << "BUG: a summarizer phase diverged from its oracle or a load "
-                 "from the one-chunk parse (see the 'equal' columns above)\n";
+                 "did not round-trip (see the 'equal' and 'round trip' "
+                 "columns above)\n";
   }
   std::cout.flush();
   return all_equal && wrote;

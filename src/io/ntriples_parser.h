@@ -16,9 +16,8 @@ namespace rdfsum::io {
 /// Parsing knobs.
 struct ParseOptions {
   /// In strict mode any malformed line aborts with InvalidArgument, and the
-  /// graph keeps the triples of the lines before it (the same at every
-  /// thread count); otherwise malformed lines are counted and skipped
-  /// (useful for crawled data).
+  /// graph keeps the triples of the lines before it; otherwise malformed
+  /// lines are counted and skipped (useful for crawled data).
   bool strict = true;
   /// 0 = unlimited. A line longer than this is malformed without being
   /// parsed — the recovery guard against a corrupt dump whose missing
@@ -31,17 +30,6 @@ struct ParseOptions {
   /// cancellation aborts the parse with the context's status (partial
   /// triples already added to the graph stay — callers discard the graph).
   util::ExecContext* exec = nullptr;
-  /// Parse worker threads: 1 (default), 0 = all available CPUs, N = exactly
-  /// N (clamped by util::ResolveThreadCount). The input is chunked on line
-  /// boundaries, one chunk per thread: the first chunk interns straight
-  /// into the graph, the others are parsed in parallel into per-chunk
-  /// staging buffers (local dictionary + staged triples), and a
-  /// deterministic merge pass interns the staged terms in stream order — the
-  /// resulting graph, dictionary id assignment, stats, and diagnostics are
-  /// byte-identical at every thread count, after a strict-mode failure too
-  /// (invariants in src/io/README.md). Each worker polls `exec` per 256
-  /// lines.
-  uint32_t num_threads = 1;
 };
 
 /// Counters filled by the parser.
@@ -58,15 +46,6 @@ struct ParseStats {
   /// capped at kMaxDiagnostics. Strict mode reports the first failure in
   /// the returned Status instead.
   std::vector<std::string> diagnostics;
-  /// Phase-time breakdown of the load: `parse_seconds` is the chunk-parse
-  /// fan-out wall time and `intern_seconds` the deterministic
-  /// dictionary-merge + graph-replay pass. The first chunk interleaves
-  /// interning with parsing, so at one thread everything lands in
-  /// `parse_seconds` and `intern_seconds` is ~0.
-  double parse_seconds = 0.0;
-  double intern_seconds = 0.0;
-  /// Chunks the input was split into (1 at one thread).
-  uint32_t chunks = 1;
 };
 
 /// A line-oriented N-Triples 1.1 parser (the role raptor/serd/Jena play for
@@ -80,14 +59,15 @@ struct ParseStats {
 /// src/io/README.md.
 class NTriplesParser {
  public:
-  /// Triples the first chunk (the whole text at one thread) collects
-  /// between graph inserts: it interns each line's terms as it scans them,
-  /// then adds a full batch to the graph in one loop (src/io/README.md).
+  /// Triples the parse collects between graph inserts: it interns each
+  /// line's terms as it scans them, then adds a full batch to the graph in
+  /// one loop (src/io/README.md).
   /// A constant, not a ParseOptions knob; tests place lines on either side
   /// of a batch boundary with it.
   static constexpr size_t kInsertBatch = 4096;
 
-  /// Parses all lines of `text` into `graph`. Pre-sizes the graph's triple
+  /// Parses all lines of `text` into `graph` in one pass on the calling
+  /// thread. Pre-sizes the graph's triple
   /// set and dictionary from the input's line count so bulk loads don't
   /// rehash the open-addressing index repeatedly.
   static Status ParseString(std::string_view text, Graph* graph,

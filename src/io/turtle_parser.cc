@@ -1,10 +1,10 @@
 #include "io/turtle_parser.h"
 
 #include <cctype>
-#include <fstream>
 #include <unordered_map>
 #include <vector>
 
+#include "io/read_file.h"
 #include "io/term_scanner.h"
 #include "rdf/vocabulary.h"
 #include "util/statusor.h"
@@ -450,16 +450,8 @@ Status TurtleParser::ParseString(std::string_view text, Graph* graph,
 Status TurtleParser::ParseFile(const std::string& path, Graph* graph,
                                TurtleParseStats* stats,
                                const TurtleParseOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IOError("cannot stat " + path);
-  in.seekg(0);
-  std::string buffer(static_cast<size_t>(size), '\0');
-  if (size > 0 && !in.read(buffer.data(), size)) {
-    return Status::IOError("cannot read " + path);
-  }
+  std::string buffer;
+  RDFSUM_RETURN_IF_ERROR(internal::ReadFile(path, &buffer));
   return ParseString(buffer, graph, stats, options);
 }
 

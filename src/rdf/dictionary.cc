@@ -156,7 +156,8 @@ void Dictionary::Reserve(size_t num_terms) {
   if (want > slots_.size()) Rehash(want);
 }
 
-TermId Dictionary::EncodeHashed(TermRef term, const uint64_t h) {
+TermId Dictionary::Encode(TermRef term) {
+  const uint64_t h = HashTerm(term);
   if (TermId base_id = ViewLookup(view_, term, h); base_id != kInvalidTermId) {
     return base_id;
   }

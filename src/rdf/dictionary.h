@@ -80,13 +80,7 @@ class Dictionary {
 
   /// Interns `term`, returning its id (existing or fresh). A Term is built
   /// from the ref only when the id is fresh.
-  TermId Encode(TermRef term) { return EncodeHashed(term, HashTerm(term)); }
-
-  /// Encode with a precomputed HashTerm(term) value. The parallel loader's
-  /// merge pass interns every staged term exactly once per chunk and already
-  /// paid for the hash in the chunk's local dictionary; skipping the rehash
-  /// here keeps the sequential merge phase off the profile.
-  TermId EncodeHashed(TermRef term, uint64_t hash);
+  TermId Encode(TermRef term);
 
   TermId EncodeIri(std::string_view iri) {
     return Encode({TermKind::kIri, iri, {}, {}});

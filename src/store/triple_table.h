@@ -112,7 +112,12 @@ class TripleTable {
   /// the range splits into fixed-size morsels for free —
   /// `MatchSpan(q).subspan(b, n)` — and concatenating per-morsel outputs in
   /// morsel order reproduces the sequential scan exactly.
-  std::span<const Triple> MatchSpan(const TriplePattern& pattern) const;
+  ///
+  /// Starts on a cache line: every index nested-loop probe calls it, and
+  /// perfbench `drain`'s p50 moved by 15-25% with its offset within a
+  /// 64-byte line whenever unrelated code linked before it changed size.
+  [[gnu::aligned(64)]] std::span<const Triple> MatchSpan(
+      const TriplePattern& pattern) const;
 
   /// Number of triples matching `pattern`: MatchSpan(pattern).size(), exact
   /// for every bound-position combination. The primitive the planner's

@@ -27,11 +27,10 @@ inline uint32_t ResolveThreadCount(uint32_t requested, uint64_t work_items) {
 
 /// Runs body(shard) for every shard in [0, num_threads): shard 0 on the
 /// calling thread, the rest as tasks on the shared ThreadPool, joining them
-/// all before returning — the shared fan-out/join boilerplate of the
-/// chunked N-Triples parse and the query morsels. Concurrent load and query
-/// requests share the pool's one set of OS threads, and nested fan-out is
-/// safe because TaskGroup::Wait helps run its own group's queued shards
-/// (see util/thread_pool.h).
+/// all before returning — the fan-out/join boilerplate of the query
+/// morsels. Concurrent queries share the pool's one set of OS threads, and
+/// nested fan-out is safe because TaskGroup::Wait helps run its own
+/// group's queued shards (see util/thread_pool.h).
 ///
 /// Shard count, sharding, and outputs are untouched by pool size: a shard
 /// is a unit of *work division*, not a dedicated thread, so results stay

@@ -23,9 +23,9 @@ class TaskGroup;
 uint32_t AvailableCpuCount();
 
 /// Process-wide work-stealing task pool. One pool (ThreadPool::Shared(),
-/// lazily constructed and sized to the CPUs it may use) serves every
-/// parallel phase — chunked parsing and query morsels — so concurrent
-/// requests share one set of OS threads instead of each spawning their own.
+/// lazily constructed and sized to the CPUs it may use) runs the query
+/// morsels, so concurrent requests share one set of OS threads instead of
+/// each spawning their own.
 ///
 /// Structure: one deque per worker, each guarded by its own mutex. A worker
 /// pops its own deque from the back (LIFO — the task it submitted last is
@@ -40,9 +40,9 @@ uint32_t AvailableCpuCount();
 /// not-yet-started tasks out of the deques and runs them on the calling
 /// thread — and only then blocks for tasks already running elsewhere. The
 /// helping step is what makes nested parallelism (a pool task that itself
-/// fans out, e.g. a parallel table build inside a parallel load) deadlock-free:
-/// a waiter always makes progress on its own work even when every pool
-/// worker is busy or the pool is smaller than the fan-out.
+/// fans out, e.g. a partitioned hash build started from a morsel task)
+/// deadlock-free: a waiter always makes progress on its own work even when
+/// every pool worker is busy or the pool is smaller than the fan-out.
 ///
 /// Cancellation contract (same as CancellableChunks): the pool never
 /// observes ExecContexts itself — task *bodies* poll and return early, so a

@@ -1,8 +1,10 @@
-// Differential wall for the N-Triples parser: lenient ParseString at one
-// and four threads against the naive per-character oracle
-// (tests/oracle/reference_ntriples), on generator output, a hand-written
-// corpus of the grammar's corners, and seeded mutants of that corpus; and
-// strict ParseString around the first chunk's insert-batch boundaries.
+// Differential wall for the N-Triples parser: lenient ParseString against
+// the naive per-character oracle (tests/oracle/reference_ntriples), on
+// generator output, a hand-written corpus of the grammar's corners and
+// seeded mutants of that corpus; line-ending, comment, long-line,
+// duplicate and diagnostic-cap texts; strict failures, a cancelled parse
+// and max_line_bytes, each against the oracle's graph of the lines the
+// parse keeps; and insert-batch boundaries.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +17,12 @@
 #include "gen/bsbm.h"
 #include "gen/hetero.h"
 #include "gen/lubm.h"
+#include "gen/paper_example.h"
 #include "io/ntriples_parser.h"
 #include "io/ntriples_writer.h"
 #include "oracle/reference_ntriples.h"
 #include "rdf/graph.h"
+#include "util/exec_context.h"
 #include "util/random.h"
 
 namespace rdfsum::io {
@@ -96,68 +100,88 @@ std::vector<uint64_t> DiagnosticLines(const ParseStats& stats) {
   return lines;
 }
 
-/// ParseString at t=1 and t=4 equals the oracle: the same skipped lines,
-/// the same dictionary, and the same deduplicated triples in the same order
-/// (per graph component, the order Graph keeps them in). With `fail_line`
-/// 0 the parse is lenient; otherwise it is strict and must fail at that
-/// line, and the oracle reads only the lines before it: the graph a failed
-/// strict parse keeps.
+/// `g` and `stats` are what the oracle `ref` describes: the same skipped
+/// lines (the first kMaxDiagnostics of them as diagnostics), the same
+/// dictionary, and the same deduplicated triples in the same order (per
+/// graph component, the order Graph keeps them in).
+void ExpectSameAsOracle(const Graph& g, const ParseStats& stats,
+                        const ReferenceNTriples& ref) {
+  ASSERT_EQ(stats.skipped, ref.skipped_lines.size());
+  const size_t shown =
+      std::min(ref.skipped_lines.size(), ParseStats::kMaxDiagnostics);
+  EXPECT_EQ(DiagnosticLines(stats),
+            std::vector<uint64_t>(ref.skipped_lines.begin(),
+                                  ref.skipped_lines.begin() + shown));
+
+  ASSERT_EQ(g.dict().size(), ref.terms.size() + 1);
+  for (TermId id = 1; id < g.dict().size(); ++id) {
+    ASSERT_EQ(g.dict().Decode(id), ref.terms[id - 1])
+        << "id " << id << ": " << g.dict().Decode(id).ToNTriples() << " vs "
+        << ref.terms[id - 1].ToNTriples();
+  }
+
+  std::vector<Triple> data, types, schema;
+  for (const Triple& t : ref.triples) {
+    if (g.vocab().IsType(t.p)) {
+      types.push_back(t);
+    } else if (g.vocab().IsSchemaProperty(t.p)) {
+      schema.push_back(t);
+    } else {
+      data.push_back(t);
+    }
+  }
+  EXPECT_EQ(g.data(), data);
+  EXPECT_EQ(g.types(), types);
+  EXPECT_EQ(g.schema(), schema);
+  EXPECT_EQ(stats.triples - stats.duplicates, ref.triples.size());
+}
+
+/// The oracle over the first `lines` lines of `text`.
+ReferenceNTriples OracleLines(std::string_view text, uint64_t lines) {
+  size_t prefix = 0;
+  for (uint64_t line = 1; line <= lines; ++line) {
+    prefix = text.find('\n', prefix) + 1;
+  }
+  return ReferenceParseNTriples(text.substr(0, prefix), SeedTerms());
+}
+
+/// ParseString equals the oracle. With `fail_line` 0 the parse is lenient;
+/// otherwise it is strict and must fail at that line, and the oracle reads
+/// only the lines before it: the graph a failed strict parse keeps.
 void ExpectMatchesOracle(const std::string& text, const std::string& label,
                          uint64_t fail_line = 0) {
   SCOPED_TRACE(label);
-  size_t prefix = fail_line == 0 ? text.size() : 0;
-  for (uint64_t line = 1; line < fail_line; ++line) {
-    prefix = text.find('\n', prefix) + 1;
+  const ReferenceNTriples ref =
+      fail_line == 0 ? ReferenceParseNTriples(text, SeedTerms())
+                     : OracleLines(text, fail_line - 1);
+  Graph g;
+  ParseStats stats;
+  ParseOptions options;
+  options.strict = fail_line != 0;
+  const Status st = NTriplesParser::ParseString(text, &g, &stats, options);
+  if (fail_line == 0) {
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(stats.lines, ref.lines);
+  } else {
+    ASSERT_FALSE(st.ok());
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_EQ(st.message().substr(0, st.message().find(':')),
+              "line " + std::to_string(fail_line))
+        << st.ToString();
+    EXPECT_EQ(stats.lines, fail_line);
   }
-  const ReferenceNTriples ref = ReferenceParseNTriples(
-      std::string_view(text).substr(0, prefix), SeedTerms());
-  for (uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    Graph g;
-    ParseStats stats;
-    ParseOptions options;
-    options.strict = fail_line != 0;
-    options.num_threads = threads;
-    const Status st = NTriplesParser::ParseString(text, &g, &stats, options);
-    if (fail_line == 0) {
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(stats.lines, ref.lines);
-    } else {
-      ASSERT_FALSE(st.ok());
-      EXPECT_EQ(st.message().substr(0, st.message().find(':')),
-                "line " + std::to_string(fail_line))
-          << st.ToString();
-      EXPECT_EQ(stats.lines, fail_line);
-    }
-    ASSERT_EQ(stats.skipped, ref.skipped_lines.size());
-    const size_t shown =
-        std::min(ref.skipped_lines.size(), ParseStats::kMaxDiagnostics);
-    EXPECT_EQ(DiagnosticLines(stats),
-              std::vector<uint64_t>(ref.skipped_lines.begin(),
-                                    ref.skipped_lines.begin() + shown));
+  ExpectSameAsOracle(g, stats, ref);
+}
 
-    ASSERT_EQ(g.dict().size(), ref.terms.size() + 1);
-    for (TermId id = 1; id < g.dict().size(); ++id) {
-      ASSERT_EQ(g.dict().Decode(id), ref.terms[id - 1])
-          << "id " << id << ": " << g.dict().Decode(id).ToNTriples()
-          << " vs " << ref.terms[id - 1].ToNTriples();
-    }
-
-    std::vector<Triple> data, types, schema;
-    for (const Triple& t : ref.triples) {
-      if (g.vocab().IsType(t.p)) {
-        types.push_back(t);
-      } else if (g.vocab().IsSchemaProperty(t.p)) {
-        schema.push_back(t);
-      } else {
-        data.push_back(t);
-      }
-    }
-    EXPECT_EQ(g.data(), data);
-    EXPECT_EQ(g.types(), types);
-    EXPECT_EQ(g.schema(), schema);
-    EXPECT_EQ(stats.triples - stats.duplicates, ref.triples.size());
-  }
+/// Strict ParseString's triple and duplicate counts (the oracle keeps no
+/// duplicates to compare them with).
+void ExpectDuplicates(const std::string& text, uint64_t triples,
+                      uint64_t duplicates) {
+  Graph g;
+  ParseStats stats;
+  ASSERT_TRUE(NTriplesParser::ParseString(text, &g, &stats).ok());
+  EXPECT_EQ(stats.triples, triples);
+  EXPECT_EQ(stats.duplicates, duplicates);
 }
 
 TEST(NTriplesOracleTest, GeneratorOutputMatches) {
@@ -173,6 +197,8 @@ TEST(NTriplesOracleTest, GeneratorOutputMatches) {
   hetero.num_nodes = 300;
   ExpectMatchesOracle(NTriplesWriter::ToString(gen::GenerateHetero(hetero)),
                       "hetero");
+  ExpectMatchesOracle(NTriplesWriter::ToString(gen::BuildFigure2().graph),
+                      "paper");
 }
 
 TEST(NTriplesOracleTest, HandWrittenCorpusMatches) {
@@ -184,6 +210,134 @@ TEST(NTriplesOracleTest, HandWrittenCorpusMatches) {
   ExpectMatchesOracle(kCorpus, "corpus");
   ExpectMatchesOracle("", "empty");
   ExpectMatchesOracle("\n\n", "newlines");
+}
+
+/// Line `i` of the generated texts below: subjects are fresh, predicates
+/// and objects repeat.
+std::string Line(int i) {
+  return "<http://s/" + std::to_string(i) + "> <http://p/" +
+         std::to_string(i % 7) + "> <http://o/" + std::to_string(i % 13) +
+         "> .";
+}
+
+TEST(NTriplesOracleTest, LineEndingsMatch) {
+  // The corpus itself has CRLF lines and no trailing newline.
+  std::string crlf;
+  for (const char c : std::string(kCorpus)) {
+    crlf += c == '\n' ? std::string("\r\n") : std::string(1, c);
+  }
+  ExpectMatchesOracle(crlf, "corpus, CRLF everywhere");
+  std::string text;
+  for (int i = 0; i < 200; ++i) text += Line(i) + "\r\n";
+  ExpectMatchesOracle(text, "CRLF");
+  ExpectMatchesOracle(text + Line(200), "no trailing newline");
+}
+
+TEST(NTriplesOracleTest, LongLinesMatch) {
+  // ~1 KiB literals: lines far longer than the scanner's 16-byte steps.
+  std::string text;
+  for (int i = 0; i < 32; ++i) {
+    text += "<http://s/" + std::to_string(i) + "> <http://p/v> \"" +
+            std::string(1024, static_cast<char>('a' + i % 26)) + "\" .\n";
+  }
+  ExpectMatchesOracle(text, "long lines");
+}
+
+TEST(NTriplesOracleTest, CommentAndBlankRunsMatch) {
+  // `lines` counts comments, blanks and whitespace-only lines too.
+  std::string text;
+  for (int i = 0; i < 150; ++i) {
+    text += Line(i) + "\n# comment " + std::to_string(i) + "\n\n   \n";
+  }
+  ExpectMatchesOracle(text, "comment and blank runs");
+}
+
+TEST(NTriplesOracleTest, RepeatedRunsCountDuplicates) {
+  // The same 80 triples four times over: every repeat is a duplicate.
+  std::string text;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (int i = 0; i < 80; ++i) text += Line(i) + "\n";
+  }
+  ExpectMatchesOracle(text, "repeated runs");
+  ExpectDuplicates(text, 320, 240);
+}
+
+TEST(NTriplesOracleTest, DiagnosticsPastTheCapMatch) {
+  // More malformed lines than kMaxDiagnostics: all are counted, the first
+  // kMaxDiagnostics are reported with their line numbers.
+  std::string text;
+  for (int i = 1; i <= 400; ++i) {
+    text += (i % 11 == 0 ? std::string("this is not a triple") : Line(i)) +
+            "\n";
+  }
+  ExpectMatchesOracle(text, "36 malformed lines");
+  Graph g;
+  ParseStats stats;
+  ParseOptions options;
+  options.strict = false;
+  ASSERT_TRUE(NTriplesParser::ParseString(text, &g, &stats, options).ok());
+  EXPECT_EQ(stats.skipped, 36u);
+  ASSERT_EQ(stats.diagnostics.size(), ParseStats::kMaxDiagnostics);
+  EXPECT_EQ(stats.diagnostics[0].substr(0, 8), "line 11:");
+}
+
+TEST(NTriplesOracleTest, StrictFailureStopsAtTheFirstBadLine) {
+  // Two malformed lines: the parse fails at the first and keeps the 96
+  // triples before it.
+  std::string text;
+  for (int i = 1; i <= 300; ++i) {
+    text += (i == 97 || i == 233 ? std::string("broken line") : Line(i)) +
+            "\n";
+  }
+  ExpectMatchesOracle(text, "strict failure at line 97", 97);
+  Graph g;
+  ParseStats stats;
+  const Status st = NTriplesParser::ParseString(text, &g, &stats);
+  EXPECT_EQ(stats.triples, 96u);
+  EXPECT_EQ(g.NumTriples(), 96u);
+  EXPECT_NE(st.message().find("line 97:"), std::string::npos)
+      << st.ToString();
+}
+
+TEST(NTriplesOracleTest, CancelledParseKeepsTheLinesBeforeThePoll) {
+  // A cancelled context trips at the first poll, on line kCheckInterval;
+  // the graph keeps the lines before it.
+  std::string text;
+  for (int i = 0; i < 2000; ++i) text += Line(i) + "\n";
+  util::ExecContext ctx;
+  ctx.Cancel();
+  Graph g;
+  ParseStats stats;
+  ParseOptions options;
+  options.exec = &ctx;
+  const Status st = NTriplesParser::ParseString(text, &g, &stats, options);
+  EXPECT_TRUE(st.IsCancelled()) << st.ToString();
+  const uint64_t kept = util::ExecContext::kCheckInterval - 1;
+  EXPECT_EQ(stats.lines, kept);
+  ExpectSameAsOracle(g, stats, OracleLines(text, kept));
+}
+
+TEST(NTriplesOracleTest, OverlongLineIsSkippedLikeAMalformedOne) {
+  // The oracle knows no max_line_bytes, so it reads the overlong line as
+  // a malformed one: same line numbers, same graph.
+  std::string head, tail;
+  for (int i = 0; i < 100; ++i) head += Line(i) + "\n";
+  for (int i = 100; i < 200; ++i) tail += Line(i) + "\n";
+  const std::string text = head + "<http://s/x> <http://p/v> \"" +
+                           std::string(4096, 'x') + "\" .\n" + tail;
+  Graph g;
+  ParseStats stats;
+  ParseOptions options;
+  options.strict = false;
+  options.max_line_bytes = 512;
+  ASSERT_TRUE(NTriplesParser::ParseString(text, &g, &stats, options).ok());
+  EXPECT_EQ(stats.skipped, 1u);
+  EXPECT_EQ(stats.diagnostics, std::vector<std::string>{
+                                   "line 101: line of 4126 bytes exceeds "
+                                   "max_line_bytes (512)"});
+  ExpectSameAsOracle(g, stats,
+                     ReferenceParseNTriples(head + "overlong\n" + tail,
+                                            SeedTerms()));
 }
 
 /// Bytes that sit on the grammar's edges, for the byte-flip mutants.
@@ -239,12 +393,10 @@ TEST(NTriplesOracleTest, SeededMutantsMatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Insert-batch boundaries. The first chunk (the whole text at one thread)
-// interns as it scans and adds its triples to the graph
-// NTriplesParser::kInsertBatch at a time. Duplicates and strict failures on
-// either side of a batch boundary must leave the oracle's graph,
-// dictionary and counters. The texts run five batches of lines, so the
-// first of four chunks spans a boundary too.
+// Insert-batch boundaries. The parse interns as it scans and adds its
+// triples to the graph NTriplesParser::kInsertBatch at a time. Duplicates
+// and strict failures on either side of a batch boundary must leave the
+// oracle's graph, dictionary and counters.
 
 constexpr uint64_t kBatch = NTriplesParser::kInsertBatch;
 constexpr uint64_t kBatchTextLines = 5 * kBatch;
@@ -268,24 +420,10 @@ std::string BatchText(const std::map<uint64_t, std::string>& overrides) {
   return text;
 }
 
-/// Strict ParseString's duplicate count at t=1 and t=4 (the oracle keeps no
-/// duplicates to compare it with).
-void ExpectDuplicates(const std::string& text, uint64_t duplicates) {
-  for (uint32_t threads : {1u, 4u}) {
-    Graph g;
-    ParseStats stats;
-    ParseOptions options;
-    options.num_threads = threads;
-    ASSERT_TRUE(NTriplesParser::ParseString(text, &g, &stats, options).ok());
-    EXPECT_EQ(stats.triples, kBatchTextLines) << "threads=" << threads;
-    EXPECT_EQ(stats.duplicates, duplicates) << "threads=" << threads;
-  }
-}
-
 TEST(InsertBatchBoundaryTest, DuplicateInsideOneBatch) {
   const std::string text = BatchText({{100, BatchLine(10)}});
   ExpectMatchesOracle(text, "duplicate inside batch 1");
-  ExpectDuplicates(text, 1);
+  ExpectDuplicates(text, kBatchTextLines, 1);
 }
 
 TEST(InsertBatchBoundaryTest, DuplicateAcrossABatchBoundary) {
@@ -294,7 +432,7 @@ TEST(InsertBatchBoundaryTest, DuplicateAcrossABatchBoundary) {
   const std::string text = BatchText(
       {{kBatch + 1, BatchLine(kBatch)}, {2 * kBatch + 1, BatchLine(1)}});
   ExpectMatchesOracle(text, "duplicates across batch boundaries");
-  ExpectDuplicates(text, 2);
+  ExpectDuplicates(text, kBatchTextLines, 2);
 }
 
 TEST(InsertBatchBoundaryTest, StrictFailureOnTheLastLineOfTheFirstBatch) {

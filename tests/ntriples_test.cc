@@ -245,6 +245,15 @@ TEST(NTriplesParserTest, MissingFileIsIOError) {
   EXPECT_TRUE(st.IsIOError());
 }
 
+TEST(NTriplesParserTest, DirectoryIsIOError) {
+  // A directory opens as a stream and reports a bogus size; reading it
+  // must fail cleanly instead of allocating that size.
+  Graph g;
+  Status st = NTriplesParser::ParseFile(testing::TempDir(), &g);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(g.NumTriples(), 0u);
+}
+
 // ------------------------------------------------------------- round trips
 
 TEST(NTriplesRoundTripTest, WriterOutputReparsesIdentically) {

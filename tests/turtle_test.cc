@@ -270,6 +270,13 @@ TEST(TurtleParserTest, MissingFileIsIOError) {
   EXPECT_TRUE(TurtleParser::ParseFile("/nonexistent.ttl", &g).IsIOError());
 }
 
+TEST(TurtleParserTest, DirectoryIsIOError) {
+  Graph g;
+  Status st = TurtleParser::ParseFile(testing::TempDir(), &g);
+  EXPECT_TRUE(st.IsIOError()) << st.ToString();
+  EXPECT_EQ(g.NumTriples(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Governance parity with the N-Triples parser (TurtleParseOptions).
 

@@ -19,8 +19,7 @@
 //
 // Input format is chosen by extension: .ttl/.turtle uses the Turtle parser,
 // anything else the N-Triples parser. The global --threads flag (see Usage)
-// parallelizes the N-Triples load and the query drain with byte-identical
-// output.
+// parallelizes query's drain with byte-identical output.
 
 #include <chrono>
 #include <csignal>
@@ -126,12 +125,10 @@ int Usage() {
       "  to the parse path\n"
       "\n"
       "global flags (any command):\n"
-      "  --threads N        worker threads for the N-Triples load\n"
-      "                     (chunked parse + sharded intern) and query's\n"
-      "                     morsel-parallel drain; 0 = all cores, 1 =\n"
-      "                     sequential (default). Freeze and summarize run\n"
-      "                     on one thread. Output is byte-identical at every\n"
-      "                     thread count.\n"
+      "  --threads N        worker threads for query's morsel-parallel\n"
+      "                     drain; 0 = all cores, 1 = sequential (default).\n"
+      "                     Rows are byte-identical at every thread count.\n"
+      "                     Load, freeze and summarize run on one thread.\n"
       "\n"
       "global resource-governance flags (any command; 0 = unlimited):\n"
       "  --timeout-ms N     wall-clock budget; exceeding it aborts with\n"
@@ -147,8 +144,7 @@ int Usage() {
 }
 
 Status LoadGraph(const std::string& path, Graph* g,
-                 util::ExecContext* exec = nullptr, uint32_t threads = 1,
-                 io::ParseStats* stats_out = nullptr) {
+                 util::ExecContext* exec = nullptr) {
   Status st;
   if (EndsWith(path, ".ttl") || EndsWith(path, ".turtle")) {
     io::TurtleParseOptions options;
@@ -167,7 +163,6 @@ Status LoadGraph(const std::string& path, Graph* g,
     io::ParseOptions options;
     options.strict = false;
     options.exec = exec;
-    options.num_threads = threads;
     io::ParseStats stats;
     st = io::NTriplesParser::ParseFile(path, g, &stats, options);
     if (st.ok() && stats.skipped > 0) {
@@ -177,7 +172,6 @@ Status LoadGraph(const std::string& path, Graph* g,
         std::cerr << "  " << d << "\n";
       }
     }
-    if (stats_out != nullptr) *stats_out = stats;
   }
   return st;
 }
@@ -226,8 +220,7 @@ std::string PhaseMs(const char* name, double seconds) {
   return buf;
 }
 
-int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
-             uint32_t threads) {
+int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec) {
   std::string store_path;
   std::vector<std::string> positional;
   for (size_t i = 0; i < args.size(); ++i) {
@@ -241,29 +234,26 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
   const std::string source = store_path.empty() ? positional[0] : store_path;
   std::unique_ptr<store::MmapStore> mstore;
   Graph g;
-  io::ParseStats parse_stats;
   Timer timer;
   Status load = store_path.empty()
-                    ? LoadGraph(positional[0], &g, exec, threads, &parse_stats)
+                    ? LoadGraph(positional[0], &g, exec)
                     : LoadGraphFromStore(store_path, &mstore, &g);
   if (!load.ok()) return FailStatus(load);
+  const double load_seconds = timer.ElapsedSeconds();
   std::cout << "loaded " << source << " in " << timer.ElapsedMillis()
             << " ms\n";
   if (store_path.empty()) {
-    // The cold-path phase breakdown (parse / intern / freeze / dense): the
-    // two loader phases come from ParseStats; freeze and dense are measured
-    // here on the loaded graph so a regression in any cold-path stage is
-    // visible from this one command.
+    // The cold-path phase breakdown (parse / freeze / dense): the parse is
+    // the load just timed; freeze and dense are measured here on the
+    // loaded graph so a regression in any cold-path stage is visible from
+    // this one command.
     Timer freeze_timer;
     store::TripleTable::Build(g.Triples());
     const double freeze_seconds = freeze_timer.ElapsedSeconds();
     Timer dense_timer;
     const DenseGraph dense(g);
     const double dense_seconds = dense_timer.ElapsedSeconds();
-    std::cout << "phases (threads=" << threads
-              << ", chunks=" << parse_stats.chunks << "): "
-              << PhaseMs("parse", parse_stats.parse_seconds) << ", "
-              << PhaseMs("intern", parse_stats.intern_seconds) << ", "
+    std::cout << "phases: " << PhaseMs("parse", load_seconds) << ", "
               << PhaseMs("freeze", freeze_seconds) << ", "
               << PhaseMs("dense", dense_seconds) << "\n";
   }
@@ -274,8 +264,8 @@ int CmdStats(const std::vector<std::string>& args, util::ExecContext* exec,
   return 0;
 }
 
-int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
-                 uint32_t threads) {
+int CmdSummarize(const std::vector<std::string>& args,
+                 util::ExecContext* exec) {
   std::string kind_name = "all";
   std::string out_prefix;
   std::string store_path;
@@ -308,7 +298,7 @@ int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
   std::unique_ptr<store::MmapStore> mstore;
   Graph g;
   Status load = store_path.empty()
-                    ? LoadGraph(positional[0], &g, exec, threads)
+                    ? LoadGraph(positional[0], &g, exec)
                     : LoadGraphFromStore(store_path, &mstore, &g);
   if (!load.ok()) return FailStatus(load);
   if (saturate) g = reasoner::Saturate(g);
@@ -343,8 +333,7 @@ int CmdSummarize(const std::vector<std::string>& args, util::ExecContext* exec,
   return 0;
 }
 
-int CmdSaturate(const std::vector<std::string>& args, util::ExecContext* exec,
-                uint32_t threads) {
+int CmdSaturate(const std::vector<std::string>& args, util::ExecContext* exec) {
   if (args.empty()) return Usage();
   std::string out;
   for (size_t i = 1; i < args.size(); ++i) {
@@ -352,7 +341,7 @@ int CmdSaturate(const std::vector<std::string>& args, util::ExecContext* exec,
     else return Fail("unknown option " + args[i]);
   }
   Graph g;
-  Status load = LoadGraph(args[0], &g, exec, threads);
+  Status load = LoadGraph(args[0], &g, exec);
   if (!load.ok()) return FailStatus(load);
   reasoner::SaturationStats stats;
   Timer timer;
@@ -369,11 +358,10 @@ int CmdSaturate(const std::vector<std::string>& args, util::ExecContext* exec,
   return 0;
 }
 
-int CmdConvert(const std::vector<std::string>& args, util::ExecContext* exec,
-               uint32_t threads) {
+int CmdConvert(const std::vector<std::string>& args, util::ExecContext* exec) {
   if (args.size() != 2) return Usage();
   Graph g;
-  Status load = LoadGraph(args[0], &g, exec, threads);
+  Status load = LoadGraph(args[0], &g, exec);
   if (!load.ok()) return FailStatus(load);
   Status st = io::NTriplesWriter::WriteFile(g, args[1]);
   if (!st.ok()) return FailStatus(st);
@@ -469,7 +457,7 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
     mstore = std::move(opened).value();
   } else {
     Status load = store_path.empty()
-                      ? LoadGraph(positional[0], &g, exec, threads)
+                      ? LoadGraph(positional[0], &g, exec)
                       : LoadGraphFromStore(store_path, &mstore, &g);
     if (!load.ok()) return FailStatus(load);
   }
@@ -561,8 +549,7 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
   return 0;
 }
 
-int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
-              uint32_t threads) {
+int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec) {
   if (args.empty()) return Usage();
   std::string out;
   store::FreezeOptions options;
@@ -574,10 +561,10 @@ int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
   }
   if (out.empty()) out = args[0] + ".rsb";
   Graph g;
-  io::ParseStats parse_stats;
   Timer timer;
-  Status load = LoadGraph(args[0], &g, exec, threads, &parse_stats);
+  Status load = LoadGraph(args[0], &g, exec);
   if (!load.ok()) return FailStatus(load);
+  const double parse_seconds = timer.ElapsedSeconds();
   Status st = store::FreezeGraphToFile(g, out, options);
   if (!st.ok()) return FailStatus(st);
   // Re-open what we just wrote: cheap, and it proves the image passes the
@@ -588,10 +575,7 @@ int CmdFreeze(const std::vector<std::string>& args, util::ExecContext* exec,
   std::cout << "froze " << g.NumTriples() << " triples ("
             << (*check)->image().size() << " bytes) to "
             << out << " in " << timer.ElapsedMillis() << " ms\n"
-            << "phases (threads=" << threads << ", chunks="
-            << parse_stats.chunks << "): "
-            << PhaseMs("parse", parse_stats.parse_seconds) << ", "
-            << PhaseMs("intern", parse_stats.intern_seconds) << ", "
+            << "phases: " << PhaseMs("parse", parse_seconds) << ", "
             << PhaseMs("freeze", freeze_seconds) << "\n";
   return 0;
 }
@@ -757,12 +741,12 @@ int Run(const std::string& cmd, const std::vector<std::string>& args) {
                         limits.memory_budget_bytes != 0;
   util::ExecContext ctx(limits);
   util::ExecContext* exec = governed ? &ctx : nullptr;
-  if (cmd == "stats") return CmdStats(rest, exec, threads);
-  if (cmd == "summarize") return CmdSummarize(rest, exec, threads);
-  if (cmd == "saturate") return CmdSaturate(rest, exec, threads);
-  if (cmd == "convert") return CmdConvert(rest, exec, threads);
+  if (cmd == "stats") return CmdStats(rest, exec);
+  if (cmd == "summarize") return CmdSummarize(rest, exec);
+  if (cmd == "saturate") return CmdSaturate(rest, exec);
+  if (cmd == "convert") return CmdConvert(rest, exec);
   if (cmd == "query") return CmdQuery(rest, exec, threads);
-  if (cmd == "freeze") return CmdFreeze(rest, exec, threads);
+  if (cmd == "freeze") return CmdFreeze(rest, exec);
   // serve gets the raw Limits: they become per-request defaults, applied by
   // the server as each request's ExecContext, not one context for the whole
   // daemon lifetime.
