@@ -85,21 +85,7 @@ class BenchJson {
       : bench_name_(std::move(bench_name)) {}
 
   void Record(const std::string& name, uint64_t scale, double seconds) {
-    records_.push_back(Record_{name, scale, seconds, -1, -1});
-  }
-
-  /// Thread-sweep record: stores the thread count the row *requested* and
-  /// the count the runtime actually spawned (after ResolveThreadCount
-  /// resolves 0 to hardware_concurrency and clamps against work size and
-  /// kMaxThreads — an explicit request is honored even beyond the core
-  /// count, i.e. oversubscribed). Read next to the top-level
-  /// hardware_concurrency: effective > cores means the row measured
-  /// oversubscription, not scaling.
-  void RecordThreads(const std::string& name, uint64_t scale, double seconds,
-                     uint32_t requested, uint32_t effective) {
-    records_.push_back(Record_{name, scale, seconds,
-                               static_cast<int64_t>(requested),
-                               static_cast<int64_t>(effective)});
+    records_.push_back(Record_{name, scale, seconds});
   }
 
   /// Load record: the one-thread load's wall time with its phase
@@ -107,7 +93,7 @@ class BenchJson {
   /// load regression can be attributed to the phase that moved.
   void RecordLoad(const std::string& name, uint64_t scale, double seconds,
                   double parse_seconds, double freeze_seconds) {
-    Record_ r{name, scale, seconds, -1, -1};
+    Record_ r{name, scale, seconds};
     r.parse_seconds = parse_seconds;
     r.freeze_seconds = freeze_seconds;
     records_.push_back(r);
@@ -116,7 +102,7 @@ class BenchJson {
   /// Per-operation latency record: carries `ns_per_probe` in place of
   /// `seconds`, so a nanosecond figure is never read as a wall time.
   void RecordNsPerProbe(const std::string& name, uint64_t scale, double ns) {
-    Record_ r{name, scale, -1, -1, -1};
+    Record_ r{name, scale, -1};
     r.ns_per_probe = ns;
     records_.push_back(r);
   }
@@ -148,12 +134,6 @@ class BenchJson {
       } else {
         std::fprintf(f, ", \"seconds\": %.6f", r.seconds);
       }
-      if (r.threads_requested >= 0) {
-        std::fprintf(f,
-                     ", \"threads_requested\": %lld, \"threads_effective\": %lld",
-                     static_cast<long long>(r.threads_requested),
-                     static_cast<long long>(r.threads_effective));
-      }
       if (r.parse_seconds >= 0) {
         std::fprintf(f,
                      ", \"parse_seconds\": %.6f, \"freeze_seconds\": %.6f",
@@ -171,8 +151,6 @@ class BenchJson {
     std::string name;
     uint64_t scale;
     double seconds;
-    int64_t threads_requested;  // -1 = not a thread-sweep row
-    int64_t threads_effective;
     double parse_seconds = -1;  // -1 = not a load row (phase breakdown absent)
     double freeze_seconds = -1;
     double ns_per_probe = -1;  // -1 = a wall-time row

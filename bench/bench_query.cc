@@ -16,14 +16,9 @@
 // hashjoin_* records). Both re-check result identity against the
 // legacy path and fail the run on divergence, like the planner sweep.
 //
-// PR 10 reworks the substrate: each scale's graph is frozen ONCE to a
-// temporary .rsb and reopened via store::MmapStore, and every section's
-// evaluator borrows that store's table — previously each section rebuilt
-// (re-sorted) the triple table from the Graph. It also adds the par_*
-// thread sweep: the fattest unanchored queries drained at parallelism
-// {1,2,4,8}, byte-identity enforced against the sequential stream in-bench
-// (divergence fails the run). Rows carry threads_requested/_effective; on
-// a 1-core host the >1 rows measure morsel machinery overhead, not scaling.
+// Each scale's graph is frozen ONCE to a temporary .rsb and reopened via
+// store::MmapStore, and every section's evaluator borrows that store's
+// table. Every query runs on one thread.
 
 #include <benchmark/benchmark.h>
 
@@ -49,7 +44,6 @@
 #include "summary/cardinality.h"
 #include "summary/summarizer.h"
 #include "util/csv.h"
-#include "util/parallel_for.h"
 #include "util/timer.h"
 
 namespace rdfsum {
@@ -418,161 +412,9 @@ void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
               "largest BSBM scale");
 }
 
-/// Drains a cursor into the ordered byte rendering of its stream — order
-/// preserved, unlike DrainCursorCanonical's multiset — so the parallel
-/// sweep can assert byte-identity, not just set equality.
-std::vector<std::string> DrainCursorOrdered(const BgpEvaluator& eval,
-                                            const BgpQuery& q,
-                                            PlannerMode mode,
-                                            query::CursorOptions options) {
-  auto cursor = eval.Open(q, mode, options);
-  if (!cursor.ok()) {
-    std::cerr << "bench open failed: " << cursor.status().ToString() << "\n";
-    std::abort();
-  }
-  std::vector<std::string> rows;
-  query::IdRow row;
-  while ((*cursor)->Next(&row)) {
-    std::string line;
-    for (const Term& t : eval.Decode(row)) {
-      line += t.ToNTriples();
-      line += '\t';
-    }
-    rows.push_back(std::move(line));
-  }
-  return rows;
-}
-
-/// One full decode-drain under an explicit planner mode.
-void DrainOnce(const BgpEvaluator& eval, const BgpQuery& q, PlannerMode mode,
-               const query::CursorOptions& options) {
-  auto cursor = eval.Open(q, mode, options);
-  query::IdRow row;
-  while ((*cursor)->Next(&row)) {
-    query::Row decoded = eval.Decode(row);
-    benchmark::DoNotOptimize(decoded);
-  }
-}
-
-/// Interleaved paired walls: alternates base-option and t-option drains
-/// within one measurement window, best-of-5 each. The par_* rows compare
-/// thread counts at a ~5%% tolerance, so a container slowdown must hit both
-/// sides of the ratio — timing the baseline once up front and the t>1 rows
-/// seconds later lets one noisy window masquerade as morsel overhead.
-std::pair<double, double> TimePairedDrains(const BgpEvaluator& eval,
-                                           const BgpQuery& q, PlannerMode mode,
-                                           const query::CursorOptions& base,
-                                           const query::CursorOptions& opts) {
-  double best_base = 1e99, best_opts = 1e99;
-  for (int rep = 0; rep < 5; ++rep) {
-    best_base = std::min(
-        best_base, TimeRuns(2, [&] { DrainOnce(eval, q, mode, base); }).best());
-    best_opts = std::min(
-        best_opts, TimeRuns(2, [&] { DrainOnce(eval, q, mode, opts); }).best());
-  }
-  return {best_base, best_opts};
-}
-
-/// Morsel-parallel drains of the fattest unanchored queries (the NLJ-heavy
-/// snowflake_free and the shared-hash-build fatstar) at parallelism
-/// {1,2,4,8}. Every thread count's stream must be byte-identical to the
-/// sequential drain — the ordered-merge invariant the executor promises —
-/// and a divergence fails the whole run. Records land as par_<shape>_t<N>
-/// with threads_requested/threads_effective attached; interpret the wall
-/// times against the machine's hardware_concurrency (on 1 core the t>1
-/// rows price the morsel machinery, not scaling).
-///
-/// Bench overrides: the production fan-out gate (kParallelMinScanRows) and
-/// morsel size assume driving scans of tens of thousands of rows; at the
-/// capped bench scales the fattest scan is smaller, which would silently
-/// compile every row here sequentially. The sweep drops the gate to 1 and
-/// the morsel to 1024 rows so the gather actually runs and its overhead is
-/// what the t>1 rows measure. The production values stay covered by the
-/// gate tests (tests/parallel_query_test.cc).
-inline constexpr uint64_t kBenchMorselRows = 2048;
-
-void RunParallelBench(bench::BenchJson* json, const store::MmapStore& st,
-                      uint64_t triples, bool* all_equal) {
-  const std::string p = "PREFIX b: <http://bsbm.example.org/>\n";
-  const std::vector<ShapeQuery> queries = {
-      {"snowflake_free",
-       p + "SELECT ?r ?price WHERE { ?r b:reviewFor ?p . ?r b:reviewer ?x . "
-           "?x b:country ?c . ?o b:offerProduct ?p . ?o b:price ?price }"},
-      {"fatstar",
-       p + "SELECT ?r ?price WHERE { ?r b:reviewFor ?p . "
-           "?o b:offerProduct ?p . ?o b:price ?price }"},
-  };
-  BgpEvaluator eval(st.dict(), st.table());
-  TablePrinter table({"query", "threads", "effective", "morsels",
-                      "drain (ms)", "vs. t1", "identical"});
-  for (const ShapeQuery& sq : queries) {
-    BgpQuery q = MustParse(sq.sparql);
-    // The real fan-out the executor will resolve: exact driving-scan rows
-    // of the naive plan's first step, split into bench-sized morsels.
-    query::QueryPlan plan = eval.Plan(q, PlannerMode::kNaive);
-    const query::CompiledPattern& first =
-        plan.compiled.patterns[plan.steps[0].pattern];
-    const uint64_t driving = st.table().Count(query::ConstOnly(first));
-    const uint64_t morsels =
-        (driving + kBenchMorselRows - 1) / kBenchMorselRows;
-    auto make_options = [&](uint32_t threads) {
-      query::CursorOptions options;
-      options.parallelism = threads;
-      options.min_parallel_rows = 1;
-      options.morsel_rows = kBenchMorselRows;
-      return options;
-    };
-    // Correctness first: every thread count must reproduce the sequential
-    // byte stream exactly.
-    const query::CursorOptions base = make_options(1);
-    const std::vector<std::string> sequential =
-        DrainCursorOrdered(eval, q, PlannerMode::kNaive, base);
-    bool query_equal = true;
-    // Timing: each t>1 drain is interleaved with a t1 drain in the same
-    // window, so the t1 row and every ratio are immune to container noise
-    // drifting between rows.
-    double t1_secs = 1e99;
-    struct ParRow {
-      uint32_t threads, effective;
-      double secs;
-      bool identical;
-    };
-    std::vector<ParRow> rows_out;
-    rows_out.push_back({1, 1, 0, true});
-    for (uint32_t threads : {2u, 4u, 8u}) {
-      const query::CursorOptions options = make_options(threads);
-      const bool identical =
-          DrainCursorOrdered(eval, q, PlannerMode::kNaive, options) ==
-          sequential;
-      auto [base_secs, secs] =
-          TimePairedDrains(eval, q, PlannerMode::kNaive, base, options);
-      t1_secs = std::min(t1_secs, base_secs);
-      rows_out.push_back({threads, util::ResolveThreadCount(threads, morsels),
-                          secs, identical});
-      query_equal = query_equal && identical;
-    }
-    rows_out[0].secs = t1_secs;
-    for (const ParRow& r : rows_out) {
-      json->RecordThreads("par_" + sq.shape + "_t" + std::to_string(r.threads),
-                          triples, r.secs, r.threads, r.effective);
-      table.AddRow({sq.shape, std::to_string(r.threads),
-                    std::to_string(r.effective), std::to_string(morsels),
-                    FormatDouble(r.secs * 1e3, 2),
-                    FormatDouble(t1_secs / std::max(1e-9, r.secs), 2) + "x",
-                    r.identical ? "yes" : "NO (bug!)"});
-    }
-    *all_equal = *all_equal && query_equal;
-  }
-  table.Print(std::cout,
-              "Morsel-parallel drains: ordered merge must be byte-identical "
-              "to the sequential stream at every thread count");
-}
-
 /// Returns false when any planner mode diverged from the naive rows.
 bool PrintQueryBench() {
   bench::BenchJson json("bench_query");
-  // Context for the par_* rows: effective threads beyond this measured
-  // oversubscription, not scaling.
   json.MetaInt("hardware_concurrency", std::thread::hardware_concurrency());
   TablePrinter table({"workload", "triples", "shape", "naive (ms)",
                       "greedy (ms)", "summary (ms)", "speedup",
@@ -603,7 +445,6 @@ bool PrintQueryBench() {
     const store::MmapStore& st = FrozenStore(&json, "bsbm", g);
     RunStreamingBench(&json, st, g.NumTriples(), &all_equal);
     RunHashJoinBench(&json, st, g.NumTriples(), &all_equal);
-    RunParallelBench(&json, st, g.NumTriples(), &all_equal);
   }
   const char* path = std::getenv("RDFSUM_BENCH_JSON");
   std::string out = path != nullptr ? path : "BENCH_query.json";

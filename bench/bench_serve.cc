@@ -133,24 +133,19 @@ bool RunSweep(uint16_t port, int threads, SweepResult* out) {
 }
 
 /// Unanchored snowflake (no producer constant): the heavy per-request
-/// workload for the parallelism sweep. Naive-planned so the driving scan is
-/// the reviewFor range — at the sweep's 200k-triple image that clears the
-/// executor's fan-out gate; under RDFSUM_BENCH_MAX_TRIPLES caps it may not,
-/// in which case the sweep still measures the wire + admission-control path
-/// with the fan-out gate (correctly) refusing.
+/// workload. Naive-planned so the driving scan is the whole reviewFor
+/// range.
 std::string HeavySnowflakeQuery() {
   return "PREFIX b: <http://bsbm.example.org/>\n"
          "SELECT ?r ?price WHERE { ?r b:reviewFor ?p . ?r b:reviewer ?x . "
          "?x b:country ?c . ?o b:offerProduct ?p . ?o b:price ?price }";
 }
 
-/// Per-request parallelism over the wire (protocol 1.1): one client issues
-/// heavy queries at req.parallelism in {1, 4, 8} against a server with
-/// spare parallel slots, then a mixed sweep runs heavy parallel and cheap
-/// anchored traffic together. Row counts must be identical at every
-/// parallelism (the wire carries the same byte stream); latency is recorded,
-/// not gated — a 1-core container serializes the fan-out anyway.
-bool RunParallelServeBench(bench::BenchJson* json) {
+/// Heavy queries over the wire: one client issues heavy queries (the
+/// serve_par_*_p1 rows; every query runs on one thread, so there is no
+/// other parallelism to sweep), then a mixed sweep runs two heavy and two
+/// cheap anchored clients together. Latency is recorded, not gated.
+bool RunHeavyServeBench(bench::BenchJson* json) {
   uint64_t scale = 200'000;
   if (const char* env = std::getenv("RDFSUM_BENCH_MAX_TRIPLES")) {
     scale = std::min<uint64_t>(scale, std::strtoull(env, nullptr, 10));
@@ -169,7 +164,6 @@ bool RunParallelServeBench(bench::BenchJson* json) {
   ServerOptions options;
   options.num_workers = 4;
   options.queue_depth = 16;
-  options.max_parallelism = 8;
   Server server;
   Status started = server.Start(image, options);
   if (!started.ok()) {
@@ -178,68 +172,49 @@ bool RunParallelServeBench(bench::BenchJson* json) {
     return false;
   }
 
-  TablePrinter table(
-      {"workload", "parallelism", "qps", "p50 (ms)", "p99 (ms)", "rows/req"});
+  TablePrinter table({"workload", "qps", "p50 (ms)", "p99 (ms)", "rows/req"});
   bool ok = true;
-  uint64_t rows_at_p1 = 0;
   constexpr int kHeavyWarmup = 2;
   constexpr int kHeavyRequests = 12;
-  for (uint32_t par : {1u, 4u, 8u}) {
+  {
     auto client = Client::Connect("127.0.0.1", server.port());
-    if (!client.ok()) {
-      ok = false;
-      break;
-    }
+    ok = client.ok();
     QueryRequest req;
     req.planner = 0;  // naive: the driving scan is the reviewFor range
-    req.parallelism = par;
     std::vector<double> lat;
     uint64_t rows = 0;
     Timer wall;
-    for (int i = 0; i < kHeavyWarmup + kHeavyRequests; ++i) {
+    for (int i = 0; ok && i < kHeavyWarmup + kHeavyRequests; ++i) {
       Timer t;
       uint64_t n = 0;
       Status st = (*client)->Query(
           HeavySnowflakeQuery(), req,
           [](const std::vector<std::string>&) { return true; }, &n);
       if (!st.ok()) {
-        std::cerr << "bench_serve: heavy query failed (par=" << par
-                  << "): " << st.ToString() << "\n";
+        std::cerr << "bench_serve: heavy query failed: " << st.ToString()
+                  << "\n";
         ok = false;
-        break;
-      }
-      if (i >= kHeavyWarmup) {
+      } else if (i >= kHeavyWarmup) {
         lat.push_back(t.ElapsedSeconds());
         rows = n;
       }
     }
-    if (!ok) break;
-    if (par == 1) {
-      rows_at_p1 = rows;
-    } else if (rows != rows_at_p1) {
-      std::cerr << "bench_serve: parallel row count diverged (par=" << par
-                << ": " << rows << " vs " << rows_at_p1 << ")\n";
-      ok = false;
-      break;
+    if (ok) {
+      const double elapsed = wall.ElapsedSeconds();
+      const double qps =
+          static_cast<double>(lat.size()) / std::max(1e-9, elapsed);
+      json->Record("serve_par_qps_p1", g.NumTriples(), qps);
+      json->Record("serve_par_p50_p1", g.NumTriples(), Percentile(&lat, 0.50));
+      json->Record("serve_par_p99_p1", g.NumTriples(), Percentile(&lat, 0.99));
+      table.AddRow({"heavy", FormatDouble(qps, 1),
+                    FormatDouble(Percentile(&lat, 0.50) * 1e3, 3),
+                    FormatDouble(Percentile(&lat, 0.99) * 1e3, 3),
+                    std::to_string(rows)});
     }
-    const double elapsed = wall.ElapsedSeconds();
-    const double qps =
-        static_cast<double>(lat.size()) / std::max(1e-9, elapsed);
-    const std::string suffix = "_p" + std::to_string(par);
-    json->Record("serve_par_qps" + suffix, g.NumTriples(), qps);
-    json->Record("serve_par_p50" + suffix, g.NumTriples(),
-                 Percentile(&lat, 0.50));
-    json->Record("serve_par_p99" + suffix, g.NumTriples(),
-                 Percentile(&lat, 0.99));
-    table.AddRow({"heavy", std::to_string(par), FormatDouble(qps, 1),
-                  FormatDouble(Percentile(&lat, 0.50) * 1e3, 3),
-                  FormatDouble(Percentile(&lat, 0.99) * 1e3, 3),
-                  std::to_string(rows)});
   }
 
-  // Mixed traffic: two heavy parallel clients and two cheap anchored
-  // clients at once — admission control must keep cheap requests moving
-  // while heavy ones hold the spare slots.
+  // Mixed traffic: two heavy clients and two cheap anchored clients at
+  // once; the cheap requests' p99 is the liveness number.
   if (ok) {
     std::vector<double> cheap_lat;
     std::vector<bool> failed(4, false);
@@ -254,7 +229,6 @@ bool RunParallelServeBench(bench::BenchJson* json) {
       QueryRequest req;
       req.planner = heavy ? 0 : static_cast<uint8_t>(
                                     query::PlannerMode::kSummary);
-      req.parallelism = heavy ? 4 : 1;
       const int n_requests = heavy ? 6 : 40;
       for (int i = 0; i < n_requests; ++i) {
         Timer t;
@@ -279,7 +253,7 @@ bool RunParallelServeBench(bench::BenchJson* json) {
     if (ok) {
       json->Record("serve_par_mixed_cheap_p99", g.NumTriples(),
                    Percentile(&cheap_lat, 0.99));
-      table.AddRow({"mixed cheap", "1", "-",
+      table.AddRow({"mixed cheap", "-",
                     FormatDouble(Percentile(&cheap_lat, 0.50) * 1e3, 3),
                     FormatDouble(Percentile(&cheap_lat, 0.99) * 1e3, 3),
                     "-"});
@@ -288,26 +262,8 @@ bool RunParallelServeBench(bench::BenchJson* json) {
     }
   }
 
-  // The admission-control counters must reflect the sweep: every granted
-  // fan-out shows up in parallel_queries.
-  if (ok) {
-    auto stats_client = Client::Connect("127.0.0.1", server.port());
-    if (stats_client.ok()) {
-      auto text = (*stats_client)->Stats();
-      if (text.ok()) {
-        size_t pq = text->find("parallel_queries: ");
-        if (pq != std::string::npos) {
-          json->Record("serve_par_granted", g.NumTriples(),
-                       static_cast<double>(std::strtoull(
-                           text->c_str() + pq + 18, nullptr, 10)));
-        }
-      }
-    }
-  }
-
   table.Print(std::cout,
-              "Per-request parallelism over the wire (protocol 1.1): heavy "
-              "naive snowflakes at requested fan-out, then mixed with cheap "
+              "Heavy naive snowflakes over the wire, then mixed with cheap "
               "anchored traffic (" + Num(g.NumTriples()) + " triples)");
   server.Stop();
   server.Wait();
@@ -404,7 +360,7 @@ bool PrintServeBench() {
               "queries, rotating constants (" + Num(g.NumTriples()) +
               " triples)");
 
-  const bool par_ok = RunParallelServeBench(&json);
+  const bool par_ok = RunHeavyServeBench(&json);
 
   const char* path = std::getenv("RDFSUM_BENCH_JSON");
   std::string out = path != nullptr ? path : "BENCH_serve.json";

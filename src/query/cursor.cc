@@ -1,17 +1,12 @@
 #include "query/cursor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <condition_variable>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <utility>
 
 #include "util/fault_injection.h"
-#include "util/parallel_for.h"
-#include "util/thread_pool.h"
 
 namespace rdfsum::query {
 
@@ -111,19 +106,13 @@ class SingletonCursor final : public Cursor {
 
 class IndexScanCursor final : public Cursor {
  public:
-  /// [begin_offset, end_offset) restricts the scan to one morsel of the
-  /// pattern's match range; (0, SIZE_MAX) is the full scan.
   IndexScanCursor(const store::TripleTable& table, const CompiledPattern& pat,
-                  size_t num_vars, std::string label, util::ExecContext* exec,
-                  size_t begin_offset, size_t end_offset)
+                  size_t num_vars, std::string label, util::ExecContext* exec)
       : pat_(pat),
         width_(num_vars),
         label_(std::move(label)),
-        index_(store::TripleTable::ChooseIndex(ConstOnly(pat))) {
-    std::span<const Triple> range = table.MatchSpan(ConstOnly(pat));
-    end_offset = std::min(end_offset, range.size());
-    begin_offset = std::min(begin_offset, end_offset);
-    scan_ = range.subspan(begin_offset, end_offset - begin_offset);
+        index_(store::TripleTable::ChooseIndex(ConstOnly(pat))),
+        scan_(table.MatchSpan(ConstOnly(pat))) {
     poll_.ctx = exec;
   }
 
@@ -150,7 +139,7 @@ class IndexScanCursor final : public Cursor {
   size_t width_;
   std::string label_;
   store::IndexKind index_;
-  std::span<const Triple> scan_;  // the morsel of the match range
+  std::span<const Triple> scan_;  // the pattern's match range
   size_t next_ = 0;
   ExecPoll poll_;
 };
@@ -360,49 +349,60 @@ class GovernedCursor final : public Cursor {
   ExecPoll poll_;
 };
 
-}  // namespace
-
-// ---- Hash join --------------------------------------------------------------
-
-/// One hash-join build side, partitioned by key hash so partitions build in
-/// parallel without sharing mutable state. Each key's triples all land in
-/// the same partition (partition = hash(key) % P), and each partition walks
-/// the build range in index order, so within-key chain order is index order
-/// whatever P is — which is what keeps probe output byte-identical at every
-/// thread count. Sequential trees build a single partition. After
-/// EnsureBuilt() the structure is immutable and probed concurrently,
-/// read-only.
-class SharedHashJoinBuild {
- public:
+/// A hash join's build side: a key directory plus one chain per key over
+/// the triples matching the pattern's constants. Inserting in index order
+/// at the chain tails makes every chain replay its matches in index order.
+struct HashJoinTable {
   static constexpr uint32_t kEnd = UINT32_MAX;
 
-  /// A key directory plus insertion-order chains over the partition's
-  /// triples.
-  struct Partition {
-    explicit Partition(size_t key_width) : keys(key_width) {}
+  explicit HashJoinTable(size_t key_width) : keys(key_width) {}
 
-    /// First chain link of `key`, or kEnd when no triple has that key.
-    uint32_t Head(const TermId* key) const {
-      const uint32_t ord = keys.Find(key);
-      return ord == util::RowSet::kNotFound ? kEnd : heads[ord];
+  /// First chain link of `key`, or kEnd when no triple has that key.
+  uint32_t Head(const TermId* key) const {
+    const uint32_t ord = keys.Find(key);
+    return ord == util::RowSet::kNotFound ? kEnd : heads[ord];
+  }
+
+  /// Appends `t` to the tail of `key`'s chain.
+  void Insert(const TermId* key, const Triple& t) {
+    auto [ord, inserted] = keys.InsertOrFind(key);
+    if (inserted) {
+      heads.push_back(kEnd);
+      tails.push_back(kEnd);
     }
+    const uint32_t idx = static_cast<uint32_t>(triples.size());
+    triples.push_back(t);
+    next.push_back(kEnd);
+    if (heads[ord] == kEnd) {
+      heads[ord] = idx;
+    } else {
+      next[tails[ord]] = idx;
+    }
+    tails[ord] = idx;
+  }
 
-    util::RowSet keys;                   // distinct key directory -> ordinal
-    std::vector<uint32_t> heads, tails;  // per key ordinal: chain bounds
-    std::vector<Triple> triples;
-    std::vector<uint32_t> next;  // chain links, parallel to triples
-    uint64_t charged = 0;        // outstanding ExecContext memory charge
-  };
+  util::RowSet keys;                   // distinct key directory -> ordinal
+  std::vector<uint32_t> heads, tails;  // per key ordinal: chain bounds
+  std::vector<Triple> triples;
+  std::vector<uint32_t> next;  // chain links, parallel to triples
+};
 
-  SharedHashJoinBuild(const store::TripleTable& table,
-                      const CompiledPattern& pat,
-                      std::vector<uint32_t> key_vars, util::ExecContext* exec,
-                      uint32_t partitions)
-      : table_(table),
-        pat_(pat),
+/// Hash join: the first Next builds the table, then each input row looks up
+/// its key once and walks that key's chain. A build refused memory serves
+/// every probe through the inherited nested-loop loop instead — the stream
+/// IndexNestedLoopJoin emits, byte-identical: slower, never wrong, never
+/// over budget.
+class HashJoinCursor final : public IndexNestedLoopJoinCursor {
+ public:
+  HashJoinCursor(std::unique_ptr<Cursor> input,
+                 const store::TripleTable& table, const CompiledPattern& pat,
+                 std::vector<uint32_t> key_vars, std::string label,
+                 util::ExecContext* exec)
+      : IndexNestedLoopJoinCursor(std::move(input), table, pat,
+                                  std::move(label), exec),
         key_vars_(std::move(key_vars)),
-        exec_(exec),
-        partitions_(std::max(1u, partitions)) {
+        key_buf_(key_vars_.size()),
+        hash_(key_vars_.size()) {
     assert(!key_vars_.empty() && "hash join needs at least one join variable");
     key_slot_.reserve(key_vars_.size());
     for (uint32_t v : key_vars_) {
@@ -419,189 +419,22 @@ class SharedHashJoinBuild {
     }
   }
 
-  ~SharedHashJoinBuild() { ReleaseAll(); }
-
-  SharedHashJoinBuild(const SharedHashJoinBuild&) = delete;
-  SharedHashJoinBuild& operator=(const SharedHashJoinBuild&) = delete;
-
-  /// Builds the partitioned hash table (idempotent; never concurrently with
-  /// the first call). OK after a successful build *or* a memory-refusal
-  /// degrade (probes then run nested-loop); non-OK only for governance
-  /// failures (deadline/cancel) and injected faults, which fail the query.
-  Status EnsureBuilt() {
-    if (built_) return build_status_;
-    built_ = true;
-    Status fp = RDFSUM_FAILPOINT_STATUS("query:hashjoin-build");
-    if (fp.IsResourceExhausted()) {
-      Degrade();
-      return Status::OK();
-    }
-    if (!fp.ok()) {
-      build_status_ = std::move(fp);
-      return build_status_;
-    }
-    std::span<const Triple> build = table_.MatchSpan(ConstOnly(pat_));
-    // Each partition pass re-scans the whole build span, so never run more
-    // passes than there are triples.
-    const uint32_t nparts = static_cast<uint32_t>(
-        std::max<uint64_t>(1, std::min<uint64_t>(partitions_, build.size())));
-    parts_.reserve(nparts);
-    for (uint32_t p = 0; p < nparts; ++p) parts_.emplace_back(key_vars_.size());
-    std::atomic<bool> stop{false};
-    std::atomic<bool> refused{false};
-    std::mutex err_mu;
-    Status first_err;
-    // Every partition scans the whole (cheap, contiguous) build range and
-    // keeps only its own keys' triples: no cross-partition communication,
-    // and per-partition insertion order is index order by construction.
-    util::ParallelFor(nparts, [&](uint32_t p) {
-      Partition& part = parts_[p];
-      IdRow key_buf(key_vars_.size());
-      const uint64_t n = build.size();
-      for (uint64_t base = 0; base < n; base += util::kCancelCheckChunk) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        if (exec_ != nullptr) {
-          Status st = exec_->Check();
-          if (!st.ok()) {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (first_err.ok()) first_err = std::move(st);
-            stop.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-        const uint64_t chunk_end = std::min(n, base + util::kCancelCheckChunk);
-        for (uint64_t i = base; i < chunk_end; ++i) {
-          const Triple& t = build[i];
-          const TermId values[3] = {t.s, t.p, t.o};
-          for (size_t k = 0; k < key_slot_.size(); ++k) {
-            key_buf[k] = values[key_slot_[k]];
-          }
-          if (nparts > 1 &&
-              HashKey(key_buf.data(), key_buf.size()) % nparts != p) {
-            continue;
-          }
-          if (exec_ != nullptr &&
-              !exec_->TryChargeMemory(kHashJoinBuildBytesPerRow)) {
-            refused.store(true, std::memory_order_relaxed);
-            stop.store(true, std::memory_order_relaxed);
-            return;
-          }
-          part.charged += kHashJoinBuildBytesPerRow;
-          auto [ord, inserted] = part.keys.InsertOrFind(key_buf.data());
-          if (inserted) {
-            part.heads.push_back(kEnd);
-            part.tails.push_back(kEnd);
-          }
-          const uint32_t idx = static_cast<uint32_t>(part.triples.size());
-          part.triples.push_back(t);
-          part.next.push_back(kEnd);
-          // Append to the chain tail so probes replay matches in build
-          // (index) order.
-          if (part.heads[ord] == kEnd) {
-            part.heads[ord] = idx;
-          } else {
-            part.next[part.tails[ord]] = idx;
-          }
-          part.tails[ord] = idx;
-        }
-      }
-    });
-    if (!first_err.ok()) {
-      ReleaseAll();
-      parts_.clear();
-      build_status_ = std::move(first_err);
-      return build_status_;
-    }
-    if (refused.load(std::memory_order_relaxed)) Degrade();
-    return Status::OK();
-  }
-
-  bool degraded() const { return degraded_; }
-  const CompiledPattern& pattern() const { return pat_; }
-  const std::vector<uint32_t>& key_vars() const { return key_vars_; }
-
-  /// The partition owning `key`'s chain. A single partition (every
-  /// sequential build) skips the routing hash.
-  const Partition& PartitionFor(const TermId* key) const {
-    if (parts_.size() == 1) return parts_[0];
-    return parts_[HashKey(key, key_vars_.size()) % parts_.size()];
-  }
-
- private:
-  static uint64_t HashKey(const TermId* key, size_t n) {
-    uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (size_t i = 0; i < n; ++i) {
-      h ^= key[i] + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return h;
-  }
-
-  /// Abandons the (possibly partial) table: refunds every byte charged and
-  /// frees the build state; probes then run nested-loop.
-  void Degrade() {
-    degraded_ = true;
-    ReleaseAll();
-    parts_.clear();
-  }
-
-  void ReleaseAll() {
-    if (exec_ == nullptr) return;
-    uint64_t total = 0;
-    for (Partition& part : parts_) {
-      total += part.charged;
-      part.charged = 0;
-    }
-    if (total > 0) exec_->ReleaseMemory(total);
-  }
-
-  const store::TripleTable& table_;
-  CompiledPattern pat_;
-  std::vector<uint32_t> key_vars_;
-  util::ExecContext* exec_;
-  uint32_t partitions_;
-  std::vector<int> key_slot_;  // position (0=s,1=p,2=o) per key var
-
-  bool built_ = false;
-  bool degraded_ = false;
-  Status build_status_;
-  std::vector<Partition> parts_;
-};
-
-namespace {
-
-/// Probe side of a hash join: per input row, routes the key to its
-/// partition once, then walks that partition's chain. The first Next builds
-/// the table unless a gather already did. A build refused memory serves
-/// every probe through the inherited nested-loop loop instead — the stream
-/// IndexNestedLoopJoin emits, byte-identical: slower, never wrong, never
-/// over budget.
-class HashJoinProbeCursor final : public IndexNestedLoopJoinCursor {
- public:
-  HashJoinProbeCursor(std::unique_ptr<Cursor> input,
-                      const store::TripleTable& table,
-                      std::shared_ptr<SharedHashJoinBuild> build,
-                      std::string label, util::ExecContext* exec)
-      : IndexNestedLoopJoinCursor(std::move(input), table, build->pattern(),
-                                  std::move(label), exec),
-        build_(std::move(build)),
-        key_vars_(build_->key_vars()),
-        key_buf_(key_vars_.size()) {}
+  ~HashJoinCursor() override { Refund(); }
 
   bool Next(IdRow* row) override {
     if (!status_.ok()) return false;
     if (mode_ != Mode::kHash) {
       if (mode_ == Mode::kUnbuilt) {
-        status_ = build_->EnsureBuilt();
+        status_ = Build();
         if (!status_.ok()) return false;
-        mode_ = build_->degraded() ? Mode::kNestedLoop : Mode::kHash;
       }
       if (mode_ == Mode::kNestedLoop) return NextNestedLoop(row);
     }
     for (;;) {
-      while (idx_ != SharedHashJoinBuild::kEnd) {
+      while (idx_ != HashJoinTable::kEnd) {
         if (poll_.Expired(&status_)) return false;
-        const Triple& t = part_->triples[idx_];
-        idx_ = part_->next[idx_];
+        const Triple& t = hash_.triples[idx_];
+        idx_ = hash_.next[idx_];
         *row = current_;
         if (BindTriple(pat_, t, row)) {
           ++rows_produced_;
@@ -615,292 +448,82 @@ class HashJoinProbeCursor final : public IndexNestedLoopJoinCursor {
       for (size_t i = 0; i < key_vars_.size(); ++i) {
         key_buf_[i] = current_[key_vars_[i]];
       }
-      part_ = &build_->PartitionFor(key_buf_.data());
-      idx_ = part_->Head(key_buf_.data());
+      idx_ = hash_.Head(key_buf_.data());
     }
   }
   std::string Describe() const override {
-    return build_->degraded() ? "HashJoin[" + label_ + " degraded=nlj]"
-                              : "HashJoin[" + label_ + "]";
+    return mode_ == Mode::kNestedLoop ? "HashJoin[" + label_ + " degraded=nlj]"
+                                      : "HashJoin[" + label_ + "]";
   }
 
  private:
   enum class Mode : uint8_t { kUnbuilt, kHash, kNestedLoop };
 
-  std::shared_ptr<SharedHashJoinBuild> build_;
-  std::vector<uint32_t> key_vars_;  // copied out of the build: hot-loop local
-  IdRow key_buf_;
-  Mode mode_ = Mode::kUnbuilt;
-  const SharedHashJoinBuild::Partition* part_ = nullptr;  // current chain's
-  uint32_t idx_ = SharedHashJoinBuild::kEnd;              // next chain link
-};
-
-/// The exchange operator. Workers (tasks on the shared ThreadPool) claim
-/// morsel indices under the lock and run the spec's pipeline over their
-/// morsel into a private row buffer; the consumer emits buffers strictly in
-/// morsel-index order, so the merged stream equals the sequential one.
-///
-/// Scheduling invariants (the reasons this cannot deadlock or block the
-/// pool):
-///   - A worker that cannot claim (window full, cancelled, or no morsels
-///     left) returns from its task instead of blocking; the consumer
-///     re-submits workers as the window reopens. Pool threads are never
-///     parked inside a gather.
-///   - A claimed morsel is always being executed; the consumer only sleeps
-///     when its next morsel is claimed-and-running, so completion (and its
-///     notify) is guaranteed — pipelines are finite and poll stop_.
-///   - When the pool is busy elsewhere and the next morsel is unclaimed,
-///     the consumer claims and runs it inline (caller-runs, like
-///     TaskGroup::Wait) — a gather drains even on a fully loaded pool.
-///   - Any morsel failure (governance trip, injected fault) sets stop_;
-///     every worker falls through at its next claim or within one poll
-///     chunk mid-drain, and the consumer surfaces the first failure in
-///     morsel order after the rows that precede it.
-class ParallelGatherCursor final : public Cursor {
- public:
-  explicit ParallelGatherCursor(ParallelGatherSpec spec)
-      : spec_(std::move(spec)) {
-    if (spec_.morsel_rows == 0) spec_.morsel_rows = kMorselRows;
-    if (spec_.num_threads == 0) spec_.num_threads = 1;
-    num_morsels_ = (spec_.total_rows + spec_.morsel_rows - 1) /
-                   spec_.morsel_rows;
-    window_ = std::max<uint64_t>(uint64_t{4} * spec_.num_threads, 8);
-    target_workers_ = static_cast<uint32_t>(
-        std::min<uint64_t>(spec_.num_threads, num_morsels_));
-    slots_.resize(num_morsels_);
-  }
-
-  ~ParallelGatherCursor() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stop_.store(true, std::memory_order_relaxed);
-    }
-    group_.reset();  // joins in-flight morsel tasks (they poll stop_)
-  }
-
-  bool Next(IdRow* row) override {
-    if (!status_.ok()) return false;
-    if (!started_) {
-      started_ = true;
-      for (const auto& build : spec_.builds) {
-        Status st = build->EnsureBuilt();
-        if (!st.ok()) {
-          status_ = std::move(st);
-          return false;
-        }
-      }
-      if (num_morsels_ > 0) {
-        group_ = std::make_unique<util::TaskGroup>(util::ThreadPool::Shared());
-        std::unique_lock<std::mutex> lock(mu_);
-        const uint32_t spawn = SpawnBudgetLocked();
-        lock.unlock();
-        Spawn(spawn);
-      }
-    }
-    for (;;) {
-      if (cur_emitted_ < cur_count_) {
-        const auto base = cur_rows_.begin() +
-                          static_cast<ptrdiff_t>(cur_emitted_ * spec_.width);
-        row->assign(base, base + static_cast<ptrdiff_t>(spec_.width));
-        ++cur_emitted_;
-        ++rows_produced_;
-        return true;
-      }
-      if (!fail_after_current_.ok()) {
-        status_ = std::move(fail_after_current_);
-        return false;
-      }
-      if (next_emit_ >= num_morsels_) return false;  // clean exhaustion
-      if (!TakeNextSlot()) return false;
-    }
-  }
-
-  size_t width() const override { return spec_.width; }
-  std::string Describe() const override {
-    return "ParallelGather[" + spec_.label +
-           " threads=" + std::to_string(spec_.num_threads) +
-           " morsels=" + std::to_string(num_morsels_) + "]";
-  }
-
- private:
-  struct MorselSlot {
-    std::vector<TermId> rows;  // flat, width-strided
-    uint64_t count = 0;
-    Status status;
-    bool done = false;
-  };
-
-  /// Workers to add so that claimable morsels are covered, up to the
-  /// target. Pre-credits active_workers_; caller must Spawn() the result
-  /// after unlocking.
-  uint32_t SpawnBudgetLocked() {
-    if (stop_.load(std::memory_order_relaxed)) return 0;
-    const uint64_t claimable_end =
-        std::min<uint64_t>(num_morsels_, consumed_ + window_);
-    const uint64_t claimable =
-        claim_ < claimable_end ? claimable_end - claim_ : 0;
-    const uint64_t want = std::min<uint64_t>(claimable, target_workers_);
-    const uint32_t spawn = active_workers_ < want
-                               ? static_cast<uint32_t>(want - active_workers_)
-                               : 0;
-    active_workers_ += spawn;
-    return spawn;
-  }
-
-  void Spawn(uint32_t n) {
-    for (uint32_t i = 0; i < n; ++i) {
-      group_->Submit([this] { WorkerLoop(); });
-    }
-  }
-
-  void WorkerLoop() {
-    for (;;) {
-      uint64_t m;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stop_.load(std::memory_order_relaxed) || claim_ >= num_morsels_ ||
-            claim_ >= consumed_ + window_) {
-          // Park: never block a pool thread. The consumer re-submits
-          // workers when the run-ahead window reopens.
-          --active_workers_;
-          return;
-        }
-        m = claim_++;
-      }
-      RunMorsel(m);
-    }
-  }
-
-  /// Executes morsel `m` and publishes its slot. Runs on workers and (when
-  /// the pool is saturated) on the consumer.
-  void RunMorsel(uint64_t m) {
-    std::vector<TermId> rows;
-    uint64_t count = 0;
-    Status st = ExecuteMorsel(m, &rows, &count);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      MorselSlot& slot = slots_[m];
-      slot.rows = std::move(rows);
-      slot.count = count;
-      slot.status = std::move(st);
-      slot.done = true;
-      if (!slot.status.ok()) {
-        if (first_error_.ok()) first_error_ = slot.status;
-        stop_.store(true, std::memory_order_relaxed);
-      }
-    }
-    cv_consumer_.notify_all();
-  }
-
-  Status ExecuteMorsel(uint64_t m, std::vector<TermId>* rows,
-                       uint64_t* count) {
-    Status fp = RDFSUM_FAILPOINT_STATUS("query:morsel");
+  /// Builds the table over the pattern's constant-only match range, in
+  /// index order, charging kHashJoinBuildBytesPerRow per triple. OK after a
+  /// build (kHash) *or* a memory refusal (kNestedLoop, every byte refunded);
+  /// non-OK only for governance failures and injected faults, which fail
+  /// the query.
+  Status Build() {
+    Status fp = RDFSUM_FAILPOINT_STATUS("query:hashjoin-build");
+    if (fp.IsResourceExhausted()) return Degrade();
     if (!fp.ok()) return fp;
-    const size_t begin = static_cast<size_t>(m * spec_.morsel_rows);
-    const size_t end = static_cast<size_t>(
-        std::min<uint64_t>(spec_.total_rows, (m + 1) * spec_.morsel_rows));
-    // Start from a recycled buffer (capacity survives the round trip
-    // through the consumer) or reserve one driving-row's worth — without
-    // this, every morsel re-grows its buffer through the doubling ladder
-    // and the copy churn dominates the exchange overhead on small hosts.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!spare_buffers_.empty()) {
-        *rows = std::move(spare_buffers_.back());
-        spare_buffers_.pop_back();
-        rows->clear();
+    util::ExecContext* exec = poll_.ctx;
+    const std::span<const Triple> build = table_.MatchSpan(ConstOnly(pat_));
+    const uint64_t n = build.size();
+    for (uint64_t base = 0; base < n; base += util::kCancelCheckChunk) {
+      if (exec != nullptr) {
+        Status st = exec->Check();
+        if (!st.ok()) {
+          Drop();
+          return st;
+        }
+      }
+      const uint64_t chunk_end = std::min(n, base + util::kCancelCheckChunk);
+      for (uint64_t i = base; i < chunk_end; ++i) {
+        const Triple& t = build[i];
+        if (exec != nullptr) {
+          if (!exec->TryChargeMemory(kHashJoinBuildBytesPerRow)) {
+            return Degrade();
+          }
+          charged_ += kHashJoinBuildBytesPerRow;
+        }
+        const TermId values[3] = {t.s, t.p, t.o};
+        for (size_t k = 0; k < key_slot_.size(); ++k) {
+          key_buf_[k] = values[key_slot_[k]];
+        }
+        hash_.Insert(key_buf_.data(), t);
       }
     }
-    if (rows->capacity() == 0) rows->reserve((end - begin) * spec_.width);
-    std::unique_ptr<Cursor> pipeline = spec_.pipeline(begin, end);
-    IdRow row;
-    uint32_t ticks = 0;
-    while (pipeline->Next(&row)) {
-      rows->insert(rows->end(), row.begin(), row.end());
-      ++*count;
-      // Poll the gather-local stop flag (teardown, another morsel's
-      // failure) without touching the user's ExecContext — cancelling that
-      // would poison a context the caller may reuse.
-      if ((++ticks & 1023u) == 0 &&
-          stop_.load(std::memory_order_relaxed)) {
-        return Status::Cancelled("parallel query stopped");
-      }
-    }
-    return pipeline->status();
+    mode_ = Mode::kHash;
+    return Status::OK();
   }
 
-  /// Moves the next morsel's buffer into the consumer state, re-spawning
-  /// parked workers for the reopened window. False when the gather stopped
-  /// before that morsel completed (status_ set).
-  bool TakeNextSlot() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      MorselSlot& slot = slots_[next_emit_];
-      if (slot.done) {
-        // Recycle the drained buffer's capacity for a later morsel.
-        if (cur_rows_.capacity() != 0 && spare_buffers_.size() < 4) {
-          spare_buffers_.push_back(std::move(cur_rows_));
-        }
-        cur_rows_ = std::move(slot.rows);
-        cur_count_ = slot.count;
-        cur_emitted_ = 0;
-        if (!slot.status.ok()) {
-          // Surface the first failure in morsel order, after this morsel's
-          // rows. A later synthetic stop-cancel never shadows the genuine
-          // first error.
-          fail_after_current_ =
-              first_error_.ok() ? slot.status : first_error_;
-        }
-        ++next_emit_;
-        ++consumed_;
-        const uint32_t spawn = SpawnBudgetLocked();
-        lock.unlock();
-        Spawn(spawn);
-        return true;
-      }
-      if (stop_.load(std::memory_order_relaxed)) {
-        status_ = first_error_.ok()
-                      ? Status::Cancelled("parallel query stopped")
-                      : first_error_;
-        return false;
-      }
-      if (claim_ == next_emit_) {
-        // Unclaimed and the pool hasn't picked it up: run it inline so the
-        // drain makes progress even on a saturated (or 1-thread) pool.
-        const uint64_t m = claim_++;
-        lock.unlock();
-        RunMorsel(m);
-        lock.lock();
-        continue;
-      }
-      cv_consumer_.wait(lock);
-    }
+  /// Abandons the (possibly partial) table; probes run nested-loop.
+  Status Degrade() {
+    Drop();
+    mode_ = Mode::kNestedLoop;
+    return Status::OK();
   }
 
-  ParallelGatherSpec spec_;
-  uint64_t num_morsels_ = 0;
-  uint64_t window_ = 0;
-  uint32_t target_workers_ = 0;
+  /// Refunds every byte charged and frees the table.
+  void Drop() {
+    Refund();
+    hash_ = HashJoinTable(key_vars_.size());
+  }
 
-  bool started_ = false;
-  std::unique_ptr<util::TaskGroup> group_;
+  void Refund() {
+    if (charged_ > 0) poll_.ctx->ReleaseMemory(charged_);
+    charged_ = 0;
+  }
 
-  std::mutex mu_;
-  std::condition_variable cv_consumer_;
-  std::atomic<bool> stop_{false};
-  uint64_t claim_ = 0;     // next unclaimed morsel (under mu_)
-  uint64_t consumed_ = 0;  // morsels the consumer has taken (under mu_)
-  uint32_t active_workers_ = 0;  // tasks in flight, incl. pre-credited
-  std::vector<MorselSlot> slots_;
-  std::vector<std::vector<TermId>> spare_buffers_;  // recycled (under mu_)
-  Status first_error_;  // first failure recorded, any morsel (under mu_)
-
-  // Consumer-side state (no locking: single consumer).
-  uint64_t next_emit_ = 0;
-  std::vector<TermId> cur_rows_;
-  uint64_t cur_count_ = 0;
-  uint64_t cur_emitted_ = 0;
-  Status fail_after_current_;
+  std::vector<uint32_t> key_vars_;
+  std::vector<int> key_slot_;  // position (0=s,1=p,2=o) per key var
+  IdRow key_buf_;
+  HashJoinTable hash_;
+  uint64_t charged_ = 0;  // outstanding ExecContext memory charge
+  Mode mode_ = Mode::kUnbuilt;
+  uint32_t idx_ = HashJoinTable::kEnd;  // next link of the current chain
 };
 
 }  // namespace
@@ -916,32 +539,9 @@ std::unique_ptr<Cursor> MakeSingletonCursor(size_t width) {
 std::unique_ptr<Cursor> MakeIndexScanCursor(const store::TripleTable& table,
                                             const CompiledPattern& pat,
                                             size_t num_vars, std::string label,
-                                            util::ExecContext* exec,
-                                            size_t begin_offset,
-                                            size_t end_offset) {
+                                            util::ExecContext* exec) {
   return std::make_unique<IndexScanCursor>(table, pat, num_vars,
-                                           std::move(label), exec,
-                                           begin_offset, end_offset);
-}
-
-std::shared_ptr<SharedHashJoinBuild> MakeSharedHashJoinBuild(
-    const store::TripleTable& table, const CompiledPattern& pat,
-    std::vector<uint32_t> key_vars, util::ExecContext* exec,
-    uint32_t partitions) {
-  return std::make_shared<SharedHashJoinBuild>(table, pat, std::move(key_vars),
-                                               exec, partitions);
-}
-
-std::unique_ptr<Cursor> MakeSharedHashJoinProbeCursor(
-    std::unique_ptr<Cursor> input, const store::TripleTable& table,
-    std::shared_ptr<SharedHashJoinBuild> build, std::string label,
-    util::ExecContext* exec) {
-  return std::make_unique<HashJoinProbeCursor>(
-      std::move(input), table, std::move(build), std::move(label), exec);
-}
-
-std::unique_ptr<Cursor> MakeParallelGatherCursor(ParallelGatherSpec spec) {
-  return std::make_unique<ParallelGatherCursor>(std::move(spec));
+                                           std::move(label), exec);
 }
 
 std::unique_ptr<Cursor> MakeIndexNestedLoopJoinCursor(
@@ -949,6 +549,17 @@ std::unique_ptr<Cursor> MakeIndexNestedLoopJoinCursor(
     const CompiledPattern& pat, std::string label, util::ExecContext* exec) {
   return std::make_unique<IndexNestedLoopJoinCursor>(
       std::move(input), table, pat, std::move(label), exec);
+}
+
+std::unique_ptr<Cursor> MakeHashJoinCursor(std::unique_ptr<Cursor> input,
+                                           const store::TripleTable& table,
+                                           const CompiledPattern& pat,
+                                           std::vector<uint32_t> key_vars,
+                                           std::string label,
+                                           util::ExecContext* exec) {
+  return std::make_unique<HashJoinCursor>(std::move(input), table, pat,
+                                          std::move(key_vars),
+                                          std::move(label), exec);
 }
 
 std::unique_ptr<Cursor> MakeGovernedCursor(std::unique_ptr<Cursor> input,

@@ -17,21 +17,6 @@ namespace rdfsum::query {
 /// every step with at least one join variable, budget ignored).
 enum class HashJoinMode : uint8_t { kFromPlan, kNever, kAlways };
 
-/// Whether a fan-out may run on a single-CPU host. kAuto compiles the
-/// sequential tree there instead — pool workers would only preempt the one
-/// consumer, and the sequential tree is the byte stream the gather merges.
-/// kForceWorkers is the test hook that runs the exchange on any host.
-enum class ParallelWorkerMode : uint8_t {
-  kAuto,
-  kForceWorkers,  // fan out to pool workers even on one CPU
-};
-
-/// Fan-out gate: driving scans below this many rows are never split —
-/// morsel scheduling overhead would dominate, and a small probe side means
-/// the query is cheap anyway. Two morsels' worth, so an engaged fan-out
-/// always has at least two units of independent work.
-inline constexpr uint64_t kParallelMinScanRows = 2 * kMorselRows;
-
 struct ExecutorOptions {
   /// Applied after projection + dedup: at most `limit` distinct rows are
   /// produced, and the tree stops pulling once they are (early exit).
@@ -44,24 +29,10 @@ struct ExecutorOptions {
   /// scan/join polls it, the root charges the row budget per answer, and
   /// hash joins fit themselves into (or degrade under) the memory budget.
   util::ExecContext* exec = nullptr;
-  /// Intra-query fan-out: morsel workers for the join pipeline. 1 (the
-  /// default) compiles the sequential tree; 0 means
-  /// util::AvailableCpuCount() (the CPUs in the process's affinity mask);
-  /// k>=2 asks for k workers (granted even above the core
-  /// count — the shared pool multiplexes). Fan-out only engages when the
-  /// driving scan clears the gate below; the result stream is byte-identical
-  /// to sequential either way, at every thread count.
+  /// Ignored: every query runs one pipeline on the calling thread. Kept
+  /// only so perfbench/perfbench.cc, which assigns 1 here, still builds;
+  /// nothing else reads or sets it.
   uint32_t parallelism = 1;
-  /// Gate override: minimum exact driving-scan rows before fan-out engages.
-  /// 0 means kParallelMinScanRows. Tests lower it to force fan-out on small
-  /// fixtures.
-  uint64_t min_parallel_rows = 0;
-  /// Morsel-size override; 0 means kMorselRows. Tests shrink it to get
-  /// many-morsel schedules on small fixtures.
-  uint64_t morsel_rows = 0;
-  /// Single-CPU policy (see ParallelWorkerMode); tests force workers so
-  /// the exchange runs on any machine.
-  ParallelWorkerMode worker_mode = ParallelWorkerMode::kAuto;
 };
 
 /// The compiled operator tree plus non-owning handles into it, for reading
@@ -86,16 +57,9 @@ struct CursorTree {
 /// governance, and a hash join whose predicted build state
 /// (estimated_build_rows × kHashJoinBuildBytesPerRow) cannot fit the
 /// remaining memory budget is compiled as a nested-loop join up front —
-/// same rows, no doomed build.
-///
-/// One pipeline factory serves every thread count: the sequential tree is
-/// the pipeline over the whole driving scan. When options.parallelism != 1,
-/// the driving scan clears the fan-out gate (exact Count >=
-/// min_parallel_rows), at least two workers resolve, and the host may fan
-/// out (see ParallelWorkerMode), the root is instead a ParallelGather over
-/// the same pipeline per morsel — same rows, same order, byte-identical.
-/// Parallel trees leave step_cursors empty (morsel pipelines are
-/// transient); Explain always compiles sequentially, so nothing reads them.
+/// same rows, no doomed build. The pipeline is the driving scan, then per
+/// step a hash join or an index nested-loop join, run on the calling
+/// thread.
 CursorTree CompileEmbeddingTree(const store::TripleTable& table,
                                 const QueryPlan& plan,
                                 const ExecutorOptions& options = {});

@@ -6,30 +6,40 @@
 
 namespace rdfsum::query {
 
-SummaryPrunedEvaluator::SummaryPrunedEvaluator(const Graph& g,
-                                               const Options& options) {
-  summary::SummaryResult h = summary::Summarize(g, options.kind);
+StatusOr<std::unique_ptr<SummaryPrunedEvaluator>>
+SummaryPrunedEvaluator::Create(const Graph& g, const Options& options,
+                               util::ExecContext* exec) {
+  summary::SummaryOptions summary_options;
+  summary_options.exec = exec;
+  RDFSUM_ASSIGN_OR_RETURN(
+      summary::SummaryResult h,
+      summary::TrySummarize(g, options.kind, summary_options));
+  std::unique_ptr<SummaryPrunedEvaluator> e(new SummaryPrunedEvaluator());
   const bool wants_estimator = options.planner == PlannerMode::kSummary;
   if (options.saturate) {
-    graph_ = reasoner::Saturate(g);
-    summary_ = reasoner::Saturate(h.graph);
+    e->graph_ = reasoner::Saturate(g);
+    e->summary_ = reasoner::Saturate(h.graph);
     if (wants_estimator) {
       // The estimator must model the graph actually queried: `h` describes
       // the unsaturated input, so summarize the saturation itself.
-      estimator_.emplace(summary::Summarize(graph_, options.kind));
+      RDFSUM_ASSIGN_OR_RETURN(
+          summary::SummaryResult queried,
+          summary::TrySummarize(e->graph_, options.kind, summary_options));
+      e->estimator_.emplace(std::move(queried));
     }
   } else {
-    graph_ = g.Clone();
+    e->graph_ = g.Clone();
     // `h` is a summary of exactly graph_; the estimator copies it before its
     // graph is moved into the pruning slot.
-    if (wants_estimator) estimator_.emplace(h);
-    summary_ = std::move(h.graph);
+    if (wants_estimator) e->estimator_.emplace(h);
+    e->summary_ = std::move(h.graph);
   }
   EvaluatorOptions graph_options;
   graph_options.planner = options.planner;
-  graph_options.estimator = estimator();
-  on_graph_.emplace(graph_, graph_options);
-  on_summary_.emplace(summary_);
+  graph_options.estimator = e->estimator();
+  e->on_graph_.emplace(e->graph_, graph_options);
+  e->on_summary_.emplace(e->summary_);
+  return e;
 }
 
 bool SummaryPrunedEvaluator::SummaryAdmits(const BgpQuery& q) {

@@ -2,12 +2,15 @@
 #define RDFSUM_QUERY_PRUNED_EVALUATOR_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 
 #include "query/evaluator.h"
 #include "rdf/graph.h"
 #include "summary/cardinality.h"
 #include "summary/summary.h"
+#include "util/exec_context.h"
+#include "util/statusor.h"
 
 namespace rdfsum::query {
 
@@ -33,7 +36,7 @@ class SummaryPrunedEvaluator {
     bool saturate = true;
     /// Join-order planning for the graph-side evaluator. kSummary builds a
     /// CardinalityEstimator over the queried graph (one extra
-    /// summarization at construction time).
+    /// summarization in Create).
     PlannerMode planner = PlannerMode::kGreedy;
   };
 
@@ -44,11 +47,20 @@ class SummaryPrunedEvaluator {
     uint64_t graph_probes = 0;
   };
 
+  /// Summarizes `g` for pruning (and, for kSummary, the queried graph for
+  /// the estimator) through the governed summary::TrySummarize under
+  /// `exec` (nullable): a tripped context or an injected summarizer fault
+  /// is returned, never an abort. The evaluator copies what it needs of
+  /// `g`. (Two overloads instead of `= {}`: GCC PR 88165, see
+  /// util/fault_injection.h.)
+  static StatusOr<std::unique_ptr<SummaryPrunedEvaluator>> Create(
+      const Graph& g, const Options& options,
+      util::ExecContext* exec = nullptr);
   /// Uses the default options (weak summary, saturated evaluation).
-  explicit SummaryPrunedEvaluator(const Graph& g)
-      : SummaryPrunedEvaluator(g, Options()) {}
-
-  SummaryPrunedEvaluator(const Graph& g, const Options& options);
+  static StatusOr<std::unique_ptr<SummaryPrunedEvaluator>> Create(
+      const Graph& g) {
+    return Create(g, Options());
+  }
 
   /// True iff q has an embedding in (G∞ or G, per options). Consults the
   /// summary first.
@@ -76,6 +88,8 @@ class SummaryPrunedEvaluator {
   }
 
  private:
+  SummaryPrunedEvaluator() = default;
+
   bool SummaryAdmits(const BgpQuery& q);
 
   Graph graph_;    // G (or G∞)

@@ -19,7 +19,6 @@
 #include "query/sparql_parser.h"
 #include "server/wire.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rdfsum::server {
@@ -90,8 +89,6 @@ Status Server::Start(const std::string& image_path,
   }
   plan_cache_ = std::make_unique<PlanCache>(
       options_.plan_cache ? ServerOptions::kPlanCacheCapacity : 0);
-  spare_parallel_slots_.store(options_.num_workers,
-                              std::memory_order_relaxed);
 
   auto snap = Snapshot::Open(image_path, 1);
   if (!snap.ok()) return snap.status();
@@ -352,46 +349,9 @@ bool Server::HandleQuery(int fd, const std::string& payload,
   copts.offset = req.offset;
   copts.exec = &exec;
 
-  // Resolve the request's fan-out, then admission-control it: a k-way
-  // query needs k-1 extra slots on top of the worker thread it already
-  // holds; it takes what the pool has (possibly none — sequential) and
-  // returns the slots after the drain. This bounds in-flight query
-  // threads without ever queueing or rejecting a parallel request.
-  uint32_t resolved = req.parallelism != 0 ? req.parallelism
-                                           : options_.default_parallelism;
-  if (resolved == 0) resolved = util::AvailableCpuCount();
-  if (options_.max_parallelism > 0) {
-    resolved = std::min(resolved, options_.max_parallelism);
-  }
-  uint32_t extra_slots = 0;
-  if (resolved > 1) {
-    const uint32_t want = resolved - 1;
-    uint32_t avail = spare_parallel_slots_.load(std::memory_order_relaxed);
-    while (true) {
-      const uint32_t take = std::min(want, avail);
-      if (take == 0) break;
-      if (spare_parallel_slots_.compare_exchange_weak(
-              avail, avail - take, std::memory_order_acq_rel)) {
-        extra_slots = take;
-        break;
-      }
-    }
-    if (extra_slots < want) {
-      parallel_slots_trimmed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (extra_slots > 0) {
-      parallel_queries_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  copts.parallelism = 1 + extra_slots;
-
   phase.Reset();
   auto cursor = snap->evaluator().Open(q, plan, copts);
   if (!cursor.ok()) {
-    if (extra_slots > 0) {
-      spare_parallel_slots_.fetch_add(extra_slots,
-                                      std::memory_order_relaxed);
-    }
     exec_phase_.Record(static_cast<uint64_t>(phase.ElapsedMicros()));
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
     return WriteFrame(fd, kFrameDone, EncodeDone(cursor.status(), 0)).ok();
@@ -436,10 +396,6 @@ bool Server::HandleQuery(int fd, const std::string& payload,
   }
   Status result = row_status.ok() ? (*cursor)->status() : row_status;
   if (!protocol_error.ok()) result = protocol_error;
-  cursor->reset();  // join any in-flight morsels before releasing slots
-  if (extra_slots > 0) {
-    spare_parallel_slots_.fetch_add(extra_slots, std::memory_order_relaxed);
-  }
   exec_phase_.Record(static_cast<uint64_t>(phase.ElapsedMicros()));
   if (result.ok()) {
     queries_ok_.fetch_add(1, std::memory_order_relaxed);
@@ -529,12 +485,6 @@ std::string Server::StatsText() const {
       << "\n";
   out << "admission_rejected: "
       << admission_rejected_.load(std::memory_order_relaxed) << "\n";
-  out << "parallel_queries: "
-      << parallel_queries_.load(std::memory_order_relaxed) << "\n";
-  out << "parallel_slots_trimmed: "
-      << parallel_slots_trimmed_.load(std::memory_order_relaxed) << "\n";
-  out << "parallel_slots_free: "
-      << spare_parallel_slots_.load(std::memory_order_relaxed) << "\n";
   out << "plan_cache_capacity: " << plan_cache_->capacity() << "\n";
   out << "plan_cache_size: " << plan_cache_->size() << "\n";
   out << "plan_cache_hits: " << plan_cache_->hits() << "\n";

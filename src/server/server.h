@@ -42,11 +42,10 @@ struct ServerOptions {
   /// max_rows override these, its zeros inherit them. The memory budget
   /// has no wire field and always comes from here.
   util::ExecContext::Limits default_limits;
-  /// Intra-query parallelism applied when a request leaves its parallelism
-  /// field at 0: 1 = sequential (the default), 0 = all available CPUs,
-  /// k = k morsel workers.
+  /// Ignored: every query runs on its connection's worker thread. Kept
+  /// only so perfbench/perfbench.cc, which assigns 1 to both, still builds;
+  /// nothing else reads or sets them.
   uint32_t default_parallelism = 1;
-  /// Hard per-request cap on granted parallelism (after defaults resolve).
   uint32_t max_parallelism = 8;
 };
 
@@ -147,14 +146,6 @@ class Server {
   std::atomic<uint64_t> queries_ok_{0};
   std::atomic<uint64_t> queries_failed_{0};
   std::atomic<uint64_t> admission_rejected_{0};
-  /// Fan-out admission: a k-way query holds k-1 slots from this pool for
-  /// its whole drain (sized to num_workers at Start), so total in-flight
-  /// query threads stay bounded by 2x num_workers however parallel the
-  /// requests are. An empty pool degrades the request toward sequential —
-  /// admission shapes fan-out, it never queues or rejects.
-  std::atomic<uint32_t> spare_parallel_slots_{0};
-  std::atomic<uint64_t> parallel_queries_{0};
-  std::atomic<uint64_t> parallel_slots_trimmed_{0};
   std::atomic<uint64_t> reloads_{0};
   util::PhaseCounter parse_phase_;
   util::PhaseCounter plan_phase_;

@@ -134,10 +134,9 @@ struct QueryRequest {
   uint32_t timeout_ms = 0;
   uint64_t max_rows = 0;
   std::string query;  // SPARQL text
-  /// Requested intra-query fan-out (protocol 1.1, optional trailing field):
-  /// 0 = server default, 1 = sequential, k = k morsel workers (the server
-  /// clamps to its max and admission-controls the extra slots). A 1.0
-  /// client simply omits it; the server reads 0.
+  /// Protocol 1.1 optional trailing field, still encoded and decoded so 1.1
+  /// clients keep working; the server ignores it (every query runs on one
+  /// thread). A 1.0 client simply omits it; the server reads 0.
   uint32_t parallelism = 0;
 };
 

@@ -108,11 +108,6 @@ class TripleTable {
   /// than the lead is bound or the bucket holds several lead ids. The span
   /// aliases the table's permutation storage.
   ///
-  /// This is also the morsel-splitting surface of the parallel executor:
-  /// the range splits into fixed-size morsels for free —
-  /// `MatchSpan(q).subspan(b, n)` — and concatenating per-morsel outputs in
-  /// morsel order reproduces the sequential scan exactly.
-  ///
   /// Starts on a cache line: every index nested-loop probe calls it, and
   /// perfbench `drain`'s p50 moved by 15-25% with its offset within a
   /// 64-byte line whenever unrelated code linked before it changed size.

@@ -9,7 +9,7 @@
 #include "rdf/dense_graph.h"
 #include "summary/cliques.h"
 #include "summary/union_find.h"
-#include "util/parallel_for.h"
+#include "util/exec_context.h"
 
 // All partition kinds run on the DenseGraph substrate:
 // flat arrays indexed by dense node / property id instead of per-algorithm

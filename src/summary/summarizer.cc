@@ -9,8 +9,8 @@
 
 #include "rdf/dense_graph.h"
 #include "reasoner/saturation.h"
+#include "util/exec_context.h"
 #include "util/fault_injection.h"
-#include "util/parallel_for.h"
 #include "util/row_set.h"
 #include "util/string_util.h"
 #include "util/timer.h"

@@ -1,6 +1,7 @@
 #ifndef RDFSUM_UTIL_EXEC_CONTEXT_H_
 #define RDFSUM_UTIL_EXEC_CONTEXT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,19 +17,17 @@ namespace rdfsum::util {
 /// --timeout-ms / --max-rows / --mem-budget-mb, and a serving daemon would
 /// build one per connection.
 ///
-/// Everything is thread-safe: parallel_for workers poll the same context the
-/// coordinating thread may Cancel(), and concurrent cursors charge the same
-/// memory budget. All counters are atomics; Check() reads the monotonic
-/// clock only when it actually evaluates the deadline.
+/// Everything is thread-safe: the thread running a request polls the
+/// context while another thread may Cancel() it. All counters are atomics;
+/// Check() reads the monotonic clock only when it actually evaluates the
+/// deadline.
 ///
 /// Conventions (see src/util/README.md for the full writeup):
 ///   - A null ExecContext* means "ungoverned" — every call site must accept
 ///     nullptr and skip the checks.
 ///   - Loops poll Check() every kCheckInterval items (not every item: one
-///     relaxed load per item is cheap, a clock read is not). Workers that
-///     observe a non-OK Check() finish their chunk and fall through to the
-///     join barrier — they never block, so cancellation cannot deadlock a
-///     barrier.
+///     relaxed load per item is cheap, a clock read is not). A loop that
+///     observes a non-OK Check() stops and returns that status.
 ///   - Check() failures are sticky by construction: once the deadline passed
 ///     or Cancel() was called, every later Check() fails the same way.
 class ExecContext {
@@ -152,6 +151,33 @@ class ExecContext {
   std::atomic<uint64_t> rows_charged_{0};
   std::atomic<uint64_t> memory_used_{0};
 };
+
+/// How many items a loop processes between ExecContext polls. Coarser
+/// than ExecContext::kCheckInterval because the chunked loops do a few
+/// nanoseconds of work per item; this still bounds cancellation latency to
+/// well under a millisecond of work.
+inline constexpr uint64_t kCancelCheckChunk = 8192;
+
+/// Runs body(chunk_begin, chunk_end) over [begin, end) in chunks of
+/// kCancelCheckChunk items, polling `ctx` between chunks. Stops at the first
+/// non-OK poll and returns that status (the remaining items are skipped —
+/// the caller must treat its output as partial and discard it). The
+/// summarizer's weak pass, bisimulation rounds and quotient poll through
+/// it.
+template <typename ChunkBody>
+Status CancellableChunks(const ExecContext* ctx, uint64_t begin, uint64_t end,
+                         ChunkBody&& body) {
+  if (ctx == nullptr) {
+    body(begin, end);
+    return Status();
+  }
+  for (uint64_t pos = begin; pos < end; pos += kCancelCheckChunk) {
+    Status st = ctx->Check();
+    if (!st.ok()) return st;
+    body(pos, std::min(end, pos + kCancelCheckChunk));
+  }
+  return ctx->Check();
+}
 
 }  // namespace rdfsum::util
 

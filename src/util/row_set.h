@@ -16,8 +16,8 @@ namespace rdfsum::util {
 ///
 /// Shared by Graph as its triple-membership index (width 3), by the query
 /// layer for projection dedup (Distinct), and as the key directory of each
-/// hash-join build partition (SharedHashJoinBuild): InsertOrFind hands back
-/// a dense ordinal per distinct key that callers index side arrays with.
+/// hash-join build side: InsertOrFind hands back a dense ordinal per
+/// distinct key that callers index side arrays with.
 ///
 /// A width of 0 models the boolean projection: there is exactly one possible
 /// (empty) row. Capacity is bounded by ~4B rows (ordinals are uint32_t).

@@ -338,7 +338,9 @@ TEST(PrunedOpenTest, PrunedQueriesStreamNothingWithoutTouchingTheGraph) {
   gen::BsbmOptions opt;
   opt.num_products = 20;
   Graph g = gen::GenerateBsbm(opt);
-  SummaryPrunedEvaluator pruned(g);
+  auto pruned_or = SummaryPrunedEvaluator::Create(g);
+  ASSERT_TRUE(pruned_or.ok()) << pruned_or.status().ToString();
+  SummaryPrunedEvaluator& pruned = **pruned_or;
   BgpQuery impossible = MustParse(
       "PREFIX b: <http://bsbm.example.org/>\n"
       "SELECT ?x WHERE { ?x b:neverUsedProperty ?y }");

@@ -11,6 +11,7 @@
 #include "gen/paper_example.h"
 #include "oracle/drain.h"
 #include "query/evaluator.h"
+#include "query/pruned_evaluator.h"
 #include "query/sparql_parser.h"
 #include "summary/summarizer.h"
 #include "util/fault_injection.h"
@@ -164,6 +165,32 @@ TEST_F(FaultInjectionTest, QuotientShardSiteSurfacesThroughTrySummarize) {
   FaultInjection::Clear();
   EXPECT_TRUE(
       summary::TrySummarize(ex.graph, summary::SummaryKind::kWeak).ok());
+}
+
+TEST_F(FaultInjectionTest, PrunedEvaluatorCreateReturnsTheSummarizerFault) {
+  // The pruned evaluator summarizes at construction; a summarizer fault is
+  // the factory's error, not an abort.
+  gen::Figure2Example ex = gen::BuildFigure2();
+  FaultInjection::Arm("quotient:shard", Status::IOError("injected"));
+  auto pruned = query::SummaryPrunedEvaluator::Create(ex.graph);
+  ASSERT_FALSE(pruned.ok());
+  EXPECT_TRUE(pruned.status().IsIOError()) << pruned.status().ToString();
+
+  // kSummary summarizes a second time, for its estimator: a fault there
+  // surfaces the same way.
+  FaultInjection::ArmOptions second;
+  second.countdown = 2;
+  FaultInjection::Arm("quotient:shard", Status::IOError("injected"), second);
+  query::SummaryPrunedEvaluator::Options options;
+  options.planner = query::PlannerMode::kSummary;
+  auto with_estimator =
+      query::SummaryPrunedEvaluator::Create(ex.graph, options);
+  ASSERT_FALSE(with_estimator.ok());
+  EXPECT_TRUE(with_estimator.status().IsIOError())
+      << with_estimator.status().ToString();
+
+  FaultInjection::Clear();
+  EXPECT_TRUE(query::SummaryPrunedEvaluator::Create(ex.graph, options).ok());
 }
 
 }  // namespace

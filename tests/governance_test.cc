@@ -3,7 +3,9 @@
 // side would exceed the memory budget — byte-identical rows to the
 // HashJoinMode::kNever stream — and the kSummary planner falls back to the
 // greedy order when the estimator's enumeration budget trips, producing
-// exactly the kGreedy plan. Row budgets meter delivered answers.
+// exactly the kGreedy plan. Row budgets meter delivered answers. Every
+// byte a build charged is refunded: on degrade, on teardown after a full
+// drain, and on teardown of a cursor abandoned after one row.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "gen/bsbm.h"
+#include "gen/lubm.h"
 #include "oracle/drain.h"
 #include "query/cursor.h"
 #include "query/evaluator.h"
@@ -55,32 +58,49 @@ const char* kJoinQuery =
     "<http://bsbm.example.org/Product> . }";
 
 TEST(GovernanceTest, MemoryBudgetDegradesHashJoinByteIdentically) {
-  const Graph& g = TestGraph();
-  BgpQuery q = MustParse(kJoinQuery);
-  BgpEvaluator eval(g);
+  gen::LubmOptions lubm_options;
+  lubm_options.num_universities = 1;
+  const Graph lubm = gen::GenerateLubm(lubm_options);
+  const struct {
+    const Graph& graph;
+    const char* query;
+    uint64_t budget;
+  } inputs[] = {
+      {TestGraph(), kJoinQuery, 1024},
+      {lubm,
+       "PREFIX l: <http://lubm.example.org/>\n"
+       "SELECT ?x ?c WHERE { ?x l:takesCourse ?c . ?x l:advisor ?a }",
+       1},
+  };
+  for (const auto& in : inputs) {
+    BgpQuery q = MustParse(in.query);
+    BgpEvaluator eval(in.graph);
 
-  // Reference: the never-hash stream, ungoverned.
-  CursorOptions nlj_options;
-  nlj_options.hash_join = HashJoinMode::kNever;
-  auto nlj = eval.Open(q, nlj_options);
-  ASSERT_TRUE(nlj.ok());
-  std::vector<IdRow> expected = Drain(**nlj);
-  ASSERT_TRUE((*nlj)->status().ok());
-  ASSERT_FALSE(expected.empty());
+    // Reference: the never-hash stream, ungoverned.
+    CursorOptions nlj_options;
+    nlj_options.hash_join = HashJoinMode::kNever;
+    auto nlj = eval.Open(q, nlj_options);
+    ASSERT_TRUE(nlj.ok());
+    std::vector<IdRow> expected = Drain(**nlj);
+    ASSERT_TRUE((*nlj)->status().ok());
+    ASSERT_FALSE(expected.empty());
 
-  // Governed: force hash joins, but with a memory budget so tight the build
-  // side cannot fit — every hash join must degrade, not fail.
-  util::ExecContext::Limits limits;
-  limits.memory_budget_bytes = 1024;
-  util::ExecContext ctx(limits);
-  CursorOptions gov_options;
-  gov_options.hash_join = HashJoinMode::kAlways;
-  gov_options.exec = &ctx;
-  auto gov = eval.Open(q, gov_options);
-  ASSERT_TRUE(gov.ok());
-  std::vector<IdRow> actual = Drain(**gov);
-  EXPECT_TRUE((*gov)->status().ok()) << (*gov)->status().ToString();
-  EXPECT_EQ(expected, actual);
+    // Governed: force hash joins, but with a memory budget so tight the
+    // build side cannot fit — every hash join must degrade, not fail.
+    util::ExecContext::Limits limits;
+    limits.memory_budget_bytes = in.budget;
+    util::ExecContext ctx(limits);
+    CursorOptions gov_options;
+    gov_options.hash_join = HashJoinMode::kAlways;
+    gov_options.exec = &ctx;
+    auto gov = eval.Open(q, gov_options);
+    ASSERT_TRUE(gov.ok());
+    std::vector<IdRow> actual = Drain(**gov);
+    EXPECT_TRUE((*gov)->status().ok()) << (*gov)->status().ToString();
+    EXPECT_EQ(expected, actual) << in.query;
+    (*gov).reset();
+    EXPECT_EQ(ctx.memory_used(), 0u) << in.query;
+  }
 }
 
 TEST(GovernanceTest, UngovernedHashAndDegradedAgreeOnEveryBudget) {
@@ -118,7 +138,81 @@ TEST(GovernanceTest, UngovernedHashAndDegradedAgreeOnEveryBudget) {
     // accounting or refunded on degrade; nothing leaks into the context.
     (*cur).reset();
     EXPECT_EQ(ctx.memory_used(), 0u) << "budget " << budget;
+
+    // A cursor abandoned after its first row refunds its build too.
+    auto abandoned = eval.Open(q, options);
+    ASSERT_TRUE(abandoned.ok());
+    IdRow row;
+    EXPECT_TRUE((*abandoned)->Next(&row)) << "budget " << budget;
+    (*abandoned).reset();
+    EXPECT_EQ(ctx.memory_used(), 0u) << "budget " << budget;
   }
+}
+
+TEST(GovernanceTest, PartialBudgetDegradesTheLaterBuildAndRefundsIt) {
+  // Two hash builds, each of which fits the budget alone but not both:
+  // `?s ?p ?o` (62 triples) and `?o <tag> ?z` (6 triples). The compile-time
+  // check admits both. The root join builds first on its first Next, so
+  // `?o <tag> ?z` is charged and `?s ?p ?o` is refused mid-build: that
+  // join degrades (its partial charge refunded) and the rows stay the
+  // ungoverned set.
+  Graph g;
+  const std::string ex = "http://ex.org/";
+  for (int k = 0; k < 8; ++k) {
+    g.AddIris(ex + "m", ex + "uses", ex + "p" + std::to_string(k));
+  }
+  // Tags first, so the o_i are interned in index order: the nested-loop
+  // probe of `?s ?p ?o` (POS) and its hash probe (SPO build order) then
+  // emit the s_i in different orders.
+  for (int i = 0; i < 6; ++i) {
+    g.AddIris(ex + "o" + std::to_string(i), ex + "tag",
+              ex + "z" + std::to_string(i));
+  }
+  for (int i = 0; i < 6; ++i) {
+    for (int k = 0; k < 8; ++k) {
+      g.AddIris(ex + "s" + std::to_string(i), ex + "p" + std::to_string(k),
+                ex + "o" + std::to_string((5 * i + 3) % 6));
+    }
+  }
+  ASSERT_EQ(g.NumTriples(), 62u);
+  BgpEvaluator eval(g);
+  BgpQuery q = MustParse(
+      "PREFIX e: <http://ex.org/>\n"
+      "SELECT ?s ?o ?z WHERE { ?m e:uses ?p . ?s ?p ?o . ?o e:tag ?z }");
+
+  CursorOptions hashed;
+  hashed.hash_join = HashJoinMode::kAlways;
+  auto ungoverned_cur = eval.Open(q, PlannerMode::kNaive, hashed);
+  ASSERT_TRUE(ungoverned_cur.ok());
+  std::vector<IdRow> ungoverned = Drain(**ungoverned_cur);
+  std::sort(ungoverned.begin(), ungoverned.end());
+  ASSERT_EQ(ungoverned.size(), 6u);
+
+  util::ExecContext::Limits limits;
+  limits.memory_budget_bytes = 62 * kHashJoinBuildBytesPerRow + 100;
+  util::ExecContext ctx(limits);
+  CursorOptions governed = hashed;
+  governed.exec = &ctx;
+  auto cur = eval.Open(q, PlannerMode::kNaive, governed);
+  ASSERT_TRUE(cur.ok());
+  std::vector<IdRow> rows = Drain(**cur);
+  EXPECT_TRUE((*cur)->status().ok()) << (*cur)->status().ToString();
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, ungoverned);
+  // Only the refused build degraded; the other one still holds its charge.
+  std::vector<OperatorStats> ops;
+  (*cur)->CollectOperators(&ops);
+  std::vector<std::string> degraded;
+  for (const OperatorStats& op : ops) {
+    if (op.op.find("degraded=nlj") != std::string::npos) {
+      degraded.push_back(op.op);
+    }
+  }
+  ASSERT_EQ(degraded.size(), 1u);
+  EXPECT_NE(degraded[0].find("?s ?p ?o"), std::string::npos) << degraded[0];
+  EXPECT_EQ(ctx.memory_used(), 6 * kHashJoinBuildBytesPerRow);
+  (*cur).reset();
+  EXPECT_EQ(ctx.memory_used(), 0u);
 }
 
 TEST(GovernanceTest, RowBudgetMetersDeliveredAnswers) {

@@ -2,7 +2,11 @@
 // return a result set byte-identical to the frozen naive (textual-order)
 // plan, across {BSBM, LUBM, paper example, hetero} x {raw, saturated}, on
 // both fixed multi-join queries and generated RBGP workloads. Join order
-// must never change answers — only speed.
+// must never change answers — only speed. The join algorithm must not
+// either: nested loops (HashJoinMode::kNever) and every step hashed
+// (kAlways) return the same set under every planner mode, and a
+// LIMIT/OFFSET page is exactly that window of its mode's full stream (the
+// tree torn down with input still unread).
 
 #include <gtest/gtest.h>
 
@@ -34,18 +38,25 @@ BgpQuery MustParse(const std::string& text) {
   return std::move(q).value();
 }
 
-/// Canonical, order-independent rendering of a result set.
-std::set<std::string> Canonical(const std::vector<Row>& rows) {
-  std::set<std::string> out;
+/// Order-preserving rendering of a result stream.
+std::vector<std::string> Ordered(const std::vector<Row>& rows) {
+  std::vector<std::string> out;
+  out.reserve(rows.size());
   for (const Row& row : rows) {
     std::string line;
     for (const Term& t : row) {
       line += t.ToNTriples();
       line += '\t';
     }
-    out.insert(std::move(line));
+    out.push_back(std::move(line));
   }
   return out;
+}
+
+/// Canonical, order-independent rendering of a result set.
+std::set<std::string> Canonical(const std::vector<Row>& rows) {
+  std::vector<std::string> lines = Ordered(rows);
+  return std::set<std::string>(lines.begin(), lines.end());
 }
 
 struct Workload {
@@ -134,18 +145,43 @@ void RunDifferential(const Workload& w, bool saturate) {
     auto baseline = Drain(eval, q, PlannerMode::kNaive);
     ASSERT_TRUE(baseline.ok()) << q.ToString();
     std::set<std::string> expected = Canonical(*baseline);
-    for (PlannerMode mode :
-         {PlannerMode::kGreedy, PlannerMode::kSummary}) {
-      auto rows = Drain(eval, q, mode);
-      ASSERT_TRUE(rows.ok()) << q.ToString();
-      EXPECT_EQ(Canonical(*rows), expected)
-          << w.name << " mode=" << PlannerModeName(mode)
-          << " saturate=" << saturate << "\n"
-          << q.ToString();
+    const uint64_t embeddings =
+        eval.Explain(q, PlannerMode::kNaive)->num_embeddings;
+    for (PlannerMode mode : kAllPlannerModes) {
       // Embedding counts (pre-projection) must agree too.
-      EXPECT_EQ(eval.Explain(q, mode)->num_embeddings,
-                eval.Explain(q, PlannerMode::kNaive)->num_embeddings)
+      EXPECT_EQ(eval.Explain(q, mode)->num_embeddings, embeddings)
+          << PlannerModeName(mode) << "\n"
           << q.ToString();
+      for (HashJoinMode hj : {HashJoinMode::kFromPlan, HashJoinMode::kNever,
+                              HashJoinMode::kAlways}) {
+        CursorOptions options;
+        options.hash_join = hj;
+        auto full = Drain(eval, q, mode, options);
+        ASSERT_TRUE(full.ok()) << q.ToString();
+        EXPECT_EQ(Canonical(*full), expected)
+            << w.name << " mode=" << PlannerModeName(mode)
+            << " hj=" << static_cast<int>(hj) << " saturate=" << saturate
+            << "\n"
+            << q.ToString();
+        const std::vector<std::string> stream = Ordered(*full);
+        for (size_t limit : {size_t{0}, size_t{1}, size_t{3}}) {
+          CursorOptions page = options;
+          page.limit = limit;
+          page.offset = 1;
+          auto rows = Drain(eval, q, mode, page);
+          ASSERT_TRUE(rows.ok()) << q.ToString();
+          std::vector<std::string> window;
+          for (size_t i = 1; i < stream.size() && window.size() < limit;
+               ++i) {
+            window.push_back(stream[i]);
+          }
+          EXPECT_EQ(Ordered(*rows), window)
+              << w.name << " mode=" << PlannerModeName(mode)
+              << " hj=" << static_cast<int>(hj) << " limit=" << limit
+              << "\n"
+              << q.ToString();
+        }
+      }
     }
   }
 }
@@ -175,7 +211,9 @@ TEST(PrunedPlannerDifferentialTest, AllModesAgreeWithDirect) {
   for (PlannerMode mode : kAllPlannerModes) {
     SummaryPrunedEvaluator::Options options;
     options.planner = mode;
-    SummaryPrunedEvaluator pruned(g, options);
+    auto pruned_or = SummaryPrunedEvaluator::Create(g, options);
+    ASSERT_TRUE(pruned_or.ok()) << pruned_or.status().ToString();
+    SummaryPrunedEvaluator& pruned = **pruned_or;
     if (mode == PlannerMode::kSummary) {
       ASSERT_NE(pruned.estimator(), nullptr);
     } else {
@@ -199,7 +237,9 @@ TEST(PrunedPlannerDifferentialTest, PrunedExplainStillValidatesTheHead) {
   gen::LubmOptions opt;
   opt.num_universities = 1;
   Graph g = gen::GenerateLubm(opt);
-  SummaryPrunedEvaluator pruned(g);
+  auto pruned_or = SummaryPrunedEvaluator::Create(g);
+  ASSERT_TRUE(pruned_or.ok()) << pruned_or.status().ToString();
+  SummaryPrunedEvaluator& pruned = **pruned_or;
   // A query the summary prunes (unused property), with a manually broken
   // head: the error must win over the pruning shortcut.
   BgpQuery q = MustParse(

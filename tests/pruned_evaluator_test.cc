@@ -25,10 +25,10 @@ class PrunedEvaluatorTest : public ::testing::Test {
           opt.num_universities = 1;
           return opt;
         }())),
-        pruned_(g_) {}
+        pruned_(SummaryPrunedEvaluator::Create(g_).value()) {}
 
   Graph g_;
-  SummaryPrunedEvaluator pruned_;
+  std::unique_ptr<SummaryPrunedEvaluator> pruned_;
 };
 
 TEST_F(PrunedEvaluatorTest, AgreesWithDirectEvaluationOnHits) {
@@ -37,9 +37,9 @@ TEST_F(PrunedEvaluatorTest, AgreesWithDirectEvaluationOnHits) {
       "SELECT ?p WHERE { ?p l:teacherOf ?c }");
   Graph g_inf = reasoner::Saturate(g_);
   BgpEvaluator direct(g_inf);
-  EXPECT_TRUE(pruned_.ExistsMatch(q));
+  EXPECT_TRUE(pruned_->ExistsMatch(q));
   auto expected = Drain(direct, q);
-  auto actual = Drain(pruned_, q);
+  auto actual = Drain(*pruned_, q);
   ASSERT_TRUE(expected.ok());
   ASSERT_TRUE(actual.ok());
   EXPECT_EQ(actual->size(), expected->size());
@@ -51,12 +51,12 @@ TEST_F(PrunedEvaluatorTest, DecodeBorrowsTheQueriedGraphsDictionary) {
   BgpQuery q = MustParse(
       "PREFIX l: <http://lubm.example.org/>\n"
       "SELECT ?p ?c WHERE { ?p l:teacherOf ?c }");
-  auto cursor = pruned_.Open(q);
+  auto cursor = pruned_->Open(q);
   ASSERT_TRUE(cursor.ok());
   IdRow ids;
   size_t n = 0;
   while ((*cursor)->Next(&ids)) {
-    Row row = pruned_.Decode(ids);
+    Row row = pruned_->Decode(ids);
     ASSERT_EQ(row.size(), 2u);
     for (size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(&row[i], &g_.dict().Decode(ids[i]));
@@ -70,9 +70,9 @@ TEST_F(PrunedEvaluatorTest, PrunesAbsentProperty) {
   BgpQuery q = MustParse(
       "PREFIX l: <http://lubm.example.org/>\n"
       "SELECT ?x WHERE { ?x l:neverUsedProperty ?y }");
-  EXPECT_FALSE(pruned_.ExistsMatch(q));
-  EXPECT_EQ(pruned_.stats().pruned_by_summary, 1u);
-  EXPECT_EQ(pruned_.stats().graph_probes, 0u);
+  EXPECT_FALSE(pruned_->ExistsMatch(q));
+  EXPECT_EQ(pruned_->stats().pruned_by_summary, 1u);
+  EXPECT_EQ(pruned_->stats().graph_probes, 0u);
 }
 
 TEST_F(PrunedEvaluatorTest, PrunedEvaluateReturnsEmptyRows) {
@@ -86,7 +86,7 @@ TEST_F(PrunedEvaluatorTest, PrunedEvaluateReturnsEmptyRows) {
   Graph g_inf = reasoner::Saturate(g_);
   BgpEvaluator direct(g_inf);
   auto direct_rows = Drain(direct, q);
-  auto pruned_rows = Drain(pruned_, q);
+  auto pruned_rows = Drain(*pruned_, q);
   ASSERT_TRUE(direct_rows.ok());
   ASSERT_TRUE(pruned_rows.ok());
   EXPECT_EQ(pruned_rows->size(), direct_rows->size());
@@ -99,9 +99,9 @@ TEST_F(PrunedEvaluatorTest, NeverPrunesAQueryWithAnswers) {
   for (int i = 0; i < 30; ++i) {
     BgpQuery q = GenerateRbgpQuery(g_inf, rng);
     if (q.triples.empty()) continue;
-    EXPECT_TRUE(pruned_.ExistsMatch(q)) << q.ToString();
+    EXPECT_TRUE(pruned_->ExistsMatch(q)) << q.ToString();
   }
-  EXPECT_EQ(pruned_.stats().pruned_by_summary, 0u);
+  EXPECT_EQ(pruned_->stats().pruned_by_summary, 0u);
 }
 
 TEST_F(PrunedEvaluatorTest, NonRbgpQueriesBypassTheSummary) {
@@ -109,22 +109,26 @@ TEST_F(PrunedEvaluatorTest, NonRbgpQueriesBypassTheSummary) {
   BgpQuery q = MustParse(
       "PREFIX l: <http://lubm.example.org/>\n"
       "SELECT ?x WHERE { ?x l:name \"University 0\" }");
-  EXPECT_TRUE(pruned_.ExistsMatch(q));
-  EXPECT_GE(pruned_.stats().graph_probes, 1u);
+  EXPECT_TRUE(pruned_->ExistsMatch(q));
+  EXPECT_GE(pruned_->stats().graph_probes, 1u);
 }
 
 TEST_F(PrunedEvaluatorTest, UnsaturatedModeMatchesExplicitOnly) {
   gen::BookExample book = gen::BuildBookExample();
   SummaryPrunedEvaluator::Options options;
   options.saturate = false;
-  SummaryPrunedEvaluator pruned(book.graph, options);
+  auto pruned_or = SummaryPrunedEvaluator::Create(book.graph, options);
+  ASSERT_TRUE(pruned_or.ok()) << pruned_or.status().ToString();
+  SummaryPrunedEvaluator& pruned = **pruned_or;
   BgpQuery q = MustParse(
       "PREFIX b: <http://example.org/book/>\n"
       "SELECT ?x WHERE { ?x b:hasAuthor ?a }");
   // hasAuthor exists only implicitly; without saturation there is no match.
   EXPECT_FALSE(pruned.ExistsMatch(q));
 
-  SummaryPrunedEvaluator saturated(book.graph);
+  auto saturated_or = SummaryPrunedEvaluator::Create(book.graph);
+  ASSERT_TRUE(saturated_or.ok()) << saturated_or.status().ToString();
+  SummaryPrunedEvaluator& saturated = **saturated_or;
   EXPECT_TRUE(saturated.ExistsMatch(q));
 }
 
@@ -133,7 +137,9 @@ TEST_F(PrunedEvaluatorTest, StrongSummaryPrunesAtLeastAsMuchAsWeak) {
   Graph g_inf = reasoner::Saturate(g_);
   SummaryPrunedEvaluator::Options strong_opt;
   strong_opt.kind = summary::SummaryKind::kStrong;
-  SummaryPrunedEvaluator strong(g_, strong_opt);
+  auto strong_or = SummaryPrunedEvaluator::Create(g_, strong_opt);
+  ASSERT_TRUE(strong_or.ok()) << strong_or.status().ToString();
+  SummaryPrunedEvaluator& strong = **strong_or;
 
   std::vector<std::string> texts = {
       "PREFIX l: <http://lubm.example.org/>\n"
@@ -145,7 +151,7 @@ TEST_F(PrunedEvaluatorTest, StrongSummaryPrunesAtLeastAsMuchAsWeak) {
   };
   for (const auto& text : texts) {
     BgpQuery q = MustParse(text);
-    bool weak_says = pruned_.ExistsMatch(q);
+    bool weak_says = pruned_->ExistsMatch(q);
     bool strong_says = strong.ExistsMatch(q);
     Graph gi = reasoner::Saturate(g_);
     BgpEvaluator direct(gi);

@@ -292,9 +292,9 @@ TEST(ServerTest, ConcurrentReadersRaceSnapshotSwapWithoutTearing) {
 }
 
 TEST(ServerTest, ParallelRequestsRaceReloadAndStayByteIdentical) {
-  // ~10K triples so the full-scan query clears the executor's fan-out gate
-  // (kParallelMinScanRows) — req.parallelism really engages morsel fan-out
-  // on the server, not just the sequential fallback.
+  // ~10K triples. Requests carry the protocol 1.1 `parallelism` field,
+  // which the server accepts and ignores: every query runs on its
+  // connection's worker thread.
   const std::string image_a = FreezeBsbm(300, "par_swap_a.rsb", 0);
   const std::string image_b = FreezeBsbm(300, "par_swap_b.rsb", 7);
   const std::vector<std::string> all_a = LocalRows(image_a, kAllQuery);
@@ -303,13 +303,13 @@ TEST(ServerTest, ParallelRequestsRaceReloadAndStayByteIdentical) {
 
   ServerOptions options;
   options.num_workers = 6;
-  options.max_parallelism = 8;
   Server server;
   ASSERT_TRUE(server.Start(image_a, options).ok());
   const uint16_t port = server.port();
 
-  // Order identity over the wire: a 4-way request streams the very same
-  // rows, in the same order, as a sequential one (unsorted compare).
+  // Order identity over the wire: a request with parallelism = 4 streams
+  // the very same rows, in the same order, as one with 1 (unsorted
+  // compare).
   {
     auto collect = [&](uint32_t parallelism) {
       QueryRequest req;
@@ -333,9 +333,9 @@ TEST(ServerTest, ParallelRequestsRaceReloadAndStayByteIdentical) {
     EXPECT_EQ(collect(4), collect(1));
   }
 
-  // Race: 4-way readers against a continuous epoch swapper. Every response
-  // must be exactly A's rows or exactly B's — pinned epoch, no tearing,
-  // and the fan-out slots release cleanly every time.
+  // Race: readers asking for parallelism 4 against a continuous epoch
+  // swapper. Every response must be exactly A's rows or exactly B's —
+  // pinned epoch, no tearing.
   std::atomic<int> torn{0};
   std::atomic<int> failed{0};
   std::vector<std::thread> readers;
@@ -364,16 +364,6 @@ TEST(ServerTest, ParallelRequestsRaceReloadAndStayByteIdentical) {
   swapper.join();
   EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(failed.load(), 0);
-
-  // The admission pool drained back to full and the stats surfaced the
-  // parallel traffic.
-  auto client = Client::Connect("127.0.0.1", port);
-  ASSERT_TRUE(client.ok());
-  auto stats = (*client)->Stats();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_NE(stats->find("parallel_queries: "), std::string::npos) << *stats;
-  EXPECT_NE(stats->find("parallel_slots_free: 6"), std::string::npos)
-      << *stats;
   server.Stop();
   server.Wait();
 }

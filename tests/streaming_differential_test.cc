@@ -346,7 +346,9 @@ TEST(PrunedStreamingTest, OpenMatchesLegacyGreedyOnSaturation) {
   opt.num_universities = 1;
   Graph g = gen::GenerateLubm(opt);
   Graph saturated = reasoner::Saturate(g);
-  SummaryPrunedEvaluator pruned(g);
+  auto pruned_or = SummaryPrunedEvaluator::Create(g);
+  ASSERT_TRUE(pruned_or.ok()) << pruned_or.status().ToString();
+  SummaryPrunedEvaluator& pruned = **pruned_or;
   BgpEvaluator reference(saturated);
 
   const std::string prefix = "PREFIX l: <http://lubm.example.org/>\n";

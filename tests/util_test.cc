@@ -1,21 +1,16 @@
 #include <gtest/gtest.h>
-#include <sched.h>
 
-#include <atomic>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "util/csv.h"
-#include "util/parallel_for.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/statusor.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace rdfsum {
@@ -320,56 +315,6 @@ TEST(TimerTest, MeasuresSomething) {
   for (int i = 0; i < 100000; ++i) x = x + i;
   EXPECT_GE(timer.ElapsedMicros(), 0);
   EXPECT_GE(timer.ElapsedSeconds(), 0.0);
-}
-
-// ------------------------------------------------------------ ParallelFor
-
-TEST(ParallelForTest, ResolveThreadCountClamps) {
-  EXPECT_GE(util::ResolveThreadCount(0, 100), 1u);  // 0 = all cores, >= 1
-  EXPECT_EQ(util::ResolveThreadCount(8, 3), 3u);    // never more than work
-  EXPECT_EQ(util::ResolveThreadCount(8, 0), 1u);    // empty work -> 1 thread
-  EXPECT_EQ(util::ResolveThreadCount(4, 4), 4u);
-  // A work-item count past 2^32 must not truncate into the clamp (the bug
-  // the old per-call std::min<uint64_t>-into-uint32_t clamp risked).
-  EXPECT_EQ(util::ResolveThreadCount(16, (1ull << 33) + 5), 16u);
-  // A wrapped-around request is capped, not spawned.
-  EXPECT_EQ(util::ResolveThreadCount(0xFFFFFFFFu, 1ull << 33),
-            util::kMaxThreads);
-}
-
-#if defined(__linux__)
-TEST(ParallelForTest, AllCoresMeansTheAffinityMask) {
-  // "0 = all cores" counts the CPUs the calling thread may run on, not the
-  // host's: a thread pinned to one CPU resolves to one worker, and a pool
-  // it creates gets one worker thread.
-  cpu_set_t allowed;
-  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
-  int cpu = 0;
-  while (!CPU_ISSET(cpu, &allowed)) ++cpu;
-  bool pinned = false;
-  uint32_t resolved = 0, pool_size = 0;
-  std::thread probe([&] {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    pinned = sched_setaffinity(0, sizeof(one), &one) == 0;
-    resolved = util::ResolveThreadCount(0, 1000);
-    pool_size = util::ThreadPool(0).size();
-  });
-  probe.join();
-  ASSERT_TRUE(pinned);
-  EXPECT_EQ(resolved, 1u);
-  EXPECT_EQ(pool_size, 1u);
-}
-#endif
-
-TEST(ParallelForTest, RunsEveryShardExactlyOnce) {
-  constexpr uint32_t kShards = 7;
-  std::atomic<uint32_t> mask{0};
-  util::ParallelFor(kShards, [&](uint32_t shard) {
-    mask.fetch_or(1u << shard, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(mask.load(), (1u << kShards) - 1);
 }
 
 }  // namespace

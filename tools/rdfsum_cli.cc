@@ -18,8 +18,7 @@
 // graph from the image — still far cheaper than parsing.
 //
 // Input format is chosen by extension: .ttl/.turtle uses the Turtle parser,
-// anything else the N-Triples parser. The global --threads flag (see Usage)
-// parallelizes query's drain with byte-identical output.
+// anything else the N-Triples parser. Every command runs on one thread.
 
 #include <chrono>
 #include <csignal>
@@ -106,10 +105,6 @@ int Usage() {
       "  rdfsum serve     <graph.rsb> [--host H] [--port N] [--workers N]\n"
       "                   [--queue-depth N] [--no-plan-cache]\n"
       "                   [--plan naive|greedy|summary]\n"
-      "                   [--default-parallelism N] [--max-parallelism N]\n"
-      "                   (defaults 1 and 8: per-request morsel fan-out when\n"
-      "                    the request doesn't ask, and the per-request cap;\n"
-      "                    a k-way query holds k-1 admission slots)\n"
       "                   (daemon over the wire protocol of docs/PROTOCOL.md;\n"
       "                    port 0 picks an ephemeral port, printed on start;\n"
       "                    SIGHUP re-opens the image as a new epoch with zero\n"
@@ -123,12 +118,6 @@ int Usage() {
       "  the frozen image is mmap'd and validated instead of re-parsed, so\n"
       "  the store is queryable in milliseconds; results are byte-identical\n"
       "  to the parse path\n"
-      "\n"
-      "global flags (any command):\n"
-      "  --threads N        worker threads for query's morsel-parallel\n"
-      "                     drain; 0 = all cores, 1 = sequential (default).\n"
-      "                     Rows are byte-identical at every thread count.\n"
-      "                     Load, freeze and summarize run on one thread.\n"
       "\n"
       "global resource-governance flags (any command; 0 = unlimited):\n"
       "  --timeout-ms N     wall-clock budget; exceeding it aborts with\n"
@@ -370,8 +359,7 @@ int CmdConvert(const std::vector<std::string>& args, util::ExecContext* exec) {
   return 0;
 }
 
-int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
-             uint32_t threads) {
+int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec) {
   bool prune = true;
   bool saturate = true;
   bool explain = false;
@@ -465,7 +453,7 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
   // --no-prune skips the pruning evaluator entirely (its summary and
   // second saturation would be wasted work); only the estimator is built
   // when the summary planner asks for one.
-  std::optional<query::SummaryPrunedEvaluator> pruned;
+  std::unique_ptr<query::SummaryPrunedEvaluator> pruned;
   std::optional<Graph> direct_target;
   std::optional<summary::CardinalityEstimator> estimator;
   std::optional<query::BgpEvaluator> direct;
@@ -477,14 +465,20 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
     query::SummaryPrunedEvaluator::Options options;
     options.saturate = saturate;
     options.planner = planner;
-    pruned.emplace(g, options);
+    auto created = query::SummaryPrunedEvaluator::Create(g, options, exec);
+    if (!created.ok()) return FailStatus(created.status());
+    pruned = std::move(created).value();
   } else {
     direct_target.emplace(saturate ? reasoner::Saturate(g) : g.Clone());
     query::EvaluatorOptions direct_options;
     direct_options.planner = planner;
     if (planner == query::PlannerMode::kSummary) {
-      estimator.emplace(
-          summary::Summarize(*direct_target, summary::SummaryKind::kWeak));
+      summary::SummaryOptions summary_options;
+      summary_options.exec = exec;
+      StatusOr<summary::SummaryResult> h = summary::TrySummarize(
+          *direct_target, summary::SummaryKind::kWeak, summary_options);
+      if (!h.ok()) return FailStatus(h.status());
+      estimator.emplace(std::move(h).value());
       direct_options.estimator = &*estimator;
     }
     direct.emplace(*direct_target, direct_options);
@@ -513,9 +507,6 @@ int CmdQuery(const std::vector<std::string>& args, util::ExecContext* exec,
   cursor_options.limit = limit;
   cursor_options.offset = static_cast<size_t>(skip);
   cursor_options.exec = exec;
-  // The global --threads is the morsel fan-out for the drain itself (0 =
-  // all cores, 1 = sequential); rows are byte-identical at every count.
-  cursor_options.parallelism = threads;
   StatusOr<std::unique_ptr<query::Cursor>> cursor =
       prune ? pruned->Open(*q, cursor_options)
             : direct->Open(*q, cursor_options);
@@ -609,16 +600,6 @@ int CmdServe(const std::vector<std::string>& args,
         return Fail("bad --queue-depth " + args[i]);
       }
       options.queue_depth = v;
-    } else if (args[i] == "--default-parallelism" && i + 1 < args.size()) {
-      if (!ParseUint32(args[++i], &v)) {
-        return Fail("bad --default-parallelism " + args[i]);
-      }
-      options.default_parallelism = v;
-    } else if (args[i] == "--max-parallelism" && i + 1 < args.size()) {
-      if (!ParseUint32(args[++i], &v)) {
-        return Fail("bad --max-parallelism " + args[i]);
-      }
-      options.max_parallelism = v;
     } else if (args[i] == "--no-plan-cache") {
       options.plan_cache = false;
     } else if (args[i] == "--plan" && i + 1 < args.size()) {
@@ -710,7 +691,6 @@ int CmdGen(const std::vector<std::string>& args) {
 // (exec = nullptr) — zero overhead on the hot paths.
 int Run(const std::string& cmd, const std::vector<std::string>& args) {
   util::ExecContext::Limits limits;
-  uint32_t threads = 1;
   std::vector<std::string> rest;
   for (size_t i = 0; i < args.size(); ++i) {
     uint32_t v = 0;
@@ -729,10 +709,6 @@ int Run(const std::string& cmd, const std::vector<std::string>& args) {
         return Fail("bad --mem-budget-mb " + args[i]);
       }
       limits.memory_budget_bytes = static_cast<uint64_t>(v) << 20;
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      if (!ParseUint32(args[++i], &threads)) {
-        return Fail("bad --threads " + args[i]);
-      }
     } else {
       rest.push_back(args[i]);
     }
@@ -745,7 +721,7 @@ int Run(const std::string& cmd, const std::vector<std::string>& args) {
   if (cmd == "summarize") return CmdSummarize(rest, exec);
   if (cmd == "saturate") return CmdSaturate(rest, exec);
   if (cmd == "convert") return CmdConvert(rest, exec);
-  if (cmd == "query") return CmdQuery(rest, exec, threads);
+  if (cmd == "query") return CmdQuery(rest, exec);
   if (cmd == "freeze") return CmdFreeze(rest, exec);
   // serve gets the raw Limits: they become per-request defaults, applied by
   // the server as each request's ExecContext, not one context for the whole

@@ -3,7 +3,7 @@
 //
 //   rdfsum_client query    <host:port> <sparql...> [--plan naive|greedy|summary]
 //                          [--limit N] [--offset N] [--timeout-ms N]
-//                          [--max-rows N] [--cancel-after N] [--parallelism N]
+//                          [--max-rows N] [--cancel-after N]
 //   rdfsum_client stats    <host:port>
 //   rdfsum_client reload   <host:port> [image.rsb]
 //   rdfsum_client shutdown <host:port>
@@ -57,10 +57,7 @@ int Usage() {
       "  rdfsum_client query    <host:port> <sparql string>\n"
       "                         [--plan naive|greedy|summary] [--limit N]\n"
       "                         [--offset N] [--timeout-ms N] [--max-rows N]\n"
-      "                         [--cancel-after N] [--parallelism N]\n"
-      "                           --parallelism: morsel workers for this\n"
-      "                           query (0 = server default, 1 = sequential;\n"
-      "                           the server clamps to its own max)\n"
+      "                         [--cancel-after N]\n"
       "  rdfsum_client stats    <host:port>\n"
       "  rdfsum_client reload   <host:port> [image.rsb]\n"
       "  rdfsum_client shutdown <host:port>\n"
@@ -98,7 +95,7 @@ int Run(int argc, char** argv) {
 
   if (cmd == "query") {
     server::QueryRequest req;
-    uint64_t cancel_after = 0, timeout_ms = 0, parallelism = 0;
+    uint64_t cancel_after = 0, timeout_ms = 0;
     // The numeric options, each with the largest value its field holds. A
     // malformed or out-of-range value is a usage error before any connect.
     struct NumericOption {
@@ -112,7 +109,6 @@ int Run(int argc, char** argv) {
         {"--timeout-ms", UINT32_MAX, &timeout_ms},
         {"--max-rows", UINT64_MAX, &req.max_rows},
         {"--cancel-after", UINT64_MAX, &cancel_after},
-        {"--parallelism", UINT32_MAX, &parallelism},
     };
     std::vector<std::string> positional;
     for (size_t i = 0; i < args.size(); ++i) {
@@ -146,7 +142,6 @@ int Run(int argc, char** argv) {
       }
     }
     req.timeout_ms = static_cast<uint32_t>(timeout_ms);
-    req.parallelism = static_cast<uint32_t>(parallelism);
     if (positional.empty()) return Usage();
     std::string sparql;
     for (const std::string& p : positional) {
