@@ -99,6 +99,16 @@ class BenchJson {
     records_.push_back(r);
   }
 
+  /// Wall-time record of one of several modes timed round-robin, with the
+  /// run's A/A spread: the median |a-b| of one mode timed twice per round.
+  /// A difference between the modes smaller than the spread is noise.
+  void RecordWithSpread(const std::string& name, uint64_t scale,
+                        double seconds, double aa_spread_seconds) {
+    Record_ r{name, scale, seconds};
+    r.aa_spread_seconds = aa_spread_seconds;
+    records_.push_back(r);
+  }
+
   /// Per-operation latency record: carries `ns_per_probe` in place of
   /// `seconds`, so a nanosecond figure is never read as a wall time.
   void RecordNsPerProbe(const std::string& name, uint64_t scale, double ns) {
@@ -134,6 +144,9 @@ class BenchJson {
       } else {
         std::fprintf(f, ", \"seconds\": %.6f", r.seconds);
       }
+      if (r.aa_spread_seconds >= 0) {
+        std::fprintf(f, ", \"aa_spread_seconds\": %.6f", r.aa_spread_seconds);
+      }
       if (r.parse_seconds >= 0) {
         std::fprintf(f,
                      ", \"parse_seconds\": %.6f, \"freeze_seconds\": %.6f",
@@ -154,6 +167,7 @@ class BenchJson {
     double parse_seconds = -1;  // -1 = not a load row (phase breakdown absent)
     double freeze_seconds = -1;
     double ns_per_probe = -1;  // -1 = a wall-time row
+    double aa_spread_seconds = -1;  // -1 = not timed round-robin
   };
   std::string bench_name_;
   std::vector<std::pair<std::string, uint64_t>> meta_;

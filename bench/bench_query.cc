@@ -22,6 +22,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -341,15 +343,18 @@ void RunStreamingBench(bench::BenchJson* json, const store::MmapStore& st,
               "first 10 distinct rows (greedy plans, largest BSBM scale)");
 }
 
-constexpr int kHashJoinRuns = 7;
+constexpr int kHashJoinRuns = 21;
 
 /// Hash joins on fat intermediates: unanchored joins whose probe side is
 /// every offer/review. Each shape runs under kNever (index nested loops all
 /// the way down), kFromPlan (the planner's join pick) and kAlways (every
 /// join step hashed), so the table shows where the pick sits against both
-/// extremes. Each is timed as the median of kHashJoinRuns one-thread
-/// drains: these take a few milliseconds, and a best-of-two read swung
-/// ±30% between runs.
+/// extremes. The modes are timed round-robin: kHashJoinRuns rounds of one
+/// drain per mode, nlj drained twice, with the order rotated and reversed
+/// from round to round, and each mode's row is its median. (Timed one mode
+/// after another, two modes compiling the same tree read 25% apart.) Every
+/// row carries the within-run A/A spread, the median |a-b| of a round's two
+/// nlj drains; a gap between modes below it is noise.
 void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
                       uint64_t triples, bool* all_equal) {
   const std::string p = "PREFIX b: <http://bsbm.example.org/>\n";
@@ -369,7 +374,7 @@ void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
   };
   BgpEvaluator eval(st.dict(), st.table());
   TablePrinter table({"query", "flagged steps", "rows", "nlj (ms)",
-                      "pick (ms)", "hash (ms)", "equal"});
+                      "pick (ms)", "hash (ms)", "A/A spread (ms)", "equal"});
   const std::pair<const char*, query::HashJoinMode> modes[] = {
       {"nlj", query::HashJoinMode::kNever},
       {"pick", query::HashJoinMode::kFromPlan},
@@ -384,7 +389,6 @@ void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
     std::multiset<std::string> reference;
     uint64_t reference_rows = 0;
     bool equal = true;
-    std::vector<std::string> row = {sq.shape, std::to_string(flagged)};
     for (const auto& [name, mode] : modes) {
       query::CursorOptions options;
       options.hash_join = mode;
@@ -394,14 +398,42 @@ void RunHashJoinBench(bench::BenchJson* json, const store::MmapStore& st,
       if (mode == query::HashJoinMode::kNever) {
         reference = std::move(got);
         reference_rows = rows;
-        row.push_back(Num(rows));
       } else {
         equal = equal && got == reference && rows == reference_rows;
       }
-      double secs = TimeCursorDrains(eval, q, options, kHashJoinRuns).median();
-      json->Record("hashjoin_" + sq.shape + "_" + name, triples, secs);
-      row.push_back(FormatDouble(secs * 1e3, 2));
     }
+    // secs[m][round] for m = nlj, pick, hash, then nlj's A/A twin. Each
+    // round starts one mode later, and odd rounds run the cycle backwards,
+    // so no mode always follows the same one (on fatchain nlj and pick
+    // drain the same tree, and the second of two such drains finds warmer
+    // caches).
+    std::vector<std::vector<double>> secs(4);
+    for (int round = 0; round < kHashJoinRuns; ++round) {
+      for (int k = 0; k < 4; ++k) {
+        const int m = (round + (round % 2 == 0 ? k : 4 - k)) % 4;
+        query::CursorOptions options;
+        options.hash_join = modes[m % 3].second;
+        secs[m].push_back(TimeCursorDrains(eval, q, options, 1).best());
+      }
+    }
+    auto median = [](std::vector<double> v) {
+      std::sort(v.begin(), v.end());
+      return v[v.size() / 2];
+    };
+    std::vector<double> aa;
+    for (int round = 0; round < kHashJoinRuns; ++round) {
+      aa.push_back(std::abs(secs[0][round] - secs[3][round]));
+    }
+    const double spread = median(aa);
+    std::vector<std::string> row = {sq.shape, std::to_string(flagged),
+                                    Num(reference_rows)};
+    for (int m = 0; m < 3; ++m) {
+      const double t = median(secs[m]);
+      json->RecordWithSpread("hashjoin_" + sq.shape + "_" + modes[m].first,
+                             triples, t, spread);
+      row.push_back(FormatDouble(t * 1e3, 2));
+    }
+    row.push_back(FormatDouble(spread * 1e3, 2));
     row.push_back(equal ? "yes" : "NO (bug!)");
     table.AddRow(row);
     *all_equal = *all_equal && equal;

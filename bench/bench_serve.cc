@@ -9,9 +9,12 @@
 // snowflake queries whose constants rotate per request, planned in summary
 // mode. A cache miss pays summary-estimated join ordering on every request;
 // a hit re-instantiates the memoized skeleton and goes straight to
-// execution, so cache-on should win by a wide margin. main() exits non-zero
-// if it does not — CI's bench gate runs this binary and then re-checks the
-// qps relationship in the JSON.
+// execution, so cache-on should win by a wide margin. Both daemons run side
+// by side and their sweeps alternate; main() exits non-zero unless the
+// cache-on median qps beats cache-off at every client count and the
+// cache-on daemon's STATS show hits and a shorter plan phase. CI's bench
+// gate runs this binary and then re-checks the medians and plan phases in
+// the JSON.
 
 #include <algorithm>
 #include <cstdint>
@@ -44,6 +47,7 @@ using server::ServerOptions;
 constexpr int kClientSweeps[] = {1, 4, 8};
 constexpr int kWarmupPerThread = 8;
 constexpr int kRequestsPerThread = 1000;
+constexpr int kRounds = 5;  // alternating off/on sweeps per client count
 
 /// Same-shape snowflake (the bench_query shape), anchored at a rotating
 /// producer so every request carries different constants but normalizes to
@@ -62,6 +66,20 @@ struct SweepResult {
   double p99 = 0;
   uint64_t rows = 0;
 };
+
+/// The number after `key: ` in a STATS reply, or 0 when the key is absent.
+uint64_t StatField(const std::string& text, const std::string& key) {
+  const size_t at = text.find(key + ": ");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(text.c_str() + at + key.size() + 2, nullptr, 10);
+}
+
+/// One STATS reply from the daemon on `port`.
+StatusOr<std::string> DaemonStats(uint16_t port) {
+  auto client = Client::Connect("127.0.0.1", port);
+  if (!client.ok()) return client.status();
+  return (*client)->Stats();
+}
 
 double Percentile(std::vector<double>* sorted, double p) {
   if (sorted->empty()) return 0;
@@ -290,75 +308,116 @@ bool PrintServeBench() {
 
   bench::BenchJson json("bench_serve");
   json.MetaInt("hardware_concurrency", std::thread::hardware_concurrency());
-  TablePrinter table({"clients", "plan cache", "qps", "p50 (ms)", "p99 (ms)",
-                      "cache hit rate"});
-  // qps[threads][cache_on] for the final on-beats-off check.
-  std::vector<std::vector<double>> qps(kClientSweeps[2] + 1,
-                                       std::vector<double>(2, 0));
+  TablePrinter table({"clients", "plan cache", "qps", "qps min-max",
+                      "p50 (ms)", "p99 (ms)"});
 
-  for (bool cache_on : {false, true}) {
+  // Both daemons stay up, indexed by cache_on. At each client count their
+  // sweeps alternate for kRounds rounds, the side that goes first
+  // alternating too, and the rows are the per-side medians: host drift
+  // hits both sides alike and one noisy reading cannot decide the check.
+  Server servers[2];
+  auto stop_all = [&] {
+    for (Server& server : servers) {
+      server.Stop();
+      server.Wait();
+    }
+  };
+  for (int on = 0; on < 2; ++on) {
     ServerOptions options;
     options.num_workers = 8;  // >= the widest client sweep: never queue
     options.queue_depth = 16;
-    options.plan_cache = cache_on;
-    Server server;
-    Status started = server.Start(image, options);
+    options.plan_cache = on == 1;
+    Status started = servers[on].Start(image, options);
     if (!started.ok()) {
       std::cerr << "bench_serve: start failed: " << started.ToString() << "\n";
+      stop_all();
       return false;
     }
-    for (int threads : kClientSweeps) {
-      SweepResult r;
-      if (!RunSweep(server.port(), threads, &r)) {
-        std::cerr << "bench_serve: sweep failed (clients=" << threads
-                  << ", cache=" << (cache_on ? "on" : "off") << ")\n";
-        server.Stop();
-        server.Wait();
-        return false;
-      }
-      qps[threads][cache_on ? 1 : 0] = r.qps;
-      const std::string suffix = "_c" + std::to_string(threads) +
-                                 (cache_on ? "_cacheon" : "_cacheoff");
-      json.Record("serve_qps" + suffix, g.NumTriples(), r.qps);
-      json.Record("serve_p50" + suffix, g.NumTriples(), r.p50);
-      json.Record("serve_p99" + suffix, g.NumTriples(), r.p99);
-
-      std::string hit_rate = "off";
-      if (cache_on) {
-        auto stats_client = Client::Connect("127.0.0.1", server.port());
-        if (stats_client.ok()) {
-          auto text = (*stats_client)->Stats();
-          if (text.ok()) {
-            uint64_t hits = 0, misses = 0;
-            size_t m = text->find("plan_cache_misses: ");
-            if (m != std::string::npos) {
-              misses = std::strtoull(text->c_str() + m + 19, nullptr, 10);
-            }
-            size_t h = text->find("plan_cache_hits: ");
-            if (h != std::string::npos) {
-              hits = std::strtoull(text->c_str() + h + 17, nullptr, 10);
-            }
-            if (hits + misses > 0) {
-              hit_rate = FormatDouble(
-                  100.0 * static_cast<double>(hits) /
-                      static_cast<double>(hits + misses),
-                  1) + "%";
-            }
-          }
+  }
+  bool on_wins = true;
+  for (int threads : kClientSweeps) {
+    std::vector<SweepResult> runs[2];
+    for (int round = 0; round < kRounds; ++round) {
+      for (int k = 0; k < 2; ++k) {
+        const int on = (round + k) % 2;
+        SweepResult r;
+        if (!RunSweep(servers[on].port(), threads, &r)) {
+          std::cerr << "bench_serve: sweep failed (clients=" << threads
+                    << ", cache=" << (on ? "on" : "off") << ")\n";
+          stop_all();
+          return false;
         }
+        runs[on].push_back(r);
       }
-      table.AddRow({std::to_string(threads), cache_on ? "on" : "off",
-                    FormatDouble(r.qps, 0), FormatDouble(r.p50 * 1e3, 3),
-                    FormatDouble(r.p99 * 1e3, 3), hit_rate});
     }
-    server.Stop();
-    server.Wait();
+    double median_qps[2];
+    for (int on = 0; on < 2; ++on) {
+      auto sorted = [&](double SweepResult::*field) {
+        std::vector<double> v;
+        for (const SweepResult& r : runs[on]) v.push_back(r.*field);
+        std::sort(v.begin(), v.end());
+        return v;
+      };
+      const std::vector<double> qps = sorted(&SweepResult::qps);
+      const double p50 = sorted(&SweepResult::p50)[kRounds / 2];
+      const double p99 = sorted(&SweepResult::p99)[kRounds / 2];
+      median_qps[on] = qps[kRounds / 2];
+      const std::string suffix = "_c" + std::to_string(threads) +
+                                 (on ? "_cacheon" : "_cacheoff");
+      json.Record("serve_qps" + suffix, g.NumTriples(), median_qps[on]);
+      json.Record("serve_p50" + suffix, g.NumTriples(), p50);
+      json.Record("serve_p99" + suffix, g.NumTriples(), p99);
+      table.AddRow({std::to_string(threads), on ? "on" : "off",
+                    FormatDouble(median_qps[on], 0),
+                    FormatDouble(qps.front(), 0) + "-" +
+                        FormatDouble(qps.back(), 0),
+                    FormatDouble(p50 * 1e3, 3), FormatDouble(p99 * 1e3, 3)});
+    }
+    if (median_qps[1] <= median_qps[0]) {
+      std::cerr << "bench_serve: plan cache ON did not beat OFF at "
+                << threads << " clients (median " << median_qps[1] << " vs "
+                << median_qps[0] << " qps)\n";
+      on_wins = false;
+    }
   }
 
   table.Print(std::cout,
               "Serving daemon over the wire: summary-planned same-shape "
               "queries, rotating constants (" + Num(g.NumTriples()) +
               " triples)");
+
+  // A median comparison alone cannot catch a dead cache: two equal daemons
+  // win it half the time. So the cache-on daemon's own STATS must show
+  // plan-cache hits and a lower mean plan phase than the cache-off one.
+  uint64_t hits[2] = {0, 0};
+  double plan_mean_us[2] = {0, 0};
+  for (int on = 0; on < 2; ++on) {
+    StatusOr<std::string> text = DaemonStats(servers[on].port());
+    if (!text.ok()) {
+      std::cerr << "bench_serve: STATS failed: " << text.status().ToString()
+                << "\n";
+      stop_all();
+      return false;
+    }
+    hits[on] = StatField(*text, "plan_cache_hits");
+    plan_mean_us[on] =
+        static_cast<double>(StatField(*text, "phase_plan_total_us")) /
+        static_cast<double>(std::max<uint64_t>(
+            1, StatField(*text, "phase_plan_count")));
+    json.Record(on ? "serve_plan_mean_cacheon" : "serve_plan_mean_cacheoff",
+                g.NumTriples(), plan_mean_us[on] * 1e-6);
+  }
+  stop_all();
+  std::cout << "daemon STATS: plan_cache_hits " << hits[1]
+            << " (cache on), mean plan phase "
+            << FormatDouble(plan_mean_us[1], 1) << " us (cache on) vs "
+            << FormatDouble(plan_mean_us[0], 1) << " us (cache off)\n";
+  if (hits[1] == 0 || plan_mean_us[1] >= plan_mean_us[0]) {
+    std::cerr << "bench_serve: the plan cache did no work (cache-on hits "
+              << hits[1] << ", plan phase " << plan_mean_us[1] << " us vs "
+              << plan_mean_us[0] << " us with the cache off)\n";
+    on_wins = false;
+  }
 
   const bool par_ok = RunHeavyServeBench(&json);
 
@@ -370,15 +429,6 @@ bool PrintServeBench() {
     std::cerr << "failed to write " << out << "\n";
   }
 
-  bool on_wins = true;
-  for (int threads : kClientSweeps) {
-    if (qps[threads][1] <= qps[threads][0]) {
-      std::cerr << "bench_serve: plan cache ON did not beat OFF at "
-                << threads << " clients (" << qps[threads][1] << " vs "
-                << qps[threads][0] << " qps)\n";
-      on_wins = false;
-    }
-  }
   std::remove(image.c_str());
   return on_wins && par_ok;
 }

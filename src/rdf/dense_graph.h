@@ -15,24 +15,25 @@ namespace rdfsum {
 ///
 /// Built from a GraphView (summary::TrySummarize builds one per call), it
 /// replaces the per-algorithm `unordered_map<TermId, ...>` indexing idiom
-/// with flat arrays:
+/// with flat arrays. It holds only what more than one summary reads; a
+/// structure with a single reader (the bisimulation's per-node adjacency)
+/// is built by that reader.
 ///
 ///  - **Canonical node numbering.** Data nodes get dense ids 0..n-1 in the
 ///    canonical first-encounter order used for partition class-id assignment
 ///    everywhere in summary/: data triples (subject, then object), triple by
 ///    triple, followed by type-triple subjects. Iterating node ids in
-///    ascending order therefore *is* the canonical node walk.
+///    ascending order therefore *is* the canonical node walk, and the
+///    endpoints of data triples are the prefix 0..num_data_nodes()-1.
 ///  - **Dense property numbering.** Data properties get ids 0..P-1 in
 ///    first-occurrence order over the data component.
 ///  - **Encoded edge list.** `data_edges()` is the data component with both
 ///    endpoints and the property replaced by dense ids, in graph order.
-///  - **CSR adjacency.** Out-edges and in-edges per node as (property,
-///    neighbor) pairs with offset arrays, in graph order within a node.
 ///  - **Per-property first-seen anchors.** The first subject (resp. object)
 ///    node of each property in graph order — the seed the weak summary's
 ///    union-find anchors to.
-///  - **Type info.** Per-node sorted, de-duplicated class sets (CSR layout)
-///    plus a dense "class set id" shared by nodes with equal class sets.
+///  - **Class-set ids.** A dense "class set id" shared by nodes with equal
+///    sets of classes.
 ///
 /// The view holds TermIds and dense ids only; it never touches term strings,
 /// and it copies what it needs, so it stays valid (describing the graph as
@@ -52,12 +53,6 @@ class DenseGraph {
     NodeId o;
   };
 
-  /// One CSR adjacency entry.
-  struct Neighbor {
-    PropId p;
-    NodeId node;
-  };
-
   explicit DenseGraph(const GraphView& g);
 
   // ---- Nodes ----------------------------------------------------------
@@ -69,11 +64,9 @@ class DenseGraph {
     return t < node_of_term_.size() ? node_of_term_[t] : kNone;
   }
   /// True iff node `i` occurs as an endpoint of some data triple.
-  bool HasData(NodeId i) const { return has_data_[i] != 0; }
+  bool HasData(NodeId i) const { return i < num_data_nodes_; }
   /// True iff node `i` is the subject of some type triple.
-  bool IsTyped(NodeId i) const {
-    return class_offsets_[i + 1] > class_offsets_[i];
-  }
+  bool IsTyped(NodeId i) const { return class_set_id_[i] != kNone; }
 
   // ---- Properties -----------------------------------------------------
   uint32_t num_properties() const {
@@ -97,49 +90,31 @@ class DenseGraph {
     return {edges_.data() + begin, edges_.data() + end};
   }
 
-  std::span<const Neighbor> OutEdges(NodeId i) const {
-    return {out_entries_.data() + out_offsets_[i],
-            out_entries_.data() + out_offsets_[i + 1]};
-  }
-  std::span<const Neighbor> InEdges(NodeId i) const {
-    return {in_entries_.data() + in_offsets_[i],
-            in_entries_.data() + in_offsets_[i + 1]};
-  }
-
   /// First subject (resp. object) node of property `p` in graph order.
   NodeId SourceAnchor(PropId p) const { return source_anchor_[p]; }
   NodeId TargetAnchor(PropId p) const { return target_anchor_[p]; }
 
   // ---- Types ----------------------------------------------------------
-  /// Sorted, de-duplicated class TermIds of node `i` (empty if untyped).
-  std::span<const TermId> ClassesOf(NodeId i) const {
-    return {classes_.data() + class_offsets_[i],
-            classes_.data() + class_offsets_[i + 1]};
-  }
   /// Dense id of the class *set* of node `i` (equal sets share an id,
   /// assigned in canonical node order); kNone for untyped nodes.
   uint32_t ClassSetId(NodeId i) const { return class_set_id_[i]; }
   uint32_t num_class_sets() const { return num_class_sets_; }
 
  private:
-  // Nodes, canonical order.
+  // Nodes, canonical order; the first num_data_nodes_ are data endpoints.
   std::vector<TermId> terms_;
   std::vector<NodeId> node_of_term_;  // indexed by TermId
-  std::vector<uint8_t> has_data_;
+  uint32_t num_data_nodes_ = 0;
 
   // Properties, first-occurrence order.
   std::vector<TermId> prop_terms_;
   std::vector<PropId> prop_of_term_;  // indexed by TermId
 
-  // Data edges + CSR adjacency.
+  // Data edges and their per-property anchors.
   std::vector<Edge> edges_;
-  std::vector<uint32_t> out_offsets_, in_offsets_;
-  std::vector<Neighbor> out_entries_, in_entries_;
   std::vector<NodeId> source_anchor_, target_anchor_;
 
-  // Type component (CSR of sorted unique class sets).
-  std::vector<uint32_t> class_offsets_;
-  std::vector<TermId> classes_;
+  // Type component.
   std::vector<uint32_t> class_set_id_;
   uint32_t num_class_sets_ = 0;
 };

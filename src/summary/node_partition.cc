@@ -1,7 +1,6 @@
 #include "summary/node_partition.h"
 
 #include <algorithm>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -10,6 +9,7 @@
 #include "summary/cliques.h"
 #include "summary/union_find.h"
 #include "util/exec_context.h"
+#include "util/span_interner.h"
 
 // All partition kinds run on the DenseGraph substrate:
 // flat arrays indexed by dense node / property id instead of per-algorithm
@@ -191,70 +191,72 @@ NodePartition ComputeBisimulationPartition(const DenseGraph& dg,
                                            util::ExecContext* exec) {
   const uint32_t n = dg.num_nodes();
 
-  // Seed colors: class-set hash (or a shared constant). The hash formula
-  // matches the reference implementation so seed grouping is identical.
-  std::vector<uint64_t> color(n, 0x9E3779B97F4A7C15ULL);
+  // Seed colors: the class-set id, with one shared color for untyped nodes
+  // and for every node when types are ignored. Colors are class ids of the
+  // partition so far, numbered canonically.
+  std::vector<uint32_t> seed(n, 0);
   if (use_types) {
     for (uint32_t i = 0; i < n; ++i) {
-      std::span<const TermId> classes = dg.ClassesOf(i);
-      if (classes.empty()) continue;
-      uint64_t h = 0x12345;
-      for (TermId c : classes) {
-        h ^= c + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      }
-      color[i] = h;
+      if (dg.IsTyped(i)) seed[i] = dg.ClassSetId(i) + 1;
+    }
+  }
+  NodePartition part = Finalize(std::move(seed), dg.num_class_sets() + 1);
+  std::vector<uint32_t>& color = part.class_of;
+
+  // The adjacency the rounds walk: one (label, neighbor) list per node by
+  // counting sort over the edge list, with label 2p+1 for an out-edge and
+  // 2p for an in-edge, holding only the directions `direction` asks for.
+  const bool fwd = direction != BisimulationDirection::kBackward;
+  const bool bwd = direction != BisimulationDirection::kForward;
+  struct Arc {
+    uint32_t label;
+    uint32_t node;  // the neighbor
+  };
+  std::vector<uint32_t> offsets(n + 1, 0);
+  std::vector<Arc> arcs;
+  if (depth > 0) {
+    for (const DenseGraph::Edge& e : dg.data_edges()) {
+      if (fwd) ++offsets[e.s + 1];
+      if (bwd) ++offsets[e.o + 1];
+    }
+    for (uint32_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+    arcs.resize(offsets[n]);
+    std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const DenseGraph::Edge& e : dg.data_edges()) {
+      if (fwd) arcs[fill[e.s]++] = Arc{2 * e.p + 1, e.o};
+      if (bwd) arcs[fill[e.o]++] = Arc{2 * e.p, e.s};
     }
   }
 
-  // Refinement rounds over the CSR adjacency: each round reads the
-  // previous colors and writes `next`, then the buffers swap. Signatures use
-  // dense property ids — a bijective relabeling of the reference's TermIds,
-  // so equivalence classes (and therefore the canonical partition) are
-  // unchanged.
-  const bool fwd = direction != BisimulationDirection::kBackward;
-  const bool bwd = direction != BisimulationDirection::kForward;
-  std::vector<uint64_t> next(n);
-  std::vector<std::tuple<int, uint32_t, uint64_t>> sig;
+  // Refinement rounds: a node's signature is its own color followed by the
+  // sorted distinct (label, neighbor color) pairs, and its next color is
+  // the signature's exact id, interned in node order — so colors stay
+  // canonical class ids. Own color leads, so each round refines the last;
+  // a round that adds no class has reached the fixpoint every later round
+  // repeats.
+  std::vector<uint32_t> next(n);
+  std::vector<uint64_t> sig;
   for (uint32_t round = 0; round < depth; ++round) {
+    util::SpanInterner<uint64_t> table;
     Status st = util::CancellableChunks(exec, 0, n, [&](uint64_t begin,
                                                         uint64_t end) {
       for (uint64_t node = begin; node < end; ++node) {
         const uint32_t i = static_cast<uint32_t>(node);
-        sig.clear();
-        if (bwd) {
-          for (const DenseGraph::Neighbor& a : dg.InEdges(i)) {
-            sig.emplace_back(0, a.p, color[a.node]);
-          }
+        sig.assign(1, color[i]);
+        for (uint32_t k = offsets[i]; k < offsets[i + 1]; ++k) {
+          sig.push_back(uint64_t{arcs[k].label} << 32 | color[arcs[k].node]);
         }
-        if (fwd) {
-          for (const DenseGraph::Neighbor& a : dg.OutEdges(i)) {
-            sig.emplace_back(1, a.p, color[a.node]);
-          }
-        }
-        std::sort(sig.begin(), sig.end());
-        sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-        uint64_t h = color[i] * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL;
-        for (const auto& [dir, p, c] : sig) {
-          h ^= (static_cast<uint64_t>(dir) * 0x2545F4914F6CDD1DULL + p) +
-               0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-          h ^= c + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-        }
-        next[i] = h;
+        std::sort(sig.begin() + 1, sig.end());
+        sig.erase(std::unique(sig.begin() + 1, sig.end()), sig.end());
+        next[i] = table.Intern(sig);
       }
     });
     if (!st.ok()) return NodePartition{};
     color.swap(next);
+    if (table.size() == part.num_classes) break;
+    part.num_classes = table.size();
   }
-
-  std::unordered_map<uint64_t, uint32_t> color_class;
-  color_class.reserve(n);
-  std::vector<uint32_t> raw(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    auto [it, inserted] = color_class.emplace(
-        color[i], static_cast<uint32_t>(color_class.size()));
-    raw[i] = it->second;
-  }
-  return Finalize(std::move(raw), static_cast<uint32_t>(color_class.size()));
+  return part;
 }
 
 }  // namespace rdfsum::summary

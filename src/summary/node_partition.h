@@ -56,8 +56,10 @@ NodePartition ComputeTypedStrongPartition(const DenseGraph& dg,
 /// Baseline from the paper's related work (§8): k-bounded bisimulation over
 /// the data triples, seeded with class sets when `use_types` is set. Two
 /// nodes are equivalent iff their labeled neighborhoods (per `direction`:
-/// forward, backward, or both) agree up to `depth` hops. Unlike the paper's
-/// summaries its size grows with structural diversity — the blow-up
+/// forward, backward, or both) agree up to `depth` hops: each round
+/// interns exact signatures, never a hash of them. The partition builds
+/// its own adjacency from `dg.data_edges()`. Unlike the paper's summaries
+/// its size grows with structural diversity — the blow-up
 /// bench_baseline_bisimulation measures.
 ///
 /// `exec` (optional) makes the rounds cancellable: each round polls it

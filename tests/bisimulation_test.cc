@@ -65,6 +65,24 @@ TEST(BisimulationTest, DepthOneSeparatesByPropertySignature) {
   EXPECT_NE(ClassOf(dg, part, x1), ClassOf(dg, part, x3));
 }
 
+TEST(BisimulationTest, SignatureHashCollisionDoesNotMerge) {
+  // In this graph n21 has one incoming p4 edge and n125 one incoming p3
+  // edge, so they differ at depth 1; a 64-bit hash of their class-set
+  // seeded signatures once collided and merged them.
+  gen::HeteroOptions opt;
+  opt.seed = 2;
+  opt.num_nodes = 300;
+  Graph g = gen::GenerateHetero(opt);
+  const DenseGraph dg(g);
+  const TermId n21 = g.dict().EncodeIri("http://hetero.example.org/n21");
+  const TermId n125 = g.dict().EncodeIri("http://hetero.example.org/n125");
+  for (bool use_types : {true, false}) {
+    NodePartition part = ComputeBisimulationPartition(dg, 1, use_types);
+    EXPECT_NE(ClassOf(dg, part, n21), ClassOf(dg, part, n125))
+        << "use_types " << use_types;
+  }
+}
+
 TEST(BisimulationTest, SummarizeFacadeWorks) {
   gen::Figure2Example ex = gen::BuildFigure2();
   SummaryOptions options;

@@ -15,6 +15,9 @@
 // including their hash-map-per-endpoint indexing idiom. Do not "optimize"
 // it: its only job is to define the canonical partition semantics the
 // DenseGraph-based implementations must reproduce exactly.
+// The bisimulation reference is the exception: its pre-substrate version
+// named colors by a 64-bit hash combine and so merged nodes whose
+// signatures collided; it now numbers exact signatures instead.
 
 namespace rdfsum::summary {
 namespace {
@@ -321,17 +324,23 @@ ReferencePartition ReferenceBisimulationPartition(const Graph& g,
   NodeIndex idx(g);
   const uint32_t n = static_cast<uint32_t>(idx.nodes.size());
 
-  std::vector<uint64_t> color(n, 0x9E3779B97F4A7C15ULL);
-  if (use_types) {
-    auto class_sets = ClassSets(g);
+  // Hash-free: every color is the exact value it stands for, numbered by a
+  // std::map — the seed by class set (empty when untyped or types are
+  // ignored), each round by (own color, sorted distinct neighborhood).
+  std::vector<uint32_t> color(n);
+  {
+    const auto class_sets =
+        use_types ? ClassSets(g)
+                  : std::unordered_map<TermId, std::vector<TermId>>{};
+    std::map<std::vector<TermId>, uint32_t> seed_color;
     for (uint32_t i = 0; i < n; ++i) {
       auto it = class_sets.find(idx.nodes[i]);
-      if (it == class_sets.end()) continue;
-      uint64_t h = 0x12345;
-      for (TermId c : it->second) {
-        h ^= c + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      }
-      color[i] = h;
+      std::vector<TermId> set;
+      if (it != class_sets.end()) set = it->second;
+      color[i] = seed_color
+                     .emplace(std::move(set),
+                              static_cast<uint32_t>(seed_color.size()))
+                     .first->second;
     }
   }
 
@@ -348,34 +357,29 @@ ReferencePartition ReferenceBisimulationPartition(const Graph& g,
     adj[oi].push_back({false, t.p, si});
   }
 
+  using Signature =
+      std::pair<uint32_t, std::vector<std::tuple<int, TermId, uint32_t>>>;
   for (uint32_t round = 0; round < depth; ++round) {
-    std::vector<uint64_t> next(n);
+    std::map<Signature, uint32_t> sig_color;
+    std::vector<uint32_t> next(n);
     for (uint32_t i = 0; i < n; ++i) {
-      std::vector<std::tuple<int, TermId, uint64_t>> sig;
-      sig.reserve(adj[i].size());
+      Signature sig{color[i], {}};
       for (const Adj& a : adj[i]) {
-        sig.emplace_back(a.out ? 1 : 0, a.p, color[a.other]);
+        sig.second.emplace_back(a.out ? 1 : 0, a.p, color[a.other]);
       }
-      std::sort(sig.begin(), sig.end());
-      sig.erase(std::unique(sig.begin(), sig.end()), sig.end());
-      uint64_t h = color[i] * 0xBF58476D1CE4E5B9ULL + 0x94D049BB133111EBULL;
-      for (const auto& [dir, p, c] : sig) {
-        h ^= (static_cast<uint64_t>(dir) * 0x2545F4914F6CDD1DULL + p) +
-             0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-        h ^= c + 0x9E3779B97F4A7C15ULL + (h << 6) + (h >> 2);
-      }
-      next[i] = h;
+      std::sort(sig.second.begin(), sig.second.end());
+      sig.second.erase(std::unique(sig.second.begin(), sig.second.end()),
+                       sig.second.end());
+      next[i] = sig_color
+                    .emplace(std::move(sig),
+                             static_cast<uint32_t>(sig_color.size()))
+                    .first->second;
     }
     color = std::move(next);
   }
 
   std::unordered_map<TermId, uint32_t> raw;
-  std::unordered_map<uint64_t, uint32_t> color_class;
-  for (uint32_t i = 0; i < n; ++i) {
-    auto [it, inserted] = color_class.emplace(
-        color[i], static_cast<uint32_t>(color_class.size()));
-    raw.emplace(idx.nodes[i], it->second);
-  }
+  for (uint32_t i = 0; i < n; ++i) raw.emplace(idx.nodes[i], color[i]);
   return Finalize(g, raw);
 }
 

@@ -26,7 +26,9 @@ struct ReferencePartition {
 /// substrate — each Compute*Partition must equal its reference through
 /// PartitionMismatch (same class_of, same num_classes) — and the "before"
 /// side of bench_substrate's before/after measurement. Built into the test-only
-/// rdfsum_oracle target, never into librdfsum.
+/// rdfsum_oracle target, never into librdfsum. The bisimulation reference
+/// alone is not the pre-substrate code: it names colors by the exact
+/// signature through a std::map, so no hash collision can merge two nodes.
 ReferencePartition ReferenceWeakPartition(const Graph& g);
 ReferencePartition ReferenceStrongPartition(const Graph& g);
 ReferencePartition ReferenceTypePartition(const Graph& g);
